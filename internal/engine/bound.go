@@ -97,18 +97,24 @@ func (c *CompiledDB) RelationTuples(name string) [][]string {
 // safe for concurrent use; Update/Rebind never mutate it — they return a new
 // BoundQuery sharing all state the delta did not touch.
 type BoundQuery struct {
-	prep     *PreparedQuery
-	cdb      *CompiledDB
-	inst     *Instance
-	nodeRels []*Relation // nil for naive and ground plans
+	prep *PreparedQuery
+	cdb  *CompiledDB
 
-	// nodeSupport carries, per node, the derivation count of every tuple of
-	// the unfiltered bag projection — the auxiliary state that lets Update
-	// maintain a node under a delta with a delta-join instead of re-running
-	// the full λ join. Built lazily: empty until the first Rebind, and nil
-	// per node until that node is first maintained, so bind-and-evaluate
-	// workloads that never update pay nothing.
-	nodeSupport []*storage.TupleMap
+	// inst and nodeRels are the flat atom and node relations Bind builds
+	// (nodeRels is nil for naive and ground plans). Once the query is being
+	// maintained (maint below), an entry is valid only while its relation has
+	// not changed since it was flat: Rebind clears the entries a delta
+	// reaches — inst.AtomRels[i], nodeRels[u] — instead of rewriting them,
+	// and flatNodes lists a cleared node from the maintained state on demand.
+	inst     *Instance
+	nodeRels []*Relation
+
+	// maint is the maintained (persistent-map) form of the same relations,
+	// nil until the first Rebind that changes something the query reads: a
+	// bind-and-evaluate workload that never updates builds none of it.
+	maint  *maintState
+	flatMu sync.Mutex                  // serialises flatNodes' listing
+	flat   atomic.Pointer[[]*Relation] // flatNodes' result, once some entry of nodeRels was nil
 
 	reduceMu sync.Mutex // serialises enumSt construction
 	enumSt   atomic.Pointer[enumState]
@@ -159,7 +165,13 @@ func (b *BoundQuery) ExplainDB() string {
 	var sb strings.Builder
 	sb.WriteString(plan.Explain())
 	for u, rel := range b.nodeRels {
-		fmt.Fprintf(&sb, "node %d materialised: |rel|=%d\n", u, rel.Len())
+		n := 0
+		if rel != nil {
+			n = rel.Len()
+		} else { // changed since it was flat: the maintained state knows
+			n = b.maint.nodes[u].sup.Len()
+		}
+		fmt.Fprintf(&sb, "node %d materialised: |rel|=%d\n", u, n)
 	}
 	return sb.String()
 }
@@ -171,6 +183,33 @@ func (b *BoundQuery) Vars() []string { return b.prep.Vars() }
 // value space of the relations DiffFrom returns.
 func (b *BoundQuery) Dict() *Dict { return b.inst.Dict }
 
+// flatNodes returns every node relation as a flat Relation — what the
+// from-scratch passes (Bool's semijoin pass, the first full reduction, the
+// first counting DP) scan. A freshly bound query has them from Bind; a
+// maintained one lists the nodes that changed since off their persistent
+// maps, once, on first request.
+func (b *BoundQuery) flatNodes() []*Relation {
+	if b.maint == nil {
+		return b.nodeRels
+	}
+	if rels := b.flat.Load(); rels != nil {
+		return *rels
+	}
+	b.flatMu.Lock()
+	defer b.flatMu.Unlock()
+	if rels := b.flat.Load(); rels != nil {
+		return *rels
+	}
+	rels := append([]*Relation(nil), b.nodeRels...)
+	for u, rel := range rels {
+		if rel == nil {
+			rels[u] = flatten(b.maint.nodes[u].sup, b.prep.plan.bagVars[u])
+		}
+	}
+	b.flat.Store(&rels)
+	return rels
+}
+
 // run clones the per-evaluation view of the bound node relations: the slice
 // is copied so semijoin passes can reassign slots, while the relations
 // themselves are shared read-only.
@@ -178,7 +217,7 @@ func (b *BoundQuery) run() *run {
 	return &run{
 		plan:     b.prep.plan,
 		inst:     b.inst,
-		nodeRels: append([]*Relation(nil), b.nodeRels...),
+		nodeRels: append([]*Relation(nil), b.flatNodes()...),
 		par:      b.prep.eng.par(),
 	}
 }
@@ -199,7 +238,7 @@ func (b *BoundQuery) Bool(ctx context.Context) (bool, error) {
 		return groundSat(b.inst), nil
 	}
 	if es := b.enumSt.Load(); es != nil {
-		return es.nodes[b.prep.plan.d.Root()].rel.Len() > 0, nil
+		return es.rootLen() > 0, nil
 	}
 	return b.run().bool_(ctx)
 }
@@ -242,7 +281,7 @@ func (b *BoundQuery) ensureCounts(ctx context.Context) (*countState, error) {
 	if cs := b.countSt.Load(); cs != nil {
 		return cs, nil
 	}
-	cs, err := buildCountState(ctx, b.prep.plan, b.nodeRels, b.prep.eng.par())
+	cs, err := buildCountState(ctx, b.prep.plan, b.flatNodes(), b.prep.eng.par())
 	if err != nil {
 		return nil, err
 	}
@@ -275,6 +314,7 @@ func (b *BoundQuery) ensureReduced(ctx context.Context) (*enumState, error) {
 	}
 	es := buildEnumState(b.prep.plan, r.nodeRels)
 	es.buRels = bu
+	es.id = b.prep.eng.stateSeq.Add(1)
 	b.enumSt.Store(es)
 	return es, nil
 }
@@ -365,15 +405,18 @@ func (b *BoundQuery) materialise(ctx context.Context) (*Relation, error) {
 // columns (in the shared dictionary's value space). The receiver and prev
 // must be binds of the same PreparedQuery descending from one CompileDB
 // lineage — interned values are not comparable across dictionaries, so
-// anything else is an error. When the two snapshots share their cached
-// evaluation state (the delta never reached the query, or was absorbed
-// before the reduced relations) the diff is empty without enumerating
-// anything. Otherwise the diff is enumerated straight from the per-node
-// changes of the two cached enumeration states in O(per-node change +
-// |result diff| × tree) — see diff.go — never materialising either result;
-// only plans without cached enumeration state (naive plans, ground queries)
-// fall back to materialising both sides and diffing them as sets. This is
-// the hook a live view-maintenance layer turns into change notifications.
+// anything else is an error. When the delta never reached the query, or was
+// absorbed before the reduced relations, the diff is empty without
+// enumerating anything. Otherwise the diff is enumerated straight from the
+// per-node changes of the two cached enumeration states in O(per-node change
+// + |result diff| × tree) — see diff.go — never materialising either result.
+// When prev is the snapshot b was derived from by Rebind or Update, the
+// per-node changes are the deltas that Rebind recorded, so the whole call is
+// O(change); against any other snapshot of the lineage they are recomputed by
+// diffing the reduced relations. Only plans without cached enumeration state
+// (naive plans, ground queries) fall back to materialising both sides and
+// diffing them as sets. This is the hook a live view-maintenance layer turns
+// into change notifications.
 func (b *BoundQuery) DiffFrom(ctx context.Context, prev *BoundQuery) (added, removed *Relation, err error) {
 	if prev == nil {
 		return nil, nil, fmt.Errorf("engine: DiffFrom against a nil snapshot")
@@ -391,21 +434,6 @@ func (b *BoundQuery) DiffFrom(ctx context.Context, prev *BoundQuery) (added, rem
 	if b == prev || b.inst == prev.inst {
 		return empty() // shared instance: the delta was invisible to the query
 	}
-	if bes, pes := b.enumSt.Load(), prev.enumSt.Load(); bes != nil && pes != nil {
-		if bes == pes {
-			return empty()
-		}
-		same := true
-		for u := range bes.nodes {
-			if bes.nodes[u].rel != pes.nodes[u].rel {
-				same = false
-				break
-			}
-		}
-		if same {
-			return empty() // every reduced relation absorbed: identical results
-		}
-	}
 	if p := b.prep.plan; !p.Naive() && p.d.Nodes() > 0 && len(p.qvars) > 0 {
 		bes, err := b.ensureReduced(ctx)
 		if err != nil {
@@ -415,8 +443,14 @@ func (b *BoundQuery) DiffFrom(ctx context.Context, prev *BoundQuery) (added, rem
 		if err != nil {
 			return nil, nil, err
 		}
+		mc := &maintCtx{}
+		defer func() { b.prep.eng.maintRows.Add(mc.rows) }()
+		diffs := nodeDiffs(pes, bes, mc)
+		if len(diffs) == 0 {
+			return empty() // every reduced relation absorbed: identical results
+		}
 		b.prep.eng.diffsFast.Add(1)
-		return b.diffIncremental(ctx, pes, bes)
+		return b.diffIncremental(ctx, pes, bes, diffs, mc)
 	}
 	b.prep.eng.diffsOracle.Add(1)
 	return b.diffOracle(ctx, prev)

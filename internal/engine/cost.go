@@ -8,17 +8,22 @@ import (
 // This file is the cost model of incremental maintenance: every
 // incremental-vs-rebuild decision prices both paths by the rows each would
 // actually touch, using measured quantities only — table row counts, cached
-// per-column distinct counts, relation and delta lengths — instead of the
-// old blanket deltaRebuildFactor threshold. The one constant left is a
-// per-row *weight*, not a cutoff: hashing/matching a row costs a small
-// multiple of flat-copying one, and the weight makes the two kinds of
-// row-touch comparable.
+// per-column distinct counts, relation and delta lengths. The one constant is
+// a per-row *weight*, not a cutoff: the two paths touch rows in two different
+// kinds of container, and the weight makes the two kinds comparable.
 
-// matchWeight is the relative per-row cost of work that hashes or matches a
-// row (delta matching, dedup, table-scan selection) versus flat-copying a
-// surviving row (≈1). The incremental paths mix the two kinds; weighting
-// them makes "rows touched" an honest common currency.
-const matchWeight = 4
+// patchWeight is the cost of writing one row into a persistent map relative
+// to hashing one row into a flat one (≈1). storage's
+// BenchmarkTupleMapSuccessor measures both on the reference host: a flat
+// rebuild hashes a row in 0.04–0.05 µs; a key read-modify-written inside an
+// edit of a persistent map costs 0.4 µs at 5 000 entries and 1.1 µs at
+// 100 000 (a one-key edit 0.8–4 µs), and a row loaded into a fresh one
+// 0.28 µs — 6× to 25×. The delta path of a node does the former per
+// derivation, the rebuild path the latter per node row after a flat re-join;
+// one weight for both is a simplification that can misprice a delta the size
+// of the node itself by 2× either way, where the two paths cost about the
+// same anyway.
+const patchWeight = 8
 
 // atomScanRows estimates how many table rows the bindAtomRelation fallback
 // would visit for the atom: the whole table, or — when the atom carries
@@ -52,37 +57,27 @@ func atomScanRows(a cq.Atom, t *storage.Table) int {
 	return rows/best + 1
 }
 
-// chooseAtomDelta decides whether to patch a dirty atom relation from row
-// lineage (deltaRows matched rows, plus one flat filter pass over the old
-// relation when the delta removes rows) or to rebuild it with a scan
-// (scanRows matched and dedup-hashed rows). Both sides are measured row
-// counts weighted by the work done per row.
-func chooseAtomDelta(deltaRows, removedRows, oldRelRows, scanRows int) bool {
-	deltaCost := deltaRows * matchWeight
-	if removedRows > 0 {
-		deltaCost += oldRelRows
-	}
-	return deltaCost <= scanRows*(matchWeight+1)
+// chooseAtomDelta decides whether to read a dirty atom's delta off the row
+// lineage (deltaRows rows matched against the atom) or to rescan the table
+// and diff (scanRows rows matched, deduplicated and probed against the old
+// set). Either way the resulting delta is then patched into the atom's state
+// at the same price, so only the rows each side has to look at differ: the
+// lineage wins unless it lists more rows than the scan would visit.
+func chooseAtomDelta(deltaRows, scanRows int) bool {
+	return deltaRows <= scanRows
 }
 
-// chooseNodeDelta decides whether to maintain a node by delta-joining the
-// changed λ-edge deltas (totalDelta rows, each amplified by the node's
-// measured support-per-edge-row ratio) or to re-materialise the node (every
-// edge row re-joined and the support map rebuilt). supRows is the size of
-// the node's cached support map — the measured join output of the last
-// materialisation — and maxEdge the largest current edge, so the
-// amplification estimate tracks the data instead of a guessed constant.
-func chooseNodeDelta(totalDelta, totalEdge, supRows, maxEdge int) bool {
-	amp := 1 + supRows/(maxEdge+1)
-	deltaCost := totalDelta * matchWeight * amp
-	rebuildCost := totalEdge*matchWeight + supRows
+// chooseNodeDelta decides whether to maintain a node by delta-joining its
+// changed inputs (totalDelta rows, each amplified by the node's measured
+// rows-per-input-row ratio, every resulting derivation a read-modify-write
+// of the persistent support map) or to re-materialise it (every input row
+// re-joined flat, then every one of the supRows node rows written into fresh
+// maps and diffed against the old ones). supRows is the node's current size
+// and maxInput its largest input, so the amplification estimate tracks the
+// data instead of a guessed constant.
+func chooseNodeDelta(totalDelta, totalInput, supRows, maxInput int) bool {
+	amp := 1 + supRows/(maxInput+1)
+	deltaCost := totalDelta * amp * patchWeight
+	rebuildCost := totalInput + supRows*patchWeight
 	return deltaCost <= rebuildCost
-}
-
-// chooseRefilterDelta decides whether a filter-only node change is patched
-// from the changed atom's delta (probing each changed binding) or re-filtered
-// wholesale. The delta path wins while the atom's delta is smaller than the
-// atom relations it would otherwise re-semijoin.
-func chooseRefilterDelta(plusRows, minusRows, atomOldRows, atomNewRows int) bool {
-	return plusRows+minusRows <= atomOldRows+atomNewRows+1
 }

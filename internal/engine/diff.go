@@ -30,27 +30,13 @@ import (
 // solution to the first changed node (in node order) that covers it, which
 // both dedups and keeps the two sides exactly disjoint.
 
-// pairIdx returns the index of the (u, k) parent-child pair within
-// plan.countPairs (the flat pair order shared with the counting DP). The
-// pair list is one entry per tree edge, so the scan is negligible next to
-// any use of the result.
-func pairIdx(p *Plan, u, k int) int {
-	for i, pr := range p.countPairs {
-		if pr.u == u && pr.k == k {
-			return i
-		}
-	}
-	return -1
-}
-
 // upIndex returns the index of node u's relation on the columns it shares
-// with its k-th child join — the upward probe of enumerateVia — building it
-// on first use and caching it on the state. enumState.update carries cached
-// entries whose parent relation is unchanged into the next state, so a
-// stream of small deltas pays each index build once, not once per flush.
+// with its k-th child join — the upward probe of enumerateVia over a flat
+// state — building it on first use and caching it on the state. (A maintained
+// state needs no such build: enumMaint.up is kept current by update.)
 func (es *enumState) upIndex(u, k int) *storage.Index {
 	p := es.plan
-	i := pairIdx(p, u, k)
+	i := p.pairOf[u][k]
 	es.upMu.Lock()
 	defer es.upMu.Unlock()
 	if es.up == nil {
@@ -66,12 +52,14 @@ func (es *enumState) upIndex(u, k int) *storage.Index {
 
 // viaStep is one node visit of enumerateVia's walk: either a full scan of
 // scan's rows (the via rows themselves, or a node sharing no columns with
-// what is already assigned) or an index probe of rel on the key vertex ids.
-// write maps every relation column to its hypergraph vertex id.
+// what is already assigned) or a probe on the key vertex ids — of a flat
+// index into rel, or of a persistent grouping whose buckets hold the rows
+// themselves. write maps every relation column to its hypergraph vertex id.
 type viaStep struct {
 	scan  *Relation
 	idx   *storage.Index
 	rel   *Relation
+	group *rowIndex
 	key   []int
 	write []int
 }
@@ -103,8 +91,12 @@ func (es *enumState) enumerateVia(ctx context.Context, v int, via *Relation, yie
 				continue
 			}
 			if len(cj.uPos) > 0 {
-				st.idx = es.upIndex(u, k)
-				st.rel = es.nodes[u].rel
+				if es.m != nil {
+					st.group = es.m.up[u][k]
+				} else {
+					st.idx = es.upIndex(u, k)
+					st.rel = es.nodes[u].rel
+				}
 				st.key = make([]int, len(cj.uPos))
 				for j, pos := range cj.uPos {
 					st.key[j] = p.bagVids[u][pos]
@@ -112,8 +104,8 @@ func (es *enumState) enumerateVia(ctx context.Context, v int, via *Relation, yie
 			}
 			break
 		}
-		if st.idx == nil {
-			st.scan = es.nodes[u].rel // no shared columns: cartesian with the subtree below
+		if st.key == nil {
+			st.scan = es.flatF(u) // no shared columns: cartesian with the subtree below
 		}
 		steps = append(steps, st)
 		onPath[u] = true
@@ -123,12 +115,14 @@ func (es *enumState) enumerateVia(ctx context.Context, v int, via *Relation, yie
 		if onPath[u] {
 			continue
 		}
-		en := es.nodes[u]
-		st := viaStep{write: en.write}
-		if en.idx != nil {
-			st.idx, st.rel, st.key = en.idx, en.rel, en.sharedVid
-		} else {
-			st.scan = en.rel
+		st := viaStep{write: p.bagVids[u]}
+		switch {
+		case len(p.shared[u]) == 0:
+			st.scan = es.flatF(u)
+		case es.m != nil:
+			st.group, st.key = es.m.down[u], p.sharedVids[u]
+		default:
+			st.idx, st.rel, st.key = es.nodes[u].idx, es.nodes[u].rel, p.sharedVids[u]
 		}
 		steps = append(steps, st)
 	}
@@ -176,6 +170,21 @@ func (es *enumState) enumerateVia(ctx context.Context, v int, via *Relation, yie
 		for j, vid := range st.key {
 			kb[j] = asg[vid]
 		}
+		if st.group != nil {
+			bucket, _ := st.group.Get(kb)
+			for a, off := len(st.write), 0; off+a <= len(bucket); off += a {
+				if stop {
+					return nil
+				}
+				for j, vid := range st.write {
+					asg[vid] = bucket[off+j]
+				}
+				if err := rec(i + 1); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
 		for _, rowIdx := range st.idx.Lookup(kb) {
 			if stop {
 				return nil
@@ -204,26 +213,45 @@ type nodeDiff struct {
 	minusSet    *storage.TupleMap
 }
 
-// diffIncremental computes the result diff from the per-node changes of the
-// two cached enumeration states, per the characterisation at the top of the
-// file. Both returned relations are sorted — the same order diffOracle
-// produces, so the two paths are byte-comparable. The node-level diffs cost
-// O(changed node relations) (exactly the relations the rebind that produced
-// b already touched), and the enumeration costs O(|result diff| × tree).
-func (b *BoundQuery) diffIncremental(ctx context.Context, pes, bes *enumState) (added, removed *Relation, err error) {
-	p := b.prep.plan
-	added, removed = NewRelation(p.qvars...), NewRelation(p.qvars...)
+// nodeDiffs lists the nodes whose reduced relation differs between the two
+// states, with the rows entering and leaving. When bes was derived from pes
+// by Rebind the deltas are already recorded on it and are simply read;
+// between any other two states they are recomputed by diffing the reduced
+// relations, O(their size).
+func nodeDiffs(pes, bes *enumState, mc *maintCtx) []nodeDiff {
 	var diffs []nodeDiff
-	for u := range bes.nodes {
-		if bes.nodes[u].rel == pes.nodes[u].rel {
+	if bes.m != nil && bes.parent == pes.id {
+		for u, d := range bes.m.delta {
+			if d != nil {
+				diffs = append(diffs, nodeDiff{u: u, plus: d.plus, minus: d.minus})
+			}
+		}
+		return diffs
+	}
+	for u := 0; u < bes.plan.d.Nodes(); u++ {
+		if pes.m != nil && bes.m != nil && pes.m.sameF(bes.m, bes.plan, u) {
 			continue
 		}
-		plus, minus := relDiff(pes.nodes[u].rel, bes.nodes[u].rel)
-		diffs = append(diffs, nodeDiff{u: u, plus: plus, minus: minus})
+		old, cur := pes.flatF(u), bes.flatF(u)
+		if old == cur {
+			continue
+		}
+		mc.rows += uint64(old.Len() + cur.Len())
+		if plus, minus := relDiff(old, cur); plus.Len()+minus.Len() > 0 {
+			diffs = append(diffs, nodeDiff{u: u, plus: plus, minus: minus})
+		}
 	}
-	if len(diffs) == 0 {
-		return added, removed, nil
-	}
+	return diffs
+}
+
+// diffIncremental computes the result diff from the per-node changes of the
+// two cached enumeration states (nodeDiffs, non-empty), per the
+// characterisation at the top of the file. Both returned relations are sorted
+// — the same order diffOracle produces, so the two paths are byte-comparable.
+// The enumeration costs O(|result diff| × tree).
+func (b *BoundQuery) diffIncremental(ctx context.Context, pes, bes *enumState, diffs []nodeDiff, mc *maintCtx) (added, removed *Relation, err error) {
+	p := b.prep.plan
+	added, removed = NewRelation(p.qvars...), NewRelation(p.qvars...)
 	toSet := func(rel *Relation) *storage.TupleMap {
 		if rel.Len() == 0 {
 			return nil
@@ -294,10 +322,54 @@ func (b *BoundQuery) diffIncremental(ctx context.Context, pes, bes *enumState) (
 			return nil, nil, err
 		}
 	}
+	mc.rows += uint64(added.Len() + removed.Len())
 	par := b.prep.eng.par()
 	added.sortPar(par)
 	removed.sortPar(par)
 	return added, removed, nil
+}
+
+// relDiff computes new ∖ old (plus) and old ∖ new (minus) for two relations
+// over the same columns, by whole-relation hash passes — the price of diffing
+// without a recorded delta.
+func relDiff(old, new *Relation) (plus, minus *Relation) {
+	plus, minus = NewRelation(new.Cols...), NewRelation(old.Cols...)
+	arity := len(old.Cols)
+	if arity == 0 {
+		if new.Len() > 0 && old.Len() == 0 {
+			plus.AddEmpty()
+		}
+		if old.Len() > 0 && new.Len() == 0 {
+			minus.AddEmpty()
+		}
+		return plus, minus
+	}
+	om := storage.NewTupleMap(arity, old.Len())
+	for i := 0; i < old.Len(); i++ {
+		om.Insert(old.Row(i))
+	}
+	for i := 0; i < new.Len(); i++ {
+		row := new.Row(i)
+		if om.Find(row) < 0 {
+			plus.Add(row...)
+		}
+	}
+	// |minus| = |old| − |old ∩ new| = |old| − (|new| − |plus|); a pure
+	// insertion skips the second membership pass.
+	if om.Len()-(new.Len()-plus.Len()) == 0 {
+		return plus, minus
+	}
+	nm := storage.NewTupleMap(arity, new.Len())
+	for i := 0; i < new.Len(); i++ {
+		nm.Insert(new.Row(i))
+	}
+	for i := 0; i < old.Len(); i++ {
+		row := old.Row(i)
+		if nm.Find(row) < 0 {
+			minus.Add(row...)
+		}
+	}
+	return plus, minus
 }
 
 // diffOracle is the materialise-both-and-diff reference: correct for every

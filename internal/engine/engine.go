@@ -51,6 +51,12 @@ type Engine struct {
 	nodeRebuilds    atomic.Uint64 // nodes re-materialised from scratch
 	diffsFast       atomic.Uint64 // DiffFroms answered by propagated per-node diffs
 	diffsOracle     atomic.Uint64 // DiffFroms that materialised both results
+	maintRows       atomic.Uint64 // rows hashed, probed or copied by Rebind and DiffFrom
+
+	// stateSeq names cached reductions (enumState.id), so a state derived by
+	// Rebind can say which state its recorded deltas are against without
+	// holding a pointer to it.
+	stateSeq atomic.Uint64
 }
 
 type flight struct {
@@ -171,6 +177,11 @@ type Stats struct {
 	NodeRebuilds    uint64 // nodes re-materialised from scratch
 	DiffsFast       uint64 // DiffFroms answered by propagated per-node diffs
 	DiffsOracle     uint64 // DiffFroms that materialised both results
+
+	// MaintRowsTouched adds up the rows Rebind and DiffFrom hashed, probed or
+	// copied — the work measure of incremental maintenance. For a fixed
+	// delta it must not grow with the relations (a test holds it to that).
+	MaintRowsTouched uint64
 }
 
 // Stats returns a snapshot of the engine counters.
@@ -189,17 +200,19 @@ func (e *Engine) Stats() Stats {
 		NodeRebuilds:    e.nodeRebuilds.Load(),
 		DiffsFast:       e.diffsFast.Load(),
 		DiffsOracle:     e.diffsOracle.Load(),
+
+		MaintRowsTouched: e.maintRows.Load(),
 	}
 }
 
 func (s Stats) String() string {
-	return fmt.Sprintf("prepares=%d decomps-computed=%d db-compiles=%d binds=%d rebinds=%d cache(hits=%d misses=%d evictions=%d len=%d/%d) paths(atom-delta=%d/%d composed=%d node-delta=%d/%d diff-fast=%d/%d)",
+	return fmt.Sprintf("prepares=%d decomps-computed=%d db-compiles=%d binds=%d rebinds=%d cache(hits=%d misses=%d evictions=%d len=%d/%d) paths(atom-delta=%d/%d composed=%d node-delta=%d/%d diff-fast=%d/%d) maint-rows-touched=%d",
 		s.Prepares, s.DecompsComputed, s.DBCompiles, s.Binds, s.Rebinds, s.Cache.Hits, s.Cache.Misses,
 		s.Cache.Evictions, s.Cache.Len, s.Cache.Capacity,
 		s.AtomDeltaFast, s.AtomDeltaFast+s.AtomDeltaScan,
 		s.LineageComposed,
 		s.NodeDeltaJoins, s.NodeDeltaJoins+s.NodeRebuilds,
-		s.DiffsFast, s.DiffsFast+s.DiffsOracle)
+		s.DiffsFast, s.DiffsFast+s.DiffsOracle, s.MaintRowsTouched)
 }
 
 // ErrWidthExceeded is returned (wrapped) by Prepare when the decomposition

@@ -2,9 +2,6 @@ package engine
 
 import (
 	"context"
-	"slices"
-	"sort"
-	"sync/atomic"
 
 	"d2cq/internal/cq"
 	"d2cq/internal/storage"
@@ -12,38 +9,26 @@ import (
 
 // This file is the incremental-maintenance half of the bound API. A
 // BoundQuery is never mutated; Update and Rebind return a new BoundQuery
-// over the new database snapshot that shares — atom relations, materialised
-// node relations, reduced relations, enumeration indexes and counting
-// vectors alike — everything the delta did not touch. Dirtiness is tracked
-// at three granularities:
+// over the new database snapshot. One first-class relation delta — the rows
+// entering and leaving — is threaded through every layer, each layer
+// consuming the delta of the one below and emitting its own:
 //
 //  1. atoms: an atom is dirty iff the compiled table behind its relation is
-//     a different pointer in the new snapshot (DB.Apply keeps the pointer of
-//     every untouched — and every touched-but-unchanged — relation);
-//  2. nodes: a decomposition node is dirty iff a dirty atom contributes to
-//     one of its λ edges or filters it, and only dirty nodes are
-//     re-materialised;
-//  3. subtrees: the cached full reduction and counting DP are re-run only
-//     along the paths the change actually propagates — a recomputed relation
-//     (or count vector) that comes out equal to the cached one stops the
-//     propagation there.
+//     a different pointer in the new snapshot; its delta is read straight off
+//     the snapshot's row lineage (rebindAtomDelta);
+//  2. nodes: a decomposition node with a dirty input delta-joins that delta
+//     through its other inputs into ±1 derivation counts; the tuples whose
+//     count crosses zero are the node's delta (maintainNode);
+//  3. reduction and counting: the node deltas are pushed through the tree
+//     edges' key groupings into the deltas of the reduced relations — which
+//     are recorded, so DiffFrom against the predecessor reads them instead of
+//     recomputing them — and into the key sums of the counting DP
+//     (maintreduce.go).
 //
-// Relation recomputation is deterministic (joins, semijoins and projections
-// preserve input row order), so the "came out equal" checks compare
-// elementwise and correctly detect absorbed changes.
-
-// relEqual reports whether two relations hold the same rows in the same
-// order (the columns are fixed per node by the plan, so only data is
-// compared).
-func relEqual(a, b *Relation) bool {
-	if a == b {
-		return true
-	}
-	if a == nil || b == nil {
-		return false
-	}
-	return slices.Equal(a.Data, b.Data)
-}
+// An empty delta at any layer stops the propagation there. Every piece of
+// state lives in persistent maps, so the successor shares everything the
+// delta did not touch and costs time proportional to the change; the cost
+// model (cost.go) sends deltas too large for that back to a rebuild.
 
 // Update applies a delta to the bound query's database snapshot and carries
 // the bound evaluation state forward incrementally: the new snapshot is
@@ -62,859 +47,231 @@ func (b *BoundQuery) Update(ctx context.Context, delta *storage.Delta) (*BoundQu
 	return b.Rebind(ctx, ncdb)
 }
 
-// Rebind rebinds the query to a new database snapshot, reusing every piece
-// of bound state the change from the current snapshot does not touch: clean
-// atom relations, clean node relations, and — where a cached full reduction
-// or counting DP exists — the reduced relations, enumeration indexes and
-// count vectors of every subtree the change does not propagate into. The
-// snapshot must share the receiver's dictionary (i.e. descend from the same
-// CompileDB via Apply); otherwise Rebind falls back to a full Bind.
+// share returns b moved to cdb with all bound state shared, caches included:
+// nothing the query can see changed.
+func (b *BoundQuery) share(cdb *CompiledDB) *BoundQuery {
+	nb := &BoundQuery{prep: b.prep, cdb: cdb, inst: b.inst, nodeRels: b.nodeRels, maint: b.maint}
+	nb.enumSt.Store(b.enumSt.Load())
+	nb.countSt.Store(b.countSt.Load())
+	return nb
+}
+
+// Rebind rebinds the query to a new database snapshot in time proportional to
+// the change between the two snapshots (see the file comment), sharing every
+// piece of bound state the change does not reach. The first Rebind of a
+// freshly bound query additionally converts its state to maintained form,
+// once, in O(database). The snapshot must share the receiver's dictionary
+// (i.e. descend from the same CompileDB via Apply); otherwise Rebind falls
+// back to a full Bind, as it does whenever a delta reaches a relation of a
+// plan that is not maintained (see Plan.planMaintenance).
 func (b *BoundQuery) Rebind(ctx context.Context, cdb *CompiledDB) (*BoundQuery, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	b.prep.eng.rebinds.Add(1)
+	eng := b.prep.eng
+	eng.rebinds.Add(1)
 	if b.cdb.sdb.Dict != cdb.sdb.Dict {
 		// Unrelated snapshot: values are not comparable across dictionaries.
 		return b.prep.Bind(ctx, cdb)
 	}
 	plan := b.prep.plan
 	q := plan.query
-	dirtyAtom := make([]bool, len(q.Atoms))
-	anyDirty := false
+	var dirty []int
 	for i, a := range q.Atoms {
 		if b.cdb.sdb.Table(a.Rel) != cdb.sdb.Table(a.Rel) {
-			dirtyAtom[i] = true
-			anyDirty = true
+			dirty = append(dirty, i)
 		}
 	}
-	if !anyDirty {
-		// Nothing the query reads changed: share all bound state, caches
-		// included.
-		nb := &BoundQuery{prep: b.prep, cdb: cdb, inst: b.inst, nodeRels: b.nodeRels, nodeSupport: b.nodeSupport}
-		nb.enumSt.Store(b.enumSt.Load())
-		nb.countSt.Store(b.countSt.Load())
-		return nb, nil
+	if len(dirty) == 0 {
+		return b.share(cdb), nil
+	}
+	if !plan.maintainable {
+		// Naive plans, ground queries, and decompositions with a nullary atom
+		// or bag: there is no incremental state worth keeping for them.
+		return b.prep.Bind(ctx, cdb)
+	}
+	mc := &maintCtx{}
+	defer func() { eng.maintRows.Add(mc.rows) }()
+
+	ms := b.maint
+	if ms == nil {
+		var err error
+		if ms, err = b.buildMaint(ctx); err != nil {
+			return nil, err
+		}
 	}
 
-	// 1. Rebuild the dirty atom relations over the new snapshot — patched
-	// from the snapshot's row-level lineage back to ours (composed across
-	// intermediate Applies when the chain bounds allow) in O(total change),
-	// re-scanning the table otherwise.
+	// 1. Atoms: the exact delta of every dirty atom relation, and its
+	// successor state.
 	inst := &Instance{Query: q, Dict: b.inst.Dict, AtomRels: append([]*Relation(nil), b.inst.AtomRels...), atomKeys: b.inst.keys()}
-	anyDirty = false
-	for i, a := range q.Atoms {
-		if !dirtyAtom[i] {
-			continue
-		}
-		rel, fast := rebindAtomDelta(a, b.inst.AtomRels[i], b.cdb.sdb.Table(a.Rel), cdb.sdb, b.prep.eng)
-		if fast {
-			b.prep.eng.atomDeltaFast.Add(1)
-		} else {
-			b.prep.eng.atomDeltaScan.Add(1)
-			var err error
-			rel, err = bindAtomRelation(a, cdb.sdb.Table(a.Rel), cdb.sdb.Dict)
-			if err != nil {
-				return nil, err
-			}
-		}
-		if relEqual(rel, b.inst.AtomRels[i]) {
-			// The change was invisible to this atom (e.g. filtered out by its
-			// constants): keep the old relation and stop the propagation.
-			dirtyAtom[i] = false
-			continue
-		}
-		inst.AtomRels[i] = rel
-		anyDirty = true
-	}
-	if !anyDirty {
-		// Every dirty atom absorbed: the delta is invisible to the query
-		// after all — share everything, caches included.
-		nb := &BoundQuery{prep: b.prep, cdb: cdb, inst: b.inst, nodeRels: b.nodeRels, nodeSupport: b.nodeSupport}
-		nb.enumSt.Store(b.enumSt.Load())
-		nb.countSt.Store(b.countSt.Load())
-		return nb, nil
-	}
-	nb := &BoundQuery{prep: b.prep, cdb: cdb, inst: inst}
-	if plan.Naive() || plan.d.Nodes() == 0 {
-		return nb, nil
-	}
-
-	// 2. Maintain the dirty nodes only: those with a dirty atom in a λ edge
-	// or among the assigned filters. Each node is updated by a delta-join
-	// against its cached derivation counts where the delta is small, and
-	// re-materialised from scratch otherwise.
-	dirtyVarset := map[string]bool{}
-	for i := range q.Atoms {
-		if dirtyAtom[i] {
-			dirtyVarset[inst.atomKeys[i]] = true
-		}
-	}
-	dirtyNode := make([]bool, plan.d.Nodes())
-	edges := map[string]*Relation{}
-	getEdge := func(names []string) *Relation {
-		k := edgeKey(names)
-		rel, ok := edges[k]
-		if !ok {
-			rel = inst.EdgeRelation(names)
-			edges[k] = rel
-		}
-		return rel
-	}
-	oldEdges := map[string]*Relation{}
-	getOldEdge := func(names []string) *Relation {
-		k := edgeKey(names)
-		rel, ok := oldEdges[k]
-		if !ok {
-			rel = b.inst.EdgeRelation(names)
-			oldEdges[k] = rel
-		}
-		return rel
-	}
-	edgeDeltas := map[string]*edgeDelta{}
-	deltaFor := func(names []string) *edgeDelta {
-		k := edgeKey(names)
-		d, ok := edgeDeltas[k]
-		if !ok {
-			d = &edgeDelta{old: getOldEdge(names), new: getEdge(names)}
-			d.plus, d.minus = relDiff(d.old, d.new)
-			edgeDeltas[k] = d
-		}
-		return d
-	}
-	atomDeltas := map[int]*edgeDelta{}
-	atomDeltaFor := func(ai int) *edgeDelta {
-		if !dirtyAtom[ai] {
-			return nil
-		}
-		d, ok := atomDeltas[ai]
-		if !ok {
-			d = &edgeDelta{old: b.inst.AtomRels[ai], new: inst.AtomRels[ai]}
-			d.plus, d.minus = relDiff(d.old, d.new)
-			atomDeltas[ai] = d
-		}
-		return d
-	}
-	nb.nodeRels = append([]*Relation(nil), b.nodeRels...)
-	// Support maps are lazy: absent until a node is first maintained (the
-	// updateNode fallback then builds them), so bind-and-evaluate
-	// workloads never pay for them.
-	if len(b.nodeSupport) == plan.d.Nodes() {
-		nb.nodeSupport = append([]*storage.TupleMap(nil), b.nodeSupport...)
-	} else {
-		nb.nodeSupport = make([]*storage.TupleMap, plan.d.Nodes())
-	}
-	// Classify the nodes needing maintenance and prewarm the shared edge
-	// state sequentially (the memoising closures write their maps); the
-	// per-node maintenance then runs on the engine's worker pool reading
-	// those maps only.
-	nodeLambdaDirty := make([]bool, plan.d.Nodes())
-	nodeFiltersDirty := make([]bool, plan.d.Nodes())
-	var maintain []int
-	for u := 0; u < plan.d.Nodes(); u++ {
-		for _, names := range plan.lambdaVars[u] {
-			if dirtyVarset[edgeKey(names)] {
-				nodeLambdaDirty[u] = true
-				break
-			}
-		}
-		for _, ai := range plan.filters[u] {
-			if dirtyAtom[ai] {
-				nodeFiltersDirty[u] = true
-				break
-			}
-		}
-		if !nodeLambdaDirty[u] && !nodeFiltersDirty[u] {
-			continue
-		}
-		maintain = append(maintain, u)
-		for _, names := range plan.lambdaVars[u] {
-			getEdge(names)
-			if dirtyVarset[edgeKey(names)] {
-				deltaFor(names)
-			}
-		}
-		for _, ai := range plan.filters[u] {
-			atomDeltaFor(ai)
-		}
-	}
-	err := parForEach(ctx, b.prep.eng.par(), maintain, func(u int) error {
-		rel, sup, fast := b.updateNode(u, inst, getEdge, deltaFor, atomDeltaFor, dirtyVarset, nodeLambdaDirty[u], nodeFiltersDirty[u])
-		if fast {
-			b.prep.eng.nodeDeltaJoins.Add(1)
-		} else {
-			b.prep.eng.nodeRebuilds.Add(1)
-			rel, sup = materialiseNodeWithSupport(plan, inst, u, getEdge)
-		}
-		nb.nodeSupport[u] = sup
-		if relEqual(rel, b.nodeRels[u]) {
-			return nil // absorbed: node relation unchanged (supports may still move)
-		}
-		nb.nodeRels[u] = rel
-		dirtyNode[u] = true
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	// 3. Maintain the cached reduction/enumeration and counting states on the
-	// affected subtrees, level-parallel on the engine's worker pool.
-	if es := b.enumSt.Load(); es != nil {
-		nes, err := es.update(ctx, nb.nodeRels, dirtyNode, b.prep.eng.par())
+	nu := &nodeUpdate{oldAtoms: ms.atoms, newAtoms: append([]*atomState(nil), ms.atoms...), deltas: make([]*relDelta, len(q.Atoms))}
+	visible := false
+	for _, i := range dirty {
+		d, flat, err := atomDelta(q.Atoms[i], ms.atoms[i].set, b.cdb.sdb.Table(q.Atoms[i].Rel), cdb.sdb, eng, mc)
 		if err != nil {
 			return nil, err
 		}
-		nb.enumSt.Store(nes)
+		if d.empty() {
+			continue // invisible to this atom (e.g. filtered out by its constants)
+		}
+		nu.deltas[i] = d
+		nu.newAtoms[i] = patchAtom(plan, i, ms.atoms[i], d, mc)
+		inst.AtomRels[i] = flat
+		visible = true
+	}
+	if !visible {
+		// Every dirty atom absorbed: the delta is invisible to the query
+		// after all. Keep the (possibly just built) maintained form.
+		nb := b.share(cdb)
+		nb.maint = ms
+		return nb, nil
+	}
+
+	// 2. Nodes: delta-join every node with a changed input, or rebuild it
+	// where the cost model prices the delta above that.
+	nm := &maintState{atoms: nu.newAtoms, nodes: append([]*nodeState(nil), ms.nodes...)}
+	nb := &BoundQuery{prep: b.prep, cdb: cdb, inst: inst, maint: nm, nodeRels: append([]*Relation(nil), b.nodeRels...)}
+	dN := make([]*relDelta, plan.d.Nodes())
+	for u := 0; u < plan.d.Nodes(); u++ {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		totalDelta, totalInput, maxInput := 0, 0, 0
+		for _, i := range plan.inputs[u] {
+			l := nu.newAtoms[i].set.Len()
+			totalInput += l
+			if l > maxInput {
+				maxInput = l
+			}
+			if d := nu.deltas[i]; d != nil {
+				totalDelta += d.rows()
+			}
+		}
+		if totalDelta == 0 {
+			continue
+		}
+		if chooseNodeDelta(totalDelta, totalInput, ms.nodes[u].sup.Len(), maxInput) {
+			eng.nodeDeltaJoins.Add(1)
+			nm.nodes[u], dN[u] = maintainNode(plan, u, ms.nodes[u], nu, mc)
+			if !dN[u].empty() {
+				nb.nodeRels[u] = nil
+			}
+			continue
+		}
+		eng.nodeRebuilds.Add(1)
+		for _, i := range plan.inputs[u] {
+			if inst.AtomRels[i] == nil {
+				inst.AtomRels[i] = flatten(nu.newAtoms[i].set, plan.atomVars[i])
+				mc.rows += uint64(inst.AtomRels[i].Len())
+			}
+		}
+		nm.nodes[u], nb.nodeRels[u], dN[u] = rebuildNode(plan, u, ms.nodes[u], inst, mc)
+	}
+
+	// 3. Carry whichever caches exist across the node deltas.
+	if es := b.enumSt.Load(); es != nil {
+		nb.enumSt.Store(es.update(ms.nodes, nm.nodes, dN, eng.stateSeq.Add(1), mc))
 	}
 	if cs := b.countSt.Load(); cs != nil {
-		ncs, err := cs.update(ctx, plan, nb.nodeRels, dirtyNode, b.prep.eng.par())
-		if err != nil {
-			return nil, err
-		}
-		nb.countSt.Store(ncs)
+		nb.countSt.Store(cs.update(plan, ms.nodes, nm.nodes, dN, mc))
 	}
 	return nb, nil
 }
 
-// rebindAtomDelta maintains one dirty atom relation from the snapshot's
-// row-level lineage instead of re-scanning the table. The projection of
-// matching table rows onto the atom's distinct variables is injective (the
-// tuple plus the atom's constants and repeated variables reconstruct the
-// row), so removed table rows that match are exactly the tuples leaving the
-// relation, and added rows that match are exactly the tuples entering it —
-// no derivation counts needed. The lineage may span several Applies: the
-// snapshot composes its bounded chain back to oldTable, so a query that
-// rebinds k Applies late still pays O(total change). Pure appends cost
-// O(delta); deltas with removals add one filter scan of the old relation (no
-// hashing, matching or dictionary traffic). ok=false falls back to the full
+// atomDelta computes the exact delta of one dirty atom relation against its
+// old tuple set: from the snapshot's row lineage where there is a usable one
+// (counted as AtomDeltaFast), by rescanning the table and diffing otherwise
+// (AtomDeltaScan) — in which case the freshly scanned flat relation is
+// returned too, so a node rebuild need not list it again.
+func atomDelta(a cq.Atom, old *rowSet, oldTable *storage.Table, sdb *storage.DB, eng *Engine, mc *maintCtx) (*relDelta, *Relation, error) {
+	if plus, minus, ok := rebindAtomDelta(a, oldTable, sdb, eng); ok {
+		eng.atomDeltaFast.Add(1)
+		mc.rows += uint64(2 * (plus.Len() + minus.Len()))
+		return normaliseDelta(old, plus, minus), nil, nil
+	}
+	eng.atomDeltaScan.Add(1)
+	rel, err := bindAtomRelation(a, sdb.Table(a.Rel), sdb.Dict)
+	if err != nil {
+		return nil, nil, err
+	}
+	mc.rows += uint64(2*rel.Len() + old.Len())
+	return diffRows(old, rel), rel, nil
+}
+
+// normaliseDelta turns the rows a lineage lists as added and removed into an
+// exact set delta against old: a row removed and re-added in one window
+// (deletes apply first) is in both lists and changes nothing, and neither
+// list is trusted beyond what old's membership confirms.
+func normaliseDelta(old *rowSet, plus, minus *Relation) *relDelta {
+	d := newRelDelta(plus.Cols)
+	added := storage.NewTupleMap(len(plus.Cols), plus.Len())
+	for i := 0; i < plus.Len(); i++ {
+		if _, isNew := added.Insert(plus.Row(i)); isNew && !old.Has(plus.Row(i)) {
+			d.plus.Add(plus.Row(i)...)
+		}
+	}
+	var gone *storage.TupleMap
+	for i := 0; i < minus.Len(); i++ {
+		row := minus.Row(i)
+		if added.Find(row) >= 0 || !old.Has(row) {
+			continue
+		}
+		if gone == nil {
+			gone = storage.NewTupleMap(len(minus.Cols), minus.Len())
+		}
+		if _, isNew := gone.Insert(row); isNew {
+			d.minus.Add(row...)
+		}
+	}
+	return d
+}
+
+// rebindAtomDelta reads one dirty atom's delta off the snapshot's row-level
+// lineage instead of re-scanning the table. The projection of matching table
+// rows onto the atom's distinct variables is injective (the tuple plus the
+// atom's constants and repeated variables reconstruct the row), so removed
+// table rows that match are exactly the tuples leaving the relation, and
+// added rows that match are exactly the tuples entering it — no derivation
+// counts needed. The lineage may span several Applies: the snapshot composes
+// its bounded chain back to oldTable, so a query that rebinds k Applies late
+// still pays O(total change). A row removed and re-added inside the window is
+// listed on both sides (see normaliseDelta). ok=false asks for the full
 // bindAtomRelation scan: no usable lineage (the snapshot is past the chain
 // bounds, or from a fresh Compile), an arity mismatch (the scan path reports
 // the error), a nullary atom, or a delta the cost model prices above the
 // scan.
-func rebindAtomDelta(a cq.Atom, oldRel *Relation, oldTable *storage.Table, sdb *storage.DB, eng *Engine) (*Relation, bool) {
+func rebindAtomDelta(a cq.Atom, oldTable *storage.Table, sdb *storage.DB, eng *Engine) (plus, minus *Relation, ok bool) {
 	vars := a.VarSet()
 	if len(vars) == 0 {
-		return nil, false
+		return nil, nil, false
 	}
 	lin, steps := sdb.LineageFrom(a.Rel, oldTable)
 	if lin == nil || lin.Arity != len(a.Args) {
-		return nil, false
+		return nil, nil, false
 	}
-	deltaRows := lin.AddedRows() + lin.RemovedRows()
-	if !chooseAtomDelta(deltaRows, lin.RemovedRows(), oldRel.Len(), atomScanRows(a, oldTable)) {
-		return nil, false
+	if !chooseAtomDelta(lin.AddedRows()+lin.RemovedRows(), atomScanRows(a, oldTable)) {
+		return nil, nil, false
 	}
 	if steps > 1 {
 		eng.lineageComposed.Add(1)
 	}
+	plus, minus = NewRelation(vars...), NewRelation(vars...)
 	m := newAtomMatcher(a, vars, sdb.Dict)
 	if !m.ok {
 		// A constant the dictionary has never seen matches nothing — and the
 		// dictionary only grows, so the old relation was already empty.
-		return oldRel, true
+		return plus, minus, true
 	}
 	arity := len(a.Args)
-	var removed *storage.TupleMap
 	for i := 0; i+arity <= len(lin.Removed); i += arity {
 		if key, ok := m.match(lin.Removed[i : i+arity]); ok {
-			if removed == nil {
-				removed = storage.NewTupleMap(len(vars), lin.RemovedRows())
-			}
-			removed.Insert(key)
+			minus.Add(key...)
 		}
 	}
-	var added []Value
 	for i := 0; i+arity <= len(lin.Added); i += arity {
 		if key, ok := m.match(lin.Added[i : i+arity]); ok {
-			added = append(added, key...)
+			plus.Add(key...)
 		}
 	}
-	if removed == nil && added == nil {
-		return oldRel, true // the whole row delta was invisible to this atom
-	}
-	rel := NewRelation(vars...)
-	if removed == nil {
-		rel.Data = make([]Value, len(oldRel.Data), len(oldRel.Data)+len(added))
-		copy(rel.Data, oldRel.Data)
-	} else {
-		rel.Data = make([]Value, 0, len(oldRel.Data)+len(added))
-		for i := 0; i < oldRel.Len(); i++ {
-			row := oldRel.Row(i)
-			if removed.Find(row) >= 0 {
-				continue
-			}
-			rel.Data = append(rel.Data, row...)
-		}
-	}
-	rel.Data = append(rel.Data, added...)
-	return rel, true
-}
-
-// edgeDelta is the change of one λ-edge relation between two snapshots:
-// the old and new relations and the symmetric difference (both sides are
-// sets — atom relations are deduplicated).
-type edgeDelta struct {
-	old, new    *Relation
-	plus, minus *Relation
-}
-
-// relDiff computes new ∖ old (plus) and old ∖ new (minus) for two relations
-// over the same columns.
-func relDiff(old, new *Relation) (plus, minus *Relation) {
-	plus, minus = NewRelation(new.Cols...), NewRelation(old.Cols...)
-	arity := len(old.Cols)
-	if arity == 0 {
-		if new.Len() > 0 && old.Len() == 0 {
-			plus.AddEmpty()
-		}
-		if old.Len() > 0 && new.Len() == 0 {
-			minus.AddEmpty()
-		}
-		return plus, minus
-	}
-	om := storage.NewTupleMap(arity, old.Len())
-	for i := 0; i < old.Len(); i++ {
-		om.Insert(old.Row(i))
-	}
-	for i := 0; i < new.Len(); i++ {
-		row := new.Row(i)
-		if om.Find(row) < 0 {
-			plus.Add(row...)
-		}
-	}
-	// |minus| = |old| − |old ∩ new| = |old| − (|new| − |plus|); a pure
-	// insertion (the common delta) skips the second membership pass.
-	if om.Len()-(new.Len()-plus.Len()) == 0 {
-		return plus, minus
-	}
-	nm := storage.NewTupleMap(arity, new.Len())
-	for i := 0; i < new.Len(); i++ {
-		nm.Insert(new.Row(i))
-	}
-	for i := 0; i < old.Len(); i++ {
-		row := old.Row(i)
-		if nm.Find(row) < 0 {
-			minus.Add(row...)
-		}
-	}
-	return plus, minus
-}
-
-// supportCompactMin is the smallest support map worth compacting — below it
-// the tombstone overhead is noise.
-const supportCompactMin = 16
-
-// updateNode maintains one decomposition node under changed λ edges and/or
-// changed filter atoms using the node's cached derivation counts: the delta
-// of each changed edge is joined against the other edges (new on the left
-// of the processing order, old on the right — the standard telescoping of
-// finite differences), projected to the bag, and applied as ±1 derivation
-// counts; the filtered relation is then patched with the tuples whose
-// support crossed zero. Returns ok=false when the fast path does not apply
-// (no cached supports, nullary bag, or a delta the cost model prices above a
-// rebuild) and the caller should re-materialise.
-func (b *BoundQuery) updateNode(u int, inst *Instance, getEdge func([]string) *Relation, deltaFor func([]string) *edgeDelta, atomDeltaFor func(int) *edgeDelta, dirtyVarset map[string]bool, lambdaDirty, filtersDirty bool) (*Relation, *storage.TupleMap, bool) {
-	p := b.prep.plan
-	if u >= len(b.nodeSupport) {
-		return nil, nil, false
-	}
-	oldSup := b.nodeSupport[u]
-	bag := p.bagVars[u]
-	if oldSup == nil || len(bag) == 0 {
-		return nil, nil, false
-	}
-	if !lambdaDirty {
-		// Filters changed but the λ join did not: patch the filtered
-		// relation straight from the filter atoms' deltas, sharing the
-		// support map untouched. Falls back to a full re-filter of the
-		// unfiltered projection when the atom deltas are large.
-		if rel, ok := b.refilterDelta(u, inst, atomDeltaFor); ok {
-			return rel, oldSup, true
-		}
-		rel := relFromSupport(oldSup, bag)
-		for _, ai := range p.filters[u] {
-			rel = Semijoin(rel, inst.AtomRels[ai])
-		}
-		return rel, oldSup, true
-	}
-	var dirtyIdx []int
-	totalDelta, totalEdge, maxEdge := 0, 0, 0
-	for i, names := range p.lambdaVars[u] {
-		l := getEdge(names).Len()
-		totalEdge += l
-		if l > maxEdge {
-			maxEdge = l
-		}
-		if dirtyVarset[edgeKey(names)] {
-			dirtyIdx = append(dirtyIdx, i)
-			d := deltaFor(names)
-			totalDelta += d.plus.Len() + d.minus.Len()
-		}
-	}
-	if !chooseNodeDelta(totalDelta, totalEdge, oldSup.Len(), maxEdge) {
-		return nil, nil, false
-	}
-	sup := oldSup.Clone()
-	// touched records, per bag tuple the delta reaches, its support before
-	// the delta (so crossings of zero can be classified afterwards).
-	touched := storage.NewTupleMap(len(bag), 16)
-	cur := make([]*Relation, len(p.lambdaVars[u]))
-	for i, names := range p.lambdaVars[u] {
-		if dirtyVarset[edgeKey(names)] {
-			cur[i] = deltaFor(names).old
-		} else {
-			cur[i] = getEdge(names)
-		}
-	}
-	buf := make([]Value, len(bag))
-	apply := func(drel *Relation, exclude int, sign int64) {
-		if drel.Len() == 0 {
-			return
-		}
-		acc := drel
-		others := make([]*Relation, 0, len(cur)-1)
-		for j, r := range cur {
-			if j != exclude {
-				others = append(others, r)
-			}
-		}
-		sort.SliceStable(others, func(a, b int) bool { return others[a].Len() < others[b].Len() })
-		for _, other := range others {
-			acc = Join(acc, other)
-			if acc.Len() == 0 {
-				return
-			}
-		}
-		idx := make([]int, len(bag))
-		for j, c := range bag {
-			idx[j] = acc.ColIndex(c)
-		}
-		for i := 0; i < acc.Len(); i++ {
-			row := acc.Row(i)
-			for j, x := range idx {
-				buf[j] = row[x]
-			}
-			if _, isNew := touched.Insert(buf); isNew {
-				touched.Add(buf, oldSup.Get(buf)) // record the pre-delta support
-			}
-			sup.Add(buf, sign)
-		}
-	}
-	for _, i := range dirtyIdx {
-		d := deltaFor(p.lambdaVars[u][i])
-		apply(d.plus, i, 1)
-		apply(d.minus, i, -1)
-		cur[i] = d.new
-	}
-	// Compact the support map once zero-count tombstones exceed half the
-	// entries, so a long delete-heavy stream keeps it proportional to the
-	// live tuples instead of every tuple ever derived. Compaction preserves
-	// the relative slot order of the survivors, so relations listed off the
-	// map are unchanged.
-	if sup.Len() >= supportCompactMin && sup.Tombstones()*2 > sup.Len() {
-		sup = sup.Compact()
-	}
-	// Classify crossings and patch the filtered relation.
-	var added, removed *Relation
-	for slot := int32(0); int(slot) < touched.Len(); slot++ {
-		key := touched.Key(slot)
-		before := touched.Val(slot) > 0
-		after := sup.Get(key) > 0
-		if before == after {
-			continue
-		}
-		if after {
-			if added == nil {
-				added = NewRelation(bag...)
-			}
-			added.Add(key...)
-		} else {
-			if removed == nil {
-				removed = NewRelation(bag...)
-			}
-			removed.Add(key...)
-		}
-	}
-	if filtersDirty {
-		rel := relFromSupport(sup, bag)
-		for _, ai := range p.filters[u] {
-			rel = Semijoin(rel, inst.AtomRels[ai])
-		}
-		return rel, sup, true
-	}
-	if added == nil && removed == nil {
-		return b.nodeRels[u], sup, true // membership unchanged, counts moved
-	}
-	if added != nil {
-		// New tuples must still pass the node's (unchanged) filters.
-		for _, ai := range p.filters[u] {
-			added = Semijoin(added, inst.AtomRels[ai])
-		}
-	}
-	old := b.nodeRels[u]
-	rel := NewRelation(bag...)
-	if removed == nil {
-		rel.Data = make([]Value, len(old.Data), len(old.Data)+len(added.Data))
-		copy(rel.Data, old.Data)
-	} else {
-		removedSet := storage.NewTupleMap(len(bag), removed.Len())
-		for i := 0; i < removed.Len(); i++ {
-			removedSet.Insert(removed.Row(i))
-		}
-		rel.Data = make([]Value, 0, len(old.Data))
-		for i := 0; i < old.Len(); i++ {
-			row := old.Row(i)
-			if removedSet.Find(row) >= 0 {
-				continue
-			}
-			rel.Data = append(rel.Data, row...)
-		}
-	}
-	if added != nil {
-		rel.Data = append(rel.Data, added.Data...)
-	}
-	return rel, sup, true
-}
-
-// refilterDelta patches a node whose λ join is clean but whose effective
-// filter atoms changed. A row of the old relation survives unless its
-// projection onto a changed atom's variables is among that atom's deleted
-// bindings (it passed the old filter, so it fails the new one exactly
-// then). A row of the unfiltered projection is newly admitted iff it
-// matches an added binding of some changed filter (then it failed that old
-// filter, so it cannot already be present) and passes every new filter.
-// Both passes are single O(node) scans with small-map probes — cheaper than
-// the full re-filter's relation rebuild plus one semijoin per filter, but
-// not sublinear (an index over the projection columns would be, at the cost
-// of maintaining it). Deletion-only deltas skip the admission scan and
-// insertion-only deltas share the base relation outright. ok=false falls
-// back to a full re-filter (large atom delta).
-func (b *BoundQuery) refilterDelta(u int, inst *Instance, atomDeltaFor func(int) *edgeDelta) (*Relation, bool) {
-	p := b.prep.plan
-	bag := p.bagVars[u]
-	old := b.nodeRels[u]
-	sup := b.nodeSupport[u]
-	var changed []int
-	for _, ai := range p.filters[u] {
-		d := atomDeltaFor(ai)
-		if d == nil {
-			continue
-		}
-		if !chooseRefilterDelta(d.plus.Len(), d.minus.Len(), d.old.Len(), d.new.Len()) {
-			return nil, false
-		}
-		changed = append(changed, ai)
-	}
-	if len(changed) == 0 {
-		// The dirty filter atoms all absorbed (relEqual in Rebind): nothing
-		// to do.
-		return old, true
-	}
-	// Projection positions of each changed atom's variables within the bag,
-	// and membership sets over the deltas.
-	proj := make(map[int][]int, len(changed))
-	minusSet := make(map[int]*storage.TupleMap, len(changed))
-	plusSet := make(map[int]*storage.TupleMap, len(changed))
-	bagPos := func(name string) int {
-		for i, c := range bag {
-			if c == name {
-				return i
-			}
-		}
-		return -1
-	}
-	anyPlus, anyMinus := false, false
-	for _, ai := range changed {
-		d := atomDeltaFor(ai)
-		cols := d.new.Cols // the atom's distinct variables, sorted, ⊆ bag
-		idx := make([]int, len(cols))
-		for j, c := range cols {
-			idx[j] = bagPos(c)
-		}
-		proj[ai] = idx
-		toSet := func(rel *Relation) *storage.TupleMap {
-			m := storage.NewTupleMap(len(cols), rel.Len())
-			for i := 0; i < rel.Len(); i++ {
-				m.Insert(rel.Row(i))
-			}
-			return m
-		}
-		if d.minus.Len() > 0 {
-			minusSet[ai] = toSet(d.minus)
-			anyMinus = true
-		}
-		if d.plus.Len() > 0 {
-			plusSet[ai] = toSet(d.plus)
-			anyPlus = true
-		}
-	}
-	rel := old
-	k := len(bag)
-	buf := make([]Value, k)
-	project := func(row []Value, idx []int) []Value {
-		pb := buf[:len(idx)]
-		for j, x := range idx {
-			pb[j] = row[x]
-		}
-		return pb
-	}
-	if anyMinus {
-		out := NewRelation(bag...)
-		out.Data = make([]Value, 0, len(old.Data))
-		for i := 0; i < old.Len(); i++ {
-			row := old.Row(i)
-			drop := false
-			for ai, m := range minusSet {
-				if m.Find(project(row, proj[ai])) >= 0 {
-					drop = true
-					break
-				}
-			}
-			if !drop {
-				out.Data = append(out.Data, row...)
-			}
-		}
-		rel = out
-	}
-	if anyPlus {
-		// Membership sets of every new filter relation, built lazily — only
-		// once a candidate actually needs checking.
-		var newSets map[int]*storage.TupleMap
-		passAll := func(row []Value) bool {
-			if newSets == nil {
-				newSets = make(map[int]*storage.TupleMap, len(p.filters[u]))
-				for _, ai := range p.filters[u] {
-					ar := inst.AtomRels[ai]
-					m := storage.NewTupleMap(len(ar.Cols), ar.Len())
-					for i := 0; i < ar.Len(); i++ {
-						m.Insert(ar.Row(i))
-					}
-					newSets[ai] = m
-				}
-			}
-			for _, ai := range p.filters[u] {
-				idx := proj[ai]
-				if idx == nil {
-					cols := inst.AtomRels[ai].Cols
-					idx = make([]int, len(cols))
-					for j, c := range cols {
-						idx[j] = bagPos(c)
-					}
-					proj[ai] = idx
-				}
-				if newSets[ai].Find(project(row, idx)) < 0 {
-					return false
-				}
-			}
-			return true
-		}
-		var adds []Value
-		for slot := int32(0); int(slot) < sup.Len(); slot++ {
-			if sup.Val(slot) <= 0 {
-				continue
-			}
-			row := sup.Key(slot)
-			cand := false
-			for ai, m := range plusSet {
-				if m.Find(project(row, proj[ai])) >= 0 {
-					cand = true
-					break
-				}
-			}
-			if cand && passAll(row) {
-				adds = append(adds, row...)
-			}
-		}
-		if len(adds) > 0 {
-			if rel == old {
-				out := NewRelation(bag...)
-				out.Data = make([]Value, len(old.Data), len(old.Data)+len(adds))
-				copy(out.Data, old.Data)
-				rel = out
-			}
-			rel.Data = append(rel.Data, adds...)
-		}
-	}
-	return rel, true
-}
-
-// update maintains a cached full reduction under re-materialised node
-// relations. The bottom-up pass is re-run on dirty nodes and their ancestors
-// (a recomputation that reproduces the cached relation stops the upward
-// propagation); the top-down pass is re-run where the bottom-up result or
-// the parent's reduced relation changed (stopping, likewise, where the
-// recomputation is absorbed). Enumeration indexes are rebuilt only for nodes
-// whose reduced relation actually changed; everything else is shared with
-// the cached state. Both passes run level-parallel on up to par workers —
-// within a level, nodes read only strictly-lower (bottom-up) or
-// strictly-higher (top-down) levels and write disjoint slots, so the
-// absorption checks are unaffected by the schedule.
-func (es *enumState) update(ctx context.Context, nodeRels []*Relation, dirtyNode []bool, par int) (*enumState, error) {
-	p := es.plan
-	n := p.d.Nodes()
-	newBU := append([]*Relation(nil), es.buRels...)
-	changedBU := make([]bool, n)
-	for _, level := range p.levels { // children strictly before parents
-		err := parForEach(ctx, par, level, func(u int) error {
-			need := dirtyNode[u]
-			for _, cj := range p.childJoins[u] {
-				if changedBU[cj.child] {
-					need = true
-					break
-				}
-			}
-			if !need {
-				return nil
-			}
-			rel := nodeRels[u]
-			for _, cj := range p.childJoins[u] {
-				rel = semijoinOn(rel, newBU[cj.child], cj.shared, cj.uPos, cj.cPos)
-			}
-			if relEqual(rel, es.buRels[u]) {
-				return nil // absorbed: ancestors see no change
-			}
-			newBU[u] = rel
-			changedBU[u] = true
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	nes := &enumState{
-		plan:      p,
-		pre:       es.pre,
-		nodes:     append([]enumNode(nil), es.nodes...),
-		maxShared: es.maxShared,
-		buRels:    newBU,
-	}
-	changedFinal := make([]bool, n)
-	for l := len(p.levels) - 1; l >= 0; l-- { // parents strictly before children
-		err := parForEach(ctx, par, p.levels[l], func(u int) error {
-			parent := p.d.Parent[u]
-			if !changedBU[u] && (parent < 0 || !changedFinal[parent]) {
-				return nil
-			}
-			final := newBU[u]
-			if parent >= 0 {
-				for _, cj := range p.childJoins[parent] {
-					if cj.child == u {
-						final = semijoinOn(final, nes.nodes[parent].rel, cj.shared, cj.cPos, cj.uPos)
-						break
-					}
-				}
-			}
-			if relEqual(final, es.nodes[u].rel) {
-				return nil // absorbed: keep the cached relation and its index
-			}
-			en := enumNode{rel: final, write: p.bagVids[u], sharedVid: p.sharedVids[u]}
-			if len(p.shared[u]) > 0 {
-				en.idx = storage.BuildIndex(final.Data, len(final.Cols), p.sharedPos[u])
-			}
-			nes.nodes[u] = en
-			changedFinal[u] = true
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	// Carry the lazily built upward probe indexes (enumerateVia) forward for
-	// every pair whose parent relation survived unchanged; the rest rebuild
-	// on demand.
-	es.upMu.Lock()
-	for i, pr := range p.countPairs {
-		if i >= len(es.up) {
-			break
-		}
-		if es.up[i] != nil && nes.nodes[pr.u].rel == es.nodes[pr.u].rel {
-			if nes.up == nil {
-				nes.up = make([]*storage.Index, len(p.countPairs))
-			}
-			nes.up[i] = es.up[i]
-		}
-	}
-	es.upMu.Unlock()
-	return nes, nil
-}
-
-// update maintains a cached counting DP under re-materialised node
-// relations. Groupings whose relations were replaced are rebuilt first
-// (concurrently — they depend only on the relations); vectors are then
-// recomputed bottom-up for dirty nodes and for nodes whose children
-// changed, stopping where neither the child's relation nor its vector
-// moved, level-parallel across independent sibling subtrees. Note the
-// node's DP groups the child's relation *rows* (not just its vector), so a
-// dirty child relation forces the parent's recomputation even when the
-// child's vector came out elementwise equal — the same multiset of counts
-// can be attached to different tuples.
-func (cs *countState) update(ctx context.Context, p *Plan, nodeRels []*Relation, dirtyNode []bool, par int) (*countState, error) {
-	ncs := &countState{
-		counts: append([][]int64(nil), cs.counts...),
-		groups: append([][]pairGroup(nil), cs.groups...),
-		total:  cs.total,
-	}
-	// 1. Rebuild the stale groupings: a grouping is stale iff either of the
-	// relations it was built from was replaced in this rebind (unchanged
-	// relations keep their pointer, so pointer inequality is exact).
-	var stale []int
-	cloned := make([]bool, p.d.Nodes())
-	for i, pr := range p.countPairs {
-		g := &cs.groups[pr.u][pr.k]
-		child := p.childJoins[pr.u][pr.k].child
-		if g.uRel != nodeRels[pr.u] || g.cRel != nodeRels[child] {
-			stale = append(stale, i)
-			if !cloned[pr.u] {
-				ncs.groups[pr.u] = slices.Clone(cs.groups[pr.u])
-				cloned[pr.u] = true
-			}
-		}
-	}
-	rowPar := leftoverPar(par, len(stale))
-	err := parForEach(ctx, par, stale, func(i int) error {
-		pr := p.countPairs[i]
-		child := p.childJoins[pr.u][pr.k].child
-		ncs.groups[pr.u][pr.k] = buildPairGroup(p, pr.u, pr.k, nodeRels[pr.u], nodeRels[child], rowPar)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	// 2. Re-run the DP where the change propagates.
-	changed := make([]bool, p.d.Nodes())
-	var anyChanged atomic.Bool
-	for _, level := range p.levels {
-		rp := leftoverPar(par, len(level))
-		err := parForEach(ctx, par, level, func(u int) error {
-			need := dirtyNode[u]
-			for _, cj := range p.childJoins[u] {
-				if changed[cj.child] || dirtyNode[cj.child] {
-					need = true
-					break
-				}
-			}
-			if !need {
-				return nil
-			}
-			cnt := nodeCountVector(p, u, nodeRels[u], ncs.groups[u], ncs.counts, rp)
-			if slices.Equal(cnt, cs.counts[u]) {
-				return nil
-			}
-			ncs.counts[u] = cnt
-			changed[u] = true
-			anyChanged.Store(true)
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	if anyChanged.Load() {
-		ncs.total = 0
-		for _, c := range ncs.counts[p.d.Root()] {
-			ncs.total += c
-		}
-	}
-	return ncs, nil
+	return plus, minus, true
 }

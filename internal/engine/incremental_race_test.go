@@ -12,12 +12,14 @@ import (
 )
 
 // TestIncrementalConcurrentReaders drives Bool/Count/Enumerate from many
-// goroutines against both the original snapshot and the latest published
-// one, while a writer chains Updates (which Apply deltas and intern new
-// constants into the shared dictionary). Run under -race; the invariants
-// checked are (a) the original BoundQuery's answers never change and (b)
-// every published snapshot is internally consistent (Count equals the
-// number of enumerated solutions).
+// goroutines against the original snapshot, an early maintained snapshot and
+// the latest published one, while a writer chains 1000 Updates (which Apply
+// deltas and intern new constants into the shared dictionary). Run under
+// -race; the invariants checked are (a) the original BoundQuery's answers
+// never change, (b) neither do those of the early snapshot — whose persistent
+// maps every later snapshot shares structure with and patches successors of —
+// while it is being enumerated throughout, and (c) every published snapshot
+// is internally consistent (Count equals the number of enumerated solutions).
 func TestIncrementalConcurrentReaders(t *testing.T) {
 	ctx := context.Background()
 	eng := NewEngine(WithParallelism(2))
@@ -48,9 +50,10 @@ func TestIncrementalConcurrentReaders(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var latest atomic.Pointer[BoundQuery]
+	var latest, early atomic.Pointer[BoundQuery]
 	latest.Store(orig)
-	const rounds = 120
+	const rounds = 1000
+	earlyReady, writerDone := make(chan struct{}), make(chan struct{})
 	var wg sync.WaitGroup
 
 	// Writer: chain Updates, alternating inserts (some with brand-new
@@ -58,6 +61,7 @@ func TestIncrementalConcurrentReaders(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		defer close(writerDone)
 		cur := orig
 		for i := 0; i < rounds; i++ {
 			d := storage.NewDelta()
@@ -76,8 +80,52 @@ func TestIncrementalConcurrentReaders(t *testing.T) {
 			}
 			cur = next
 			latest.Store(cur)
+			if i == 0 {
+				early.Store(cur)
+				close(earlyReady)
+			}
 		}
 	}()
+
+	// Readers enumerating the early maintained snapshot for as long as the
+	// writer keeps deriving successors from its structure.
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			select {
+			case <-earlyReady:
+			case <-writerDone: // the writer failed before publishing one
+				return
+			}
+			b := early.Load()
+			want := int64(-1)
+			for {
+				select {
+				case <-writerDone:
+					return
+				default:
+				}
+				n, err := b.Count(ctx)
+				if err != nil {
+					t.Error("early Count:", err)
+					return
+				}
+				var streamed int64
+				if err := b.Enumerate(ctx, func(Solution) bool { streamed++; return true }); err != nil {
+					t.Error("early Enumerate:", err)
+					return
+				}
+				if want < 0 {
+					want = n
+				}
+				if n != want || streamed != want {
+					t.Errorf("early snapshot moved: Count %d, Enumerate %d, first seen %d", n, streamed, want)
+					return
+				}
+			}
+		}()
+	}
 
 	// Readers over the frozen original snapshot: answers must never move.
 	for r := 0; r < 3; r++ {

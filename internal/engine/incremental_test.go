@@ -5,9 +5,12 @@ import (
 	"flag"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"d2cq/internal/cq"
 	"d2cq/internal/storage"
@@ -72,6 +75,27 @@ var diffShapes = []diffShape{
 		name:  "star",
 		query: "R(x,y), S(x,z), T(x,w)",
 		rels:  map[string]int{"R": 2, "S": 2, "T": 2},
+	},
+	{
+		// Two atoms over one variable set: the λ edge is their intersection,
+		// so an atom's delta is not the edge's.
+		name:  "same-varset",
+		query: "R(x,y), S(x,y), T(y,z)",
+		rels:  map[string]int{"R": 2, "S": 2, "T": 2},
+	},
+	{
+		// Two components: the decomposition joins them by a cross product
+		// (a tree edge sharing no column).
+		name:  "disconnected",
+		query: "R(a,b), S(c,d)",
+		rels:  map[string]int{"R": 2, "S": 2, "Zed": 1},
+	},
+	{
+		// Width 2 with bags that project the input join (derivation counts
+		// above 1) and filter atoms joined in as inputs.
+		name:  "cycle4",
+		query: "A(a,b), B(b,c), C(c,d), D(d,a)",
+		rels:  map[string]int{"A": 2, "B": 2, "C": 2, "D": 2},
 	},
 	{
 		name:  "naive-triangle",
@@ -148,8 +172,16 @@ func compareBound(ctx context.Context, inc, ref *BoundQuery) string {
 // diverging step (-1 for none) with the divergence description.
 func runScript(t *testing.T, sh diffShape, q cq.Query, initial cq.Database, steps []diffStep) (int, string) {
 	t.Helper()
+	return runScriptOn(t, NewEngine(sh.opts...), sh, q, initial, steps)
+}
+
+// runScriptOn is runScript on a caller-supplied engine (whose Stats the
+// caller wants to read afterwards). Besides the three evaluation modes,
+// every step's DiffFrom against the previous snapshot — the recorded-delta
+// path — is held to the materialise-both oracle.
+func runScriptOn(t *testing.T, eng *Engine, sh diffShape, q cq.Query, initial cq.Database, steps []diffStep) (int, string) {
+	t.Helper()
 	ctx := context.Background()
-	eng := NewEngine(sh.opts...)
 	prep, err := eng.Prepare(ctx, q)
 	if err != nil {
 		t.Fatalf("%s: Prepare: %v", sh.name, err)
@@ -167,6 +199,17 @@ func runScript(t *testing.T, sh diffShape, q cq.Query, initial cq.Database, step
 		next, err := inc.Update(ctx, stepDelta(step))
 		if err != nil {
 			return i, "Update: " + err.Error()
+		}
+		ga, gr, err := next.DiffFrom(ctx, inc)
+		if err != nil {
+			return i, "DiffFrom: " + err.Error()
+		}
+		wa, wr, err := next.diffOracle(ctx, inc)
+		if err != nil {
+			return i, "diffOracle: " + err.Error()
+		}
+		if !slices.Equal(ga.Data, wa.Data) || !slices.Equal(gr.Data, wr.Data) {
+			return i, fmt.Sprintf("DiffFrom: +%d/−%d rows, oracle +%d/−%d", ga.Len(), gr.Len(), wa.Len(), wr.Len())
 		}
 		inc = next
 		applyMirror(mirror, step)
@@ -551,12 +594,12 @@ func TestUpdateCancelledContext(t *testing.T) {
 	}
 }
 
-// TestRebindAtomDeltaLineage pins the O(delta) atom-rebuild fast path: with
-// lineage back to the old table — recorded directly or composed across
-// several Applies — the patched relation is byte-identical to a full
-// bindAtomRelation scan (selection by constants and repeated variables
-// included), and any decline of available lineage is justified by the cost
-// model.
+// TestRebindAtomDeltaLineage pins the O(delta) atom fast path: with lineage
+// back to the old table — recorded directly or composed across several
+// Applies — the delta it reads, normalised and applied to the old relation,
+// gives exactly the rows of a full bindAtomRelation scan (selection by
+// constants and repeated variables included), and any decline of available
+// lineage is justified by the cost model.
 func TestRebindAtomDeltaLineage(t *testing.T) {
 	atoms := []string{"R(x,y)", "R(x,x)", "R(x,'c1')", "R(x,y), Zed(x)"}
 	db := cq.Database{}
@@ -592,15 +635,15 @@ func TestRebindAtomDeltaLineage(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, fast := rebindAtomDelta(a, oldRel, cur.Table(a.Rel), next, NewEngine())
+			plus, minus, fast := rebindAtomDelta(a, cur.Table(a.Rel), next, NewEngine())
 			if fast {
-				if !sameStrings(got.Cols, want.Cols) || !slices.Equal(got.Data, want.Data) {
-					t.Fatalf("%s delta %d: lineage rebuild %v/%v, scan %v/%v", src, di, got.Cols, got.Data, want.Cols, want.Data)
+				if d := normaliseDelta(setOfRows(oldRel), plus, minus); !patchesTo(oldRel, d, want) {
+					t.Fatalf("%s delta %d: lineage delta +%v -%v does not turn %v into the scan %v/%v", src, di, d.plus.Data, d.minus.Data, oldRel.Data, want.Cols, want.Data)
 				}
 			} else if lin, _ := next.LineageFrom(a.Rel, cur.Table(a.Rel)); lin != nil {
 				// Declining available lineage is only allowed when the cost
 				// model prices the scan cheaper.
-				if chooseAtomDelta(lin.AddedRows()+lin.RemovedRows(), lin.RemovedRows(), oldRel.Len(), atomScanRows(a, cur.Table(a.Rel))) {
+				if chooseAtomDelta(lin.AddedRows()+lin.RemovedRows(), atomScanRows(a, cur.Table(a.Rel))) {
 					t.Fatalf("%s delta %d: fast path declined a delta the cost model accepts", src, di)
 				}
 			}
@@ -631,15 +674,320 @@ func TestRebindAtomDeltaLineage(t *testing.T) {
 			t.Fatal(err)
 		}
 		eng := NewEngine()
-		got, fast := rebindAtomDelta(a, baseRel, base.Table(a.Rel), two, eng)
+		plus, minus, fast := rebindAtomDelta(a, base.Table(a.Rel), two, eng)
 		if !fast {
 			t.Fatalf("%s: fast path declined a composed two-step lineage", src)
 		}
-		if !sameStrings(got.Cols, want.Cols) || !slices.Equal(got.Data, want.Data) {
-			t.Fatalf("%s: composed rebuild %v/%v, scan %v/%v", src, got.Cols, got.Data, want.Cols, want.Data)
+		if d := normaliseDelta(setOfRows(baseRel), plus, minus); !patchesTo(baseRel, d, want) {
+			t.Fatalf("%s: composed delta +%v -%v does not turn %v into the scan %v/%v", src, d.plus.Data, d.minus.Data, baseRel.Data, want.Cols, want.Data)
 		}
 		if eng.Stats().LineageComposed == 0 {
 			t.Fatalf("%s: composed patch did not count in Stats", src)
 		}
+	}
+}
+
+// patchesTo reports whether d is an exact set delta from old's rows to
+// want's: over the same columns, every leaving row present, every entering
+// row absent, and the patched set equal to want's rows. Maintained atoms keep
+// sets, not row order, so this is set equality.
+func patchesTo(old *Relation, d *relDelta, want *Relation) bool {
+	if !sameStrings(d.plus.Cols, want.Cols) || !sameStrings(d.minus.Cols, want.Cols) {
+		return false
+	}
+	set := setOfRows(old).Edit()
+	for i := 0; i < d.minus.Len(); i++ {
+		if !set.Has(d.minus.Row(i)) {
+			return false
+		}
+		set.Delete(d.minus.Row(i))
+	}
+	for i := 0; i < d.plus.Len(); i++ {
+		if set.Has(d.plus.Row(i)) {
+			return false
+		}
+		set.Set(d.plus.Row(i), struct{}{})
+	}
+	return diffRows(set.Freeze(), want).empty()
+}
+
+// TestNormaliseDelta pins what makes a lineage an exact set delta: a tuple
+// removed and re-added in one window is in both lineage lists and changes
+// nothing, a tuple added and then removed likewise nets to its old
+// membership, and duplicates and no-op entries drop out.
+func TestNormaliseDelta(t *testing.T) {
+	rel := func(rows ...[]Value) *Relation {
+		r := NewRelation("x", "y")
+		for _, row := range rows {
+			r.Add(row...)
+		}
+		return r
+	}
+	old := setOfRows(rel([]Value{1, 2}, []Value{3, 4}))
+	plus := rel([]Value{1, 2}, []Value{5, 6}, []Value{5, 6}, []Value{3, 4})
+	minus := rel([]Value{1, 2}, []Value{3, 4}, []Value{7, 8}, []Value{3, 4})
+	d := normaliseDelta(old, plus, minus)
+	// (1,2) and (3,4): removed and re-added — unchanged. (5,6): entering,
+	// once. (7,8): was never there.
+	if !slices.Equal(d.plus.Data, []Value{5, 6}) || d.minus.Len() != 0 {
+		t.Fatalf("normaliseDelta = +%v -%v, want +[5 6] -[]", d.plus.Data, d.minus.Data)
+	}
+	d = normaliseDelta(old, rel(), rel([]Value{3, 4}, []Value{3, 4}, []Value{9, 9}))
+	if d.plus.Len() != 0 || !slices.Equal(d.minus.Data, []Value{3, 4}) {
+		t.Fatalf("normaliseDelta = +%v -%v, want +[] -[3 4]", d.plus.Data, d.minus.Data)
+	}
+}
+
+// scripted builds a step list from "±Rel(a,b)" ops; ops joined by spaces form
+// one batch.
+func scripted(steps ...string) []diffStep {
+	var out []diffStep
+	for _, batch := range steps {
+		var step diffStep
+		for _, op := range strings.Fields(batch) {
+			open := strings.IndexByte(op, '(')
+			step = append(step, diffOp{
+				insert: op[0] == '+',
+				rel:    op[1:open],
+				tuple:  strings.Split(op[open+1:len(op)-1], ","),
+			})
+		}
+		out = append(out, step)
+	}
+	return out
+}
+
+// TestIncrementalScriptedCases replays the update patterns a carried delta
+// can get wrong where a recomputed one could not, each held step by step to
+// a from-scratch Bind (Bool, Count, EnumerateAll) and to the diff oracle.
+func TestIncrementalScriptedCases(t *testing.T) {
+	path := diffShape{name: "path", query: "R(a,b), S(b,c), T(c,d)"}
+	pathDB := func() cq.Database {
+		db := cq.Database{}
+		db.Add("R", "1", "2")
+		db.Add("R", "5", "2")
+		db.Add("S", "2", "3")
+		db.Add("T", "3", "4")
+		db.Add("T", "3", "9")
+		return db
+	}
+	cases := []struct {
+		name  string
+		shape diffShape
+		db    cq.Database
+		steps []diffStep
+	}{
+		{
+			// A relation drained to nothing and filled again: every node
+			// empties and every key's presence flips both ways.
+			name: "delete-to-empty-then-reinsert", shape: path, db: pathDB(),
+			steps: scripted("-S(2,3)", "-R(1,2)", "-R(5,2)", "-T(3,4)", "-T(3,9)",
+				"+T(3,4)", "+R(5,2)", "+S(2,3)", "+R(1,2)", "+T(3,9)"),
+		},
+		{
+			// One batch removing and adding in the same relation — a different
+			// tuple, the same tuple (lineage lists it on both sides: no
+			// change), and a tuple that is not there.
+			name: "add-and-remove-in-one-batch", shape: path, db: pathDB(),
+			steps: scripted("-R(1,2) +R(7,2)", "-S(2,3) +S(2,3)", "-T(3,4) +T(3,4) -T(3,9)",
+				"-R(8,8) +R(1,2)", "+S(2,5) -S(2,3) +T(5,6)"),
+		},
+		{
+			// The edge over {x,y} is R ∩ S: a tuple entering R enters the
+			// edge only if S has it, and leaves with either.
+			name: "two-atoms-one-varset", shape: diffShape{name: "same-varset", query: "R(x,y), S(x,y), T(y,z)"},
+			db: func() cq.Database {
+				db := cq.Database{}
+				db.Add("R", "1", "2")
+				db.Add("S", "3", "2")
+				db.Add("T", "2", "4")
+				return db
+			}(),
+			steps: scripted("+S(1,2)", "+R(3,2)", "-R(1,2)", "-S(3,2) +S(1,2)", "+R(1,2) +R(9,9)", "-T(2,4)", "+T(2,4) -S(1,2)"),
+		},
+		{
+			// Constants select and repeated variables equate: most table
+			// deltas are invisible to the atom, some only to one of two atoms
+			// over the same relation.
+			name: "constants-and-repeats", shape: diffShape{name: "const-repeat", query: "R(x,x), S(x,y), R(y,'k')"},
+			db: func() cq.Database {
+				db := cq.Database{}
+				db.Add("R", "a", "a")
+				db.Add("S", "a", "b")
+				return db
+			}(),
+			steps: scripted("+R(b,k)", "+R(a,b)", "+R(k,k) +S(k,k)", "-R(a,a)", "+R(a,a) -R(b,k)", "+R(b,k) +S(a,k)", "-R(k,k)"),
+		},
+		{
+			// A variable-free atom makes a nullary relation, which the plan
+			// does not maintain: Rebind binds afresh.
+			name: "ground-atom", shape: diffShape{name: "ground-atom", query: "R(x,y), S(y,z), G('k','k')"},
+			db: func() cq.Database {
+				db := cq.Database{}
+				db.Add("R", "1", "2")
+				db.Add("S", "2", "3")
+				return db
+			}(),
+			steps: scripted("+G(k,k)", "+R(4,2)", "+G(k,j)", "-G(k,k)", "+G(k,k) -S(2,3)", "+S(2,3) +S(2,7)", "-G(k,j)"),
+		},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			q, err := cq.ParseQuery(c.shape.query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if at, desc := runScript(t, c.shape, q, c.db, c.steps); at >= 0 {
+				t.Fatalf("divergence at step %d (%v): %s", at, c.steps[at], desc)
+			}
+		})
+	}
+}
+
+// TestIncrementalLargeDeltaFallsBack: a delta larger than the relations it
+// lands in goes back to rescanning the atom and re-materialising the nodes —
+// the cost model's rebuild side — in the middle of a stream of small deltas,
+// and the maintained state it leaves behind keeps patching correctly.
+func TestIncrementalLargeDeltaFallsBack(t *testing.T) {
+	sh := diffShape{name: "cycle4", query: "A(a,b), B(b,c), C(c,d), D(d,a)"}
+	q, err := cq.ParseQuery(sh.query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := cq.Database{}
+	for i := 0; i < 6; i++ {
+		for _, rel := range []string{"A", "B", "C", "D"} {
+			db.Add(rel, fmt.Sprint(i%3), fmt.Sprint((i+1)%3))
+		}
+	}
+	var bulk diffStep
+	for i := 0; i < 60; i++ {
+		bulk = append(bulk, diffOp{insert: true, rel: "A", tuple: []string{fmt.Sprint(i % 8), fmt.Sprint(i / 8)}})
+	}
+	bulk = append(bulk, diffOp{rel: "A", tuple: []string{"0", "1"}})
+	steps := scripted("+A(7,7)", "-B(0,1)")
+	steps = append(steps, bulk)
+	steps = append(steps, scripted("+B(0,1)", "-A(7,7) +C(7,0)", "-A(1,2)")...)
+	eng := NewEngine()
+	if at, desc := runScriptOn(t, eng, sh, q, db, steps); at >= 0 {
+		t.Fatalf("divergence at step %d (%v): %s", at, steps[at], desc)
+	}
+	prep, err := eng.Prepare(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := eng.Stats()
+	if st.AtomDeltaScan == 0 {
+		t.Error("the bulk delta never took the atom rescan path")
+	}
+	// The first maintenance converts every node once; rebuilds beyond that
+	// are the fallback.
+	if nodes := uint64(prep.Plan().Decomp().Nodes()); st.NodeRebuilds <= nodes {
+		t.Errorf("the bulk delta never took the node rebuild path (%d rebuilds, %d of them the conversion)", st.NodeRebuilds, nodes)
+	}
+}
+
+// TestRecordedDeltasDoNotPinPredecessors: a snapshot names the state its
+// recorded deltas are against by number, not by pointer, so an early snapshot
+// of a long Update chain is collectable while the chain's head is alive.
+func TestRecordedDeltasDoNotPinPredecessors(t *testing.T) {
+	ctx := context.Background()
+	eng := NewEngine()
+	q, err := cq.ParseQuery("R(a,b), S(b,c), T(c,d)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prep, err := eng.Prepare(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := cq.Database{}
+	for i := 0; i < 40; i++ {
+		db.Add("R", fmt.Sprint(i), fmt.Sprint(i%5))
+		db.Add("S", fmt.Sprint(i%5), fmt.Sprint(i%7))
+		db.Add("T", fmt.Sprint(i%7), fmt.Sprint(i))
+	}
+	cdb, err := eng.CompileDB(ctx, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur, err := prep.Bind(ctx, cdb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cur.Count(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := cur.Enumerate(ctx, func(Solution) bool { return false }); err != nil {
+		t.Fatal(err)
+	}
+	var collected atomic.Int32 // the early BoundQuery, and the reduction state it carried
+	for i := 0; i < 10_000; i++ {
+		d := storage.NewDelta()
+		if i%2 == 0 {
+			d.Add("S", "x", fmt.Sprint(i%7))
+		} else {
+			d.Remove("S", "x", fmt.Sprint((i-1)%7))
+		}
+		next, err := cur.Update(ctx, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := next.DiffFrom(ctx, cur); err != nil {
+			t.Fatal(err)
+		}
+		if i == 1 { // an early, already maintained snapshot
+			runtime.AddCleanup(cur, func(struct{}) { collected.Add(1) }, struct{}{})
+			runtime.AddCleanup(cur.enumSt.Load(), func(struct{}) { collected.Add(1) }, struct{}{})
+		}
+		cur = next
+	}
+	for tries := 0; tries < 50 && collected.Load() < 2; tries++ {
+		runtime.GC()
+		time.Sleep(10 * time.Millisecond)
+	}
+	if collected.Load() < 2 {
+		t.Fatal("an early snapshot is still reachable from the head of the Update chain")
+	}
+	if n, err := cur.Count(ctx); err != nil || n == 0 {
+		t.Fatalf("head of the chain: Count = %d, %v", n, err)
+	}
+}
+
+// TestMaintRowsTouchedScaling is the complexity claim as a count, not a
+// timing: one result-changing tuple deleted and one inserted on path3 touch
+// (hash, probe or copy) about as many rows at 32 000 rows per relation as at
+// 2 000 — the relations grow 16×, the work may grow by at most half (the
+// persistent maps deepen by a level). Before deltas were carried, the count
+// grew with the relations.
+func TestMaintRowsTouchedScaling(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a 32 000-row fixture")
+	}
+	touched := func(rows int) uint64 {
+		f := newMaintFixture(t, maintPath3, rows, rows/2)
+		f.warm(t)
+		before := f.eng.Stats()
+		for i := range maintPath3.atoms {
+			for _, insert := range []bool{false, true} {
+				if f.maintain(t, f.apply(t, 1, i, insert)) != 1 {
+					t.Fatal("toggling a planted tuple must change exactly one result row")
+				}
+			}
+		}
+		after := f.eng.Stats()
+		if after.NodeRebuilds != before.NodeRebuilds || after.AtomDeltaScan != before.AtomDeltaScan || after.DiffsOracle != before.DiffsOracle {
+			t.Fatalf("%d rows: the measured updates left the delta path", rows)
+		}
+		return after.MaintRowsTouched - before.MaintRowsTouched
+	}
+	small, large := touched(2_000), touched(32_000)
+	t.Logf("rows touched by 6 one-tuple updates: %d at 2 000 rows/relation, %d at 32 000", small, large)
+	if small == 0 {
+		t.Fatal("MaintRowsTouched did not move")
+	}
+	if 2*large > 3*small {
+		t.Fatalf("rows touched grew %d → %d (%.2f×) while the relations grew 16×; want ≤ 1.5×",
+			small, large, float64(large)/float64(small))
 	}
 }

@@ -344,12 +344,11 @@ func TestParallelEnumerateOldSnapshotDuringUpdates(t *testing.T) {
 	wg.Wait()
 }
 
-// TestSupportMapCompaction drives a long delete-heavy update stream whose
+// TestSupportMapStaysBounded drives a long delete-heavy update stream whose
 // every round retires a distinct tuple, and asserts the per-node support
-// maps stay bounded: after every update, tombstones never exceed half the
-// entries (the compaction trigger), so the maps track the live tuples
-// instead of every tuple ever derived.
-func TestSupportMapCompaction(t *testing.T) {
+// maps track the live tuples instead of every tuple ever derived: a tuple
+// whose last derivation goes away leaves the map.
+func TestSupportMapStaysBounded(t *testing.T) {
 	ctx := context.Background()
 	eng := NewEngine()
 	q, err := cq.ParseQuery("R(a,b), S(b,c)")
@@ -396,23 +395,15 @@ func TestSupportMapCompaction(t *testing.T) {
 		}
 		b = nb
 		applyMirror(mirror, diffStep{op})
-		for u, sup := range b.nodeSupport {
-			if sup == nil {
-				continue
-			}
-			if sup.Len() >= supportCompactMin && sup.Tombstones()*2 > sup.Len() {
-				t.Fatalf("round %d node %d: %d tombstones in %d entries — compaction did not fire",
-					r, u, sup.Tombstones(), sup.Len())
-			}
-			if sup.Len() > maxLen {
-				maxLen = sup.Len()
+		for _, ns := range b.maint.nodes {
+			if ns.sup.Len() > maxLen {
+				maxLen = ns.sup.Len()
 			}
 		}
 	}
-	// The live bag projection never exceeds |R|+1 tuples, so with the
-	// half-tombstone bound the maps must stay well under the ~rounds/2
-	// distinct keys an uncompacted map would accumulate.
-	if bound := 2*(64+1) + supportCompactMin; maxLen > bound {
+	// The live bag projection never exceeds |R|+1 tuples, well under the
+	// ~rounds/2 distinct keys a map that kept dead tuples would accumulate.
+	if bound := 64 + 1; maxLen > bound {
 		t.Fatalf("support map grew to %d entries, want ≤ %d", maxLen, bound)
 	}
 	refCDB, err := eng.CompileDB(ctx, mirror)
@@ -424,7 +415,7 @@ func TestSupportMapCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	if desc := compareBound(ctx, b, ref); desc != "" {
-		t.Fatalf("after compacting stream: %s", desc)
+		t.Fatalf("after the delete-heavy stream: %s", desc)
 	}
 }
 

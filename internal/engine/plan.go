@@ -45,6 +45,19 @@ type Plan struct {
 	sharedVids [][]int       // node → vertex id of each shared column
 	levels     [][]int       // bottom-up levels: children strictly before parents
 	countPairs []countPair   // every (node, child-join) edge of the counting DP, flattened
+	pairOf     [][]int       // node → child join → index into countPairs
+	joinSlot   []int         // node → its position among its parent's child joins (-1 for the root)
+
+	// The maintenance half of the plan (maintplan.go): how a change to one
+	// atom relation is joined through a node's other inputs into a change of
+	// the node's relation. Fixed at plan time like the join positions above.
+	maintainable bool          // false: Rebind rebuilds instead (naive, ground, nullary bag or atom)
+	atomVars     [][]string    // atom → sorted distinct variables (the columns of its relation)
+	inputs       [][]int       // node → atoms joined at the node: those over its λ edges, then its filters
+	deltaPlans   [][]deltaPlan // node → per input: the probe order when that input is the delta
+	atomIdxCols  [][][]int     // atom → column subsets of its relation the delta plans probe
+	atomNodes    [][]int       // atom → nodes that list it among their inputs
+	projects     []bool        // node → the bag drops variables of the input join (derivation counts can exceed 1)
 }
 
 // countPair addresses one parent-child edge of the counting DP: node u's
@@ -229,11 +242,19 @@ func NewPlan(q cq.Query, d *decomp.GHD) (*Plan, error) {
 	for _, u := range p.order {
 		p.levels[height[u]] = append(p.levels[height[u]], u)
 	}
+	p.pairOf = make([][]int, d.Nodes())
+	p.joinSlot = make([]int, d.Nodes())
+	for u := range p.joinSlot {
+		p.joinSlot[u] = -1
+	}
 	for u := 0; u < d.Nodes(); u++ {
-		for k := range p.childJoins[u] {
+		for k, cj := range p.childJoins[u] {
+			p.joinSlot[cj.child] = k
+			p.pairOf[u] = append(p.pairOf[u], len(p.countPairs))
 			p.countPairs = append(p.countPairs, countPair{u: u, k: k})
 		}
 	}
+	p.planMaintenance()
 	return p, nil
 }
 

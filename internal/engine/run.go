@@ -288,16 +288,14 @@ func (r *run) bool_(ctx context.Context) (bool, error) {
 // pairGroup is the data-dependent grouping of one parent-child edge of the
 // counting DP: each side's rows mapped to dense key slots over the shared
 // columns. Building a grouping does all the hashing of the count-join once;
-// recomputing a DP vector afterwards is pure array arithmetic, so the
-// incremental re-run and the parallel sweep touch no hash tables. Groupings
-// depend only on the two relations (never on the DP values), which makes
-// them independent across ALL pairs — even a path-shaped decomposition
-// parallelises — and lets the incremental path detect staleness by pointer.
+// computing a DP vector afterwards is pure array arithmetic, so the parallel
+// sweep touches no hash tables. Groupings depend only on the two relations
+// (never on the DP values), which makes them independent across ALL pairs —
+// even a path-shaped decomposition parallelises.
 type pairGroup struct {
-	uRel, cRel *Relation
-	slots      int
-	uSlot      []int32 // node row → key slot, -1 when no child row shares the key
-	cSlot      []int32 // child row → key slot
+	slots int
+	uSlot []int32 // node row → key slot, -1 when no child row shares the key
+	cSlot []int32 // child row → key slot
 }
 
 // buildPairGroup groups one (node, child) pair by the shared join columns.
@@ -305,7 +303,7 @@ type pairGroup struct {
 // the probe scan splits over row ranges on up to rowPar workers.
 func buildPairGroup(p *Plan, u, k int, uRel, cRel *Relation, rowPar int) pairGroup {
 	cj := p.childJoins[u][k]
-	g := pairGroup{uRel: uRel, cRel: cRel}
+	var g pairGroup
 	m := storage.NewTupleMap(len(cj.cPos), cRel.Len())
 	buf := make([]Value, len(cj.cPos))
 	g.cSlot = make([]int32, cRel.Len())
@@ -364,14 +362,18 @@ func nodeCountVector(p *Plan, u int, rel *Relation, groups []pairGroup, counts [
 	return cnt
 }
 
-// countState is the cached counting DP of a BoundQuery: the per-node vectors
-// and per-pair groupings (kept so Update can recompute only the subtrees a
-// delta touches, rebuilding only the groupings whose relations were
-// replaced) and the total at the root.
+// countState is the cached counting DP of a BoundQuery: the total at the
+// root and what Rebind needs to carry it across a delta. Built from scratch
+// it is flat — the per-node vectors over the node relations rels; the first
+// Rebind turns those into per-node key sums in persistent maps (keySum,
+// countState.update) and from then on maintains only them.
 type countState struct {
+	total int64
+
+	rels   []*Relation // the node relations counts is parallel to
 	counts [][]int64
-	groups [][]pairGroup // indexed parallel to plan.childJoins
-	total  int64
+
+	keySum []*storage.PMap[int64] // maintained form; nil entry for the root
 }
 
 // buildCountState runs the counting DP bottom-up over all nodes. With
@@ -380,17 +382,18 @@ type countState struct {
 // cheap vector walk runs level-parallel across sibling subtrees, splitting
 // over row ranges when a level has a single node.
 func buildCountState(ctx context.Context, p *Plan, nodeRels []*Relation, par int) (*countState, error) {
-	cs := &countState{counts: make([][]int64, p.d.Nodes()), groups: make([][]pairGroup, p.d.Nodes())}
-	for u := range cs.groups {
+	cs := &countState{rels: nodeRels, counts: make([][]int64, p.d.Nodes())}
+	groups := make([][]pairGroup, p.d.Nodes())
+	for u := range groups {
 		if n := len(p.childJoins[u]); n > 0 {
-			cs.groups[u] = make([]pairGroup, n)
+			groups[u] = make([]pairGroup, n)
 		}
 	}
 	rowPar := leftoverPar(par, len(p.countPairs))
 	err := parForEach(ctx, par, allNodes(len(p.countPairs)), func(i int) error {
 		pr := p.countPairs[i]
 		child := p.childJoins[pr.u][pr.k].child
-		cs.groups[pr.u][pr.k] = buildPairGroup(p, pr.u, pr.k, nodeRels[pr.u], nodeRels[child], rowPar)
+		groups[pr.u][pr.k] = buildPairGroup(p, pr.u, pr.k, nodeRels[pr.u], nodeRels[child], rowPar)
 		return nil
 	})
 	if err != nil {
@@ -399,7 +402,7 @@ func buildCountState(ctx context.Context, p *Plan, nodeRels []*Relation, par int
 	for _, level := range p.levels {
 		rp := leftoverPar(par, len(level))
 		err := parForEach(ctx, par, level, func(u int) error {
-			cs.counts[u] = nodeCountVector(p, u, nodeRels[u], cs.groups[u], cs.counts, rp)
+			cs.counts[u] = nodeCountVector(p, u, nodeRels[u], groups[u], cs.counts, rp)
 			return nil
 		})
 		if err != nil {
@@ -485,23 +488,34 @@ type enumNode struct {
 // reduced node relations: the pre-order traversal and the per-node indexes.
 // Building it is the per-evaluation cost the bound API caches away; the
 // enumerate method allocates its own cursors, so one enumState serves any
-// number of concurrent enumerations. buRels keeps the bottom-up pass
-// intermediates (set by the bound API only) so an Update can re-run the
-// semijoin passes just where a delta propagates.
+// number of concurrent enumerations. It has two forms. Built from scratch it
+// is flat: reduced relations with flat indexes (nodes), plus the bottom-up
+// pass intermediates (buRels, set by the bound API only). Derived by Rebind
+// it is maintained: the same rows grouped in persistent maps (m, see
+// maintreduce.go), which the enumeration probes directly.
 type enumState struct {
 	plan      *Plan
 	pre       []int
-	nodes     []enumNode
 	maxShared int
-	buRels    []*Relation
+
+	// id names this state among its engine's (0: not a bound query's) and
+	// parent the state it was derived from by update, whose recorded deltas
+	// (enumMaint.delta) are against exactly that state. A name rather than a
+	// pointer, so a chain of snapshots does not keep its whole past alive.
+	id, parent uint64
+
+	nodes  []enumNode
+	buRels []*Relation
 
 	// up caches, per (node, child-join) pair of plan.countPairs, the index of
 	// the *parent* relation on the columns shared with that child — the probe
 	// direction of enumerateVia's path walk, which is the reverse of the
-	// enumNode indexes above. Built lazily under upMu; update carries entries
-	// whose parent relation is unchanged forward to the next state.
+	// enumNode indexes above. Flat form only, built lazily under upMu (the
+	// maintained form keeps these groupings up to date as enumMaint.up).
 	upMu sync.Mutex
 	up   []*storage.Index
+
+	m *enumMaint
 }
 
 // buildEnumState indexes every non-root node's relation on the columns
@@ -527,6 +541,16 @@ func buildEnumState(p *Plan, rels []*Relation) *enumState {
 		es.nodes[u] = en
 	}
 	return es
+}
+
+// rootLen returns the number of rows of the reduced root relation — the
+// extent the parallel enumeration splits.
+func (es *enumState) rootLen() int {
+	root := es.pre[0]
+	if es.m != nil {
+		return es.m.fLen[root]
+	}
+	return es.nodes[root].rel.Len()
 }
 
 // enumerateRange streams the solutions whose root tuple index lies in
@@ -566,6 +590,49 @@ func (es *enumState) enumerateRange(ctx context.Context, rootLo, rootHi int, yie
 			return nil
 		}
 		u := es.pre[i]
+		if m := es.m; m != nil {
+			// Maintained form: the rows to visit are a contiguous bucket —
+			// of the persistent index on the parent-shared columns, or of the
+			// listed relation for a node sharing none — except for the whole
+			// root, which streams straight off its persistent set.
+			write := p.bagVids[u]
+			a := len(write)
+			var rows []Value
+			switch {
+			case m.down[u] != nil:
+				kb := keyBuf[:len(p.sharedVids[u])]
+				for j, vid := range p.sharedVids[u] {
+					kb[j] = asg[vid]
+				}
+				rows, _ = m.down[u].Get(kb)
+			case i == 0 && rootLo == 0 && rootHi == m.fLen[u]:
+				var err error
+				m.all[u].Range(func(row []Value, _ struct{}) bool {
+					for j, vid := range write {
+						asg[vid] = row[j]
+					}
+					err = rec(1)
+					return err == nil && !stop
+				})
+				return err
+			case i == 0:
+				rows = es.flatF(u).Data[rootLo*a : rootHi*a]
+			default:
+				rows = es.flatF(u).Data
+			}
+			for off := 0; off+a <= len(rows); off += a {
+				if stop {
+					return nil
+				}
+				for j, vid := range write {
+					asg[vid] = rows[off+j]
+				}
+				if err := rec(i + 1); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
 		en := es.nodes[u]
 		start, n := 0, en.rel.Len()
 		var rows []int32
@@ -614,7 +681,7 @@ func (es *enumState) enumerate(ctx context.Context, par int, ordered bool, yield
 	if es.plan.d.Nodes() == 0 {
 		return nil
 	}
-	rootN := es.nodes[es.pre[0]].rel.Len()
+	rootN := es.rootLen()
 	if par <= 1 || rootN < 2 {
 		return es.enumerateRange(ctx, 0, rootN, yield)
 	}

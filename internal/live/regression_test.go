@@ -2,6 +2,9 @@ package live
 
 import (
 	"context"
+	"fmt"
+	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -342,5 +345,76 @@ func TestCommitStatsSampledOnce(t *testing.T) {
 	if st.Flush.CommitNs != st.Flush.LastCommitNs {
 		t.Fatalf("after one flush CommitNs=%d != LastCommitNs=%d: commit duration sampled twice",
 			st.Flush.CommitNs, st.Flush.LastCommitNs)
+	}
+}
+
+// TestStageNeverTakesSubmitLock pins the submit lock's independence from the
+// registry: a flush's stage used to rebuild, sort and allocate its view of the
+// registry under mu (O(registry·log registry) of hold time per flush); now
+// the registry is kept in name order where it grows, at Register, and the
+// stage reads it — and who is watched — without mu at all. The proof is not a
+// timing: the test holds mu itself while a stage runs, over 8 queries and
+// over 256, and the stage must still finish, in name order, with the watched
+// query's notification staged.
+func TestStageNeverTakesSubmitLock(t *testing.T) {
+	ctx := context.Background()
+	for _, n := range []int{8, 256} {
+		s, err := NewStore(ctx, nil, cq.Database{}, Config{MaxBatch: 1 << 20, MaxLatency: time.Hour, Buffer: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		q, err := cq.ParseQuery("R(x,y), S(y,z)")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, i := range rand.New(rand.NewSource(int64(n))).Perm(n) { // registration order is not name order
+			if err := s.Register(ctx, fmt.Sprintf("q%03d", i), q); err != nil {
+				t.Fatal(err)
+			}
+		}
+		watchedName := fmt.Sprintf("q%03d", n/2)
+		sub, err := s.Watch(watchedName)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sort.SliceIsSorted(s.sorted, func(i, j int) bool { return s.sorted[i].name < s.sorted[j].name }) || len(s.sorted) != n {
+			t.Fatalf("%d queries: registry view is not the %d names in order", n, n)
+		}
+
+		s.flushMu.Lock()
+		s.mu.Lock()
+		type result struct {
+			st  stagedFlush
+			err error
+		}
+		done := make(chan result, 1)
+		go func() {
+			st, err := s.stage(ctx, storage.NewDelta().Add("R", "a", "b").Add("S", "b", "c"), s.version+1)
+			done <- result{st, err}
+		}()
+		var r result
+		select {
+		case r = <-done:
+		case <-time.After(30 * time.Second):
+			t.Fatalf("%d queries: stage is waiting for the submit lock", n)
+		}
+		s.mu.Unlock()
+		s.flushMu.Unlock()
+		if r.err != nil {
+			t.Fatal(r.err)
+		}
+		if len(r.st.next) != n {
+			t.Fatalf("staged %d queries, want %d", len(r.st.next), n)
+		}
+		for i, st := range r.st.next {
+			if want := fmt.Sprintf("q%03d", i); st.lq.name != want {
+				t.Fatalf("staged[%d] is %s, want %s (name order)", i, st.lq.name, want)
+			}
+			if (st.note != nil) != (st.lq.name == watchedName) {
+				t.Fatalf("%s: notification staged = %v, watched = %v", st.lq.name, st.note != nil, st.lq.name == watchedName)
+			}
+		}
+		sub.Cancel()
+		s.Close()
 	}
 }

@@ -15,7 +15,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -121,6 +123,7 @@ type Store struct {
 	cdb          *engine.CompiledDB // written under flushMu+mu
 	version      uint64             // written under flushMu+mu
 	queries      map[string]*liveQuery
+	sorted       []*liveQuery   // the registry in name order; replaced, never edited, under flushMu+mu
 	relArity     map[string]int // arity each relation must have per the registered queries' atoms
 	pending      *storage.Coalescer
 	pendingSince time.Time
@@ -181,6 +184,11 @@ type liveQuery struct {
 	bound *engine.BoundQuery
 	count int64
 	subs  []*Subscription
+
+	// watchers mirrors len(subs) so a stage can ask "is anybody watching"
+	// without taking the submit lock. subs is only ever written through
+	// setSubsLocked, which keeps the two together.
+	watchers atomic.Int32
 
 	// ring is the query's shared broadcast buffer — ONE copy of each recent
 	// change notification, oldest first, immutable once appended — serving
@@ -364,7 +372,13 @@ func (s *Store) register(ctx context.Context, name string, q cq.Query, logIt boo
 		}
 	}
 	s.mu.Lock()
-	s.queries[name] = &liveQuery{name: name, src: src, query: q, bound: bound, count: count, histFloor: s.version}
+	lq := &liveQuery{name: name, src: src, query: q, bound: bound, count: count, histFloor: s.version}
+	s.queries[name] = lq
+	// Keep the name-ordered view current here, where the registry grows (it
+	// never shrinks), so no flush has to rebuild and sort it. A fresh slice:
+	// a stage holding the previous one keeps reading it under flushMu alone.
+	at, _ := slices.BinarySearchFunc(s.sorted, name, func(q *liveQuery, name string) int { return strings.Compare(q.name, name) })
+	s.sorted = slices.Insert(slices.Clone(s.sorted), at, lq)
 	// The arity each atom demands of its relation was recorded by the
 	// reservation above and stays: Submit validation rejects deltas that
 	// would create a relation no registered query could ever bind against
@@ -733,16 +747,23 @@ type stagedFlush struct {
 	par     int
 }
 
+// setSubsLocked replaces the query's subscriber list — the only place subs
+// is written — and its lock-free length mirror. The caller holds mu.
+func (lq *liveQuery) setSubsLocked(subs []*Subscription) {
+	lq.subs = subs
+	lq.watchers.Store(int32(len(subs)))
+}
+
 // stage computes the successor snapshot and every query's next state against
 // it — Apply, Rebind, Count, DiffFrom and notification decoding — touching
 // nothing observable: a mid-stage error (cancellation, arity mismatch
 // against a query) must not leave half the registry on the new snapshot.
 // The caller holds flushMu and NOT mu: s.cdb, the registry shape and each
 // lq.bound/count are stable under flushMu alone (they only change under both
-// locks), while the subscriber lists — written under mu alone — are sampled
-// in one short mu section, together with the names and liveQuery pointers so
-// the stage reads the registry map only under mu. Watch admission also holds
-// flushMu, so a subscriber admitted after that sample sees its first
+// locks — the name-ordered registry view s.sorted included), and whether a
+// query is watched is read off liveQuery.watchers — so a stage never takes mu
+// at all, whatever the size of the registry. Watch admission also holds
+// flushMu, so a subscriber is never admitted mid-stage: it sees its first
 // notification on the next flush, never a torn one. Recovery replay shares
 // this path so a replayed batch goes through the exact engine calls the
 // original flush made.
@@ -760,20 +781,8 @@ func (s *Store) stage(ctx context.Context, batch *storage.Delta, version uint64)
 	if err != nil {
 		return stagedFlush{}, err
 	}
-	s.mu.Lock()
-	names := make([]string, 0, len(s.queries))
-	for name := range s.queries {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	lqs := make([]*liveQuery, len(names))
-	watched := make([]bool, len(names))
-	for i, name := range names {
-		lqs[i] = s.queries[name]
-		watched[i] = len(lqs[i].subs) > 0
-	}
-	s.mu.Unlock()
-	next := make([]staged, len(names))
+	lqs := s.sorted // stable under flushMu: register replaces it under both locks
+	next := make([]staged, len(lqs))
 	stageOne := func(ctx context.Context, i int) error {
 		lq := lqs[i]
 		nb, err := lq.bound.Rebind(ctx, ncdb)
@@ -790,7 +799,7 @@ func (s *Store) stage(ctx context.Context, batch *storage.Delta, version uint64)
 		// incremental count and nothing else. With history every query pays
 		// the diff — the ring must hold changes for watchers that have not
 		// connected yet.
-		if watched[i] || s.cfg.History > 0 {
+		if lq.watchers.Load() > 0 || s.cfg.History > 0 {
 			added, removed, err := nb.DiffFrom(ctx, lq.bound)
 			if err != nil {
 				return fmt.Errorf("diff %s: %w", lq.name, err)
@@ -811,13 +820,13 @@ func (s *Store) stage(ctx context.Context, batch *storage.Delta, version uint64)
 		return nil
 	}
 	par := s.eng.Parallelism()
-	if par > len(names) {
-		par = len(names)
+	if par > len(lqs) {
+		par = len(lqs)
 	}
 	if par < 1 {
 		par = 1
 	}
-	if err := parStage(ctx, par, len(names), stageOne); err != nil {
+	if err := parStage(ctx, par, len(lqs), stageOne); err != nil {
 		return stagedFlush{}, err
 	}
 	return stagedFlush{cdb: ncdb, version: version, next: next, par: par}, nil
@@ -1222,7 +1231,7 @@ func (s *Store) Close() error {
 			sub.limit = lq.ringEnd() // the final flush's entries still drain
 			close(sub.wake)
 		}
-		lq.subs = nil
+		lq.setSubsLocked(nil)
 	}
 	s.mu.Unlock()
 	s.flushMu.Unlock()

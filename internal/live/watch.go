@@ -158,7 +158,7 @@ func (s *Store) newSubLocked(lq *liveQuery) *Subscription {
 		limit: noLimit,
 	}
 	s.nextSubID++
-	lq.subs = append(lq.subs, sub)
+	lq.setSubsLocked(append(lq.subs, sub))
 	return sub
 }
 
@@ -297,7 +297,7 @@ func (sub *Subscription) Cancel() {
 	subs := sub.lq.subs
 	for i, other := range subs {
 		if other == sub {
-			sub.lq.subs = append(subs[:i], subs[i+1:]...)
+			sub.lq.setSubsLocked(append(subs[:i], subs[i+1:]...))
 			break
 		}
 	}

@@ -1,0 +1,332 @@
+package storage
+
+import (
+	"math/bits"
+	"slices"
+)
+
+// PMap is a persistent hash map from fixed-width value tuples to V: a
+// compressed hash-array-mapped trie branching 32 ways on successive 5-bit
+// groups of the tuple hash. A frozen PMap is immutable and safe for any
+// number of concurrent readers; Edit returns a successor that shares every
+// node with it, and the successor's mutators copy only the nodes on the path
+// to the touched key (and each at most once per edit), so deriving a
+// snapshot that differs in d keys costs O(d · log₃₂ n) time and space — never
+// O(n). This is the container behind the engine's maintained query state
+// (atom sets, node supports, join indexes, key counts): a BoundQuery stays
+// immutable for readers of the old snapshot while its successor is patched
+// in time proportional to the change. Exact collision handling as in
+// TupleMap: keys are stored and compared in full, and tuples whose 64-bit
+// hashes coincide share a linear node below the last trie level.
+type PMap[V any] struct {
+	k    int
+	n    int
+	root *pnode[V]
+	hash func([]Value) uint64
+	edit *pedit // non-nil while the map is editable
+
+	copied int // entries this edit's path copies have moved so far
+}
+
+// pedit is the ownership token of one edit: a node carrying the token was
+// created by that edit and is invisible to every frozen map, so the edit may
+// mutate it in place. It must not be zero-sized (distinct allocations of
+// zero-sized values may share an address).
+type pedit struct{ _ byte }
+
+// pnode is one trie node. Position p (0..31) holds an inline entry when
+// datamap has bit p, a child when nodemap has bit p; entries and children are
+// stored densely in position order. A node below the last hash bit group
+// holds colliding entries as a plain list with both maps zero.
+type pnode[V any] struct {
+	edit    *pedit
+	datamap uint32
+	nodemap uint32
+	keys    []Value // k values per inline entry
+	vals    []V
+	kids    []*pnode[V]
+}
+
+const (
+	pmapBits     = 5
+	pmapMaxShift = 60 // last shift with hash bits left; nodes deeper are collision lists
+)
+
+// NewPMap returns an empty frozen map over width-k tuples.
+func NewPMap[V any](k int) *PMap[V] { return &PMap[V]{k: k, hash: pmapHash} }
+
+// newPMapWithHash is the test seam for the collision path: a degenerate hash
+// drives every key down one trie path into a collision list.
+func newPMapWithHash[V any](k int, hash func([]Value) uint64) *PMap[V] {
+	return &PMap[V]{k: k, hash: hash}
+}
+
+// pmapHash finalises the FNV tuple hash so that every 5-bit group depends on
+// all input bits (FNV-1a's low bits depend only on the inputs' low bits).
+func pmapHash(key []Value) uint64 {
+	h := HashTuple(key)
+	h ^= h >> 32
+	h *= 0xd6e8feb86659fd93
+	h ^= h >> 32
+	return h
+}
+
+// Len returns the number of entries.
+func (m *PMap[V]) Len() int { return m.n }
+
+// Copied returns how many entries the path copies of the edit that produced
+// m have moved — the part of an edit's cost that is not one probe per
+// operation. Callers accounting for rows touched add it per edit.
+func (m *PMap[V]) Copied() int { return m.copied }
+
+// Edit returns an editable successor sharing all structure with m, which
+// stays frozen and unaffected. The successor belongs to one goroutine until
+// Freeze.
+func (m *PMap[V]) Edit() *PMap[V] {
+	return &PMap[V]{k: m.k, n: m.n, root: m.root, hash: m.hash, edit: new(pedit)}
+}
+
+// Freeze ends the edit: the map becomes immutable and shareable. It returns
+// m for chaining.
+func (m *PMap[V]) Freeze() *PMap[V] {
+	m.edit = nil
+	return m
+}
+
+func (m *PMap[V]) keyAt(n *pnode[V], i int) []Value { return n.keys[i*m.k : (i+1)*m.k] }
+
+func (m *PMap[V]) find(key []Value) (*pnode[V], int) {
+	n := m.root
+	h := m.hash(key)
+	for shift := uint(0); n != nil; shift += pmapBits {
+		if shift > pmapMaxShift {
+			for i := range n.vals {
+				if slices.Equal(m.keyAt(n, i), key) {
+					return n, i
+				}
+			}
+			return nil, 0
+		}
+		bit := uint32(1) << ((h >> shift) & 31)
+		if n.datamap&bit != 0 {
+			i := bits.OnesCount32(n.datamap & (bit - 1))
+			if slices.Equal(m.keyAt(n, i), key) {
+				return n, i
+			}
+			return nil, 0
+		}
+		if n.nodemap&bit == 0 {
+			return nil, 0
+		}
+		n = n.kids[bits.OnesCount32(n.nodemap&(bit-1))]
+	}
+	return nil, 0
+}
+
+// Get returns the value stored under key.
+func (m *PMap[V]) Get(key []Value) (v V, ok bool) {
+	if n, i := m.find(key); n != nil {
+		return n.vals[i], true
+	}
+	return v, false
+}
+
+// Has reports whether key is present.
+func (m *PMap[V]) Has(key []Value) bool {
+	n, _ := m.find(key)
+	return n != nil
+}
+
+// Range calls f for every entry until f returns false, in an order fixed by
+// the keys' hashes alone (not by the edit history). The key slice aliases the
+// map's storage: do not mutate it, copy to retain it.
+func (m *PMap[V]) Range(f func(key []Value, v V) bool) {
+	if m.root != nil {
+		m.rangeNode(m.root, f)
+	}
+}
+
+func (m *PMap[V]) rangeNode(n *pnode[V], f func([]Value, V) bool) bool {
+	if n.datamap|n.nodemap == 0 { // collision list
+		for i := range n.vals {
+			if !f(m.keyAt(n, i), n.vals[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	di, ki := 0, 0
+	for rest := n.datamap | n.nodemap; rest != 0; rest &= rest - 1 {
+		bit := rest & -rest
+		if n.datamap&bit != 0 {
+			if !f(m.keyAt(n, di), n.vals[di]) {
+				return false
+			}
+			di++
+		} else {
+			if !m.rangeNode(n.kids[ki], f) {
+				return false
+			}
+			ki++
+		}
+	}
+	return true
+}
+
+// own returns a node the current edit may mutate: n itself when this edit
+// created it, a copy otherwise.
+func (m *PMap[V]) own(n *pnode[V]) *pnode[V] {
+	if n.edit == m.edit {
+		return n
+	}
+	m.copied += len(n.vals)
+	return &pnode[V]{
+		edit:    m.edit,
+		datamap: n.datamap,
+		nodemap: n.nodemap,
+		keys:    slices.Clone(n.keys),
+		vals:    slices.Clone(n.vals),
+		kids:    slices.Clone(n.kids),
+	}
+}
+
+func (m *PMap[V]) mustEdit() {
+	if m.edit == nil {
+		panic("storage: mutation of a frozen PMap")
+	}
+}
+
+// Set stores v under key, replacing any previous value.
+func (m *PMap[V]) Set(key []Value, v V) {
+	m.mustEdit()
+	var added bool
+	m.root, added = m.set(m.root, 0, m.hash(key), key, v)
+	if added {
+		m.n++
+	}
+}
+
+func (m *PMap[V]) set(n *pnode[V], shift uint, h uint64, key []Value, v V) (*pnode[V], bool) {
+	if n == nil {
+		n = &pnode[V]{edit: m.edit}
+	} else {
+		n = m.own(n)
+	}
+	if shift > pmapMaxShift {
+		for i := range n.vals {
+			if slices.Equal(m.keyAt(n, i), key) {
+				n.vals[i] = v
+				return n, false
+			}
+		}
+		n.keys = append(n.keys, key...)
+		n.vals = append(n.vals, v)
+		return n, true
+	}
+	bit := uint32(1) << ((h >> shift) & 31)
+	switch {
+	case n.datamap&bit != 0:
+		i := bits.OnesCount32(n.datamap & (bit - 1))
+		old := m.keyAt(n, i)
+		if slices.Equal(old, key) {
+			n.vals[i] = v
+			return n, false
+		}
+		// Two entries under one position: push both one level down.
+		child, _ := m.set(nil, shift+pmapBits, m.hash(old), old, n.vals[i])
+		child, _ = m.set(child, shift+pmapBits, h, key, v)
+		n.keys = slices.Delete(n.keys, i*m.k, (i+1)*m.k)
+		n.vals = slices.Delete(n.vals, i, i+1)
+		n.kids = slices.Insert(n.kids, bits.OnesCount32(n.nodemap&(bit-1)), child)
+		n.datamap &^= bit
+		n.nodemap |= bit
+		return n, true
+	case n.nodemap&bit != 0:
+		j := bits.OnesCount32(n.nodemap & (bit - 1))
+		child, added := m.set(n.kids[j], shift+pmapBits, h, key, v)
+		n.kids[j] = child
+		return n, added
+	default:
+		i := bits.OnesCount32(n.datamap & (bit - 1))
+		n.keys = slices.Insert(n.keys, i*m.k, key...)
+		n.vals = slices.Insert(n.vals, i, v)
+		n.datamap |= bit
+		return n, true
+	}
+}
+
+// Delete removes key and reports whether it was present.
+func (m *PMap[V]) Delete(key []Value) bool {
+	m.mustEdit()
+	root, removed := m.del(m.root, 0, m.hash(key), key)
+	if removed {
+		m.root = root
+		m.n--
+	}
+	return removed
+}
+
+// del returns the node replacing n (nil when it emptied) and whether the key
+// was found. Nothing is copied when the key is absent.
+func (m *PMap[V]) del(n *pnode[V], shift uint, h uint64, key []Value) (*pnode[V], bool) {
+	if n == nil {
+		return nil, false
+	}
+	dropEntry := func(i int) *pnode[V] {
+		if len(n.vals) == 1 && len(n.kids) == 0 {
+			return nil
+		}
+		n = m.own(n)
+		n.keys = slices.Delete(n.keys, i*m.k, (i+1)*m.k)
+		n.vals = slices.Delete(n.vals, i, i+1)
+		return n
+	}
+	if shift > pmapMaxShift {
+		for i := range n.vals {
+			if slices.Equal(m.keyAt(n, i), key) {
+				return dropEntry(i), true
+			}
+		}
+		return n, false
+	}
+	bit := uint32(1) << ((h >> shift) & 31)
+	if n.datamap&bit != 0 {
+		i := bits.OnesCount32(n.datamap & (bit - 1))
+		if !slices.Equal(m.keyAt(n, i), key) {
+			return n, false
+		}
+		if n = dropEntry(i); n != nil {
+			n.datamap &^= bit
+		}
+		return n, true
+	}
+	if n.nodemap&bit == 0 {
+		return n, false
+	}
+	j := bits.OnesCount32(n.nodemap & (bit - 1))
+	child, removed := m.del(n.kids[j], shift+pmapBits, h, key)
+	if !removed {
+		return n, false
+	}
+	n = m.own(n)
+	switch {
+	case child == nil:
+		if len(n.kids) == 1 && len(n.vals) == 0 {
+			return nil, true
+		}
+		n.kids = slices.Delete(n.kids, j, j+1)
+		n.nodemap &^= bit
+	case len(child.vals) == 1 && len(child.kids) == 0:
+		// The child shrank to one entry: pull it up inline, so the trie's
+		// shape stays a function of its content and churn cannot deepen it.
+		i := bits.OnesCount32(n.datamap & (bit - 1))
+		n.keys = slices.Insert(n.keys, i*m.k, child.keys...)
+		n.vals = slices.Insert(n.vals, i, child.vals[0])
+		n.kids = slices.Delete(n.kids, j, j+1)
+		n.nodemap &^= bit
+		n.datamap |= bit
+	default:
+		n.kids[j] = child
+	}
+	return n, true
+}

@@ -1,0 +1,222 @@
+package storage
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+)
+
+func pmapContent(m *PMap[int64]) map[string]int64 {
+	out := map[string]int64{}
+	m.Range(func(key []Value, v int64) bool {
+		out[fmt.Sprint(key)] = v
+		return true
+	})
+	return out
+}
+
+func requirePMap(t *testing.T, what string, m *PMap[int64], want map[string]int64) {
+	t.Helper()
+	if m.Len() != len(want) {
+		t.Fatalf("%s: Len = %d, want %d", what, m.Len(), len(want))
+	}
+	got := pmapContent(m)
+	if len(got) != len(want) {
+		t.Fatalf("%s: Range yields %d entries, want %d", what, len(got), len(want))
+	}
+	for k, v := range want {
+		if got[k] != v {
+			t.Fatalf("%s: entry %s = %d, want %d", what, k, got[k], v)
+		}
+	}
+}
+
+// TestPMapDifferential drives random Set/Delete edits through a chain of
+// frozen snapshots and holds every snapshot — old ones included, after all
+// their successors were built — to a plain Go map of the same history, with
+// the ordinary hash and with degenerate ones that force the push-down and
+// collision-list paths.
+func TestPMapDifferential(t *testing.T) {
+	hashes := map[string]func([]Value) uint64{
+		"fnv":       pmapHash,
+		"constant":  func([]Value) uint64 { return 42 },
+		"low-bits":  func(k []Value) uint64 { return uint64(k[0]) & 3 },
+		"high-only": func(k []Value) uint64 { return uint64(k[0]&7) << 58 },
+	}
+	for name, hash := range hashes {
+		t.Run(name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(7))
+			cur := newPMapWithHash[int64](2, hash)
+			model := map[string]int64{}
+			type snap struct {
+				m    *PMap[int64]
+				want map[string]int64
+			}
+			var snaps []snap
+			for round := 0; round < 60; round++ {
+				e := cur.Edit()
+				for op := 0; op < 1+rng.Intn(40); op++ {
+					key := []Value{Value(rng.Intn(24)), Value(rng.Intn(6))}
+					if rng.Intn(3) == 0 {
+						_, had := model[fmt.Sprint(key)]
+						if e.Delete(key) != had {
+							t.Fatalf("round %d: Delete(%v) = %v, want %v", round, key, !had, had)
+						}
+						delete(model, fmt.Sprint(key))
+					} else {
+						v := rng.Int63n(1000)
+						e.Set(key, v)
+						model[fmt.Sprint(key)] = v
+					}
+					if got, ok := e.Get(key); ok != e.Has(key) || got != model[fmt.Sprint(key)] {
+						t.Fatalf("round %d: Get(%v) = %d,%v mid-edit", round, key, got, ok)
+					}
+				}
+				cur = e.Freeze()
+				want := make(map[string]int64, len(model))
+				for k, v := range model {
+					want[k] = v
+				}
+				snaps = append(snaps, snap{cur, want})
+			}
+			for i, s := range snaps {
+				requirePMap(t, fmt.Sprintf("snapshot %d", i), s.m, s.want)
+			}
+		})
+	}
+}
+
+// TestPMapShapeIsCanonical: the iteration order depends on the content only,
+// so a map that grew and shrank lists its entries exactly like one built
+// directly.
+func TestPMapShapeIsCanonical(t *testing.T) {
+	direct := NewPMap[int64](1).Edit()
+	churned := NewPMap[int64](1).Edit()
+	for i := 0; i < 2000; i++ {
+		churned.Set([]Value{Value(i)}, int64(i))
+	}
+	for i := 0; i < 2000; i++ {
+		if i%7 != 0 {
+			churned.Delete([]Value{Value(i)})
+		} else {
+			direct.Set([]Value{Value(i)}, int64(i))
+		}
+	}
+	var a, b []Value
+	direct.Freeze().Range(func(k []Value, _ int64) bool { a = append(a, k...); return true })
+	churned.Freeze().Range(func(k []Value, _ int64) bool { b = append(b, k...); return true })
+	if fmt.Sprint(a) != fmt.Sprint(b) {
+		t.Fatal("iteration order depends on the edit history")
+	}
+}
+
+func TestPMapFrozenPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Set on a frozen PMap must panic")
+		}
+	}()
+	NewPMap[int64](1).Set([]Value{1}, 1)
+}
+
+// TestPMapZeroWidth: the empty tuple is a valid key (nullary relations).
+func TestPMapZeroWidth(t *testing.T) {
+	e := NewPMap[int64](0).Edit()
+	e.Set(nil, 5)
+	e.Set([]Value{}, 6)
+	m := e.Freeze()
+	if v, ok := m.Get(nil); !ok || v != 6 || m.Len() != 1 {
+		t.Fatalf("Get(()) = %d,%v Len=%d, want 6,true,1", v, ok, m.Len())
+	}
+}
+
+// BenchmarkTupleMapSuccessor is the support-map step of incremental
+// maintenance: derive the successor of an n-entry tuple→count map that
+// differs in one key, or in 100 keys patched inside one edit (reported per
+// edit: divide by 100 for the per-key cost). The persistent map pays the trie
+// path; the flat TupleMap it replaced on that path had to copy everything
+// (divide by n for the flat per-row cost). The engine's patchWeight is read
+// off these numbers.
+func BenchmarkTupleMapSuccessor(b *testing.B) {
+	for _, n := range []int{5_000, 100_000} {
+		key := make([]Value, 2)
+		flat := NewTupleMap(2, n)
+		pm := NewPMap[int64](2).Edit()
+		for i := 0; i < n; i++ {
+			key[0], key[1] = Value(i), Value(i*7)
+			flat.Add(key, 1)
+			pm.Set(key, 1)
+		}
+		pm.Freeze()
+		b.Run(fmt.Sprintf("pmap-%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			cur := pm
+			for i := 0; i < b.N; i++ {
+				key[0], key[1] = Value(i%n), Value((i%n)*7)
+				e := cur.Edit()
+				v, _ := e.Get(key)
+				e.Set(key, v+1)
+				cur = e.Freeze()
+			}
+		})
+		b.Run(fmt.Sprintf("pmap-100keys-%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			cur := pm
+			for i := 0; i < b.N; i++ {
+				e := cur.Edit()
+				for j := 0; j < 100; j++ {
+					at := (i*100 + j*37) % n
+					key[0], key[1] = Value(at), Value(at*7)
+					v, _ := e.Get(key)
+					e.Set(key, v+1)
+				}
+				cur = e.Freeze()
+			}
+		})
+		b.Run(fmt.Sprintf("flat-rebuild-%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				key[0], key[1] = Value(i%n), Value((i%n)*7)
+				next := NewTupleMap(2, flat.Len())
+				for s := int32(0); int(s) < flat.Len(); s++ {
+					next.Add(flat.Key(s), flat.Val(s))
+				}
+				next.Add(key, 1)
+			}
+		})
+	}
+}
+
+// BenchmarkIndexPatch is the join-index step: add one row under an existing
+// key of an index over n rows (bucket copy-on-write inside a persistent map)
+// against rebuilding the flat Index.
+func BenchmarkIndexPatch(b *testing.B) {
+	for _, n := range []int{5_000, 100_000} {
+		data := make([]Value, 0, 2*n)
+		pm := NewPMap[[]Value](1).Edit()
+		for i := 0; i < n; i++ {
+			row := []Value{Value(i / 2), Value(i)}
+			data = append(data, row...)
+			bucket, _ := pm.Get(row[:1])
+			pm.Set(row[:1], append(bucket[:len(bucket):len(bucket)], row...))
+		}
+		pm.Freeze()
+		b.Run(fmt.Sprintf("pmap-%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			cur := pm
+			for i := 0; i < b.N; i++ {
+				row := []Value{Value(i % (n / 2)), Value(n + i)}
+				e := cur.Edit()
+				bucket, _ := e.Get(row[:1])
+				e.Set(row[:1], append(bucket[:len(bucket):len(bucket)], row...))
+				cur = e.Freeze()
+			}
+		})
+		b.Run(fmt.Sprintf("flat-rebuild-%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				BuildIndex(data, 2, []int{0})
+			}
+		})
+	}
+}

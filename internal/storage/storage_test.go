@@ -239,49 +239,3 @@ func TestTableIndexConcurrent(t *testing.T) {
 		t.Error("index cache returned distinct instances")
 	}
 }
-
-// TestTupleMapCompact covers the tombstone counter and Compact: payload sign
-// crossings move the counter both ways, and compaction keeps exactly the
-// positive slots in their original relative order.
-func TestTupleMapCompact(t *testing.T) {
-	m := NewTupleMap(2, 0)
-	for i := 0; i < 10; i++ {
-		m.Add([]Value{Value(i), Value(i + 1)}, 1)
-	}
-	if m.Tombstones() != 0 {
-		t.Fatalf("fresh positive map has %d tombstones", m.Tombstones())
-	}
-	for i := 0; i < 6; i++ {
-		m.Add([]Value{Value(i), Value(i + 1)}, -1)
-	}
-	if m.Tombstones() != 6 {
-		t.Fatalf("after 6 zeroings: %d tombstones, want 6", m.Tombstones())
-	}
-	// Resurrect one: the counter must come back down.
-	m.Add([]Value{Value(2), Value(3)}, 2)
-	if m.Tombstones() != 5 {
-		t.Fatalf("after resurrection: %d tombstones, want 5", m.Tombstones())
-	}
-	// Clone carries the counter.
-	if c := m.Clone(); c.Tombstones() != m.Tombstones() {
-		t.Fatal("Clone dropped the tombstone counter")
-	}
-	compact := m.Compact()
-	if compact.Len() != 5 || compact.Tombstones() != 0 {
-		t.Fatalf("Compact: len %d tombstones %d, want 5 and 0", compact.Len(), compact.Tombstones())
-	}
-	// Surviving slots keep their relative order and payloads.
-	want := [][2]Value{{2, 3}, {6, 7}, {7, 8}, {8, 9}, {9, 10}}
-	for slot, key := range want {
-		got := compact.Key(int32(slot))
-		if got[0] != key[0] || got[1] != key[1] {
-			t.Fatalf("slot %d holds %v, want %v", slot, got, key)
-		}
-	}
-	if compact.Get([]Value{2, 3}) != 2 || compact.Get([]Value{9, 10}) != 1 {
-		t.Fatal("Compact lost payloads")
-	}
-	if compact.Get([]Value{0, 1}) != 0 {
-		t.Fatal("Compact kept a tombstone")
-	}
-}

@@ -1,7 +1,5 @@
 package storage
 
-import "slices"
-
 // fnv64Offset and fnv64Prime are the FNV-1a 64-bit parameters.
 const (
 	fnv64Offset uint64 = 14695981039346656037
@@ -24,13 +22,11 @@ func HashTuple(vals []Value) uint64 {
 // TupleMap is a hash map from fixed-width value tuples to int64 payloads,
 // with exact collision handling: tuples are stored flat and compared on
 // every probe, so two distinct tuples never share a slot even when their
-// 64-bit hashes collide. It replaces the string-rendered map keys of the
-// old kernel on every grouping path (dedup, projection, count aggregation,
-// incremental support counts). The layout is open-addressing over flat
-// slices — no per-bucket allocations, and Clone is three memcpys with no
-// aliasing between the copies (the incremental engine forks a snapshot's
-// support counts that way, and several forks of one snapshot must not share
-// mutable storage).
+// 64-bit hashes collide. It serves every from-scratch grouping path (dedup,
+// projection, count aggregation) and the transient work sets of incremental
+// maintenance; state that must outlive a snapshot and be patched lives in the
+// persistent PMap instead. The layout is open-addressing over flat slices —
+// no per-bucket allocations, entries in insertion order.
 type TupleMap struct {
 	k     int
 	hash  func([]Value) uint64
@@ -38,13 +34,6 @@ type TupleMap struct {
 	mask  uint64
 	keys  []Value // slot i occupies keys[i*k : (i+1)*k]
 	vals  []int64
-
-	// nonpos counts the slots whose payload is ≤ 0. For support-count maps
-	// those slots are tombstones — tuples whose derivations all went away —
-	// and the counter lets Compact trigger without a scan. Maintained by
-	// Insert (a fresh slot starts at 0) and Add (sign crossings); membership
-	// uses that never call Add simply see it equal Len.
-	nonpos int
 }
 
 // minTableSize keeps the probe table a power of two.
@@ -88,42 +77,6 @@ func (m *TupleMap) Key(slot int32) []Value {
 
 // Val returns the payload stored at a slot.
 func (m *TupleMap) Val(slot int32) int64 { return m.vals[slot] }
-
-// Clone returns an independent copy of the map. Forks of one snapshot share
-// nothing mutable: the flat slices are copied outright.
-func (m *TupleMap) Clone() *TupleMap {
-	return &TupleMap{
-		k:      m.k,
-		hash:   m.hash,
-		table:  slices.Clone(m.table),
-		mask:   m.mask,
-		keys:   slices.Clone(m.keys),
-		vals:   slices.Clone(m.vals),
-		nonpos: m.nonpos,
-	}
-}
-
-// Tombstones returns the number of slots whose payload is ≤ 0 — for a
-// support-count map, the tuples that no longer have any derivation but still
-// occupy storage.
-func (m *TupleMap) Tombstones() int { return m.nonpos }
-
-// Compact returns a new map holding only the slots with positive payloads,
-// in slot order, so the relative order of surviving tuples — and therefore
-// any relation listed off the map — is unchanged. Long delete-heavy update
-// streams call it once tombstones dominate, bounding the map to the live
-// tuples instead of every tuple ever seen.
-func (m *TupleMap) Compact() *TupleMap {
-	out := NewTupleMap(m.k, m.Len()-m.nonpos)
-	out.hash = m.hash
-	for slot := int32(0); int(slot) < m.Len(); slot++ {
-		if m.vals[slot] <= 0 {
-			continue
-		}
-		out.Add(m.Key(slot), m.vals[slot])
-	}
-	return out
-}
 
 func (m *TupleMap) equalAt(slot int32, key []Value) bool {
 	at := m.keys[int(slot)*m.k:]
@@ -177,7 +130,6 @@ func (m *TupleMap) Insert(key []Value) (slot int32, isNew bool) {
 			slot = int32(len(m.vals))
 			m.keys = append(m.keys, key...)
 			m.vals = append(m.vals, 0)
-			m.nonpos++
 			m.table[i] = slot + 1
 			return slot, true
 		}
@@ -192,14 +144,7 @@ func (m *TupleMap) Insert(key []Value) (slot int32, isNew bool) {
 // absent.
 func (m *TupleMap) Add(key []Value, delta int64) {
 	slot, _ := m.Insert(key)
-	old := m.vals[slot]
-	now := old + delta
-	m.vals[slot] = now
-	if old <= 0 && now > 0 {
-		m.nonpos--
-	} else if old > 0 && now <= 0 {
-		m.nonpos++
-	}
+	m.vals[slot] += delta
 }
 
 // Get returns the tuple's payload (0 if absent).

@@ -198,7 +198,9 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	fmt.Fprintf(out, "d2cqd listening on http://%s\n", ln.Addr())
-	srv := &http.Server{Handler: newAuthServer(store, *authToken)}
+	// A connection that never finishes its request headers cannot pin a
+	// goroutine forever — the wire listener's handshake bound, on HTTP.
+	srv := &http.Server{Handler: newAuthServer(store, *authToken), ReadHeaderTimeout: wire.DefaultHandshakeTimeout}
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 	errCh := make(chan error, 1)
@@ -302,6 +304,28 @@ func writeJSON(w http.ResponseWriter, v any) {
 	enc.Encode(v)
 }
 
+// decodeBody decodes a JSON request body of at most wire.MaxFrameLen bytes —
+// the cap the wire front end puts on a request frame — into v. On failure it
+// answers the request (413 for an oversized body, 400 for a malformed one)
+// and returns false; nothing has reached the store by then.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	if r.ContentLength > wire.MaxFrameLen { // says so itself: refuse without reading it
+		httpError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("request body of %d bytes exceeds the %d-byte limit", r.ContentLength, wire.MaxFrameLen))
+		return false
+	}
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, wire.MaxFrameLen)).Decode(v)
+	if err == nil {
+		return true
+	}
+	status := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	httpError(w, status, err)
+	return false
+}
+
 // queryRequest is the POST /query body.
 type queryRequest struct {
 	Name  string `json:"name"`
@@ -322,8 +346,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req queryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if req.Name == "" || req.Query == "" {
@@ -381,8 +404,7 @@ func (s *server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req updateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	delta := &storage.Delta{Insert: req.Insert, Delete: req.Delete}

@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -14,6 +15,7 @@ import (
 
 	"d2cq/internal/cq"
 	"d2cq/internal/live"
+	"d2cq/internal/wire"
 )
 
 // sseEvent is one parsed Server-Sent Event of the /watch stream.
@@ -257,6 +259,64 @@ func TestDaemonErrors(t *testing.T) {
 			t.Errorf("%s: status = %d, want %d", tc.name, resp.StatusCode, tc.status)
 		}
 		resp.Body.Close()
+	}
+}
+
+// repeatReader yields n copies of one byte.
+type repeatReader struct {
+	b byte
+	n int64
+}
+
+func (r *repeatReader) Read(p []byte) (int, error) {
+	if r.n == 0 {
+		return 0, io.EOF
+	}
+	if int64(len(p)) > r.n {
+		p = p[:r.n]
+	}
+	for i := range p {
+		p[i] = r.b
+	}
+	r.n -= int64(len(p))
+	return len(p), nil
+}
+
+// TestOversizedBodyRefused: a request body beyond wire.MaxFrameLen — the cap
+// the wire front end already puts on a request — is refused with 413 on both
+// body-reading endpoints, and nothing of it reaches the store.
+func TestOversizedBodyRefused(t *testing.T) {
+	store, err := live.NewStore(context.Background(), nil, cq.Database{}, live.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	h := newServer(store)
+	post := func(what, path string, body io.Reader, declared int64) {
+		t.Helper()
+		req := httptest.NewRequest(http.MethodPost, path, body)
+		req.ContentLength = declared
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s %s: status = %d, want %d", path, what, rec.Code, http.StatusRequestEntityTooLarge)
+		}
+	}
+	for _, tc := range []struct{ path, prefix string }{
+		{"/update", `{"insert":{"R":[["`},
+		{"/query", `{"name":"q","query":"R(x), S('`},
+	} {
+		// A body that declares itself too large is refused unread.
+		post("declared", tc.path, strings.NewReader(tc.prefix), wire.MaxFrameLen+1)
+		if testing.Short() {
+			continue // 64 MiB through the JSON scanner takes seconds under -race
+		}
+		// One of unknown length (chunked): well-formed JSON so far, inside a
+		// string that never ends — cut off at the limit.
+		post("streamed", tc.path, io.MultiReader(strings.NewReader(tc.prefix), &repeatReader{b: 'a', n: wire.MaxFrameLen}), -1)
+	}
+	if st := store.Stats(); st.DeltasSubmitted != 0 || st.PendingTuples != 0 || st.Queries != 0 || st.Version != 1 {
+		t.Fatalf("refused requests reached the store: %+v", st)
 	}
 }
 

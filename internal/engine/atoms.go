@@ -76,8 +76,8 @@ type argPlan struct {
 }
 
 // atomMatcher is one atom's term resolution against a dictionary, factored
-// out so both the full table scan of bindAtomRelation and the lineage-driven
-// incremental rebuild share it. The projection of matching rows onto the
+// out so both the full table scan of bindAtomRelation and the table-diff-driven
+// incremental path share it. The projection of matching rows onto the
 // atom's distinct variables is injective — the tuple plus the atom's
 // constants and repeated variables reconstruct the full row — which is what
 // lets the incremental path translate a table-row delta directly into an
@@ -188,8 +188,9 @@ func bindAtomRelation(a cq.Atom, t *storage.Table, dict *Dict) (*Relation, error
 				}
 			}
 		}
-		for _, ri := range t.Index(constCols[best]).Lookup(constVals[best : best+1]) {
-			emit(t.Row(int(ri)))
+		ix := t.Index(constCols[best])
+		for _, ri := range ix.Lookup(constVals[best : best+1]) {
+			emit(ix.Row(ri))
 		}
 	} else {
 		t.Scan(emit)

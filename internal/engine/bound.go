@@ -20,6 +20,7 @@ import (
 // dictionary.
 type CompiledDB struct {
 	sdb *storage.DB
+	eng *Engine // whose Stats count the rows Apply touches
 }
 
 // CompileDB interns db once into a reusable compiled form. Pair it with
@@ -35,12 +36,12 @@ func (e *Engine) CompileDB(ctx context.Context, db cq.Database) (*CompiledDB, er
 	if err != nil {
 		return nil, err
 	}
-	return &CompiledDB{sdb: sdb}, nil
+	return &CompiledDB{sdb: sdb, eng: e}, nil
 }
 
 // Apply produces a new database snapshot with the delta applied —
-// copy-on-write at relation granularity, so the cost is proportional to the
-// touched relations plus the delta. Both snapshots stay live: the receiver
+// copy-on-write down to the rows, so a small delta costs time proportional
+// to the delta (see storage.DB.Apply). Both snapshots stay live: the receiver
 // is unchanged and existing BoundQuerys over it keep answering consistently.
 // Pair with BoundQuery.Rebind (or use BoundQuery.Update, which does both) to
 // carry bound evaluation state forward incrementally.
@@ -52,7 +53,18 @@ func (c *CompiledDB) Apply(ctx context.Context, delta *storage.Delta) (*Compiled
 	if err != nil {
 		return nil, err
 	}
-	return &CompiledDB{sdb: sdb}, nil
+	c.eng.applyRows.Add(sdb.ApplyRows())
+	return &CompiledDB{sdb: sdb, eng: c.eng}, nil
+}
+
+// Restrict returns the snapshot cut down to the named relations, sharing
+// their tables and the dictionary. A BoundQuery keeps the CompiledDB it was
+// bound to alive; one bound to a snapshot restricted to the relations it
+// reads rebinds exactly as it would against the whole snapshot, without
+// holding on to every other relation's rows as of that moment — which is
+// what a long-lived registry of queries over a changing database wants.
+func (c *CompiledDB) Restrict(relations []string) *CompiledDB {
+	return &CompiledDB{sdb: c.sdb.Restrict(relations), eng: c.eng}
 }
 
 // Stats summarises the compiled database (relations, tuples, interned
@@ -416,7 +428,7 @@ func (b *BoundQuery) materialise(ctx context.Context) (*Relation, error) {
 // diffing the reduced relations. Only plans without cached enumeration state
 // (naive plans, ground queries) fall back to materialising both sides and
 // diffing them as sets. This is the hook a live view-maintenance layer turns
-// into change notifications.
+// into change notifications. The returned relations are read-only.
 func (b *BoundQuery) DiffFrom(ctx context.Context, prev *BoundQuery) (added, removed *Relation, err error) {
 	if prev == nil {
 		return nil, nil, fmt.Errorf("engine: DiffFrom against a nil snapshot")
@@ -427,9 +439,10 @@ func (b *BoundQuery) DiffFrom(ctx context.Context, prev *BoundQuery) (added, rem
 	if b.inst.Dict != prev.inst.Dict {
 		return nil, nil, fmt.Errorf("engine: DiffFrom across unrelated database lineages")
 	}
+	// One shared, never-written empty relation per plan: an invisible or
+	// absorbed delta allocates nothing here.
 	empty := func() (*Relation, *Relation, error) {
-		qvars := b.prep.plan.qvars
-		return NewRelation(qvars...), NewRelation(qvars...), nil
+		return b.prep.plan.noRows, b.prep.plan.noRows, nil
 	}
 	if b == prev || b.inst == prev.inst {
 		return empty() // shared instance: the delta was invisible to the query

@@ -1,10 +1,5 @@
 package engine
 
-import (
-	"d2cq/internal/cq"
-	"d2cq/internal/storage"
-)
-
 // This file is the cost model of incremental maintenance: every
 // incremental-vs-rebuild decision prices both paths by the rows each would
 // actually touch, using measured quantities only — table row counts, cached
@@ -24,48 +19,6 @@ import (
 // of the node itself by 2× either way, where the two paths cost about the
 // same anyway.
 const patchWeight = 8
-
-// atomScanRows estimates how many table rows the bindAtomRelation fallback
-// would visit for the atom: the whole table, or — when the atom carries
-// constants — the expected bucket of the probe on the most selective
-// constant column, from the table's measured distinct counts. The stats are
-// cached on the table and were already computed by the original bind of any
-// constant-bearing atom, so consulting them here does not add an O(rows)
-// pass on the delta path.
-func atomScanRows(a cq.Atom, t *storage.Table) int {
-	if t == nil {
-		return 0
-	}
-	rows := t.Rows()
-	hasConst := false
-	for _, term := range a.Args {
-		if !term.Var {
-			hasConst = true
-			break
-		}
-	}
-	if !hasConst || t.Arity == 0 {
-		return rows
-	}
-	st := t.Stats()
-	best := 1
-	for i, term := range a.Args {
-		if !term.Var && st.Distinct[i] > best {
-			best = st.Distinct[i]
-		}
-	}
-	return rows/best + 1
-}
-
-// chooseAtomDelta decides whether to read a dirty atom's delta off the row
-// lineage (deltaRows rows matched against the atom) or to rescan the table
-// and diff (scanRows rows matched, deduplicated and probed against the old
-// set). Either way the resulting delta is then patched into the atom's state
-// at the same price, so only the rows each side has to look at differ: the
-// lineage wins unless it lists more rows than the scan would visit.
-func chooseAtomDelta(deltaRows, scanRows int) bool {
-	return deltaRows <= scanRows
-}
 
 // chooseNodeDelta decides whether to maintain a node by delta-joining its
 // changed inputs (totalDelta rows, each amplified by the node's measured

@@ -16,7 +16,7 @@ import (
 // per-node changes of the cached enumeration states) must be byte-identical
 // — columns, rows and order — to the materialise-both oracle, both against
 // the immediately preceding snapshot and against a snapshot several Updates
-// back (the composed-lineage case).
+// back.
 
 func requireSameRelation(t *testing.T, what string, got, want *Relation) {
 	t.Helper()

@@ -44,14 +44,14 @@ type Engine struct {
 	// cost.go): which side each measured-stats decision actually took, so
 	// operators can see whether traffic is being maintained incrementally
 	// or falling back to rebuilds.
-	atomDeltaFast   atomic.Uint64 // dirty atoms patched from row lineage
-	atomDeltaScan   atomic.Uint64 // dirty atoms rebuilt by a table scan
-	lineageComposed atomic.Uint64 // atom patches that composed a multi-step lineage chain
-	nodeDeltaJoins  atomic.Uint64 // nodes maintained by delta-join
-	nodeRebuilds    atomic.Uint64 // nodes re-materialised from scratch
-	diffsFast       atomic.Uint64 // DiffFroms answered by propagated per-node diffs
-	diffsOracle     atomic.Uint64 // DiffFroms that materialised both results
-	maintRows       atomic.Uint64 // rows hashed, probed or copied by Rebind and DiffFrom
+	atomDeltaFast  atomic.Uint64 // dirty atoms whose delta was read off the two tables' row maps
+	atomDeltaScan  atomic.Uint64 // dirty atoms rebuilt by a table scan
+	nodeDeltaJoins atomic.Uint64 // nodes maintained by delta-join
+	nodeRebuilds   atomic.Uint64 // nodes re-materialised from scratch
+	diffsFast      atomic.Uint64 // DiffFroms answered by propagated per-node diffs
+	diffsOracle    atomic.Uint64 // DiffFroms that materialised both results
+	maintRows      atomic.Uint64 // rows hashed, probed or copied by Rebind and DiffFrom
+	applyRows      atomic.Uint64 // the same, by CompiledDB.Apply
 
 	// stateSeq names cached reductions (enumState.id), so a state derived by
 	// Rebind can say which state its recorded deltas are against without
@@ -170,18 +170,22 @@ type Stats struct {
 
 	// Chosen-path counters of incremental maintenance: for each decision the
 	// measured-stats cost model makes (cost.go), how often each side ran.
-	AtomDeltaFast   uint64 // dirty atoms patched from row lineage
-	AtomDeltaScan   uint64 // dirty atoms rebuilt by a table scan
-	LineageComposed uint64 // atom patches that composed a multi-step lineage chain
-	NodeDeltaJoins  uint64 // nodes maintained by delta-join
-	NodeRebuilds    uint64 // nodes re-materialised from scratch
-	DiffsFast       uint64 // DiffFroms answered by propagated per-node diffs
-	DiffsOracle     uint64 // DiffFroms that materialised both results
+	AtomDeltaFast  uint64 // dirty atoms whose delta was read off the two tables' row maps
+	AtomDeltaScan  uint64 // dirty atoms rebuilt by a table scan
+	NodeDeltaJoins uint64 // nodes maintained by delta-join
+	NodeRebuilds   uint64 // nodes re-materialised from scratch
+	DiffsFast      uint64 // DiffFroms answered by propagated per-node diffs
+	DiffsOracle    uint64 // DiffFroms that materialised both results
 
 	// MaintRowsTouched adds up the rows Rebind and DiffFrom hashed, probed or
 	// copied — the work measure of incremental maintenance. For a fixed
 	// delta it must not grow with the relations (a test holds it to that).
 	MaintRowsTouched uint64
+
+	// ApplyRowsTouched adds up the same for CompiledDB.Apply on this engine's
+	// snapshots (storage.DB.ApplyRows). For a fixed small delta it must grow
+	// neither with the relation nor with the number of relations.
+	ApplyRowsTouched uint64
 }
 
 // Stats returns a snapshot of the engine counters.
@@ -195,24 +199,23 @@ func (e *Engine) Stats() Stats {
 		Cache:           e.cache.Stats(),
 		AtomDeltaFast:   e.atomDeltaFast.Load(),
 		AtomDeltaScan:   e.atomDeltaScan.Load(),
-		LineageComposed: e.lineageComposed.Load(),
 		NodeDeltaJoins:  e.nodeDeltaJoins.Load(),
 		NodeRebuilds:    e.nodeRebuilds.Load(),
 		DiffsFast:       e.diffsFast.Load(),
 		DiffsOracle:     e.diffsOracle.Load(),
 
 		MaintRowsTouched: e.maintRows.Load(),
+		ApplyRowsTouched: e.applyRows.Load(),
 	}
 }
 
 func (s Stats) String() string {
-	return fmt.Sprintf("prepares=%d decomps-computed=%d db-compiles=%d binds=%d rebinds=%d cache(hits=%d misses=%d evictions=%d len=%d/%d) paths(atom-delta=%d/%d composed=%d node-delta=%d/%d diff-fast=%d/%d) maint-rows-touched=%d",
+	return fmt.Sprintf("prepares=%d decomps-computed=%d db-compiles=%d binds=%d rebinds=%d cache(hits=%d misses=%d evictions=%d len=%d/%d) paths(atom-delta=%d/%d node-delta=%d/%d diff-fast=%d/%d) maint-rows-touched=%d apply-rows-touched=%d",
 		s.Prepares, s.DecompsComputed, s.DBCompiles, s.Binds, s.Rebinds, s.Cache.Hits, s.Cache.Misses,
 		s.Cache.Evictions, s.Cache.Len, s.Cache.Capacity,
 		s.AtomDeltaFast, s.AtomDeltaFast+s.AtomDeltaScan,
-		s.LineageComposed,
 		s.NodeDeltaJoins, s.NodeDeltaJoins+s.NodeRebuilds,
-		s.DiffsFast, s.DiffsFast+s.DiffsOracle, s.MaintRowsTouched)
+		s.DiffsFast, s.DiffsFast+s.DiffsOracle, s.MaintRowsTouched, s.ApplyRowsTouched)
 }
 
 // ErrWidthExceeded is returned (wrapped) by Prepare when the decomposition

@@ -2,8 +2,8 @@ package engine
 
 import (
 	"context"
+	"fmt"
 
-	"d2cq/internal/cq"
 	"d2cq/internal/storage"
 )
 
@@ -14,8 +14,9 @@ import (
 // consuming the delta of the one below and emitting its own:
 //
 //  1. atoms: an atom is dirty iff the compiled table behind its relation is
-//     a different pointer in the new snapshot; its delta is read straight off
-//     the snapshot's row lineage (rebindAtomDelta);
+//     a different pointer in the new snapshot; its delta is read off the two
+//     tables' row maps, which share everything the change did not touch
+//     (atomDelta);
 //  2. nodes: a decomposition node with a dirty input delta-joins that delta
 //     through its other inputs into ±1 derivation counts; the tuples whose
 //     count crosses zero are the node's delta (maintainNode);
@@ -107,7 +108,8 @@ func (b *BoundQuery) Rebind(ctx context.Context, cdb *CompiledDB) (*BoundQuery, 
 	nu := &nodeUpdate{oldAtoms: ms.atoms, newAtoms: append([]*atomState(nil), ms.atoms...), deltas: make([]*relDelta, len(q.Atoms))}
 	visible := false
 	for _, i := range dirty {
-		d, flat, err := atomDelta(q.Atoms[i], ms.atoms[i].set, b.cdb.sdb.Table(q.Atoms[i].Rel), cdb.sdb, eng, mc)
+		rel := q.Atoms[i].Rel
+		d, set, flat, err := atomDelta(plan, i, ms.atoms[i].set, b.cdb.sdb.Table(rel), cdb.sdb.Table(rel), cdb.sdb.Dict, eng, mc)
 		if err != nil {
 			return nil, err
 		}
@@ -115,7 +117,7 @@ func (b *BoundQuery) Rebind(ctx context.Context, cdb *CompiledDB) (*BoundQuery, 
 			continue // invisible to this atom (e.g. filtered out by its constants)
 		}
 		nu.deltas[i] = d
-		nu.newAtoms[i] = patchAtom(plan, i, ms.atoms[i], d, mc)
+		nu.newAtoms[i] = patchAtom(plan, i, ms.atoms[i], set, d, mc)
 		inst.AtomRels[i] = flat
 		visible = true
 	}
@@ -178,100 +180,62 @@ func (b *BoundQuery) Rebind(ctx context.Context, cdb *CompiledDB) (*BoundQuery, 
 	return nb, nil
 }
 
-// atomDelta computes the exact delta of one dirty atom relation against its
-// old tuple set: from the snapshot's row lineage where there is a usable one
-// (counted as AtomDeltaFast), by rescanning the table and diffing otherwise
-// (AtomDeltaScan) — in which case the freshly scanned flat relation is
-// returned too, so a node rebuild need not list it again.
-func atomDelta(a cq.Atom, old *rowSet, oldTable *storage.Table, sdb *storage.DB, eng *Engine, mc *maintCtx) (*relDelta, *Relation, error) {
-	if plus, minus, ok := rebindAtomDelta(a, oldTable, sdb, eng); ok {
+// atomDelta computes the exact delta of dirty atom i against its old tuple
+// set, given the relation's table before and after (either may be nil: the
+// empty relation). Normally it is read off the two tables' row maps
+// (storage.DiffTables — O(change) when the new table descends from the old by
+// small deltas, whatever the number of Applies in between; counted as
+// AtomDeltaFast): the projection of matching table rows onto the atom's
+// distinct variables is injective — the tuple plus the atom's constants and
+// repeated variables reconstruct the row — so the matching rows that left the
+// table are exactly the tuples leaving the relation, and likewise entering.
+// An atom whose relation IS the table (Plan.directAtom) skips even the
+// projection, and its successor set — the new table's own map, shared, not
+// patched — is returned too. Only a table rewritten flat (a delta the size of
+// the relation: it shares nothing with its predecessor) is rescanned and
+// diffed against the old set (AtomDeltaScan); the scanned flat relation is
+// then returned as well, so a node rebuild need not list it again.
+func atomDelta(p *Plan, i int, old *rowSet, oldT, newT *storage.Table, dict *Dict, eng *Engine, mc *maintCtx) (d *relDelta, set *rowSet, flat *Relation, err error) {
+	a, vars := p.query.Atoms[i], p.atomVars[i]
+	if newT != nil && newT.Arity != len(a.Args) {
+		return nil, nil, nil, fmt.Errorf("engine: arity mismatch in %s", a.Rel)
+	}
+	if p.directAtom[i] {
 		eng.atomDeltaFast.Add(1)
-		mc.rows += uint64(2 * (plus.Len() + minus.Len()))
-		return normaliseDelta(old, plus, minus), nil, nil
+		d, set = newRelDelta(vars), tableRows(newT, len(a.Args))
+		mc.rows += uint64(set.Diff(old, func(row []Value) { d.minus.Add(row...) }, func(row []Value) { d.plus.Add(row...) }))
+		return d, set, nil, nil
 	}
-	eng.atomDeltaScan.Add(1)
-	rel, err := bindAtomRelation(a, sdb.Table(a.Rel), sdb.Dict)
-	if err != nil {
-		return nil, nil, err
+	if newT != nil && newT.Flat() {
+		eng.atomDeltaScan.Add(1)
+		if flat, err = bindAtomRelation(a, newT, dict); err != nil {
+			return nil, nil, nil, err
+		}
+		mc.rows += uint64(2*flat.Len() + old.Len())
+		return diffRows(old, flat), nil, flat, nil
 	}
-	mc.rows += uint64(2*rel.Len() + old.Len())
-	return diffRows(old, rel), rel, nil
+	eng.atomDeltaFast.Add(1)
+	d = newRelDelta(vars)
+	// A constant the dictionary has never seen matches nothing — and the
+	// dictionary only grows, so the old relation was empty too.
+	if m := newAtomMatcher(a, vars, dict); m.ok {
+		side := func(rel *Relation) func(row []Value) {
+			return func(row []Value) {
+				if key, ok := m.match(row); ok {
+					rel.Add(key...)
+				}
+			}
+		}
+		mc.rows += uint64(storage.DiffTables(oldT, newT, side(d.minus), side(d.plus)))
+	}
+	return d, nil, nil, nil
 }
 
-// normaliseDelta turns the rows a lineage lists as added and removed into an
-// exact set delta against old: a row removed and re-added in one window
-// (deletes apply first) is in both lists and changes nothing, and neither
-// list is trusted beyond what old's membership confirms.
-func normaliseDelta(old *rowSet, plus, minus *Relation) *relDelta {
-	d := newRelDelta(plus.Cols)
-	added := storage.NewTupleMap(len(plus.Cols), plus.Len())
-	for i := 0; i < plus.Len(); i++ {
-		if _, isNew := added.Insert(plus.Row(i)); isNew && !old.Has(plus.Row(i)) {
-			d.plus.Add(plus.Row(i)...)
-		}
+// tableRows returns a table's rows as a persistent set (nil: the empty
+// relation of the given arity).
+func tableRows(t *storage.Table, arity int) *rowSet {
+	if t == nil {
+		return storage.NewPMap[struct{}](arity)
 	}
-	var gone *storage.TupleMap
-	for i := 0; i < minus.Len(); i++ {
-		row := minus.Row(i)
-		if added.Find(row) >= 0 || !old.Has(row) {
-			continue
-		}
-		if gone == nil {
-			gone = storage.NewTupleMap(len(minus.Cols), minus.Len())
-		}
-		if _, isNew := gone.Insert(row); isNew {
-			d.minus.Add(row...)
-		}
-	}
-	return d
-}
-
-// rebindAtomDelta reads one dirty atom's delta off the snapshot's row-level
-// lineage instead of re-scanning the table. The projection of matching table
-// rows onto the atom's distinct variables is injective (the tuple plus the
-// atom's constants and repeated variables reconstruct the row), so removed
-// table rows that match are exactly the tuples leaving the relation, and
-// added rows that match are exactly the tuples entering it — no derivation
-// counts needed. The lineage may span several Applies: the snapshot composes
-// its bounded chain back to oldTable, so a query that rebinds k Applies late
-// still pays O(total change). A row removed and re-added inside the window is
-// listed on both sides (see normaliseDelta). ok=false asks for the full
-// bindAtomRelation scan: no usable lineage (the snapshot is past the chain
-// bounds, or from a fresh Compile), an arity mismatch (the scan path reports
-// the error), a nullary atom, or a delta the cost model prices above the
-// scan.
-func rebindAtomDelta(a cq.Atom, oldTable *storage.Table, sdb *storage.DB, eng *Engine) (plus, minus *Relation, ok bool) {
-	vars := a.VarSet()
-	if len(vars) == 0 {
-		return nil, nil, false
-	}
-	lin, steps := sdb.LineageFrom(a.Rel, oldTable)
-	if lin == nil || lin.Arity != len(a.Args) {
-		return nil, nil, false
-	}
-	if !chooseAtomDelta(lin.AddedRows()+lin.RemovedRows(), atomScanRows(a, oldTable)) {
-		return nil, nil, false
-	}
-	if steps > 1 {
-		eng.lineageComposed.Add(1)
-	}
-	plus, minus = NewRelation(vars...), NewRelation(vars...)
-	m := newAtomMatcher(a, vars, sdb.Dict)
-	if !m.ok {
-		// A constant the dictionary has never seen matches nothing — and the
-		// dictionary only grows, so the old relation was already empty.
-		return plus, minus, true
-	}
-	arity := len(a.Args)
-	for i := 0; i+arity <= len(lin.Removed); i += arity {
-		if key, ok := m.match(lin.Removed[i : i+arity]); ok {
-			minus.Add(key...)
-		}
-	}
-	for i := 0; i+arity <= len(lin.Added); i += arity {
-		if key, ok := m.match(lin.Added[i : i+arity]); ok {
-			plus.Add(key...)
-		}
-	}
-	return plus, minus, true
+	return t.RowMap()
 }

@@ -594,96 +594,129 @@ func TestUpdateCancelledContext(t *testing.T) {
 	}
 }
 
-// TestRebindAtomDeltaLineage pins the O(delta) atom fast path: with lineage
-// back to the old table — recorded directly or composed across several
-// Applies — the delta it reads, normalised and applied to the old relation,
-// gives exactly the rows of a full bindAtomRelation scan (selection by
-// constants and repeated variables included), and any decline of available
-// lineage is justified by the cost model.
-func TestRebindAtomDeltaLineage(t *testing.T) {
-	atoms := []string{"R(x,y)", "R(x,x)", "R(x,'c1')", "R(x,y), Zed(x)"}
+// TestAtomDeltaFromTables pins the atom step of Rebind: the delta atomDelta
+// reads off the old and the new table, applied to the old relation, gives
+// exactly the rows of a full bindAtomRelation scan (selection by constants
+// and repeated variables included) — one Apply later, twenty Applies later
+// (there is no chain to run out of: the two row maps are diffed
+// structurally), and across a delta that rewrites the table flat, which is
+// the one case that rescans.
+func TestAtomDeltaFromTables(t *testing.T) {
+	atoms := []string{"R(x,y)", "R(y,x)", "R(x,x)", "R(x,'c1')", "R(x,y), Zed(x)"}
 	db := cq.Database{}
 	for i := 0; i < 12; i++ {
 		db.Add("R", fmt.Sprintf("c%d", i%4), fmt.Sprintf("c%d", (i*3)%5))
 	}
 	deltas := []*storage.Delta{
-		storage.NewDelta().Add("R", "c7", "c1"),                        // pure append
-		storage.NewDelta().Remove("R", "c0", "c0"),                     // pure delete
-		storage.NewDelta().Remove("R", "c1", "c1").Add("R", "c1", "x"), // mixed, new constant
-		storage.NewDelta().Remove("R", "zz", "zz"),                     // no-op delete (absent tuple)
+		storage.NewDelta().Add("R", "c7", "c1"),                         // pure append
+		storage.NewDelta().Remove("R", "c0", "c0"),                      // pure delete
+		storage.NewDelta().Remove("R", "c1", "c1").Add("R", "c1", "x"),  // mixed, new constant
+		storage.NewDelta().Remove("R", "zz", "zz"),                      // no-op delete (absent tuple)
+		storage.NewDelta().Remove("R", "c7", "c1").Add("R", "c7", "c1"), // removed and re-added in one batch
 	}
+	ctx := context.Background()
 	for _, src := range atoms {
 		q, err := cq.ParseQuery(src)
 		if err != nil {
 			t.Fatal(err)
 		}
-		a := q.Atoms[0]
-		cur, err := storage.Compile(db)
+		eng := NewEngine()
+		prep, err := eng.Prepare(ctx, q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		oldRel, err := bindAtomRelation(a, cur.Table(a.Rel), cur.Dict)
+		plan, a := prep.plan, q.Atoms[0]
+		// check runs atomDelta from one snapshot to a later one against a scan
+		// of both, and returns which path it took.
+		check := func(what string, from, to *storage.DB) (fast bool) {
+			t.Helper()
+			oldRel, err := bindAtomRelation(a, from.Table(a.Rel), from.Dict)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := bindAtomRelation(a, to.Table(a.Rel), to.Dict)
+			if err != nil {
+				t.Fatal(err)
+			}
+			old := setOfRows(oldRel)
+			if plan.directAtom[0] {
+				old = tableRows(from.Table(a.Rel), len(a.Args))
+			}
+			before := eng.Stats()
+			d, set, flat, err := atomDelta(plan, 0, old, from.Table(a.Rel), to.Table(a.Rel), to.Dict, eng, &maintCtx{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !patchesTo(oldRel, d, want) {
+				t.Fatalf("%s %s: delta +%v -%v does not turn %v into the scan %v/%v", src, what, d.plus.Data, d.minus.Data, oldRel.Data, want.Cols, want.Data)
+			}
+			if set != nil && !diffRows(set, want).empty() {
+				t.Fatalf("%s %s: successor set differs from the scan", src, what)
+			}
+			if flat != nil && !diffRows(setOfRows(flat), want).empty() {
+				t.Fatalf("%s %s: scanned relation differs from the scan", src, what)
+			}
+			after := eng.Stats()
+			if after.AtomDeltaFast+after.AtomDeltaScan != before.AtomDeltaFast+before.AtomDeltaScan+1 {
+				t.Fatalf("%s %s: atomDelta must count exactly one path", src, what)
+			}
+			return after.AtomDeltaFast > before.AtomDeltaFast
+		}
+		base, err := storage.Compile(db)
 		if err != nil {
 			t.Fatal(err)
 		}
+		cur := base
 		for di, delta := range deltas {
 			next, err := cur.Apply(delta)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := bindAtomRelation(a, next.Table(a.Rel), next.Dict)
-			if err != nil {
+			if next.Table(a.Rel) != cur.Table(a.Rel) && !check(fmt.Sprintf("delta %d", di), cur, next) {
+				t.Fatalf("%s delta %d: a small delta must be read off the row maps, not rescanned", src, di)
+			}
+			cur = next
+		}
+		// Twenty more Applies, then the diff against the very first table.
+		for i := 0; i < 20; i++ {
+			d := storage.NewDelta().Add("R", fmt.Sprintf("c%d", i%4), fmt.Sprintf("late%d", i))
+			if i%3 == 2 {
+				d.Remove("R", fmt.Sprintf("c%d", (i-1)%4), fmt.Sprintf("late%d", i-1))
+			}
+			if cur, err = cur.Apply(d); err != nil {
 				t.Fatal(err)
 			}
-			plus, minus, fast := rebindAtomDelta(a, cur.Table(a.Rel), next, NewEngine())
-			if fast {
-				if d := normaliseDelta(setOfRows(oldRel), plus, minus); !patchesTo(oldRel, d, want) {
-					t.Fatalf("%s delta %d: lineage delta +%v -%v does not turn %v into the scan %v/%v", src, di, d.plus.Data, d.minus.Data, oldRel.Data, want.Cols, want.Data)
-				}
-			} else if lin, _ := next.LineageFrom(a.Rel, cur.Table(a.Rel)); lin != nil {
-				// Declining available lineage is only allowed when the cost
-				// model prices the scan cheaper.
-				if chooseAtomDelta(lin.AddedRows()+lin.RemovedRows(), atomScanRows(a, cur.Table(a.Rel))) {
-					t.Fatalf("%s delta %d: fast path declined a delta the cost model accepts", src, di)
-				}
-			}
-			cur, oldRel = next, want
 		}
-		// Two Applies ahead: the snapshot composes its lineage chain back to
-		// our table, so the fast path still applies — and must match a scan.
-		// Start from a fresh compile so the two-step chain is within the
-		// cumulative-size bound on this small table.
-		base, err := storage.Compile(db)
+		if !check("25 applies late", base, cur) {
+			t.Fatalf("%s: a late rebind over small deltas must still be read off the row maps", src)
+		}
+		// A delta the size of the relation rewrites the table flat: a
+		// non-direct atom rescans it, a direct one still diffs the maps.
+		bulk := storage.NewDelta()
+		for i := 0; i < 64; i++ {
+			bulk.Add("R", fmt.Sprintf("c%d", i%4), fmt.Sprintf("bulk%d", i))
+		}
+		next, err := cur.Apply(bulk)
 		if err != nil {
 			t.Fatal(err)
 		}
-		baseRel, err := bindAtomRelation(a, base.Table(a.Rel), base.Dict)
+		if fast := check("bulk", cur, next); fast != plan.directAtom[0] {
+			t.Fatalf("%s bulk: fast=%v, want %v", src, fast, plan.directAtom[0])
+		}
+		// Emptied and gone: the new table is nil.
+		gone := storage.NewDelta()
+		for _, tuple := range next.RelationTuples("R") {
+			gone.Remove("R", tuple...)
+		}
+		empty, err := next.Apply(gone)
 		if err != nil {
 			t.Fatal(err)
 		}
-		one, err := base.Apply(storage.NewDelta().Add("R", "c8", "c1"))
-		if err != nil {
-			t.Fatal(err)
+		if empty.Table("R") != nil {
+			t.Fatal("deleting every tuple must remove the relation")
 		}
-		two, err := one.Apply(storage.NewDelta().Add("R", "c9", "c1").Remove("R", "c8", "c1"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := bindAtomRelation(a, two.Table(a.Rel), two.Dict)
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng := NewEngine()
-		plus, minus, fast := rebindAtomDelta(a, base.Table(a.Rel), two, eng)
-		if !fast {
-			t.Fatalf("%s: fast path declined a composed two-step lineage", src)
-		}
-		if d := normaliseDelta(setOfRows(baseRel), plus, minus); !patchesTo(baseRel, d, want) {
-			t.Fatalf("%s: composed delta +%v -%v does not turn %v into the scan %v/%v", src, d.plus.Data, d.minus.Data, baseRel.Data, want.Cols, want.Data)
-		}
-		if eng.Stats().LineageComposed == 0 {
-			t.Fatalf("%s: composed patch did not count in Stats", src)
-		}
+		check("emptied", next, empty)
+		check("re-created", empty, base)
 	}
 }
 
@@ -709,33 +742,6 @@ func patchesTo(old *Relation, d *relDelta, want *Relation) bool {
 		set.Set(d.plus.Row(i), struct{}{})
 	}
 	return diffRows(set.Freeze(), want).empty()
-}
-
-// TestNormaliseDelta pins what makes a lineage an exact set delta: a tuple
-// removed and re-added in one window is in both lineage lists and changes
-// nothing, a tuple added and then removed likewise nets to its old
-// membership, and duplicates and no-op entries drop out.
-func TestNormaliseDelta(t *testing.T) {
-	rel := func(rows ...[]Value) *Relation {
-		r := NewRelation("x", "y")
-		for _, row := range rows {
-			r.Add(row...)
-		}
-		return r
-	}
-	old := setOfRows(rel([]Value{1, 2}, []Value{3, 4}))
-	plus := rel([]Value{1, 2}, []Value{5, 6}, []Value{5, 6}, []Value{3, 4})
-	minus := rel([]Value{1, 2}, []Value{3, 4}, []Value{7, 8}, []Value{3, 4})
-	d := normaliseDelta(old, plus, minus)
-	// (1,2) and (3,4): removed and re-added — unchanged. (5,6): entering,
-	// once. (7,8): was never there.
-	if !slices.Equal(d.plus.Data, []Value{5, 6}) || d.minus.Len() != 0 {
-		t.Fatalf("normaliseDelta = +%v -%v, want +[5 6] -[]", d.plus.Data, d.minus.Data)
-	}
-	d = normaliseDelta(old, rel(), rel([]Value{3, 4}, []Value{3, 4}, []Value{9, 9}))
-	if d.plus.Len() != 0 || !slices.Equal(d.minus.Data, []Value{3, 4}) {
-		t.Fatalf("normaliseDelta = +%v -%v, want +[] -[3 4]", d.plus.Data, d.minus.Data)
-	}
 }
 
 // scripted builds a step list from "±Rel(a,b)" ops; ops joined by spaces form
@@ -786,7 +792,7 @@ func TestIncrementalScriptedCases(t *testing.T) {
 		},
 		{
 			// One batch removing and adding in the same relation — a different
-			// tuple, the same tuple (lineage lists it on both sides: no
+			// tuple, the same tuple (a new table with the old content: no
 			// change), and a tuple that is not there.
 			name: "add-and-remove-in-one-batch", shape: path, db: pathDB(),
 			steps: scripted("-R(1,2) +R(7,2)", "-S(2,3) +S(2,3)", "-T(3,4) +T(3,4) -T(3,9)",
@@ -847,7 +853,9 @@ func TestIncrementalScriptedCases(t *testing.T) {
 // TestIncrementalLargeDeltaFallsBack: a delta larger than the relations it
 // lands in goes back to rescanning the atom and re-materialising the nodes —
 // the cost model's rebuild side — in the middle of a stream of small deltas,
-// and the maintained state it leaves behind keeps patching correctly.
+// and the maintained state it leaves behind keeps patching correctly. The bulk
+// lands in D(d,a), whose relation is a column permutation of the table (an
+// atom that IS its table diffs the row maps even then).
 func TestIncrementalLargeDeltaFallsBack(t *testing.T) {
 	sh := diffShape{name: "cycle4", query: "A(a,b), B(b,c), C(c,d), D(d,a)"}
 	q, err := cq.ParseQuery(sh.query)
@@ -862,9 +870,9 @@ func TestIncrementalLargeDeltaFallsBack(t *testing.T) {
 	}
 	var bulk diffStep
 	for i := 0; i < 60; i++ {
-		bulk = append(bulk, diffOp{insert: true, rel: "A", tuple: []string{fmt.Sprint(i % 8), fmt.Sprint(i / 8)}})
+		bulk = append(bulk, diffOp{insert: true, rel: "D", tuple: []string{fmt.Sprint(i % 8), fmt.Sprint(i / 8)}})
 	}
-	bulk = append(bulk, diffOp{rel: "A", tuple: []string{"0", "1"}})
+	bulk = append(bulk, diffOp{rel: "D", tuple: []string{"0", "1"}})
 	steps := scripted("+A(7,7)", "-B(0,1)")
 	steps = append(steps, bulk)
 	steps = append(steps, scripted("+B(0,1)", "-A(7,7) +C(7,0)", "-A(1,2)")...)
@@ -951,6 +959,91 @@ func TestRecordedDeltasDoNotPinPredecessors(t *testing.T) {
 	}
 	if n, err := cur.Count(ctx); err != nil || n == 0 {
 		t.Fatalf("head of the chain: Count = %d, %v", n, err)
+	}
+}
+
+// TestRebindManyAppliesLate: a query that sat out forty small Applies (a cold
+// query in a busy store) rebinds to the newest snapshot off the row maps alone
+// — no table is rescanned and no node rebuilt, however many Applies lie in
+// between: there is no recorded chain to run out of — and its DiffFrom against
+// the snapshot it sat on, forty Applies back, is byte-identical to the
+// materialise-both oracle. DiffFrom of a query the Applies never reached
+// returns the plan's shared empty relations and allocates nothing.
+func TestRebindManyAppliesLate(t *testing.T) {
+	ctx := context.Background()
+	f := newMaintFixture(t, maintPath3, 400, 200)
+	f.warm(t)
+	start := f.bound
+	cdb := start.Database()
+	for k := 0; k < 40; k++ {
+		d := storage.NewDelta()
+		i := k % len(maintPath3.atoms)
+		if k%4 < 2 {
+			d.Remove(maintPath3.rel(i), maintPath3.plantedTuple(1+k/2, i)...)
+		} else {
+			d.Add(maintPath3.rel(i), fmt.Sprint("late", k), fmt.Sprint("late", k+1))
+		}
+		var err error
+		if cdb, err = cdb.Apply(ctx, d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := f.eng.Stats()
+	late, err := start.Rebind(ctx, cdb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := f.eng.Stats()
+	if after.AtomDeltaScan != before.AtomDeltaScan || after.NodeRebuilds != before.NodeRebuilds || after.AtomDeltaFast == before.AtomDeltaFast {
+		t.Fatalf("late Rebind left the delta path: scans %d→%d, rebuilds %d→%d, fast %d→%d",
+			before.AtomDeltaScan, after.AtomDeltaScan, before.NodeRebuilds, after.NodeRebuilds, before.AtomDeltaFast, after.AtomDeltaFast)
+	}
+	fresh, err := late.prep.Bind(ctx, cdb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := late.EnumerateAll(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _, err := fresh.EnumerateAll(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameRelation(t, "late rebind vs fresh bind", got, want)
+	ga, gr, err := late.DiffFrom(ctx, start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wa, wr, err := late.diffOracle(ctx, start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameRelation(t, "added since 40 applies ago", ga, wa)
+	requireSameRelation(t, "removed since 40 applies ago", gr, wr)
+	if ga.Len()+gr.Len() == 0 {
+		t.Fatal("the forty Applies were meant to change the result")
+	}
+
+	// An Apply that misses the query entirely.
+	other, err := cdb.Apply(ctx, storage.NewDelta().Add("unrelated", "x"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	same, err := late.Rebind(ctx, other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		a, r, err := same.DiffFrom(ctx, late)
+		if err != nil || a.Len()+r.Len() != 0 {
+			t.Fatalf("invisible delta: diff %d rows, %v", a.Len()+r.Len(), err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("DiffFrom across an invisible delta allocates %.0f times, want 0", allocs)
+	}
+	if f.eng.Stats().ApplyRowsTouched == 0 {
+		t.Fatal("ApplyRowsTouched did not move")
 	}
 }
 

@@ -242,9 +242,16 @@ func flatten[V any](m *storage.PMap[V], cols []string) *Relation {
 	return out
 }
 
-// newAtomState builds the maintained form of atom i's flat relation.
-func newAtomState(p *Plan, i int, rel *Relation) *atomState {
-	as := &atomState{set: setOfRows(rel), idx: make([]*rowIndex, len(p.atomIdxCols[i]))}
+// newAtomState builds the maintained form of atom i's flat relation over the
+// table t. An atom whose relation is the table itself (Plan.directAtom)
+// shares the table's row map instead of building a set of its own.
+func newAtomState(p *Plan, i int, rel *Relation, t *storage.Table) *atomState {
+	as := &atomState{idx: make([]*rowIndex, len(p.atomIdxCols[i]))}
+	if p.directAtom[i] {
+		as.set = tableRows(t, len(rel.Cols))
+	} else {
+		as.set = setOfRows(rel)
+	}
 	for x, cols := range p.atomIdxCols[i] {
 		as.idx[x] = indexRows(rel, cols)
 	}
@@ -286,7 +293,7 @@ func (b *BoundQuery) buildMaint(ctx context.Context) (*maintState, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		ms.atoms[i] = newAtomState(p, i, b.inst.AtomRels[i])
+		ms.atoms[i] = newAtomState(p, i, b.inst.AtomRels[i], b.cdb.sdb.Table(p.query.Atoms[i].Rel))
 	}
 	edges := map[string]*Relation{}
 	for u := 0; u < p.d.Nodes(); u++ {
@@ -315,17 +322,22 @@ func (b *BoundQuery) buildMaint(ctx context.Context) (*maintState, error) {
 	return ms, nil
 }
 
-// patchAtom derives atom i's successor state under d.
-func patchAtom(p *Plan, i int, old *atomState, d *relDelta, mc *maintCtx) *atomState {
-	set := old.set.Edit()
-	for r := 0; r < d.minus.Len(); r++ {
-		set.Delete(d.minus.Row(r))
+// patchAtom derives atom i's successor state under d. set is the successor
+// tuple set when the caller already has it (a direct atom's new table map);
+// otherwise it is derived by patching the old one.
+func patchAtom(p *Plan, i int, old *atomState, set *rowSet, d *relDelta, mc *maintCtx) *atomState {
+	if set == nil {
+		w := old.set.Edit()
+		for r := 0; r < d.minus.Len(); r++ {
+			w.Delete(d.minus.Row(r))
+		}
+		for r := 0; r < d.plus.Len(); r++ {
+			w.Set(d.plus.Row(r), struct{}{})
+		}
+		mc.rows += uint64(d.rows() + w.Copied())
+		set = w.Freeze()
 	}
-	for r := 0; r < d.plus.Len(); r++ {
-		set.Set(d.plus.Row(r), struct{}{})
-	}
-	mc.rows += uint64(d.rows() + set.Copied())
-	as := &atomState{set: set.Freeze(), idx: make([]*rowIndex, len(old.idx))}
+	as := &atomState{set: set, idx: make([]*rowIndex, len(old.idx))}
 	for x, cols := range p.atomIdxCols[i] {
 		ix := edit(old.idx[x])
 		patchIndex(&ix, cols, d, nil, mc)

@@ -1,6 +1,10 @@
 package engine
 
-import "slices"
+import (
+	"slices"
+
+	"d2cq/internal/cq"
+)
 
 // This file is the plan-time half of incremental maintenance. A node's
 // relation is the join of its input atoms — every atom over one of the
@@ -45,10 +49,12 @@ type deltaPlan struct {
 func (p *Plan) planMaintenance() {
 	q, d := p.query, p.d
 	p.atomVars = make([][]string, len(q.Atoms))
+	p.directAtom = make([]bool, len(q.Atoms))
 	atomKey := make([]string, len(q.Atoms))
 	p.maintainable = true
 	for i, a := range q.Atoms {
 		p.atomVars[i] = a.VarSet()
+		p.directAtom[i] = slices.EqualFunc(a.Args, p.atomVars[i], func(t cq.Term, v string) bool { return t.Var && t.Name == v })
 		atomKey[i] = edgeKey(p.atomVars[i])
 		if len(p.atomVars[i]) == 0 {
 			p.maintainable = false

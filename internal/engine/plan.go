@@ -23,8 +23,9 @@ type Plan struct {
 	h     *hypergraph.Hypergraph
 	d     *decomp.GHD // nil for a naive plan
 
-	vars  []string // hypergraph vertex id → variable name
-	qvars []string // the query's variables, sorted
+	vars   []string  // hypergraph vertex id → variable name
+	qvars  []string  // the query's variables, sorted
+	noRows *Relation // the empty relation over qvars; shared, never written
 
 	// Per-node plan shape (empty for naive plans and ground queries).
 	assigned   [][]int    // node → indices of atoms filtered at that node
@@ -53,6 +54,7 @@ type Plan struct {
 	// the node's relation. Fixed at plan time like the join positions above.
 	maintainable bool          // false: Rebind rebuilds instead (naive, ground, nullary bag or atom)
 	atomVars     [][]string    // atom → sorted distinct variables (the columns of its relation)
+	directAtom   []bool        // atom → its arguments are exactly those, in that order: its relation is the table
 	inputs       [][]int       // node → atoms joined at the node: those over its λ edges, then its filters
 	deltaPlans   [][]deltaPlan // node → per input: the probe order when that input is the delta
 	atomIdxCols  [][][]int     // atom → column subsets of its relation the delta plans probe
@@ -85,6 +87,7 @@ type childJoin struct {
 func NewPlan(q cq.Query, d *decomp.GHD) (*Plan, error) {
 	h := q.Hypergraph()
 	p := &Plan{query: q, h: h, d: d, vars: h.VertexNames(), qvars: q.Vars()}
+	p.noRows = NewRelation(p.qvars...)
 	if d == nil || d.Nodes() == 0 {
 		return p, nil
 	}

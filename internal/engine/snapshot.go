@@ -7,7 +7,7 @@ import (
 )
 
 // WriteSnapshot serialises the compiled database to w in the storage snapshot
-// format (dictionary prefix plus flat tables). The receiver is immutable, so
+// format (dictionary prefix plus every table's rows). The receiver is immutable, so
 // the snapshot is consistent even while concurrent Applies derive successor
 // snapshots — they never mutate this one.
 func (c *CompiledDB) WriteSnapshot(w io.Writer) error {
@@ -18,10 +18,10 @@ func (c *CompiledDB) WriteSnapshot(w io.Writer) error {
 // WriteSnapshot. The result carries no cached indexes or statistics — they
 // rebuild lazily on first use — but is otherwise equivalent to the snapshot
 // it was written from: Apply, Bind, and Rebind all work on top of it.
-func ReadCompiledDB(r io.Reader) (*CompiledDB, error) {
+func (e *Engine) ReadCompiledDB(r io.Reader) (*CompiledDB, error) {
 	sdb, err := storage.DecodeDB(r)
 	if err != nil {
 		return nil, err
 	}
-	return &CompiledDB{sdb: sdb}, nil
+	return &CompiledDB{sdb: sdb, eng: e}, nil
 }

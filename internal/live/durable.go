@@ -302,7 +302,7 @@ type checkpointState struct {
 type ckptQuery struct{ name, src string }
 
 // readCheckpoint loads and fully validates one checkpoint blob.
-func readCheckpoint(backend wal.Backend, lsn uint64) (*checkpointState, error) {
+func readCheckpoint(eng *engine.Engine, backend wal.Backend, lsn uint64) (*checkpointState, error) {
 	rc, err := backend.OpenCheckpoint(lsn)
 	if err != nil {
 		return nil, err
@@ -353,7 +353,7 @@ func readCheckpoint(backend wal.Backend, lsn uint64) (*checkpointState, error) {
 		}
 		st.queries = append(st.queries, ckptQuery{name: name, src: src})
 	}
-	if st.cdb, err = engine.ReadCompiledDB(r); err != nil {
+	if st.cdb, err = eng.ReadCompiledDB(r); err != nil {
 		return nil, err
 	}
 	if r.Len() != 0 {
@@ -420,7 +420,7 @@ func Open(ctx context.Context, eng *engine.Engine, cfg DurableConfig) (*Store, e
 	}
 	var ck *checkpointState
 	for i := len(ckpts) - 1; i >= 0 && ck == nil; i-- {
-		c, err := readCheckpoint(cfg.Backend, ckpts[i])
+		c, err := readCheckpoint(eng, cfg.Backend, ckpts[i])
 		if err != nil {
 			continue
 		}
@@ -442,6 +442,7 @@ func Open(ctx context.Context, eng *engine.Engine, cfg DurableConfig) (*Store, e
 		cdb:      cdb,
 		version:  version,
 		queries:  map[string]*liveQuery{},
+		readers:  map[string][]*liveQuery{},
 		relArity: map[string]int{},
 		pending:  storage.NewCoalescer(),
 		kick:     make(chan struct{}, 1),

@@ -241,7 +241,9 @@ func TestWatchDifferential(t *testing.T) {
 // TestCoalescedIngestionIdentical drives the same delta stream through a
 // per-delta store and a coalescing store (one flush per 8 submits) and
 // asserts byte-identical final results with measurably fewer Rebinds — the
-// acceptance contract of Delta.Merge-based ingestion.
+// acceptance contract of Delta.Merge-based ingestion. A flush rebinds the
+// query only when its batch lists a relation the query reads (Zed is noise),
+// so the expected counts are the flushes that do.
 func TestCoalescedIngestionIdentical(t *testing.T) {
 	ctx := context.Background()
 	sh := watchShapes[0] // path query
@@ -277,8 +279,21 @@ func TestCoalescedIngestionIdentical(t *testing.T) {
 	}
 	const steps, batch = 96, 8
 	rng := rand.New(rand.NewSource(11))
+	reaches := func(d *storage.Delta) bool {
+		return slices.ContainsFunc(d.Relations(), func(rel string) bool { return rel != "Zed" })
+	}
+	var wantA, wantB uint64
+	batchReaches := false
 	for s := 0; s < steps; s++ {
 		delta := genDelta(rng, sh, relNames)
+		if reaches(delta) {
+			wantA++
+			batchReaches = true
+		}
+		if (s+1)%batch == 0 && batchReaches {
+			wantB++
+			batchReaches = false
+		}
 		if err := storeA.Submit(delta.Clone()); err != nil {
 			t.Fatal(err)
 		}
@@ -309,11 +324,11 @@ func TestCoalescedIngestionIdentical(t *testing.T) {
 		t.Fatalf("coalesced results differ: per-delta %v, coalesced %v", rowKeys(rowsA), rowKeys(rowsB))
 	}
 	ra, rb := engA.Stats().Rebinds, engB.Stats().Rebinds
-	if ra != steps {
-		t.Fatalf("per-delta store rebinds = %d, want %d", ra, steps)
+	if ra != wantA || wantA < steps/2 {
+		t.Fatalf("per-delta store rebinds = %d, want %d (of %d steps)", ra, wantA, steps)
 	}
-	if rb != steps/batch {
-		t.Fatalf("coalesced store rebinds = %d, want %d", rb, steps/batch)
+	if rb != wantB || wantB > steps/batch {
+		t.Fatalf("coalesced store rebinds = %d, want %d", rb, wantB)
 	}
 	sb := storeB.Stats()
 	if sb.FlushedTuples > sb.TuplesSubmitted {

@@ -377,8 +377,11 @@ func TestStageNeverTakesSubmitLock(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !sort.SliceIsSorted(s.sorted, func(i, j int) bool { return s.sorted[i].name < s.sorted[j].name }) || len(s.sorted) != n {
-			t.Fatalf("%d queries: registry view is not the %d names in order", n, n)
+		for _, rel := range []string{"R", "S"} {
+			rs := s.readers[rel]
+			if !sort.SliceIsSorted(rs, func(i, j int) bool { return rs[i].name < rs[j].name }) || len(rs) != n {
+				t.Fatalf("%d queries: readers of %s are not the %d names in order", n, rel, n)
+			}
 		}
 
 		s.flushMu.Lock()

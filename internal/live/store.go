@@ -123,8 +123,9 @@ type Store struct {
 	cdb          *engine.CompiledDB // written under flushMu+mu
 	version      uint64             // written under flushMu+mu
 	queries      map[string]*liveQuery
-	sorted       []*liveQuery   // the registry in name order; replaced, never edited, under flushMu+mu
-	relArity     map[string]int // arity each relation must have per the registered queries' atoms
+	readers      map[string][]*liveQuery // relation → the queries reading it, in name order; written under flushMu+mu
+	stageSeq     uint64                  // numbers the stages, for liveQuery.stageMark; flushMu only
+	relArity     map[string]int          // arity each relation must have per the registered queries' atoms
 	pending      *storage.Coalescer
 	pendingSince time.Time
 	closed       bool // written under flushMu+mu
@@ -181,9 +182,14 @@ type liveQuery struct {
 	name  string
 	src   string // canonical query text, for idempotent re-registration
 	query cq.Query
+	rels  []string // the distinct relations the query reads, sorted
 	bound *engine.BoundQuery
 	count int64
 	subs  []*Subscription
+
+	// stageMark is the number of the last stage that picked the query up, so
+	// a batch touching two of its relations stages it once. flushMu only.
+	stageMark uint64
 
 	// watchers mirrors len(subs) so a stage can ask "is anybody watching"
 	// without taking the submit lock. subs is only ever written through
@@ -249,6 +255,7 @@ func NewStore(ctx context.Context, eng *engine.Engine, db cq.Database, cfg Confi
 		cdb:      cdb,
 		version:  1,
 		queries:  map[string]*liveQuery{},
+		readers:  map[string][]*liveQuery{},
 		relArity: map[string]int{},
 		pending:  storage.NewCoalescer(),
 		kick:     make(chan struct{}, 1),
@@ -345,7 +352,12 @@ func (s *Store) register(ctx context.Context, name string, q cq.Query, logIt boo
 		}
 		s.mu.Unlock()
 	}
-	bound, err := prep.Bind(ctx, s.cdb)
+	// The query is bound to — and from then on rebound to — the snapshot cut
+	// down to the relations it reads: a flush that does not touch them never
+	// visits the query (see stage), so whatever snapshot the query holds on to
+	// must not keep the rest of the database as of that moment alive.
+	rels := relationsOf(q)
+	bound, err := prep.Bind(ctx, s.cdb.Restrict(rels))
 	if err != nil {
 		unreserve()
 		return err
@@ -372,19 +384,31 @@ func (s *Store) register(ctx context.Context, name string, q cq.Query, logIt boo
 		}
 	}
 	s.mu.Lock()
-	lq := &liveQuery{name: name, src: src, query: q, bound: bound, count: count, histFloor: s.version}
+	lq := &liveQuery{name: name, src: src, query: q, rels: rels, bound: bound, count: count, histFloor: s.version}
 	s.queries[name] = lq
-	// Keep the name-ordered view current here, where the registry grows (it
-	// never shrinks), so no flush has to rebuild and sort it. A fresh slice:
-	// a stage holding the previous one keeps reading it under flushMu alone.
-	at, _ := slices.BinarySearchFunc(s.sorted, name, func(q *liveQuery, name string) int { return strings.Compare(q.name, name) })
-	s.sorted = slices.Insert(slices.Clone(s.sorted), at, lq)
+	// Index the query under every relation it reads, each list in name order,
+	// here where the registry grows (it never shrinks): a flush then finds
+	// the queries its batch reaches without looking at any other.
+	for _, rel := range rels {
+		at, _ := slices.BinarySearchFunc(s.readers[rel], name, func(q *liveQuery, name string) int { return strings.Compare(q.name, name) })
+		s.readers[rel] = slices.Insert(s.readers[rel], at, lq)
+	}
 	// The arity each atom demands of its relation was recorded by the
 	// reservation above and stays: Submit validation rejects deltas that
 	// would create a relation no registered query could ever bind against
 	// (Bind would fail the whole flush otherwise).
 	s.mu.Unlock()
 	return nil
+}
+
+// relationsOf lists the distinct relations q's atoms read, sorted.
+func relationsOf(q cq.Query) []string {
+	var rels []string
+	for _, a := range q.Atoms {
+		rels = append(rels, a.Rel)
+	}
+	slices.Sort(rels)
+	return slices.Compact(rels)
 }
 
 // atomArityLocked rejects a query atom whose arity conflicts with what an
@@ -738,8 +762,9 @@ type staged struct {
 }
 
 // stagedFlush is a fully-staged batch application: the successor snapshot,
-// its version, and every query's next state in sorted-name order. par is the
-// worker count the stage actually used. Committing it cannot fail.
+// its version, and the next state of every query the batch reaches, in
+// sorted-name order. par is the worker count the stage actually used.
+// Committing it cannot fail.
 type stagedFlush struct {
 	cdb     *engine.CompiledDB
 	version uint64
@@ -754,25 +779,28 @@ func (lq *liveQuery) setSubsLocked(subs []*Subscription) {
 	lq.watchers.Store(int32(len(subs)))
 }
 
-// stage computes the successor snapshot and every query's next state against
-// it — Apply, Rebind, Count, DiffFrom and notification decoding — touching
-// nothing observable: a mid-stage error (cancellation, arity mismatch
-// against a query) must not leave half the registry on the new snapshot.
-// The caller holds flushMu and NOT mu: s.cdb, the registry shape and each
-// lq.bound/count are stable under flushMu alone (they only change under both
-// locks — the name-ordered registry view s.sorted included), and whether a
-// query is watched is read off liveQuery.watchers — so a stage never takes mu
-// at all, whatever the size of the registry. Watch admission also holds
-// flushMu, so a subscriber is never admitted mid-stage: it sees its first
-// notification on the next flush, never a torn one. Recovery replay shares
-// this path so a replayed batch goes through the exact engine calls the
-// original flush made.
+// stage computes the successor snapshot and the next state of every query the
+// batch reaches — Apply, then Rebind, Count, DiffFrom and notification
+// decoding per query reading a relation the batch lists — touching nothing
+// observable: a mid-stage error (cancellation, arity mismatch against a
+// query) must not leave half of them on the new snapshot. A query reading
+// none of the batch's relations is not visited at all: its tables are the
+// same pointers in the successor snapshot, so its bound state, count and
+// (empty) diff carry over as they are, and a flush costs the queries it
+// changes, not the registry. The caller holds flushMu and NOT mu: s.cdb, the
+// readers index and each lq.bound/count are stable under flushMu alone (they
+// only change under both locks), and whether a query is watched is read off
+// liveQuery.watchers — so a stage never takes mu at all. Watch admission also
+// holds flushMu, so a subscriber is never admitted mid-stage: it sees its
+// first notification on the next flush, never a torn one. Recovery replay
+// shares this path so a replayed batch goes through the exact engine calls
+// the original flush made.
 //
 // The per-query work fans out over the engine's worker bound: queries are
 // independent once the shared successor snapshot exists (BoundQuery is
 // immutable, engine counters are atomic, table index builds are locked), and
-// next keeps sorted-name order by index, so commit, WAL and notification
-// order are byte-identical to the sequential stage.
+// next is in sorted-name order, so commit, WAL and notification order are
+// byte-identical to staging the whole registry sequentially.
 func (s *Store) stage(ctx context.Context, batch *storage.Delta, version uint64) (stagedFlush, error) {
 	if h := s.stageHook; h != nil {
 		h()
@@ -781,11 +809,21 @@ func (s *Store) stage(ctx context.Context, batch *storage.Delta, version uint64)
 	if err != nil {
 		return stagedFlush{}, err
 	}
-	lqs := s.sorted // stable under flushMu: register replaces it under both locks
+	s.stageSeq++
+	var lqs []*liveQuery
+	for _, rel := range batch.Relations() {
+		for _, lq := range s.readers[rel] {
+			if lq.stageMark != s.stageSeq {
+				lq.stageMark = s.stageSeq
+				lqs = append(lqs, lq)
+			}
+		}
+	}
+	slices.SortFunc(lqs, func(a, b *liveQuery) int { return strings.Compare(a.name, b.name) })
 	next := make([]staged, len(lqs))
 	stageOne := func(ctx context.Context, i int) error {
 		lq := lqs[i]
-		nb, err := lq.bound.Rebind(ctx, ncdb)
+		nb, err := lq.bound.Rebind(ctx, ncdb.Restrict(lq.rels))
 		if err != nil {
 			return fmt.Errorf("rebind %s: %w", lq.name, err)
 		}
@@ -796,9 +834,9 @@ func (s *Store) stage(ctx context.Context, batch *storage.Delta, version uint64)
 		st := staged{lq: lq, bound: nb, count: count}
 		// The tuple-level diff exists only to feed notifications and the
 		// resume ring; without history, an unwatched query pays the O(delta)
-		// incremental count and nothing else. With history every query pays
-		// the diff — the ring must hold changes for watchers that have not
-		// connected yet.
+		// incremental count and nothing else. With history every staged query
+		// pays the diff — the ring must hold changes for watchers that have
+		// not connected yet.
 		if lq.watchers.Load() > 0 || s.cfg.History > 0 {
 			added, removed, err := nb.DiffFrom(ctx, lq.bound)
 			if err != nil {
@@ -894,8 +932,8 @@ func parStage(ctx context.Context, par, n int, f func(context.Context, int) erro
 // commitLocked makes a staged flush visible: snapshot swap, per-query state,
 // broadcast rings, and — when fanout is set — subscriber wake-ups. The
 // caller holds BOTH flushMu and mu; everything here is pointer swaps and
-// ring bookkeeping, so the mu hold is O(registry + subscribers), independent
-// of batch and result sizes. Recovery replay commits with fanout=false
+// ring bookkeeping, so the mu hold is O(staged queries + their subscribers),
+// independent of the registry and of batch and result sizes. Recovery replay commits with fanout=false
 // (there is nobody to notify yet, but the rings must fill so pre-crash
 // cursors can resume).
 func (s *Store) commitLocked(st stagedFlush, fanout bool) {
@@ -1108,12 +1146,13 @@ type QueryBackpressure struct {
 // nanosecond counters divide by Stats.Flushes for means; the Last* values
 // are the most recent flush. LockHoldNs is the store-mutex hold time of the
 // flush path only (batch take + commit) — the flat-tail claim of the
-// O(change) flush design is that MaxLockHoldNs stays O(registry +
+// O(change) flush design is that MaxLockHoldNs stays O(staged queries +
 // notification size) while StageNs carries all the data-dependent work.
 // LastStagePar is the worker count the most recent stage fanned its
-// per-query work over (bounded by the engine's Parallelism and the registry
-// size); StagedQueries counts per-query stage tasks cumulatively, so
-// StagedQueries/Flushes is the mean fan-out width.
+// per-query work over (bounded by the engine's Parallelism and the number of
+// queries staged); StagedQueries counts the queries actually staged — those
+// reading a relation of the flushed batch — cumulatively, so
+// StagedQueries/Flushes is the mean number of queries a flush reaches.
 type FlushStats struct {
 	StageNs       uint64 `json:"stage_ns"`
 	CommitNs      uint64 `json:"commit_ns"`

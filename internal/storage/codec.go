@@ -207,7 +207,11 @@ func DecodeDelta(payload []byte) (*Delta, error) {
 }
 
 // EncodeDB streams a compiled snapshot: the dictionary prefix the snapshot's
-// tables can reference, then every table's flat interned data. The dictionary
+// tables can reference, then every table's interned rows in Scan order —
+// storage order for a flat table, the row map's order for a persistent one,
+// which is a function of the content: how a persistent table got to its
+// content (which deltas, in which order, with what churn in between) does not
+// show in the bytes. The dictionary
 // is captured first (its length bounds every Value the tables may hold — the
 // dictionary is append-only, so a concurrent Apply interning new constants
 // never invalidates the prefix being written); the caller may therefore
@@ -239,31 +243,47 @@ func EncodeDB(w io.Writer, db *DB) error {
 		return err
 	}
 	for _, rel := range rels {
-		t := db.tables[rel]
+		t := db.Table(rel)
+		stride := max(t.Arity, 1) // a nullary row is written as one sentinel
 		b := AppendString(scratch[:0], rel)
 		b = AppendUvarint(b, uint64(t.Arity))
-		b = AppendUvarint(b, uint64(t.dataLen()))
+		b = AppendUvarint(b, uint64(t.Rows()*stride))
 		if err := put(b); err != nil {
 			return err
 		}
-		// Rows are written in global row order across both layouts; DecodeDB
-		// always rebuilds flat, and a recovered table re-partitions on its
-		// first large Apply (the partitioning is a cache, not canon).
-		for _, seg := range t.segments() {
-			for _, v := range seg {
-				if err := put(AppendUvarint(scratch[:0], uint64(uint32(v)))); err != nil {
-					return err
-				}
+		// Rows are encoded into chunks rather than written value by value:
+		// a checkpoint runs inside the flush pipeline, and a Write per value
+		// is most of what it would cost.
+		var err error
+		sentinel := []Value{0}
+		chunk := scratch[:0]
+		t.Scan(func(row []Value) {
+			if t.Arity == 0 {
+				row = sentinel
 			}
+			for _, v := range row {
+				chunk = AppendUvarint(chunk, uint64(uint32(v)))
+			}
+			if len(chunk) >= 4096 && err == nil {
+				err = put(chunk)
+				chunk = chunk[:0]
+			}
+		})
+		if err == nil {
+			err = put(chunk)
 		}
+		if err != nil {
+			return err
+		}
+		scratch = chunk // keep the grown buffer for the next table
 	}
 	return bw.Flush()
 }
 
 // DecodeDB reconstructs a compiled snapshot written by EncodeDB: a fresh
 // dictionary holding exactly the encoded names (interning on top of it is
-// append-only, as always) and fresh tables. Indexes, statistics and lineage
-// are not part of the snapshot — they are caches, rebuilt lazily on use.
+// append-only, as always) and fresh flat tables. Indexes and statistics are
+// not part of the snapshot — they are caches, rebuilt lazily on use.
 func DecodeDB(r io.Reader) (*DB, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, len(snapMagic))
@@ -320,15 +340,18 @@ func DecodeDB(r io.Reader) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &DB{Dict: dict, tables: make(map[string]*Table, nTables)}
+	out := newDB(dict)
+	dir := out.tables.Edit()
+	seen := make(map[string]bool, min(nTables, 1024))
 	for i := 0; i < nTables; i++ {
 		name, err := str("table name")
 		if err != nil {
 			return nil, err
 		}
-		if _, dup := out.tables[name]; dup {
+		if seen[name] {
 			return nil, fmt.Errorf("storage: snapshot repeats table %s", name)
 		}
+		seen[name] = true
 		arity, err := count("arity")
 		if err != nil {
 			return nil, err
@@ -355,8 +378,9 @@ func DecodeDB(r io.Reader) (*DB, error) {
 			}
 			t.Data[j] = Value(v)
 		}
-		out.tables[name] = t
+		out.put(dir, name, t)
 	}
+	out.tables = dir.Freeze()
 	return out, nil
 }
 

@@ -107,9 +107,9 @@ func TestDBCodecRoundTrip(t *testing.T) {
 	}
 	for _, rel := range db.Relations() {
 		gt, wt := got.Table(rel), db.Table(rel)
-		if gt.Arity != wt.Arity || !reflect.DeepEqual(gt.Data, wt.Data) {
-			t.Fatalf("table %s: arity %d data %v, want arity %d data %v",
-				rel, gt.Arity, gt.Data, wt.Arity, wt.Data)
+		if gt.Arity != wt.Arity || !tuplesEqual(tableTuples(gt, got.Dict), tableTuples(wt, db.Dict)) {
+			t.Fatalf("table %s: arity %d rows %v, want arity %d rows %v",
+				rel, gt.Arity, keys(tableTuples(gt, got.Dict)), wt.Arity, keys(tableTuples(wt, db.Dict)))
 		}
 	}
 	// The decoded snapshot is live: Apply works on top of it.

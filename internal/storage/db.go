@@ -9,92 +9,94 @@ import (
 	"d2cq/internal/cq"
 )
 
-// Table is one compiled relation: tuples interned and laid out flat, row i
-// occupying Data[i*Arity:(i+1)*Arity]. Large relations use a tuple-hash
-// partitioned layout instead (see partition.go): Data is nil and parts holds
-// the rows, each partition itself flat, with row i living at global position
-// partOff[p] + (local index) so Apply can rewrite only touched partitions.
-// The tuple data is immutable either way after Compile/Apply; the lazily
-// built per-column-set indexes and statistics are guarded by a mutex, so a
+// Table is one compiled relation, a set of interned tuples, in one of two
+// forms. The flat form is what Compile, DecodeDB and a delta rewriting most
+// of a relation produce: row i occupies Data[i*Arity:(i+1)*Arity], the
+// cheapest thing to build and scan. The persistent form is what a small
+// delta produces: the rows are the keys of a PMap (Data is nil), so the
+// successor shares every untouched trie node with its parent and costs one
+// root-to-leaf path per tuple. A flat table becomes persistent at its first
+// small delta (RowMap builds the map once and caches it on the flat table);
+// DB.Apply states the rule. The tuple data is immutable either way; the
+// lazily built indexes, statistics and row map are guarded by a mutex, so a
 // Table is safe for concurrent use.
 type Table struct {
 	Name  string
 	Arity int
 	Data  []Value
 
-	parts   [][]Value // tuple-hash partitions; nil for the flat layout
-	partOff []int     // cumulative row offsets, len(parts)+1 entries
+	rows *PMap[struct{}] // the persistent form's rows; nil for a flat table
 
 	mu      sync.Mutex
+	asMap   *PMap[struct{}] // a flat table's rows as a map, built on first RowMap
 	indexes map[string]*Index
 	stats   *TableStats
 }
 
+// Flat reports whether the table is in the flat form.
+func (t *Table) Flat() bool { return t.rows == nil }
+
 // Rows returns the number of tuples.
 func (t *Table) Rows() int {
-	if t.parts != nil {
-		return t.partOff[len(t.parts)]
-	}
-	if t.Arity == 0 {
-		return len(t.Data)
+	switch {
+	case t.rows != nil:
+		return t.rows.Len()
+	case t.Arity == 0:
+		return len(t.Data) // nullary tables store one sentinel per row
 	}
 	return len(t.Data) / t.Arity
 }
 
-// Row returns the i-th tuple as a slice view (do not mutate). Partitioned
-// tables pay a binary search per call; full scans should use Scan.
-func (t *Table) Row(i int) []Value {
-	if t.parts != nil {
-		p := sort.SearchInts(t.partOff, i+1) - 1
-		j := i - t.partOff[p]
-		return t.parts[p][j*t.Arity : (j+1)*t.Arity]
-	}
-	return t.Data[i*t.Arity : (i+1)*t.Arity]
-}
-
-// Scan calls f for every row in global row order — the allocation-free full
-// scan that works across both layouts without Row's per-call partition
-// search. The row slice is a view; do not mutate or retain it across calls.
+// Scan calls f for every row — in storage order for a flat table, in the
+// map's (content-determined) order for a persistent one. The row slice is a
+// view; do not mutate or retain it across calls.
 func (t *Table) Scan(f func(row []Value)) {
-	if t.parts == nil {
-		n := t.Rows()
-		for i := 0; i < n; i++ {
-			f(t.Row(i))
-		}
+	if t.rows != nil {
+		t.rows.Range(func(row []Value, _ struct{}) bool {
+			f(row)
+			return true
+		})
 		return
 	}
-	a := t.Arity
-	for _, part := range t.parts {
-		for i := 0; i+a <= len(part); i += a {
-			f(part[i : i+a])
-		}
+	a, n := t.Arity, t.Rows()
+	for i := 0; i < n; i++ {
+		f(t.Data[i*a : (i+1)*a])
 	}
 }
 
-// Partitions returns the number of tuple-hash partitions (0 for the flat
-// layout) — layout introspection for stats and tests.
-func (t *Table) Partitions() int { return len(t.parts) }
-
-// segments returns the row storage as flat chunks in global row order: the
-// single Data slice for flat tables, the partitions otherwise.
-func (t *Table) segments() [][]Value {
-	if t.parts != nil {
-		return t.parts
-	}
-	return [][]Value{t.Data}
+// RowMap returns the table's rows as a persistent set: the table's own map
+// in the persistent form, a conversion built once — O(rows) — and cached for
+// a flat table. Successors derived from it by Apply share its structure, so
+// PMap.Diff between a table's map and a descendant's costs O(change).
+func (t *Table) RowMap() *PMap[struct{}] {
+	m, _ := t.rowMap()
+	return m
 }
 
-// dataLen returns the total number of stored values (rows × stride, where
-// the stride is max(Arity, 1) — nullary tables store one sentinel per row).
-func (t *Table) dataLen() int {
-	if t.parts == nil {
-		return len(t.Data)
+// rowMap is RowMap, also reporting whether this call paid for the conversion.
+func (t *Table) rowMap() (m *PMap[struct{}], built bool) {
+	if t.rows != nil {
+		return t.rows, false
 	}
-	n := 0
-	for _, p := range t.parts {
-		n += len(p)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.asMap == nil {
+		m := NewPMap[struct{}](t.Arity).Edit()
+		t.Scan(func(row []Value) { m.Set(row, struct{}{}) })
+		t.asMap, built = m.Freeze(), true
 	}
-	return n
+	return t.asMap, built
+}
+
+// flatData returns the rows laid out flat: Data itself for a flat table, a
+// fresh listing for a persistent one.
+func (t *Table) flatData() []Value {
+	if t.rows == nil {
+		return t.Data
+	}
+	data := make([]Value, 0, t.Rows()*t.Arity)
+	t.Scan(func(row []Value) { data = append(data, row...) })
+	return data
 }
 
 // colsKey renders a column set as a cache key.
@@ -123,12 +125,7 @@ func (t *Table) Index(cols ...int) *Index {
 		return ix
 	}
 	t.mu.Unlock()
-	var ix *Index
-	if t.parts != nil {
-		ix = buildIndexParts(t.parts, t.partOff, t.Arity, cols)
-	} else {
-		ix = BuildIndex(t.Data, t.Arity, cols)
-	}
+	ix := BuildIndex(t.flatData(), t.Arity, cols)
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if cached, ok := t.indexes[key]; ok {
@@ -173,26 +170,46 @@ func (t *Table) Stats() TableStats {
 }
 
 // DB is a compiled database: every constant interned through one shared
-// dictionary, every relation laid out as a flat Table. After Compile the
-// tuple data and the dictionary are never mutated, so one DB serves any
-// number of concurrent bound evaluations.
+// dictionary, every relation a Table. A DB is an immutable snapshot: Apply
+// returns a successor sharing the dictionary, every untouched table and all
+// of the relation directory but one root-to-leaf path per touched relation,
+// so one DB serves any number of concurrent bound evaluations while newer
+// snapshots are derived from it.
 type DB struct {
-	Dict   *Dict
-	tables map[string]*Table
+	Dict *Dict
 
-	// lineage records, per relation Apply actually changed, the row-level
-	// delta from the parent snapshot (see TableDelta). Each step chains to
-	// the previous snapshot's step (bounded; see chainLineage), so a
-	// consumer holding an older ancestor can compose the walk with
-	// LineageFrom instead of rescanning.
-	lineage map[string]*TableDelta
+	// The relation directory: names are numbered by a dictionary the whole
+	// snapshot lineage shares (append-only, like Dict), and the tables sit in
+	// a persistent map under their relation's number. A name numbered by a
+	// later snapshot is simply absent from this one's map.
+	rels   *Dict
+	tables *PMap[*Table]
+
+	applyRows uint64 // see ApplyRows
+}
+
+// newDB returns an empty database over the given dictionary.
+func newDB(dict *Dict) *DB {
+	return &DB{Dict: dict, rels: NewDict(), tables: NewPMap[*Table](1)}
+}
+
+// put installs t under name in dir, an open edit of db's relation directory,
+// or removes the relation when t is nil.
+func (db *DB) put(dir *PMap[*Table], name string, t *Table) {
+	key := [1]Value{db.rels.Intern(name)}
+	if t == nil {
+		dir.Delete(key[:])
+	} else {
+		dir.Set(key[:], t)
+	}
 }
 
 // Compile interns an entire cq.Database once. It fails if a relation holds
 // tuples of differing arities — a compiled table needs one flat layout, and
 // such a relation could never validate against any query atom anyway.
 func Compile(db cq.Database) (*DB, error) {
-	out := &DB{Dict: NewDict(), tables: make(map[string]*Table, len(db))}
+	out := newDB(NewDict())
+	dir := out.tables.Edit()
 	// Deterministic interning order: sorted relation names.
 	names := make([]string, 0, len(db))
 	for name := range db {
@@ -225,38 +242,64 @@ func Compile(db cq.Database) (*DB, error) {
 		if err != nil {
 			return nil, err
 		}
-		out.tables[name] = t
+		out.put(dir, name, t)
 	}
+	out.tables = dir.Freeze()
 	return out, nil
 }
 
 // Table returns the compiled relation of the given name, or nil when the
 // relation is absent (equivalently: empty).
-func (db *DB) Table(name string) *Table { return db.tables[name] }
+func (db *DB) Table(name string) *Table {
+	id, ok := db.rels.Lookup(name)
+	if !ok {
+		return nil
+	}
+	key := [1]Value{id}
+	t, _ := db.tables.Get(key[:])
+	return t
+}
 
-// Lineage returns the row-level delta of the named relation across the Apply
-// that produced this snapshot, or nil when that Apply did not change the
-// relation (or the snapshot came from Compile). The caller must check that
-// TableDelta.Parent is the table it holds before patching from the lineage;
-// for a consumer several Applies back, LineageFrom composes the chain.
-func (db *DB) Lineage(name string) *TableDelta { return db.lineage[name] }
+// Restrict returns a snapshot holding only the named relations of db,
+// sharing their tables, the dictionary and the relation numbering: whoever
+// holds it keeps those tables alive and nothing else of db.
+func (db *DB) Restrict(relations []string) *DB {
+	out := &DB{Dict: db.Dict, rels: db.rels}
+	dir := NewPMap[*Table](1).Edit()
+	for _, name := range relations {
+		if t := db.Table(name); t != nil {
+			out.put(dir, name, t)
+		}
+	}
+	out.tables = dir.Freeze()
+	return out
+}
+
+// ApplyRows returns the number of rows the Apply that produced this snapshot
+// hashed, probed or copied — interned delta tuples, trie entries moved by
+// path copies (the relation directory's included), and every row of a table
+// it converted or rewrote whole. Zero for a snapshot from Compile or
+// DecodeDB. For a fixed small delta it must not grow with the relation or
+// with the number of relations (a test holds it to that).
+func (db *DB) ApplyRows() uint64 { return db.applyRows }
 
 // Relations returns the compiled relation names, sorted.
 func (db *DB) Relations() []string {
-	names := make([]string, 0, len(db.tables))
-	for name := range db.tables {
-		names = append(names, name)
-	}
+	names := make([]string, 0, db.tables.Len())
+	db.tables.Range(func(_ []Value, t *Table) bool {
+		names = append(names, t.Name)
+		return true
+	})
 	sort.Strings(names)
 	return names
 }
 
 // RelationTuples returns the named relation's tuples decoded back to
-// constant strings, in global row order; nil when the relation is absent.
-// The sharded live router uses it to replicate a relation into the shard a
-// cross-shard query is pinned to.
+// constant strings; nil when the relation is absent. The sharded live router
+// uses it to replicate a relation into the shard a cross-shard query is
+// pinned to.
 func (db *DB) RelationTuples(name string) [][]string {
-	t := db.tables[name]
+	t := db.Table(name)
 	if t == nil {
 		return nil
 	}
@@ -280,9 +323,10 @@ type DBStats struct {
 
 // Stats returns the compiled database summary.
 func (db *DB) Stats() DBStats {
-	st := DBStats{Relations: len(db.tables), Constants: db.Dict.Len()}
-	for _, t := range db.tables {
+	st := DBStats{Relations: db.tables.Len(), Constants: db.Dict.Len()}
+	db.tables.Range(func(_ []Value, t *Table) bool {
 		st.Tuples += t.Rows()
-	}
+		return true
+	})
 	return st
 }

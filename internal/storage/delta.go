@@ -246,118 +246,61 @@ func (d *Delta) ApplyToDatabase(db cq.Database) {
 	}
 }
 
-// TableDelta is the row-level lineage of one relation across a single Apply:
-// the interned rows removed from the parent snapshot's table and the net-new
-// rows added to it, both laid out flat like a table's row storage. Parent +
-// lineage determine the child table's CONTENT without a scan — the contract
-// incremental atom rebinding relies on. Row order is layout-dependent: a
-// flat child keeps the surviving parent rows in order with the added rows
-// after them, while a tuple-hash partitioned child (see partition.go) adds
-// rows at the end of their own partitions, interleaving survivors and added
-// rows in the global order. Every lineage consumer composes and patches
-// set-wise, so only order differs between layouts, never content. Parent is
-// the relation's table in the parent snapshot (nil when the relation was
-// empty).
-type TableDelta struct {
-	Parent  *Table
-	Arity   int
-	Added   []Value
-	Removed []Value
-
-	// Prev chains to the lineage step that produced Parent from ITS parent,
-	// so a consumer holding a table several Applies back can compose the
-	// steps into one delta (DB.LineageFrom). Apply bounds the chain — by
-	// depth and by cumulative delta size relative to the new table — and
-	// truncates (Prev = nil) past the bound, so the ancestor tables a chain
-	// pins and the compose cost both stay proportional to recent change.
-	Prev *TableDelta
-	// depth and cumRows describe the chain ending at this step (inclusive):
-	// number of links and total added+removed rows. Maintained by Apply so
-	// the chaining bound is O(1) to check. age counts how many Applies have
-	// carried this entry forward untouched (see Apply); past maxLineageDepth
-	// the entry is dropped so stale chains stop pinning ancestor tables.
-	depth   int
-	cumRows int
-	age     int
-}
-
-// AddedRows and RemovedRows return the row counts of the lineage.
-func (td *TableDelta) AddedRows() int   { return rowCount(td.Added, td.Arity) }
-func (td *TableDelta) RemovedRows() int { return rowCount(td.Removed, td.Arity) }
-
-func rowCount(data []Value, arity int) int {
-	if arity == 0 {
-		return len(data)
-	}
-	return len(data) / arity
-}
-
 // Apply produces a new database snapshot with the delta applied. The new DB
-// shares the dictionary and every untouched Table with its parent —
-// copy-on-write at relation granularity — so the cost is proportional to the
-// touched relations plus the delta, never the whole database. New constants
-// are interned into the shared dictionary, which is append-friendly: the
-// parent snapshot is completely unaffected and both snapshots stay live and
-// safe for concurrent reads. A touched relation whose content does not
-// actually change (all deletes absent, all inserts present) keeps its old
-// Table pointer, so downstream pointer-diffing sees a precise dirty set. For
-// every relation that did change, the new snapshot records the row-level
-// lineage (see Lineage), so one-step descendants can be maintained in
-// O(delta) instead of O(relation).
+// shares the dictionary, every untouched Table and the relation directory
+// with its parent, so a small delta costs time proportional to the delta —
+// not to the touched relations, nor to the number of relations. New
+// constants are interned into the shared dictionary, which is
+// append-friendly: the parent snapshot is completely unaffected and both
+// snapshots stay live and safe for concurrent reads. A touched relation
+// whose content does not actually change (all deletes absent, all inserts
+// present) keeps its old Table pointer, so downstream pointer-diffing sees a
+// precise dirty set; what did change in a relation is read off the two
+// tables (DiffTables).
+//
+// One rule picks a touched relation's form. A delta listing at least as many
+// tuples as the relation holds rewrites it flat — that costs no more than a
+// constant times the delta, and is what a bulk load into an empty or small
+// relation wants. Any smaller delta edits the relation's persistent row map,
+// one root-to-leaf path per tuple, converting a flat table first (once: the
+// conversion is cached on it, see Table.RowMap).
+//
+// Every relation of the delta is validated before anything is interned, so a
+// failed Apply leaves the shared dictionary as it found it.
 func (db *DB) Apply(delta *Delta) (*DB, error) {
-	out := &DB{Dict: db.Dict, tables: make(map[string]*Table, len(db.tables)+delta.Size())}
-	for name, t := range db.tables {
-		out.tables[name] = t
-	}
+	out := &DB{Dict: db.Dict, rels: db.rels, tables: db.tables}
 	if delta.Empty() { // nil-safe: a nil delta is an empty delta
 		return out, nil
 	}
-	// Carry forward the lineage of relations this Apply does not touch: their
-	// table pointer does not move, so the recorded chain still describes the
-	// delta from its ancestor to the current table, and a consumer rebinding
-	// several Applies late can still patch instead of rescanning. Ageing the
-	// carried entries out after maxLineageDepth Applies bounds how long a
-	// chain can pin its ancestor tables.
-	for name, td := range db.lineage {
-		if td.age >= maxLineageDepth {
-			continue
-		}
-		cp := *td // struct copy; row slices are immutable and safely shared
-		cp.age++
-		if out.lineage == nil {
-			out.lineage = map[string]*TableDelta{}
-		}
-		out.lineage[name] = &cp
-	}
-	for _, name := range delta.Relations() {
-		old := db.tables[name]
-		nt, td, err := applyToTable(name, old, db.Dict, delta.Insert[name], delta.Delete[name])
-		if err != nil {
+	rels := delta.Relations()
+	olds, arities := make([]*Table, len(rels)), make([]int, len(rels))
+	for i, name := range rels {
+		var err error
+		olds[i] = db.Table(name)
+		if arities[i], err = deltaArity(name, olds[i], delta.Insert[name], delta.Delete[name]); err != nil {
 			return nil, err
 		}
-		if td == nil {
-			continue
+	}
+	dir := db.tables.Edit()
+	for i, name := range rels {
+		if arities[i] < 0 {
+			continue // deletes against an empty relation: vacuous at any arity
 		}
-		if out.lineage == nil {
-			out.lineage = map[string]*TableDelta{}
-		}
-		chainLineage(td, db.lineage[name], nt)
-		out.lineage[name] = td
-		if nt == nil {
-			delete(out.tables, name)
-		} else {
-			out.tables[name] = nt
+		nt := applyToTable(name, olds[i], arities[i], db.Dict, delta.Insert[name], delta.Delete[name], &out.applyRows)
+		if nt != olds[i] {
+			db.put(dir, name, nt)
 		}
 	}
+	out.applyRows += uint64(dir.Copied())
+	out.tables = dir.Freeze()
 	return out, nil
 }
 
-// applyToTable computes the new compiled table of one relation under a set of
-// insertions and deletions. old may be nil (relation currently empty); the
-// returned table is nil when the relation ends up empty. The returned lineage
-// is nil when the relation's content does not actually differ from old — the
-// caller then keeps the old pointer.
-func applyToTable(name string, old *Table, dict *Dict, inserts, deletes [][]string) (_ *Table, _ *TableDelta, err error) {
+// deltaArity returns the arity one relation's share of a delta must have —
+// the table's, else the first insert's, else -1 (deletes against an absent
+// relation match nothing whatever their arity) — or the error of a tuple
+// that disagrees with it.
+func deltaArity(name string, old *Table, inserts, deletes [][]string) (int, error) {
 	arity := -1
 	if old != nil {
 		arity = old.Arity
@@ -367,56 +310,92 @@ func applyToTable(name string, old *Table, dict *Dict, inserts, deletes [][]stri
 			arity = len(tuple)
 		}
 		if len(tuple) != arity {
-			return nil, nil, fmt.Errorf("storage: relation %s mixes arities %d and %d", name, arity, len(tuple))
+			return 0, fmt.Errorf("storage: relation %s mixes arities %d and %d", name, arity, len(tuple))
 		}
 	}
 	if arity < 0 {
-		// Deletes against an empty relation: nothing to do, any arity is a
-		// vacuous match.
-		return nil, nil, nil
+		return -1, nil
 	}
 	for _, tuple := range deletes {
 		if len(tuple) != arity {
-			return nil, nil, fmt.Errorf("storage: relation %s delete has arity %d, want %d", name, len(tuple), arity)
+			return 0, fmt.Errorf("storage: relation %s delete has arity %d, want %d", name, len(tuple), arity)
 		}
 	}
+	return arity, nil
+}
 
+// lookupTuple resolves a delete tuple's constants into buf without interning
+// (deletes must not grow the dictionary); ok=false when some constant is
+// unknown to the dictionary, so the tuple cannot match anything.
+func lookupTuple(dict *Dict, tuple []string, buf []Value) bool {
+	for i, c := range tuple {
+		v, found := dict.Lookup(c)
+		if !found {
+			return false
+		}
+		buf[i] = v
+	}
+	return true
+}
+
+// internTuple interns an insert tuple's constants into buf.
+func internTuple(dict *Dict, tuple []string, buf []Value) {
+	for i, c := range tuple {
+		buf[i] = dict.Intern(c)
+	}
+}
+
+// applyToTable computes the new table of one relation under a set of
+// validated insertions and deletions, by Apply's rule. old may be nil
+// (relation currently empty); the result is nil when the relation ends up
+// empty and old itself when its content does not change. touched accumulates
+// the rows hashed, probed or copied.
+func applyToTable(name string, old *Table, arity int, dict *Dict, inserts, deletes [][]string, touched *uint64) *Table {
 	oldRows := 0
 	if old != nil {
 		oldRows = old.Rows()
 	}
-
-	// Large relations take the tuple-hash partitioned path, which rewrites
-	// only the partitions the delta touches. Hysteresis both ways: a flat
-	// table partitions once it would reach partitionMinRows, a partitioned
-	// table flattens only after shrinking well below it (see partition.go).
-	if arity > 0 {
-		parted := old != nil && old.parts != nil
-		if parted && oldRows+len(inserts) >= partitionMinRows/partitionHysteresis {
-			return applyPartitioned(name, old, dict, inserts, deletes, arity)
-		}
-		if !parted && oldRows+len(inserts) >= partitionMinRows {
-			return applyPartitioned(name, old, dict, inserts, deletes, arity)
+	switch n := len(inserts) + len(deletes); {
+	case n == 0:
+		return old
+	case n >= oldRows:
+		return rewriteFlat(name, old, oldRows, arity, dict, inserts, deletes, touched)
+	}
+	base, built := old.rowMap()
+	if built {
+		*touched += uint64(oldRows)
+	}
+	rows := base.Edit()
+	buf := make([]Value, arity)
+	changed := false
+	for _, tuple := range deletes {
+		if lookupTuple(dict, tuple, buf) && rows.Delete(buf) {
+			changed = true
 		}
 	}
+	for _, tuple := range inserts {
+		internTuple(dict, tuple, buf)
+		if !rows.Has(buf) {
+			rows.Set(buf, struct{}{})
+			changed = true
+		}
+	}
+	*touched += uint64(len(inserts) + len(deletes) + rows.Copied())
+	if !changed {
+		return old
+	}
+	return &Table{Name: name, Arity: arity, rows: rows.Freeze()}
+}
 
-	// Interned delete set. A delete tuple with a constant the dictionary has
-	// never seen cannot match anything; skip it without interning (deletes
-	// must not grow the dictionary).
+// rewriteFlat is applyToTable for a delta at least the size of the relation:
+// the survivors and the genuinely new inserts, laid out flat.
+func rewriteFlat(name string, old *Table, oldRows, arity int, dict *Dict, inserts, deletes [][]string, touched *uint64) *Table {
+	*touched += uint64(oldRows + len(inserts) + len(deletes))
+	buf := make([]Value, arity)
 	var del *TupleMap
-	if len(deletes) > 0 && old != nil {
-		buf := make([]Value, arity)
+	if oldRows > 0 {
 		for _, tuple := range deletes {
-			ok := true
-			for i, c := range tuple {
-				v, found := dict.Lookup(c)
-				if !found {
-					ok = false
-					break
-				}
-				buf[i] = v
-			}
-			if !ok {
+			if !lookupTuple(dict, tuple, buf) {
 				continue
 			}
 			if del == nil {
@@ -425,60 +404,66 @@ func applyToTable(name string, old *Table, dict *Dict, inserts, deletes [][]stri
 			del.Insert(buf)
 		}
 	}
-
-	// Surviving rows of the old table, then the genuinely new inserts. The
-	// membership map over the old rows is only built when needed (pure-delete
-	// deltas skip it).
-	stride := arity
-	if arity == 0 {
-		stride = 1 // sentinel layout of nullary tables
-	}
-	data := make([]Value, 0, oldRows*stride+len(inserts)*stride)
+	// The membership map over the surviving rows is only built when needed
+	// (pure-delete deltas skip it).
+	data := make([]Value, 0, (oldRows+len(inserts))*max(arity, 1)) // a nullary row is one sentinel
 	var present *TupleMap
 	if len(inserts) > 0 {
 		present = NewTupleMap(arity, oldRows+len(inserts))
 	}
-	var removed []Value
-	for i := 0; i < oldRows; i++ {
-		var row []Value
-		if old != nil {
-			row = old.Row(i)
-		}
-		if del != nil && del.Find(row) >= 0 {
-			removed = append(removed, row...)
-			if arity == 0 {
-				removed = append(removed, 0)
-			}
-			continue
-		}
+	appendRow := func(row []Value) {
 		data = append(data, row...)
 		if arity == 0 {
 			data = append(data, 0)
 		}
-		if present != nil {
-			present.Insert(row)
-		}
 	}
-	addedFrom := len(data)
-	ibuf := make([]Value, arity)
+	removed := false
+	if old != nil {
+		old.Scan(func(row []Value) {
+			if del != nil && del.Find(row) >= 0 {
+				removed = true
+				return
+			}
+			appendRow(row)
+			if present != nil {
+				present.Insert(row)
+			}
+		})
+	}
+	survivors := len(data)
 	for _, tuple := range inserts {
-		for i, c := range tuple {
-			ibuf[i] = dict.Intern(c)
-		}
-		if _, isNew := present.Insert(ibuf); !isNew {
-			continue
-		}
-		data = append(data, ibuf...)
-		if arity == 0 {
-			data = append(data, 0)
+		internTuple(dict, tuple, buf)
+		if _, isNew := present.Insert(buf); isNew {
+			appendRow(buf)
 		}
 	}
-	if len(removed) == 0 && len(data) == addedFrom {
-		return old, nil, nil
+	switch {
+	case !removed && len(data) == survivors:
+		return old
+	case len(data) == 0:
+		return nil
 	}
-	td := &TableDelta{Parent: old, Arity: arity, Added: data[addedFrom:], Removed: removed}
-	if len(data) == 0 {
-		return nil, td, nil
+	return &Table{Name: name, Arity: arity, Data: data}
+}
+
+// DiffTables reports how the rows of cur differ from those of old: gone is
+// called for every row of old that cur lacks, came for every row of cur that
+// old lacks. Either table may be nil (the empty relation). The rows are
+// compared through the tables' row maps, so between a table and a descendant
+// produced by small deltas the cost is proportional to the change (PMap.Diff
+// skips what the two share); a flat table is converted first (Table.RowMap).
+// It returns the number of rows it looked at. The row slices are views: copy
+// to retain.
+func DiffTables(old, cur *Table, gone, came func(row []Value)) int {
+	switch {
+	case old == cur:
+		return 0
+	case old == nil:
+		cur.Scan(came)
+		return cur.Rows()
+	case cur == nil:
+		old.Scan(gone)
+		return old.Rows()
 	}
-	return &Table{Name: name, Arity: arity, Data: data}, td, nil
+	return cur.RowMap().Diff(old.RowMap(), gone, came)
 }

@@ -25,9 +25,9 @@ import (
 //     (the dirtiness protocol of BoundQuery.Rebind depends on it);
 //   - the parent snapshot's tables are bit-identical afterwards
 //     (copy-on-write: Apply never mutates the receiver);
-//   - every changed relation carries row-level lineage whose Parent is the
-//     old table and which reconstructs the new table exactly (survivors in
-//     order, added rows appended);
+//   - DiffTables between the old and the new table of every relation lists
+//     exactly the rows that left and the rows that came (the old rows minus
+//     the first plus the second are the new rows, as sets);
 //   - Delta.Merge is equivalent to sequential application: folding the whole
 //     script into one delta and applying it to the initial snapshot yields
 //     the same database as the step-by-step chain, at every delta boundary;
@@ -191,13 +191,10 @@ func checkCoalesced(t *testing.T, got, want *Delta) {
 	}
 }
 
-// checkLineage asserts the row-level lineage contract of one Apply step:
-// changed relations carry a TableDelta whose Parent is the old table;
-// unchanged relations may carry an entry carried forward from an earlier
-// step (its Parent then is an older ancestor). Every entry, fresh or
-// carried, must reconstruct the current table exactly from its own Parent
-// (surviving parent rows in order, added rows appended).
-func checkLineage(t *testing.T, cur, next *DB, delta *Delta) {
+// checkTableDiff asserts the DiffTables contract of one Apply step for every
+// relation of either snapshot: the reported gone rows are rows of the old
+// table, the came rows are not, and old ∖ gone ∪ came is the new table.
+func checkTableDiff(t *testing.T, cur, next *DB, delta *Delta) {
 	t.Helper()
 	names := map[string]bool{}
 	for _, n := range cur.Relations() {
@@ -206,46 +203,30 @@ func checkLineage(t *testing.T, cur, next *DB, delta *Delta) {
 	for _, n := range next.Relations() {
 		names[n] = true
 	}
-	for _, n := range delta.Relations() {
-		names[n] = true
+	key := func(row []Value) string {
+		parts := make([]string, len(row))
+		for j, v := range row {
+			parts[j] = next.Dict.Name(v)
+		}
+		return strings.Join(parts, "\x00")
 	}
 	for name := range names {
 		oldT, newT := cur.Table(name), next.Table(name)
-		lin := next.Lineage(name)
-		if lin == nil {
-			if oldT != newT {
-				t.Fatalf("relation %s changed without lineage", name)
+		rec := tableTuples(oldT, cur.Dict)
+		DiffTables(oldT, newT, func(row []Value) {
+			if rec[key(row)] != 1 {
+				t.Fatalf("relation %s: diff reports %q gone, which the old table does not hold", name, key(row))
 			}
-			continue
-		}
-		if oldT != newT && lin.Parent != oldT {
-			t.Fatalf("relation %s lineage parent is not the old table", name)
-		}
-		stride := lin.Arity
-		if stride == 0 {
-			stride = 1 // sentinel layout of nullary tables
-		}
-		rm := NewTupleMap(stride, lin.RemovedRows())
-		for i := 0; i+stride <= len(lin.Removed); i += stride {
-			rm.Insert(lin.Removed[i : i+stride])
-		}
-		var rec []Value
-		if lin.Parent != nil {
-			for i := 0; i+stride <= len(lin.Parent.Data); i += stride {
-				row := lin.Parent.Data[i : i+stride]
-				if rm.Find(row) >= 0 {
-					continue
-				}
-				rec = append(rec, row...)
+			delete(rec, key(row))
+		}, func(row []Value) {
+			if rec[key(row)] != 0 {
+				t.Fatalf("relation %s: diff reports %q came, which the old table already holds", name, key(row))
 			}
-		}
-		rec = append(rec, lin.Added...)
-		var got []Value
-		if newT != nil {
-			got = newT.Data
-		}
-		if !slices.Equal(rec, got) {
-			t.Fatalf("relation %s: lineage reconstructs %v, new table holds %v", name, rec, got)
+			rec[key(row)] = 1
+		})
+		if got := tableTuples(newT, next.Dict); !tuplesEqual(rec, got) {
+			t.Fatalf("relation %s: old rows patched by the diff are %v, new table holds %v (delta %v/%v)",
+				name, keys(rec), keys(got), delta.Insert, delta.Delete)
 		}
 	}
 }
@@ -262,7 +243,7 @@ func applyAndCheck(t *testing.T, cur *DB, mirror cq.Database, delta *Delta) (*DB
 	if err != nil {
 		t.Fatalf("Apply: %v", err)
 	}
-	checkLineage(t, cur, next, delta)
+	checkTableDiff(t, cur, next, delta)
 	oldMirror := mirror.Clone()
 	delta.ApplyToDatabase(mirror)
 
@@ -375,14 +356,13 @@ func tableTuples(tb *Table, d *Dict) map[string]int {
 	if tb == nil {
 		return out
 	}
-	for i := 0; i < tb.Rows(); i++ {
-		row := tb.Row(i)
+	tb.Scan(func(row []Value) {
 		parts := make([]string, len(row))
 		for j, v := range row {
 			parts[j] = d.Name(v)
 		}
 		out[strings.Join(parts, "\x00")]++
-	}
+	})
 	return out
 }
 

@@ -2,6 +2,8 @@ package storage
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 	"testing"
 
 	"d2cq/internal/cq"
@@ -23,13 +25,13 @@ func rowsOf(db *DB, rel string) map[string]int {
 	if t == nil {
 		return out
 	}
-	for i := 0; i < t.Rows(); i++ {
+	t.Scan(func(row []Value) {
 		key := ""
-		for _, v := range t.Row(i) {
+		for _, v := range row {
 			key += db.Dict.Name(v) + "|"
 		}
 		out[key]++
-	}
+	})
 	return out
 }
 
@@ -330,63 +332,70 @@ func TestDeltaMergeSemantics(t *testing.T) {
 	}
 }
 
-// TestApplyLineage pins the lineage accessor on a direct case: one Apply
-// records the removed and added rows of every changed relation and nothing
-// for untouched ones.
-func TestApplyLineage(t *testing.T) {
+// TestDiffTables pins the table diff on a direct case — it reports exactly
+// the rows that left and the rows that came, whichever forms the two tables
+// are in — and that it stays exact across several Applies and against a nil
+// (empty) side.
+func TestDiffTables(t *testing.T) {
 	db := cq.Database{}
-	db.Add("R", "a", "b")
-	db.Add("R", "b", "c")
+	for i := 0; i < 8; i++ {
+		db.Add("R", fmt.Sprint("a", i), fmt.Sprint("b", i))
+	}
 	db.Add("S", "x")
 	sdb := compileT(t, db)
-	ndb, err := sdb.Apply(NewDelta().Add("R", "c", "d").Remove("R", "a", "b"))
+	diff := func(old, cur *Table, dict *Dict) (gone, came []string) {
+		name := func(row []Value) string { return dict.Name(row[0]) + "," + dict.Name(row[1]) }
+		DiffTables(old, cur, func(row []Value) { gone = append(gone, name(row)) }, func(row []Value) { came = append(came, name(row)) })
+		sort.Strings(gone)
+		sort.Strings(came)
+		return gone, came
+	}
+	ndb, err := sdb.Apply(NewDelta().Add("R", "c", "d").Remove("R", "a0", "b0"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	lin := ndb.Lineage("R")
-	if lin == nil {
-		t.Fatal("changed relation R has no lineage")
+	if ndb.Table("R").Flat() || !sdb.Table("R").Flat() {
+		t.Fatalf("a 2-tuple delta against 8 rows should leave the parent flat and make the child persistent")
 	}
-	if lin.Parent != sdb.Table("R") {
-		t.Error("lineage parent is not the old table")
+	if ndb.Table("S") != sdb.Table("S") {
+		t.Error("untouched relation S got a new table")
 	}
-	if lin.AddedRows() != 1 || lin.RemovedRows() != 1 {
-		t.Errorf("lineage rows: added %d removed %d, want 1/1", lin.AddedRows(), lin.RemovedRows())
+	gone, came := diff(sdb.Table("R"), ndb.Table("R"), ndb.Dict)
+	if !slices.Equal(gone, []string{"a0,b0"}) || !slices.Equal(came, []string{"c,d"}) {
+		t.Errorf("one step: gone %v came %v", gone, came)
 	}
-	if ndb.Lineage("S") != nil {
-		t.Error("untouched relation S has lineage")
-	}
-	// A second Apply touching only S records its own S step and carries the
-	// R entry forward unchanged — R's table pointer did not move, so the
-	// carried chain still patches a consumer holding the original R table.
-	n2, err := ndb.Apply(NewDelta().Add("S", "y"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n2.Lineage("S") == nil {
-		t.Error("changed relation S has no lineage in the second step")
-	}
-	carried := n2.Lineage("R")
-	if carried == nil {
-		t.Fatal("untouched relation R lost its carried lineage")
-	}
-	if carried.Parent != sdb.Table("R") {
-		t.Error("carried lineage no longer points at the original parent table")
-	}
-	if got, steps := n2.LineageFrom("R", sdb.Table("R")); got == nil || steps != 1 {
-		t.Errorf("LineageFrom(original R) = %v steps %d, want carried single step", got, steps)
-	}
-	// The carry is age-bounded: after maxLineageDepth untouched Applies the
-	// entry is dropped and a stale consumer falls back to a rescan.
-	cur := n2
-	for i := 0; i <= maxLineageDepth; i++ {
-		next, err := cur.Apply(NewDelta().Add("S", fmt.Sprintf("age-%d", i)))
-		if err != nil {
+	// Three more steps, one of them undoing part of the first: the diff from
+	// the original table is the net change.
+	cur := ndb
+	for _, step := range []*Delta{NewDelta().Add("R", "a0", "b0"), NewDelta().Remove("R", "a1", "b1"), NewDelta().Add("R", "e", "f")} {
+		if cur, err = cur.Apply(step); err != nil {
 			t.Fatal(err)
 		}
-		cur = next
 	}
-	if cur.Lineage("R") != nil {
-		t.Error("carried lineage outlived the maxLineageDepth age bound")
+	gone, came = diff(sdb.Table("R"), cur.Table("R"), cur.Dict)
+	if !slices.Equal(gone, []string{"a1,b1"}) || !slices.Equal(came, []string{"c,d", "e,f"}) {
+		t.Errorf("four steps: gone %v came %v", gone, came)
+	}
+	// A delta as large as the relation rewrites it flat; the diff is still
+	// exact, and so is the diff against an absent relation.
+	all := NewDelta()
+	for i := 0; i < 9; i++ {
+		all.Add("R", fmt.Sprint("z", i), "w")
+	}
+	bulk, err := cur.Apply(all)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bulk.Table("R").Flat() {
+		t.Error("a delta listing as many tuples as the relation holds should rewrite it flat")
+	}
+	if gone, came = diff(cur.Table("R"), bulk.Table("R"), bulk.Dict); len(gone) != 0 || len(came) != 9 {
+		t.Errorf("bulk step: gone %v came %v", gone, came)
+	}
+	if gone, came = diff(nil, sdb.Table("R"), sdb.Dict); len(gone) != 0 || len(came) != 8 {
+		t.Errorf("from empty: gone %v came %v", gone, came)
+	}
+	if gone, came = diff(sdb.Table("R"), nil, sdb.Dict); len(gone) != 8 || len(came) != 0 {
+		t.Errorf("to empty: gone %v came %v", gone, came)
 	}
 }

@@ -8,9 +8,10 @@
 // paper) assume relations that can be scanned and probed in constant time
 // per tuple, which is exactly what the interned, indexed representation
 // provides. Databases evolve by Delta application: DB.Apply produces a new
-// snapshot sharing every untouched table with its parent, so a stream of
-// small updates costs time proportional to the touched relations, not the
-// whole database.
+// snapshot sharing every untouched table — and every untouched part of a
+// touched one — with its parent, so a stream of small updates costs time
+// proportional to the updates, not to the relations they land in or the
+// database.
 package storage
 
 import (

@@ -1,22 +1,18 @@
 package storage
 
-import "sort"
-
 // Index is a hash index over one column set of a relation: it maps the
 // values a tuple takes on those columns to the list of row numbers with
 // those values. Single-column indexes take the fast path of a direct
 // map[Value][]int32; multi-column indexes hash the column tuple to 64 bits
 // and verify candidates against the stored data on lookup, so hash
-// collisions cost a comparison, never a wrong answer. Flat tables index
-// straight into their data slice; tuple-hash partitioned tables (see
-// partition.go) supply a rowAt accessor instead, with row numbers in the
-// table's global (concatenated-partition) order so they agree with
-// Table.Row.
+// collisions cost a comparison, never a wrong answer. Row numbers refer to
+// the flat data the index was built over (Row returns a row by number): a
+// flat table's own Data, or the listing Table.Index made of a persistent
+// table's rows.
 type Index struct {
 	cols  []int
 	arity int
 	data  []Value
-	rowAt func(int32) []Value // partitioned tables: data is nil
 	hash  func([]Value) uint64
 
 	single map[Value][]int32  // len(cols) == 1
@@ -64,52 +60,9 @@ func buildIndexWithHash(data []Value, arity int, cols []int, hash func([]Value) 
 	return ix
 }
 
-// buildIndexParts indexes a tuple-hash partitioned table on the given
-// column positions. Row numbers are global: partition p's local row j maps
-// to partOff[p]+j, matching Table.Row.
-func buildIndexParts(parts [][]Value, partOff []int, arity int, cols []int) *Index {
-	if len(cols) == 0 {
-		panic("storage: index over empty column set")
-	}
-	for _, c := range cols {
-		if c < 0 || c >= arity {
-			panic("storage: index column out of range")
-		}
-	}
-	ix := &Index{cols: append([]int(nil), cols...), arity: arity, hash: HashTuple}
-	ix.rowAt = func(r int32) []Value {
-		p := sort.SearchInts(partOff, int(r)+1) - 1
-		j := int(r) - partOff[p]
-		return parts[p][j*arity : (j+1)*arity]
-	}
-	rows := partOff[len(parts)]
-	if len(cols) == 1 {
-		ix.single = make(map[Value][]int32, rows)
-		c := cols[0]
-		row := int32(0)
-		for _, part := range parts {
-			for i := 0; i+arity <= len(part); i += arity {
-				v := part[i+c]
-				ix.single[v] = append(ix.single[v], row)
-				row++
-			}
-		}
-		return ix
-	}
-	ix.multi = make(map[uint64][]int32, rows)
-	buf := make([]Value, len(cols))
-	row := int32(0)
-	for _, part := range parts {
-		for i := 0; i+arity <= len(part); i += arity {
-			for j, c := range cols {
-				buf[j] = part[i+c]
-			}
-			h := ix.hash(buf)
-			ix.multi[h] = append(ix.multi[h], row)
-			row++
-		}
-	}
-	return ix
+// Row returns the indexed data's row of the given number (do not mutate).
+func (ix *Index) Row(r int32) []Value {
+	return ix.data[int(r)*ix.arity : (int(r)+1)*ix.arity]
 }
 
 // Cols returns the indexed column positions.
@@ -117,15 +70,6 @@ func (ix *Index) Cols() []int { return ix.cols }
 
 // matches reports whether the indexed columns of row equal key.
 func (ix *Index) matches(row int32, key []Value) bool {
-	if ix.data == nil {
-		r := ix.rowAt(row)
-		for j, c := range ix.cols {
-			if r[c] != key[j] {
-				return false
-			}
-		}
-		return true
-	}
 	base := int(row) * ix.arity
 	for j, c := range ix.cols {
 		if ix.data[base+c] != key[j] {

@@ -330,3 +330,135 @@ func (m *PMap[V]) del(n *pnode[V], shift uint, h uint64, key []Value) (*pnode[V]
 	}
 	return n, true
 }
+
+// Diff calls gone for every key of old that m lacks and came for every key
+// of m that old lacks (values are not compared), skipping every subtree the
+// two maps share by pointer: between a map and a successor derived from it
+// by edits touching d keys it costs O(d · log₃₂ n), between unrelated maps
+// O(n). The trie's shape is a function of its content, so equal subtrees of
+// related maps are almost always the same node. It returns the number of
+// entries it had to look at. Both maps must be over the same key width and
+// hash. The key slices alias the maps' storage: copy to retain.
+func (m *PMap[V]) Diff(old *PMap[V], gone, came func(key []Value)) int {
+	if m.k != old.k {
+		panic("storage: Diff of maps over different key widths")
+	}
+	d := pdiff[V]{k: m.k, gone: gone, came: came}
+	d.nodes(old.root, m.root, 0)
+	return d.visited
+}
+
+type pdiff[V any] struct {
+	k          int
+	gone, came func(key []Value)
+	visited    int
+}
+
+func (d *pdiff[V]) keyAt(n *pnode[V], i int) []Value { return n.keys[i*d.k : (i+1)*d.k] }
+
+// all reports every key under n through f.
+func (d *pdiff[V]) all(n *pnode[V], f func([]Value)) {
+	for i := range n.vals {
+		d.visited++
+		f(d.keyAt(n, i))
+	}
+	for _, kid := range n.kids {
+		d.all(kid, f)
+	}
+}
+
+// entry diffs a single key on one side against the subtree n on the other:
+// every key under n but key itself goes to other, and key goes to missing
+// when n does not hold it.
+func (d *pdiff[V]) entry(key []Value, n *pnode[V], missing, other func([]Value)) {
+	found := false
+	d.all(n, func(k []Value) {
+		if !found && slices.Equal(k, key) {
+			found = true
+			return
+		}
+		other(k)
+	})
+	if !found {
+		d.visited++
+		missing(key)
+	}
+}
+
+func (d *pdiff[V]) nodes(a, b *pnode[V], shift uint) {
+	switch {
+	case a == b:
+		return
+	case a == nil:
+		d.all(b, d.came)
+		return
+	case b == nil:
+		d.all(a, d.gone)
+		return
+	}
+	if shift > pmapMaxShift { // collision lists: compare pairwise
+		has := func(n *pnode[V], key []Value) bool {
+			for i := range n.vals {
+				if slices.Equal(d.keyAt(n, i), key) {
+					return true
+				}
+			}
+			return false
+		}
+		for i := range a.vals {
+			d.visited++
+			if key := d.keyAt(a, i); !has(b, key) {
+				d.gone(key)
+			}
+		}
+		for i := range b.vals {
+			d.visited++
+			if key := d.keyAt(b, i); !has(a, key) {
+				d.came(key)
+			}
+		}
+		return
+	}
+	var ad, ak, bd, bk int // running entry and child positions in a and b
+	for rest := a.datamap | a.nodemap | b.datamap | b.nodemap; rest != 0; rest &= rest - 1 {
+		bit := rest & -rest
+		aData, aKid := a.datamap&bit != 0, a.nodemap&bit != 0
+		bData, bKid := b.datamap&bit != 0, b.nodemap&bit != 0
+		switch {
+		case aKid && bKid:
+			d.nodes(a.kids[ak], b.kids[bk], shift+pmapBits)
+		case aData && bData:
+			d.visited++
+			if ka, kb := d.keyAt(a, ad), d.keyAt(b, bd); !slices.Equal(ka, kb) {
+				d.gone(ka)
+				d.came(kb)
+			}
+		case aData && bKid:
+			d.entry(d.keyAt(a, ad), b.kids[bk], d.gone, d.came)
+		case aKid && bData:
+			d.entry(d.keyAt(b, bd), a.kids[ak], d.came, d.gone)
+		case aData:
+			d.visited++
+			d.gone(d.keyAt(a, ad))
+		case bData:
+			d.visited++
+			d.came(d.keyAt(b, bd))
+		case aKid:
+			d.all(a.kids[ak], d.gone)
+		default:
+			d.all(b.kids[bk], d.came)
+		}
+		if aData {
+			ad++
+		}
+		if aKid {
+			ak++
+		}
+		if bData {
+			bd++
+		}
+		if bKid {
+			bk++
+		}
+	}
+}

@@ -161,7 +161,7 @@ func TestCompileAndTable(t *testing.T) {
 		t.Errorf("Relations() = %v", rels)
 	}
 	// The interned rows must round-trip through the dictionary.
-	row := r.Row(1)
+	row := r.Data[r.Arity : 2*r.Arity]
 	if sdb.Dict.Name(row[0]) != "a" || sdb.Dict.Name(row[1]) != "c" {
 		t.Errorf("row 1 = %s,%s", sdb.Dict.Name(row[0]), sdb.Dict.Name(row[1]))
 	}

@@ -32,9 +32,14 @@ type Options struct {
 	Logf func(format string, args ...any)
 }
 
+// DefaultHandshakeTimeout is how long an accepted connection gets to say who
+// it is before it is dropped: the HELLO exchange here, the request headers on
+// the daemon's HTTP listener.
+const DefaultHandshakeTimeout = 10 * time.Second
+
 func (o Options) withDefaults() Options {
 	if o.HandshakeTimeout <= 0 {
-		o.HandshakeTimeout = 10 * time.Second
+		o.HandshakeTimeout = DefaultHandshakeTimeout
 	}
 	if o.WriteTimeout <= 0 {
 		o.WriteTimeout = 60 * time.Second

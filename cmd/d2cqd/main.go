@@ -6,7 +6,7 @@
 // Usage:
 //
 //	d2cqd [-addr 127.0.0.1:8344] [-db file] [-max-batch 256] [-max-latency 25ms] [-buffer 16] [-parallelism n]
-//	      [-shards n] [-data-dir dir] [-fsync always|off|duration] [-checkpoint-every 64]
+//	      [-data-dir dir] [-fsync always|off|duration] [-checkpoint-every 64]
 //	      [-listen-wire host:port] [-auth-token T]
 //
 // With -listen-wire the daemon also serves the binary wire protocol
@@ -21,14 +21,10 @@
 // -checkpoint-every flushes, plus on startup and shutdown), and a restart
 // over the same directory resumes at the exact pre-crash state. -fsync picks
 // the durability/latency trade-off: "always" fsyncs per flush, a duration
-// ("100ms") fsyncs on that interval, "off" leaves flushing to the OS.
-//
-// With -shards N > 1 the daemon serves a live.ShardedStore: N independent
-// store shards each own the relations hashing to them, a router splits
-// every update by owning shard and fans flushes out in parallel, and all
-// endpoints route through it unchanged (per-shard stats nest under "shard"
-// in /stats). In durable mode each shard logs under data-dir/shard-<i>, so
-// a restart must use the same -shards value.
+// ("100ms") fsyncs on that interval, "off" leaves flushing to the OS. A
+// data directory with shard-<i> subdirectories was written by the sharded
+// store of earlier releases and is refused: its logs are in those
+// subdirectories, so opening it here would start an empty store.
 //
 // Endpoints:
 //
@@ -69,7 +65,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"syscall"
@@ -98,6 +93,33 @@ func parseFsync(v string) (wal.SyncMode, time.Duration, error) {
 	return wal.SyncInterval, d, nil
 }
 
+// refuseShardedDataDir rejects a data directory written by the sharded store
+// of earlier releases, which kept one log per shard under shard-<i>/. The
+// log backend reads only the directory's own files, so such a directory
+// would otherwise reopen as an empty store with its data silently ignored.
+// A directory that does not exist yet is fine: the backend creates it.
+func refuseShardedDataDir(dir string) error {
+	entries, err := os.ReadDir(dir)
+	if errors.Is(err, os.ErrNotExist) {
+		return nil
+	}
+	if err != nil {
+		return err
+	}
+	for _, e := range entries {
+		n, ok := strings.CutPrefix(e.Name(), "shard-")
+		if !ok || !e.IsDir() {
+			continue
+		}
+		if _, err := strconv.Atoi(n); err == nil {
+			return fmt.Errorf("-data-dir %s holds %s/, the log of a sharded store from an earlier release; "+
+				"this daemon runs one store and would open the directory empty, so it refuses it "+
+				"(recover the data with the release that wrote it)", dir, e.Name())
+		}
+	}
+	return nil
+}
+
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "d2cqd:", err)
@@ -113,7 +135,6 @@ func run(args []string, out io.Writer) error {
 	maxLatency := fs.Duration("max-latency", 0, "flush the coalesced batch at the latest this long after the first pending tuple (0: default 25ms)")
 	buffer := fs.Int("buffer", 0, "per-query broadcast ring capacity before slow watchers drop (0: default 16)")
 	parallelism := fs.Int("parallelism", 0, "engine worker pool for evaluation passes (0/1: sequential, -1: one per CPU)")
-	shards := fs.Int("shards", 1, "shard the live store across this many stores behind a router (1: single store)")
 	dataDir := fs.String("data-dir", "", "durable mode: write-ahead log + checkpoints under this directory; restarts resume the pre-crash state")
 	fsync := fs.String("fsync", "always", "WAL fsync policy: always (per flush), off, or an interval duration like 100ms")
 	ckptEvery := fs.Int("checkpoint-every", 0, "flushes between snapshot checkpoints in durable mode (0: default 64)")
@@ -137,59 +158,37 @@ func run(args []string, out io.Writer) error {
 		opts = append(opts, engine.WithParallelism(*parallelism))
 	}
 	cfg := live.Config{MaxBatch: *maxBatch, MaxLatency: *maxLatency, Buffer: *buffer}
-	if *shards < 1 {
-		return fmt.Errorf("-shards must be at least 1 (got %d)", *shards)
-	}
-	var store live.Service
-	var err error
+	var store *live.Store
 	if *dataDir != "" {
 		if *dbPath != "" {
 			// The log is the source of truth in durable mode; silently also
 			// loading a -db file would make restarts diverge from it.
 			return fmt.Errorf("-db and -data-dir are mutually exclusive (feed initial data through POST /update)")
 		}
-		mode, interval, err2 := parseFsync(*fsync)
-		if err2 != nil {
-			return err2
+		mode, interval, err := parseFsync(*fsync)
+		if err != nil {
+			return err
 		}
-		if *shards > 1 {
-			backends := make([]wal.Backend, *shards)
-			for i := range backends {
-				if backends[i], err = wal.NewFS(filepath.Join(*dataDir, fmt.Sprintf("shard-%d", i))); err != nil {
-					return err
-				}
-			}
-			store, err = live.OpenSharded(context.Background(), engine.NewEngine(opts...), live.DurableShardedConfig{
-				ShardedConfig:   live.ShardedConfig{Config: cfg, Shards: *shards},
-				Backends:        backends,
-				SyncMode:        mode,
-				SyncInterval:    interval,
-				CheckpointEvery: *ckptEvery,
-			})
-		} else {
-			var backend wal.Backend
-			if backend, err = wal.NewFS(*dataDir); err != nil {
-				return err
-			}
-			store, err = live.Open(context.Background(), engine.NewEngine(opts...), live.DurableConfig{
-				Config:          cfg,
-				Backend:         backend,
-				SyncMode:        mode,
-				SyncInterval:    interval,
-				CheckpointEvery: *ckptEvery,
-			})
+		if err := refuseShardedDataDir(*dataDir); err != nil {
+			return err
 		}
+		backend, err := wal.NewFS(*dataDir)
+		if err != nil {
+			return err
+		}
+		store, err = live.Open(context.Background(), engine.NewEngine(opts...), live.DurableConfig{
+			Config:          cfg,
+			Backend:         backend,
+			SyncMode:        mode,
+			SyncInterval:    interval,
+			CheckpointEvery: *ckptEvery,
+		})
 		if err != nil {
 			return err
 		}
 	} else {
-		if *shards > 1 {
-			store, err = live.NewShardedStore(context.Background(), engine.NewEngine(opts...), db,
-				live.ShardedConfig{Config: cfg, Shards: *shards})
-		} else {
-			store, err = live.NewStore(context.Background(), engine.NewEngine(opts...), db, cfg)
-		}
-		if err != nil {
+		var err error
+		if store, err = live.NewStore(context.Background(), engine.NewEngine(opts...), db, cfg); err != nil {
 			return err
 		}
 	}
@@ -253,8 +252,7 @@ func run(args []string, out io.Writer) error {
 	}
 }
 
-// server routes the HTTP API onto one live.Service — a single store or a
-// sharded router, transparently.
+// server routes the HTTP API onto one live.Service.
 type server struct {
 	store live.Service
 	token string
@@ -579,5 +577,5 @@ func (s *server) handleSolutions(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, s.store.ServiceStats())
+	writeJSON(w, s.store.Stats())
 }

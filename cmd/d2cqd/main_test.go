@@ -9,6 +9,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -328,5 +330,38 @@ func TestRunBadFlags(t *testing.T) {
 	}
 	if err := run([]string{"-db", "/nonexistent/db.txt", "-addr", "127.0.0.1:0"}, &out); err == nil {
 		t.Error("missing database file must error")
+	}
+}
+
+// TestRunRefusesShardedDataDir: a data dir laid out by the sharded store of
+// earlier releases (one log per shard-<i>/ subdirectory) is refused at
+// startup instead of reopening as an empty store; look-alike entries are not.
+func TestRunRefusesShardedDataDir(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.Mkdir(filepath.Join(dir, "shard-0"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	errCh := make(chan error, 1)
+	go func() { errCh <- run([]string{"-data-dir", dir, "-addr", "127.0.0.1:0"}, io.Discard) }()
+	select {
+	case err := <-errCh:
+		if err == nil || !strings.Contains(err.Error(), "shard-0") {
+			t.Fatalf("run over a sharded data dir: %v, want an error naming shard-0", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("run over a sharded data dir started serving instead of refusing it")
+	}
+
+	other := t.TempDir()
+	if err := os.Mkdir(filepath.Join(other, "shard-x"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(other, "shard-1"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range []string{other, filepath.Join(other, "not-yet-created")} {
+		if err := refuseShardedDataDir(d); err != nil {
+			t.Errorf("%s: %v, want it accepted", d, err)
+		}
 	}
 }

@@ -83,21 +83,12 @@ func (c *CompiledDB) RelationArity(name string) (int, bool) {
 }
 
 // RelationRows returns the named relation's tuple count (0 when absent).
-// The sharded live router uses it to pin a query to the shard owning its
-// largest relation.
 func (c *CompiledDB) RelationRows(name string) int {
 	t := c.sdb.Table(name)
 	if t == nil {
 		return 0
 	}
 	return t.Rows()
-}
-
-// RelationTuples returns the named relation's tuples decoded back to
-// constant strings (nil when absent) — the snapshot dump the sharded router
-// backfills cross-shard replicas from.
-func (c *CompiledDB) RelationTuples(name string) [][]string {
-	return c.sdb.RelationTuples(name)
 }
 
 // BoundQuery is a prepared query bound to a compiled database: the interned

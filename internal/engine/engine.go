@@ -93,8 +93,10 @@ func WithNaiveFallback() Option {
 // over parent-child pairs, vectors over sibling subtrees and row ranges),
 // solution enumeration (the root relation is over-split into ~4n chunks the
 // n bounded-delay producers claim dynamically, so skewed ranges don't
-// serialise a worker), and incremental maintenance of dirty nodes and cached
-// states. Values of 1 or less evaluate sequentially (the default); n < 0
+// serialise a worker), the one-off conversion of a bound query's nodes to
+// maintained form at its first Rebind, and the sort of DiffFrom's added and
+// removed rows. A Rebind's maintenance of dirty atoms and nodes is
+// sequential. Values of 1 or less evaluate sequentially (the default); n < 0
 // uses one worker per CPU.
 func WithParallelism(n int) Option {
 	if n < 0 {
@@ -118,17 +120,6 @@ func (e *Engine) par() int {
 		return 1
 	}
 	return e.parallelism
-}
-
-// Parallelism returns the engine's effective worker bound for evaluation
-// passes, always at least 1. Callers fanning independent engine work of
-// their own — the live store stages its per-query Rebinds on a pool of this
-// size — share the same bound instead of inventing a second knob.
-func (e *Engine) Parallelism() int {
-	if p := e.par(); p > 1 {
-		return p
-	}
-	return 1
 }
 
 // ordered reports whether parallel enumeration must preserve the sequential

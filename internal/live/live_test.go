@@ -8,6 +8,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -131,110 +132,141 @@ func setKeys(m map[string]bool) []string {
 // flushes are silent) — so the concatenated notification stream reconstructs
 // the full snapshot-to-snapshot evolution.
 func TestWatchDifferential(t *testing.T) {
-	const steps = 100
 	for _, sh := range watchShapes {
 		sh := sh
 		t.Run(sh.name, func(t *testing.T) {
 			t.Parallel()
-			ctx := context.Background()
-			q, err := cq.ParseQuery(sh.query)
-			if err != nil {
-				t.Fatal(err)
-			}
-			relNames := make([]string, 0, len(sh.rels))
-			for r := range sh.rels {
-				relNames = append(relNames, r)
-			}
-			slices.Sort(relNames)
-			rng := rand.New(rand.NewSource(7))
-			mirror := cq.Database{}
-			for i := 0; i < 4; i++ {
-				rel := relNames[rng.Intn(len(relNames))]
-				tuple := make([]string, sh.rels[rel])
-				for j := range tuple {
-					tuple[j] = fmt.Sprintf("c%d", rng.Intn(5))
-				}
-				mirror.Add(rel, tuple...)
-			}
-			store, err := NewStore(ctx, engine.NewEngine(sh.opts...), mirror, manualConfig(steps+4))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer store.Close()
-			if err := store.Register(ctx, "q", q); err != nil {
-				t.Fatal(err)
-			}
-			sub, err := store.Watch("q")
-			if err != nil {
-				t.Fatal(err)
-			}
-			refEng := engine.NewEngine(sh.opts...)
-			prep, err := refEng.Prepare(ctx, q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			prev := resultSet(t, prep, mirror)
-			version := uint64(1)
-			for s := 0; s < steps; s++ {
-				delta := genDelta(rng, sh, relNames)
-				if err := store.Submit(delta); err != nil {
-					t.Fatalf("step %d: Submit: %v", s, err)
-				}
-				if err := store.Flush(ctx); err != nil {
-					t.Fatalf("step %d: Flush: %v", s, err)
-				}
-				version++
-				delta.ApplyToDatabase(mirror)
-				cur := resultSet(t, prep, mirror)
-				var expAdd, expRem []string
-				for k := range cur {
-					if !prev[k] {
-						expAdd = append(expAdd, k)
-					}
-				}
-				for k := range prev {
-					if !cur[k] {
-						expRem = append(expRem, k)
-					}
-				}
-				sort.Strings(expAdd)
-				sort.Strings(expRem)
-				if len(expAdd) == 0 && len(expRem) == 0 {
-					if n, ok := sub.TryNext(); ok {
-						t.Fatalf("step %d: unchanged result but notification %+v", s, n)
-					}
-				} else {
-					n, ok := sub.TryNext()
-					if !ok {
-						t.Fatalf("step %d: result changed (+%d/-%d) but no notification", s, len(expAdd), len(expRem))
-					}
-					if n.Query != "q" || n.Version != version {
-						t.Fatalf("step %d: notification query/version %s/%d, want q/%d", s, n.Query, n.Version, version)
-					}
-					if n.Lagged != 0 {
-						t.Fatalf("step %d: unexpected lag %d with an oversized buffer", s, n.Lagged)
-					}
-					if int(n.Count) != len(cur) || int(n.PrevCount) != len(prev) {
-						t.Fatalf("step %d: counts %d←%d, want %d←%d", s, n.Count, n.PrevCount, len(cur), len(prev))
-					}
-					if got := rowKeys(n.Added); !slices.Equal(got, expAdd) {
-						t.Fatalf("step %d: added %v, want %v", s, got, expAdd)
-					}
-					if got := rowKeys(n.Removed); !slices.Equal(got, expRem) {
-						t.Fatalf("step %d: removed %v, want %v", s, got, expRem)
-					}
-				}
-				prev = cur
-			}
-			// The store's final state agrees with the reference too.
-			rows, _, err := store.Solutions(ctx, "q", 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := rowKeys(rows); !slices.Equal(got, setKeys(prev)) {
-				t.Fatalf("final solutions %v, want %v", got, setKeys(prev))
-			}
+			runWatchDifferential(t, sh, 7)
 		})
+	}
+}
+
+// TestShardedWatchDifferential keeps the one-shard case of the former
+// sharded-router suite. One shard is one Store, the only topology left, so
+// this is the watch differential again, over the stream that suite drew for
+// one shard (seed 42) rather than TestWatchDifferential's seed-7 stream.
+func TestShardedWatchDifferential(t *testing.T) {
+	const shards = 1
+	for _, sh := range watchShapes {
+		sh := sh
+		t.Run(fmt.Sprintf("%s/shards=%d", sh.name, shards), func(t *testing.T) {
+			t.Parallel()
+			runWatchDifferential(t, sh, 41+shards)
+		})
+	}
+}
+
+// runWatchDifferential drives one Store through a 100-step random delta
+// stream drawn from seed, flushing after every delta, and checks each
+// round's notification, Version and Count against a reference engine over a
+// mirrored plain database.
+func runWatchDifferential(t *testing.T, sh watchShape, seed int64) {
+	t.Helper()
+	const steps = 100
+	ctx := context.Background()
+	q, err := cq.ParseQuery(sh.query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	relNames := make([]string, 0, len(sh.rels))
+	for r := range sh.rels {
+		relNames = append(relNames, r)
+	}
+	slices.Sort(relNames)
+	rng := rand.New(rand.NewSource(seed))
+	mirror := cq.Database{}
+	for i := 0; i < 4; i++ {
+		rel := relNames[rng.Intn(len(relNames))]
+		tuple := make([]string, sh.rels[rel])
+		for j := range tuple {
+			tuple[j] = fmt.Sprintf("c%d", rng.Intn(5))
+		}
+		mirror.Add(rel, tuple...)
+	}
+	store, err := NewStore(ctx, engine.NewEngine(sh.opts...), mirror, manualConfig(steps+4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	if err := store.Register(ctx, "q", q); err != nil {
+		t.Fatal(err)
+	}
+	sub, err := store.Watch("q")
+	if err != nil {
+		t.Fatal(err)
+	}
+	refEng := engine.NewEngine(sh.opts...)
+	prep, err := refEng.Prepare(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev := resultSet(t, prep, mirror)
+	version := uint64(1)
+	for s := 0; s < steps; s++ {
+		delta := genDelta(rng, sh, relNames)
+		if err := store.Submit(delta); err != nil {
+			t.Fatalf("step %d: Submit: %v", s, err)
+		}
+		if err := store.Flush(ctx); err != nil {
+			t.Fatalf("step %d: Flush: %v", s, err)
+		}
+		version++
+		if got := store.Version(); got != version {
+			t.Fatalf("step %d: Version = %d, want %d", s, got, version)
+		}
+		delta.ApplyToDatabase(mirror)
+		cur := resultSet(t, prep, mirror)
+		var expAdd, expRem []string
+		for k := range cur {
+			if !prev[k] {
+				expAdd = append(expAdd, k)
+			}
+		}
+		for k := range prev {
+			if !cur[k] {
+				expRem = append(expRem, k)
+			}
+		}
+		sort.Strings(expAdd)
+		sort.Strings(expRem)
+		if len(expAdd) == 0 && len(expRem) == 0 {
+			if n, ok := sub.TryNext(); ok {
+				t.Fatalf("step %d: unchanged result but notification %+v", s, n)
+			}
+		} else {
+			n, ok := sub.TryNext()
+			if !ok {
+				t.Fatalf("step %d: result changed (+%d/-%d) but no notification", s, len(expAdd), len(expRem))
+			}
+			if n.Query != "q" || n.Version != version {
+				t.Fatalf("step %d: notification query/version %s/%d, want q/%d", s, n.Query, n.Version, version)
+			}
+			if n.Lagged != 0 {
+				t.Fatalf("step %d: unexpected lag %d with an oversized buffer", s, n.Lagged)
+			}
+			if int(n.Count) != len(cur) || int(n.PrevCount) != len(prev) {
+				t.Fatalf("step %d: counts %d←%d, want %d←%d", s, n.Count, n.PrevCount, len(cur), len(prev))
+			}
+			if got := rowKeys(n.Added); !slices.Equal(got, expAdd) {
+				t.Fatalf("step %d: added %v, want %v", s, got, expAdd)
+			}
+			if got := rowKeys(n.Removed); !slices.Equal(got, expRem) {
+				t.Fatalf("step %d: removed %v, want %v", s, got, expRem)
+			}
+		}
+		// Count agrees with the reference at every round.
+		if n, _, err := store.Count("q"); err != nil || int(n) != len(cur) {
+			t.Fatalf("step %d: Count = %d, %v; want %d", s, n, err, len(cur))
+		}
+		prev = cur
+	}
+	// The store's final state agrees with the reference too.
+	rows, _, err := store.Solutions(ctx, "q", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rowKeys(rows); !slices.Equal(got, setKeys(prev)) {
+		t.Fatalf("final solutions %v, want %v", got, setKeys(prev))
 	}
 }
 
@@ -550,6 +582,102 @@ func TestAutomaticFlushTriggers(t *testing.T) {
 			t.Fatalf("latency-triggered flush delivered %+v, want one added row", n)
 		}
 	})
+}
+
+// TestConcurrentSubmitAutoFlush hammers Submit from many goroutines while
+// only the automatic triggers flush (run under -race this is the submit path
+// racing the flusher): disjoint insert-only streams must each land exactly
+// once, watch versions must strictly increase, the concatenated diffs must
+// sum to the final count, and no flush may fail.
+func TestConcurrentSubmitAutoFlush(t *testing.T) {
+	ctx := context.Background()
+	const (
+		goroutines = 6
+		perG       = 40
+	)
+	s, err := NewStore(ctx, nil, cq.Database{}, Config{MaxBatch: 16, MaxLatency: 2 * time.Millisecond, Buffer: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.Register(ctx, "k", mustQuery(t, "K(x,y)")); err != nil {
+		t.Fatal(err)
+	}
+	sub, err := s.Watch("k")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perG; i++ {
+				d := storage.NewDelta().
+					Add("K", fmt.Sprintf("g%d-%d", g, i), "x").
+					Add("L", fmt.Sprintf("g%d-%d", g, i), "noise")
+				if err := s.Submit(d); err != nil {
+					t.Errorf("goroutine %d: Submit: %v", g, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	want := int64(goroutines * perG)
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		cnt, _, err := s.Count("k")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cnt == want && s.PendingTuples() == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("count %d pending %d after 10s of automatic flushes, want %d/0", cnt, s.PendingTuples(), want)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	var last uint64
+	total := 0
+	seen := map[string]bool{}
+	for _, note := range drain(sub) {
+		if note.Version <= last {
+			t.Fatalf("watch versions not strictly increasing: %d after %d", note.Version, last)
+		}
+		if note.Lagged != 0 {
+			t.Fatalf("notification at version %d lagged %d with an oversized buffer", note.Version, note.Lagged)
+		}
+		last = note.Version
+		total += len(note.Added) - len(note.Removed)
+		for _, row := range note.Added {
+			k := strings.Join(row, "\x00")
+			if seen[k] {
+				t.Fatalf("row %v added twice", row)
+			}
+			seen[k] = true
+		}
+	}
+	if total != int(want) || len(seen) != int(want) {
+		t.Fatalf("concatenated watch diffs sum to %d rows (%d distinct added), want %d", total, len(seen), want)
+	}
+	for g := 0; g < goroutines; g++ {
+		for i := 0; i < perG; i++ {
+			if k := fmt.Sprintf("g%d-%d\x00x", g, i); !seen[k] {
+				t.Fatalf("submitted tuple %q never reached the watcher", k)
+			}
+		}
+	}
+	st := s.Stats()
+	if st.FlushErrors != 0 {
+		t.Fatalf("flush errors under concurrent load: %d (%s)", st.FlushErrors, st.LastError)
+	}
+	if st.DeltasSubmitted != uint64(want) || st.FlushedTuples != 2*uint64(want) {
+		t.Fatalf("%d deltas submitted, %d tuples flushed; want %d and %d", st.DeltasSubmitted, st.FlushedTuples, want, 2*want)
+	}
 }
 
 // TestRegisterSemantics: idempotent re-registration, name collisions, poison

@@ -172,7 +172,6 @@ type storeCounters struct {
 	lastWalNs     uint64
 	maxLockHoldNs uint64
 	diffRows      uint64
-	lastStagePar  uint64
 	stagedQueries uint64
 }
 
@@ -567,35 +566,22 @@ func (s *Store) Flush(ctx context.Context) error {
 	return s.flushSerialized(ctx)
 }
 
-// flushSerialized is flushSerializedAt with the store's own version
-// sequencing (each flush commits at version+1).
+// flushSerialized runs one take → stage → WAL append → commit cycle,
+// committing at version+1. The caller holds flushMu; mu is taken only for
+// the take and commit steps (and the error bookkeeping), never across engine
+// work.
 func (s *Store) flushSerialized(ctx context.Context) error {
-	_, err := s.flushSerializedAt(ctx, 0)
-	return err
-}
-
-// flushSerializedAt runs one take → stage → WAL append → commit cycle,
-// committing at the given version (0 means self-sequenced: version+1). A
-// sharding router drives its shards with explicit versions so one router
-// flush round commits at one version on every shard it touches; the version
-// must be at least the store's current version. The caller holds flushMu;
-// mu is taken only for the take and commit steps (and the error
-// bookkeeping), never across engine work. Reports whether a non-empty batch
-// was committed.
-func (s *Store) flushSerializedAt(ctx context.Context, version uint64) (bool, error) {
 	t0 := time.Now()
 	s.mu.Lock()
 	if s.pending.Empty() {
 		s.mu.Unlock()
-		return false, nil
+		return nil
 	}
 	batch := s.pending.Take()
 	batchSince := s.pendingSince
 	s.pendingSince = time.Time{}
 	s.mu.Unlock()
-	if version == 0 {
-		version = s.version + 1 // version is stable under flushMu
-	}
+	version := s.version + 1 // version is stable under flushMu
 	takeHold := time.Since(t0)
 	fail := func(err error) error {
 		s.mu.Lock()
@@ -659,7 +645,7 @@ func (s *Store) flushSerializedAt(ctx context.Context, version uint64) (bool, er
 	st, err := s.stage(ctx, batch, version)
 	stageDur := time.Since(stageStart)
 	if err != nil {
-		return false, stageFail(err)
+		return stageFail(err)
 	}
 	// Log-then-commit: once the batch is staged (so it can no longer fail),
 	// persist it before any subscriber can observe the new version. Only
@@ -671,7 +657,7 @@ func (s *Store) flushSerializedAt(ctx context.Context, version uint64) (bool, er
 	if s.dur != nil {
 		walStart := time.Now()
 		if err := s.dur.appendDelta(st.version, batch); err != nil {
-			return false, restore(err)
+			return restore(err)
 		}
 		walDur = time.Since(walStart)
 	}
@@ -690,7 +676,6 @@ func (s *Store) flushSerializedAt(ctx context.Context, version uint64) (bool, er
 	s.stats.lastStageNs = uint64(stageDur.Nanoseconds())
 	s.stats.lastCommitNs = uint64(commitDur.Nanoseconds())
 	s.stats.lastWalNs = uint64(walDur.Nanoseconds())
-	s.stats.lastStagePar = uint64(st.par)
 	s.stats.stagedQueries += uint64(len(st.next))
 	hold := uint64((takeHold + time.Since(commitStart)).Nanoseconds())
 	s.stats.lockHoldNs += hold
@@ -704,49 +689,14 @@ func (s *Store) flushSerializedAt(ctx context.Context, version uint64) (bool, er
 	if s.dur != nil {
 		s.dur.maybeCheckpoint(s)
 	}
-	return true, nil
+	return nil
 }
 
-// flushAs is Flush with a router-assigned version: a ShardedStore drives
-// every shard's flushes itself, so all shards a round touches commit at the
-// same router-issued version. Reports whether a non-empty batch committed.
-func (s *Store) flushAs(ctx context.Context, version uint64) (bool, error) {
-	s.flushMu.Lock()
-	defer s.flushMu.Unlock()
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return false, ErrClosed
-	}
-	s.mu.Unlock()
-	return s.flushSerializedAt(ctx, version)
-}
-
-// validateDelta checks a delta against the same rules Submit enforces,
-// without enqueueing it — the first phase of the router's all-or-nothing
-// cross-shard submit.
-func (s *Store) validateDelta(delta *storage.Delta) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	return s.validateLocked(delta)
-}
-
-// pendingSize returns the coalesced pending batch's current tuple count.
-func (s *Store) pendingSize() int {
+// PendingTuples returns the coalesced pending batch's current tuple count.
+func (s *Store) PendingTuples() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.pending.Size()
-}
-
-// snapshotCDB returns the current committed snapshot — the router reads
-// relation sizes (query pinning) and tuples (cross-shard backfill) from it.
-func (s *Store) snapshotCDB() *engine.CompiledDB {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.cdb
 }
 
 // staged is one query's next state, computed against the candidate snapshot
@@ -763,13 +713,11 @@ type staged struct {
 
 // stagedFlush is a fully-staged batch application: the successor snapshot,
 // its version, and the next state of every query the batch reaches, in
-// sorted-name order. par is the worker count the stage actually used.
-// Committing it cannot fail.
+// sorted-name order. Committing it cannot fail.
 type stagedFlush struct {
 	cdb     *engine.CompiledDB
 	version uint64
 	next    []staged
-	par     int
 }
 
 // setSubsLocked replaces the query's subscriber list — the only place subs
@@ -796,11 +744,9 @@ func (lq *liveQuery) setSubsLocked(subs []*Subscription) {
 // shares this path so a replayed batch goes through the exact engine calls
 // the original flush made.
 //
-// The per-query work fans out over the engine's worker bound: queries are
-// independent once the shared successor snapshot exists (BoundQuery is
-// immutable, engine counters are atomic, table index builds are locked), and
-// next is in sorted-name order, so commit, WAL and notification order are
-// byte-identical to staging the whole registry sequentially.
+// The queries are staged one after another in name order, with the context
+// checked before each, so a cancelled flush stops at the next query and
+// stageFail sees the flush's own context error.
 func (s *Store) stage(ctx context.Context, batch *storage.Delta, version uint64) (stagedFlush, error) {
 	if h := s.stageHook; h != nil {
 		h()
@@ -821,15 +767,17 @@ func (s *Store) stage(ctx context.Context, batch *storage.Delta, version uint64)
 	}
 	slices.SortFunc(lqs, func(a, b *liveQuery) int { return strings.Compare(a.name, b.name) })
 	next := make([]staged, len(lqs))
-	stageOne := func(ctx context.Context, i int) error {
-		lq := lqs[i]
+	for i, lq := range lqs {
+		if err := ctx.Err(); err != nil {
+			return stagedFlush{}, err
+		}
 		nb, err := lq.bound.Rebind(ctx, ncdb.Restrict(lq.rels))
 		if err != nil {
-			return fmt.Errorf("rebind %s: %w", lq.name, err)
+			return stagedFlush{}, fmt.Errorf("rebind %s: %w", lq.name, err)
 		}
 		count, err := nb.Count(ctx)
 		if err != nil {
-			return fmt.Errorf("count %s: %w", lq.name, err)
+			return stagedFlush{}, fmt.Errorf("count %s: %w", lq.name, err)
 		}
 		st := staged{lq: lq, bound: nb, count: count}
 		// The tuple-level diff exists only to feed notifications and the
@@ -840,7 +788,7 @@ func (s *Store) stage(ctx context.Context, batch *storage.Delta, version uint64)
 		if lq.watchers.Load() > 0 || s.cfg.History > 0 {
 			added, removed, err := nb.DiffFrom(ctx, lq.bound)
 			if err != nil {
-				return fmt.Errorf("diff %s: %w", lq.name, err)
+				return stagedFlush{}, fmt.Errorf("diff %s: %w", lq.name, err)
 			}
 			if added.Len()+removed.Len() > 0 {
 				st.diffRows = added.Len() + removed.Len()
@@ -855,78 +803,8 @@ func (s *Store) stage(ctx context.Context, batch *storage.Delta, version uint64)
 			}
 		}
 		next[i] = st
-		return nil
 	}
-	par := s.eng.Parallelism()
-	if par > len(lqs) {
-		par = len(lqs)
-	}
-	if par < 1 {
-		par = 1
-	}
-	if err := parStage(ctx, par, len(lqs), stageOne); err != nil {
-		return stagedFlush{}, err
-	}
-	return stagedFlush{cdb: ncdb, version: version, next: next, par: par}, nil
-}
-
-// parStage fans f over [0,n) on up to par workers, for the per-query half of
-// a stage. The FIRST error wins: it cancels the context handed to the
-// remaining work — an in-flight Rebind on a sibling query stops early, its
-// speculative result discarded with the old bound state untouched — and is
-// the error parStage returns. Sibling cancellation errors never mask it, so
-// stageFail's transient-vs-deterministic classification still inspects the
-// flush's own context exactly as with the sequential loop.
-func parStage(ctx context.Context, par, n int, f func(context.Context, int) error) error {
-	if par <= 1 || n <= 1 {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if err := f(ctx, i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var (
-		wg       sync.WaitGroup
-		next     atomic.Int64
-		errMu    sync.Mutex
-		firstErr error
-	)
-	fail := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-			cancel()
-		}
-		errMu.Unlock()
-	}
-	for w := 0; w < par; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1) - 1)
-				if i >= n {
-					return
-				}
-				if err := cctx.Err(); err != nil {
-					fail(err)
-					return
-				}
-				if err := f(cctx, i); err != nil {
-					fail(err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return firstErr
+	return stagedFlush{cdb: ncdb, version: version, next: next}, nil
 }
 
 // commitLocked makes a staged flush visible: snapshot swap, per-query state,
@@ -1148,11 +1026,9 @@ type QueryBackpressure struct {
 // flush path only (batch take + commit) — the flat-tail claim of the
 // O(change) flush design is that MaxLockHoldNs stays O(staged queries +
 // notification size) while StageNs carries all the data-dependent work.
-// LastStagePar is the worker count the most recent stage fanned its
-// per-query work over (bounded by the engine's Parallelism and the number of
-// queries staged); StagedQueries counts the queries actually staged — those
-// reading a relation of the flushed batch — cumulatively, so
-// StagedQueries/Flushes is the mean number of queries a flush reaches.
+// StagedQueries counts the queries actually staged — those reading a
+// relation of the flushed batch — cumulatively, so StagedQueries/Flushes is
+// the mean number of queries a flush reaches.
 type FlushStats struct {
 	StageNs       uint64 `json:"stage_ns"`
 	CommitNs      uint64 `json:"commit_ns"`
@@ -1163,7 +1039,6 @@ type FlushStats struct {
 	LastWalNs     uint64 `json:"last_wal_ns"`
 	MaxLockHoldNs uint64 `json:"max_lock_hold_ns"`
 	DiffRows      uint64 `json:"diff_rows"`
-	LastStagePar  uint64 `json:"last_stage_par"`
 	StagedQueries uint64 `json:"staged_queries"`
 }
 
@@ -1219,7 +1094,6 @@ func (s *Store) Stats() Stats {
 			LastWalNs:     s.stats.lastWalNs,
 			MaxLockHoldNs: s.stats.maxLockHoldNs,
 			DiffRows:      s.stats.diffRows,
-			LastStagePar:  s.stats.lastStagePar,
 			StagedQueries: s.stats.stagedQueries,
 		},
 		Backpressure: bp,

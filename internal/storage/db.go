@@ -295,9 +295,7 @@ func (db *DB) Relations() []string {
 }
 
 // RelationTuples returns the named relation's tuples decoded back to
-// constant strings; nil when the relation is absent. The sharded live router
-// uses it to replicate a relation into the shard a cross-shard query is
-// pinned to.
+// constant strings; nil when the relation is absent.
 func (db *DB) RelationTuples(name string) [][]string {
 	t := db.Table(name)
 	if t == nil {

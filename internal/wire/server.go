@@ -47,10 +47,10 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Server serves the wire protocol over a live.Service — the same Store or
-// ShardedStore the HTTP handlers route to, so both protocols observe one
-// state. Create with NewServer, feed listeners to Serve (one call per
-// listener), stop with Close.
+// Server serves the wire protocol over a live.Service — the same store the
+// HTTP handlers route to, so both protocols observe one state. Create with
+// NewServer, feed listeners to Serve (one call per listener), stop with
+// Close.
 type Server struct {
 	svc  live.Service
 	opts Options
@@ -460,11 +460,11 @@ func (c *conn) handleQuery(stream uint32, payload []byte) {
 // section).
 type statsDoc struct {
 	Wire  ServerStats `json:"wire"`
-	Store any         `json:"store"`
+	Store live.Stats  `json:"store"`
 }
 
 func (c *conn) handleStats(stream uint32) {
-	doc := statsDoc{Wire: c.srv.Stats(), Store: c.srv.svc.ServiceStats()}
+	doc := statsDoc{Wire: c.srv.Stats(), Store: c.srv.svc.Stats()}
 	data, err := json.Marshal(doc)
 	if err != nil {
 		c.sendError(stream, ErrCodeInternal, err.Error())

@@ -113,10 +113,7 @@ func openDurable(t *testing.T, dir string) *live.Store {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store, err := live.Open(context.Background(), nil, live.DurableConfig{
-		Config:  live.Config{MaxLatency: 5 * time.Millisecond},
-		Backend: backend,
-	})
+	store, err := live.Open(context.Background(), nil, live.DurableConfig{Backend: backend})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	d2cqd [-addr 127.0.0.1:8344] [-db file] [-max-batch 256] [-max-latency 25ms] [-buffer 16] [-parallelism n]
+//	d2cqd [-addr 127.0.0.1:8344] [-db file] [-buffer 16] [-parallelism n]
 //	      [-data-dir dir] [-fsync always|off|duration] [-checkpoint-every 64]
 //	      [-listen-wire host:port] [-auth-token T]
 //
@@ -33,9 +33,11 @@
 //	              vars, count and — when limit is non-zero — up to limit
 //	              solution rows (limit < 0: all).
 //	POST /update  {"insert":{"R":[["a","b"]]},"delete":{"S":[["c","d"]]}}
-//	              submits one delta to the ingestion pipeline (coalesced,
-//	              applied within max-latency). With ?sync=1 the batch is
-//	              flushed before responding.
+//	              submits one delta to the ingestion pipeline (group
+//	              commit: applied by the next flush, which starts at once
+//	              when none is running). With ?sync=1 the response waits
+//	              for the flush that makes the delta visible and reports
+//	              a version at which it is.
 //	GET  /watch?query=paths
 //	              an SSE stream: one "snapshot" event with the current
 //	              count, then one "change" event per flush that changed the
@@ -131,8 +133,8 @@ func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("d2cqd", flag.ContinueOnError)
 	addr := fs.String("addr", "127.0.0.1:8344", "listen address (host:port; port 0 picks a free one)")
 	dbPath := fs.String("db", "", "initial database file, one ground atom per line (empty: start with an empty database)")
-	maxBatch := fs.Int("max-batch", 0, "flush the coalesced batch at this many pending tuples (0: default 256)")
-	maxLatency := fs.Duration("max-latency", 0, "flush the coalesced batch at the latest this long after the first pending tuple (0: default 25ms)")
+	fs.Int("max-batch", 0, "deprecated and ignored: flushing is group commit")
+	fs.Duration("max-latency", 0, "deprecated and ignored: flushing is group commit")
 	buffer := fs.Int("buffer", 0, "per-query broadcast ring capacity before slow watchers drop (0: default 16)")
 	parallelism := fs.Int("parallelism", 0, "engine worker pool for evaluation passes (0/1: sequential, -1: one per CPU)")
 	dataDir := fs.String("data-dir", "", "durable mode: write-ahead log + checkpoints under this directory; restarts resume the pre-crash state")
@@ -157,7 +159,7 @@ func run(args []string, out io.Writer) error {
 	if *parallelism != 0 {
 		opts = append(opts, engine.WithParallelism(*parallelism))
 	}
-	cfg := live.Config{MaxBatch: *maxBatch, MaxLatency: *maxLatency, Buffer: *buffer}
+	cfg := live.Config{Buffer: *buffer}
 	var store *live.Store
 	if *dataDir != "" {
 		if *dbPath != "" {
@@ -406,28 +408,27 @@ func (s *server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	delta := &storage.Delta{Insert: req.Insert, Delete: req.Delete}
-	if err := s.store.Submit(delta); err != nil {
-		status := http.StatusBadRequest // arity validation
-		if errors.Is(err, live.ErrClosed) {
+	var version uint64
+	var err error
+	if r.URL.Query().Get("sync") != "" {
+		version, err = s.store.SubmitSync(r.Context(), delta)
+	} else if err = s.store.Submit(delta); err == nil {
+		version = s.store.Version()
+	}
+	if err != nil {
+		// A failed flush is not necessarily this caller's fault: the batch
+		// may carry other submitters' tuples.
+		status := http.StatusInternalServerError
+		switch {
+		case errors.Is(err, live.ErrInvalidDelta):
+			status = http.StatusBadRequest
+		case errors.Is(err, live.ErrClosed):
 			status = http.StatusServiceUnavailable
 		}
 		httpError(w, status, err)
 		return
 	}
-	if r.URL.Query().Get("sync") != "" {
-		if err := s.store.Flush(r.Context()); err != nil {
-			// Not necessarily this caller's fault: the flushed batch may
-			// carry other submitters' tuples (this delta already passed
-			// Submit validation above).
-			status := http.StatusInternalServerError
-			if errors.Is(err, live.ErrClosed) {
-				status = http.StatusServiceUnavailable
-			}
-			httpError(w, status, err)
-			return
-		}
-	}
-	writeJSON(w, updateResponse{Version: s.store.Version(), PendingTuples: s.store.PendingTuples()})
+	writeJSON(w, updateResponse{Version: version, PendingTuples: s.store.PendingTuples()})
 }
 
 // snapshotEvent is the first SSE event of a watch stream: where the

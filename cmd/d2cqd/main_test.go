@@ -110,8 +110,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 	db := cq.Database{}
 	db.Add("R", "a", "b")
 	db.Add("S", "b", "c")
-	store, err := live.NewStore(context.Background(), nil, db,
-		live.Config{MaxLatency: 5 * time.Millisecond})
+	store, err := live.NewStore(context.Background(), nil, db, live.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +150,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 		t.Fatalf("snapshot = %+v, want count 1 for paths", sv)
 	}
 
-	// Async update: flushed by the max-latency trigger, no manual flush.
+	// Async update: flushed by group commit, no manual flush.
 	resp, body = postJSON(t, ts.URL+"/update", map[string]any{
 		"insert": map[string][][]string{"R": {{"a", "b2"}}, "S": {{"b2", "c2"}}},
 	})
@@ -261,6 +260,46 @@ func TestDaemonErrors(t *testing.T) {
 			t.Errorf("%s: status = %d, want %d", tc.name, resp.StatusCode, tc.status)
 		}
 		resp.Body.Close()
+	}
+}
+
+// TestSyncUpdateStatus: /update?sync=1 tells a bad delta (400), a failed
+// flush (500) and a closed store (503) apart, as separate submit and flush
+// calls did.
+func TestSyncUpdateStatus(t *testing.T) {
+	ctx := context.Background()
+	store, err := live.NewStore(ctx, nil, cq.Database{}, live.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	q, err := cq.ParseQuery("R(x,y)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Register(ctx, "q", q); err != nil {
+		t.Fatal(err)
+	}
+	h := newServer(store)
+	post := func(ctx context.Context, body string) int {
+		t.Helper()
+		req := httptest.NewRequest(http.MethodPost, "/update?sync=1", strings.NewReader(body)).WithContext(ctx)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		return rec.Code
+	}
+	if got := post(ctx, `{"insert":{"R":[["a","b"],["only-one"]]}}`); got != http.StatusBadRequest {
+		t.Errorf("arity error: status %d, want 400", got)
+	}
+	// A request cancelled before its flush ran fails the flush, not the delta.
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	if got := post(cancelled, `{"insert":{"R":[["a","b"]]}}`); got != http.StatusInternalServerError {
+		t.Errorf("failed flush: status %d, want 500", got)
+	}
+	store.Close()
+	if got := post(ctx, `{"insert":{"R":[["c","d"]]}}`); got != http.StatusServiceUnavailable {
+		t.Errorf("closed store: status %d, want 503", got)
 	}
 }
 

@@ -22,12 +22,7 @@ import (
 // one shared store.
 func authedServer(t *testing.T, token string) (*live.Store, *httptest.Server, string) {
 	t.Helper()
-	store, err := live.NewStore(context.Background(), nil, cq.Database{}, live.Config{
-		MaxBatch:   1 << 20,
-		MaxLatency: time.Hour,
-		Buffer:     8,
-		History:    8,
-	})
+	store, err := live.NewStore(context.Background(), nil, cq.Database{}, live.Config{Buffer: 8, History: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,12 +109,7 @@ func TestSolutionsEndpoint(t *testing.T) {
 	if err := store.Register(ctx, "paths", q); err != nil {
 		t.Fatal(err)
 	}
-	for k := 1; k <= 3; k++ {
-		if err := store.Submit(pairDelta(k)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := store.Flush(ctx); err != nil {
+	if _, err := store.SubmitSync(ctx, pairDelta(1).Merge(pairDelta(2)).Merge(pairDelta(3))); err != nil {
 		t.Fatal(err)
 	}
 

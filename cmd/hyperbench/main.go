@@ -28,14 +28,6 @@
 // once as one Update per delta and once as one Update per Delta.Merge batch
 // of k, timing both, reporting the engine Rebind counts, and cross-checking
 // that the two paths land on identical results.
-//
-// With -latency d1,d2,... the run sweeps the live.Store MaxLatency knob: per
-// level, a paced stream of single-tuple deltas is Submit-ted to a store
-// whose only flush trigger is the latency timer, and the resulting flush
-// count, engine Rebind count, effective batch size (tuples per flush) and
-// wall time show the freshness-versus-throughput trade the knob buys. Final
-// counts are cross-checked against a from-scratch recompile of the same
-// logical database.
 package main
 
 import (
@@ -47,7 +39,6 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -77,7 +68,6 @@ type report struct {
 	Updates   *updatesReport         `json:"updates,omitempty"`
 	Parallel  *parallelReport        `json:"parallel,omitempty"`
 	Coalesce  *coalesceReport        `json:"coalesce,omitempty"`
-	Latency   *latencyReport         `json:"latency,omitempty"`
 }
 
 type evalReport struct {
@@ -104,16 +94,11 @@ func run(args []string, out io.Writer) error {
 	updates := fs.Int("updates", 0, "also benchmark incremental maintenance: time this many single-tuple update rounds per sampled entry, Update vs CompileDB+Bind (0 = skip)")
 	coalesce := fs.Int("coalesce", 0, "also benchmark coalesced ingestion: apply the single-tuple delta stream (as many rounds as -updates, default 64) once per delta and once per Delta.Merge batch of this size (0 = skip)")
 	parallel := fs.String("parallel", "", "also sweep WithParallelism over these comma-separated worker counts (e.g. 1,2,4,8), timing Bind, Count and EnumerateAll per level (empty = skip)")
-	latency := fs.String("latency", "", "also sweep the live-store MaxLatency flush deadline over these comma-separated durations (e.g. 1ms,5ms,25ms), pacing a delta stream through a store per level (empty = skip)")
 	jsonOut := fs.Bool("json", false, "emit a machine-readable JSON report instead of the human tables")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	levels, err := parseParallelLevels(*parallel)
-	if err != nil {
-		return err
-	}
-	latencies, err := parseLatencyLevels(*latency)
 	if err != nil {
 		return err
 	}
@@ -169,13 +154,6 @@ func run(args []string, out io.Writer) error {
 			}
 			rep.Coalesce = cr
 		}
-		if len(latencies) > 0 {
-			lr, err := latencyBench(io.Discard, c, latencies, false)
-			if err != nil {
-				return err
-			}
-			rep.Latency = lr
-		}
 		enc := json.NewEncoder(out)
 		enc.SetIndent("", "  ")
 		return enc.Encode(rep)
@@ -205,29 +183,7 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 	}
-	if len(latencies) > 0 {
-		if _, err := latencyBench(out, c, latencies, true); err != nil {
-			return err
-		}
-	}
 	return nil
-}
-
-// parseLatencyLevels parses the -latency flag: a comma-separated list of
-// positive durations.
-func parseLatencyLevels(s string) ([]time.Duration, error) {
-	if strings.TrimSpace(s) == "" {
-		return nil, nil
-	}
-	var levels []time.Duration
-	for _, part := range strings.Split(s, ",") {
-		d, err := time.ParseDuration(strings.TrimSpace(part))
-		if err != nil || d <= 0 {
-			return nil, fmt.Errorf("bad -latency level %q (want positive durations, e.g. 1ms,5ms,25ms)", part)
-		}
-		levels = append(levels, d)
-	}
-	return levels, nil
 }
 
 // coalesceRounds derives the delta-stream length of the coalesce benchmark
@@ -615,190 +571,6 @@ func coalesceBench(out io.Writer, c *hyperbench.Corpus, rounds, batch int, human
 	if human {
 		fmt.Fprintf(out, "%d deltas: per-delta %.1fms (%d rebinds), coalesced ×%d %.1fms (%d rebinds) — %.1f× (%d entries cross-checked)\n",
 			rep.Rounds, rep.PerDeltaMS, rep.PerDeltaRebinds, batch, rep.CoalescedMS, rep.CoalescedRebinds, rep.Speedup, rep.Checked)
-	}
-	return rep, nil
-}
-
-// latencyReport records the MaxLatency sweep: per flush-deadline level, how
-// many time-triggered flushes the paced delta stream produced, the engine
-// Rebind count those flushes cost, and the effective batch size the deadline
-// coalesced — the freshness-versus-throughput curve of the knob.
-type latencyReport struct {
-	Entries int            `json:"entries"`
-	Rounds  int            `json:"rounds"`
-	PaceUS  float64        `json:"pace_us"`
-	Sweep   []latencySweep `json:"sweep"`
-}
-
-type latencySweep struct {
-	MaxLatencyMS   float64 `json:"max_latency_ms"`
-	Flushes        uint64  `json:"flushes"`
-	Rebinds        uint64  `json:"rebinds"`
-	EffectiveBatch float64 `json:"effective_batch"`
-	WallMS         float64 `json:"wall_ms"`
-	Checked        int     `json:"checked"`
-	// Submit call latency percentiles (µs). Submits never wait for flush
-	// engine work — the store's stage runs outside its mutex — so these stay
-	// flat across deadline levels even though a shorter deadline flushes far
-	// more often mid-stream.
-	SubmitP50US float64 `json:"submit_p50_us"`
-	SubmitP99US float64 `json:"submit_p99_us"`
-}
-
-// pctUS returns the q-quantile of the sorted durations in microseconds.
-func pctUS(sorted []time.Duration, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	return float64(sorted[int(q*float64(len(sorted)-1))].Nanoseconds()) / 1e3
-}
-
-// latencyEntryCap bounds the sampled entries. latencyRounds (deltas per
-// entry per level) and latencyPace (inter-arrival gap) are variables so the
-// test suite can shrink the paced stream to milliseconds; real runs use the
-// defaults.
-const latencyEntryCap = 4
-
-var (
-	latencyRounds = 96
-	latencyPace   = 300 * time.Microsecond
-)
-
-// latencyBench sweeps live.Config.MaxLatency: per level, each sampled entry
-// gets its own Store (MaxBatch effectively infinite, so the deadline timer
-// is the only flush trigger) and receives latencyRounds single-tuple deltas
-// paced latencyPace apart. A short deadline flushes nearly per delta; a long
-// one coalesces many arrivals into one Apply + Rebind — the flush and
-// Rebind counters quantify it. Each store's final count is cross-checked
-// against a from-scratch compile of the mirrored database.
-func latencyBench(out io.Writer, c *hyperbench.Corpus, levels []time.Duration, human bool) (*latencyReport, error) {
-	ctx := context.Background()
-	entries := c.Entries
-	if len(entries) > latencyEntryCap {
-		sampled := make([]hyperbench.Entry, 0, latencyEntryCap)
-		for i := 0; i < latencyEntryCap; i++ {
-			sampled = append(sampled, entries[i*len(entries)/latencyEntryCap])
-		}
-		entries = sampled
-	}
-	if human {
-		fmt.Fprintf(out, "\n=== MaxLatency sweep (%d entries × %d paced deltas, one every %v) ===\n",
-			len(entries), latencyRounds, latencyPace)
-	}
-	rep := &latencyReport{Entries: len(entries), Rounds: len(entries) * latencyRounds,
-		PaceUS: float64(latencyPace.Microseconds())}
-	scout := d2cq.NewEngine(d2cq.WithMaxWidth(updatesBenchMaxWidth), d2cq.WithNaiveFallback())
-	for _, lat := range levels {
-		eng := d2cq.NewEngine(d2cq.WithMaxWidth(updatesBenchMaxWidth), d2cq.WithNaiveFallback())
-		lvl := latencySweep{MaxLatencyMS: float64(lat.Microseconds()) / 1000}
-		var wall time.Duration
-		var flushes, flushedTuples uint64
-		var submitDurs []time.Duration
-		for _, e := range entries {
-			inst := reduction.NewInstance(e.H)
-			for edge := 0; edge < e.H.NE(); edge++ {
-				cols := len(e.H.EdgeVertexNames(edge))
-				for t := 0; t < updatesTuplesPerEdge; t++ {
-					row := make([]string, cols)
-					for cix := range row {
-						row[cix] = fmt.Sprintf("c%d", (t*7+cix*13+edge)%updatesConstantPool)
-					}
-					inst.D.Add(e.H.EdgeName(edge), row...)
-				}
-			}
-			store, err := d2cq.NewLiveStore(ctx, eng, inst.D, d2cq.LiveConfig{
-				MaxBatch:   1 << 30, // never: the latency deadline is the only flush trigger
-				MaxLatency: lat,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("%s: %w", e.Name, err)
-			}
-			if err := store.Register(ctx, "q", inst.Q); err != nil {
-				store.Close()
-				return nil, fmt.Errorf("%s: Register: %w", e.Name, err)
-			}
-			// The same insert/lagged-delete stream shape as coalesceBench,
-			// mirrored into inst.D for the cross-check recompile.
-			tupleFor := func(r int) (string, []string) {
-				edge := r % e.H.NE()
-				cols := len(e.H.EdgeVertexNames(edge))
-				tuple := make([]string, cols)
-				for cix := range tuple {
-					tuple[cix] = fmt.Sprintf("u%d_%d", r, cix)
-				}
-				return e.H.EdgeName(edge), tuple
-			}
-			start := time.Now()
-			for r := 0; r < latencyRounds; r++ {
-				delta := d2cq.NewDelta()
-				if r%2 == 0 || r < coalesceDeleteLag {
-					rel, tuple := tupleFor(r - r%2)
-					delta.Add(rel, tuple...)
-				} else {
-					rel, tuple := tupleFor(r - coalesceDeleteLag)
-					delta.Remove(rel, tuple...)
-				}
-				submitStart := time.Now()
-				if err := store.Submit(delta); err != nil {
-					store.Close()
-					return nil, fmt.Errorf("%s round %d: Submit: %w", e.Name, r, err)
-				}
-				submitDurs = append(submitDurs, time.Since(submitStart))
-				delta.ApplyToDatabase(inst.D)
-				time.Sleep(latencyPace)
-			}
-			if err := store.Flush(ctx); err != nil {
-				store.Close()
-				return nil, fmt.Errorf("%s: final Flush: %w", e.Name, err)
-			}
-			wall += time.Since(start)
-			got, _, err := store.Count("q")
-			if err != nil {
-				store.Close()
-				return nil, fmt.Errorf("%s: Count: %w", e.Name, err)
-			}
-			st := store.Stats()
-			flushes += st.Flushes
-			flushedTuples += st.FlushedTuples
-			if err := store.Close(); err != nil {
-				return nil, fmt.Errorf("%s: Close: %w", e.Name, err)
-			}
-			// Cross-check against a from-scratch compile of the mirror.
-			prep, err := scout.Prepare(ctx, inst.Q)
-			if err != nil {
-				return nil, fmt.Errorf("%s: %w", e.Name, err)
-			}
-			cdb, err := scout.CompileDB(ctx, inst.D)
-			if err != nil {
-				return nil, fmt.Errorf("%s: %w", e.Name, err)
-			}
-			bound, err := prep.Bind(ctx, cdb)
-			if err != nil {
-				return nil, fmt.Errorf("%s: %w", e.Name, err)
-			}
-			want, err := bound.Count(ctx)
-			if err != nil {
-				return nil, fmt.Errorf("%s: scout Count: %w", e.Name, err)
-			}
-			if got != want {
-				return nil, fmt.Errorf("%s: MaxLatency %v store counts %d, recompile %d", e.Name, lat, got, want)
-			}
-			lvl.Checked++
-		}
-		lvl.Flushes = flushes
-		lvl.Rebinds = eng.Stats().Rebinds
-		lvl.WallMS = float64(wall.Microseconds()) / 1000
-		if flushes > 0 {
-			lvl.EffectiveBatch = float64(flushedTuples) / float64(flushes)
-		}
-		sort.Slice(submitDurs, func(i, j int) bool { return submitDurs[i] < submitDurs[j] })
-		lvl.SubmitP50US = pctUS(submitDurs, 0.50)
-		lvl.SubmitP99US = pctUS(submitDurs, 0.99)
-		rep.Sweep = append(rep.Sweep, lvl)
-		if human {
-			fmt.Fprintf(out, "max-latency %v: %d flushes (%.1f tuples/flush), %d rebinds, submit p50=%.0fµs p99=%.0fµs, wall %.1fms (%d entries cross-checked)\n",
-				lat, lvl.Flushes, lvl.EffectiveBatch, lvl.Rebinds, lvl.SubmitP50US, lvl.SubmitP99US, lvl.WallMS, lvl.Checked)
-		}
 	}
 	return rep, nil
 }

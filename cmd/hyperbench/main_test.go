@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestRunSmallCorpus(t *testing.T) {
@@ -152,60 +151,6 @@ func TestRunUpdatesBench(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "incremental updates") || !strings.Contains(out.String(), "speedup") {
 		t.Errorf("missing updates summary:\n%s", out.String())
-	}
-}
-
-func TestRunLatencySweep(t *testing.T) {
-	// Shrink the paced stream: the production pace (96 deltas × 300µs per
-	// entry per level) is a real-time benchmark, not a test budget.
-	defer func(rounds int, pace time.Duration) {
-		latencyRounds, latencyPace = rounds, pace
-	}(latencyRounds, latencyPace)
-	latencyRounds, latencyPace = 24, 50*time.Microsecond
-
-	var out strings.Builder
-	if err := run([]string{"-per", "1", "-maxk", "3", "-latency", "1ms,20ms", "-json"}, &out); err != nil {
-		t.Fatal(err)
-	}
-	var rep report
-	if err := json.Unmarshal([]byte(out.String()), &rep); err != nil {
-		t.Fatalf("output is not valid JSON: %v\n%s", err, out.String())
-	}
-	lr := rep.Latency
-	if lr == nil {
-		t.Fatal("latency report missing")
-	}
-	if lr.Entries == 0 || lr.Rounds != lr.Entries*24 || lr.PaceUS != 50 {
-		t.Errorf("stream shape wrong: %+v", lr)
-	}
-	if len(lr.Sweep) != 2 {
-		t.Fatalf("sweep levels = %+v, want 2", lr.Sweep)
-	}
-	for _, lvl := range lr.Sweep {
-		if lvl.Flushes == 0 || lvl.Rebinds == 0 || lvl.EffectiveBatch <= 0 {
-			t.Errorf("max-latency %vms: empty counters %+v", lvl.MaxLatencyMS, lvl)
-		}
-		if lvl.Checked != lr.Entries {
-			t.Errorf("max-latency %vms: cross-checked %d of %d entries", lvl.MaxLatencyMS, lvl.Checked, lr.Entries)
-		}
-	}
-	// A longer deadline must not flush more often than a shorter one over
-	// the same paced stream.
-	if lr.Sweep[1].Flushes > lr.Sweep[0].Flushes {
-		t.Errorf("20ms deadline flushed %d times, 1ms %d — longer deadline should coalesce more",
-			lr.Sweep[1].Flushes, lr.Sweep[0].Flushes)
-	}
-
-	// Human mode prints the sweep; a bad level list errors.
-	out.Reset()
-	if err := run([]string{"-per", "1", "-maxk", "3", "-latency", "5ms"}, &out); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "MaxLatency sweep") || !strings.Contains(out.String(), "tuples/flush") {
-		t.Errorf("missing latency sweep:\n%s", out.String())
-	}
-	if err := run([]string{"-per", "1", "-latency", "0s,zzz"}, &out); err == nil {
-		t.Error("bad -latency levels should error")
 	}
 }
 

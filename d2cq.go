@@ -311,8 +311,8 @@ func NaiveEnumerate(q Query, db Database, yield func(Solution) bool) error {
 // to Watch subscribers. cmd/d2cqd serves one over HTTP/JSON with SSE.
 type LiveStore = live.Store
 
-// LiveConfig tunes the ingestion pipeline (MaxBatch/MaxLatency flush
-// triggers) and the per-subscription notification buffer.
+// LiveConfig tunes the per-query notification buffer and resume history.
+// Flushing needs no tuning: it is group commit.
 type LiveConfig = live.Config
 
 // LiveStats snapshots a LiveStore's traffic: snapshot version, coalescing

@@ -9,15 +9,10 @@ import (
 	"d2cq/internal/storage"
 )
 
-// creditStore builds a store with one registered two-atom query and manual
-// flush control (huge MaxBatch/MaxLatency).
+// creditStore builds a store with one registered two-atom query.
 func creditStore(t *testing.T) (*Store, string) {
 	t.Helper()
-	s, err := NewStore(context.Background(), nil, cq.Database{}, Config{
-		MaxBatch:   1 << 20,
-		MaxLatency: time.Hour,
-		Buffer:     4,
-	})
+	s, err := NewStore(context.Background(), nil, cq.Database{}, Config{Buffer: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

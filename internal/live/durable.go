@@ -56,7 +56,6 @@ const (
 )
 
 func (c DurableConfig) withDefaults() DurableConfig {
-	c.Config = c.Config.withDefaults()
 	if c.History == 0 {
 		c.History = defaultHistory
 	}
@@ -436,23 +435,7 @@ func Open(ctx context.Context, eng *engine.Engine, cfg DurableConfig) (*Store, e
 		}
 	}
 
-	s := &Store{
-		eng:      eng,
-		cfg:      cfg.Config,
-		cdb:      cdb,
-		version:  version,
-		queries:  map[string]*liveQuery{},
-		readers:  map[string][]*liveQuery{},
-		relArity: map[string]int{},
-		pending:  storage.NewCoalescer(),
-		kick:     make(chan struct{}, 1),
-		closeCh:  make(chan struct{}),
-		doneCh:   make(chan struct{}),
-	}
-	s.timer = time.NewTimer(time.Hour)
-	if !s.timer.Stop() {
-		<-s.timer.C
-	}
+	s := newStore(eng, cfg.Config, cdb, version)
 	for _, q := range ck.queriesOrNil() {
 		parsed, err := cq.ParseQuery(q.src)
 		if err != nil {

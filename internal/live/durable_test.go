@@ -9,7 +9,6 @@ import (
 	"reflect"
 	"sort"
 	"testing"
-	"time"
 
 	"d2cq/internal/cq"
 	"d2cq/internal/engine"
@@ -17,12 +16,11 @@ import (
 	"d2cq/internal/wal"
 )
 
-// durableConfig mirrors manualConfig for durable stores: flushes only when
-// the test says so, no mid-run checkpoint cadence (Open and Close still write
-// their own), ample history and buffers.
+// durableConfig is the durable stores' test config: no mid-run checkpoint
+// cadence (Open and Close still write their own), ample history and buffers.
 func durableConfig(backend wal.Backend) DurableConfig {
 	return DurableConfig{
-		Config:          Config{MaxBatch: 1 << 30, MaxLatency: time.Hour, Buffer: 256, History: 256},
+		Config:          Config{Buffer: 256, History: 256},
 		Backend:         backend,
 		SyncMode:        wal.SyncOff,
 		CheckpointEvery: 1 << 30,
@@ -60,6 +58,14 @@ func storageKey(tuple []string) string {
 		k += v + "\x00"
 	}
 	return k
+}
+
+func cloneAll(ds []*storage.Delta) []*storage.Delta {
+	out := make([]*storage.Delta, len(ds))
+	for i, d := range ds {
+		out[i] = d.Clone()
+	}
+	return out
 }
 
 func drain(sub *Subscription) []Notification {
@@ -159,14 +165,7 @@ func TestDurableCrashRecoveryDifferential(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		for _, d := range script[i] {
-			if err := ref.Submit(d.Clone()); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := ref.Flush(ctx); err != nil {
-			t.Fatal(err)
-		}
+		flushBatch(t, ref, cloneAll(script[i])...)
 		clones[i+1] = refBackend.Clone()
 		counts[i+1] = snapCounts()
 	}
@@ -217,14 +216,7 @@ func TestDurableCrashRecoveryDifferential(t *testing.T) {
 					t.Fatalf("crash at boundary %d: re-register star: %v", k, err)
 				}
 			}
-			for _, d := range script[i] {
-				if err := s.Submit(d.Clone()); err != nil {
-					t.Fatalf("crash at boundary %d flush %d: %v", k, i, err)
-				}
-			}
-			if err := s.Flush(ctx); err != nil {
-				t.Fatalf("crash at boundary %d flush %d: %v", k, i, err)
-			}
+			flushBatch(t, s, cloneAll(script[i])...)
 		}
 		if got := s.Version(); got != refFinalVersion {
 			t.Fatalf("crash at boundary %d: final version %d, want %d", k, got, refFinalVersion)
@@ -312,7 +304,7 @@ func TestDurableTornTail(t *testing.T) {
 			t.Fatalf("cut at %d: recovered version %d out of range", cut, v)
 		}
 		// A pristine store fed the surviving prefix must agree exactly.
-		want, err := NewStore(ctx, eng, cq.Database{}, manualConfig(4))
+		want, err := NewStore(ctx, eng, cq.Database{}, Config{Buffer: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -345,7 +337,7 @@ func TestDurableTornTail(t *testing.T) {
 // resumes.
 func TestWatchFromWindow(t *testing.T) {
 	ctx := context.Background()
-	cfg := manualConfig(64)
+	cfg := Config{Buffer: 64}
 	cfg.History = 3
 	s, err := NewStore(ctx, nil, cq.Database{}, cfg)
 	if err != nil {
@@ -412,7 +404,7 @@ func TestWatchFromWindow(t *testing.T) {
 	}
 
 	// History disabled: every cursor is unresumable, even the current one.
-	s2, err := NewStore(ctx, nil, cq.Database{}, manualConfig(4))
+	s2, err := NewStore(ctx, nil, cq.Database{}, Config{Buffer: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,7 +48,7 @@ func fanoutStore(t *testing.T, cfg Config, n int) (*Store, []*Subscription) {
 // onto the ring entry every other subscriber (and every WatchFrom resume)
 // reads.
 func TestNotificationRingAliasing(t *testing.T) {
-	cfg := Config{MaxBatch: 1 << 30, MaxLatency: time.Hour, Buffer: 1, History: 1}
+	cfg := Config{Buffer: 1, History: 1}
 	s, subs := fanoutStore(t, cfg, 2)
 	slow, fast := subs[0], subs[1]
 	ctx := context.Background()
@@ -105,7 +105,7 @@ func TestMassFanoutAccounting(t *testing.T) {
 		flushes  = 10
 		ringCap  = 4
 	)
-	cfg := Config{MaxBatch: 1 << 30, MaxLatency: time.Hour, Buffer: ringCap}
+	cfg := Config{Buffer: ringCap}
 	s, subs := fanoutStore(t, cfg, watchers)
 	ctx := context.Background()
 
@@ -157,7 +157,7 @@ func TestMassFanoutAccounting(t *testing.T) {
 // flat from 16 watchers to 10k.
 func TestFanoutAllocsFlat(t *testing.T) {
 	perFlush := func(watchers int) float64 {
-		cfg := Config{MaxBatch: 1 << 30, MaxLatency: time.Hour, Buffer: 4}
+		cfg := Config{Buffer: 4}
 		s, _ := fanoutStore(t, cfg, watchers)
 		ctx := context.Background()
 		// Warm up: fill the ring so steady-state flushes evict in place.
@@ -194,7 +194,7 @@ func TestFanoutAllocsFlat(t *testing.T) {
 // before the flush's broadcast never sees its notification.
 func TestMassCancelMidFlush(t *testing.T) {
 	const watchers = 1000
-	cfg := Config{MaxBatch: 1 << 30, MaxLatency: time.Hour, Buffer: 8}
+	cfg := Config{Buffer: 8}
 	s, subs := fanoutStore(t, cfg, watchers)
 	ctx := context.Background()
 
@@ -250,7 +250,7 @@ func TestMassCancelMidFlush(t *testing.T) {
 func TestCloseDrainsBlockedWatchers(t *testing.T) {
 	const watchers = 256
 	baseline := runtime.NumGoroutine()
-	cfg := Config{MaxBatch: 1 << 30, MaxLatency: time.Hour, Buffer: 8}
+	cfg := Config{Buffer: 8}
 	s, subs := fanoutStore(t, cfg, watchers)
 	ctx := context.Background()
 

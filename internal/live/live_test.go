@@ -69,10 +69,29 @@ func genDelta(rng *rand.Rand, sh watchShape, relNames []string) *storage.Delta {
 	return d
 }
 
-// manualConfig disables both automatic flush triggers so tests control
-// snapshot boundaries exactly, with room for every notification.
-func manualConfig(buffer int) Config {
-	return Config{MaxBatch: 1 << 30, MaxLatency: time.Hour, Buffer: buffer}
+// flushBatch submits deltas and flushes them as exactly one batch: it holds
+// flushMu across the submits, so the flusher they wake cannot split them.
+func flushBatch(t testing.TB, s *Store, deltas ...*storage.Delta) {
+	t.Helper()
+	s.flushMu.Lock()
+	defer s.flushMu.Unlock()
+	for _, d := range deltas {
+		if err := s.Submit(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.flushSerialized(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// stopFlusher ends s's background flusher, so an async Submit stays pending
+// until the test flushes it: for tests of what happens against a pending
+// batch, which group commit would otherwise flush at once. Close still works.
+func stopFlusher(s *Store) {
+	close(s.closeCh)
+	<-s.doneCh
+	s.closeCh = make(chan struct{})
 }
 
 // awaitNext blocks for the subscription's next notification with a test
@@ -86,6 +105,32 @@ func awaitNext(t *testing.T, sub *Subscription) Notification {
 		t.Fatal("subscription yielded no notification within 5s")
 	}
 	return n
+}
+
+// holdFirstStage makes s's first stage wait until release is called.
+// started waits for that stage to begin, failing the test after 5s. The
+// test's cleanup releases the stage too, so a failing test cannot leave
+// Close waiting on it; register the cleanup that closes s before this one.
+func holdFirstStage(t *testing.T, s *Store) (started, release func()) {
+	entered, hold := make(chan struct{}), make(chan struct{})
+	var first, once sync.Once
+	s.stageHook = func() {
+		first.Do(func() {
+			close(entered)
+			<-hold
+		})
+	}
+	release = func() { once.Do(func() { close(hold) }) }
+	t.Cleanup(release)
+	started = func() {
+		t.Helper()
+		select {
+		case <-entered:
+		case <-time.After(5 * time.Second):
+			t.Fatal("no stage started within 5s")
+		}
+	}
+	return started, release
 }
 
 // resultSet renders a query's full answer over a plain database as a set of
@@ -183,7 +228,7 @@ func runWatchDifferential(t *testing.T, sh watchShape, seed int64) {
 		}
 		mirror.Add(rel, tuple...)
 	}
-	store, err := NewStore(ctx, engine.NewEngine(sh.opts...), mirror, manualConfig(steps+4))
+	store, err := NewStore(ctx, engine.NewEngine(sh.opts...), mirror, Config{Buffer: steps + 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +316,7 @@ func runWatchDifferential(t *testing.T, sh watchShape, seed int64) {
 }
 
 // TestCoalescedIngestionIdentical drives the same delta stream through a
-// per-delta store and a coalescing store (one flush per 8 submits) and
+// per-delta store and a coalescing store (one batch per 8 submits) and
 // asserts byte-identical final results with measurably fewer Rebinds — the
 // acceptance contract of Delta.Merge-based ingestion. A flush rebinds the
 // query only when its batch lists a relation the query reads (Zed is noise),
@@ -294,12 +339,12 @@ func TestCoalescedIngestionIdentical(t *testing.T) {
 	initial.Add("T", "c2", "c3")
 
 	engA, engB := engine.NewEngine(), engine.NewEngine()
-	storeA, err := NewStore(ctx, engA, initial, manualConfig(4))
+	storeA, err := NewStore(ctx, engA, initial, Config{Buffer: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer storeA.Close()
-	storeB, err := NewStore(ctx, engB, initial, manualConfig(4))
+	storeB, err := NewStore(ctx, engB, initial, Config{Buffer: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,6 +361,7 @@ func TestCoalescedIngestionIdentical(t *testing.T) {
 	}
 	var wantA, wantB uint64
 	batchReaches := false
+	var batchB []*storage.Delta
 	for s := 0; s < steps; s++ {
 		delta := genDelta(rng, sh, relNames)
 		if reaches(delta) {
@@ -326,23 +372,11 @@ func TestCoalescedIngestionIdentical(t *testing.T) {
 			wantB++
 			batchReaches = false
 		}
-		if err := storeA.Submit(delta.Clone()); err != nil {
-			t.Fatal(err)
+		flushBatch(t, storeA, delta.Clone())
+		if batchB = append(batchB, delta); len(batchB) == batch {
+			flushBatch(t, storeB, batchB...)
+			batchB = nil
 		}
-		if err := storeA.Flush(ctx); err != nil {
-			t.Fatal(err)
-		}
-		if err := storeB.Submit(delta); err != nil {
-			t.Fatal(err)
-		}
-		if (s+1)%batch == 0 {
-			if err := storeB.Flush(ctx); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if err := storeB.Flush(ctx); err != nil {
-		t.Fatal(err)
 	}
 	rowsA, _, err := storeA.Solutions(ctx, "q", 0)
 	if err != nil {
@@ -378,7 +412,7 @@ func TestSlowSubscriberLag(t *testing.T) {
 	ctx := context.Background()
 	db := cq.Database{}
 	db.Add("R", "a")
-	store, err := NewStore(ctx, nil, db, Config{MaxBatch: 1 << 30, MaxLatency: time.Hour, Buffer: 1})
+	store, err := NewStore(ctx, nil, db, Config{Buffer: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -458,7 +492,7 @@ func TestWatchCancelAndCloseTeardown(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	db := cq.Database{}
 	db.Add("R", "a")
-	store, err := NewStore(ctx, nil, db, manualConfig(4))
+	store, err := NewStore(ctx, nil, db, Config{Buffer: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -528,64 +562,65 @@ func TestWatchCancelAndCloseTeardown(t *testing.T) {
 	awaitGoroutines(t, baseline)
 }
 
-// TestAutomaticFlushTriggers: both ingestion triggers flush without a manual
-// Flush — the size trigger immediately, the latency trigger within its
-// deadline.
+// TestAutomaticFlushTriggers: group commit flushes without a manual Flush.
+// The batch size follows the load: the deltas submitted while one flush runs
+// go out together in exactly one more. And nothing waits out a deadline: a
+// lone submit to an idle store is flushed at once, whatever the deprecated
+// MaxBatch and MaxLatency say.
 func TestAutomaticFlushTriggers(t *testing.T) {
 	ctx := context.Background()
-	q, err := cq.ParseQuery("R(x)")
-	if err != nil {
-		t.Fatal(err)
+	watched := func(t *testing.T, cfg Config) (*Store, *Subscription) {
+		t.Helper()
+		s, err := NewStore(ctx, nil, cq.Database{}, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { s.Close() })
+		if err := s.Register(ctx, "q", mustQuery(t, "R(x)")); err != nil {
+			t.Fatal(err)
+		}
+		sub, err := s.Watch("q")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s, sub
 	}
-	await := awaitNext
+	submit := func(t *testing.T, s *Store, v string) {
+		t.Helper()
+		if err := s.Submit(storage.NewDelta().Add("R", v)); err != nil {
+			t.Fatal(err)
+		}
+	}
 	t.Run("size", func(t *testing.T) {
-		db := cq.Database{}
-		db.Add("R", "a")
-		store, err := NewStore(ctx, nil, db, Config{MaxBatch: 2, MaxLatency: time.Hour, Buffer: 4})
-		if err != nil {
-			t.Fatal(err)
+		s, sub := watched(t, Config{Buffer: 4})
+		started, release := holdFirstStage(t, s)
+		submit(t, s, "first")
+		started() // flush 1 is mid-stage
+		for i := 0; i < 5; i++ {
+			submit(t, s, fmt.Sprint("b", i))
 		}
-		defer store.Close()
-		if err := store.Register(ctx, "q", q); err != nil {
-			t.Fatal(err)
+		release()
+		if n := awaitNext(t, sub); n.Version != 2 || len(n.Added) != 1 {
+			t.Fatalf("flush 1 delivered %+v, want version 2 with one added row", n)
 		}
-		sub, err := store.Watch("q")
-		if err != nil {
-			t.Fatal(err)
+		if n := awaitNext(t, sub); n.Version != 3 || len(n.Added) != 5 {
+			t.Fatalf("flush 2 delivered %+v, want version 3 with the 5 rows submitted during flush 1", n)
 		}
-		if err := store.Submit(storage.NewDelta().Add("R", "b").Add("R", "c")); err != nil {
-			t.Fatal(err)
-		}
-		if n := await(t, sub); len(n.Added) != 2 {
-			t.Fatalf("size-triggered flush delivered %+v, want two added rows", n)
+		if st := s.Stats(); st.Flushes != 2 || st.FlushedTuples != 6 {
+			t.Fatalf("%d flushes of %d tuples, want 2 of 6", st.Flushes, st.FlushedTuples)
 		}
 	})
 	t.Run("latency", func(t *testing.T) {
-		db := cq.Database{}
-		db.Add("R", "a")
-		store, err := NewStore(ctx, nil, db, Config{MaxBatch: 1 << 30, MaxLatency: 10 * time.Millisecond, Buffer: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer store.Close()
-		if err := store.Register(ctx, "q", q); err != nil {
-			t.Fatal(err)
-		}
-		sub, err := store.Watch("q")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := store.Submit(storage.NewDelta().Add("R", "b")); err != nil {
-			t.Fatal(err)
-		}
-		if n := await(t, sub); len(n.Added) != 1 {
-			t.Fatalf("latency-triggered flush delivered %+v, want one added row", n)
+		s, sub := watched(t, Config{MaxBatch: 1 << 30, MaxLatency: time.Hour, Buffer: 4})
+		submit(t, s, "b")
+		if n := awaitNext(t, sub); len(n.Added) != 1 {
+			t.Fatalf("group commit delivered %+v, want one added row", n)
 		}
 	})
 }
 
 // TestConcurrentSubmitAutoFlush hammers Submit from many goroutines while
-// only the automatic triggers flush (run under -race this is the submit path
+// only group commit flushes (run under -race this is the submit path
 // racing the flusher): disjoint insert-only streams must each land exactly
 // once, watch versions must strictly increase, the concatenated diffs must
 // sum to the final count, and no flush may fail.
@@ -595,7 +630,7 @@ func TestConcurrentSubmitAutoFlush(t *testing.T) {
 		goroutines = 6
 		perG       = 40
 	)
-	s, err := NewStore(ctx, nil, cq.Database{}, Config{MaxBatch: 16, MaxLatency: 2 * time.Millisecond, Buffer: 4096})
+	s, err := NewStore(ctx, nil, cq.Database{}, Config{Buffer: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -680,17 +715,85 @@ func TestConcurrentSubmitAutoFlush(t *testing.T) {
 	}
 }
 
+// TestSubmitSyncSharesFlush: sync submitters queued behind a running flush
+// share the next flush instead of taking one each, and each gets back a
+// version at which its tuple is visible.
+func TestSubmitSyncSharesFlush(t *testing.T) {
+	ctx := context.Background()
+	const callers = 8
+	s, err := NewStore(ctx, nil, cq.Database{}, Config{Buffer: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	if err := s.Register(ctx, "q", mustQuery(t, "R(x)")); err != nil {
+		t.Fatal(err)
+	}
+	sub, err := s.Watch("q")
+	if err != nil {
+		t.Fatal(err)
+	}
+	started, release := holdFirstStage(t, s)
+	if err := s.Submit(storage.NewDelta().Add("R", "first")); err != nil {
+		t.Fatal(err)
+	}
+	started() // the earlier flush is mid-stage, holding flushMu
+
+	versions := make([]uint64, callers)
+	var wg sync.WaitGroup
+	for i := range callers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			v, err := s.SubmitSync(ctx, storage.NewDelta().Add("R", fmt.Sprint("s", i)))
+			if err != nil {
+				t.Errorf("caller %d: %v", i, err)
+			}
+			versions[i] = v
+		}()
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for s.PendingTuples() < callers { // every caller has merged its tuple
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d sync submits pending after 10s", s.PendingTuples(), callers)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	release()
+	wg.Wait()
+
+	if st := s.Stats(); st.Flushes > 3 {
+		t.Fatalf("%d flushes followed the held one, want at most 2", st.Flushes-1)
+	}
+	addedAt := map[string]uint64{}
+	for _, n := range drain(sub) {
+		for _, row := range n.Added {
+			addedAt[row[0]] = n.Version
+		}
+	}
+	for i, v := range versions {
+		if at, ok := addedAt[fmt.Sprint("s", i)]; !ok || v < at {
+			t.Fatalf("caller %d got version %d, but its tuple became visible at %d (seen: %v)", i, v, at, ok)
+		}
+	}
+	if n, _, err := s.Count("q"); err != nil || n != callers+1 {
+		t.Fatalf("Count = %d, %v; want %d", n, err, callers+1)
+	}
+}
+
 // TestRegisterSemantics: idempotent re-registration, name collisions, poison
-// batches (arity mismatch) dropped with the snapshot intact.
+// batches (arity mismatch) dropped with the snapshot intact. The flusher is
+// stopped: several checks are against tuples still pending.
 func TestRegisterSemantics(t *testing.T) {
 	ctx := context.Background()
 	db := cq.Database{}
 	db.Add("R", "a", "b")
-	store, err := NewStore(ctx, nil, db, manualConfig(4))
+	store, err := NewStore(ctx, nil, db, Config{Buffer: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer store.Close()
+	stopFlusher(store)
 	q1, _ := cq.ParseQuery("R(x,y)")
 	q2, _ := cq.ParseQuery("R(x,x)")
 	if err := store.Register(ctx, "q", q1); err != nil {
@@ -779,16 +882,18 @@ func TestRegisterSemantics(t *testing.T) {
 
 // TestFlushCancelRestoresBatch: a transient flush failure (cancelled
 // context) must re-queue the coalesced batch instead of dropping other
-// submitters' tuples; the next flush applies it.
+// submitters' tuples; the next flush applies it. The flusher is stopped, so
+// the submit stays pending for the cancelled flush to fail on.
 func TestFlushCancelRestoresBatch(t *testing.T) {
 	ctx := context.Background()
 	db := cq.Database{}
 	db.Add("R", "a", "b")
-	store, err := NewStore(ctx, nil, db, manualConfig(4))
+	store, err := NewStore(ctx, nil, db, Config{Buffer: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer store.Close()
+	stopFlusher(store)
 	q, _ := cq.ParseQuery("R(x,y)")
 	if err := store.Register(ctx, "q", q); err != nil {
 		t.Fatal(err)

@@ -30,7 +30,7 @@ func disjointStore(tb testing.TB, n, rows int) *Store {
 			db.Add(fmt.Sprintf("q%04d_b", i), fmt.Sprint("y", r), fmt.Sprint("z", r))
 		}
 	}
-	s, err := NewStore(ctx, nil, db, manualConfig(4))
+	s, err := NewStore(ctx, nil, db, Config{Buffer: 4})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestStageVisitsOnlyReaders(t *testing.T) {
 	db.Add("S", "b", "c")
 	db.Add("T", "c", "d")
 	db.Add("U", "u", "v")
-	s, err := NewStore(ctx, nil, db, manualConfig(8))
+	s, err := NewStore(ctx, nil, db, Config{Buffer: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,15 +2,18 @@ package live
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"d2cq/internal/cq"
 	"d2cq/internal/storage"
+	"d2cq/internal/wal"
 )
 
 // TestRegisterRejectsPendingArityConflict pins the poison-batch fix: an
@@ -22,11 +25,12 @@ import (
 // every other submitter's tuples.
 func TestRegisterRejectsPendingArityConflict(t *testing.T) {
 	ctx := context.Background()
-	s, err := NewStore(ctx, nil, cq.Database{}, manualConfig(8))
+	s, err := NewStore(ctx, nil, cq.Database{}, Config{Buffer: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	stopFlusher(s)
 
 	// T is unknown to the store; this submit pins it at arity 3 inside the
 	// pending batch only — nothing is committed yet.
@@ -73,7 +77,7 @@ func TestRegisterRejectsPendingArityConflict(t *testing.T) {
 // dead query would pin arities forever.
 func TestRegisterRollsBackArityReservations(t *testing.T) {
 	ctx := context.Background()
-	s, err := NewStore(ctx, nil, cq.Database{}, manualConfig(8))
+	s, err := NewStore(ctx, nil, cq.Database{}, Config{Buffer: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,137 +108,123 @@ func TestRegisterRollsBackArityReservations(t *testing.T) {
 	}
 }
 
-// TestRestoreKicksFullBatch pins the stalled-flush fix: when a transient
-// flush failure restores the batch and the restored batch is already at or
-// past MaxBatch — because submits landed while the stage ran — restore must
-// kick the flusher like Submit would. Before the fix the full batch sat out
-// the whole MaxLatency (an hour here; the test timed out) before retrying.
+// TestRestoreKicksFullBatch pins the retry of a batch restored after a
+// cancelled sync caller: the flusher must apply it without a new submit. A
+// sync submit never wakes the flusher itself, so without the wake from
+// restore the tuples would wait for traffic that may never come.
 func TestRestoreKicksFullBatch(t *testing.T) {
 	ctx := context.Background()
-	s, err := NewStore(ctx, nil, cq.Database{}, Config{MaxBatch: 3, MaxLatency: time.Hour, Buffer: 8})
+	s, err := NewStore(ctx, nil, cq.Database{}, Config{Buffer: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-
-	// 2 tuples pending: below MaxBatch, so Submit arms only the timer.
-	if err := s.Submit(storage.NewDelta().Add("R", "a1", "b1").Add("R", "a2", "b2")); err != nil {
+	if err := s.Register(ctx, "q", mustQuery(t, "R(x,y)")); err != nil {
 		t.Fatal(err)
-	}
-	// Mid-stage, two more tuples land; the restored batch merges to 4 >= 3.
-	s.stageHook = func() {
-		if err := s.Submit(storage.NewDelta().Add("R", "a3", "b3").Add("R", "a4", "b4")); err != nil {
-			t.Errorf("mid-stage submit: %v", err)
-		}
 	}
 	cctx, cancel := context.WithCancel(ctx)
 	cancel()
-	if err := s.Flush(cctx); err == nil {
-		t.Fatal("flush with a cancelled context should fail transiently")
+	if _, err := s.SubmitSync(cctx, storage.NewDelta().Add("R", "a1", "b1").Add("R", "a2", "b2")); err == nil {
+		t.Fatal("a sync submit with a cancelled context should fail its flush")
 	}
-	s.stageHook = nil
 
-	// The kick must make the background flusher (context.Background, so the
-	// retry succeeds) apply the restored batch promptly — not at MaxLatency.
+	// The restore's wake makes the background flusher (context.Background,
+	// so the retry succeeds) apply the batch.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		st := s.Stats()
 		if st.Version == 2 && st.PendingTuples == 0 {
-			if st.FlushedTuples != 4 {
-				t.Fatalf("flushed %d tuples, want the full merged batch of 4", st.FlushedTuples)
+			if st.FlushedTuples != 2 || st.FlushErrors != 1 {
+				t.Fatalf("flushed %d tuples after %d errors, want 2 after 1", st.FlushedTuples, st.FlushErrors)
 			}
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("restored full batch never flushed: version=%d pending=%d (restore did not kick the flusher)",
+			t.Fatalf("restored batch never flushed: version=%d pending=%d (restore did not wake the flusher)",
 				st.Version, st.PendingTuples)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
 }
 
-// TestRestorePreservesDeadline pins the flush-latency fix in restore: a
-// transiently failed flush re-queues its batch with the ORIGINAL pendingSince
-// deadline. Before the fix restore stamped time.Now(), so a batch whose
-// flush failed near its deadline waited up to ~2× MaxLatency before the
-// retry fired.
-func TestRestorePreservesDeadline(t *testing.T) {
-	ctx := context.Background()
-	s, err := NewStore(ctx, nil, cq.Database{}, manualConfig(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-
-	if err := s.Submit(storage.NewDelta().Add("R", "a", "b")); err != nil {
-		t.Fatal(err)
-	}
-	s.mu.Lock()
-	since0 := s.pendingSince
-	s.mu.Unlock()
-	if since0.IsZero() {
-		t.Fatal("submit did not stamp pendingSince")
-	}
-	// Make sure a buggy restore (stamping time.Now()) would produce a
-	// strictly later timestamp than the original.
-	time.Sleep(10 * time.Millisecond)
-
-	cctx, cancel := context.WithCancel(ctx)
-	cancel()
-	if err := s.Flush(cctx); err == nil {
-		t.Fatal("flush with a cancelled context should fail transiently")
-	}
-	s.mu.Lock()
-	since1 := s.pendingSince
-	s.mu.Unlock()
-	if !since1.Equal(since0) {
-		t.Fatalf("restore moved the batch deadline: pendingSince %v, want the original %v (waits ~2x MaxLatency)",
-			since1, since0)
-	}
+// failingSegments is a log backend whose segment writes fail while fail is
+// set, as a full or broken disk would.
+type failingSegments struct {
+	*wal.Mem
+	fail *atomic.Bool
 }
 
-// TestRestoreRetriesAtOriginalDeadline is the end-to-end half of the fix
-// above: a batch whose flush fails late in its latency window is retried by
-// the background flusher at the ORIGINAL deadline, not a fresh MaxLatency
-// after the failure. Bounds are generous — the fixed path flushes at
-// ~MaxLatency after submit, the buggy path at ~1.8× — so the assertion has
-// slack on both sides.
-func TestRestoreRetriesAtOriginalDeadline(t *testing.T) {
+func (b failingSegments) CreateSegment(start uint64) (wal.SegmentWriter, error) {
+	w, err := b.Mem.CreateSegment(start)
+	if err != nil {
+		return nil, err
+	}
+	return failingWriter{w, b.fail}, nil
+}
+
+type failingWriter struct {
+	wal.SegmentWriter
+	fail *atomic.Bool
+}
+
+func (w failingWriter) Write(p []byte) (int, error) {
+	if w.fail.Load() {
+		return 0, errors.New("injected segment write failure")
+	}
+	return w.SegmentWriter.Write(p)
+}
+
+// TestFailedFlushDoesNotSpin pins the retry rule of restore: a batch whose
+// WAL append fails is re-queued without waking the flusher, which would meet
+// the same failure at once and spin. It waits for the next submit instead,
+// and then lands exactly once, with the tuples submitted since.
+func TestFailedFlushDoesNotSpin(t *testing.T) {
 	ctx := context.Background()
-	const maxLat = time.Second
-	s, err := NewStore(ctx, nil, cq.Database{}, Config{MaxBatch: 1 << 30, MaxLatency: maxLat, Buffer: 8})
+	var fail atomic.Bool
+	mem := wal.NewMem()
+	s, err := Open(ctx, nil, durableConfig(failingSegments{mem, &fail}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-
-	t0 := time.Now()
+	if err := s.Register(ctx, "q", mustQuery(t, "R(x,y)")); err != nil {
+		t.Fatal(err)
+	}
+	fail.Store(true)
 	if err := s.Submit(storage.NewDelta().Add("R", "a", "b")); err != nil {
 		t.Fatal(err)
 	}
-	// Fail a flush at ~80% of the latency window. The restored batch's
-	// deadline stays t0+1s; the buggy reset would move it to ~t0+1.8s.
-	time.Sleep(800 * time.Millisecond)
-	cctx, cancel := context.WithCancel(ctx)
-	cancel()
-	if err := s.Flush(cctx); err == nil {
-		t.Fatal("flush with a cancelled context should fail transiently")
+	time.Sleep(50 * time.Millisecond)
+	if st := s.Stats(); st.FlushErrors < 1 || st.FlushErrors > 2 || st.PendingTuples != 1 {
+		t.Fatalf("50ms after one submit to a failing log: %d flush errors, %d pending; want 1 or 2 and 1",
+			st.FlushErrors, st.PendingTuples)
 	}
 
+	fail.Store(false)
+	if err := s.Submit(storage.NewDelta().Add("R", "c", "d")); err != nil {
+		t.Fatal(err)
+	}
 	deadline := time.Now().Add(10 * time.Second)
-	for {
-		st := s.Stats()
-		if st.Version == 2 && st.PendingTuples == 0 {
-			if elapsed := time.Since(t0); elapsed > 1600*time.Millisecond {
-				t.Fatalf("restored batch flushed %v after submit, want ~MaxLatency (%v): restore reset the deadline",
-					elapsed.Round(time.Millisecond), maxLat)
-			}
-			return
-		}
+	for s.PendingTuples() != 0 || s.Version() != 2 {
 		if time.Now().After(deadline) {
-			t.Fatalf("restored batch never flushed: version=%d pending=%d", st.Version, st.PendingTuples)
+			t.Fatalf("the next submit did not land the restored batch: version %d, %d pending", s.Version(), s.PendingTuples())
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+	if n, _, err := s.Count("q"); err != nil || n != 2 {
+		t.Fatalf("Count = %d, %v; want 2", n, err)
+	}
+	if st := s.Stats(); st.Flushes != 1 || st.FlushedTuples != 2 {
+		t.Fatalf("%d flushes of %d tuples, want 1 of 2", st.Flushes, st.FlushedTuples)
+	}
+	// The log holds both deltas once: recovery lands on the same state.
+	re, err := Open(ctx, nil, durableConfig(mem.Clone()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if n, v, err := re.Count("q"); err != nil || n != 2 || v != 2 {
+		t.Fatalf("recovered Count = %d at version %d, %v; want 2 at 2", n, v, err)
 	}
 }
 
@@ -249,7 +239,7 @@ func TestRegisterDuringSlowStage(t *testing.T) {
 	ctx := context.Background()
 	db := cq.Database{}
 	db.Add("R", "c0", "c1")
-	s, err := NewStore(ctx, nil, db, manualConfig(16))
+	s, err := NewStore(ctx, nil, db, Config{Buffer: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +317,7 @@ func TestRegisterDuringSlowStage(t *testing.T) {
 // also absorbing the stats writes between the two samples.
 func TestCommitStatsSampledOnce(t *testing.T) {
 	ctx := context.Background()
-	s, err := NewStore(ctx, nil, cq.Database{}, manualConfig(8))
+	s, err := NewStore(ctx, nil, cq.Database{}, Config{Buffer: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +349,7 @@ func TestCommitStatsSampledOnce(t *testing.T) {
 func TestStageNeverTakesSubmitLock(t *testing.T) {
 	ctx := context.Background()
 	for _, n := range []int{8, 256} {
-		s, err := NewStore(ctx, nil, cq.Database{}, Config{MaxBatch: 1 << 20, MaxLatency: time.Hour, Buffer: 4})
+		s, err := NewStore(ctx, nil, cq.Database{}, Config{Buffer: 4})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -15,6 +15,8 @@ import (
 type Service interface {
 	Register(ctx context.Context, name string, q cq.Query) error
 	Submit(delta *storage.Delta) error
+	// SubmitSync submits delta and returns a version at which it is visible.
+	SubmitSync(ctx context.Context, delta *storage.Delta) (uint64, error)
 	Flush(ctx context.Context) error
 	Watch(name string) (*Subscription, error)
 	WatchFrom(name string, fromSeq uint64) (*Subscription, bool, error)

@@ -21,7 +21,7 @@ func TestSubmitProgressDuringSlowStage(t *testing.T) {
 	db := cq.Database{}
 	db.Add("R", "c0", "c1")
 	db.Add("S", "c1", "c2")
-	s, err := NewStore(ctx, nil, db, manualConfig(16))
+	s, err := NewStore(ctx, nil, db, Config{Buffer: 16})
 	if err != nil {
 		t.Fatal(err)
 	}

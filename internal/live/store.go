@@ -27,16 +27,13 @@ import (
 	"d2cq/internal/storage"
 )
 
-// Config tunes a Store's ingestion pipeline and subscription buffers. The
-// zero value is usable: every knob falls back to its default.
+// Config tunes a Store's subscription buffers. The zero value is usable:
+// every knob falls back to its default. Flushing has no knobs: it is group
+// commit (see Submit).
 type Config struct {
-	// MaxBatch flushes the pending coalesced delta as soon as it lists this
-	// many tuples (after set-semantic deduplication). Default 256.
+	// Deprecated: ignored; flushing is group commit.
 	MaxBatch int
-	// MaxLatency bounds how long a submitted delta may sit unflushed: the
-	// background flusher applies the pending batch at the latest this long
-	// after its first tuple arrived. Default 25ms. Tests that want fully
-	// deterministic snapshots set both knobs high and call Flush directly.
+	// Deprecated: ignored; flushing is group commit.
 	MaxLatency time.Duration
 	// Buffer is how many notifications a slow subscriber may fall behind
 	// before it starts losing the oldest unread ones (counted, see
@@ -54,30 +51,25 @@ type Config struct {
 	History int
 }
 
-// defaults for the zero Config.
-const (
-	defaultMaxBatch   = 256
-	defaultMaxLatency = 25 * time.Millisecond
-	defaultBuffer     = 16
-)
+const defaultBuffer = 16
 
 func (c Config) withDefaults() Config {
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = defaultMaxBatch
-	}
-	if c.MaxLatency <= 0 {
-		c.MaxLatency = defaultMaxLatency
-	}
 	if c.Buffer <= 0 {
 		c.Buffer = defaultBuffer
 	}
 	return c
 }
 
-// ErrClosed is returned by the mutating operations (Submit, Flush, Register,
-// Watch) on a closed Store. The read accessors — Count, Info, Queries,
-// Solutions, Version, Stats — keep answering from the final snapshot.
+// ErrClosed is returned by the mutating operations (Submit, SubmitSync,
+// Flush, Register, Watch) on a closed Store. The read accessors — Count,
+// Info, Queries, Solutions, Version, Stats — keep answering from the final
+// snapshot.
 var ErrClosed = errors.New("live: store closed")
+
+// ErrInvalidDelta wraps Submit's and SubmitSync's rejection of a delta whose
+// tuples mismatch a relation's arity (errors.Is-matchable, so servers can
+// tell the submitter's mistake from a failed flush).
+var ErrInvalidDelta = errors.New("live: invalid delta")
 
 // ErrQueryConflict wraps Register's rejection of a taken name bound to a
 // different query (errors.Is-matchable, so servers can map it to a conflict
@@ -119,27 +111,35 @@ type Store struct {
 
 	flushMu sync.Mutex // serialises stage → WAL append → commit; before mu
 
-	mu           sync.Mutex
-	cdb          *engine.CompiledDB // written under flushMu+mu
-	version      uint64             // written under flushMu+mu
-	queries      map[string]*liveQuery
-	readers      map[string][]*liveQuery // relation → the queries reading it, in name order; written under flushMu+mu
-	stageSeq     uint64                  // numbers the stages, for liveQuery.stageMark; flushMu only
-	relArity     map[string]int          // arity each relation must have per the registered queries' atoms
-	pending      *storage.Coalescer
-	pendingSince time.Time
-	closed       bool // written under flushMu+mu
-	nextSubID    int
+	mu        sync.Mutex
+	cdb       *engine.CompiledDB // written under flushMu+mu
+	version   uint64             // written under flushMu+mu
+	queries   map[string]*liveQuery
+	readers   map[string][]*liveQuery // relation → the queries reading it, in name order; written under flushMu+mu
+	stageSeq  uint64                  // numbers the stages, for liveQuery.stageMark; flushMu only
+	relArity  map[string]int          // arity each relation must have per the registered queries' atoms
+	pending   *storage.Coalescer
+	submitSeq uint64 // numbers the deltas merged into pending; mu only
+	closed    bool   // written under flushMu+mu
+	nextSubID int
+
+	// committedSeq is the submitSeq the last committed flush took its batch
+	// at: every delta numbered up to it is visible. flushMu only, which is
+	// what lets concurrent SubmitSync callers share one flush.
+	committedSeq uint64
 
 	// dur wires the write-ahead log and checkpointing in when the store was
 	// created with Open; nil for a purely in-memory store. The pointer is
 	// fixed at construction; its counters carry their own lock.
 	dur *durability
 
-	kick    chan struct{} // Submit → flusher: the batch-size trigger fired
+	// kick wakes the flusher: Submit and a restore after a cancelled caller
+	// send on it. It holds one token and is sent to without blocking, so a
+	// sender never waits and may hold either lock or none; a token sent
+	// mid-flush makes the flusher run once more, picking up what arrived.
+	kick    chan struct{}
 	closeCh chan struct{}
 	doneCh  chan struct{} // flusher exited
-	timer   *time.Timer   // max-latency trigger, armed on the first pending tuple
 
 	stats storeCounters
 
@@ -248,11 +248,19 @@ func NewStore(ctx context.Context, eng *engine.Engine, db cq.Database, cfg Confi
 	if err != nil {
 		return nil, err
 	}
-	s := &Store{
+	s := newStore(eng, cfg, cdb, 1)
+	go s.flusher()
+	return s, nil
+}
+
+// newStore builds a store at the given snapshot and version with an empty
+// registry. The caller starts the flusher once the store is ready to serve.
+func newStore(eng *engine.Engine, cfg Config, cdb *engine.CompiledDB, version uint64) *Store {
+	return &Store{
 		eng:      eng,
 		cfg:      cfg.withDefaults(),
 		cdb:      cdb,
-		version:  1,
+		version:  version,
 		queries:  map[string]*liveQuery{},
 		readers:  map[string][]*liveQuery{},
 		relArity: map[string]int{},
@@ -261,12 +269,6 @@ func NewStore(ctx context.Context, eng *engine.Engine, db cq.Database, cfg Confi
 		closeCh:  make(chan struct{}),
 		doneCh:   make(chan struct{}),
 	}
-	s.timer = time.NewTimer(time.Hour)
-	if !s.timer.Stop() {
-		<-s.timer.C
-	}
-	go s.flusher()
-	return s, nil
 }
 
 // Engine returns the engine the store evaluates with.
@@ -429,42 +431,85 @@ func (s *Store) atomArityLocked(a cq.Atom) error {
 
 // Submit enqueues a delta into the ingestion pipeline: it is merged into the
 // pending coalesced batch (set semantics — resubmitting the same tuples does
-// not grow the batch) and applied by the next flush, at the latest
-// MaxLatency from now. Submit does no evaluation itself and never waits for
-// one: a flush's engine work runs outside mu (see the lock protocol on
-// Store), so Submit's latency is bounded by merging into the pending batch
-// plus other O(registry) critical sections. A delta whose tuples mismatch a
-// relation's arity — from the compiled table, a registered query's atom, or
-// the tuples already pending — is rejected here, before it could poison the
-// shared batch at flush time; the only other error is a closed store. The
-// store keeps references to the delta's tuple slices — do not mutate them
-// afterwards.
+// not grow the batch) and wakes the flusher. Flushing is group commit: an
+// idle flusher applies the batch at once, and deltas that arrive while a
+// flush runs coalesce into the next one, so the batch size follows the load.
+// Submit does no evaluation itself and never waits for one: a flush's engine
+// work runs outside mu (see the lock protocol on Store), so Submit's latency
+// is bounded by merging into the pending batch plus other O(registry)
+// critical sections. A delta whose tuples mismatch a relation's arity — from
+// the compiled table, a registered query's atom, or the tuples already
+// pending — is rejected here with ErrInvalidDelta, before it could poison
+// the shared batch at flush time; the only other error is a closed store.
+// The store keeps references to the delta's tuple slices — do not mutate
+// them afterwards.
 func (s *Store) Submit(delta *storage.Delta) error {
 	if delta.Empty() {
 		return nil
 	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	_, err := s.enqueueLocked(delta)
+	s.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	s.wake()
+	return nil
+}
+
+// SubmitSync is Submit for a caller that waits for its tuples: it returns a
+// version at which they are visible. It does not wake the flusher but
+// flushes inline under flushMu, and only if no flush has committed its
+// tuples yet, so concurrent callers share one flush. An empty delta waits
+// for every earlier submit. Errors are Submit's (ErrInvalidDelta, ErrClosed)
+// or, for anything else, a failed flush; a flush failed by ctx re-queues the
+// batch and wakes the flusher to retry it.
+func (s *Store) SubmitSync(ctx context.Context, delta *storage.Delta) (uint64, error) {
+	s.mu.Lock()
+	seq, err := s.enqueueLocked(delta)
+	s.mu.Unlock()
+	if err != nil {
+		return 0, err
+	}
+	s.flushMu.Lock()
+	defer s.flushMu.Unlock()
+	if s.committedSeq < seq {
+		if s.closed {
+			return 0, ErrClosed
+		}
+		if err := s.flushSerialized(ctx); err != nil {
+			return 0, err
+		}
+	}
+	return s.version, nil
+}
+
+// enqueueLocked merges delta into the pending batch and returns its submit
+// sequence number; an empty delta merges nothing and gets the number of the
+// last delta merged. The caller holds mu.
+func (s *Store) enqueueLocked(delta *storage.Delta) (uint64, error) {
 	if s.closed {
-		return ErrClosed
+		return 0, ErrClosed
+	}
+	if delta.Empty() {
+		return s.submitSeq, nil
 	}
 	if err := s.validateLocked(delta); err != nil {
-		return err
+		return 0, err
 	}
 	s.stats.deltasSubmitted++
 	s.stats.tuplesSubmitted += uint64(delta.Size())
-	if s.pendingSince.IsZero() {
-		s.pendingSince = time.Now()
-		s.timer.Reset(s.cfg.MaxLatency)
-	}
 	s.pending.Merge(delta)
-	if s.pending.Size() >= s.cfg.MaxBatch {
-		select {
-		case s.kick <- struct{}{}:
-		default: // a kick is already queued
-		}
+	s.submitSeq++
+	return s.submitSeq, nil
+}
+
+// wake hands the flusher a token unless one is already queued.
+func (s *Store) wake() {
+	select {
+	case s.kick <- struct{}{}:
+	default:
 	}
-	return nil
 }
 
 // validateLocked mirrors applyToTable's arity rules against the current
@@ -506,7 +551,7 @@ func (s *Store) validateLocked(delta *storage.Delta) error {
 		}
 		for _, t := range delta.Insert[rel] {
 			if len(t) != arity {
-				return fmt.Errorf("live: relation %s mixes arities %d and %d", rel, arity, len(t))
+				return fmt.Errorf("%w: relation %s mixes arities %d and %d", ErrInvalidDelta, rel, arity, len(t))
 			}
 		}
 		if !known {
@@ -514,13 +559,13 @@ func (s *Store) validateLocked(delta *storage.Delta) error {
 		}
 		for _, t := range delta.Delete[rel] {
 			if len(t) != arity {
-				return fmt.Errorf("live: relation %s delete has arity %d, want %d", rel, len(t), arity)
+				return fmt.Errorf("%w: relation %s delete has arity %d, want %d", ErrInvalidDelta, rel, len(t), arity)
 			}
 		}
 		if fresh {
 			for _, t := range s.pending.Pending().Delete[rel] {
 				if len(t) != arity {
-					return fmt.Errorf("live: relation %s insert arity %d conflicts with a pending delete of arity %d", rel, arity, len(t))
+					return fmt.Errorf("%w: relation %s insert arity %d conflicts with a pending delete of arity %d", ErrInvalidDelta, rel, arity, len(t))
 				}
 			}
 		}
@@ -528,8 +573,9 @@ func (s *Store) validateLocked(delta *storage.Delta) error {
 	return nil
 }
 
-// flusher is the background half of the ingestion pipeline: it applies the
-// pending batch when the size trigger kicks or the max-latency timer fires.
+// flusher is the background half of group commit: each wake flushes
+// whatever is pending, so the deltas submitted during one flush go out
+// together in the next.
 func (s *Store) flusher() {
 	defer close(s.doneCh)
 	for {
@@ -537,7 +583,6 @@ func (s *Store) flusher() {
 		case <-s.closeCh:
 			return
 		case <-s.kick:
-		case <-s.timer.C:
 		}
 		// Errors are recorded in Stats (a poison batch is dropped, see
 		// Flush); the flusher itself must keep serving.
@@ -578,8 +623,7 @@ func (s *Store) flushSerialized(ctx context.Context) error {
 		return nil
 	}
 	batch := s.pending.Take()
-	batchSince := s.pendingSince
-	s.pendingSince = time.Time{}
+	takenSeq := s.submitSeq
 	s.mu.Unlock()
 	version := s.version + 1 // version is stable under flushMu
 	takeHold := time.Since(t0)
@@ -590,44 +634,26 @@ func (s *Store) flushSerialized(ctx context.Context) error {
 		s.mu.Unlock()
 		return err
 	}
-	// restore re-queues the batch and re-arms the latency trigger: the
-	// failure was transient (typically the flushing caller's context), not
-	// the batch's fault, so the tuples other submitters coalesced into it
-	// must survive for the next flush. Submits may have landed while the
-	// stage ran outside mu, so the batch is merged back batch-first ahead of
-	// whatever accumulated since.
+	// restore re-queues the batch: the failure was transient (the flushing
+	// caller's context, or I/O), not the batch's fault, so the tuples other
+	// submitters coalesced into it must survive for the next flush. Submits
+	// may have landed while the stage ran outside mu, so the batch is merged
+	// back batch-first ahead of whatever accumulated since. Only a cancelled
+	// caller wakes the flusher to retry, whose own context never cancels: a
+	// retry of any other failure would meet it again at once, so that batch
+	// waits for the next Submit, SubmitSync or Flush instead of spinning.
 	restore := func(err error) error {
 		s.mu.Lock()
 		re := storage.NewCoalescer()
 		re.Merge(batch)
 		re.Merge(s.pending.Take())
 		s.pending = re
-		// The restored batch keeps its ORIGINAL deadline: its oldest tuple
-		// has been waiting since before the failed flush began, so stamping
-		// time.Now() here would let it wait up to ~2× MaxLatency. Tuples
-		// submitted mid-stage are younger than the batch and inherit its
-		// deadline, exactly as if they had coalesced in before the take.
-		s.pendingSince = batchSince
-		if !s.closed {
-			remaining := time.Until(batchSince.Add(s.cfg.MaxLatency))
-			if remaining < 0 {
-				remaining = 0 // deadline already passed: retry immediately
-			}
-			s.timer.Reset(remaining)
-			// The restored batch (plus whatever merged in mid-stage) can
-			// already be at or past the size trigger: kick the flusher like
-			// Submit would, or a full batch would sit out its remaining
-			// latency before retrying.
-			if s.pending.Size() >= s.cfg.MaxBatch {
-				select {
-				case s.kick <- struct{}{}:
-				default: // a kick is already queued
-				}
-			}
-		}
 		s.stats.flushErrors++
 		s.stats.lastError = err.Error()
 		s.mu.Unlock()
+		if ctx.Err() != nil {
+			s.wake()
+		}
 		return err
 	}
 	// stageFail classifies an engine-stage error: a cancelled context is
@@ -664,6 +690,7 @@ func (s *Store) flushSerialized(ctx context.Context) error {
 	commitStart := time.Now()
 	s.mu.Lock()
 	s.commitLocked(st, true)
+	s.committedSeq = takenSeq
 	// One sample for both counters: sampling twice made commitNs and
 	// lastCommitNs disagree for the same flush, with lastCommitNs also
 	// absorbing the stats writes in between.
@@ -1123,7 +1150,6 @@ func (s *Store) Close() error {
 		return nil
 	}
 	s.closed = true
-	s.timer.Stop()
 	s.mu.Unlock()
 	err := s.flushSerialized(context.Background())
 	if s.dur != nil {

@@ -299,8 +299,9 @@ func (c *Client) Register(ctx context.Context, name, query string) (RegisterInfo
 	return decodeRegisterOK(f.Payload)
 }
 
-// Submit ships a delta. With sync set the server flushes before acking, so
-// the returned version covers the delta; otherwise the ack is an ingest ack
+// Submit ships a delta. With sync set the server acks once a flush has made
+// the delta visible, and the returned version is one at which it is;
+// otherwise the ack is an ingest ack
 // and pending reports the staged backlog.
 func (c *Client) Submit(ctx context.Context, delta *storage.Delta, sync bool) (version uint64, pending int, err error) {
 	f, err := c.call(ctx, FrameSubmit, encodeSubmit(submitPayload{sync: sync, delta: delta}))

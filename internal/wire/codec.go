@@ -161,7 +161,7 @@ func decodeRegisterOK(payload []byte) (RegisterInfo, error) {
 	return p, r.Done()
 }
 
-// submitPayload is a delta plus the sync flag (flush before acking).
+// submitPayload is a delta plus the sync flag (ack once the delta is visible).
 type submitPayload struct {
 	sync  bool
 	delta *storage.Delta

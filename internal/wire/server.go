@@ -422,19 +422,19 @@ func (c *conn) handleSubmit(stream uint32, payload []byte) {
 		c.sendError(stream, ErrCodeBadRequest, err.Error())
 		return
 	}
-	if err := c.srv.svc.Submit(p.delta); err != nil {
+	var version uint64
+	if p.sync {
+		version, err = c.srv.svc.SubmitSync(c.ctx, p.delta)
+	} else if err = c.srv.svc.Submit(p.delta); err == nil {
+		version = c.srv.svc.Version()
+	}
+	if err != nil {
 		c.sendError(stream, errCode(err), err.Error())
 		return
 	}
-	if p.sync {
-		if err := c.srv.svc.Flush(c.ctx); err != nil {
-			c.sendError(stream, errCode(err), err.Error())
-			return
-		}
-	}
 	c.send(Frame{Type: FrameSubmitOK, Stream: stream,
 		Payload: encodeSubmitOK(submitOKPayload{
-			version: c.srv.svc.Version(),
+			version: version,
 			pending: uint64(c.srv.svc.PendingTuples()),
 		})})
 }

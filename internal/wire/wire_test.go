@@ -21,12 +21,7 @@ import (
 // test.
 func newTestServer(t *testing.T, token string) (*live.Store, string) {
 	t.Helper()
-	s, err := live.NewStore(context.Background(), nil, cq.Database{}, live.Config{
-		MaxBatch:   1 << 20,
-		MaxLatency: time.Hour,
-		Buffer:     8,
-		History:    8,
-	})
+	s, err := live.NewStore(context.Background(), nil, cq.Database{}, live.Config{Buffer: 8, History: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

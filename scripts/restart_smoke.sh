@@ -61,7 +61,7 @@ run_scenario() {
   local data_dir="$WORK/data-$leg"
 
   "$BIN" -addr "127.0.0.1:$PORT" -listen-wire "127.0.0.1:$WIRE_PORT" \
-    -data-dir "$data_dir" -fsync always -max-latency 5ms "$@" &
+    -data-dir "$data_dir" -fsync always "$@" &
   PID=$!
   wait_up
 
@@ -84,7 +84,7 @@ run_scenario() {
   PID=""
 
   "$BIN" -addr "127.0.0.1:$PORT" -listen-wire "127.0.0.1:$WIRE_PORT" \
-    -data-dir "$data_dir" -fsync always -max-latency 5ms "$@" &
+    -data-dir "$data_dir" -fsync always "$@" &
   PID=$!
   wait_up
 

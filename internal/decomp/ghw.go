@@ -240,7 +240,11 @@ func min(a, b int) int {
 
 // EvalDecomposition returns a decomposition of h suitable for driving query
 // evaluation: a join tree when h is α-acyclic, otherwise a hypertree
-// decomposition found by the width search. h must have no isolated vertices.
+// decomposition of minimum width k. Among width-k plans it prefers one whose
+// every cover is connected (CoverConnected), so each bag is a join of its
+// cover's relations rather than a cross product; when the search restricted
+// to such covers fails or runs out of budget it keeps the first plan found,
+// so the width never grows. h must have no isolated vertices.
 func EvalDecomposition(h *hypergraph.Hypergraph) (*GHD, error) {
 	for v := 0; v < h.NV(); v++ {
 		if h.Degree(v) == 0 {
@@ -253,12 +257,20 @@ func EvalDecomposition(h *hypergraph.Hypergraph) (*GHD, error) {
 	if Acyclic(h) {
 		return JoinTree(h)
 	}
-	d, _, ok, err := HypertreeWidth(h, 0)
+	d, k, ok, err := HypertreeWidth(h, 0)
 	if err != nil {
 		return nil, err
 	}
 	if !ok {
 		return nil, errors.New("decomp: no decomposition found")
+	}
+	for _, lambda := range d.Lambdas {
+		if !CoverConnected(h, lambda) {
+			if c, ok, _ := connectedWidthLE(h, k); ok {
+				return c, nil
+			}
+			break
+		}
 	}
 	return d, nil
 }

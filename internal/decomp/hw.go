@@ -32,6 +32,12 @@ func HypertreeWidthLE(h *hypergraph.Hypergraph, k int) (*GHD, bool, error) {
 // HypertreeWidthLEBudget is HypertreeWidthLE with an explicit candidate
 // budget; it returns ErrSearchBudget when the budget runs out undecided.
 func HypertreeWidthLEBudget(h *hypergraph.Hypergraph, k, budget int) (*GHD, bool, error) {
+	return search(&hwSearcher{h: h, k: k, budget: budget})
+}
+
+// search runs s over all of its hypergraph's edges and flattens the witness.
+func search(s *hwSearcher) (*GHD, bool, error) {
+	h := s.h
 	for v := 0; v < h.NV(); v++ {
 		if h.Degree(v) == 0 {
 			return nil, false, ErrNoCover
@@ -40,12 +46,11 @@ func HypertreeWidthLEBudget(h *hypergraph.Hypergraph, k, budget int) (*GHD, bool
 	if h.NE() == 0 {
 		return &GHD{}, true, nil
 	}
-	if k < 1 {
+	if s.k < 1 {
 		return nil, false, nil
 	}
-	s := &hwSearcher{h: h, k: k, memo: map[string]*ghdNode{}, budget: budget}
-	comp := h.AllEdges()
-	node, ok := s.solve(comp, bitset.New(h.NV()))
+	s.memo = map[string]*ghdNode{}
+	node, ok := s.solve(h.AllEdges(), bitset.New(h.NV()))
 	if s.err != nil && !ok {
 		return nil, false, s.err
 	}
@@ -68,26 +73,39 @@ const MaxGeneralizedBagClasses = 16
 // intended for small hypergraphs. Returns an error when a candidate bag has
 // more than MaxGeneralizedBagClasses classes.
 func GeneralizedWidthLE(h *hypergraph.Hypergraph, k int) (*GHD, bool, error) {
-	for v := 0; v < h.NV(); v++ {
-		if h.Degree(v) == 0 {
-			return nil, false, ErrNoCover
+	return search(&hwSearcher{h: h, k: k, generalized: true, budget: DefaultSearchBudget})
+}
+
+// connectedWidthLE is HypertreeWidthLE restricted to covers that are joins:
+// it tries only λ for which CoverConnected holds.
+func connectedWidthLE(h *hypergraph.Hypergraph, k int) (*GHD, bool, error) {
+	return search(&hwSearcher{h: h, k: k, connected: true, budget: DefaultSearchBudget})
+}
+
+// CoverConnected reports whether the edges of lambda form a connected set:
+// any two are linked by a chain of edges in lambda, each sharing a vertex
+// with the next. A bag whose cover is connected is a join of the cover's
+// relations; any other bag is a cross product of two or more of them.
+func CoverConnected(h *hypergraph.Hypergraph, lambda []int) bool {
+	if len(lambda) <= 1 {
+		return true
+	}
+	reached := h.EdgeSet(lambda[0]).Clone()
+	joined := make([]bool, len(lambda))
+	joined[0] = true
+	for n, grew := 1, true; grew; {
+		grew = false
+		for i, e := range lambda {
+			if !joined[i] && h.EdgeSet(e).Intersects(reached) {
+				joined[i], grew = true, true
+				reached.UnionWith(h.EdgeSet(e))
+				if n++; n == len(lambda) {
+					return true
+				}
+			}
 		}
 	}
-	if h.NE() == 0 {
-		return &GHD{}, true, nil
-	}
-	if k < 1 {
-		return nil, false, nil
-	}
-	s := &hwSearcher{h: h, k: k, generalized: true, memo: map[string]*ghdNode{}, budget: DefaultSearchBudget}
-	node, ok := s.solve(h.AllEdges(), bitset.New(h.NV()))
-	if s.err != nil && !ok {
-		return nil, false, s.err
-	}
-	if !ok {
-		return nil, false, nil
-	}
-	return flatten(node), true, nil
+	return false
 }
 
 // HypertreeWidth computes hw(h) exactly by iterating HypertreeWidthLE for
@@ -120,6 +138,7 @@ type hwSearcher struct {
 	h           *hypergraph.Hypergraph
 	k           int
 	generalized bool                // enumerate subset bags (exact ghw) instead of χ = ∪λ∩scope
+	connected   bool                // try only λ whose edges form a connected set
 	memo        map[string]*ghdNode // nil entry = known failure
 	budget      int                 // remaining (λ, bag) candidates; ≤ 0 aborts
 	err         error
@@ -144,6 +163,9 @@ func (s *hwSearcher) solve(comp bitset.Set, conn bitset.Set) (*ghdNode, bool) {
 	s.enumLambdas(conn, func(lambda []int, union bitset.Set) bool {
 		if s.err != nil {
 			return false
+		}
+		if s.connected && !CoverConnected(s.h, lambda) {
+			return true
 		}
 		base := union.Intersect(scope)
 		if !conn.SubsetOf(base) {

@@ -283,8 +283,11 @@ func (p *Plan) Width() int {
 }
 
 // Explain renders the data-independent plan: the decomposition tree with
-// per-node bags, covers and atom filters. See PreparedQuery.ExplainDB for
-// the variant that includes materialised relation sizes.
+// per-node bags, covers and atom filters. A cover that is not connected
+// (decomp.CoverConnected) is marked "×": its bag is a cross product, kept
+// only because the search found no plan of the same width without one. See
+// PreparedQuery.ExplainDB for the variant that includes materialised
+// relation sizes.
 func (p *Plan) Explain() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "query: %s\n", p.query)
@@ -306,6 +309,9 @@ func (p *Plan) Explain() string {
 		}
 		fmt.Fprintf(&b, "%snode %d: bag={%s} λ={%s}", indent, u,
 			strings.Join(p.bagVars[u], ","), strings.Join(cover, ","))
+		if !decomp.CoverConnected(p.h, p.d.Lambdas[u]) {
+			b.WriteString(" ×")
+		}
 		if len(p.assigned[u]) > 0 {
 			var atoms []string
 			for _, ai := range p.assigned[u] {

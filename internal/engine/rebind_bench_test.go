@@ -22,6 +22,7 @@ type maintShape struct {
 var (
 	maintPath3  = maintShape{"path3", [][]string{{"x", "y"}, {"y", "z"}, {"z", "w"}}}
 	maintCycle4 = maintShape{"cycle4", [][]string{{"a", "b"}, {"b", "c"}, {"c", "d"}, {"d", "a"}}}
+	maintCycle6 = maintShape{"cycle6", [][]string{{"a", "b"}, {"b", "c"}, {"c", "d"}, {"d", "e"}, {"e", "f"}, {"f", "a"}}}
 	maintJigsaw = maintShape{"jigsaw2x3", [][]string{{"h11", "v1"}, {"h11", "h12", "v2"}, {"h12", "v3"},
 		{"h21", "v1"}, {"h21", "h22", "v2"}, {"h22", "v3"}}}
 )
@@ -154,6 +155,9 @@ func (f *maintFixture) warm(tb testing.TB) {
 // Apply, alternating delete and re-insert of a planted solution's tuple — on
 // the flush.closed shapes. path3-5k vs path3-20k (same domain/row ratio) is the
 // scaling pair: an O(change) path keeps the two within noise of each other.
+// cycle4-5k is a 4-cycle sized like path3-5k, affordable only while its plan
+// joins connected covers; cycle6-500 is the guard case whose width-2 plan
+// must keep cross-product bags, so no planning change can help it.
 func BenchmarkRebindSingleTuple(b *testing.B) {
 	for _, c := range []struct {
 		name         string
@@ -163,6 +167,8 @@ func BenchmarkRebindSingleTuple(b *testing.B) {
 		{"path3-5k", maintPath3, 5000, 2500},
 		{"path3-20k", maintPath3, 20000, 10000},
 		{"cycle4-500", maintCycle4, 500, 250},
+		{"cycle4-5k", maintCycle4, 5000, 2500},
+		{"cycle6-500", maintCycle6, 500, 250},
 		{"jigsaw2x3-200", maintJigsaw, 200, 100},
 	} {
 		b.Run(c.name, func(b *testing.B) {

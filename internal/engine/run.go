@@ -140,25 +140,32 @@ func parRanges(par, n int, f func(lo, hi int)) {
 func edgeKey(names []string) string { return strings.Join(names, "\x00") }
 
 // joinLambda builds the full (pre-projection) join of a node's λ edge
-// relations, smallest first so intermediates stay tight. edge supplies the
-// relation of a λ variable set (shared across nodes).
+// relations, smallest first so intermediates stay tight: the next relation
+// joined is the smallest that shares a column with the join so far, so a
+// cross product happens only when none does. edge supplies the relation of
+// a λ variable set (shared across nodes).
 func joinLambda(p *Plan, u int, edge func([]string) *Relation) *Relation {
 	rels := make([]*Relation, len(p.lambdaVars[u]))
 	for i, names := range p.lambdaVars[u] {
 		rels[i] = edge(names)
 	}
-	sort.SliceStable(rels, func(i, j int) bool { return rels[i].Len() < rels[j].Len() })
-	var acc *Relation
-	for _, er := range rels {
-		if acc == nil {
-			acc = er
-		} else {
-			acc = Join(acc, er)
-		}
-	}
-	if acc == nil {
-		acc = NewRelation()
+	if len(rels) == 0 {
+		acc := NewRelation()
 		acc.AddEmpty()
+		return acc
+	}
+	sort.SliceStable(rels, func(i, j int) bool { return rels[i].Len() < rels[j].Len() })
+	acc, rest := rels[0], rels[1:]
+	for len(rest) > 0 {
+		next := 0
+		for i, er := range rest {
+			if shared, _, _ := sharedColumns(acc, er); len(shared) > 0 {
+				next = i
+				break
+			}
+		}
+		acc = Join(acc, rest[next])
+		rest = append(rest[:next], rest[next+1:]...)
 	}
 	return acc
 }

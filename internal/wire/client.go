@@ -136,8 +136,9 @@ func (c *Client) Err() error {
 }
 
 // fail ends the connection once: the socket closes (unblocking the read
-// loop), pending unary calls see the error via done, and every watch channel
-// closes after its queued notifications.
+// loop) and pending unary calls see the error via done. The watches are the
+// read loop's to end, once it has exited: it may be sending on their
+// channels until then.
 func (c *Client) fail(err error) {
 	c.mu.Lock()
 	if c.closed {
@@ -146,22 +147,25 @@ func (c *Client) fail(err error) {
 	}
 	c.closed = true
 	c.err = err
-	watches := make([]*Watch, 0, len(c.watches))
-	for _, w := range c.watches {
-		watches = append(watches, w)
-	}
-	c.watches = map[uint32]*Watch{}
 	c.mu.Unlock()
 	close(c.done)
 	c.nc.Close()
-	for _, w := range watches {
-		w.end(err)
-	}
 }
 
 // readLoop routes incoming frames: watch-stream frames to their Watch,
 // everything else to the one-shot call channel registered for the stream.
+// It alone sends on and closes the watch channels; when it exits every
+// watch still open ends with the connection's error.
 func (c *Client) readLoop(br *bufio.Reader) {
+	defer func() {
+		c.mu.Lock()
+		watches, err := c.watches, c.err
+		c.watches = map[uint32]*Watch{}
+		c.mu.Unlock()
+		for _, w := range watches {
+			w.end(err)
+		}
+	}()
 	for {
 		f, err := ReadFrame(br)
 		if err != nil {

@@ -400,6 +400,75 @@ func TestConcurrentStreams(t *testing.T) {
 	}
 }
 
+// TestCloseWhileNotifying closes a client while the server keeps notifying a
+// watcher that has stopped reading: the read loop may be routing a
+// notification into the watch's channel at that moment, so the channel must
+// not be closed under it. Under -race any such close is reported.
+func TestCloseWhileNotifying(t *testing.T) {
+	s, addr := newTestServer(t, "")
+	ctx := context.Background()
+	admin := dialTest(t, addr, "")
+	if _, err := admin.Register(ctx, "paths", "R(x,y), S(y,z)"); err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	submitted := make(chan struct{})
+	go func() {
+		defer close(submitted)
+		for k := 1; ; k++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, err := s.SubmitSync(ctx, pairDelta(k)); err != nil {
+				return
+			}
+		}
+	}()
+	defer func() {
+		close(stop)
+		<-submitted
+	}()
+	for round := 0; round < 100; round++ {
+		c, err := Dial(addr, ClientOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Credit far beyond the receive buffer: once the watcher stops
+		// reading, the read loop blocks routing a notification into the
+		// full channel, which is where Close finds it.
+		w, err := c.Watch(ctx, "paths", WatchOptions{Window: 1, Manual: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Grant(1 << 20); err != nil {
+			t.Fatal(err)
+		}
+		for deadline := time.Now().Add(10 * time.Second); len(w.ch) < cap(w.ch); {
+			if time.Now().After(deadline) {
+				t.Fatalf("round %d: the receive buffer never filled", round)
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+		c.Close()
+		nctx, cancel := context.WithTimeout(ctx, 10*time.Second)
+		for {
+			if _, ok := w.Next(nctx); !ok {
+				break
+			}
+		}
+		timedOut := nctx.Err() != nil
+		cancel()
+		if timedOut {
+			t.Fatalf("round %d: watch did not end after Close", round)
+		}
+		if w.Err() == nil {
+			t.Fatalf("round %d: watch ended without the connection error", round)
+		}
+	}
+}
+
 // TestStoreCloseEndsStreams: closing the store drains watch streams with a
 // clean WATCH_END, not a connection error.
 func TestStoreCloseEndsStreams(t *testing.T) {

@@ -195,9 +195,12 @@ type PreparedQuery = engine.PreparedQuery
 type CompiledDB = engine.CompiledDB
 
 // BoundQuery is a PreparedQuery bound to a CompiledDB: dictionary, atom
-// relations and decomposition node relations are built once at Bind time,
+// relations and decomposition node relations are built once at bind time,
 // so Bool / Count / Enumerate / CountProjection run the per-call passes
-// only. Safe for concurrent use. BoundQuery.Update(ctx, delta) (or
+// only. PreparedQuery.Bind builds the node relations bottom-up reduced, for
+// evaluation; PreparedQuery.BindMaintained builds the cover-based ones
+// maintenance starts from, for a query that will be rebound. Safe for
+// concurrent use. BoundQuery.Update(ctx, delta) (or
 // CompiledDB.Apply + BoundQuery.Rebind, to share one new snapshot across
 // several bound queries) carries the bound state forward incrementally:
 // only the atoms, decomposition nodes and cached reduction/count subtrees a

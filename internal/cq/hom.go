@@ -1,7 +1,5 @@
 package cq
 
-import "sort"
-
 // Homomorphism is a mapping from the variables of one query to the terms of
 // another that sends every atom onto an atom.
 type Homomorphism map[string]Term
@@ -159,15 +157,4 @@ func Dedup(q Query) Query {
 		}
 	}
 	return out
-}
-
-// SortedAtomKeys returns the canonical atom keys of q in sorted order;
-// useful for equality assertions in tests.
-func SortedAtomKeys(q Query) []string {
-	keys := make([]string, len(q.Atoms))
-	for i, a := range q.Atoms {
-		keys[i] = atomKey(a)
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -93,24 +93,30 @@ func (c *CompiledDB) RelationRows(name string) int {
 
 // BoundQuery is a prepared query bound to a compiled database: the interned
 // dictionary, the per-atom relations, and the materialised decomposition
-// node relations are all built once at Bind time and reused by every
-// evaluation call. The full Yannakakis reduction (with its enumeration
-// indexes) and the counting DP vectors are built lazily on the first
-// Enumerate/Count and then shared. A BoundQuery is immutable after Bind and
-// safe for concurrent use; Update/Rebind never mutate it — they return a new
-// BoundQuery sharing all state the delta did not touch.
+// node relations are all built once at bind time and reused by every
+// evaluation call. The node relations come in one of two forms: bottom-up
+// reduced (Bind, for evaluating a snapshot) or cover-based (BindMaintained,
+// for maintaining one under Rebind); a query records which it holds. The
+// full Yannakakis reduction (with its enumeration indexes) and the counting
+// DP vectors are built lazily on the first Enumerate/Count and then shared.
+// A BoundQuery is immutable after binding and safe for concurrent use;
+// Update/Rebind never mutate it — they return a new BoundQuery sharing all
+// state the delta did not touch.
 type BoundQuery struct {
 	prep *PreparedQuery
 	cdb  *CompiledDB
 
-	// inst and nodeRels are the flat atom and node relations Bind builds
+	// inst and nodeRels are the flat atom and node relations the bind builds
 	// (nodeRels is nil for naive and ground plans). Once the query is being
 	// maintained (maint below), an entry is valid only while its relation has
 	// not changed since it was flat: Rebind clears the entries a delta
 	// reaches — inst.AtomRels[i], nodeRels[u] — instead of rewriting them,
 	// and flatNodes lists a cleared node from the maintained state on demand.
+	// reduced records that nodeRels are bottom-up reduced (Bind) rather than
+	// cover-based; only a query that was never maintained holds that form.
 	inst     *Instance
 	nodeRels []*Relation
+	reduced  bool
 
 	// maint is the maintained (persistent-map) form of the same relations,
 	// nil until the first Rebind that changes something the query reads: a
@@ -125,12 +131,32 @@ type BoundQuery struct {
 	countSt  atomic.Pointer[countState]
 }
 
-// Bind fixes the data-dependent half of the evaluation: it builds the
-// per-atom relations over the compiled database and materialises the
-// decomposition node relations (λ-edge joins ordered smallest-first,
-// projected to the bags, filtered by the assigned atoms). The work Bool,
-// Count and Enumerate previously repeated per call is paid once here.
+// Bind fixes the data-dependent half of the evaluation for a snapshot that is
+// evaluated rather than maintained: it builds the per-atom relations over the
+// compiled database and materialises the decomposition bottom-up, children
+// first — each node the connected join of its cover relations, its
+// children's relations on the shared columns and its filter atoms, projected
+// to the bag. The nodes are thus bottom-up reduced from the start: a cover
+// whose relations share no variable is never built as a cross product on its
+// own, Bool reads the root, and Enumerate's reduction only runs top-down.
+// Rebind works on the result too, but its first call rebuilds the cover-based
+// bags maintenance needs; a query that will be rebound should use
+// BindMaintained.
 func (p *PreparedQuery) Bind(ctx context.Context, cdb *CompiledDB) (*BoundQuery, error) {
+	return p.bind(ctx, cdb, true)
+}
+
+// BindMaintained is Bind for a query that will be carried across deltas with
+// Rebind or Update: every node relation is its cover-based bag — the λ-edge
+// join (smallest first, connected) projected to the bag and filtered by the
+// assigned atoms, unreduced — which is what the first Rebind loads as the
+// node's maintained support. The answers are Bind's.
+func (p *PreparedQuery) BindMaintained(ctx context.Context, cdb *CompiledDB) (*BoundQuery, error) {
+	return p.bind(ctx, cdb, false)
+}
+
+// bind is Bind (reduced) or BindMaintained.
+func (p *PreparedQuery) bind(ctx context.Context, cdb *CompiledDB, reduced bool) (*BoundQuery, error) {
 	p.eng.binds.Add(1)
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -143,11 +169,18 @@ func (p *PreparedQuery) Bind(ctx context.Context, cdb *CompiledDB) (*BoundQuery,
 	if p.plan.Naive() || p.plan.d.Nodes() == 0 {
 		return b, nil
 	}
+	if !reduced {
+		b.nodeRels, err = coverNodes(ctx, p.plan, inst, p.eng.par())
+		if err != nil {
+			return nil, err
+		}
+		return b, nil
+	}
 	r, err := newRun(ctx, p.plan, inst, p.eng.par())
 	if err != nil {
 		return nil, err
 	}
-	b.nodeRels = r.nodeRels
+	b.nodeRels, b.reduced = r.nodeRels, true
 	return b, nil
 }
 
@@ -158,8 +191,9 @@ func (b *BoundQuery) Query() cq.Query { return b.prep.Query() }
 func (b *BoundQuery) Database() *CompiledDB { return b.cdb }
 
 // ExplainDB renders the plan together with the node relation sizes already
-// materialised at Bind time — unlike PreparedQuery.ExplainDB it does no
-// work beyond formatting.
+// materialised — unlike PreparedQuery.ExplainDB it does no work beyond
+// formatting. After Bind the sizes are bottom-up reduced; after
+// BindMaintained or a Rebind they are the cover-based bags'.
 func (b *BoundQuery) ExplainDB() string {
 	plan := b.prep.plan
 	if plan.Naive() || plan.d.Nodes() == 0 {
@@ -222,14 +256,15 @@ func (b *BoundQuery) run() *run {
 		inst:     b.inst,
 		nodeRels: append([]*Relation(nil), b.flatNodes()...),
 		par:      b.prep.eng.par(),
+		reduced:  b.reduced,
 	}
 }
 
-// Bool decides q(D) ≠ ∅ over the bound database (Proposition 2.2). Only the
-// bottom-up semijoin pass runs per call; interning, atom relations and node
-// materialisation were paid at Bind time. When a full reduction is already
-// cached (a prior Enumerate, or carried forward by Update), the answer is
-// read off the reduced root relation without any pass at all.
+// Bool decides q(D) ≠ ∅ over the bound database (Proposition 2.2). After
+// Bind the answer is whether the bottom-up reduced root is non-empty;
+// otherwise the bottom-up semijoin pass runs per call. When a full reduction
+// is already cached (a prior Enumerate, or carried forward by Update), the
+// answer is read off the reduced root relation without any pass at all.
 func (b *BoundQuery) Bool(ctx context.Context) (bool, error) {
 	if err := ctx.Err(); err != nil {
 		return false, err
@@ -292,7 +327,8 @@ func (b *BoundQuery) ensureCounts(ctx context.Context) (*countState, error) {
 	return cs, nil
 }
 
-// ensureReduced runs the Yannakakis full reduction once and builds the
+// ensureReduced runs the Yannakakis full reduction once — only its top-down
+// half after Bind, whose nodes are bottom-up reduced already — and builds the
 // shared enumeration indexes over the reduced relations. The bottom-up
 // intermediate relations are kept alongside so Update can re-run the
 // semijoin passes only where a delta actually propagates. Concurrent callers

@@ -508,7 +508,7 @@ func countProjection(qvars, free []string, enumerate func(yield func(Solution) b
 }
 
 // ExplainDB renders the plan together with the materialised per-node
-// relation sizes over db.
+// relation sizes over db — bottom-up reduced, as Bind materialises them.
 func (p *PreparedQuery) ExplainDB(ctx context.Context, db cq.Database) (string, error) {
 	inst, err := Compile(p.plan.query, db)
 	if err != nil {

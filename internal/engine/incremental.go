@@ -51,7 +51,7 @@ func (b *BoundQuery) Update(ctx context.Context, delta *storage.Delta) (*BoundQu
 // share returns b moved to cdb with all bound state shared, caches included:
 // nothing the query can see changed.
 func (b *BoundQuery) share(cdb *CompiledDB) *BoundQuery {
-	nb := &BoundQuery{prep: b.prep, cdb: cdb, inst: b.inst, nodeRels: b.nodeRels, maint: b.maint}
+	nb := &BoundQuery{prep: b.prep, cdb: cdb, inst: b.inst, nodeRels: b.nodeRels, reduced: b.reduced, maint: b.maint}
 	nb.enumSt.Store(b.enumSt.Load())
 	nb.countSt.Store(b.countSt.Load())
 	return nb
@@ -61,10 +61,12 @@ func (b *BoundQuery) share(cdb *CompiledDB) *BoundQuery {
 // the change between the two snapshots (see the file comment), sharing every
 // piece of bound state the change does not reach. The first Rebind of a
 // freshly bound query additionally converts its state to maintained form,
-// once, in O(database). The snapshot must share the receiver's dictionary
-// (i.e. descend from the same CompileDB via Apply); otherwise Rebind falls
-// back to a full Bind, as it does whenever a delta reaches a relation of a
-// plan that is not maintained (see Plan.planMaintenance).
+// once, in O(database); after Bind rather than BindMaintained that includes
+// rebuilding the cover-based node relations. The snapshot must share the
+// receiver's dictionary (i.e. descend from the same CompileDB via Apply);
+// otherwise Rebind falls back to a full BindMaintained, as it does whenever a
+// delta reaches a relation of a plan that is not maintained (see
+// Plan.planMaintenance).
 func (b *BoundQuery) Rebind(ctx context.Context, cdb *CompiledDB) (*BoundQuery, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -73,7 +75,7 @@ func (b *BoundQuery) Rebind(ctx context.Context, cdb *CompiledDB) (*BoundQuery, 
 	eng.rebinds.Add(1)
 	if b.cdb.sdb.Dict != cdb.sdb.Dict {
 		// Unrelated snapshot: values are not comparable across dictionaries.
-		return b.prep.Bind(ctx, cdb)
+		return b.prep.BindMaintained(ctx, cdb)
 	}
 	plan := b.prep.plan
 	q := plan.query
@@ -89,15 +91,15 @@ func (b *BoundQuery) Rebind(ctx context.Context, cdb *CompiledDB) (*BoundQuery, 
 	if !plan.maintainable {
 		// Naive plans, ground queries, and decompositions with a nullary atom
 		// or bag: there is no incremental state worth keeping for them.
-		return b.prep.Bind(ctx, cdb)
+		return b.prep.BindMaintained(ctx, cdb)
 	}
 	mc := &maintCtx{}
 	defer func() { eng.maintRows.Add(mc.rows) }()
 
-	ms := b.maint
+	ms, nodeRels := b.maint, b.nodeRels
 	if ms == nil {
 		var err error
-		if ms, err = b.buildMaint(ctx); err != nil {
+		if ms, nodeRels, err = b.buildMaint(ctx); err != nil {
 			return nil, err
 		}
 	}
@@ -125,14 +127,14 @@ func (b *BoundQuery) Rebind(ctx context.Context, cdb *CompiledDB) (*BoundQuery, 
 		// Every dirty atom absorbed: the delta is invisible to the query
 		// after all. Keep the (possibly just built) maintained form.
 		nb := b.share(cdb)
-		nb.maint = ms
+		nb.maint, nb.nodeRels, nb.reduced = ms, nodeRels, false
 		return nb, nil
 	}
 
 	// 2. Nodes: delta-join every node with a changed input, or rebuild it
 	// where the cost model prices the delta above that.
 	nm := &maintState{atoms: nu.newAtoms, nodes: append([]*nodeState(nil), ms.nodes...)}
-	nb := &BoundQuery{prep: b.prep, cdb: cdb, inst: inst, maint: nm, nodeRels: append([]*Relation(nil), b.nodeRels...)}
+	nb := &BoundQuery{prep: b.prep, cdb: cdb, inst: inst, maint: nm, nodeRels: append([]*Relation(nil), nodeRels...)}
 	dN := make([]*relDelta, plan.d.Nodes())
 	for u := 0; u < plan.d.Nodes(); u++ {
 		if err := ctx.Err(); err != nil {

@@ -48,6 +48,23 @@ type diffShape struct {
 	query string
 	rels  map[string]int // relation name → arity
 	opts  []Option       // engine options (e.g. force the naive plan)
+
+	// maintained binds the maintained query with BindMaintained rather than
+	// Bind, whose bottom-up reduced nodes the first Rebind must rebuild.
+	maintained bool
+}
+
+// bindForms runs f once per form a maintained query can start from, as
+// subtests named after the form.
+func bindForms(t *testing.T, sh diffShape, f func(t *testing.T, sh diffShape)) {
+	for _, maintained := range []bool{false, true} {
+		name := "oneshot"
+		if maintained {
+			name = "maintained"
+		}
+		sh.maintained = maintained
+		t.Run(name, func(t *testing.T) { f(t, sh) })
+	}
 }
 
 var diffShapes = []diffShape{
@@ -167,8 +184,8 @@ func compareBound(ctx context.Context, inc, ref *BoundQuery) string {
 }
 
 // runScript replays a delta script from scratch: it binds the query over the
-// initial database, then Updates step by step, comparing against a fresh
-// CompileDB+Bind after every step. It returns the index of the first
+// initial database (in sh's form), then Updates step by step, comparing
+// against a fresh CompileDB+Bind after every step. It returns the index of the first
 // diverging step (-1 for none) with the divergence description.
 func runScript(t *testing.T, sh diffShape, q cq.Query, initial cq.Database, steps []diffStep) (int, string) {
 	t.Helper()
@@ -191,7 +208,11 @@ func runScriptOn(t *testing.T, eng *Engine, sh diffShape, q cq.Query, initial cq
 	if err != nil {
 		t.Fatalf("%s: CompileDB: %v", sh.name, err)
 	}
-	inc, err := prep.Bind(ctx, cdb)
+	bind := prep.Bind
+	if sh.maintained {
+		bind = prep.BindMaintained
+	}
+	inc, err := bind(ctx, cdb)
 	if err != nil {
 		t.Fatalf("%s: Bind: %v", sh.name, err)
 	}
@@ -322,27 +343,29 @@ func TestIncrementalDifferential(t *testing.T) {
 					relNames[j], relNames[j-1] = relNames[j-1], relNames[j]
 				}
 			}
-			for _, seed := range []int64{*incSeed, *incSeed + 1, *incSeed + 2, *incSeed + 3} {
-				rng := rand.New(rand.NewSource(seed))
-				// Random non-empty initial database.
-				initial := cq.Database{}
-				for _, pre := range genStep(rng, sh, relNames) {
-					if pre.insert {
-						initial.Add(pre.rel, pre.tuple...)
+			bindForms(t, sh, func(t *testing.T, sh diffShape) {
+				for _, seed := range []int64{*incSeed, *incSeed + 1, *incSeed + 2, *incSeed + 3} {
+					rng := rand.New(rand.NewSource(seed))
+					// Random non-empty initial database.
+					initial := cq.Database{}
+					for _, pre := range genStep(rng, sh, relNames) {
+						if pre.insert {
+							initial.Add(pre.rel, pre.tuple...)
+						}
 					}
+					steps := make([]diffStep, stepsPerShape)
+					for i := range steps {
+						steps[i] = genStep(rng, sh, relNames)
+					}
+					at, desc := runScript(t, sh, q, initial, steps)
+					if at < 0 {
+						continue
+					}
+					minimal := shrinkScript(t, sh, q, initial, steps[:at+1])
+					t.Fatalf("%s (seed %d): divergence at step %d: %s\nminimal failing script (%d steps):\n%s",
+						sh.name, seed, at, desc, len(minimal), formatScript(minimal))
 				}
-				steps := make([]diffStep, stepsPerShape)
-				for i := range steps {
-					steps[i] = genStep(rng, sh, relNames)
-				}
-				at, desc := runScript(t, sh, q, initial, steps)
-				if at < 0 {
-					continue
-				}
-				minimal := shrinkScript(t, sh, q, initial, steps[:at+1])
-				t.Fatalf("%s (seed %d): divergence at step %d: %s\nminimal failing script (%d steps):\n%s",
-					sh.name, seed, at, desc, len(minimal), formatScript(minimal))
-			}
+			})
 		})
 	}
 }
@@ -426,6 +449,63 @@ func TestRebindSharesCleanState(t *testing.T) {
 	}
 	if old != 1 {
 		t.Errorf("old snapshot Count = %d, want 1", old)
+	}
+}
+
+// TestRebindCarriesBindForm: a one-shot Bind holds bottom-up reduced nodes,
+// which lack the dangling S(2,4); a Rebind over a delta the query never reads
+// shares them, and must carry the record that they are reduced, so that the
+// next Rebind rebuilds the cover-based bags rather than loading the reduced
+// ones as node supports — after which T(4,6) makes S(2,4) a solution's.
+func TestRebindCarriesBindForm(t *testing.T) {
+	ctx := context.Background()
+	eng := NewEngine()
+	q, err := cq.ParseQuery("R(a,b), S(b,c), T(c,d)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prep, err := eng.Prepare(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := cq.Database{}
+	db.Add("R", "1", "2")
+	db.Add("S", "2", "3")
+	db.Add("S", "2", "4") // dangling: no T(4,·)
+	db.Add("T", "3", "5")
+	cdb, err := eng.CompileDB(ctx, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := prep.Bind(ctx, cdb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared, err := b.Update(ctx, storage.NewDelta().Add("Zed", "x", "y"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if shared.inst != b.inst {
+		t.Fatal("a delta on Zed alone should share the bound state")
+	}
+	nb, err := shared.Update(ctx, storage.NewDelta().Add("T", "4", "6"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := prep.Bind(ctx, nb.Database())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := nb.Count(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := fresh.Count(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want || want != 2 {
+		t.Errorf("Count after Zed, then T(4,6) = %d, fresh Bind = %d, want 2", got, want)
 	}
 }
 
@@ -843,9 +923,11 @@ func TestIncrementalScriptedCases(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if at, desc := runScript(t, c.shape, q, c.db, c.steps); at >= 0 {
-				t.Fatalf("divergence at step %d (%v): %s", at, c.steps[at], desc)
-			}
+			bindForms(t, c.shape, func(t *testing.T, sh diffShape) {
+				if at, desc := runScript(t, sh, q, c.db, c.steps); at >= 0 {
+					t.Fatalf("divergence at step %d (%v): %s", at, c.steps[at], desc)
+				}
+			})
 		})
 	}
 }

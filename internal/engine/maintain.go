@@ -281,45 +281,53 @@ func newNodeState(p *Plan, u int, rel *Relation, counts *storage.TupleMap) *node
 }
 
 // buildMaint converts a flat-bound query (every atom and node relation
-// present as a Relation) into maintained form. Projecting nodes re-run their
-// input join once to learn the derivation counts; the others load their rows
-// as they are. This is the one-off O(database) cost of the first
-// maintenance, after which flat relations are only ever produced on demand.
-func (b *BoundQuery) buildMaint(ctx context.Context) (*maintState, error) {
+// present as a Relation) into maintained form, and returns the cover-based
+// node relations it holds. After BindMaintained, projecting nodes re-run
+// their input join once to learn the derivation counts and the others load
+// their rows as they are; after Bind, whose nodes are bottom-up reduced,
+// every node's cover-based bag is rebuilt with its counts. This is the
+// one-off O(database) cost of the first maintenance, after which flat
+// relations are only ever produced on demand.
+func (b *BoundQuery) buildMaint(ctx context.Context) (*maintState, []*Relation, error) {
 	p := b.prep.plan
 	eng := b.prep.eng
 	ms := &maintState{atoms: make([]*atomState, len(p.query.Atoms)), nodes: make([]*nodeState, p.d.Nodes())}
 	for i := range ms.atoms {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		ms.atoms[i] = newAtomState(p, i, b.inst.AtomRels[i], b.cdb.sdb.Table(p.query.Atoms[i].Rel))
 	}
-	edges := map[string]*Relation{}
-	for u := 0; u < p.d.Nodes(); u++ {
-		if !p.projects[u] {
-			continue
-		}
-		for _, names := range p.lambdaVars[u] {
-			if k := edgeKey(names); edges[k] == nil {
-				edges[k] = b.inst.EdgeRelation(names)
-			}
-		}
+	nodeRels := b.nodeRels
+	rejoin := allNodes(p.d.Nodes())
+	if b.reduced {
+		nodeRels = make([]*Relation, p.d.Nodes())
+	} else {
+		rejoin = slices.DeleteFunc(rejoin, func(u int) bool { return !p.projects[u] })
 	}
-	getEdge := func(names []string) *Relation { return edges[edgeKey(names)] }
-	err := parForEach(ctx, eng.par(), allNodes(p.d.Nodes()), func(u int) error {
+	getEdge, err := edgeRelations(ctx, p, b.inst, rejoin)
+	if err != nil {
+		return nil, nil, err
+	}
+	err = parForEach(ctx, eng.par(), allNodes(p.d.Nodes()), func(u int) error {
 		var counts *storage.TupleMap
-		if p.projects[u] {
+		switch {
+		case b.reduced:
+			nodeRels[u], counts = materialiseNodeWithSupport(p, b.inst, u, getEdge)
+			if !p.projects[u] {
+				counts = nil
+			}
+		case p.projects[u]:
 			counts = projectCounts(joinLambda(p, u, getEdge), p.bagVars[u])
 		}
-		ms.nodes[u] = newNodeState(p, u, b.nodeRels[u], counts)
+		ms.nodes[u] = newNodeState(p, u, nodeRels[u], counts)
 		eng.nodeRebuilds.Add(1)
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return ms, nil
+	return ms, nodeRels, nil
 }
 
 // patchAtom derives atom i's successor state under d. set is the successor

@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"d2cq/internal/cq"
+	"d2cq/internal/graph"
+	"d2cq/internal/hypergraph"
 	"d2cq/internal/storage"
 )
 
@@ -22,10 +24,29 @@ type maintShape struct {
 var (
 	maintPath3  = maintShape{"path3", [][]string{{"x", "y"}, {"y", "z"}, {"z", "w"}}}
 	maintCycle4 = maintShape{"cycle4", [][]string{{"a", "b"}, {"b", "c"}, {"c", "d"}, {"d", "a"}}}
+	maintCycle5 = maintShape{"cycle5", [][]string{{"a", "b"}, {"b", "c"}, {"c", "d"}, {"d", "e"}, {"e", "a"}}}
 	maintCycle6 = maintShape{"cycle6", [][]string{{"a", "b"}, {"b", "c"}, {"c", "d"}, {"d", "e"}, {"e", "f"}, {"f", "a"}}}
 	maintJigsaw = maintShape{"jigsaw2x3", [][]string{{"h11", "v1"}, {"h11", "h12", "v2"}, {"h12", "v3"},
 		{"h21", "v1"}, {"h21", "h22", "v2"}, {"h22", "v3"}}}
 )
+
+// maintSubgrid is the corpus's subgrid-3x2 shape: the dual of the subdivided
+// 3×2 grid, one atom per vertex of the subdivided grid over its edges.
+var maintSubgrid = dualShape("subgrid3x2", hypergraph.FromGraph(graph.Subdivide(graph.Grid(3, 2))).Dual())
+
+// dualShape is the maintShape of a hypergraph: one atom per edge, over
+// variables named after the vertices.
+func dualShape(name string, h *hypergraph.Hypergraph) maintShape {
+	s := maintShape{name: name}
+	for e := 0; e < h.NE(); e++ {
+		var vars []string
+		for _, v := range h.EdgeVertices(e) {
+			vars = append(vars, fmt.Sprintf("x%d", v))
+		}
+		s.atoms = append(s.atoms, vars)
+	}
+	return s
+}
 
 func (s maintShape) rel(i int) string { return string(rune('a' + i)) }
 
@@ -51,6 +72,26 @@ type maintFixture struct {
 }
 
 func newMaintFixture(tb testing.TB, s maintShape, rows, domain int) *maintFixture {
+	tb.Helper()
+	ctx := context.Background()
+	eng, prep, cdb, planted := newMaintDB(tb, s, rows, domain)
+	b, err := prep.BindMaintained(ctx, cdb)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	// Prime the caches the way a live registration does.
+	if _, err := b.Count(ctx); err != nil {
+		tb.Fatal(err)
+	}
+	if err := b.Enumerate(ctx, func(Solution) bool { return false }); err != nil {
+		tb.Fatal(err)
+	}
+	return &maintFixture{shape: s, eng: eng, bound: b, planted: planted}
+}
+
+// newMaintDB prepares the shape's query on a fresh engine and compiles its
+// seeded database (see maintFixture), returning the planted solution count.
+func newMaintDB(tb testing.TB, s maintShape, rows, domain int) (*Engine, *PreparedQuery, *CompiledDB, int) {
 	tb.Helper()
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(int64(rows)))
@@ -81,18 +122,7 @@ func newMaintFixture(tb testing.TB, s maintShape, rows, domain int) *maintFixtur
 	if err != nil {
 		tb.Fatal(err)
 	}
-	b, err := prep.Bind(ctx, cdb)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	// Prime the caches the way a live registration does.
-	if _, err := b.Count(ctx); err != nil {
-		tb.Fatal(err)
-	}
-	if err := b.Enumerate(ctx, func(Solution) bool { return false }); err != nil {
-		tb.Fatal(err)
-	}
-	return &maintFixture{shape: s, eng: eng, bound: b, planted: planted}
+	return eng, prep, cdb, planted
 }
 
 // plantedTuple projects planted solution j onto atom i.
@@ -185,6 +215,36 @@ func BenchmarkRebindSingleTuple(b *testing.B) {
 				b.StartTimer()
 				if f.maintain(b, ncdb) != 1 {
 					b.Fatalf("step %d: toggling a planted tuple must change exactly one result row", n)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkBindOneShot measures one Bind on the seeded maintenance
+// databases. cycle5, the 3×2 subgrid and cycle6 get plans whose covers are
+// forced cross products, which the bottom-up materialisation joins through
+// the children's messages instead; path3 is acyclic, where a message is a
+// semijoin and must cost no more than one.
+func BenchmarkBindOneShot(b *testing.B) {
+	for _, c := range []struct {
+		name         string
+		shape        maintShape
+		rows, domain int
+	}{
+		{"path3-5k", maintPath3, 5000, 2500},
+		{"cycle5-500", maintCycle5, 500, 250},
+		{"subgrid3x2-200", maintSubgrid, 200, 100},
+		{"cycle6-500", maintCycle6, 500, 250},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			ctx := context.Background()
+			_, prep, cdb, _ := newMaintDB(b, c.shape, c.rows, c.domain)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				if _, err := prep.Bind(ctx, cdb); err != nil {
+					b.Fatal(err)
 				}
 			}
 		})

@@ -103,6 +103,17 @@ func (r *Relation) Project(cols []string) *Relation {
 		}
 		return out
 	}
+	if len(cols) == len(r.Cols) {
+		// A permutation of the columns of a set: no two rows collide.
+		out.Data = make([]Value, 0, len(r.Data))
+		for i := 0; i < r.Len(); i++ {
+			row := r.Row(i)
+			for _, x := range idx {
+				out.Data = append(out.Data, row[x])
+			}
+		}
+		return out
+	}
 	seen := storage.NewTupleMap(len(cols), r.Len())
 	buf := make([]Value, len(cols))
 	for i := 0; i < r.Len(); i++ {

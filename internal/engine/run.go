@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -15,12 +16,15 @@ import (
 // compiled Instance: the materialised node relations. A run belongs to a
 // single evaluation call and is never shared between goroutines; the Plan it
 // points at is immutable. par is the bounded worker count of the parallel
-// passes (<= 1 means sequential).
+// passes (<= 1 means sequential). reduced records that every node relation is
+// bottom-up reduced already (newRun builds them so), rather than the
+// cover-based bag.
 type run struct {
 	plan     *Plan
 	inst     *Instance
 	nodeRels []*Relation
 	par      int
+	reduced  bool
 }
 
 // errUnsat is the internal early-exit signal of the parallel bottom-up pass:
@@ -139,45 +143,145 @@ func parRanges(par, n int, f func(lo, hi int)) {
 // relation.
 func edgeKey(names []string) string { return strings.Join(names, "\x00") }
 
+// joinInput is one input of a connected join: a relation and the columns it
+// constrains — all of its own, or, for a child's message, only those the child
+// shares with the node (a join projects onto them, a semijoin probes on them).
+type joinInput struct {
+	rel  *Relation
+	cols []string
+}
+
+// joinConnected joins a node's cover relations and further inputs in a
+// connected, smallest-first order. The join starts from the smallest cover
+// relation; then an input whose columns are all bound already is applied as
+// a semijoin, else the smallest input sharing a column is joined, and a cross
+// product happens only when none does. An empty input empties the join at
+// once, and the join stops as soon as it is empty; the empty result still
+// carries every input column, so it projects like a full one. No cover at
+// all is the nullary relation holding the empty tuple.
+func joinConnected(cover []*Relation, more []joinInput) *Relation {
+	rest := make([]joinInput, 0, len(cover)+len(more))
+	for _, r := range cover {
+		rest = append(rest, joinInput{rel: r, cols: r.Cols})
+	}
+	rest = append(rest, more...)
+	var acc *Relation
+	if len(cover) == 0 {
+		acc = NewRelation()
+		acc.AddEmpty()
+	} else {
+		first := 0
+		for i, r := range cover {
+			if r.Len() < cover[first].Len() {
+				first = i
+			}
+		}
+		acc, rest = cover[first], append(rest[:first], rest[first+1:]...)
+	}
+	sort.SliceStable(rest, func(i, j int) bool { return rest[i].rel.Len() < rest[j].rel.Len() })
+	for len(rest) > 0 && acc.Len() > 0 && rest[0].rel.Len() > 0 {
+		next, semi := -1, false
+		for i, in := range rest {
+			bound, shares := coveredBy(in.cols, acc)
+			if bound {
+				next, semi = i, true
+				break
+			}
+			if shares && next < 0 {
+				next = i
+			}
+		}
+		if next < 0 {
+			next = 0 // nothing shares a column: a cross product with the smallest
+		}
+		in := rest[next]
+		rest = append(rest[:next], rest[next+1:]...)
+		switch {
+		case semi && len(in.cols) == 0:
+			// A nullary input that is not empty constrains nothing.
+		case semi:
+			accPos, inPos := make([]int, len(in.cols)), make([]int, len(in.cols))
+			for j, c := range in.cols {
+				accPos[j], inPos[j] = acc.ColIndex(c), in.rel.ColIndex(c)
+			}
+			acc = semijoinOn(acc, in.rel, in.cols, accPos, inPos)
+		case len(in.cols) < len(in.rel.Cols):
+			acc = Join(acc, in.rel.Project(in.cols))
+		default:
+			acc = Join(acc, in.rel)
+		}
+	}
+	if len(rest) == 0 {
+		return acc
+	}
+	// Stopped early on an empty input or join: every column, no rows.
+	cols := append([]string(nil), acc.Cols...)
+	for _, in := range rest {
+		for _, c := range in.cols {
+			if !slices.Contains(cols, c) {
+				cols = append(cols, c)
+			}
+		}
+	}
+	return NewRelation(cols...)
+}
+
+// coveredBy reports whether every column of cols is one of r's (bound) and
+// whether at least one is (shares).
+func coveredBy(cols []string, r *Relation) (bound, shares bool) {
+	bound = true
+	for _, c := range cols {
+		if r.ColIndex(c) >= 0 {
+			shares = true
+		} else {
+			bound = false
+		}
+	}
+	return bound, shares
+}
+
 // joinLambda builds the full (pre-projection) join of a node's λ edge
-// relations, smallest first so intermediates stay tight: the next relation
-// joined is the smallest that shares a column with the join so far, so a
-// cross product happens only when none does. edge supplies the relation of
-// a λ variable set (shared across nodes).
+// relations through joinConnected. edge supplies the relation of a λ variable
+// set (shared across nodes).
 func joinLambda(p *Plan, u int, edge func([]string) *Relation) *Relation {
 	rels := make([]*Relation, len(p.lambdaVars[u]))
 	for i, names := range p.lambdaVars[u] {
 		rels[i] = edge(names)
 	}
-	if len(rels) == 0 {
-		acc := NewRelation()
-		acc.AddEmpty()
-		return acc
-	}
-	sort.SliceStable(rels, func(i, j int) bool { return rels[i].Len() < rels[j].Len() })
-	acc, rest := rels[0], rels[1:]
-	for len(rest) > 0 {
-		next := 0
-		for i, er := range rest {
-			if shared, _, _ := sharedColumns(acc, er); len(shared) > 0 {
-				next = i
-				break
-			}
-		}
-		acc = Join(acc, rest[next])
-		rest = append(rest[:next], rest[next+1:]...)
-	}
-	return acc
+	return joinConnected(rels, nil)
 }
 
-// materialiseNode builds the relation of one decomposition node: the λ join
-// projected to the bag, then filtered by every atom assigned to the node.
+// materialiseNode builds the cover-based relation of one decomposition node:
+// the λ join projected to the bag, then filtered by every atom assigned to the
+// node. This is the form maintenance starts from (BindMaintained).
 func materialiseNode(p *Plan, inst *Instance, u int, edge func([]string) *Relation) *Relation {
 	acc := joinLambda(p, u, edge).Project(p.bagVars[u])
 	for _, ai := range p.filters[u] {
 		acc = Semijoin(acc, inst.AtomRels[ai])
 	}
 	return acc
+}
+
+// materialiseReduced builds the bottom-up reduced relation of one node from
+// its children's, which must be built already: the connected join of its λ
+// relations, each child's message (the child's relation on the columns they
+// share) and its filter atoms, projected to the bag. The result is the
+// cover-based node after reduceBottomUp, without ever building the cover
+// join on its own — a message that connects two cover relations sharing no
+// variable is joined before they are, so a forced cross product never is.
+func materialiseReduced(p *Plan, inst *Instance, u int, edge func([]string) *Relation, nodeRels []*Relation) *Relation {
+	cover := make([]*Relation, len(p.lambdaVars[u]))
+	for i, names := range p.lambdaVars[u] {
+		cover[i] = edge(names)
+	}
+	more := make([]joinInput, 0, len(p.childJoins[u])+len(p.filters[u]))
+	for _, cj := range p.childJoins[u] {
+		more = append(more, joinInput{rel: nodeRels[cj.child], cols: cj.shared})
+	}
+	for _, ai := range p.filters[u] {
+		more = append(more, joinInput{rel: inst.AtomRels[ai], cols: inst.AtomRels[ai].Cols})
+	}
+	return joinConnected(cover, more).Project(p.bagVars[u])
 }
 
 // projectCounts projects a relation onto cols, returning the multiplicity
@@ -233,40 +337,73 @@ func materialiseNodeWithSupport(p *Plan, inst *Instance, u int, edge func([]stri
 	return rel, sup
 }
 
-// newRun materialises the node relations of the plan over inst. Distinct λ
-// edge relations are built once and shared read-only across nodes; with
-// par > 1 the per-node work runs on a bounded worker pool.
+// newRun materialises the node relations of the plan over inst bottom-up,
+// children strictly first and each level on up to par workers: every node is
+// built by materialiseReduced, so the run starts out bottom-up reduced.
 func newRun(ctx context.Context, p *Plan, inst *Instance, par int) (*run, error) {
-	r := &run{plan: p, inst: inst, nodeRels: make([]*Relation, p.d.Nodes()), par: par}
-	// One edge relation per distinct λ variable set, shared across nodes.
+	r := &run{plan: p, inst: inst, nodeRels: make([]*Relation, p.d.Nodes()), par: par, reduced: true}
+	getEdge, err := edgeRelations(ctx, p, inst, allNodes(p.d.Nodes()))
+	if err != nil {
+		return nil, err
+	}
+	for _, level := range p.levels {
+		err := parForEach(ctx, par, level, func(u int) error {
+			r.nodeRels[u] = materialiseReduced(p, inst, u, getEdge, r.nodeRels)
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	return r, nil
+}
+
+// coverNodes materialises the cover-based node relations of the plan over
+// inst (materialiseNode), on up to par workers: the unreduced bags that
+// maintenance loads as node supports.
+func coverNodes(ctx context.Context, p *Plan, inst *Instance, par int) ([]*Relation, error) {
+	rels := make([]*Relation, p.d.Nodes())
+	getEdge, err := edgeRelations(ctx, p, inst, allNodes(p.d.Nodes()))
+	if err != nil {
+		return nil, err
+	}
+	err = parForEach(ctx, par, allNodes(p.d.Nodes()), func(u int) error {
+		rels[u] = materialiseNode(p, inst, u, getEdge)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return rels, nil
+}
+
+// edgeRelations builds the λ edge relations of the given nodes, one per
+// distinct variable set, and returns their lookup — shared read-only across
+// nodes and workers.
+func edgeRelations(ctx context.Context, p *Plan, inst *Instance, nodes []int) (func([]string) *Relation, error) {
 	edges := map[string]*Relation{}
-	for u := 0; u < p.d.Nodes(); u++ {
+	for _, u := range nodes {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		for _, names := range p.lambdaVars[u] {
-			k := edgeKey(names)
-			if _, ok := edges[k]; !ok {
+			if k := edgeKey(names); edges[k] == nil {
 				edges[k] = inst.EdgeRelation(names)
 			}
 		}
 	}
-	getEdge := func(names []string) *Relation { return edges[edgeKey(names)] }
-	materialise := func(u int) error {
-		r.nodeRels[u] = materialiseNode(p, inst, u, getEdge)
-		return nil
-	}
-	if err := parForEach(ctx, par, allNodes(p.d.Nodes()), materialise); err != nil {
-		return nil, err
-	}
-	return r, nil
+	return func(names []string) *Relation { return edges[edgeKey(names)] }, nil
 }
 
 // bool_ decides satisfiability by a bottom-up Yannakakis semijoin pass:
 // semijoin every parent with its children, children strictly first;
 // satisfiable iff no node relation empties out. Levels of the decomposition
-// tree are processed in parallel when the run has workers.
+// tree are processed in parallel when the run has workers. A run that is
+// bottom-up reduced already only looks at its root.
 func (r *run) bool_(ctx context.Context) (bool, error) {
+	if r.reduced {
+		return r.nodeRels[r.plan.d.Root()].Len() > 0, nil
+	}
 	for _, level := range r.plan.levels {
 		err := parForEach(ctx, r.par, level, func(u int) error {
 			rel := r.nodeRels[u]
@@ -435,8 +572,11 @@ func (r *run) count(ctx context.Context) (int64, error) {
 // reduceBottomUp runs the bottom-up half of the Yannakakis full reduction:
 // every node is semijoined with its children, children strictly first. The
 // pass runs level-parallel when the run has workers: within a level the
-// touched relations are disjoint.
+// touched relations are disjoint. A bottom-up reduced run has nothing to do.
 func (r *run) reduceBottomUp(ctx context.Context) error {
+	if r.reduced {
+		return nil
+	}
 	for _, level := range r.plan.levels {
 		err := parForEach(ctx, r.par, level, func(u int) error {
 			for _, cj := range r.plan.childJoins[u] {
@@ -448,6 +588,7 @@ func (r *run) reduceBottomUp(ctx context.Context) error {
 			return err
 		}
 	}
+	r.reduced = true
 	return nil
 }
 

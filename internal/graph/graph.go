@@ -7,7 +7,6 @@ package graph
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"d2cq/internal/bitset"
@@ -63,9 +62,6 @@ func (g *Graph) Degree(v int) int { return g.adj[v].Len() }
 
 // Neighbors returns the adjacency bitset of v. The caller must not mutate it.
 func (g *Graph) Neighbors(v int) bitset.Set { return g.adj[v] }
-
-// NeighborSlice returns the neighbours of v in ascending order.
-func (g *Graph) NeighborSlice(v int) []int { return g.adj[v].Slice() }
 
 // Edges returns all edges as ordered pairs (u < v).
 func (g *Graph) Edges() [][2]int {
@@ -210,16 +206,6 @@ func (g *Graph) String() string {
 		fmt.Fprintf(&b, " %d-%d", e[0], e[1])
 	}
 	return b.String()
-}
-
-// DegreeSequence returns the sorted (ascending) degree sequence.
-func (g *Graph) DegreeSequence() []int {
-	ds := make([]int, g.n)
-	for v := range ds {
-		ds[v] = g.Degree(v)
-	}
-	sort.Ints(ds)
-	return ds
 }
 
 // --- standard constructions -------------------------------------------------

@@ -50,15 +50,6 @@ func (m *MinorMap) Onto(host *Graph) bool {
 	return cov.Len() == host.N()
 }
 
-// Covered returns the union of all branch sets.
-func (m *MinorMap) Covered(host *Graph) bitset.Set {
-	cov := bitset.New(host.N())
-	for _, b := range m.Branch {
-		cov.UnionWith(b)
-	}
-	return cov
-}
-
 // ExtendOnto grows the branch sets until they cover every host vertex,
 // preserving validity. The host must be connected. This realises the paper's
 // "w.l.o.g. a minor map is onto" for connected hosts.

@@ -345,7 +345,7 @@ func (s *Store) register(ctx context.Context, name string, q cq.Query, logIt boo
 	// visits the query (see stage), so whatever snapshot the query holds on to
 	// must not keep the rest of the database as of that moment alive.
 	rels := relationsOf(q)
-	bound, err := prep.Bind(ctx, s.cdb.Restrict(rels))
+	bound, err := prep.BindMaintained(ctx, s.cdb.Restrict(rels))
 	if err != nil {
 		unreserve()
 		return err

@@ -98,14 +98,6 @@ func (r *Reader) String() (string, error) {
 // allocating.
 func (r *Reader) Remaining() int { return len(r.b) - r.off }
 
-// Rest returns the undecoded remainder and advances past it — for payloads
-// whose final field is raw bytes.
-func (r *Reader) Rest() []byte {
-	rest := r.b[r.off:]
-	r.off = len(r.b)
-	return rest
-}
-
 // Done errors unless every byte has been consumed.
 func (r *Reader) Done() error {
 	if r.off != len(r.b) {

@@ -76,8 +76,9 @@ func HasBalancedSeparator(h *hypergraph.Hypergraph, k int) bool {
 	half := ne / 2
 	found := false
 	s := &hwSearcher{h: h, k: k}
+	remaining := bitset.New(ne)
 	s.enumLambdas(bitset.New(h.NV()), func(lambda []int, union bitset.Set) bool {
-		remaining := bitset.New(ne)
+		remaining.Clear()
 		for e := 0; e < ne; e++ {
 			if !h.EdgeSet(e).SubsetOf(union) {
 				remaining.Add(e)
@@ -138,6 +139,11 @@ type GHWOptions struct {
 //  3. lower bounds: α-acyclicity and balanced edge separators (§4.2),
 //  4. if the bounds disagree, run the complete generalized-bag search for
 //     each intermediate width (small hypergraphs only).
+//
+// Every search behind it runs in a fixed order, so the result, witness
+// included, is the same on every call; a search that runs out of budget
+// runs out at the same point. In a witness from the width searches the
+// children of a node come in order of their smallest edge id.
 func GHW(h *hypergraph.Hypergraph, opts *GHWOptions) (GHWResult, error) {
 	var o GHWOptions
 	if opts != nil {
@@ -231,20 +237,15 @@ func GHW(h *hypergraph.Hypergraph, opts *GHWOptions) (GHWResult, error) {
 	return res, nil
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // EvalDecomposition returns a decomposition of h suitable for driving query
 // evaluation: a join tree when h is α-acyclic, otherwise a hypertree
 // decomposition of minimum width k. Among width-k plans it prefers one whose
 // every cover is connected (CoverConnected), so each bag is a join of its
 // cover's relations rather than a cross product; when the search restricted
 // to such covers fails or runs out of budget it keeps the first plan found,
-// so the width never grows. h must have no isolated vertices.
+// so the width never grows. The plan is the same on every call: the
+// children of a node come in order of their smallest edge id. h must have
+// no isolated vertices.
 func EvalDecomposition(h *hypergraph.Hypergraph) (*GHD, error) {
 	for v := 0; v < h.NV(); v++ {
 		if h.Degree(v) == 0 {

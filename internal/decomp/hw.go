@@ -1,8 +1,10 @@
 package decomp
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"d2cq/internal/bitset"
 	"d2cq/internal/hypergraph"
@@ -142,24 +144,41 @@ type hwSearcher struct {
 	memo        map[string]*ghdNode // nil entry = known failure
 	budget      int                 // remaining (λ, bag) candidates; ≤ 0 aborts
 	err         error
+
+	// Scratch, reused across calls. Each is dead again before the call
+	// that fills it recurses, so nested calls may share it.
+	key       []byte     // solve: the (component, connector) memo key
+	remaining bitset.Set // tryBag: component edges χ does not cover
+	uf        []int      // splitComponents: union-find parent per edge
+	index     []int      // splitComponents: component index per root edge
+	first     []int      // splitComponents: first edge seen at each vertex, or -1
 }
 
 // solve searches for a decomposition of the edge component comp whose root
 // bag covers the connector vertex set conn.
 func (s *hwSearcher) solve(comp bitset.Set, conn bitset.Set) (*ghdNode, bool) {
-	key := comp.Key() + "|" + conn.Key()
-	if n, seen := s.memo[key]; seen {
+	// comp and conn always have the capacities NE and NV, so their words
+	// side by side identify the pair.
+	s.key = s.key[:0]
+	for _, w := range comp {
+		s.key = binary.LittleEndian.AppendUint64(s.key, w)
+	}
+	for _, w := range conn {
+		s.key = binary.LittleEndian.AppendUint64(s.key, w)
+	}
+	if n, seen := s.memo[string(s.key)]; seen {
 		return n, n != nil
 	}
+	key := string(s.key)
 	// Vertices spanned by the component.
-	span := bitset.New(s.h.NV())
+	scope := conn.Clone()
 	comp.ForEach(func(e int) bool {
-		span.UnionWith(s.h.EdgeSet(e))
+		scope.UnionWith(s.h.EdgeSet(e))
 		return true
 	})
-	scope := span.Union(conn)
 
 	var result *ghdNode
+	base := bitset.New(s.h.NV())
 	s.enumLambdas(conn, func(lambda []int, union bitset.Set) bool {
 		if s.err != nil {
 			return false
@@ -167,7 +186,8 @@ func (s *hwSearcher) solve(comp bitset.Set, conn bitset.Set) (*ghdNode, bool) {
 		if s.connected && !CoverConnected(s.h, lambda) {
 			return true
 		}
-		base := union.Intersect(scope)
+		copy(base, union)
+		base.IntersectWith(scope)
 		if !conn.SubsetOf(base) {
 			return true
 		}
@@ -203,7 +223,11 @@ func (s *hwSearcher) tryBag(comp bitset.Set, lambda []int, chi bitset.Set) (*ghd
 		}
 		return nil, false
 	}
-	remaining := bitset.New(s.h.NE())
+	if s.remaining == nil {
+		s.remaining = bitset.New(s.h.NE())
+	}
+	remaining := s.remaining
+	remaining.Clear()
 	progress := false
 	comp.ForEach(func(e int) bool {
 		if s.h.EdgeSet(e).SubsetOf(chi) {
@@ -221,10 +245,14 @@ func (s *hwSearcher) tryBag(comp bitset.Set, lambda []int, chi bitset.Set) (*ghd
 		return nil, false // no progress: same component would recurse forever
 	}
 	children := make([]*ghdNode, 0, len(comps))
-	for _, sub := range comps {
-		subConn := bitset.New(s.h.NV())
+	words := bitset.Words(s.h.NV())
+	slab := make([]uint64, len(comps)*words)
+	for i, sub := range comps {
+		subConn := bitset.Set(slab[i*words : (i+1)*words : (i+1)*words])
 		sub.ForEach(func(e int) bool {
-			subConn.UnionWith(s.h.EdgeSet(e).Intersect(chi))
+			for j, w := range s.h.EdgeSet(e) {
+				subConn[j] |= w & chi[j]
+			}
 			return true
 		})
 		child, good := s.solve(sub, subConn)
@@ -239,31 +267,32 @@ func (s *hwSearcher) tryBag(comp bitset.Set, lambda []int, chi bitset.Set) (*ghd
 // enumBags enumerates candidate generalized bags χ with conn ⊆ χ ⊆ base.
 // Vertices of base\conn with identical membership patterns across the
 // component's edges are interchangeable, so w.l.o.g. bags are conn plus
-// unions of whole equivalence classes. Enumeration is largest-first so the
-// hw-style bag is tried first. fn returns false to stop.
+// unions of whole equivalence classes, listed in order of their smallest
+// vertex. Enumeration is largest-first so the hw-style bag is tried first.
+// fn returns false to stop; it must not retain chi.
 func (s *hwSearcher) enumBags(comp, conn, base bitset.Set, fn func(chi bitset.Set) bool) {
 	free := base.Diff(conn)
 	// Group free vertices by their comp-edge membership pattern.
-	classes := map[string]bitset.Set{}
+	var patterns, classList []bitset.Set
+	pat := bitset.New(s.h.NE())
 	free.ForEach(func(v int) bool {
-		pat := bitset.New(s.h.NE())
+		pat.Clear()
 		comp.ForEach(func(e int) bool {
 			if s.h.EdgeSet(e).Has(v) {
 				pat.Add(e)
 			}
 			return true
 		})
-		k := pat.Key()
-		if classes[k] == nil {
-			classes[k] = bitset.New(s.h.NV())
+		for i, p := range patterns {
+			if p.Equal(pat) {
+				classList[i].Add(v)
+				return true
+			}
 		}
-		classes[k].Add(v)
+		patterns = append(patterns, pat.Clone())
+		classList = append(classList, bitset.FromSlice(s.h.NV(), []int{v}))
 		return true
 	})
-	classList := make([]bitset.Set, 0, len(classes))
-	for _, c := range classes {
-		classList = append(classList, c)
-	}
 	nc := len(classList)
 	if nc > MaxGeneralizedBagClasses {
 		if s.err == nil {
@@ -272,29 +301,17 @@ func (s *hwSearcher) enumBags(comp, conn, base bitset.Set, fn func(chi bitset.Se
 		return
 	}
 	// Enumerate subsets of classes, biggest cardinality masks first so the
-	// full bag (the hw candidate) is tried first.
-	total := 1 << uint(nc)
-	masks := make([]int, total)
-	for i := range masks {
-		masks[i] = i
-	}
-	popcount := func(x int) int {
-		c := 0
-		for x != 0 {
-			x &= x - 1
-			c++
-		}
-		return c
-	}
-	// Simple counting sort by descending popcount.
+	// full bag (the hw candidate) is tried first: a counting sort by
+	// descending popcount.
 	buckets := make([][]int, nc+1)
-	for _, m := range masks {
-		p := popcount(m)
+	for m := 0; m < 1<<uint(nc); m++ {
+		p := bits.OnesCount(uint(m))
 		buckets[p] = append(buckets[p], m)
 	}
+	chi := bitset.New(s.h.NV())
 	for p := nc; p >= 0; p-- {
 		for _, m := range buckets[p] {
-			chi := conn.Clone()
+			copy(chi, conn)
 			for i := 0; i < nc; i++ {
 				if m&(1<<uint(i)) != 0 {
 					chi.UnionWith(classList[i])
@@ -309,84 +326,101 @@ func (s *hwSearcher) enumBags(comp, conn, base bitset.Set, fn func(chi bitset.Se
 
 // enumLambdas enumerates all edge subsets λ with 1 ≤ |λ| ≤ k whose union
 // covers conn, invoking fn with the subset and its union. fn returns false
-// to stop the enumeration.
+// to stop the enumeration; it must not retain lambda or union.
 func (s *hwSearcher) enumLambdas(conn bitset.Set, fn func(lambda []int, union bitset.Set) bool) {
-	ne := s.h.NE()
+	ne, words := s.h.NE(), bitset.Words(s.h.NV())
 	lambda := make([]int, 0, s.k)
-	var rec func(start int, union bitset.Set) bool
-	rec = func(start int, union bitset.Set) bool {
-		if len(lambda) > 0 && conn.SubsetOf(union) {
+	// unions[d] is the union of the first d edges of lambda.
+	slab := make([]uint64, (s.k+1)*words)
+	unions := make([]bitset.Set, s.k+1)
+	for d := range unions {
+		unions[d] = slab[d*words : (d+1)*words : (d+1)*words]
+	}
+	var rec func(start int) bool
+	rec = func(start int) bool {
+		d := len(lambda)
+		union := unions[d]
+		if d > 0 && conn.SubsetOf(union) {
 			if !fn(lambda, union) {
 				return false
 			}
 		}
-		if len(lambda) == s.k {
+		if d == s.k {
 			return true
 		}
+		next := unions[d+1]
 		for e := start; e < ne; e++ {
 			// Skip edges adding nothing new.
 			if s.h.EdgeSet(e).SubsetOf(union) {
 				continue
 			}
 			lambda = append(lambda, e)
-			next := union.Union(s.h.EdgeSet(e))
-			if !rec(e+1, next) {
+			copy(next, union)
+			next.UnionWith(s.h.EdgeSet(e))
+			if !rec(e + 1) {
 				return false
 			}
 			lambda = lambda[:len(lambda)-1]
 		}
 		return true
 	}
-	rec(0, bitset.New(s.h.NV()))
+	rec(0)
 }
 
 // splitComponents partitions the remaining edges into [χ]-components: edges
-// are connected when they share a vertex outside χ.
+// are connected when they share a vertex outside χ. Components come in order
+// of their smallest edge.
 func (s *hwSearcher) splitComponents(remaining bitset.Set, chi bitset.Set) []bitset.Set {
-	ids := remaining.Slice()
-	parent := make(map[int]int, len(ids))
-	var find func(x int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
+	ne, nv := s.h.NE(), s.h.NV()
+	if len(s.uf) < ne {
+		s.uf, s.index = make([]int, ne), make([]int, ne)
+	}
+	if len(s.first) < nv {
+		s.first = make([]int, nv)
+	}
+	uf, index, first := s.uf, s.index, s.first
+	for v := range first {
+		first[v] = -1
+	}
+	// A union-find over edges whose root is always its set's smallest edge.
+	find := func(x int) int {
+		for uf[x] != x {
+			uf[x] = uf[uf[x]]
+			x = uf[x]
 		}
 		return x
 	}
-	union := func(a, b int) {
-		ra, rb := find(a), find(b)
-		if ra != rb {
-			parent[ra] = rb
-		}
-	}
-	for _, e := range ids {
-		parent[e] = e
-	}
-	// Group by shared outside-χ vertices.
-	owner := map[int]int{} // vertex -> first edge seen containing it
-	for _, e := range ids {
-		out := s.h.EdgeSet(e).Diff(chi)
-		out.ForEach(func(v int) bool {
-			if first, ok := owner[v]; ok {
-				union(first, e)
-			} else {
-				owner[v] = e
+	roots := 0
+	remaining.ForEach(func(e int) bool {
+		uf[e] = e
+		for i, w := range s.h.EdgeSet(e) {
+			for w &^= chi[i]; w != 0; w &= w - 1 {
+				v := i*64 + bits.TrailingZeros64(w)
+				if first[v] < 0 {
+					first[v] = e
+				} else if a, b := find(first[v]), find(e); a != b {
+					uf[max(a, b)] = min(a, b)
+					roots--
+				}
 			}
-			return true
-		})
-	}
-	groups := map[int]bitset.Set{}
-	for _, e := range ids {
-		r := find(e)
-		if groups[r] == nil {
-			groups[r] = bitset.New(s.h.NE())
 		}
-		groups[r].Add(e)
-	}
-	out := make([]bitset.Set, 0, len(groups))
-	for _, g := range groups {
-		out = append(out, g)
-	}
+		roots++
+		return true
+	})
+	// Roots precede their members, so each root opens the next component.
+	words := bitset.Words(ne)
+	slab := make([]uint64, roots*words)
+	out := make([]bitset.Set, 0, roots)
+	remaining.ForEach(func(e int) bool {
+		r := find(e)
+		if r == e {
+			index[e] = len(out)
+			k := len(out) * words
+			out = append(out, bitset.Set(slab[k:k+words:k+words]))
+		}
+		out[index[r]].Add(e)
+		return true
+	})
 	return out
 }
 

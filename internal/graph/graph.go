@@ -86,26 +86,6 @@ func (g *Graph) Clone() *Graph {
 	return c
 }
 
-// InducedSubgraph returns the subgraph induced by keep, along with the map
-// from new vertex ids to old ids.
-func (g *Graph) InducedSubgraph(keep bitset.Set) (*Graph, []int) {
-	old := keep.Slice()
-	idx := make(map[int]int, len(old))
-	for i, v := range old {
-		idx[v] = i
-	}
-	sub := New(len(old))
-	for i, v := range old {
-		g.adj[v].ForEach(func(u int) bool {
-			if j, ok := idx[u]; ok && i < j {
-				sub.AddEdge(i, j)
-			}
-			return true
-		})
-	}
-	return sub, old
-}
-
 // Components returns the connected components as vertex bitsets.
 func (g *Graph) Components() []bitset.Set {
 	seen := bitset.New(g.n)

@@ -106,17 +106,6 @@ func TestConnectedSubset(t *testing.T) {
 	}
 }
 
-func TestInducedSubgraph(t *testing.T) {
-	g := Cycle(5)
-	sub, old := g.InducedSubgraph(bitset.FromSlice(5, []int{0, 1, 2}))
-	if sub.N() != 3 || sub.M() != 2 {
-		t.Fatalf("induced: n=%d m=%d", sub.N(), sub.M())
-	}
-	if old[0] != 0 || old[2] != 2 {
-		t.Fatalf("old map wrong: %v", old)
-	}
-}
-
 func TestTreewidthKnownValues(t *testing.T) {
 	cases := []struct {
 		name string

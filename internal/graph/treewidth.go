@@ -3,6 +3,7 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"d2cq/internal/bitset"
 )
@@ -308,27 +309,7 @@ func TreewidthUpper(g *Graph) (int, []int) {
 // repeatedly delete a minimum-degree vertex; the maximum of the minimum
 // degrees observed is a lower bound for treewidth.
 func TreewidthLowerMMD(g *Graph) int {
-	h := g.Clone()
-	alive := bitset.New(g.n)
-	for v := 0; v < g.n; v++ {
-		alive.Add(v)
-	}
-	lb := 0
-	for !alive.Empty() {
-		best, bestDeg := -1, 1<<30
-		alive.ForEach(func(v int) bool {
-			d := h.adj[v].IntersectionLen(alive)
-			if d < bestDeg {
-				best, bestDeg = v, d
-			}
-			return true
-		})
-		if bestDeg > lb {
-			lb = bestDeg
-		}
-		alive.Remove(best)
-	}
-	return lb
+	return lowerMMD(g, fullSet(g.n), bitset.New(g.n), make([]int, g.n))
 }
 
 // MaxExactTreewidthN bounds the instance size accepted by TreewidthExact:
@@ -347,44 +328,30 @@ func TreewidthExact(g *Graph) (int, []int, error) {
 		return 0, nil, fmt.Errorf("treewidth: exact DP limited to n ≤ %d, got %d", MaxExactTreewidthN, n)
 	}
 	full := uint32(1)<<uint(n) - 1
-	tw := make([]int8, full+1)
+	adj := make([]uint32, n)
+	for v := range adj {
+		adj[v] = uint32(g.adj[v][0])
+	}
 	// q(S, v) = #vertices outside S∪{v} reachable from v via paths whose
 	// internal vertices lie in S.
-	q := func(S uint32, v int) int {
-		count := 0
-		var visited uint32 = 1 << uint(v)
-		stack := []int{v}
-		for len(stack) > 0 {
-			x := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			g.adj[x].ForEach(func(u int) bool {
-				b := uint32(1) << uint(u)
-				if visited&b != 0 {
-					return true
-				}
-				visited |= b
-				if S&b != 0 {
-					stack = append(stack, u)
-				} else {
-					count++
-				}
-				return true
-			})
+	q := func(S uint32, v int) int8 {
+		reach, nbrs := uint32(1)<<uint(v), adj[v]
+		for next := nbrs & S; next != 0; next = nbrs & S &^ reach {
+			for ; next != 0; next &= next - 1 {
+				x := bits.TrailingZeros32(next)
+				reach |= 1 << uint(x)
+				nbrs |= adj[x]
+			}
 		}
-		return count
+		return int8(bits.OnesCount32(nbrs &^ S &^ reach))
 	}
+	tw := make([]int8, full+1)
 	for S := uint32(1); S <= full; S++ {
 		best := int8(127)
-		rest := S
-		for rest != 0 {
-			v := trailingZeros32(rest)
-			rest &= rest - 1
+		for rest := S; rest != 0; rest &= rest - 1 {
+			v := bits.TrailingZeros32(rest)
 			Sv := S &^ (1 << uint(v))
-			cand := int8(q(Sv, v))
-			if tw[Sv] > cand {
-				cand = tw[Sv]
-			}
-			if cand < best {
+			if cand := max(tw[Sv], q(Sv, v)); cand < best {
 				best = cand
 			}
 		}
@@ -395,18 +362,11 @@ func TreewidthExact(g *Graph) (int, []int, error) {
 	order := make([]int, n)
 	S := full
 	for i := n - 1; i >= 0; i-- {
-		target := tw[S]
 		chosen := -1
-		rest := S
-		for rest != 0 {
-			v := trailingZeros32(rest)
-			rest &= rest - 1
+		for rest := S; rest != 0; rest &= rest - 1 {
+			v := bits.TrailingZeros32(rest)
 			Sv := S &^ (1 << uint(v))
-			cand := int8(q(Sv, v))
-			if tw[Sv] > cand {
-				cand = tw[Sv]
-			}
-			if cand == target {
+			if max(tw[Sv], q(Sv, v)) == tw[S] {
 				chosen = v
 				break
 			}
@@ -415,15 +375,6 @@ func TreewidthExact(g *Graph) (int, []int, error) {
 		S &^= 1 << uint(chosen)
 	}
 	return int(tw[full]), order, nil
-}
-
-func trailingZeros32(x uint32) int {
-	n := 0
-	for x&1 == 0 {
-		x >>= 1
-		n++
-	}
-	return n
 }
 
 // Treewidth returns lower and upper bounds on tw(g). When the graph is small

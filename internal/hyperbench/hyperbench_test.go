@@ -1,9 +1,12 @@
 package hyperbench
 
 import (
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
+
+	"d2cq/internal/decomp"
 )
 
 var (
@@ -53,6 +56,9 @@ func TestGenerateDegreeInvariant(t *testing.T) {
 	}
 }
 
+// TestGenerateDeterministic regenerates a corpus from the same seed and
+// requires the same census and the same plans: every entry's bounds and
+// witness GHD, and its EvalDecomposition across 10 fresh calls.
 func TestGenerateDeterministic(t *testing.T) {
 	per := 3
 	if testing.Short() {
@@ -70,8 +76,28 @@ func TestGenerateDeterministic(t *testing.T) {
 		t.Fatalf("corpus sizes differ: %d vs %d", len(a.Entries), len(b.Entries))
 	}
 	for i := range a.Entries {
-		if a.Entries[i].Name != b.Entries[i].Name || a.Entries[i].GHW.Upper != b.Entries[i].GHW.Upper {
-			t.Fatalf("entry %d differs across identical seeds", i)
+		x, y := a.Entries[i], b.Entries[i]
+		if x.Name != y.Name || x.GHW.Lower != y.GHW.Lower || x.GHW.Upper != y.GHW.Upper || x.GHW.Exact != y.GHW.Exact {
+			t.Fatalf("entry %d differs across identical seeds: %s %v vs %s %v", i, x.Name, x.GHW, y.Name, y.GHW)
+		}
+		if !reflect.DeepEqual(x.GHW.Decomp, y.GHW.Decomp) {
+			t.Errorf("%s: witness GHD differs across identical seeds:\n%v\n%v", x.Name, x.GHW.Decomp, y.GHW.Decomp)
+		}
+	}
+	for _, e := range a.Entries {
+		first, err := decomp.EvalDecomposition(e.H)
+		if err != nil {
+			t.Fatalf("%s: %v", e.Name, err)
+		}
+		for run := 1; run < 10; run++ {
+			d, err := decomp.EvalDecomposition(e.H)
+			if err != nil {
+				t.Fatalf("%s: %v", e.Name, err)
+			}
+			if !reflect.DeepEqual(d, first) {
+				t.Errorf("%s: EvalDecomposition call %d differs from the first:\n%v\n%v", e.Name, run+1, d, first)
+				break
+			}
 		}
 	}
 }
@@ -179,5 +205,16 @@ func TestHighWidthFamilyPopulatesTail(t *testing.T) {
 	rows := c.Table1(5)
 	if rows[4].Upper == 0 {
 		t.Error("high-width family should populate the ghw > 5 tail")
+	}
+}
+
+// BenchmarkGenerateCorpus generates the corpus the batch.corpus workload of
+// bench/ builds in its set-up: the census search on every entry, dominated by
+// the treewidth branch and bound of the 5×5 jigsaw's dual.
+func BenchmarkGenerateCorpus(b *testing.B) {
+	for b.Loop() {
+		if _, err := Generate(Options{Seed: 5, PerFamily: 6, MaxWidth: 5}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

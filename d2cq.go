@@ -244,9 +244,8 @@ func WithNaiveFallback() EngineOption { return engine.WithNaiveFallback() }
 
 // WithParallelism runs the data-dependent evaluation passes on a bounded
 // pool of n workers (n < 0: one per CPU; n <= 1: sequential): node
-// materialisation, the semijoin passes, the counting DP (groupings fan out
-// over parent-child pairs, vectors over sibling subtrees and row ranges),
-// enumeration (the root relation is over-split into ~4n chunks the n
+// materialisation and the counting DP (over sibling subtrees), the semijoin
+// passes, enumeration (the root relation is over-split into ~4n chunks the n
 // bounded-delay producers claim dynamically, so skew can't serialise a
 // worker) and incremental maintenance. Partition state
 // lives in the immutable per-snapshot caches, so parallel readers may keep

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 
 	"d2cq/internal/cq"
 	"d2cq/internal/storage"
@@ -150,7 +151,11 @@ func (m *atomMatcher) match(row []Value) (key []Value, _ bool) {
 // dictionary lookup — a constant the dictionary has never seen cannot occur
 // in the data, so the atom relation is empty. Atoms with constants probe the
 // table's cached per-column-set index instead of scanning; the index is
-// shared by every bind against the same compiled database.
+// shared by every bind against the same compiled database. Over a table that
+// is a set (Table.IsSet) the selection is one already, since its projection
+// is injective (see atomMatcher), so nothing is deduplicated; and an atom
+// whose arguments are exactly its distinct variables, in order, over a flat
+// set table is that table: the relation shares the table's Data.
 func bindAtomRelation(a cq.Atom, t *storage.Table, dict *Dict) (*Relation, error) {
 	vars := a.VarSet()
 	out := NewRelation(vars...)
@@ -159,6 +164,11 @@ func bindAtomRelation(a cq.Atom, t *storage.Table, dict *Dict) (*Relation, error
 	}
 	if t.Arity != len(a.Args) {
 		return nil, fmt.Errorf("engine: arity mismatch in %s", a.Rel)
+	}
+	set := t.IsSet()
+	if set && t.Flat() && directArgs(a, vars) {
+		out.Data = t.Data
+		return out, nil
 	}
 	m := newAtomMatcher(a, vars, dict)
 	if !m.ok {
@@ -189,14 +199,25 @@ func bindAtomRelation(a cq.Atom, t *storage.Table, dict *Dict) (*Relation, error
 			}
 		}
 		ix := t.Index(constCols[best])
-		for _, ri := range ix.Lookup(constVals[best : best+1]) {
+		rows := ix.Lookup(constVals[best : best+1])
+		out.Data = make([]Value, 0, len(rows)*len(vars))
+		for _, ri := range rows {
 			emit(ix.Row(ri))
 		}
 	} else {
+		out.Data = make([]Value, 0, t.Rows()*len(vars))
 		t.Scan(emit)
 	}
-	out.Dedup()
+	if !set {
+		out.Dedup()
+	}
 	return out, nil
+}
+
+// directArgs reports whether an atom's arguments are exactly its distinct
+// variables vars, in that order — then its relation is its table's rows.
+func directArgs(a cq.Atom, vars []string) bool {
+	return slices.EqualFunc(a.Args, vars, func(t cq.Term, v string) bool { return t.Var && t.Name == v })
 }
 
 // atomRelation materialises the set of variable bindings of one atom:

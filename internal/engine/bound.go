@@ -96,9 +96,11 @@ func (c *CompiledDB) RelationRows(name string) int {
 // node relations are all built once at bind time and reused by every
 // evaluation call. The node relations come in one of two forms: bottom-up
 // reduced (Bind, for evaluating a snapshot) or cover-based (BindMaintained,
-// for maintaining one under Rebind); a query records which it holds. The
-// full Yannakakis reduction (with its enumeration indexes) and the counting
-// DP vectors are built lazily on the first Enumerate/Count and then shared.
+// for maintaining one under Rebind); a query records which it holds. Bind
+// finishes the counting DP on its way up, so Count after Bind only reads the
+// total; after BindMaintained the DP runs over the cover-based bags on the
+// first Count. The full Yannakakis reduction (with its enumeration indexes)
+// is built on the first Enumerate. Both are then shared.
 // A BoundQuery is immutable after binding and safe for concurrent use;
 // Update/Rebind never mutate it — they return a new BoundQuery sharing all
 // state the delta did not touch.
@@ -135,10 +137,14 @@ type BoundQuery struct {
 // evaluated rather than maintained: it builds the per-atom relations over the
 // compiled database and materialises the decomposition bottom-up, children
 // first — each node the connected join of its cover relations, its
-// children's relations on the shared columns and its filter atoms, projected
-// to the bag. The nodes are thus bottom-up reduced from the start: a cover
-// whose relations share no variable is never built as a cross product on its
-// own, Bool reads the root, and Enumerate's reduction only runs top-down.
+// children's messages and its filter atoms, projected to the bag. A child's
+// message is its rows grouped on the columns it shares with its parent, each
+// key carrying the counting DP's sum over those rows: one map that is the
+// parent's semijoin filter and its counting factor at once. The nodes are
+// thus bottom-up reduced from the start: a cover whose relations share no
+// variable is never built as a cross product on its own, Bool reads the root,
+// Count reads the total summed at the root, and Enumerate's reduction only
+// runs top-down.
 // Rebind works on the result too, but its first call rebuilds the cover-based
 // bags maintenance needs; a query that will be rebound should use
 // BindMaintained.
@@ -181,6 +187,7 @@ func (p *PreparedQuery) bind(ctx context.Context, cdb *CompiledDB, reduced bool)
 		return nil, err
 	}
 	b.nodeRels, b.reduced = r.nodeRels, true
+	b.countSt.Store(r.counts)
 	return b, nil
 }
 
@@ -222,9 +229,9 @@ func (b *BoundQuery) Dict() *Dict { return b.inst.Dict }
 
 // flatNodes returns every node relation as a flat Relation — what the
 // from-scratch passes (Bool's semijoin pass, the first full reduction, the
-// first counting DP) scan. A freshly bound query has them from Bind; a
-// maintained one lists the nodes that changed since off their persistent
-// maps, once, on first request.
+// counting DP over cover-based bags) scan. A freshly bound query has them
+// from Bind; a maintained one lists the nodes that changed since off their
+// persistent maps, once, on first request.
 func (b *BoundQuery) flatNodes() []*Relation {
 	if b.maint == nil {
 		return b.nodeRels
@@ -282,8 +289,9 @@ func (b *BoundQuery) Bool(ctx context.Context) (bool, error) {
 }
 
 // Count computes |q(D)| for a full CQ over the bound database
-// (Proposition 4.14). The per-node DP vectors are computed once and cached;
-// repeated Counts read the cached total, and Update maintains the vectors
+// (Proposition 4.14). After Bind the counting DP is done and Count reads its
+// total; otherwise the first Count runs it over the bound node relations and
+// caches the per-node messages. Update maintains them as key sums,
 // incrementally on the affected subtrees only.
 func (b *BoundQuery) Count(ctx context.Context) (int64, error) {
 	if err := ctx.Err(); err != nil {
@@ -305,8 +313,9 @@ func (b *BoundQuery) Count(ctx context.Context) (int64, error) {
 	return cs.total, nil
 }
 
-// ensureCounts runs the counting DP once over the bound node relations and
-// caches the per-node vectors (so Update can maintain them incrementally).
+// ensureCounts runs the counting DP once over the bound node relations —
+// unless Bind already did — and caches the per-node messages (so Update can
+// maintain them incrementally).
 // Concurrent callers wait for the single construction; a failed attempt
 // (typically: a cancelled context) is not cached, so the next caller
 // retries.
@@ -319,7 +328,10 @@ func (b *BoundQuery) ensureCounts(ctx context.Context) (*countState, error) {
 	if cs := b.countSt.Load(); cs != nil {
 		return cs, nil
 	}
-	cs, err := buildCountState(ctx, b.prep.plan, b.flatNodes(), b.prep.eng.par())
+	rels := b.flatNodes()
+	cs, err := countBottomUp(ctx, b.prep.plan, b.prep.eng.par(), nil, func(u int, _ []*storage.TupleMap) *Relation {
+		return rels[u]
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -40,7 +40,7 @@ func (es *enumState) upIndex(u, k int) *storage.Index {
 	es.upMu.Lock()
 	defer es.upMu.Unlock()
 	if es.up == nil {
-		es.up = make([]*storage.Index, len(p.countPairs))
+		es.up = make([]*storage.Index, p.pairs)
 	}
 	if es.up[i] == nil {
 		cj := p.childJoins[u][k]

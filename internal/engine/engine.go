@@ -88,16 +88,15 @@ func WithNaiveFallback() Option {
 }
 
 // WithParallelism runs the data-dependent evaluation passes on a bounded
-// pool of n workers: node materialisation, the semijoin passes over
-// independent decomposition subtrees, the counting DP (grouping fans out
-// over parent-child pairs, vectors over sibling subtrees and row ranges),
-// solution enumeration (the root relation is over-split into ~4n chunks the
-// n bounded-delay producers claim dynamically, so skewed ranges don't
-// serialise a worker), the one-off conversion of a bound query's nodes to
-// maintained form at its first Rebind, and the sort of DiffFrom's added and
-// removed rows. A Rebind's maintenance of dirty atoms and nodes is
-// sequential. Values of 1 or less evaluate sequentially (the default); n < 0
-// uses one worker per CPU.
+// pool of n workers: node materialisation and the counting DP, level by
+// level over sibling subtrees, the semijoin passes over independent
+// decomposition subtrees, solution enumeration (the root relation is
+// over-split into ~4n chunks the n bounded-delay producers claim
+// dynamically, so skewed ranges don't serialise a worker), the one-off
+// conversion of a bound query's nodes to maintained form at its first
+// Rebind, and the sort of DiffFrom's added and removed rows. A Rebind's
+// maintenance of dirty atoms and nodes is sequential. Values of 1 or less
+// evaluate sequentially (the default); n < 0 uses one worker per CPU.
 func WithParallelism(n int) Option {
 	if n < 0 {
 		n = runtime.NumCPU()
@@ -356,7 +355,7 @@ func (p *PreparedQuery) Count(ctx context.Context, db cq.Database) (int64, error
 	if err != nil {
 		return 0, err
 	}
-	return r.count(ctx)
+	return r.counts.total, nil
 }
 
 // Solution is one answer handed to an Enumerate callback. The underlying

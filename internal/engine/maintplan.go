@@ -1,10 +1,6 @@
 package engine
 
-import (
-	"slices"
-
-	"d2cq/internal/cq"
-)
+import "slices"
 
 // This file is the plan-time half of incremental maintenance. A node's
 // relation is the join of its input atoms — every atom over one of the
@@ -54,7 +50,7 @@ func (p *Plan) planMaintenance() {
 	p.maintainable = true
 	for i, a := range q.Atoms {
 		p.atomVars[i] = a.VarSet()
-		p.directAtom[i] = slices.EqualFunc(a.Args, p.atomVars[i], func(t cq.Term, v string) bool { return t.Var && t.Name == v })
+		p.directAtom[i] = directArgs(a, p.atomVars[i])
 		atomKey[i] = edgeKey(p.atomVars[i])
 		if len(p.atomVars[i]) == 0 {
 			p.maintainable = false

@@ -352,27 +352,22 @@ func (m *enumMaint) sameF(o *enumMaint, p *Plan, u int) bool {
 	}
 }
 
-// maintainedCounts returns the per-node key sums of cs, deriving them from a
-// flat state's vectors in O(its size).
+// maintainedCounts returns the per-node key sums of cs, freezing a flat
+// state's messages into persistent maps in O(their size).
 func (cs *countState) maintainedCounts(p *Plan) []*storage.PMap[int64] {
 	if cs.keySum != nil {
 		return cs.keySum
 	}
 	keySum := make([]*storage.PMap[int64], p.d.Nodes())
-	for u := range keySum {
-		if p.d.Parent[u] < 0 {
+	for u, msg := range cs.msgs {
+		if msg == nil {
 			continue
 		}
 		ks := storage.NewPMap[int64](len(p.sharedPos[u])).Edit()
-		buf := make([]Value, len(p.sharedPos[u]))
-		rel := cs.rels[u]
-		for i, c := range cs.counts[u] {
-			if c == 0 {
-				continue
+		for slot := int32(0); int(slot) < msg.Len(); slot++ {
+			if v := msg.Val(slot); v != 0 {
+				ks.Set(msg.Key(slot), v)
 			}
-			key := project(buf, rel.Row(i), p.sharedPos[u])
-			sum, _ := ks.Get(key)
-			ks.Set(key, sum+c)
 		}
 		keySum[u] = ks.Freeze()
 	}

@@ -45,8 +45,8 @@ type Plan struct {
 	bagVids    [][]int       // node → hypergraph vertex id of each bag column
 	sharedVids [][]int       // node → vertex id of each shared column
 	levels     [][]int       // bottom-up levels: children strictly before parents
-	countPairs []countPair   // every (node, child-join) edge of the counting DP, flattened
-	pairOf     [][]int       // node → child join → index into countPairs
+	pairs      int           // number of (node, child-join) edges of the tree
+	pairOf     [][]int       // node → child join → index of that edge among all pairs
 	joinSlot   []int         // node → its position among its parent's child joins (-1 for the root)
 
 	// The maintenance half of the plan (maintplan.go): how a change to one
@@ -60,15 +60,6 @@ type Plan struct {
 	atomIdxCols  [][][]int     // atom → column subsets of its relation the delta plans probe
 	atomNodes    [][]int       // atom → nodes that list it among their inputs
 	projects     []bool        // node → the bag drops variables of the input join (derivation counts can exceed 1)
-}
-
-// countPair addresses one parent-child edge of the counting DP: node u's
-// k-th child join. The flattened list is the work unit of the parallel
-// grouping pass — the groupings of distinct pairs are independent even when
-// the decomposition is a path, so the pass parallelises regardless of tree
-// shape.
-type countPair struct {
-	u, k int
 }
 
 // childJoin is the precomputed key of the join between a node's relation and
@@ -253,8 +244,8 @@ func NewPlan(q cq.Query, d *decomp.GHD) (*Plan, error) {
 	for u := 0; u < d.Nodes(); u++ {
 		for k, cj := range p.childJoins[u] {
 			p.joinSlot[cj.child] = k
-			p.pairOf[u] = append(p.pairOf[u], len(p.countPairs))
-			p.countPairs = append(p.countPairs, countPair{u: u, k: k})
+			p.pairOf[u] = append(p.pairOf[u], p.pairs)
+			p.pairs++
 		}
 	}
 	p.planMaintenance()

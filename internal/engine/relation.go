@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
@@ -9,6 +10,14 @@ import (
 
 // Relation is a set of tuples over named columns (query variables). Tuples
 // are stored flat: row i occupies Data[i*Arity : (i+1)*Arity].
+//
+// A relation is written only while it is being built (Add, AddEmpty, Dedup,
+// SortForDisplay on a relation of one's own). Once the function that built it
+// returns it, neither its Data nor its Cols is ever written again. That is
+// what lets the operators share instead of copy: Project onto a relation's
+// own columns and a semijoin that keeps every row return their input, Join
+// with the nullary relation returns the other side, an atom's relation may be
+// its table's own Data, and a message's key tuples are joined in place.
 type Relation struct {
 	Cols []string
 	Data []Value
@@ -87,8 +96,12 @@ func (r *Relation) Dedup() {
 }
 
 // Project returns the relation projected (with dedup) onto the given columns,
-// which must all exist.
+// which must all exist. Projecting onto the relation's own columns, in
+// order, returns the relation itself.
 func (r *Relation) Project(cols []string) *Relation {
+	if slices.Equal(cols, r.Cols) {
+		return r
+	}
 	idx := make([]int, len(cols))
 	for i, c := range cols {
 		idx[i] = r.ColIndex(c)
@@ -114,25 +127,63 @@ func (r *Relation) Project(cols []string) *Relation {
 		}
 		return out
 	}
+	// The distinct projected tuples are the map's keys, in first-seen order:
+	// the relation keeps them in place, unless most of the room reserved for
+	// them went unused.
 	seen := storage.NewTupleMap(len(cols), r.Len())
 	buf := make([]Value, len(cols))
 	for i := 0; i < r.Len(); i++ {
-		row := r.Row(i)
-		for j, x := range idx {
-			buf[j] = row[x]
-		}
-		if _, isNew := seen.Insert(buf); isNew {
-			out.Add(buf...)
-		}
+		seen.Insert(project(buf, r.Row(i), idx))
+	}
+	out.Data = seen.Keys()
+	if cap(out.Data) > 2*len(out.Data) {
+		out.Data = slices.Clone(out.Data)
 	}
 	return out
 }
+
+// keyGroups groups the rows of a relation on some of its columns: slot s of
+// keys is one distinct key tuple, and rows[start[s]:start[s+1]] are the rows
+// carrying it, in row order.
+type keyGroups struct {
+	keys  *storage.TupleMap
+	start []int32
+	rows  []int32
+}
+
+// groupRows groups r's rows on the columns at pos, hashing each row once.
+func groupRows(r *Relation, pos []int) keyGroups {
+	n := r.Len()
+	g := keyGroups{keys: storage.NewTupleMap(len(pos), n), rows: make([]int32, n)}
+	slot := make([]int32, n)
+	buf := make([]Value, len(pos))
+	for i := 0; i < n; i++ {
+		slot[i], _ = g.keys.Insert(project(buf, r.Row(i), pos))
+	}
+	g.start = make([]int32, g.keys.Len()+1)
+	for _, s := range slot {
+		g.start[s+1]++
+	}
+	for s := 1; s < len(g.start); s++ {
+		g.start[s] += g.start[s-1]
+	}
+	next := append([]int32(nil), g.start[:len(g.start)-1]...)
+	for i, s := range slot {
+		g.rows[next[s]] = int32(i)
+		next[s]++
+	}
+	return g
+}
+
+// group returns the rows carrying the key at slot s.
+func (g *keyGroups) group(s int32) []int32 { return g.rows[g.start[s]:g.start[s+1]] }
 
 // Join returns the natural join r ⋈ s on their shared columns. Both inputs
 // are sets, so the natural join is duplicate-free by construction: each
 // output tuple determines the r-tuple (all of r's columns are present) and
 // the s-tuple (the shared columns plus s's extras), so distinct input pairs
-// yield distinct outputs and no dedup pass is needed.
+// yield distinct outputs and no dedup pass is needed. The output is counted
+// before it is filled, so it is allocated once at its exact size.
 func Join(r, s *Relation) *Relation {
 	shared, rIdx, sIdx := sharedColumns(r, s)
 	// Output columns: r's columns then s's non-shared columns.
@@ -144,19 +195,21 @@ func Join(r, s *Relation) *Relation {
 			extraS = append(extraS, i)
 		}
 	}
-	out := NewRelation(outCols...)
+	out := &Relation{Cols: outCols}
 	if len(r.Cols) == 0 {
 		if r.Len() == 0 {
 			return out
 		}
-		// r is the nullary relation holding the empty tuple: join = s.
-		return s.Clone()
+		return s // r is the nullary relation holding the empty tuple
 	}
 	if len(s.Cols) == 0 {
 		if s.Len() == 0 {
 			return out
 		}
-		return r.Clone()
+		return r
+	}
+	if r.Len() == 0 || s.Len() == 0 {
+		return out
 	}
 	emit := func(rRow, sRow []Value) {
 		out.Data = append(out.Data, rRow...)
@@ -166,6 +219,7 @@ func Join(r, s *Relation) *Relation {
 	}
 	if len(shared) == 0 {
 		// Cross product: no key to hash on.
+		out.Data = make([]Value, 0, r.Len()*s.Len()*len(outCols))
 		for i := 0; i < r.Len(); i++ {
 			row := r.Row(i)
 			for j := 0; j < s.Len(); j++ {
@@ -174,31 +228,23 @@ func Join(r, s *Relation) *Relation {
 		}
 		return out
 	}
-	if len(shared) == 1 {
-		// Single-column fast path: probe a direct value-keyed index.
-		index := make(map[Value][]int32, s.Len())
-		sc, rc := sIdx[0], rIdx[0]
-		for i := 0; i < s.Len(); i++ {
-			v := s.Row(i)[sc]
-			index[v] = append(index[v], int32(i))
+	g := groupRows(s, sIdx)
+	match := make([]int32, r.Len())
+	total := 0
+	buf := make([]Value, len(shared))
+	for i := range match {
+		match[i] = g.keys.Find(project(buf, r.Row(i), rIdx))
+		if match[i] >= 0 {
+			total += len(g.group(match[i]))
 		}
-		for i := 0; i < r.Len(); i++ {
-			row := r.Row(i)
-			for _, si := range index[row[rc]] {
-				emit(row, s.Row(int(si)))
-			}
-		}
-		return out
 	}
-	// Multi-column path: composite 64-bit hash with collision verification.
-	index := storage.BuildIndex(s.Data, len(s.Cols), sIdx)
-	bufR := make([]Value, len(shared))
-	for i := 0; i < r.Len(); i++ {
-		row := r.Row(i)
-		for j, x := range rIdx {
-			bufR[j] = row[x]
+	out.Data = make([]Value, 0, total*len(outCols))
+	for i, m := range match {
+		if m < 0 {
+			continue
 		}
-		for _, si := range index.Lookup(bufR) {
+		row := r.Row(i)
+		for _, si := range g.group(m) {
 			emit(row, s.Row(int(si)))
 		}
 	}
@@ -214,12 +260,11 @@ func Semijoin(r, s *Relation) *Relation {
 // semijoinOn is Semijoin with the shared columns precomputed — evaluation
 // passes over a plan use it with positions fixed at plan time.
 func semijoinOn(r, s *Relation, shared []string, rIdx, sIdx []int) *Relation {
-	out := NewRelation(r.Cols...)
 	if len(shared) == 0 {
 		if s.Len() > 0 {
-			return r.Clone()
+			return r
 		}
-		return out
+		return NewRelation(r.Cols...)
 	}
 	if len(shared) == 1 {
 		// Single-column fast path: membership on a direct value set.
@@ -228,30 +273,43 @@ func semijoinOn(r, s *Relation, shared []string, rIdx, sIdx []int) *Relation {
 		for i := 0; i < s.Len(); i++ {
 			member[s.Row(i)[sc]] = struct{}{}
 		}
-		for i := 0; i < r.Len(); i++ {
-			row := r.Row(i)
-			if _, ok := member[row[rc]]; ok {
-				out.Data = append(out.Data, row...)
-			}
-		}
-		return out
+		return filterRows(r, func(row []Value) bool {
+			_, ok := member[row[rc]]
+			return ok
+		})
 	}
 	member := storage.NewTupleMap(len(shared), s.Len())
-	bufS := make([]Value, len(shared))
+	buf := make([]Value, len(shared))
 	for i := 0; i < s.Len(); i++ {
-		row := s.Row(i)
-		for j, x := range sIdx {
-			bufS[j] = row[x]
-		}
-		member.Insert(bufS)
+		member.Insert(project(buf, s.Row(i), sIdx))
 	}
-	bufR := make([]Value, len(shared))
-	for i := 0; i < r.Len(); i++ {
-		row := r.Row(i)
-		for j, x := range rIdx {
-			bufR[j] = row[x]
-		}
-		if member.Find(bufR) >= 0 {
+	return semijoinMap(r, member, rIdx)
+}
+
+// semijoinMap returns the rows of r whose values at the positions pos are a
+// key of m.
+func semijoinMap(r *Relation, m *storage.TupleMap, pos []int) *Relation {
+	buf := make([]Value, len(pos))
+	return filterRows(r, func(row []Value) bool { return m.Find(project(buf, row, pos)) >= 0 })
+}
+
+// filterRows returns the rows of r that keep accepts — r itself when it
+// accepts every one.
+func filterRows(r *Relation, keep func(row []Value) bool) *Relation {
+	n, a := r.Len(), len(r.Cols)
+	i := 0
+	for i < n && keep(r.Row(i)) {
+		i++
+	}
+	if i == n {
+		return r
+	}
+	// Row i is the first one dropped: keep the rows before it and filter the
+	// rest into an output sized for keeping all of them.
+	out := &Relation{Cols: r.Cols, Data: make([]Value, i*a, (n-1)*a)}
+	copy(out.Data, r.Data[:i*a])
+	for i++; i < n; i++ {
+		if row := r.Row(i); keep(row) {
 			out.Data = append(out.Data, row...)
 		}
 	}

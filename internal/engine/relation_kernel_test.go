@@ -3,6 +3,8 @@ package engine
 import (
 	"context"
 	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"d2cq/internal/cq"
@@ -171,5 +173,96 @@ func TestJoinLambdaConnectedOrder(t *testing.T) {
 	}
 	if got.Len() != 1 {
 		t.Errorf("join has %d rows, want 1", got.Len())
+	}
+}
+
+// TestOperatorsShareInputs: relations are never written once built, so an
+// operator that would copy its input unchanged returns it instead — a
+// projection onto the relation's own columns, a semijoin keeping every row,
+// a join with the unit — while one that drops rows leaves its input as it
+// was.
+func TestOperatorsShareInputs(t *testing.T) {
+	ab := NewRelation("a", "b")
+	ab.Add(1, 2)
+	ab.Add(3, 4)
+	ab.Add(5, 6)
+	data := slices.Clone(ab.Data)
+	bc := NewRelation("b", "c")
+	bc.Add(2, 0)
+	bc.Add(4, 0)
+	bc.Add(6, 0)
+	if ab.Project([]string{"a", "b"}) != ab {
+		t.Error("projection onto the relation's own columns copied it")
+	}
+	if Semijoin(ab, bc) != ab {
+		t.Error("semijoin keeping every row copied its input")
+	}
+	if Join(nullaryWithEmptyTuple(), ab) != ab || Join(ab, nullaryWithEmptyTuple()) != ab {
+		t.Error("join with the unit copied the other side")
+	}
+	bc.Data = bc.Data[:4] // drops b=6
+	if s := Semijoin(ab, bc); s == ab || !slices.Equal(s.Data, []Value{1, 2, 3, 4}) {
+		t.Errorf("semijoin dropping a row = %v", s.Data)
+	}
+	if p := ab.Project([]string{"b", "a"}); !slices.Equal(p.Data, []Value{2, 1, 4, 3, 6, 5}) {
+		t.Errorf("permuted projection = %v", p.Data)
+	}
+	if !slices.Equal(ab.Data, data) {
+		t.Errorf("input written: %v, was %v", ab.Data, data)
+	}
+}
+
+// TestJoinMatchesNestedLoop: Join equals the nested-loop join row for row,
+// in order (r's rows in order, each followed by its matches in s's order),
+// on no, one and two shared columns, and allocates its output exactly.
+func TestJoinMatchesNestedLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	random := func(cols ...string) *Relation {
+		r := NewRelation(cols...)
+		seen := map[[3]Value]bool{}
+		for i := 0; i < 60; i++ {
+			var row [3]Value
+			for j := range cols {
+				row[j] = Value(rng.Intn(6))
+			}
+			if !seen[row] {
+				seen[row] = true
+				r.Add(row[:len(cols)]...)
+			}
+		}
+		return r
+	}
+	for _, c := range []struct{ r, s []string }{
+		{[]string{"x", "y"}, []string{"z", "w"}},
+		{[]string{"x", "y"}, []string{"y", "z"}},
+		{[]string{"x", "y", "z"}, []string{"z", "x", "w"}},
+	} {
+		r, s := random(c.r...), random(c.s...)
+		_, rIdx, sIdx := sharedColumns(r, s)
+		var want []Value
+		for i := 0; i < r.Len(); i++ {
+			for j := 0; j < s.Len(); j++ {
+				match := true
+				for k := range rIdx {
+					match = match && r.Row(i)[rIdx[k]] == s.Row(j)[sIdx[k]]
+				}
+				if !match {
+					continue
+				}
+				want = append(want, r.Row(i)...)
+				for k, v := range s.Row(j) {
+					if !slices.Contains(sIdx, k) {
+						want = append(want, v)
+					}
+				}
+			}
+		}
+		j := Join(r, s)
+		if !slices.Equal(j.Data, want) {
+			t.Errorf("%v ⋈ %v: %d values, want %d", c.r, c.s, len(j.Data), len(want))
+		}
+		if cap(j.Data) != len(j.Data) {
+			t.Errorf("%v ⋈ %v: output cap %d for %d values", c.r, c.s, cap(j.Data), len(j.Data))
+		}
 	}
 }

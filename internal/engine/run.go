@@ -18,13 +18,15 @@ import (
 // points at is immutable. par is the bounded worker count of the parallel
 // passes (<= 1 means sequential). reduced records that every node relation is
 // bottom-up reduced already (newRun builds them so), rather than the
-// cover-based bag.
+// cover-based bag; counts is the counting DP newRun computed on the way up
+// (nil for a run over cover-based bags).
 type run struct {
 	plan     *Plan
 	inst     *Instance
 	nodeRels []*Relation
 	par      int
 	reduced  bool
+	counts   *countState
 }
 
 // errUnsat is the internal early-exit signal of the parallel bottom-up pass:
@@ -98,57 +100,16 @@ func allNodes(n int) []int {
 	return out
 }
 
-// parRangeMin is the row count below which range-splitting a loop is not
-// worth the goroutine overhead.
-const parRangeMin = 2048
-
-// leftoverPar divides a worker budget among width concurrent tasks: the
-// row-range parallelism each task may use on top without oversubscribing
-// the pool (at least 1).
-func leftoverPar(par, width int) int {
-	if width < 1 {
-		width = 1
-	}
-	if rp := par / width; rp > 1 {
-		return rp
-	}
-	return 1
-}
-
-// parRanges splits [0,n) into up to par contiguous ranges and runs f on them
-// concurrently. f must only touch state disjoint between ranges (and only
-// read shared state); there is no error path — callers needing cancellation
-// check their context around the call.
-func parRanges(par, n int, f func(lo, hi int)) {
-	if par <= 1 || n < parRangeMin {
-		f(0, n)
-		return
-	}
-	if par > n {
-		par = n
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < par; w++ {
-		lo, hi := w*n/par, (w+1)*n/par
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			f(lo, hi)
-		}()
-	}
-	wg.Wait()
-}
-
 // edgeKey renders a sorted variable set as the cache key of its λ-edge
 // relation.
 func edgeKey(names []string) string { return strings.Join(names, "\x00") }
 
-// joinInput is one input of a connected join: a relation and the columns it
-// constrains — all of its own, or, for a child's message, only those the child
-// shares with the node (a join projects onto them, a semijoin probes on them).
+// joinInput is one input of a connected join: a relation, and for a child's
+// message (nodeMessage) the message itself, with rel its keys — a semijoin
+// probes msg instead of hashing rel again.
 type joinInput struct {
-	rel  *Relation
-	cols []string
+	rel *Relation
+	msg *storage.TupleMap
 }
 
 // joinConnected joins a node's cover relations and further inputs in a
@@ -158,11 +119,14 @@ type joinInput struct {
 // product happens only when none does. An empty input empties the join at
 // once, and the join stops as soon as it is empty; the empty result still
 // carries every input column, so it projects like a full one. No cover at
-// all is the nullary relation holding the empty tuple.
+// all is the nullary relation holding the empty tuple. Messages whose columns
+// are bound once nothing else is left to join are not applied: the counting
+// pass that follows (nodeMessage) probes every message of the node anyway,
+// and drops the rows they would have filtered.
 func joinConnected(cover []*Relation, more []joinInput) *Relation {
 	rest := make([]joinInput, 0, len(cover)+len(more))
 	for _, r := range cover {
-		rest = append(rest, joinInput{rel: r, cols: r.Cols})
+		rest = append(rest, joinInput{rel: r})
 	}
 	rest = append(rest, more...)
 	var acc *Relation
@@ -180,9 +144,12 @@ func joinConnected(cover []*Relation, more []joinInput) *Relation {
 	}
 	sort.SliceStable(rest, func(i, j int) bool { return rest[i].rel.Len() < rest[j].rel.Len() })
 	for len(rest) > 0 && acc.Len() > 0 && rest[0].rel.Len() > 0 {
+		if onlyBoundMessages(rest, acc) {
+			return acc
+		}
 		next, semi := -1, false
 		for i, in := range rest {
-			bound, shares := coveredBy(in.cols, acc)
+			bound, shares := coveredBy(in.rel.Cols, acc)
 			if bound {
 				next, semi = i, true
 				break
@@ -197,16 +164,18 @@ func joinConnected(cover []*Relation, more []joinInput) *Relation {
 		in := rest[next]
 		rest = append(rest[:next], rest[next+1:]...)
 		switch {
-		case semi && len(in.cols) == 0:
+		case semi && len(in.rel.Cols) == 0:
 			// A nullary input that is not empty constrains nothing.
 		case semi:
-			accPos, inPos := make([]int, len(in.cols)), make([]int, len(in.cols))
-			for j, c := range in.cols {
-				accPos[j], inPos[j] = acc.ColIndex(c), in.rel.ColIndex(c)
+			accPos, inPos := make([]int, len(in.rel.Cols)), make([]int, len(in.rel.Cols))
+			for j, c := range in.rel.Cols {
+				accPos[j], inPos[j] = acc.ColIndex(c), j
 			}
-			acc = semijoinOn(acc, in.rel, in.cols, accPos, inPos)
-		case len(in.cols) < len(in.rel.Cols):
-			acc = Join(acc, in.rel.Project(in.cols))
+			if in.msg != nil {
+				acc = semijoinMap(acc, in.msg, accPos)
+			} else {
+				acc = semijoinOn(acc, in.rel, in.rel.Cols, accPos, inPos)
+			}
 		default:
 			acc = Join(acc, in.rel)
 		}
@@ -217,13 +186,24 @@ func joinConnected(cover []*Relation, more []joinInput) *Relation {
 	// Stopped early on an empty input or join: every column, no rows.
 	cols := append([]string(nil), acc.Cols...)
 	for _, in := range rest {
-		for _, c := range in.cols {
+		for _, c := range in.rel.Cols {
 			if !slices.Contains(cols, c) {
 				cols = append(cols, c)
 			}
 		}
 	}
 	return NewRelation(cols...)
+}
+
+// onlyBoundMessages reports whether every input left is a message whose
+// columns r binds.
+func onlyBoundMessages(rest []joinInput, r *Relation) bool {
+	for _, in := range rest {
+		if bound, _ := coveredBy(in.rel.Cols, r); in.msg == nil || !bound {
+			return false
+		}
+	}
+	return true
 }
 
 // coveredBy reports whether every column of cols is one of r's (bound) and
@@ -262,26 +242,43 @@ func materialiseNode(p *Plan, inst *Instance, u int, edge func([]string) *Relati
 	return acc
 }
 
-// materialiseReduced builds the bottom-up reduced relation of one node from
-// its children's, which must be built already: the connected join of its λ
-// relations, each child's message (the child's relation on the columns they
-// share) and its filter atoms, projected to the bag. The result is the
-// cover-based node after reduceBottomUp, without ever building the cover
-// join on its own — a message that connects two cover relations sharing no
+// materialiseReduced builds the relation of one node from its children's
+// messages, which must be built already: the connected join of its λ
+// relations, each child's message and its filter atoms, projected to the
+// bag. A message whose columns are bound by then filters the join through its
+// keys; otherwise its keys (the child projected onto the columns it shares
+// with the node) are joined. Messages bound only at the end are left to
+// nodeMessage, so the node is bottom-up reduced once that has run: the
+// cover-based node after reduceBottomUp, without ever building the cover join
+// on its own — a message that connects two cover relations sharing no
 // variable is joined before they are, so a forced cross product never is.
-func materialiseReduced(p *Plan, inst *Instance, u int, edge func([]string) *Relation, nodeRels []*Relation) *Relation {
+func materialiseReduced(p *Plan, inst *Instance, u int, edge func([]string) *Relation, msgs []*storage.TupleMap) *Relation {
 	cover := make([]*Relation, len(p.lambdaVars[u]))
 	for i, names := range p.lambdaVars[u] {
 		cover[i] = edge(names)
 	}
 	more := make([]joinInput, 0, len(p.childJoins[u])+len(p.filters[u]))
 	for _, cj := range p.childJoins[u] {
-		more = append(more, joinInput{rel: nodeRels[cj.child], cols: cj.shared})
+		m := msgs[cj.child]
+		more = append(more, joinInput{rel: keysOf(m, cj.shared), msg: m})
 	}
 	for _, ai := range p.filters[u] {
-		more = append(more, joinInput{rel: inst.AtomRels[ai], cols: inst.AtomRels[ai].Cols})
+		more = append(more, joinInput{rel: inst.AtomRels[ai]})
 	}
 	return joinConnected(cover, more).Project(p.bagVars[u])
+}
+
+// keysOf returns a message's keys as a relation over cols, the columns they
+// range over, sharing the message's storage.
+func keysOf(m *storage.TupleMap, cols []string) *Relation {
+	r := &Relation{Cols: cols}
+	switch {
+	case len(cols) > 0:
+		r.Data = m.Keys()
+	case m.Len() > 0:
+		r.AddEmpty()
+	}
+	return r
 }
 
 // projectCounts projects a relation onto cols, returning the multiplicity
@@ -339,21 +336,20 @@ func materialiseNodeWithSupport(p *Plan, inst *Instance, u int, edge func([]stri
 
 // newRun materialises the node relations of the plan over inst bottom-up,
 // children strictly first and each level on up to par workers: every node is
-// built by materialiseReduced, so the run starts out bottom-up reduced.
+// built by materialiseReduced from its children's messages and reduced by
+// nodeMessage, which computes its own message on the way, so the run starts
+// out bottom-up reduced and carries the finished counting DP.
 func newRun(ctx context.Context, p *Plan, inst *Instance, par int) (*run, error) {
 	r := &run{plan: p, inst: inst, nodeRels: make([]*Relation, p.d.Nodes()), par: par, reduced: true}
 	getEdge, err := edgeRelations(ctx, p, inst, allNodes(p.d.Nodes()))
 	if err != nil {
 		return nil, err
 	}
-	for _, level := range p.levels {
-		err := parForEach(ctx, par, level, func(u int) error {
-			r.nodeRels[u] = materialiseReduced(p, inst, u, getEdge, r.nodeRels)
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
+	r.counts, err = countBottomUp(ctx, p, par, r.nodeRels, func(u int, msgs []*storage.TupleMap) *Relation {
+		return materialiseReduced(p, inst, u, getEdge, msgs)
+	})
+	if err != nil {
+		return nil, err
 	}
 	return r, nil
 }
@@ -429,144 +425,84 @@ func (r *run) bool_(ctx context.Context) (bool, error) {
 	return true, nil
 }
 
-// pairGroup is the data-dependent grouping of one parent-child edge of the
-// counting DP: each side's rows mapped to dense key slots over the shared
-// columns. Building a grouping does all the hashing of the count-join once;
-// computing a DP vector afterwards is pure array arithmetic, so the parallel
-// sweep touches no hash tables. Groupings depend only on the two relations
-// (never on the DP values), which makes them independent across ALL pairs —
-// even a path-shaped decomposition parallelises.
-type pairGroup struct {
-	slots int
-	uSlot []int32 // node row → key slot, -1 when no child row shares the key
-	cSlot []int32 // child row → key slot
-}
-
-// buildPairGroup groups one (node, child) pair by the shared join columns.
-// The child side builds the key map; the node side probes it read-only, so
-// the probe scan splits over row ranges on up to rowPar workers.
-func buildPairGroup(p *Plan, u, k int, uRel, cRel *Relation, rowPar int) pairGroup {
-	cj := p.childJoins[u][k]
-	var g pairGroup
-	m := storage.NewTupleMap(len(cj.cPos), cRel.Len())
-	buf := make([]Value, len(cj.cPos))
-	g.cSlot = make([]int32, cRel.Len())
-	for i := 0; i < cRel.Len(); i++ {
-		row := cRel.Row(i)
-		for j, x := range cj.cPos {
-			buf[j] = row[x]
-		}
-		slot, _ := m.Insert(buf)
-		g.cSlot[i] = slot
+// nodeMessage runs the counting DP (Pichler & Skritek, Proposition 4.14) at
+// node u over the node's relation rel, given the messages of all of u's
+// children. The DP value of a row is its number of extensions to the
+// variables introduced strictly below u: the product, over u's children, of
+// the child's message value at the row's key. A non-root node's message
+// groups its rows on the columns it shares with its parent, each key carrying
+// the sum of its rows' values; the root sends none and returns the sum of its
+// rows' values instead: |q(D)|. With reduce set, the rows whose key some
+// child's message lacks are dropped, and kept is rel semijoined with every
+// child — rel itself when no row drops; the message then holds exactly
+// kept's keys and is the semijoin filter of the parent.
+func nodeMessage(p *Plan, u int, rel *Relation, msgs []*storage.TupleMap, reduce bool) (kept *Relation, msg *storage.TupleMap, total int64) {
+	if p.d.Parent[u] >= 0 {
+		msg = storage.NewTupleMap(len(p.sharedPos[u]), rel.Len())
 	}
-	g.slots = m.Len()
-	g.uSlot = make([]int32, uRel.Len())
-	parRanges(rowPar, uRel.Len(), func(lo, hi int) {
-		pb := make([]Value, len(cj.uPos))
-		for i := lo; i < hi; i++ {
-			row := uRel.Row(i)
-			for j, x := range cj.uPos {
-				pb[j] = row[x]
+	key := make([]Value, len(rel.Cols))
+	kept = filterRows(rel, func(row []Value) bool {
+		v := int64(1)
+		for _, cj := range p.childJoins[u] {
+			m := msgs[cj.child]
+			s := m.Find(project(key, row, cj.uPos))
+			if s < 0 && reduce {
+				return false
 			}
-			g.uSlot[i] = m.Find(pb)
+			if s < 0 {
+				v = 0
+				break
+			}
+			v *= m.Val(s)
 		}
+		if msg == nil {
+			total += v
+		} else {
+			msg.Add(project(key, row, p.sharedPos[u]), v)
+		}
+		return true
 	})
-	return g
-}
-
-// nodeCountVector computes the counting-DP vector of one node (Pichler &
-// Skritek, Proposition 4.14): every tuple of the node's relation carries the
-// number of extensions to the variables introduced strictly below it; counts
-// multiply across children and sum across matching child tuples. The
-// groupings must have been built for this node's relation; the vectors of
-// all children must already be present in counts. With rowPar > 1 the
-// multiply scan splits over row ranges.
-func nodeCountVector(p *Plan, u int, rel *Relation, groups []pairGroup, counts [][]int64, rowPar int) []int64 {
-	cnt := make([]int64, rel.Len())
-	for i := range cnt {
-		cnt[i] = 1
-	}
-	for k, cj := range p.childJoins[u] {
-		g := &groups[k]
-		sums := make([]int64, g.slots)
-		ccnt := counts[cj.child]
-		for i, s := range g.cSlot {
-			sums[s] += ccnt[i]
-		}
-		parRanges(rowPar, len(cnt), func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				if s := g.uSlot[i]; s < 0 {
-					cnt[i] = 0
-				} else {
-					cnt[i] *= sums[s]
-				}
-			}
-		})
-	}
-	return cnt
+	return kept, msg, total
 }
 
 // countState is the cached counting DP of a BoundQuery: the total at the
 // root and what Rebind needs to carry it across a delta. Built from scratch
-// it is flat — the per-node vectors over the node relations rels; the first
-// Rebind turns those into per-node key sums in persistent maps (keySum,
+// it is flat — every non-root node's message (nodeMessage); the first Rebind
+// freezes those into per-node key sums in persistent maps (keySum,
 // countState.update) and from then on maintains only them.
 type countState struct {
 	total int64
 
-	rels   []*Relation // the node relations counts is parallel to
-	counts [][]int64
+	msgs []*storage.TupleMap // flat form: node → its message; nil for the root
 
 	keySum []*storage.PMap[int64] // maintained form; nil entry for the root
 }
 
-// buildCountState runs the counting DP bottom-up over all nodes. With
-// par > 1, the hash-heavy grouping pass fans out over every parent-child
-// pair of the tree (pairs are independent regardless of tree shape) and the
-// cheap vector walk runs level-parallel across sibling subtrees, splitting
-// over row ranges when a level has a single node.
-func buildCountState(ctx context.Context, p *Plan, nodeRels []*Relation, par int) (*countState, error) {
-	cs := &countState{rels: nodeRels, counts: make([][]int64, p.d.Nodes())}
-	groups := make([][]pairGroup, p.d.Nodes())
-	for u := range groups {
-		if n := len(p.childJoins[u]); n > 0 {
-			groups[u] = make([]pairGroup, n)
-		}
-	}
-	rowPar := leftoverPar(par, len(p.countPairs))
-	err := parForEach(ctx, par, allNodes(len(p.countPairs)), func(i int) error {
-		pr := p.countPairs[i]
-		child := p.childJoins[pr.u][pr.k].child
-		groups[pr.u][pr.k] = buildPairGroup(p, pr.u, pr.k, nodeRels[pr.u], nodeRels[child], rowPar)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
+// countBottomUp runs the counting DP over all nodes, children strictly first
+// and each level on up to par workers: node(u, msgs) returns node u's
+// relation — built then and there from its children's messages msgs, or one
+// built before — and nodeMessage computes the node's own message from it.
+// With reduced non-nil, nodeMessage also reduces the relation, and
+// reduced[u] receives the result; otherwise the relations are only read.
+func countBottomUp(ctx context.Context, p *Plan, par int, reduced []*Relation, node func(u int, msgs []*storage.TupleMap) *Relation) (*countState, error) {
+	cs := &countState{msgs: make([]*storage.TupleMap, p.d.Nodes())}
 	for _, level := range p.levels {
-		rp := leftoverPar(par, len(level))
 		err := parForEach(ctx, par, level, func(u int) error {
-			cs.counts[u] = nodeCountVector(p, u, nodeRels[u], groups[u], cs.counts, rp)
+			rel, msg, total := nodeMessage(p, u, node(u, cs.msgs), cs.msgs, reduced != nil)
+			if reduced != nil {
+				reduced[u] = rel
+			}
+			if msg == nil {
+				cs.total = total
+			}
+			cs.msgs[u] = msg
 			return nil
 		})
 		if err != nil {
 			return nil, err
 		}
 	}
-	for _, c := range cs.counts[p.d.Root()] {
-		cs.total += c
-	}
 	return cs, nil
-}
-
-// count computes |q(D)| for a full CQ by dynamic programming over the
-// decomposition (Proposition 4.14).
-func (r *run) count(ctx context.Context) (int64, error) {
-	cs, err := buildCountState(ctx, r.plan, r.nodeRels, r.par)
-	if err != nil {
-		return 0, err
-	}
-	return cs.total, nil
 }
 
 // reduceBottomUp runs the bottom-up half of the Yannakakis full reduction:
@@ -655,7 +591,7 @@ type enumState struct {
 	nodes  []enumNode
 	buRels []*Relation
 
-	// up caches, per (node, child-join) pair of plan.countPairs, the index of
+	// up caches, per (node, child-join) pair of the plan (pairOf), the index of
 	// the *parent* relation on the columns shared with that child — the probe
 	// direction of enumerateVia's path walk, which is the reverse of the
 	// enumNode indexes above. Flat form only, built lazily under upMu (the

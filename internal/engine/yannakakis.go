@@ -74,7 +74,7 @@ func CountGHD(inst *Instance, d *decomp.GHD) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return r.count(context.Background())
+	return r.counts.total, nil
 }
 
 // EvalOptions selects a decomposition strategy for the free functions.

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -9,17 +10,18 @@ import (
 	"d2cq/internal/cq"
 )
 
-// Table is one compiled relation, a set of interned tuples, in one of two
-// forms. The flat form is what Compile, DecodeDB and a delta rewriting most
-// of a relation produce: row i occupies Data[i*Arity:(i+1)*Arity], the
-// cheapest thing to build and scan. The persistent form is what a small
-// delta produces: the rows are the keys of a PMap (Data is nil), so the
-// successor shares every untouched trie node with its parent and costs one
-// root-to-leaf path per tuple. A flat table becomes persistent at its first
-// small delta (RowMap builds the map once and caches it on the flat table);
-// DB.Apply states the rule. The tuple data is immutable either way; the
-// lazily built indexes, statistics and row map are guarded by a mutex, so a
-// Table is safe for concurrent use.
+// Table is one compiled relation of interned tuples, in one of two forms.
+// The flat form is what Compile, DecodeDB and a delta rewriting most of a
+// relation produce: row i occupies Data[i*Arity:(i+1)*Arity], the cheapest
+// thing to build and scan. A flat table keeps its input as given, so it may
+// repeat a tuple (Compile does not deduplicate); IsSet tells. The persistent
+// form is what a small delta produces: the rows are the keys of a PMap (Data
+// is nil), so it is a set, and the successor shares every untouched trie node
+// with its parent and costs one root-to-leaf path per tuple. A flat table
+// becomes persistent at its first small delta (RowMap builds the map once
+// and caches it on the flat table); DB.Apply states the rule. The tuple data
+// is immutable either way; the lazily built indexes, statistics, row map and
+// set check are guarded by a mutex, so a Table is safe for concurrent use.
 type Table struct {
 	Name  string
 	Arity int
@@ -31,6 +33,7 @@ type Table struct {
 	asMap   *PMap[struct{}] // a flat table's rows as a map, built on first RowMap
 	indexes map[string]*Index
 	stats   *TableStats
+	set     int8 // a flat table's IsSet: 0 not yet checked, 1 a set, -1 not
 }
 
 // Flat reports whether the table is in the flat form.
@@ -45,6 +48,49 @@ func (t *Table) Rows() int {
 		return len(t.Data) // nullary tables store one sentinel per row
 	}
 	return len(t.Data) / t.Arity
+}
+
+// IsSet reports whether the table repeats no row. A persistent table always
+// is a set; a flat one is checked once, by hashing its rows, and the answer
+// is cached on the table.
+func (t *Table) IsSet() bool {
+	if t.rows != nil {
+		return true
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.set == 0 {
+		t.set = -1
+		if distinctRows(t.Data, t.Arity, t.Rows()) {
+			t.set = 1
+		}
+	}
+	return t.set > 0
+}
+
+// distinctRows reports whether the n flat rows of data (arity a) are pairwise
+// distinct. Each row is hashed once into an open-addressing table of row
+// numbers and compared in place, so nothing is copied.
+func distinctRows(data []Value, a, n int) bool {
+	if a == 0 {
+		return n <= 1
+	}
+	size := minTableSize
+	for size*3 < n*4 {
+		size *= 2
+	}
+	table, mask := make([]int32, size), uint64(size-1)
+	for i := 0; i < n; i++ {
+		row := data[i*a : (i+1)*a]
+		j := mapHash(row) & mask
+		for ; table[j] != 0; j = (j + 1) & mask {
+			if o := int(table[j] - 1); slices.Equal(data[o*a:(o+1)*a], row) {
+				return false
+			}
+		}
+		table[j] = int32(i + 1)
+	}
+	return true
 }
 
 // Scan calls f for every row — in storage order for a flat table, in the

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -57,6 +58,9 @@ func TestTupleMapBasic(t *testing.T) {
 	}
 	if k := m.Key(1); k[0] != 3 || k[1] != 4 {
 		t.Errorf("Key(1) = %v", k)
+	}
+	if keys := m.Keys(); !slices.Equal(keys, []Value{1, 2, 3, 4}) {
+		t.Errorf("Keys() = %v, want the tuples flat in slot order", keys)
 	}
 }
 
@@ -146,6 +150,9 @@ func TestCompileAndTable(t *testing.T) {
 	if r == nil || r.Rows() != 3 || r.Arity != 2 {
 		t.Fatalf("table R = %+v", r)
 	}
+	if r.IsSet() || !sdb.Table("S").IsSet() {
+		t.Errorf("IsSet: R %v (repeats a tuple), S %v", r.IsSet(), sdb.Table("S").IsSet())
+	}
 	if sdb.Table("missing") != nil {
 		t.Error("absent relation should be nil")
 	}
@@ -164,6 +171,51 @@ func TestCompileAndTable(t *testing.T) {
 	row := r.Data[r.Arity : 2*r.Arity]
 	if sdb.Dict.Name(row[0]) != "a" || sdb.Dict.Name(row[1]) != "c" {
 		t.Errorf("row 1 = %s,%s", sdb.Dict.Name(row[0]), sdb.Dict.Name(row[1]))
+	}
+}
+
+// TestTableIsSet: a flat table is a set iff it repeats no row, whatever the
+// arity and wherever the repeat sits; a persistent table always is one.
+func TestTableIsSet(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		rows [][]string
+		want bool
+	}{
+		{"distinct", [][]string{{"a", "b"}, {"b", "a"}, {"a", "a"}}, true},
+		{"repeat first and last", [][]string{{"a", "b"}, {"b", "a"}, {"a", "b"}}, false},
+		{"repeat adjacent", [][]string{{"b", "a"}, {"a", "b"}, {"a", "b"}}, false},
+		{"unary repeat", [][]string{{"a"}, {"b"}, {"a"}}, false},
+		{"nullary once", [][]string{{}}, true},
+		{"nullary twice", [][]string{{}, {}}, false},
+	} {
+		db := cq.Database{"R": c.rows}
+		sdb, err := Compile(db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tab := sdb.Table("R")
+		if got := tab.IsSet(); got != c.want || tab.IsSet() != got {
+			t.Errorf("%s: IsSet = %v, want %v", c.name, got, c.want)
+		}
+	}
+	rows := make([][]string, 0, 2000)
+	for i := 0; i < 2000; i++ {
+		rows = append(rows, []string{fmt.Sprint(i % 97), fmt.Sprint(i)})
+	}
+	sdb, err := Compile(cq.Database{"R": rows})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sdb.Table("R").IsSet() {
+		t.Error("2000 distinct rows: IsSet = false")
+	}
+	next, err := sdb.Apply(NewDelta().Add("R", "x", "y"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tab := next.Table("R"); tab.Flat() || !tab.IsSet() {
+		t.Errorf("after a small delta: flat %v, IsSet %v; want a persistent set", tab.Flat(), tab.IsSet())
 	}
 }
 

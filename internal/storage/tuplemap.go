@@ -19,18 +19,34 @@ func HashTuple(vals []Value) uint64 {
 	return h
 }
 
+// mapHash is TupleMap's hash: FNV-1a a value rather than a byte at a time,
+// then mixed as pmapHash mixes, so that the low bits the probe table uses
+// depend on every input bit (FNV-1a's own low bits depend only on the
+// inputs' low bits). The map keeps its entries in insertion order, so the
+// hash decides no order anyone sees.
+func mapHash(vals []Value) uint64 {
+	h := fnv64Offset
+	for _, v := range vals {
+		h = (h ^ uint64(uint32(v))) * fnv64Prime
+	}
+	h ^= h >> 32
+	h *= 0xd6e8feb86659fd93
+	h ^= h >> 32
+	return h
+}
+
 // TupleMap is a hash map from fixed-width value tuples to int64 payloads,
 // with exact collision handling: tuples are stored flat and compared on
 // every probe, so two distinct tuples never share a slot even when their
 // 64-bit hashes collide. It serves every from-scratch grouping path (dedup,
-// projection, count aggregation) and the transient work sets of incremental
-// maintenance; state that must outlive a snapshot and be patched lives in the
+// projection, join and semijoin keys, the counting DP's messages) and the
+// transient work sets of incremental maintenance; state that must outlive a snapshot and be patched lives in the
 // persistent PMap instead. The layout is open-addressing over flat slices —
 // no per-bucket allocations, entries in insertion order.
 type TupleMap struct {
 	k     int
-	hash  func([]Value) uint64
-	table []int32 // open-addressing probe table: slot+1, 0 = empty
+	hash  func([]Value) uint64 // nil: mapHash
+	table []int32              // open-addressing probe table: slot+1, 0 = empty
 	mask  uint64
 	keys  []Value // slot i occupies keys[i*k : (i+1)*k]
 	vals  []int64
@@ -51,10 +67,10 @@ func NewTupleMap(k, capHint int) *TupleMap {
 	}
 	return &TupleMap{
 		k:     k,
-		hash:  HashTuple,
 		table: make([]int32, size),
 		mask:  uint64(size - 1),
 		keys:  make([]Value, 0, capHint*k),
+		vals:  make([]int64, 0, capHint),
 	}
 }
 
@@ -75,8 +91,22 @@ func (m *TupleMap) Key(slot int32) []Value {
 	return m.keys[int(slot)*m.k : (int(slot)+1)*m.k]
 }
 
+// Keys returns every stored tuple laid out flat in slot order: slot i
+// occupies Keys()[i*k : (i+1)*k], the layout of a flat relation. The slice is
+// shared with the map; do not mutate it, and do not insert into the map while
+// it is in use as a relation.
+func (m *TupleMap) Keys() []Value { return m.keys }
+
 // Val returns the payload stored at a slot.
 func (m *TupleMap) Val(slot int32) int64 { return m.vals[slot] }
+
+// hashOf hashes a key with mapHash, or with the hash a test put in.
+func (m *TupleMap) hashOf(key []Value) uint64 {
+	if m.hash != nil {
+		return m.hash(key)
+	}
+	return mapHash(key)
+}
 
 func (m *TupleMap) equalAt(slot int32, key []Value) bool {
 	at := m.keys[int(slot)*m.k:]
@@ -94,7 +124,7 @@ func (m *TupleMap) grow() {
 	m.table = make([]int32, size)
 	m.mask = uint64(size - 1)
 	for slot := int32(0); int(slot) < len(m.vals); slot++ {
-		i := m.hash(m.Key(slot)) & m.mask
+		i := m.hashOf(m.Key(slot)) & m.mask
 		for m.table[i] != 0 {
 			i = (i + 1) & m.mask
 		}
@@ -104,7 +134,7 @@ func (m *TupleMap) grow() {
 
 // Find returns the slot of the tuple, or -1 if absent.
 func (m *TupleMap) Find(key []Value) int32 {
-	i := m.hash(key) & m.mask
+	i := m.hashOf(key) & m.mask
 	for {
 		s := m.table[i]
 		if s == 0 {
@@ -123,7 +153,7 @@ func (m *TupleMap) Insert(key []Value) (slot int32, isNew bool) {
 	if (len(m.vals)+1)*4 > len(m.table)*3 { // keep load below 3/4
 		m.grow()
 	}
-	i := m.hash(key) & m.mask
+	i := m.hashOf(key) & m.mask
 	for {
 		s := m.table[i]
 		if s == 0 {

@@ -81,6 +81,21 @@ func (c *Cache) Get(key string) (*GHD, bool) {
 	return nil, false
 }
 
+// Peek returns the cached decomposition for key without counting a hit or a
+// miss and without marking it used: a second look by a caller whose Get has
+// counted already.
+func (c *Cache) Peek(key string) (*GHD, bool) {
+	if c == nil {
+		return nil, false
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.entries[key]; ok {
+		return el.Value.(*cacheEntry).d, true
+	}
+	return nil, false
+}
+
 // Put stores a decomposition, evicting the least recently used entry when
 // the cache is full. The caller must not mutate d afterwards.
 func (c *Cache) Put(key string, d *GHD) {

@@ -86,3 +86,25 @@ func TestCacheZeroCapacityDisables(t *testing.T) {
 		t.Error("zero-capacity cache must stay empty")
 	}
 }
+
+func TestCachePeekCountsNothing(t *testing.T) {
+	c := NewCache(2)
+	d := &GHD{}
+	if _, ok := c.Peek("k1"); ok {
+		t.Fatal("empty cache cannot hold k1")
+	}
+	c.Put("k1", d)
+	c.Put("k2", &GHD{})
+	if got, ok := c.Peek("k1"); !ok || got != d {
+		t.Fatal("Peek should find k1")
+	}
+	// Peek does not mark k1 used: k1 is still the least recently used and
+	// goes first.
+	c.Put("k3", &GHD{})
+	if _, ok := c.Peek("k1"); ok {
+		t.Error("k1 should have been evicted (Peek must not refresh it)")
+	}
+	if st := c.Stats(); st.Hits != 0 || st.Misses != 0 {
+		t.Errorf("hits/misses = %d/%d after Peeks only, want 0/0", st.Hits, st.Misses)
+	}
+}

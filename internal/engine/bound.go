@@ -100,7 +100,9 @@ func (c *CompiledDB) RelationRows(name string) int {
 // finishes the counting DP on its way up, so Count after Bind only reads the
 // total; after BindMaintained the DP runs over the cover-based bags on the
 // first Count. The full Yannakakis reduction (with its enumeration indexes)
-// is built on the first Enumerate. Both are then shared.
+// is built on the first Enumerate, from the messages of a bottom-up counting
+// pass — Bind's own, or after BindMaintained one over the bags. Both are then
+// shared.
 // A BoundQuery is immutable after binding and safe for concurrent use;
 // Update/Rebind never mutate it — they return a new BoundQuery sharing all
 // state the delta did not touch.
@@ -144,7 +146,7 @@ type BoundQuery struct {
 // thus bottom-up reduced from the start: a cover whose relations share no
 // variable is never built as a cross product on its own, Bool reads the root,
 // Count reads the total summed at the root, and Enumerate's reduction only
-// runs top-down.
+// runs top-down, marking the slots of the messages each row of a node hits.
 // Rebind works on the result too, but its first call rebuilds the cover-based
 // bags maintenance needs; a query that will be rebound should use
 // BindMaintained.
@@ -255,16 +257,21 @@ func (b *BoundQuery) flatNodes() []*Relation {
 }
 
 // run clones the per-evaluation view of the bound node relations: the slice
-// is copied so semijoin passes can reassign slots, while the relations
-// themselves are shared read-only.
+// is copied so the reduction passes can reassign its entries, while the
+// relations themselves are shared read-only. Bottom-up reduced nodes come
+// with Bind's counting DP, whose messages and slots the top-down pass marks.
 func (b *BoundQuery) run() *run {
-	return &run{
+	r := &run{
 		plan:     b.prep.plan,
 		inst:     b.inst,
 		nodeRels: append([]*Relation(nil), b.flatNodes()...),
 		par:      b.prep.eng.par(),
 		reduced:  b.reduced,
 	}
+	if r.reduced {
+		r.counts = b.countSt.Load()
+	}
+	return r
 }
 
 // Bool decides q(D) ≠ ∅ over the bound database (Proposition 2.2). After
@@ -339,11 +346,14 @@ func (b *BoundQuery) ensureCounts(ctx context.Context) (*countState, error) {
 	return cs, nil
 }
 
-// ensureReduced runs the Yannakakis full reduction once — only its top-down
-// half after Bind, whose nodes are bottom-up reduced already — and builds the
-// shared enumeration indexes over the reduced relations. The bottom-up
-// intermediate relations are kept alongside so Update can re-run the
-// semijoin passes only where a delta actually propagates. Concurrent callers
+// ensureReduced runs the Yannakakis full reduction once and builds the shared
+// enumeration indexes over the reduced relations. After Bind, whose nodes are
+// bottom-up reduced already, only the top-down half runs, marking the slots
+// of Bind's messages; otherwise the bottom-up half is a counting pass over
+// the bags that reduces them and sends those messages first. The indexes are
+// the messages themselves, with each node's rows grouped by slot. The
+// bottom-up intermediate relations are kept alongside so Update can re-run
+// the semijoin passes only where a delta actually propagates. Concurrent callers
 // wait for the single construction; a failed attempt (typically: a
 // cancelled context) is not cached, so the next caller retries.
 func (b *BoundQuery) ensureReduced(ctx context.Context) (*enumState, error) {
@@ -355,16 +365,10 @@ func (b *BoundQuery) ensureReduced(ctx context.Context) (*enumState, error) {
 	if es := b.enumSt.Load(); es != nil {
 		return es, nil
 	}
-	r := b.run()
-	if err := r.reduceBottomUp(ctx); err != nil {
+	es, err := b.run().fullReduce(ctx)
+	if err != nil {
 		return nil, err
 	}
-	bu := append([]*Relation(nil), r.nodeRels...)
-	if err := r.reduceTopDown(ctx); err != nil {
-		return nil, err
-	}
-	es := buildEnumState(b.prep.plan, r.nodeRels)
-	es.buRels = bu
 	es.id = b.prep.eng.stateSeq.Add(1)
 	b.enumSt.Store(es)
 	return es, nil

@@ -30,22 +30,22 @@ import (
 // solution to the first changed node (in node order) that covers it, which
 // both dedups and keeps the two sides exactly disjoint.
 
-// upIndex returns the index of node u's relation on the columns it shares
-// with its k-th child join — the upward probe of enumerateVia over a flat
-// state — building it on first use and caching it on the state. (A maintained
-// state needs no such build: enumMaint.up is kept current by update.)
-func (es *enumState) upIndex(u, k int) *storage.Index {
+// upIndex returns node u's rows grouped on the columns it shares with its
+// k-th child join — the upward probe of enumerateVia over a flat state —
+// building the grouping on first use and caching it on the state. (A
+// maintained state needs no such build: enumMaint.up is kept current by
+// update.)
+func (es *enumState) upIndex(u, k int) *keyGroups {
 	p := es.plan
 	i := p.pairOf[u][k]
 	es.upMu.Lock()
 	defer es.upMu.Unlock()
 	if es.up == nil {
-		es.up = make([]*storage.Index, p.pairs)
+		es.up = make([]*keyGroups, p.pairs)
 	}
 	if es.up[i] == nil {
-		cj := p.childJoins[u][k]
-		rel := es.nodes[u].rel
-		es.up[i] = storage.BuildIndex(rel.Data, len(rel.Cols), cj.uPos)
+		g := groupRows(es.nodes[u].rel, p.childJoins[u][k].uPos)
+		es.up[i] = &g
 	}
 	return es.up[i]
 }
@@ -53,11 +53,12 @@ func (es *enumState) upIndex(u, k int) *storage.Index {
 // viaStep is one node visit of enumerateVia's walk: either a full scan of
 // scan's rows (the via rows themselves, or a node sharing no columns with
 // what is already assigned) or a probe on the key vertex ids — of a flat
-// index into rel, or of a persistent grouping whose buckets hold the rows
-// themselves. write maps every relation column to its hypergraph vertex id.
+// grouping of rel's rows, or of a persistent grouping whose buckets hold the
+// rows themselves. write maps every relation column to its hypergraph vertex
+// id.
 type viaStep struct {
 	scan  *Relation
-	idx   *storage.Index
+	idx   *keyGroups
 	rel   *Relation
 	group *rowIndex
 	key   []int
@@ -185,7 +186,7 @@ func (es *enumState) enumerateVia(ctx context.Context, v int, via *Relation, yie
 			}
 			return nil
 		}
-		for _, rowIdx := range st.idx.Lookup(kb) {
+		for _, rowIdx := range st.idx.lookup(kb) {
 			if stop {
 				return nil
 			}

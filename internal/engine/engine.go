@@ -263,7 +263,9 @@ func (e *Engine) Prepare(ctx context.Context, q cq.Query) (*PreparedQuery, error
 
 // decompFor returns the decomposition for the keyed hypergraph, consulting
 // the cache and collapsing concurrent misses for the same key into a single
-// computation.
+// computation. A flight caches its result before it leaves inflight, so a
+// miss that finds no flight looks at the cache once more, under flightMu: the
+// flight it missed may have finished in between.
 func (e *Engine) decompFor(h *hypergraph.Hypergraph, key string) (*decomp.GHD, error) {
 	if d, ok := e.cache.Get(key); ok {
 		return d, nil
@@ -273,6 +275,10 @@ func (e *Engine) decompFor(h *hypergraph.Hypergraph, key string) (*decomp.GHD, e
 		e.flightMu.Unlock()
 		<-f.done
 		return f.d, f.err
+	}
+	if d, ok := e.cache.Peek(key); ok {
+		e.flightMu.Unlock()
+		return d, nil
 	}
 	f := &flight{done: make(chan struct{})}
 	e.inflight[key] = f
@@ -422,10 +428,11 @@ func (p *PreparedQuery) Enumerate(ctx context.Context, db cq.Database, yield fun
 	if err != nil {
 		return err
 	}
-	if err := r.fullReduce(ctx); err != nil {
+	es, err := r.fullReduce(ctx)
+	if err != nil {
 		return err
 	}
-	return r.enumerate(ctx, p.eng.ordered(), func(row []Value) bool {
+	return es.enumerate(ctx, r.par, p.eng.ordered(), func(row []Value) bool {
 		sol.row = row
 		return yield(sol)
 	})

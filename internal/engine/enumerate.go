@@ -31,11 +31,12 @@ func EnumerateGHD(inst *Instance, d *decomp.GHD) (*Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := r.fullReduce(ctx); err != nil {
+	es, err := r.fullReduce(ctx)
+	if err != nil {
 		return nil, err
 	}
 	out := NewRelation(vars...)
-	err = r.enumerate(ctx, defaultEngine.ordered(), func(row []Value) bool {
+	err = es.enumerate(ctx, r.par, defaultEngine.ordered(), func(row []Value) bool {
 		out.Add(row...)
 		return true
 	})

@@ -62,7 +62,7 @@ func TestFullReduceRemovesDanglingTuples(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := run.fullReduce(context.Background()); err != nil {
+	if _, err := run.fullReduce(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	for u, rel := range run.nodeRels {

@@ -94,6 +94,26 @@ func newMaintFixture(tb testing.TB, s maintShape, rows, domain int) *maintFixtur
 func newMaintDB(tb testing.TB, s maintShape, rows, domain int) (*Engine, *PreparedQuery, *CompiledDB, int) {
 	tb.Helper()
 	ctx := context.Background()
+	db, planted := s.database(rows, domain)
+	eng := NewEngine()
+	q, err := cq.ParseQuery(s.query())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	prep, err := eng.Prepare(ctx, q)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cdb, err := eng.CompileDB(ctx, db)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return eng, prep, cdb, planted
+}
+
+// database is the shape's seeded database (see maintFixture) and its planted
+// solution count.
+func (s maintShape) database(rows, domain int) (cq.Database, int) {
 	rng := rand.New(rand.NewSource(int64(rows)))
 	db := cq.Database{}
 	planted := rows / 5
@@ -109,20 +129,7 @@ func newMaintDB(tb testing.TB, s maintShape, rows, domain int) (*Engine, *Prepar
 			db.Add(s.rel(i), s.plantedTuple(j, i)...)
 		}
 	}
-	eng := NewEngine()
-	q, err := cq.ParseQuery(s.query())
-	if err != nil {
-		tb.Fatal(err)
-	}
-	prep, err := eng.Prepare(ctx, q)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	cdb, err := eng.CompileDB(ctx, db)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return eng, prep, cdb, planted
+	return db, planted
 }
 
 // plantedTuple projects planted solution j onto atom i.
@@ -221,25 +228,28 @@ func BenchmarkRebindSingleTuple(b *testing.B) {
 	}
 }
 
-// BenchmarkBindOneShot measures one Bind and Count on the seeded
-// maintenance databases. Bind runs the counting DP on its way up, so Count
-// only reads the total; the pair is timed together, since timing Bind alone
-// would charge it with Count's work and compare unlike things. cycle5, the
-// 3×2 subgrid and cycle6 get plans whose covers are forced cross products,
-// which the bottom-up materialisation joins through the children's messages
-// instead; path3 is acyclic, where a message is a semijoin filter and must
-// cost no more than one.
+// oneShotShapes are the seeded maintenance databases the one-shot
+// benchmarks bind. cycle5, the 3×2 subgrid and cycle6 get plans whose covers
+// are forced cross products, which the bottom-up materialisation joins
+// through the children's messages instead; path3 is acyclic, where a message
+// is a semijoin filter and must cost no more than one.
+var oneShotShapes = []struct {
+	name         string
+	shape        maintShape
+	rows, domain int
+}{
+	{"path3-5k", maintPath3, 5000, 2500},
+	{"cycle5-500", maintCycle5, 500, 250},
+	{"subgrid3x2-200", maintSubgrid, 200, 100},
+	{"cycle6-500", maintCycle6, 500, 250},
+}
+
+// BenchmarkBindOneShot measures one Bind and Count on oneShotShapes. Bind
+// runs the counting DP on its way up, so Count only reads the total; the
+// pair is timed together, since timing Bind alone would charge it with
+// Count's work and compare unlike things.
 func BenchmarkBindOneShot(b *testing.B) {
-	for _, c := range []struct {
-		name         string
-		shape        maintShape
-		rows, domain int
-	}{
-		{"path3-5k", maintPath3, 5000, 2500},
-		{"cycle5-500", maintCycle5, 500, 250},
-		{"subgrid3x2-200", maintSubgrid, 200, 100},
-		{"cycle6-500", maintCycle6, 500, 250},
-	} {
+	for _, c := range oneShotShapes {
 		b.Run(c.name, func(b *testing.B) {
 			ctx := context.Background()
 			_, prep, cdb, _ := newMaintDB(b, c.shape, c.rows, c.domain)
@@ -251,6 +261,32 @@ func BenchmarkBindOneShot(b *testing.B) {
 					b.Fatal(err)
 				}
 				if _, err := bound.Count(ctx); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkEnumerateFirst measures the read side of a one-shot evaluation:
+// the first EnumerateAll after an untimed Bind on oneShotShapes — the
+// top-down half of the full reduction, the enumeration indexes, the
+// enumeration and the display sort.
+func BenchmarkEnumerateFirst(b *testing.B) {
+	for _, c := range oneShotShapes {
+		b.Run(c.name, func(b *testing.B) {
+			ctx := context.Background()
+			_, prep, cdb, _ := newMaintDB(b, c.shape, c.rows, c.domain)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				b.StopTimer()
+				bound, err := prep.Bind(ctx, cdb)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if _, _, err := bound.EnumerateAll(ctx); err != nil {
 					b.Fatal(err)
 				}
 			}

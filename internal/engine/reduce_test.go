@@ -1,0 +1,229 @@
+package engine
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"d2cq/internal/cq"
+)
+
+// The full reduction reads the bottom-up pass's messages: the top-down half
+// marks the message slots a parent's rows hit, and the enumeration indexes
+// group each node's rows by slot. The reference below is the reduction those
+// replace — semijoin passes that hash a fresh key set per tree edge — and a
+// backtracking enumeration that scans every node; the two must agree row for
+// row, in order.
+
+// refReduceBottomUp semijoins every node with its children, children first.
+func refReduceBottomUp(p *Plan, rels []*Relation) {
+	for _, level := range p.levels {
+		for _, u := range level {
+			for _, cj := range p.childJoins[u] {
+				rels[u] = semijoinOn(rels[u], rels[cj.child], cj.shared, cj.uPos, cj.cPos)
+			}
+		}
+	}
+}
+
+// refReduceTopDown semijoins every child with its parent, parents first.
+func refReduceTopDown(p *Plan, rels []*Relation) {
+	for l := len(p.levels) - 1; l >= 0; l-- {
+		for _, u := range p.levels[l] {
+			for _, cj := range p.childJoins[u] {
+				rels[cj.child] = semijoinOn(rels[cj.child], rels[u], cj.shared, cj.cPos, cj.uPos)
+			}
+		}
+	}
+}
+
+// refEnumerate lists the solutions over fully reduced relations in the
+// order of the sequential enumeration: nodes in pre-order, each node's rows
+// that agree with what is assigned already, in row order.
+func refEnumerate(p *Plan, rels []*Relation) [][]Value {
+	pre := slices.Clone(p.order)
+	slices.Reverse(pre)
+	asg := make([]Value, p.h.NV())
+	var out [][]Value
+	var rec func(i int)
+	rec = func(i int) {
+		if i == len(pre) {
+			out = append(out, slices.Clone(asg[:len(p.qvars)]))
+			return
+		}
+		u := pre[i]
+		for r := 0; r < rels[u].Len(); r++ {
+			row := rels[u].Row(r)
+			agrees := true
+			for j, pos := range p.sharedPos[u] {
+				agrees = agrees && row[pos] == asg[p.sharedVids[u][j]]
+			}
+			if !agrees {
+				continue
+			}
+			for j, vid := range p.bagVids[u] {
+				asg[vid] = row[j]
+			}
+			rec(i + 1)
+		}
+	}
+	rec(0)
+	return out
+}
+
+// sameRelation reports how two relations differ row for row ("" if they
+// do not).
+func sameRelation(got, want *Relation) string {
+	switch {
+	case !slices.Equal(got.Cols, want.Cols):
+		return fmt.Sprintf("columns %v, want %v", got.Cols, want.Cols)
+	case got.Len() != want.Len():
+		return fmt.Sprintf("%d rows, want %d", got.Len(), want.Len())
+	case !slices.Equal(got.Data, want.Data):
+		return "rows differ in content or order"
+	}
+	return ""
+}
+
+// checkReduction holds b's full reduction to the reference: the bottom-up
+// intermediates and the fully reduced relations of every node, and the
+// Enumerate stream (b's engine must enumerate in sequential order).
+func checkReduction(t *testing.T, name string, b *BoundQuery) {
+	t.Helper()
+	ctx := context.Background()
+	p := b.prep.plan
+	ref := slices.Clone(b.flatNodes())
+	refReduceBottomUp(p, ref)
+	bu := slices.Clone(ref)
+	refReduceTopDown(p, ref)
+	es, err := b.ensureReduced(ctx)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	for u := range ref {
+		if desc := sameRelation(es.buRels[u], bu[u]); desc != "" {
+			t.Errorf("%s: node %d bottom-up: %s", name, u, desc)
+		}
+		if desc := sameRelation(es.nodes[u].rel, ref[u]); desc != "" {
+			t.Errorf("%s: node %d fully reduced: %s", name, u, desc)
+		}
+	}
+	var got [][]Value
+	err = b.Enumerate(ctx, func(s Solution) bool {
+		got = append(got, slices.Clone(s.row))
+		return true
+	})
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	want := refEnumerate(p, ref)
+	if len(got) != len(want) {
+		t.Fatalf("%s: Enumerate yields %d rows, reference %d", name, len(got), len(want))
+	}
+	for i := range got {
+		if !slices.Equal(got[i], want[i]) {
+			t.Fatalf("%s: Enumerate row %d is %v, reference %v", name, i, got[i], want[i])
+		}
+	}
+}
+
+// TestReductionMatchesSemijoinPasses: on both bind forms, sequentially and
+// with four workers, the slot-marking reduction and the slot-grouped
+// enumeration give exactly what the semijoin passes and a scanning
+// enumeration give. The instances: the one-shot benchmark shapes (forced
+// cross-product covers and an acyclic path), the incremental differential
+// test's queries over random databases, a query in two components (a child
+// sharing no variable with its parent: a nullary message) and an
+// unsatisfiable path whose root empties on the way up.
+func TestReductionMatchesSemijoinPasses(t *testing.T) {
+	type instance struct {
+		name  string
+		query string
+		db    cq.Database
+	}
+	var cases []instance
+	for _, c := range []struct {
+		shape        maintShape
+		rows, domain int
+	}{{maintPath3, 300, 150}, {maintCycle5, 200, 100}, {maintSubgrid, 100, 50}, {maintCycle6, 200, 100}} {
+		db, _ := c.shape.database(c.rows, c.domain)
+		cases = append(cases, instance{c.shape.name, c.shape.query(), db})
+	}
+	rng := rand.New(rand.NewSource(7))
+	for _, sh := range diffShapes {
+		if sh.opts != nil {
+			continue // naive plans have no reduction
+		}
+		db := cq.Database{}
+		for rel, arity := range sh.rels {
+			for k := 0; k < 40; k++ {
+				row := make([]string, arity)
+				for j := range row {
+					row[j] = fmt.Sprintf("c%d", rng.Intn(6))
+				}
+				db.Add(rel, row...)
+			}
+		}
+		cases = append(cases, instance{sh.name, sh.query, db})
+	}
+	twoParts := cq.Database{}
+	for _, rel := range []string{"A", "B", "C", "D"} {
+		for k := 0; k < 30; k++ {
+			twoParts.Add(rel, fmt.Sprint(rng.Intn(8)), fmt.Sprint(rng.Intn(8)))
+		}
+	}
+	cases = append(cases, instance{"two-components", "A(x,y), B(y,z), C(u,v), D(v,w)", twoParts})
+	unsat := cq.Database{}
+	unsat.Add("R", "1", "2")
+	unsat.Add("S", "3", "4")
+	unsat.Add("T", "4", "5")
+	unsat.Add("T", "6", "7")
+	cases = append(cases, instance{"unsat", "R(a,b), S(b,c), T(c,d)", unsat})
+
+	ctx := context.Background()
+	for _, opts := range [][]Option{nil, {WithParallelism(4), WithDeterministicOrder()}} {
+		eng := NewEngine(append([]Option{WithMaxWidth(3)}, opts...)...)
+		nullary, emptied := false, false
+		for _, c := range cases {
+			q, err := cq.ParseQuery(c.query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prep, err := eng.Prepare(ctx, q)
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			cdb, err := eng.CompileDB(ctx, c.db)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := prep.Plan()
+			for u := 0; u < p.d.Nodes(); u++ {
+				nullary = nullary || (p.d.Parent[u] >= 0 && len(p.shared[u]) == 0)
+			}
+			for _, form := range []struct {
+				name string
+				bind func(context.Context, *CompiledDB) (*BoundQuery, error)
+			}{{"Bind", prep.Bind}, {"BindMaintained", prep.BindMaintained}} {
+				b, err := form.bind(ctx, cdb)
+				if err != nil {
+					t.Fatalf("%s: %v", c.name, err)
+				}
+				name := fmt.Sprintf("%s/%s/par%d", c.name, form.name, eng.par())
+				checkReduction(t, name, b)
+				es, _ := b.ensureReduced(ctx)
+				if c.name == "unsat" {
+					root := p.d.Root()
+					for u, rel := range es.buRels {
+						emptied = emptied || (u != root && rel.Len() > 0 && es.buRels[root].Len() == 0)
+					}
+				}
+			}
+		}
+		if !nullary || !emptied {
+			t.Fatalf("a child sharing no variable with its parent: %v; a root emptied on the way up below a non-empty node: %v", nullary, emptied)
+		}
+	}
+}

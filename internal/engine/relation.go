@@ -143,8 +143,8 @@ func (r *Relation) Project(cols []string) *Relation {
 }
 
 // keyGroups groups the rows of a relation on some of its columns: slot s of
-// keys is one distinct key tuple, and rows[start[s]:start[s+1]] are the rows
-// carrying it, in row order.
+// keys is one key tuple, and rows[start[s]:start[s+1]] are the rows carrying
+// it, in row order (none, for a key no row carries).
 type keyGroups struct {
 	keys  *storage.TupleMap
 	start []int32
@@ -154,21 +154,28 @@ type keyGroups struct {
 // groupRows groups r's rows on the columns at pos, hashing each row once.
 func groupRows(r *Relation, pos []int) keyGroups {
 	n := r.Len()
-	g := keyGroups{keys: storage.NewTupleMap(len(pos), n), rows: make([]int32, n)}
-	slot := make([]int32, n)
+	keys := storage.NewTupleMap(len(pos), n)
+	slots := make([]int32, n)
 	buf := make([]Value, len(pos))
-	for i := 0; i < n; i++ {
-		slot[i], _ = g.keys.Insert(project(buf, r.Row(i), pos))
+	for i := range slots {
+		slots[i], _ = keys.Insert(project(buf, r.Row(i), pos))
 	}
-	g.start = make([]int32, g.keys.Len()+1)
-	for _, s := range slot {
+	return groupSlots(keys, slots)
+}
+
+// groupSlots groups rows on keys already hashed: row i carries the key at
+// slot slots[i] of keys. The groups are laid out by a counting sort of the
+// slots, with no hashing.
+func groupSlots(keys *storage.TupleMap, slots []int32) keyGroups {
+	g := keyGroups{keys: keys, start: make([]int32, keys.Len()+1), rows: make([]int32, len(slots))}
+	for _, s := range slots {
 		g.start[s+1]++
 	}
 	for s := 1; s < len(g.start); s++ {
 		g.start[s] += g.start[s-1]
 	}
 	next := append([]int32(nil), g.start[:len(g.start)-1]...)
-	for i, s := range slot {
+	for i, s := range slots {
 		g.rows[next[s]] = int32(i)
 		next[s]++
 	}
@@ -177,6 +184,14 @@ func groupRows(r *Relation, pos []int) keyGroups {
 
 // group returns the rows carrying the key at slot s.
 func (g *keyGroups) group(s int32) []int32 { return g.rows[g.start[s]:g.start[s+1]] }
+
+// lookup returns the rows carrying key (none when no row does).
+func (g *keyGroups) lookup(key []Value) []int32 {
+	if s := g.keys.Find(key); s >= 0 {
+		return g.group(s)
+	}
+	return nil
+}
 
 // Join returns the natural join r ⋈ s on their shared columns. Both inputs
 // are sets, so the natural join is duplicate-free by construction: each
@@ -294,7 +309,7 @@ func semijoinMap(r *Relation, m *storage.TupleMap, pos []int) *Relation {
 }
 
 // filterRows returns the rows of r that keep accepts — r itself when it
-// accepts every one.
+// accepts every one. keep sees every row once, in row order.
 func filterRows(r *Relation, keep func(row []Value) bool) *Relation {
 	n, a := r.Len(), len(r.Cols)
 	i := 0

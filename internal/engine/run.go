@@ -18,8 +18,9 @@ import (
 // points at is immutable. par is the bounded worker count of the parallel
 // passes (<= 1 means sequential). reduced records that every node relation is
 // bottom-up reduced already (newRun builds them so), rather than the
-// cover-based bag; counts is the counting DP newRun computed on the way up
-// (nil for a run over cover-based bags).
+// cover-based bag; counts is the counting DP of the pass that reduced them,
+// with its messages and slots (nil until a run over cover-based bags is
+// reduced).
 type run struct {
 	plan     *Plan
 	inst     *Instance
@@ -435,10 +436,14 @@ func (r *run) bool_(ctx context.Context) (bool, error) {
 // rows' values instead: |q(D)|. With reduce set, the rows whose key some
 // child's message lacks are dropped, and kept is rel semijoined with every
 // child — rel itself when no row drops; the message then holds exactly
-// kept's keys and is the semijoin filter of the parent.
-func nodeMessage(p *Plan, u int, rel *Relation, msgs []*storage.TupleMap, reduce bool) (kept *Relation, msg *storage.TupleMap, total int64) {
+// kept's keys and is the semijoin filter of the parent, and slots[i] is the
+// message slot of kept's row i.
+func nodeMessage(p *Plan, u int, rel *Relation, msgs []*storage.TupleMap, reduce bool) (kept *Relation, msg *storage.TupleMap, slots []int32, total int64) {
 	if p.d.Parent[u] >= 0 {
 		msg = storage.NewTupleMap(len(p.sharedPos[u]), rel.Len())
+		if reduce {
+			slots = make([]int32, 0, rel.Len())
+		}
 	}
 	key := make([]Value, len(rel.Cols))
 	kept = filterRows(rel, func(row []Value) bool {
@@ -457,23 +462,26 @@ func nodeMessage(p *Plan, u int, rel *Relation, msgs []*storage.TupleMap, reduce
 		}
 		if msg == nil {
 			total += v
-		} else {
-			msg.Add(project(key, row, p.sharedPos[u]), v)
+		} else if s := msg.Add(project(key, row, p.sharedPos[u]), v); reduce {
+			slots = append(slots, s)
 		}
 		return true
 	})
-	return kept, msg, total
+	return kept, msg, slots, total
 }
 
 // countState is the cached counting DP of a BoundQuery: the total at the
 // root and what Rebind needs to carry it across a delta. Built from scratch
-// it is flat — every non-root node's message (nodeMessage); the first Rebind
-// freezes those into per-node key sums in persistent maps (keySum,
-// countState.update) and from then on maintains only them.
+// it is flat — every non-root node's message (nodeMessage), and when the pass
+// reduced the nodes, every node row's slot in it, which the top-down pass
+// marks (reduceTopDown); the first Rebind freezes the messages into per-node
+// key sums in persistent maps (keySum, countState.update) and from then on
+// maintains only them.
 type countState struct {
 	total int64
 
-	msgs []*storage.TupleMap // flat form: node → its message; nil for the root
+	msgs  []*storage.TupleMap // flat form: node → its message; nil for the root
+	slots [][]int32           // flat form of a reducing pass: node → its rows' message slots
 
 	keySum []*storage.PMap[int64] // maintained form; nil entry for the root
 }
@@ -482,15 +490,19 @@ type countState struct {
 // and each level on up to par workers: node(u, msgs) returns node u's
 // relation — built then and there from its children's messages msgs, or one
 // built before — and nodeMessage computes the node's own message from it.
-// With reduced non-nil, nodeMessage also reduces the relation, and
-// reduced[u] receives the result; otherwise the relations are only read.
+// With reduced non-nil, nodeMessage also reduces the relation, reduced[u]
+// receives the result and the state keeps its rows' message slots; otherwise
+// the relations are only read.
 func countBottomUp(ctx context.Context, p *Plan, par int, reduced []*Relation, node func(u int, msgs []*storage.TupleMap) *Relation) (*countState, error) {
 	cs := &countState{msgs: make([]*storage.TupleMap, p.d.Nodes())}
+	if reduced != nil {
+		cs.slots = make([][]int32, p.d.Nodes())
+	}
 	for _, level := range p.levels {
 		err := parForEach(ctx, par, level, func(u int) error {
-			rel, msg, total := nodeMessage(p, u, node(u, cs.msgs), cs.msgs, reduced != nil)
+			rel, msg, slots, total := nodeMessage(p, u, node(u, cs.msgs), cs.msgs, reduced != nil)
 			if reduced != nil {
-				reduced[u] = rel
+				reduced[u], cs.slots[u] = rel, slots
 			}
 			if msg == nil {
 				cs.total = total
@@ -506,66 +518,102 @@ func countBottomUp(ctx context.Context, p *Plan, par int, reduced []*Relation, n
 }
 
 // reduceBottomUp runs the bottom-up half of the Yannakakis full reduction:
-// every node is semijoined with its children, children strictly first. The
-// pass runs level-parallel when the run has workers: within a level the
-// touched relations are disjoint. A bottom-up reduced run has nothing to do.
+// the counting pass with reduction on (countBottomUp), which keeps the rows of
+// every node whose key every child's message holds, children strictly first,
+// and leaves the messages and slots the top-down half marks. It runs
+// level-parallel when the run has workers. A bottom-up reduced run has
+// nothing to do.
 func (r *run) reduceBottomUp(ctx context.Context) error {
 	if r.reduced {
 		return nil
 	}
-	for _, level := range r.plan.levels {
-		err := parForEach(ctx, r.par, level, func(u int) error {
-			for _, cj := range r.plan.childJoins[u] {
-				r.nodeRels[u] = semijoinOn(r.nodeRels[u], r.nodeRels[cj.child], cj.shared, cj.uPos, cj.cPos)
-			}
-			return nil
-		})
-		if err != nil {
-			return err
-		}
+	rels := r.nodeRels
+	cs, err := countBottomUp(ctx, r.plan, r.par, rels, func(u int, _ []*storage.TupleMap) *Relation {
+		return rels[u]
+	})
+	if err != nil {
+		return err
 	}
-	r.reduced = true
+	r.counts, r.reduced = cs, true
 	return nil
 }
 
-// reduceTopDown runs the top-down half of the full reduction: every child is
-// semijoined with its (already reduced) parent, parents strictly first.
-// Level-parallel when the run has workers (top-down writes the level's
-// children, and every child has one parent).
-func (r *run) reduceTopDown(ctx context.Context) error {
-	for l := len(r.plan.levels) - 1; l >= 0; l-- {
-		err := parForEach(ctx, r.par, r.plan.levels[l], func(u int) error {
-			for _, cj := range r.plan.childJoins[u] {
-				r.nodeRels[cj.child] = semijoinOn(r.nodeRels[cj.child], r.nodeRels[u], cj.shared, cj.cPos, cj.uPos)
+// reduceTopDown runs the top-down half of the full reduction over bottom-up
+// reduced nodes, parents strictly first: every row of a (fully reduced)
+// parent probes each child's message once, on the columns they share, and
+// marks the slot it hits — there is one, as the parent is bottom-up reduced
+// by exactly that message; the child keeps the rows whose slot is marked, or
+// stays as it is, shared, once every slot is. It returns every node's rows'
+// message slots after the pass. Level-parallel when the run has workers (a
+// level writes its nodes' children, and every child has one parent).
+func (r *run) reduceTopDown(ctx context.Context) ([][]int32, error) {
+	p, cs := r.plan, r.counts
+	slots := slices.Clone(cs.slots)
+	for l := len(p.levels) - 1; l >= 0; l-- {
+		err := parForEach(ctx, r.par, p.levels[l], func(u int) error {
+			rel := r.nodeRels[u]
+			key := make([]Value, len(rel.Cols))
+			for _, cj := range p.childJoins[u] {
+				msg := cs.msgs[cj.child]
+				mark, hit := make([]bool, msg.Len()), 0
+				for i := 0; i < rel.Len() && hit < len(mark); i++ {
+					if s := msg.Find(project(key, rel.Row(i), cj.uPos)); !mark[s] {
+						mark[s] = true
+						hit++
+					}
+				}
+				if hit == len(mark) {
+					continue
+				}
+				c, i := cj.child, 0
+				kept := make([]int32, 0, len(slots[c]))
+				r.nodeRels[c] = filterRows(r.nodeRels[c], func([]Value) bool {
+					s := slots[c][i]
+					i++
+					if mark[s] {
+						kept = append(kept, s)
+					}
+					return mark[s]
+				})
+				slots[c] = kept
 			}
 			return nil
 		})
 		if err != nil {
-			return err
+			return nil, err
 		}
 	}
-	return nil
+	return slots, nil
 }
 
 // fullReduce performs the classic Yannakakis full reduction on the node
-// relations: a bottom-up semijoin pass followed by a top-down pass. After
-// it, every remaining tuple of every node participates in at least one
-// solution.
-func (r *run) fullReduce(ctx context.Context) error {
+// relations — the bottom-up pass, then the top-down one — and builds the
+// enumeration state over the result, keeping the bottom-up intermediates
+// alongside. After it, every remaining tuple of every node participates in
+// at least one solution.
+func (r *run) fullReduce(ctx context.Context) (*enumState, error) {
 	if err := r.reduceBottomUp(ctx); err != nil {
-		return err
+		return nil, err
 	}
-	return r.reduceTopDown(ctx)
+	bu := slices.Clone(r.nodeRels)
+	slots, err := r.reduceTopDown(ctx)
+	if err != nil {
+		return nil, err
+	}
+	es := buildEnumState(r.plan, r.nodeRels, r.counts.msgs, slots)
+	es.buRels = bu
+	return es, nil
 }
 
 // enumNode is the per-node enumeration state: the (fully reduced) relation,
-// the index on the columns shared with the parent bag, and the hypergraph
+// its rows grouped on the columns shared with the parent bag — keyed by the
+// node's own message, which the parent's rows probe — and the hypergraph
 // vertex ids to write each column to.
 type enumNode struct {
 	rel       *Relation
-	idx       *storage.Index // nil for nodes with no parent-shared columns
-	sharedVid []int          // vertex ids of the shared columns
-	write     []int          // vertex id of every relation column
+	idx       *keyGroups // nil for nodes with no parent-shared columns
+	sharedVid []int      // vertex ids of the shared columns
+	write     []int      // vertex id of every relation column
 }
 
 // enumState is the immutable, shareable part of an enumeration over fully
@@ -573,8 +621,8 @@ type enumNode struct {
 // Building it is the per-evaluation cost the bound API caches away; the
 // enumerate method allocates its own cursors, so one enumState serves any
 // number of concurrent enumerations. It has two forms. Built from scratch it
-// is flat: reduced relations with flat indexes (nodes), plus the bottom-up
-// pass intermediates (buRels, set by the bound API only). Derived by Rebind
+// is flat: reduced relations with their rows grouped by message slot
+// (nodes), plus the bottom-up pass intermediates (buRels). Derived by Rebind
 // it is maintained: the same rows grouped in persistent maps (m, see
 // maintreduce.go), which the enumeration probes directly.
 type enumState struct {
@@ -591,22 +639,24 @@ type enumState struct {
 	nodes  []enumNode
 	buRels []*Relation
 
-	// up caches, per (node, child-join) pair of the plan (pairOf), the index of
-	// the *parent* relation on the columns shared with that child — the probe
-	// direction of enumerateVia's path walk, which is the reverse of the
-	// enumNode indexes above. Flat form only, built lazily under upMu (the
-	// maintained form keeps these groupings up to date as enumMaint.up).
+	// up caches, per (node, child-join) pair of the plan (pairOf), the
+	// grouping of the *parent* relation on the columns shared with that child —
+	// the probe direction of enumerateVia's path walk, which is the reverse of
+	// the enumNode groupings above. Flat form only, built lazily under upMu
+	// (the maintained form keeps these groupings up to date as enumMaint.up).
 	upMu sync.Mutex
-	up   []*storage.Index
+	up   []*keyGroups
 
 	m *enumMaint
 }
 
-// buildEnumState indexes every non-root node's relation on the columns
-// shared with its parent bag; by TD connectedness those are exactly the
-// columns constrained by the time the node is visited. rels must carry the
-// bag columns of the plan (the invariant of newRun).
-func buildEnumState(p *Plan, rels []*Relation) *enumState {
+// buildEnumState groups every non-root node's relation on the columns shared
+// with its parent bag; by TD connectedness those are exactly the columns
+// constrained by the time the node is visited. The groups are keyed by the
+// node's message msgs[u], and slots[u] gives each row's slot in it, so they
+// are laid out without hashing a row. rels must carry the bag columns of the
+// plan (the invariant of newRun).
+func buildEnumState(p *Plan, rels []*Relation, msgs []*storage.TupleMap, slots [][]int32) *enumState {
 	es := &enumState{plan: p, pre: make([]int, len(p.order)), nodes: make([]enumNode, p.d.Nodes())}
 	// Pre-order over the tree: reverse of the (post-order) topological
 	// order. Every node appears after all of its ancestors.
@@ -617,7 +667,8 @@ func buildEnumState(p *Plan, rels []*Relation) *enumState {
 		rel := rels[u]
 		en := enumNode{rel: rel, write: p.bagVids[u], sharedVid: p.sharedVids[u]}
 		if len(p.shared[u]) > 0 {
-			en.idx = storage.BuildIndex(rel.Data, len(rel.Cols), p.sharedPos[u])
+			g := groupSlots(msgs[u], slots[u])
+			en.idx = &g
 			if len(p.shared[u]) > es.maxShared {
 				es.maxShared = len(p.shared[u])
 			}
@@ -725,7 +776,7 @@ func (es *enumState) enumerateRange(ctx context.Context, rootLo, rootHi int, yie
 			for j, vid := range en.sharedVid {
 				kb[j] = asg[vid]
 			}
-			rows = en.idx.Lookup(kb)
+			rows = en.idx.lookup(kb)
 			n = len(rows)
 		} else if i == 0 {
 			// The root has no parent-shared columns, so its scan is the full
@@ -980,14 +1031,4 @@ func (es *enumState) enumerateParallel(ctx context.Context, par int, ordered boo
 	errMu.Lock()
 	defer errMu.Unlock()
 	return firstErr
-}
-
-// enumerate builds the enumeration state over this run's node relations and
-// streams the solutions (see enumState.enumerate). The bound API builds the
-// state once instead and reuses it across calls.
-func (r *run) enumerate(ctx context.Context, ordered bool, yield func(row []Value) bool) error {
-	if r.plan.d.Nodes() == 0 {
-		return nil
-	}
-	return buildEnumState(r.plan, r.nodeRels).enumerate(ctx, r.par, ordered, yield)
 }

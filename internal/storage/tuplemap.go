@@ -171,10 +171,11 @@ func (m *TupleMap) Insert(key []Value) (slot int32, isNew bool) {
 }
 
 // Add accumulates delta into the tuple's payload, creating the tuple if
-// absent.
-func (m *TupleMap) Add(key []Value, delta int64) {
+// absent, and returns the tuple's slot.
+func (m *TupleMap) Add(key []Value, delta int64) int32 {
 	slot, _ := m.Insert(key)
 	m.vals[slot] += delta
+	return slot
 }
 
 // Get returns the tuple's payload (0 if absent).

@@ -240,7 +240,10 @@ func atomRelation(a cq.Atom, db cq.Database, dict *Dict) (*Relation, error) {
 			buf[i] = -1
 		}
 		for i, t := range a.Args {
-			v := dict.Intern(tuple[i])
+			v, err := dict.Intern(tuple[i])
+			if err != nil {
+				return nil, err
+			}
 			if t.Var {
 				p := pos[t.Name]
 				if buf[p] >= 0 && buf[p] != v {

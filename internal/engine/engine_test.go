@@ -20,15 +20,18 @@ func q(t *testing.T, s string) cq.Query {
 
 func TestDict(t *testing.T) {
 	d := NewDict()
-	a := d.Intern("a")
-	if d.Intern("a") != a {
+	a, err := d.Intern("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, _ := d.Intern("a"); again != a {
 		t.Error("intern not stable")
 	}
 	if d.Name(a) != "a" {
 		t.Error("name lookup broken")
 	}
-	f := d.Fresh("★")
-	if d.Name(f) == "a" || d.Len() != 2 {
+	f, err := d.Fresh("★")
+	if err != nil || d.Name(f) == "a" || d.Len() != 2 {
 		t.Error("fresh constant collided")
 	}
 }

@@ -108,20 +108,27 @@ func TestEnumerateGroundQuery(t *testing.T) {
 
 func TestEqualRelationsDetectsDifferences(t *testing.T) {
 	da, dbq := NewDict(), NewDict()
+	intern := func(d *Dict, name string) Value {
+		v, err := d.Intern(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
 	a := NewRelation("x")
-	a.Add(da.Intern("v1"))
+	a.Add(intern(da, "v1"))
 	b := NewRelation("x")
-	b.Add(dbq.Intern("v1"))
+	b.Add(intern(dbq, "v1"))
 	if !EqualRelations(a, da, b, dbq) {
 		t.Error("identical single-tuple relations reported different")
 	}
-	b.Add(dbq.Intern("v2"))
+	b.Add(intern(dbq, "v2"))
 	b.Dedup()
 	if EqualRelations(a, da, b, dbq) {
 		t.Error("different sizes reported equal")
 	}
 	c := NewRelation("x")
-	c.Add(dbq.Intern("v2"))
+	c.Add(intern(dbq, "v2"))
 	if EqualRelations(a, da, c, dbq) {
 		t.Error("different contents reported equal")
 	}

@@ -50,6 +50,7 @@ func TestSubmitProgressDuringSlowStage(t *testing.T) {
 	flushDone := make(chan error, 1)
 	go func() { flushDone <- s.Flush(ctx) }()
 	<-entered // the flush is now mid-stage: flushMu held, mu free
+	stalled := time.Now()
 
 	progress := make(chan struct{})
 	go func() {
@@ -74,6 +75,10 @@ func TestSubmitProgressDuringSlowStage(t *testing.T) {
 		t.Fatal("Submit/Count/Stats/Solutions blocked behind an in-progress stage")
 	}
 
+	// The stall lasts at least 20ms even when the progress checks finish in
+	// microseconds, so that one GC pause inside a lock hold cannot outlast
+	// the whole stage and fail the comparison at the end.
+	time.Sleep(20*time.Millisecond - time.Since(stalled))
 	close(hold)
 	if err := <-flushDone; err != nil {
 		t.Fatalf("held flush: %v", err)

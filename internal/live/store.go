@@ -450,7 +450,9 @@ func (s *Store) Submit(delta *storage.Delta) error {
 // tuples yet, so concurrent callers share one flush. An empty delta waits
 // for every earlier submit. Errors are Submit's (ErrInvalidDelta, ErrClosed)
 // or, for anything else, a failed flush; a flush failed by ctx re-queues the
-// batch and wakes the flusher to retry it.
+// batch and wakes the flusher to retry it. A batch whose new constants do not
+// fit the dictionary fails with storage.ErrDictFull and is dropped, as any
+// retry would fail the same way.
 func (s *Store) SubmitSync(ctx context.Context, delta *storage.Delta) (uint64, error) {
 	s.mu.Lock()
 	seq, err := s.enqueueLocked(delta)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 )
 
 // Binary codecs for the durability subsystem: a Delta codec (the payload of
@@ -221,12 +222,14 @@ func EncodeDB(w io.Writer, db *DB) error {
 	if err := put(AppendUvarint(scratch[:0], snapFormat)); err != nil {
 		return err
 	}
-	names := db.Dict.Names()
-	if err := put(AppendUvarint(scratch[:0], uint64(len(names)))); err != nil {
+	arena, ends := db.Dict.prefix()
+	if err := put(AppendUvarint(scratch[:0], uint64(len(ends)-1))); err != nil {
 		return err
 	}
-	for _, name := range names {
-		if err := put(AppendString(scratch[:0], name)); err != nil {
+	for v := 1; v < len(ends); v++ {
+		name := arena[ends[v-1]:ends[v]]
+		scratch = append(AppendUvarint(scratch[:0], uint64(len(name))), name...)
+		if err := put(scratch); err != nil {
 			return err
 		}
 	}
@@ -296,16 +299,17 @@ func DecodeDB(r io.Reader) (*DB, error) {
 		}
 		return int(n), nil
 	}
-	str := func(what string) (string, error) {
+	// readInto reads a length-prefixed byte string onto the end of b.
+	readInto := func(b []byte, what string) ([]byte, error) {
 		n, err := count(what)
 		if err != nil {
-			return "", err
+			return nil, err
 		}
-		b := make([]byte, n)
-		if _, err := io.ReadFull(br, b); err != nil {
-			return "", fmt.Errorf("storage: snapshot %s: %w", what, err)
+		b = slices.Grow(b, n)[:len(b)+n]
+		if _, err := io.ReadFull(br, b[len(b)-n:]); err != nil {
+			return nil, fmt.Errorf("storage: snapshot %s: %w", what, err)
 		}
-		return string(b), nil
+		return b, nil
 	}
 	format, err := count("format")
 	if err != nil {
@@ -318,15 +322,20 @@ func DecodeDB(r io.Reader) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	names := make([]string, nNames)
-	for i := range names {
-		if names[i], err = str("dictionary entry"); err != nil {
+	// The names go straight into the arena; the table is sized once, and
+	// seating them finds any name the snapshot repeats.
+	dict := NewDict()
+	for range nNames {
+		if dict.arena, err = readInto(dict.arena, "dictionary entry"); err != nil {
 			return nil, err
 		}
+		if int64(len(dict.arena)) > maxDictBytes || dict.len() >= maxDictValues {
+			return nil, ErrDictFull
+		}
+		dict.ends = append(dict.ends, uint32(len(dict.arena)))
 	}
-	dict, err := newDictFromNames(names)
-	if err != nil {
-		return nil, err
+	if first, second, dup := dict.index(tableSize(nNames)); dup {
+		return nil, fmt.Errorf("storage: snapshot dictionary repeats %q (values %d and %d)", dict.at(first), first, second)
 	}
 	nTables, err := count("table count")
 	if err != nil {
@@ -336,10 +345,11 @@ func DecodeDB(r io.Reader) (*DB, error) {
 	dir := out.tables.Edit()
 	seen := make(map[string]bool, min(nTables, 1024))
 	for i := 0; i < nTables; i++ {
-		name, err := str("table name")
+		b, err := readInto(nil, "table name")
 		if err != nil {
 			return nil, err
 		}
+		name := string(b)
 		if seen[name] {
 			return nil, fmt.Errorf("storage: snapshot repeats table %s", name)
 		}
@@ -370,21 +380,12 @@ func DecodeDB(r io.Reader) (*DB, error) {
 			}
 			t.Data[j] = Value(v)
 		}
-		out.put(dir, name, t)
+		id, err := out.rels.Intern(name)
+		if err != nil {
+			return nil, err
+		}
+		put(dir, id, t)
 	}
 	out.tables = dir.Freeze()
 	return out, nil
-}
-
-// newDictFromNames rebuilds a dictionary from an encoded name list,
-// preserving the Value assignment (names[i] interns to Value(i)).
-func newDictFromNames(names []string) (*Dict, error) {
-	d := &Dict{byName: make(map[string]Value, len(names)), names: names}
-	for i, name := range names {
-		if prev, dup := d.byName[name]; dup {
-			return nil, fmt.Errorf("storage: snapshot dictionary repeats %q (values %d and %d)", name, prev, i)
-		}
-		d.byName[name] = Value(i)
-	}
-	return d, nil
 }

@@ -89,7 +89,7 @@ func TestDBCodecRoundTrip(t *testing.T) {
 	}
 	// Grow the dictionary past the tables (an applied delta that only
 	// deleted, say) to check the prefix handling.
-	db.Dict.Intern("unreferenced")
+	mustIntern(t, db.Dict, "unreferenced")
 
 	var buf bytes.Buffer
 	if err := EncodeDB(&buf, db); err != nil {
@@ -99,7 +99,7 @@ func TestDBCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gn, wn := got.Dict.Names(), db.Dict.Names(); !reflect.DeepEqual(gn, wn) {
+	if gn, wn := dictNames(got.Dict), dictNames(db.Dict); !reflect.DeepEqual(gn, wn) {
 		t.Fatalf("dictionary: %v, want %v", gn, wn)
 	}
 	if gr, wr := got.Relations(), db.Relations(); !reflect.DeepEqual(gr, wr) {

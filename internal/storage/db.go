@@ -75,10 +75,7 @@ func distinctRows(data []Value, a, n int) bool {
 	if a == 0 {
 		return n <= 1
 	}
-	size := minTableSize
-	for size*3 < n*4 {
-		size *= 2
-	}
+	size := tableSize(n)
 	table, mask := make([]int32, size), uint64(size-1)
 	for i := 0; i < n; i++ {
 		row := data[i*a : (i+1)*a]
@@ -239,10 +236,10 @@ func newDB(dict *Dict) *DB {
 	return &DB{Dict: dict, rels: NewDict(), tables: NewPMap[*Table](1)}
 }
 
-// put installs t under name in dir, an open edit of db's relation directory,
-// or removes the relation when t is nil.
-func (db *DB) put(dir *PMap[*Table], name string, t *Table) {
-	key := [1]Value{db.rels.Intern(name)}
+// put installs t under relation number id in dir, an open edit of a
+// relation directory, or removes the relation when t is nil.
+func put(dir *PMap[*Table], id Value, t *Table) {
+	key := [1]Value{id}
 	if t == nil {
 		dir.Delete(key[:])
 	} else {
@@ -252,7 +249,8 @@ func (db *DB) put(dir *PMap[*Table], name string, t *Table) {
 
 // Compile interns an entire cq.Database once. It fails if a relation holds
 // tuples of differing arities — a compiled table needs one flat layout, and
-// such a relation could never validate against any query atom anyway.
+// such a relation could never validate against any query atom anyway — and
+// with ErrDictFull if its constants overflow the dictionary.
 func Compile(db cq.Database) (*DB, error) {
 	out := newDB(NewDict())
 	dir := out.tables.Edit()
@@ -268,27 +266,24 @@ func Compile(db cq.Database) (*DB, error) {
 			continue
 		}
 		t := &Table{Name: name, Arity: len(tuples[0])}
-		t.Data = make([]Value, 0, len(tuples)*t.Arity)
-		// Bulk-intern under one lock per relation: the dictionary has not
-		// escaped yet, so per-constant locking would buy nothing.
-		err := out.Dict.locked(func(d *Dict) error {
-			for _, tuple := range tuples {
-				if len(tuple) != t.Arity {
-					return fmt.Errorf("storage: relation %s mixes arities %d and %d", name, t.Arity, len(tuple))
-				}
-				for _, c := range tuple {
-					t.Data = append(t.Data, d.internLocked(c))
-				}
-				if t.Arity == 0 {
-					t.Data = append(t.Data, 0) // sentinel for the empty tuple
-				}
+		for _, tuple := range tuples {
+			if len(tuple) != t.Arity {
+				return nil, fmt.Errorf("storage: relation %s mixes arities %d and %d", name, t.Arity, len(tuple))
 			}
-			return nil
-		})
+		}
+		// Bulk-intern under one lock per relation, the table sized once for
+		// its cells: the dictionary has not escaped yet, so per-constant
+		// locking would buy nothing.
+		data, err := out.Dict.internRows(tuples)
 		if err != nil {
 			return nil, err
 		}
-		out.put(dir, name, t)
+		t.Data = data[0]
+		id, err := out.rels.Intern(name)
+		if err != nil {
+			return nil, err
+		}
+		put(dir, id, t)
 	}
 	out.tables = dir.Freeze()
 	return out, nil
@@ -314,7 +309,8 @@ func (db *DB) Restrict(relations []string) *DB {
 	dir := NewPMap[*Table](1).Edit()
 	for _, name := range relations {
 		if t := db.Table(name); t != nil {
-			out.put(dir, name, t)
+			id, _ := db.rels.Lookup(name)
+			put(dir, id, t)
 		}
 	}
 	out.tables = dir.Freeze()

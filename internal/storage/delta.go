@@ -265,8 +265,9 @@ func (d *Delta) ApplyToDatabase(db cq.Database) {
 // one root-to-leaf path per tuple, converting a flat table first (once: the
 // conversion is cached on it, see Table.RowMap).
 //
-// Every relation of the delta is validated before anything is interned, so a
-// failed Apply leaves the shared dictionary as it found it.
+// The constants of the delta are interned all at once, after every relation
+// has been validated, and taken back whole on ErrDictFull, so a failed Apply
+// leaves the shared dictionary as it found it.
 func (db *DB) Apply(delta *Delta) (*DB, error) {
 	out := &DB{Dict: db.Dict, rels: db.rels, tables: db.tables}
 	if delta.Empty() { // nil-safe: a nil delta is an empty delta
@@ -274,21 +275,36 @@ func (db *DB) Apply(delta *Delta) (*DB, error) {
 	}
 	rels := delta.Relations()
 	olds, arities := make([]*Table, len(rels)), make([]int, len(rels))
+	ids, inserts := make([]Value, len(rels)), make([][][]string, len(rels))
 	for i, name := range rels {
 		var err error
 		olds[i] = db.Table(name)
 		if arities[i], err = deltaArity(name, olds[i], delta.Insert[name], delta.Delete[name]); err != nil {
 			return nil, err
 		}
+		inserts[i] = delta.Insert[name]
 	}
-	dir := db.tables.Edit()
 	for i, name := range rels {
 		if arities[i] < 0 {
 			continue // deletes against an empty relation: vacuous at any arity
 		}
-		nt := applyToTable(name, olds[i], arities[i], db.Dict, delta.Insert[name], delta.Delete[name], &out.applyRows)
+		var err error
+		if ids[i], err = db.rels.Intern(name); err != nil {
+			return nil, err
+		}
+	}
+	ins, err := db.Dict.internRows(inserts...)
+	if err != nil {
+		return nil, err
+	}
+	dir := db.tables.Edit()
+	for i, name := range rels {
+		if arities[i] < 0 {
+			continue
+		}
+		nt := applyToTable(name, olds[i], arities[i], db.Dict, ins[i], delta.Delete[name], &out.applyRows)
 		if nt != olds[i] {
-			db.put(dir, name, nt)
+			put(dir, ids[i], nt)
 		}
 	}
 	out.applyRows += uint64(dir.Copied())
@@ -338,28 +354,23 @@ func lookupTuple(dict *Dict, tuple []string, buf []Value) bool {
 	return true
 }
 
-// internTuple interns an insert tuple's constants into buf.
-func internTuple(dict *Dict, tuple []string, buf []Value) {
-	for i, c := range tuple {
-		buf[i] = dict.Intern(c)
-	}
-}
-
 // applyToTable computes the new table of one relation under a set of
-// validated insertions and deletions, by Apply's rule. old may be nil
-// (relation currently empty); the result is nil when the relation ends up
-// empty and old itself when its content does not change. touched accumulates
-// the rows hashed, probed or copied.
-func applyToTable(name string, old *Table, arity int, dict *Dict, inserts, deletes [][]string, touched *uint64) *Table {
+// validated insertions and deletions, by Apply's rule; ins holds the
+// interned insert rows flat, in table layout. old may be nil (relation
+// currently empty); the result is nil when the relation ends up empty and old
+// itself when its content does not change. touched accumulates the rows
+// hashed, probed or copied.
+func applyToTable(name string, old *Table, arity int, dict *Dict, ins []Value, deletes [][]string, touched *uint64) *Table {
 	oldRows := 0
 	if old != nil {
 		oldRows = old.Rows()
 	}
-	switch n := len(inserts) + len(deletes); {
+	stride := max(arity, 1) // a nullary row is one sentinel
+	switch n := len(ins)/stride + len(deletes); {
 	case n == 0:
 		return old
 	case n >= oldRows:
-		return rewriteFlat(name, old, oldRows, arity, dict, inserts, deletes, touched)
+		return rewriteFlat(name, old, oldRows, arity, dict, ins, deletes, touched)
 	}
 	base, built := old.rowMap()
 	if built {
@@ -373,14 +384,13 @@ func applyToTable(name string, old *Table, arity int, dict *Dict, inserts, delet
 			changed = true
 		}
 	}
-	for _, tuple := range inserts {
-		internTuple(dict, tuple, buf)
-		if !rows.Has(buf) {
-			rows.Set(buf, struct{}{})
+	for k := 0; k < len(ins); k += stride {
+		if row := ins[k : k+arity]; !rows.Has(row) {
+			rows.Set(row, struct{}{})
 			changed = true
 		}
 	}
-	*touched += uint64(len(inserts) + len(deletes) + rows.Copied())
+	*touched += uint64(len(ins)/stride + len(deletes) + rows.Copied())
 	if !changed {
 		return old
 	}
@@ -389,8 +399,9 @@ func applyToTable(name string, old *Table, arity int, dict *Dict, inserts, delet
 
 // rewriteFlat is applyToTable for a delta at least the size of the relation:
 // the survivors and the genuinely new inserts, laid out flat.
-func rewriteFlat(name string, old *Table, oldRows, arity int, dict *Dict, inserts, deletes [][]string, touched *uint64) *Table {
-	*touched += uint64(oldRows + len(inserts) + len(deletes))
+func rewriteFlat(name string, old *Table, oldRows, arity int, dict *Dict, ins []Value, deletes [][]string, touched *uint64) *Table {
+	stride := max(arity, 1) // a nullary row is one sentinel
+	*touched += uint64(oldRows + len(ins)/stride + len(deletes))
 	buf := make([]Value, arity)
 	var del *TupleMap
 	if oldRows > 0 {
@@ -406,10 +417,10 @@ func rewriteFlat(name string, old *Table, oldRows, arity int, dict *Dict, insert
 	}
 	// The membership map over the surviving rows is only built when needed
 	// (pure-delete deltas skip it).
-	data := make([]Value, 0, (oldRows+len(inserts))*max(arity, 1)) // a nullary row is one sentinel
+	data := make([]Value, 0, oldRows*stride+len(ins))
 	var present *TupleMap
-	if len(inserts) > 0 {
-		present = NewTupleMap(arity, oldRows+len(inserts))
+	if len(ins) > 0 {
+		present = NewTupleMap(arity, oldRows+len(ins)/stride)
 	}
 	appendRow := func(row []Value) {
 		data = append(data, row...)
@@ -431,10 +442,10 @@ func rewriteFlat(name string, old *Table, oldRows, arity int, dict *Dict, insert
 		})
 	}
 	survivors := len(data)
-	for _, tuple := range inserts {
-		internTuple(dict, tuple, buf)
-		if _, isNew := present.Insert(buf); isNew {
-			appendRow(buf)
+	for k := 0; k < len(ins); k += stride {
+		row := ins[k : k+arity]
+		if _, isNew := present.Insert(row); isNew {
+			appendRow(row)
 		}
 	}
 	switch {

@@ -11,12 +11,12 @@ import (
 
 func TestDictInternLookup(t *testing.T) {
 	d := NewDict()
-	a := d.Intern("a")
-	b := d.Intern("b")
+	a := mustIntern(t, d, "a")
+	b := mustIntern(t, d, "b")
 	if a == b {
 		t.Fatal("distinct constants share a value")
 	}
-	if got := d.Intern("a"); got != a {
+	if got := mustIntern(t, d, "a"); got != a {
 		t.Errorf("re-intern changed value: %d vs %d", got, a)
 	}
 	if v, ok := d.Lookup("b"); !ok || v != b {
@@ -28,9 +28,9 @@ func TestDictInternLookup(t *testing.T) {
 	if d.Name(a) != "a" || d.Name(b) != "b" {
 		t.Error("Name round-trip broken")
 	}
-	f := d.Fresh("star")
-	if d.Name(f) == "a" || d.Len() != 3 {
-		t.Errorf("Fresh broken: name=%s len=%d", d.Name(f), d.Len())
+	f, err := d.Fresh("star")
+	if err != nil || d.Name(f) == "a" || d.Len() != 3 {
+		t.Errorf("Fresh broken: name=%s len=%d err=%v", d.Name(f), d.Len(), err)
 	}
 }
 

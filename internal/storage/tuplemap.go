@@ -55,16 +55,21 @@ type TupleMap struct {
 // minTableSize keeps the probe table a power of two.
 const minTableSize = 8
 
+// tableSize returns the probe-table size that holds n entries below 3/4
+// load.
+func tableSize(n int) int {
+	size := minTableSize
+	for size*3 < n*4 {
+		size *= 2
+	}
+	return size
+}
+
 // NewTupleMap returns an empty map over width-k tuples, sized for capHint
 // entries.
 func NewTupleMap(k, capHint int) *TupleMap {
-	if capHint < 0 {
-		capHint = 0
-	}
-	size := minTableSize
-	for size*3 < capHint*4 { // initial load factor headroom of 3/4
-		size *= 2
-	}
+	capHint = max(capHint, 0)
+	size := tableSize(capHint)
 	return &TupleMap{
 		k:     k,
 		table: make([]int32, size),

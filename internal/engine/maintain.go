@@ -57,8 +57,10 @@ type relDelta struct {
 	plus, minus *Relation
 }
 
+// newRelDelta returns an empty delta over cols, which both sides share
+// (columns are never written once a relation is built).
 func newRelDelta(cols []string) *relDelta {
-	return &relDelta{plus: NewRelation(cols...), minus: NewRelation(cols...)}
+	return &relDelta{plus: &Relation{Cols: cols}, minus: &Relation{Cols: cols}}
 }
 
 func (d *relDelta) rows() int { return d.plus.Len() + d.minus.Len() }

@@ -103,14 +103,20 @@ func gather(p *Plan, u int, node *nodeState, d *relDelta, changedKeys func(k int
 }
 
 // classify sorts the rows of a work set into a delta by their membership
-// before and after.
+// before and after. It is nil when no row changes membership.
 func classify(cols []string, rows workSet, member func(cur bool, row []Value) bool) *relDelta {
-	d := newRelDelta(cols)
+	var d *relDelta
 	rows.each(func(row []Value) {
 		was, is := member(false, row), member(true, row)
-		if is && !was {
+		if was == is {
+			return
+		}
+		if d == nil {
+			d = newRelDelta(cols)
+		}
+		if is {
 			d.plus.Add(row...)
-		} else if was && !is {
+		} else {
 			d.minus.Add(row...)
 		}
 	})

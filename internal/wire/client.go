@@ -236,12 +236,12 @@ func (c *Client) readLoop(br *bufio.Reader) {
 	}
 }
 
-// writeFrame serialises one frame onto the connection.
+// writeFrame encodes one frame straight into the buffered writer and onto
+// the connection.
 func (c *Client) writeFrame(f Frame) error {
-	b := AppendFrame(nil, f)
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	if _, err := c.bw.Write(b); err != nil {
+	if _, err := c.bw.Write(AppendFrame(c.bw.AvailableBuffer(), f)); err != nil {
 		c.fail(err)
 		return err
 	}

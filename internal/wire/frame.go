@@ -85,10 +85,11 @@ const (
 )
 
 // Framing sizes. MaxFrameLen bounds a single frame body; both sides enforce
-// it on read (a corrupt length field fails fast, and decoding reads the body
-// incrementally so even a plausible-but-wrong length cannot commit the whole
-// allocation up front) and on write (a notification overflowing it is a
-// server bug surfaced as an ERROR, not a silently broken stream).
+// it on read (a corrupt length field fails fast, and the body is read past
+// the reader's buffer size incrementally, so even a plausible-but-wrong
+// length cannot commit the whole allocation up front) and on write (a
+// notification overflowing it is a server bug surfaced as an ERROR, not a
+// silently broken stream).
 const (
 	frameHeader = 8       // u32 length + u32 crc
 	bodyHeader  = 5       // u8 type + u32 stream
@@ -119,9 +120,11 @@ func AppendFrame(dst []byte, f Frame) []byte {
 
 // ReadFrame decodes the next frame from r. Any violation — length out of
 // bounds, CRC mismatch, truncation — is an error; the connection cannot be
-// used afterwards. The body is read incrementally, so a corrupted length
-// field costs at most the bytes actually present, never a huge up-front
-// allocation.
+// used afterwards. A body no longer than r's buffer (64 KiB on both ends of a
+// connection) is read into one allocation of exactly its length; past that
+// size the rest is read incrementally, so a corrupted length field commits at
+// most the buffer size up front plus the bytes actually present, never the
+// claimed length.
 func ReadFrame(r *bufio.Reader) (Frame, error) {
 	var hdr [frameHeader]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -132,14 +135,19 @@ func ReadFrame(r *bufio.Reader) (Frame, error) {
 	if length < bodyHeader || length > MaxFrameLen {
 		return Frame{}, fmt.Errorf("wire: frame length %d out of bounds [%d, %d]", length, bodyHeader, MaxFrameLen)
 	}
-	var bodyBuf bytes.Buffer
-	if _, err := io.CopyN(&bodyBuf, r, int64(length)); err != nil {
+	body := make([]byte, min(int(length), r.Size()))
+	_, err := io.ReadFull(r, body)
+	if err == nil && int(length) > len(body) {
+		buf := bytes.NewBuffer(body)
+		_, err = io.CopyN(buf, r, int64(length)-int64(len(body)))
+		body = buf.Bytes()
+	}
+	if err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
 		return Frame{}, fmt.Errorf("wire: frame body: %w", err)
 	}
-	body := bodyBuf.Bytes()
 	if crc32.ChecksumIEEE(body) != sum {
 		return Frame{}, fmt.Errorf("wire: frame CRC mismatch")
 	}

@@ -27,9 +27,6 @@ type Options struct {
 	// WriteTimeout bounds a single frame write (default 60s). A peer that
 	// stops reading fails its connection instead of wedging the writer.
 	WriteTimeout time.Duration
-	// Logf, when set, receives connection-level errors (accept failures,
-	// protocol violations). Handshake chatter is not logged.
-	Logf func(format string, args ...any)
 }
 
 // DefaultHandshakeTimeout is how long an accepted connection gets to say who
@@ -93,11 +90,6 @@ func NewServer(svc live.Service, opts Options) *Server {
 		lns:   map[net.Listener]struct{}{},
 		conns: map[*conn]struct{}{},
 	}
-}
-
-// Serve is the one-shot form: serve ln until it closes.
-func Serve(ln net.Listener, svc live.Service, opts Options) error {
-	return NewServer(svc, opts).Serve(ln)
 }
 
 // Stats returns the wire-level counters.
@@ -168,21 +160,16 @@ func (s *Server) Close() error {
 		ln.Close()
 	}
 	for _, c := range conns {
-		c.fail(errors.New("wire: server closed"))
+		c.fail()
 	}
 	return nil
 }
 
-func (s *Server) logf(format string, args ...any) {
-	if s.opts.Logf != nil {
-		s.opts.Logf(format, args...)
-	}
-}
-
 // conn is one authenticated connection: a reader loop dispatching request
-// frames, a writer goroutine serialising response frames from every
-// concurrent handler, and the registry of live watch streams (for CREDIT and
-// CANCEL routing).
+// frames, a resident worker serving unary requests one at a time (with a
+// goroutine of their own for those arriving while it is busy), a writer
+// goroutine serialising response frames from every concurrent handler, and
+// the registry of live watch streams (for CREDIT and CANCEL routing).
 type conn struct {
 	srv *Server
 	nc  net.Conn
@@ -191,7 +178,7 @@ type conn struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	out chan []byte // encoded frames, multiplexed onto nc by the writer
+	out chan Frame // frames encoded and multiplexed onto nc by the writer
 
 	mu      sync.Mutex
 	watches map[uint32]*serverWatch
@@ -211,11 +198,11 @@ func (s *Server) serveConn(nc net.Conn) {
 		srv:     s,
 		nc:      nc,
 		br:      bufio.NewReaderSize(nc, 1<<16),
-		out:     make(chan []byte, 64),
+		out:     make(chan Frame, 64),
 		watches: map[uint32]*serverWatch{},
 	}
 	c.ctx, c.cancel = context.WithCancel(context.Background())
-	defer c.fail(nil)
+	defer c.fail()
 
 	// Handshake, under a deadline and before the conn counts as active.
 	nc.SetReadDeadline(time.Now().Add(s.opts.HandshakeTimeout))
@@ -265,12 +252,17 @@ func (s *Server) serveConn(nc net.Conn) {
 		s.stats.activeConns.Add(-1)
 	}()
 	go c.writer()
+	work := make(chan Frame) // unbuffered: a send succeeds only into an idle worker
+	go c.worker(work)
 	c.send(Frame{Type: FrameHelloOK, Stream: 0,
 		Payload: encodeHelloOK(helloOKPayload{version: Version, maxFrame: MaxFrameLen})})
 
-	// Frame loop. Request handlers run in their own goroutines — a SUBMIT
-	// blocked on a sync flush must not stall CREDIT frames arriving for
-	// watch streams on the same connection.
+	// Frame loop. It never runs a request itself: a SUBMIT blocked on a
+	// sync flush must not stall CREDIT frames arriving for watch streams on
+	// the same connection. A unary request goes to the resident worker if it
+	// is idle — its stack, grown by earlier requests, stays grown — and to a
+	// goroutine of its own otherwise, so a busy worker delays nothing. A
+	// WATCH always gets its own goroutine, which pumps the stream.
 	for {
 		f, err := ReadFrame(c.br)
 		if err != nil {
@@ -278,14 +270,12 @@ func (s *Server) serveConn(nc net.Conn) {
 		}
 		s.stats.framesIn.Add(1)
 		switch f.Type {
-		case FrameRegister:
-			go c.handleRegister(f.Stream, f.Payload)
-		case FrameSubmit:
-			go c.handleSubmit(f.Stream, f.Payload)
-		case FrameQuery:
-			go c.handleQuery(f.Stream, f.Payload)
-		case FrameStats:
-			go c.handleStats(f.Stream)
+		case FrameRegister, FrameSubmit, FrameQuery, FrameStats:
+			select {
+			case work <- f:
+			default:
+				go c.handle(f)
+			}
 		case FrameWatch:
 			go c.handleWatch(f.Stream, f.Payload)
 		case FrameCredit:
@@ -311,7 +301,6 @@ func (s *Server) serveConn(nc net.Conn) {
 				w.sub.Cancel()
 			}
 		default:
-			s.logf("wire: %s: unknown frame type 0x%02x", nc.RemoteAddr(), f.Type)
 			c.sendError(0, ErrCodeBadRequest, fmt.Sprintf("unknown frame type 0x%02x", f.Type))
 			return
 		}
@@ -319,12 +308,9 @@ func (s *Server) serveConn(nc net.Conn) {
 }
 
 // fail tears the connection down: every watch subscription is cancelled,
-// the writer stops, the socket closes. Idempotent.
-func (c *conn) fail(err error) {
+// the writer and the worker stop, the socket closes. Idempotent.
+func (c *conn) fail() {
 	c.failOnce.Do(func() {
-		if err != nil {
-			c.srv.logf("wire: %s: %v", c.nc.RemoteAddr(), err)
-		}
 		c.cancel()
 		c.mu.Lock()
 		watches := make([]*serverWatch, 0, len(c.watches))
@@ -341,22 +327,50 @@ func (c *conn) fail(err error) {
 	})
 }
 
-// writer serialises frames onto the socket, flushing whenever the queue
-// drains. It owns all writes after the handshake.
+// worker serves the unary requests the frame loop hands it, one at a time,
+// until the connection ends.
+func (c *conn) worker(work <-chan Frame) {
+	for {
+		select {
+		case f := <-work:
+			c.handle(f)
+		case <-c.ctx.Done():
+			return
+		}
+	}
+}
+
+// handle serves one unary request.
+func (c *conn) handle(f Frame) {
+	switch f.Type {
+	case FrameRegister:
+		c.handleRegister(f.Stream, f.Payload)
+	case FrameSubmit:
+		c.handleSubmit(f.Stream, f.Payload)
+	case FrameQuery:
+		c.handleQuery(f.Stream, f.Payload)
+	case FrameStats:
+		c.handleStats(f.Stream)
+	}
+}
+
+// writer encodes frames straight into its buffered writer and onto the
+// socket, flushing whenever the queue drains. It owns all writes after the
+// handshake.
 func (c *conn) writer() {
 	bw := bufio.NewWriterSize(c.nc, 1<<16)
 	for {
 		select {
-		case b := <-c.out:
+		case f := <-c.out:
 			c.nc.SetWriteDeadline(time.Now().Add(c.srv.opts.WriteTimeout))
-			if _, err := bw.Write(b); err != nil {
-				c.fail(err)
+			if _, err := bw.Write(AppendFrame(bw.AvailableBuffer(), f)); err != nil {
+				c.fail()
 				return
 			}
 			c.srv.stats.framesOut.Add(1)
 			if len(c.out) == 0 {
 				if err := bw.Flush(); err != nil {
-					c.fail(err)
+					c.fail()
 					return
 				}
 			}
@@ -366,12 +380,12 @@ func (c *conn) writer() {
 	}
 }
 
-// send queues one frame for the writer. It blocks only against the writer's
+// send queues one frame for the writer, which encodes it later: the caller
+// must not modify f.Payload afterwards. It blocks only against the writer's
 // own backpressure and gives up when the connection dies.
 func (c *conn) send(f Frame) {
-	b := AppendFrame(nil, f)
 	select {
-	case c.out <- b:
+	case c.out <- f:
 	case <-c.ctx.Done():
 	}
 }

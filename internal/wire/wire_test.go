@@ -1,12 +1,17 @@
 package wire
 
 import (
+	"bufio"
+	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -26,14 +31,22 @@ func newTestServer(t *testing.T, token string) (*live.Store, string) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { s.Close() })
-	srv := NewServer(s, Options{Token: token})
+	_, addr := serve(t, s, token)
+	return s, addr
+}
+
+// serve starts a wire server over svc on a loopback listener and returns it
+// with the dial address; it closes with the test.
+func serve(tb testing.TB, svc live.Service, token string) (*Server, string) {
+	tb.Helper()
+	srv := NewServer(svc, Options{Token: token})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	go srv.Serve(ln)
-	t.Cleanup(func() { srv.Close() })
-	return s, ln.Addr().String()
+	tb.Cleanup(func() { srv.Close() })
+	return srv, ln.Addr().String()
 }
 
 func dialTest(t *testing.T, addr, token string) *Client {
@@ -497,7 +510,10 @@ func TestStoreCloseEndsStreams(t *testing.T) {
 }
 
 // TestFrameRoundTrip pins the frame encoding: append then read restores the
-// frame, and a flipped byte is a CRC error.
+// frame, and a flipped byte is a CRC error. It also pins ReadFrame's two
+// paths: a body that fits the reader's buffer is read at its exact size (a
+// small frame costs two allocations), a longer one incrementally (a
+// truncated frame claiming 60 MiB fails having allocated far less).
 func TestFrameRoundTrip(t *testing.T) {
 	f := Frame{Type: FrameNotify, Stream: 42, Payload: []byte("hello frames")}
 	b := AppendFrame(nil, f)
@@ -512,5 +528,43 @@ func TestFrameRoundTrip(t *testing.T) {
 	b[len(b)-1] ^= 0x01
 	if _, err := ReadFrame(bufioReader(b)); err == nil {
 		t.Fatal("corrupted frame accepted")
+	}
+
+	const size = 1 << 16 // the reader buffer both ends use
+	for _, bodyLen := range []int{size, size + 1} {
+		f := Frame{Type: FrameQueryOK, Stream: 7, Payload: bytes.Repeat([]byte{0xa5}, bodyLen-bodyHeader)}
+		got, err := ReadFrame(bufio.NewReaderSize(bytes.NewReader(AppendFrame(nil, f)), size))
+		if err != nil {
+			t.Fatalf("%d-byte body: %v", bodyLen, err)
+		}
+		if got.Type != f.Type || got.Stream != f.Stream || !bytes.Equal(got.Payload, f.Payload) {
+			t.Fatalf("%d-byte body did not round-trip", bodyLen)
+		}
+	}
+
+	truncated := AppendFrame(nil, Frame{Type: FrameQueryOK, Stream: 7, Payload: make([]byte, 100)})
+	binary.LittleEndian.PutUint32(truncated, 60<<20)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = ReadFrame(bufio.NewReaderSize(bytes.NewReader(truncated), size))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("truncated 60 MiB frame: err = %v, want io.ErrUnexpectedEOF", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("truncated 60 MiB frame allocated %d bytes", grew)
+	}
+
+	small := AppendFrame(nil, Frame{Type: FrameSubmit, Stream: 3, Payload: make([]byte, 20)})
+	rd := bytes.NewReader(small)
+	br := bufio.NewReaderSize(rd, size)
+	if allocs := testing.AllocsPerRun(100, func() {
+		rd.Reset(small)
+		br.Reset(rd)
+		if _, err := ReadFrame(br); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 2 {
+		t.Fatalf("a 20-byte frame costs %.0f allocations, want at most 2", allocs)
 	}
 }

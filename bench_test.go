@@ -237,9 +237,13 @@ func BenchmarkBCQBoundedGHW(b *testing.B) {
 				db.Add(rel, fmt.Sprintf("c%d", v), fmt.Sprintf("c%d", v))
 			}
 		}
+		prep, err := Prepare(context.Background(), q)
+		if err != nil {
+			b.Fatal(err)
+		}
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				ok, err := BCQ(q, db)
+				ok, err := prep.Bool(context.Background(), db)
 				if err != nil || !ok {
 					b.Fatal("cycle query should be satisfiable")
 				}
@@ -261,9 +265,13 @@ func BenchmarkCountCQ(b *testing.B) {
 			db.Add(rel, fmt.Sprintf("c%d", v%5), fmt.Sprintf("c%d", (v+i)%5))
 		}
 	}
+	prep, err := Prepare(context.Background(), q)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Count(q, db); err != nil {
+		if _, err := prep.Count(context.Background(), db); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	d2cqd [-addr 127.0.0.1:8344] [-db file] [-parallelism n]
+//	d2cqd [-addr 127.0.0.1:8344] [-db file]
 //	      [-data-dir dir] [-fsync always|off|duration] [-checkpoint-every 64]
 //	      [-listen-wire host:port] [-auth-token T]
 //
@@ -135,7 +135,6 @@ func run(args []string, out io.Writer) error {
 	dbPath := fs.String("db", "", "initial database file, one ground atom per line (empty: start with an empty database)")
 	fs.Int("max-batch", 0, "deprecated and ignored: flushing is group commit")
 	fs.Duration("max-latency", 0, "deprecated and ignored: flushing is group commit")
-	parallelism := fs.Int("parallelism", 0, "engine worker pool for evaluation passes (0/1: sequential, -1: one per CPU)")
 	dataDir := fs.String("data-dir", "", "durable mode: write-ahead log + checkpoints under this directory; restarts resume the pre-crash state")
 	fsync := fs.String("fsync", "always", "WAL fsync policy: always (per flush), off, or an interval duration like 100ms")
 	ckptEvery := fs.Int("checkpoint-every", 0, "flushes between snapshot checkpoints in durable mode (0: default 64)")
@@ -153,10 +152,6 @@ func run(args []string, out io.Writer) error {
 		if db, err = cq.ParseDatabaseString(string(data)); err != nil {
 			return err
 		}
-	}
-	var opts []engine.Option
-	if *parallelism != 0 {
-		opts = append(opts, engine.WithParallelism(*parallelism))
 	}
 	var store *live.Store
 	if *dataDir != "" {
@@ -176,7 +171,7 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		store, err = live.Open(context.Background(), engine.NewEngine(opts...), live.DurableConfig{
+		store, err = live.Open(context.Background(), engine.NewEngine(), live.DurableConfig{
 			Backend:         backend,
 			SyncMode:        mode,
 			SyncInterval:    interval,
@@ -187,7 +182,7 @@ func run(args []string, out io.Writer) error {
 		}
 	} else {
 		var err error
-		if store, err = live.NewStore(context.Background(), engine.NewEngine(opts...), db, live.Config{}); err != nil {
+		if store, err = live.NewStore(context.Background(), engine.NewEngine(), db, live.Config{}); err != nil {
 			return err
 		}
 	}

@@ -242,22 +242,6 @@ func WithDecompCache(capacity int) EngineOption { return engine.WithDecompCache(
 // failing when no (bounded-width) decomposition exists.
 func WithNaiveFallback() EngineOption { return engine.WithNaiveFallback() }
 
-// WithParallelism runs the data-dependent evaluation passes on a bounded
-// pool of n workers (n < 0: one per CPU; n <= 1: sequential): node
-// materialisation and the counting DP (over sibling subtrees), the semijoin
-// passes, enumeration (the root relation is over-split into ~4n chunks the n
-// bounded-delay producers claim dynamically, so skew can't serialise a
-// worker) and incremental maintenance. Partition state
-// lives in the immutable per-snapshot caches, so parallel readers may keep
-// streaming from an old snapshot while Update builds the next one.
-func WithParallelism(n int) EngineOption { return engine.WithParallelism(n) }
-
-// WithDeterministicOrder makes parallel enumeration merge its chunk streams
-// in root-index order — exactly the order sequential enumeration yields.
-// Without it, parallel streams merge in arrival order (same solution
-// multiset, lower latency). Sequential evaluation is unaffected.
-func WithDeterministicOrder() EngineOption { return engine.WithDeterministicOrder() }
-
 // CompileDB compiles db once with the shared default engine. Pair with
 // PreparedQuery.Bind for the full compile-once / evaluate-many discipline on
 // both the query and the data side.
@@ -265,31 +249,12 @@ func CompileDB(ctx context.Context, db Database) (*CompiledDB, error) {
 	return engine.Default().CompileDB(ctx, db)
 }
 
-// DefaultEngine returns the shared engine behind the deprecated free
-// evaluation functions (BCQ, Count, Explain, CountProjection).
-func DefaultEngine() *Engine { return engine.Default() }
-
 // Prepare compiles q once with the shared default engine. For custom policy
 // (width bounds, cache sizing, naive fallback) build an Engine with
 // NewEngine and call its Prepare.
 func Prepare(ctx context.Context, q Query) (*PreparedQuery, error) {
 	return engine.Default().Prepare(ctx, q)
 }
-
-// EvalOptions selects a decomposition for evaluation.
-type EvalOptions = engine.EvalOptions
-
-// BCQ decides q(D) ≠ ∅ with the decomposition engine (Proposition 2.2).
-//
-// Deprecated: for repeated evaluation, Prepare the query once and call
-// PreparedQuery.Bool.
-func BCQ(q Query, db Database) (bool, error) { return engine.BCQ(q, db, nil) }
-
-// Count computes |q(D)| for a full CQ (Proposition 4.14).
-//
-// Deprecated: for repeated evaluation, Prepare the query once and call
-// PreparedQuery.Count.
-func Count(q Query, db Database) (int64, error) { return engine.Count(q, db, nil) }
 
 // NaiveBCQ is the decomposition-free backtracking baseline.
 func NaiveBCQ(q Query, db Database) (bool, error) { return engine.NaiveBCQ(q, db) }
@@ -414,22 +379,6 @@ type CorpusOptions = hyperbench.Options
 func GenerateCorpus(opts CorpusOptions) (*Corpus, error) { return hyperbench.Generate(opts) }
 
 // --- additional conveniences -----------------------------------------------------
-
-// Explain renders the evaluation plan (decomposition tree, covers, relation
-// sizes) for a query over a database.
-//
-// Deprecated: Prepare the query once and call PreparedQuery.Explain (plan
-// only) or PreparedQuery.ExplainDB (with relation sizes).
-func Explain(q Query, db Database) (string, error) { return engine.Explain(q, db, nil) }
-
-// CountProjection counts distinct projections of the solutions onto the
-// given free variables (the existentially-quantified counting problem of
-// §4.4; exponential in general — see Pichler & Skritek).
-//
-// Deprecated: Prepare the query once and call PreparedQuery.CountProjection.
-func CountProjection(q Query, db Database, free []string) (int64, error) {
-	return engine.CountProjection(q, db, free, nil)
-}
 
 // GHWByComponent computes ghw per connected component and aggregates.
 func GHWByComponent(h *Hypergraph, opts *GHWOptions) (GHWResult, []GHWResult, error) {

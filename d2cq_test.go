@@ -19,14 +19,19 @@ Lives(bob, paris)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ok, err := BCQ(q, db)
+	ctx := context.Background()
+	prep, err := Prepare(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ok, err := prep.Bool(ctx, db)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !ok {
 		t.Error("expected a match")
 	}
-	n, err := Count(q, db)
+	n, err := prep.Count(ctx, db)
 	if err != nil {
 		t.Fatal(err)
 	}

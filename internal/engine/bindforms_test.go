@@ -249,7 +249,7 @@ func TestBindLeavesTablesUntouched(t *testing.T) {
 func TestBindConcurrentFirstUse(t *testing.T) {
 	ctx := context.Background()
 	q, db := cycleQuery(5, 3)
-	eng := NewEngine(WithParallelism(2))
+	eng := NewEngine()
 	prep, err := eng.Prepare(ctx, q)
 	if err != nil {
 		t.Fatal(err)

@@ -178,13 +178,13 @@ func (p *PreparedQuery) bind(ctx context.Context, cdb *CompiledDB, reduced bool)
 		return b, nil
 	}
 	if !reduced {
-		b.nodeRels, err = coverNodes(ctx, p.plan, inst, p.eng.par())
+		b.nodeRels, err = coverNodes(ctx, p.plan, inst)
 		if err != nil {
 			return nil, err
 		}
 		return b, nil
 	}
-	r, err := newRun(ctx, p.plan, inst, p.eng.par())
+	r, err := newRun(ctx, p.plan, inst)
 	if err != nil {
 		return nil, err
 	}
@@ -265,7 +265,6 @@ func (b *BoundQuery) run() *run {
 		plan:     b.prep.plan,
 		inst:     b.inst,
 		nodeRels: append([]*Relation(nil), b.flatNodes()...),
-		par:      b.prep.eng.par(),
 		reduced:  b.reduced,
 	}
 	if r.reduced {
@@ -336,7 +335,7 @@ func (b *BoundQuery) ensureCounts(ctx context.Context) (*countState, error) {
 		return cs, nil
 	}
 	rels := b.flatNodes()
-	cs, err := countBottomUp(ctx, b.prep.plan, b.prep.eng.par(), nil, func(u int, _ []*storage.TupleMap) *Relation {
+	cs, err := countBottomUp(ctx, b.prep.plan, nil, func(u int, _ []*storage.TupleMap) *Relation {
 		return rels[u]
 	})
 	if err != nil {
@@ -401,7 +400,7 @@ func (b *BoundQuery) Enumerate(ctx context.Context, yield func(Solution) bool) e
 	if err != nil {
 		return err
 	}
-	return es.enumerate(ctx, b.prep.eng.par(), b.prep.eng.ordered(), func(row []Value) bool {
+	return es.enumerate(ctx, func(row []Value) bool {
 		sol.row = row
 		return yield(sol)
 	})
@@ -424,7 +423,7 @@ func (b *BoundQuery) EnumerateAll(ctx context.Context) (*Relation, *Dict, error)
 	if err != nil {
 		return nil, nil, err
 	}
-	out.sortPar(b.prep.eng.par())
+	out.SortForDisplay()
 	return out, b.inst.Dict, nil
 }
 

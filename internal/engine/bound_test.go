@@ -67,7 +67,7 @@ func TestBoundMatchesUnbound(t *testing.T) {
 // the lazily built reduction state.
 func TestBoundConcurrent(t *testing.T) {
 	ctx := context.Background()
-	eng := NewEngine(WithParallelism(4))
+	eng := NewEngine()
 	cdbSrc := cq.Database{}
 	queries := make([]*BoundQuery, 0, 2)
 	q1, db := cycleQuery(5, 3)
@@ -138,50 +138,6 @@ func TestBoundConcurrent(t *testing.T) {
 	}
 	if st := eng.Stats(); st.DBCompiles != 1 || st.Binds != 2 {
 		t.Errorf("stats = %s, want 1 db-compile and 2 binds", st)
-	}
-}
-
-// TestBoundParallelismEquivalence checks that worker-pool evaluation returns
-// exactly the sequential results.
-func TestBoundParallelismEquivalence(t *testing.T) {
-	ctx := context.Background()
-	r := rand.New(rand.NewSource(21))
-	seq := NewEngine()
-	par := NewEngine(WithParallelism(8))
-	for trial := 0; trial < 15; trial++ {
-		query, db := randomInstance(r)
-		sPrep, err := seq.Prepare(ctx, query)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pPrep, err := par.Prepare(ctx, query)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pCdb, err := par.CompileDB(ctx, db)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pBound, err := pPrep.Bind(ctx, pCdb)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantN, err := sPrep.Count(ctx, db)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotN, err := pBound.Count(ctx)
-		if err != nil || gotN != wantN {
-			t.Fatalf("trial %d: parallel Count=%d want %d err=%v\nq=%s", trial, gotN, wantN, err, query)
-		}
-		wantOK, err := sPrep.Bool(ctx, db)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotOK, err := pPrep.Bool(ctx, db) // unbound parallel path too
-		if err != nil || gotOK != wantOK {
-			t.Fatalf("trial %d: parallel Bool=%v want %v err=%v", trial, gotOK, wantOK, err)
-		}
 	}
 }
 

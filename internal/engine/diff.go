@@ -74,7 +74,7 @@ type viaStep struct {
 // full vertex assignment (reused between calls; asg[:len(Vars())] is the
 // output row); returning false stops the enumeration. When via's rows lie in
 // the state's (fully reduced) relation for v, the delay between yields is
-// bounded by the tree size, as in enumerateRange.
+// bounded by the tree size, as in enumState.enumerate.
 func (es *enumState) enumerateVia(ctx context.Context, v int, via *Relation, yield func(asg []Value) bool) error {
 	p := es.plan
 	steps := make([]viaStep, 0, p.d.Nodes())
@@ -324,9 +324,8 @@ func (b *BoundQuery) diffIncremental(ctx context.Context, pes, bes *enumState, d
 		}
 	}
 	mc.rows += uint64(added.Len() + removed.Len())
-	par := b.prep.eng.par()
-	added.sortPar(par)
-	removed.sortPar(par)
+	added.SortForDisplay()
+	removed.SortForDisplay()
 	return added, removed, nil
 }
 
@@ -388,8 +387,7 @@ func (b *BoundQuery) diffOracle(ctx context.Context, prev *BoundQuery) (added, r
 		return nil, nil, err
 	}
 	added, removed = relDiff(old, cur)
-	par := b.prep.eng.par()
-	added.sortPar(par)
-	removed.sortPar(par)
+	added.SortForDisplay()
+	removed.SortForDisplay()
 	return added, removed, nil
 }

@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -25,8 +24,6 @@ type Engine struct {
 	cache         *decomp.Cache
 	maxWidth      int
 	naiveFallback bool
-	parallelism   int
-	orderedEnum   bool
 
 	// Singleflight for the decomposition search: concurrent first-time
 	// prepares of the same shape wait for one computation instead of each
@@ -87,48 +84,12 @@ func WithNaiveFallback() Option {
 	return func(e *Engine) { e.naiveFallback = true }
 }
 
-// WithParallelism runs the data-dependent evaluation passes on a bounded
-// pool of n workers: node materialisation and the counting DP, level by
-// level over sibling subtrees, the semijoin passes over independent
-// decomposition subtrees, solution enumeration (the root relation is
-// over-split into ~4n chunks the n bounded-delay producers claim
-// dynamically, so skewed ranges don't serialise a worker), the one-off
-// conversion of a bound query's nodes to maintained form at its first
-// Rebind, and the sort of DiffFrom's added and removed rows. A Rebind's
-// maintenance of dirty atoms and nodes is sequential. Values of 1 or less
-// evaluate sequentially (the default); n < 0 uses one worker per CPU.
-func WithParallelism(n int) Option {
-	if n < 0 {
-		n = runtime.NumCPU()
-	}
-	return func(e *Engine) { e.parallelism = n }
-}
+// defaultEngine is the process-wide engine behind Default.
+var defaultEngine = NewEngine()
 
-// WithDeterministicOrder makes parallel enumeration merge its chunk streams
-// in root-index order, reproducing exactly the order the sequential
-// enumeration yields. Without it, parallel streams merge in arrival order
-// (the solution multiset is identical either way); sequential evaluation is
-// unaffected.
-func WithDeterministicOrder() Option {
-	return func(e *Engine) { e.orderedEnum = true }
-}
-
-// par returns the engine's worker bound for evaluation passes.
-func (e *Engine) par() int {
-	if e == nil {
-		return 1
-	}
-	return e.parallelism
-}
-
-// ordered reports whether parallel enumeration must preserve the sequential
-// yield order.
-func (e *Engine) ordered() bool {
-	if e == nil {
-		return false
-	}
-	return e.orderedEnum
-}
+// Default returns the process-wide engine, shared so that ad-hoc prepares
+// still benefit from its decomposition cache.
+func Default() *Engine { return defaultEngine }
 
 // DefaultCacheCapacity is the decomposition-cache bound of NewEngine unless
 // overridden by WithDecompCache.
@@ -334,7 +295,7 @@ func (p *PreparedQuery) Bool(ctx context.Context, db cq.Database) (bool, error) 
 	if p.plan.d.Nodes() == 0 {
 		return groundSat(inst), nil
 	}
-	r, err := newRun(ctx, p.plan, inst, p.eng.par())
+	r, err := newRun(ctx, p.plan, inst)
 	if err != nil {
 		return false, err
 	}
@@ -357,7 +318,7 @@ func (p *PreparedQuery) Count(ctx context.Context, db cq.Database) (int64, error
 		}
 		return 0, nil
 	}
-	r, err := newRun(ctx, p.plan, inst, p.eng.par())
+	r, err := newRun(ctx, p.plan, inst)
 	if err != nil {
 		return 0, err
 	}
@@ -424,7 +385,7 @@ func (p *PreparedQuery) Enumerate(ctx context.Context, db cq.Database, yield fun
 		}
 		return nil
 	}
-	r, err := newRun(ctx, p.plan, inst, p.eng.par())
+	r, err := newRun(ctx, p.plan, inst)
 	if err != nil {
 		return err
 	}
@@ -432,7 +393,7 @@ func (p *PreparedQuery) Enumerate(ctx context.Context, db cq.Database, yield fun
 	if err != nil {
 		return err
 	}
-	return es.enumerate(ctx, r.par, p.eng.ordered(), func(row []Value) bool {
+	return es.enumerate(ctx, func(row []Value) bool {
 		sol.row = row
 		return yield(sol)
 	})
@@ -460,7 +421,7 @@ func (p *PreparedQuery) EnumerateAll(ctx context.Context, db cq.Database) (*Rela
 	if dict == nil {
 		dict = NewDict()
 	}
-	out.sortPar(p.eng.par())
+	out.SortForDisplay()
 	return out, dict, nil
 }
 
@@ -523,7 +484,7 @@ func (p *PreparedQuery) ExplainDB(ctx context.Context, db cq.Database) (string, 
 	if p.plan.Naive() || p.plan.d.Nodes() == 0 {
 		return p.plan.Explain(), nil
 	}
-	r, err := newRun(ctx, p.plan, inst, p.eng.par())
+	r, err := newRun(ctx, p.plan, inst)
 	if err != nil {
 		return "", err
 	}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -16,6 +17,16 @@ func q(t *testing.T, s string) cq.Query {
 		t.Fatal(err)
 	}
 	return query
+}
+
+// prepared compiles query with the default engine.
+func prepared(t *testing.T, query cq.Query) *PreparedQuery {
+	t.Helper()
+	p, err := Default().Prepare(context.Background(), query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
 }
 
 func TestDict(t *testing.T) {
@@ -96,7 +107,7 @@ func TestBCQAcyclicPathQuery(t *testing.T) {
 	db.Add("R", "1", "2")
 	db.Add("S", "2", "3")
 	query := q(t, "R(x,y), S(y,z)")
-	got, err := BCQ(query, db, nil)
+	got, err := prepared(t, query).Bool(context.Background(), db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +118,7 @@ func TestBCQAcyclicPathQuery(t *testing.T) {
 	db2 := cq.Database{}
 	db2.Add("R", "1", "2")
 	db2.Add("S", "9", "3")
-	got, err = BCQ(query, db2, nil)
+	got, err = prepared(t, query).Bool(context.Background(), db2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +136,7 @@ func TestBCQTriangle(t *testing.T) {
 		with.Add("E2", e[0], e[1])
 		with.Add("E3", e[0], e[1])
 	}
-	got, err := BCQ(query, with, nil)
+	got, err := prepared(t, query).Bool(context.Background(), with)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +149,7 @@ func TestBCQTriangle(t *testing.T) {
 		without.Add("E2", e[0], e[1])
 		without.Add("E3", e[0], e[1])
 	}
-	got, err = BCQ(query, without, nil)
+	got, err = prepared(t, query).Bool(context.Background(), without)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +167,7 @@ func TestCountMatchesNaive(t *testing.T) {
 	db.Add("S", "2", "5")
 	db.Add("S", "3", "4")
 	query := q(t, "R(x,y), S(y,z)")
-	ghd, err := Count(query, db, nil)
+	ghd, err := prepared(t, query).Count(context.Background(), db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,14 +207,14 @@ func TestSelfJoinQuery(t *testing.T) {
 	db.Add("E", "a", "b")
 	db.Add("E", "b", "c")
 	query := q(t, "E(x,y), E(y,z)")
-	got, err := BCQ(query, db, nil)
+	got, err := prepared(t, query).Bool(context.Background(), db)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !got {
 		t.Error("self-join path should be satisfiable")
 	}
-	n, err := Count(query, db, nil)
+	n, err := prepared(t, query).Count(context.Background(), db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +259,7 @@ func TestGHDEngineMatchesNaiveRandomized(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := BCQ(query, db, nil)
+		got, err := prepared(t, query).Bool(context.Background(), db)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -259,7 +270,7 @@ func TestGHDEngineMatchesNaiveRandomized(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotN, err := Count(query, db, nil)
+		gotN, err := prepared(t, query).Count(context.Background(), db)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -279,7 +290,12 @@ func TestExplicitDecompositionOption(t *testing.T) {
 	db.Add("E1", "a", "b")
 	db.Add("E2", "b", "c")
 	db.Add("E3", "c", "a")
-	got, err := BCQ(query, db, &EvalOptions{Decomp: d})
+	plan, err := NewPlan(query, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prep := &PreparedQuery{eng: Default(), plan: plan}
+	got, err := prep.Bool(context.Background(), db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,14 +308,14 @@ func TestEmptyRelationMeansUnsat(t *testing.T) {
 	query := q(t, "R(x,y), S(y,z)")
 	db := cq.Database{}
 	db.Add("R", "1", "2") // S empty
-	got, err := BCQ(query, db, nil)
+	got, err := prepared(t, query).Bool(context.Background(), db)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got {
 		t.Error("query with empty relation should be unsatisfiable")
 	}
-	n, err := Count(query, db, nil)
+	n, err := prepared(t, query).Count(context.Background(), db)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,9 +8,10 @@ import (
 
 	"d2cq/internal/cq"
 	"d2cq/internal/decomp"
+	"d2cq/internal/storage"
 )
 
-func TestEnumerateGHDMatchesNaive(t *testing.T) {
+func TestEnumerateAllMatchesNaive(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
 	eng := NewEngine()
 	for trial := 0; trial < 40; trial++ {
@@ -58,7 +59,7 @@ func TestFullReduceRemovesDanglingTuples(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, err := newRun(context.Background(), p, inst, 1)
+	run, err := newRun(context.Background(), p, inst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,5 +165,68 @@ func TestEnumerateStarQuery(t *testing.T) {
 	// c = other works too (each relation has (other, x)) → +1.
 	if naiveRel.Len() != 17 {
 		t.Errorf("star query solutions = %d, want 17", naiveRel.Len())
+	}
+}
+
+// pathFixture binds R(a,b), S(b,c), T(c,d) on a new engine without options over a
+// database with a few hundred answers, returning the bound query.
+func pathFixture(t *testing.T) *BoundQuery {
+	t.Helper()
+	ctx := context.Background()
+	eng := NewEngine()
+	q, err := cq.ParseQuery("R(a,b), S(b,c), T(c,d)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prep, err := eng.Prepare(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := cq.Database{}
+	for i := 0; i < 40; i++ {
+		db.Add("R", fmt.Sprint(i), fmt.Sprint(i%8))
+		db.Add("S", fmt.Sprint(i%8), fmt.Sprint(i%5))
+		db.Add("T", fmt.Sprint(i%5), fmt.Sprint(i))
+	}
+	cdb, err := eng.CompileDB(ctx, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := prep.Bind(ctx, cdb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestEnumerateEarlyStop: returning false from yield on the 5th row stops
+// the enumeration after exactly 5 calls with a nil error — over the flat
+// enumeration state of a fresh Bind, and over the maintained one an Update
+// derives from it, whose root streams off its persistent set.
+func TestEnumerateEarlyStop(t *testing.T) {
+	ctx := context.Background()
+	b := pathFixture(t)
+	check := func(name string, b *BoundQuery) {
+		t.Helper()
+		seen := 0
+		err := b.Enumerate(ctx, func(Solution) bool {
+			seen++
+			return seen < 5
+		})
+		if err != nil {
+			t.Fatalf("%s: early stop should return nil, got %v", name, err)
+		}
+		if seen != 5 {
+			t.Fatalf("%s: yield called %d times after stopping at 5", name, seen)
+		}
+	}
+	check("flat", b)
+	nb, err := b.Update(ctx, storage.NewDelta().Add("R", "w0", "0"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("maintained", nb)
+	if es := nb.enumSt.Load(); es == nil || es.m == nil {
+		t.Fatal("Update did not carry the enumeration state forward in maintained form")
 	}
 }

@@ -16,7 +16,7 @@ func TestExplainOutput(t *testing.T) {
 	db := cq.Database{}
 	db.Add("R", "1", "2")
 	db.Add("S", "2", "3")
-	out, err := Explain(q, db, nil)
+	out, err := prepared(t, q).ExplainDB(context.Background(), db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestExplainGroundQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := Explain(q, cq.Database{}, nil)
+	out, err := prepared(t, q).ExplainDB(context.Background(), cq.Database{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestCountProjection(t *testing.T) {
 	db.Add("R", "1", "2")
 	db.Add("S", "2", "3")
 	db.Add("S", "2", "4") // two witnesses, one projection
-	n, err := CountProjection(q, db, []string{"x", "y"}, nil)
+	n, err := prepared(t, q).CountProjection(context.Background(), db, []string{"x", "y"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestCountProjection(t *testing.T) {
 		t.Errorf("projection count = %d, want 1", n)
 	}
 	// Full count distinguishes the witnesses (the §4.4 contrast).
-	full, err := Count(q, db, nil)
+	full, err := prepared(t, q).Count(context.Background(), db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestCountProjection(t *testing.T) {
 		t.Errorf("full count = %d, want 2", full)
 	}
 	// Unknown free variable rejected.
-	if _, err := CountProjection(q, db, []string{"nope"}, nil); err == nil {
+	if _, err := prepared(t, q).CountProjection(context.Background(), db, []string{"nope"}); err == nil {
 		t.Error("expected unknown-variable error")
 	}
 }

@@ -1166,3 +1166,78 @@ func TestMaintRowsTouchedScaling(t *testing.T) {
 			small, large, float64(large)/float64(small))
 	}
 }
+
+// TestSupportMapStaysBounded drives a long delete-heavy update stream whose
+// every round retires a distinct tuple, and asserts the per-node support
+// maps track the live tuples instead of every tuple ever derived: a tuple
+// whose last derivation goes away leaves the map.
+func TestSupportMapStaysBounded(t *testing.T) {
+	ctx := context.Background()
+	eng := NewEngine()
+	q, err := cq.ParseQuery("R(a,b), S(b,c)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prep, err := eng.Prepare(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := cq.Database{}
+	for i := 0; i < 64; i++ {
+		db.Add("R", fmt.Sprint(i%16), fmt.Sprint((i+1)%16))
+		db.Add("S", fmt.Sprint((i+1)%16), fmt.Sprint((i+2)%16))
+	}
+	cdb, err := eng.CompileDB(ctx, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := prep.Bind(ctx, cdb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mirror := db.Clone()
+	rounds := 150
+	if testing.Short() {
+		rounds = 60
+	}
+	maxLen := 0
+	for r := 0; r < rounds; r++ {
+		// Insert a never-seen tuple, then delete it next step: every pair of
+		// rounds leaves behind one would-be tombstone per support map.
+		tuple := []string{fmt.Sprintf("x%d", r/2), fmt.Sprintf("y%d", r/2)}
+		d := storage.NewDelta()
+		op := diffOp{insert: r%2 == 0, rel: "R", tuple: tuple}
+		if op.insert {
+			d.Add(op.rel, op.tuple...)
+		} else {
+			d.Remove(op.rel, op.tuple...)
+		}
+		nb, err := b.Update(ctx, d)
+		if err != nil {
+			t.Fatalf("round %d: Update: %v", r, err)
+		}
+		b = nb
+		applyMirror(mirror, diffStep{op})
+		for _, ns := range b.maint.nodes {
+			if ns.sup.Len() > maxLen {
+				maxLen = ns.sup.Len()
+			}
+		}
+	}
+	// The live bag projection never exceeds |R|+1 tuples, well under the
+	// ~rounds/2 distinct keys a map that kept dead tuples would accumulate.
+	if bound := 64 + 1; maxLen > bound {
+		t.Fatalf("support map grew to %d entries, want ≤ %d", maxLen, bound)
+	}
+	refCDB, err := eng.CompileDB(ctx, mirror)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := prep.Bind(ctx, refCDB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if desc := compareBound(ctx, b, ref); desc != "" {
+		t.Fatalf("after the delete-heavy stream: %s", desc)
+	}
+}

@@ -311,7 +311,10 @@ func (b *BoundQuery) buildMaint(ctx context.Context) (*maintState, []*Relation, 
 	if err != nil {
 		return nil, nil, err
 	}
-	err = parForEach(ctx, eng.par(), allNodes(p.d.Nodes()), func(u int) error {
+	for u := range ms.nodes {
+		if err := ctx.Err(); err != nil {
+			return nil, nil, err
+		}
 		var counts *storage.TupleMap
 		switch {
 		case b.reduced:
@@ -324,10 +327,6 @@ func (b *BoundQuery) buildMaint(ctx context.Context) (*maintState, []*Relation, 
 		}
 		ms.nodes[u] = newNodeState(p, u, nodeRels[u], counts)
 		eng.nodeRebuilds.Add(1)
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
 	}
 	return ms, nodeRels, nil
 }

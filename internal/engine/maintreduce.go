@@ -213,79 +213,76 @@ func (es *enumState) update(oldNodes, newNodes []*nodeState, dN []*relDelta, id 
 	// of down[u] the patch touched.
 	dB := make([]*relDelta, n)
 	downLog := make([]workSet, n)
-	for _, level := range p.levels {
-		for _, u := range level {
-			rows := gather(p, u, newNodes[u], dN[u], func(k int, yield func([]Value)) {
-				c := p.childJoins[u][k].child
-				if o.down[c] == nil {
-					if (o.bLen[c] > 0) != (m.bLen[c] > 0) {
-						yield(nil)
-					}
-					return
+	for _, u := range p.order {
+		rows := gather(p, u, newNodes[u], dN[u], func(k int, yield func([]Value)) {
+			c := p.childJoins[u][k].child
+			if o.down[c] == nil {
+				if (o.bLen[c] > 0) != (m.bLen[c] > 0) {
+					yield(nil)
 				}
-				downLog[c].each(func(key []Value) {
-					if o.down[c].Has(key) != down[c].cur.Has(key) {
-						yield(key)
-					}
-				})
+				return
+			}
+			downLog[c].each(func(key []Value) {
+				if o.down[c].Has(key) != down[c].cur.Has(key) {
+					yield(key)
+				}
 			})
-			d := classify(p.bagVars[u], rows, func(cur bool, row []Value) bool { return inB(cur, u, row) })
-			if d.empty() {
-				continue
-			}
-			dB[u] = d
-			m.bLen[u] += d.plus.Len() - d.minus.Len()
-			if o.down[u] != nil {
-				patchIndex(&down[u], p.sharedPos[u], d, &downLog[u], mc)
-				continue
-			}
-			for r := 0; r < d.minus.Len(); r++ {
-				all[u].w().Delete(d.minus.Row(r))
-			}
-			for r := 0; r < d.plus.Len(); r++ {
-				all[u].w().Set(d.plus.Row(r), struct{}{})
-			}
-			mc.rows += uint64(d.rows())
+		})
+		d := classify(p.bagVars[u], rows, func(cur bool, row []Value) bool { return inB(cur, u, row) })
+		if d.empty() {
+			continue
 		}
+		dB[u] = d
+		m.bLen[u] += d.plus.Len() - d.minus.Len()
+		if o.down[u] != nil {
+			patchIndex(&down[u], p.sharedPos[u], d, &downLog[u], mc)
+			continue
+		}
+		for r := 0; r < d.minus.Len(); r++ {
+			all[u].w().Delete(d.minus.Row(r))
+		}
+		for r := 0; r < d.plus.Len(); r++ {
+			all[u].w().Set(d.plus.Row(r), struct{}{})
+		}
+		mc.rows += uint64(d.rows())
 	}
 
 	// Top-down: F deltas, recorded and applied to up; upLog[u][k] collects
 	// the keys of up[u][k] the patch touched.
 	upLog := make([][]workSet, n)
-	for l := len(p.levels) - 1; l >= 0; l-- {
-		for _, u := range p.levels[l] {
-			upLog[u] = make([]workSet, len(p.childJoins[u]))
-			var rows workSet
-			if d := dB[u]; d != nil {
-				rows.addRel(d.plus)
-				rows.addRel(d.minus)
-			}
-			if parent := p.d.Parent[u]; parent >= 0 && o.down[u] == nil {
-				if (o.fLen[parent] > 0) != (m.fLen[parent] > 0) {
-					all[u].cur.Range(func(row []Value, _ struct{}) bool {
-						rows.add(row)
-						return true
-					})
-				}
-			} else if parent >= 0 {
-				k := p.joinSlot[u]
-				upLog[parent][k].each(func(key []Value) {
-					if o.up[parent][k].Has(key) != up[parent][k].cur.Has(key) {
-						bucket, _ := down[u].cur.Get(key)
-						rows.addBucket(bucket, len(p.bagVars[u]))
-					}
+	for i := len(p.order) - 1; i >= 0; i-- {
+		u := p.order[i]
+		upLog[u] = make([]workSet, len(p.childJoins[u]))
+		var rows workSet
+		if d := dB[u]; d != nil {
+			rows.addRel(d.plus)
+			rows.addRel(d.minus)
+		}
+		if parent := p.d.Parent[u]; parent >= 0 && o.down[u] == nil {
+			if (o.fLen[parent] > 0) != (m.fLen[parent] > 0) {
+				all[u].cur.Range(func(row []Value, _ struct{}) bool {
+					rows.add(row)
+					return true
 				})
 			}
-			d := classify(p.bagVars[u], rows, func(cur bool, row []Value) bool { return inF(cur, u, row) })
-			if d.empty() {
-				continue
-			}
-			m.delta[u] = d
-			m.fLen[u] += d.plus.Len() - d.minus.Len()
-			for k, cj := range p.childJoins[u] {
-				if len(cj.uPos) > 0 {
-					patchIndex(&up[u][k], cj.uPos, d, &upLog[u][k], mc)
+		} else if parent >= 0 {
+			k := p.joinSlot[u]
+			upLog[parent][k].each(func(key []Value) {
+				if o.up[parent][k].Has(key) != up[parent][k].cur.Has(key) {
+					bucket, _ := down[u].cur.Get(key)
+					rows.addBucket(bucket, len(p.bagVars[u]))
 				}
+			})
+		}
+		d := classify(p.bagVars[u], rows, func(cur bool, row []Value) bool { return inF(cur, u, row) })
+		if d.empty() {
+			continue
+		}
+		m.delta[u] = d
+		m.fLen[u] += d.plus.Len() - d.minus.Len()
+		for k, cj := range p.childJoins[u] {
+			if len(cj.uPos) > 0 {
+				patchIndex(&up[u][k], cj.uPos, d, &upLog[u][k], mc)
 			}
 		}
 	}
@@ -310,8 +307,8 @@ func (es *enumState) update(oldNodes, newNodes []*nodeState, dN []*relDelta, id 
 // flatF returns F(u) as a relation. The flat form holds it; the maintained
 // form lists it on first request — B(u) filtered by the parent's keys, O(B(u))
 // — and caches it. Only paths that are O(relation) anyway ask: the diff
-// against a snapshot other than the predecessor, parallel root splitting, and
-// nodes joined to their parent by a cross product.
+// against a snapshot other than the predecessor, and nodes joined to their
+// parent by a cross product.
 func (es *enumState) flatF(u int) *Relation {
 	if es.m == nil {
 		return es.nodes[u].rel
@@ -430,37 +427,35 @@ func (cs *countState) update(p *Plan, oldNodes, newNodes []*nodeState, dN []*rel
 		return v
 	}
 	sumLog := make([]workSet, n)
-	for _, level := range p.levels {
-		for _, u := range level {
-			rows := gather(p, u, newNodes[u], dN[u], func(k int, yield func([]Value)) {
-				c := p.childJoins[u][k].child
-				sumLog[c].each(func(key []Value) {
-					was, _ := old[c].Get(key)
-					if is, _ := sums[c].cur.Get(key); is != was {
-						yield(key)
-					}
-				})
+	for _, u := range p.order {
+		rows := gather(p, u, newNodes[u], dN[u], func(k int, yield func([]Value)) {
+			c := p.childJoins[u][k].child
+			sumLog[c].each(func(key []Value) {
+				was, _ := old[c].Get(key)
+				if is, _ := sums[c].cur.Get(key); is != was {
+					yield(key)
+				}
 			})
-			rows.each(func(row []Value) {
-				diff := value(true, u, row) - value(false, u, row)
-				if diff == 0 {
-					return
-				}
-				if old[u] == nil {
-					total += diff
-					return
-				}
-				key := project(keyBuf, row, p.sharedPos[u])
-				sum, _ := sums[u].cur.Get(key)
-				if sum += diff; sum == 0 {
-					sums[u].w().Delete(key)
-				} else {
-					sums[u].w().Set(key, sum)
-				}
-				sumLog[u].add(key)
-				mc.rows++
-			})
-		}
+		})
+		rows.each(func(row []Value) {
+			diff := value(true, u, row) - value(false, u, row)
+			if diff == 0 {
+				return
+			}
+			if old[u] == nil {
+				total += diff
+				return
+			}
+			key := project(keyBuf, row, p.sharedPos[u])
+			sum, _ := sums[u].cur.Get(key)
+			if sum += diff; sum == 0 {
+				sums[u].w().Delete(key)
+			} else {
+				sums[u].w().Set(key, sum)
+			}
+			sumLog[u].add(key)
+			mc.rows++
+		})
 	}
 	ncs := &countState{total: total, keySum: make([]*storage.PMap[int64], n)}
 	for u := range sums {

@@ -44,7 +44,6 @@ type Plan struct {
 	sharedPos  [][]int       // node → positions of shared[u] within bagVars[u]
 	bagVids    [][]int       // node → hypergraph vertex id of each bag column
 	sharedVids [][]int       // node → vertex id of each shared column
-	levels     [][]int       // bottom-up levels: children strictly before parents
 	pairs      int           // number of (node, child-join) edges of the tree
 	pairOf     [][]int       // node → child join → index of that edge among all pairs
 	joinSlot   []int         // node → its position among its parent's child joins (-1 for the root)
@@ -216,25 +215,6 @@ func NewPlan(q cq.Query, d *decomp.GHD) (*Plan, error) {
 			p.sharedPos[u][i] = posIn(p.bagVars[u], name)
 			p.sharedVids[u][i] = h.VertexID(name)
 		}
-	}
-	// Bottom-up levels by height: every node lands strictly after all of its
-	// children, so nodes within one level have disjoint subtrees and the
-	// semijoin passes may process a level in parallel.
-	height := make([]int, d.Nodes())
-	maxHeight := 0
-	for _, u := range p.order { // children precede parents here
-		for _, c := range p.children[u] {
-			if height[c]+1 > height[u] {
-				height[u] = height[c] + 1
-			}
-		}
-		if height[u] > maxHeight {
-			maxHeight = height[u]
-		}
-	}
-	p.levels = make([][]int, maxHeight+1)
-	for _, u := range p.order {
-		p.levels[height[u]] = append(p.levels[height[u]], u)
 	}
 	p.pairOf = make([][]int, d.Nodes())
 	p.joinSlot = make([]int, d.Nodes())

@@ -19,22 +19,19 @@ import (
 
 // refReduceBottomUp semijoins every node with its children, children first.
 func refReduceBottomUp(p *Plan, rels []*Relation) {
-	for _, level := range p.levels {
-		for _, u := range level {
-			for _, cj := range p.childJoins[u] {
-				rels[u] = semijoinOn(rels[u], rels[cj.child], cj.shared, cj.uPos, cj.cPos)
-			}
+	for _, u := range p.order {
+		for _, cj := range p.childJoins[u] {
+			rels[u] = semijoinOn(rels[u], rels[cj.child], cj.shared, cj.uPos, cj.cPos)
 		}
 	}
 }
 
 // refReduceTopDown semijoins every child with its parent, parents first.
 func refReduceTopDown(p *Plan, rels []*Relation) {
-	for l := len(p.levels) - 1; l >= 0; l-- {
-		for _, u := range p.levels[l] {
-			for _, cj := range p.childJoins[u] {
-				rels[cj.child] = semijoinOn(rels[cj.child], rels[u], cj.shared, cj.cPos, cj.uPos)
-			}
+	for i := len(p.order) - 1; i >= 0; i-- {
+		u := p.order[i]
+		for _, cj := range p.childJoins[u] {
+			rels[cj.child] = semijoinOn(rels[cj.child], rels[u], cj.shared, cj.cPos, cj.uPos)
 		}
 	}
 }
@@ -183,47 +180,45 @@ func TestReductionMatchesSemijoinPasses(t *testing.T) {
 	cases = append(cases, instance{"unsat", "R(a,b), S(b,c), T(c,d)", unsat})
 
 	ctx := context.Background()
-	for _, opts := range [][]Option{nil, {WithParallelism(4), WithDeterministicOrder()}} {
-		eng := NewEngine(append([]Option{WithMaxWidth(3)}, opts...)...)
-		nullary, emptied := false, false
-		for _, c := range cases {
-			q, err := cq.ParseQuery(c.query)
-			if err != nil {
-				t.Fatal(err)
-			}
-			prep, err := eng.Prepare(ctx, q)
+	eng := NewEngine(WithMaxWidth(3))
+	nullary, emptied := false, false
+	for _, c := range cases {
+		q, err := cq.ParseQuery(c.query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prep, err := eng.Prepare(ctx, q)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		cdb, err := eng.CompileDB(ctx, c.db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := prep.Plan()
+		for u := 0; u < p.d.Nodes(); u++ {
+			nullary = nullary || (p.d.Parent[u] >= 0 && len(p.shared[u]) == 0)
+		}
+		for _, form := range []struct {
+			name string
+			bind func(context.Context, *CompiledDB) (*BoundQuery, error)
+		}{{"Bind", prep.Bind}, {"BindMaintained", prep.BindMaintained}} {
+			b, err := form.bind(ctx, cdb)
 			if err != nil {
 				t.Fatalf("%s: %v", c.name, err)
 			}
-			cdb, err := eng.CompileDB(ctx, c.db)
-			if err != nil {
-				t.Fatal(err)
-			}
-			p := prep.Plan()
-			for u := 0; u < p.d.Nodes(); u++ {
-				nullary = nullary || (p.d.Parent[u] >= 0 && len(p.shared[u]) == 0)
-			}
-			for _, form := range []struct {
-				name string
-				bind func(context.Context, *CompiledDB) (*BoundQuery, error)
-			}{{"Bind", prep.Bind}, {"BindMaintained", prep.BindMaintained}} {
-				b, err := form.bind(ctx, cdb)
-				if err != nil {
-					t.Fatalf("%s: %v", c.name, err)
-				}
-				name := fmt.Sprintf("%s/%s/par%d", c.name, form.name, eng.par())
-				checkReduction(t, name, b)
-				es, _ := b.ensureReduced(ctx)
-				if c.name == "unsat" {
-					root := p.d.Root()
-					for u, rel := range es.buRels {
-						emptied = emptied || (u != root && rel.Len() > 0 && es.buRels[root].Len() == 0)
-					}
+			name := c.name + "/" + form.name
+			checkReduction(t, name, b)
+			es, _ := b.ensureReduced(ctx)
+			if c.name == "unsat" {
+				root := p.d.Root()
+				for u, rel := range es.buRels {
+					emptied = emptied || (u != root && rel.Len() > 0 && es.buRels[root].Len() == 0)
 				}
 			}
 		}
-		if !nullary || !emptied {
-			t.Fatalf("a child sharing no variable with its parent: %v; a root emptied on the way up below a non-empty node: %v", nullary, emptied)
-		}
+	}
+	if !nullary || !emptied {
+		t.Fatalf("a child sharing no variable with its parent: %v; a root emptied on the way up below a non-empty node: %v", nullary, emptied)
 	}
 }

@@ -3,7 +3,6 @@ package engine
 import (
 	"slices"
 	"sort"
-	"sync"
 
 	"d2cq/internal/storage"
 )
@@ -343,75 +342,65 @@ func sharedColumns(r, s *Relation) (shared []string, rIdx, sIdx []int) {
 }
 
 // SortForDisplay orders tuples lexicographically (for deterministic test
-// output and golden comparisons).
-func (r *Relation) SortForDisplay() { r.sortPar(1) }
-
-// sortPar is SortForDisplay on up to par workers: a permutation of row
-// indexes is sorted in contiguous runs concurrently and the runs are merged.
-// Ties are bitwise-identical rows, so the result is the same Data the
-// sequential sort produces for any par.
-func (r *Relation) sortPar(par int) {
+// output and golden comparisons). A permutation of row indexes is sorted and
+// the rows are copied out in its order.
+func (r *Relation) SortForDisplay() {
 	a := len(r.Cols)
 	if a == 0 {
 		return
 	}
-	n := r.Len()
-	less := func(i, j int32) bool {
-		ri, rj := r.Row(int(i)), r.Row(int(j))
+	idx := make([]int32, r.Len())
+	for i := range idx {
+		idx[i] = int32(i)
+	}
+	sort.Slice(idx, func(i, j int) bool {
+		ri, rj := r.Row(int(idx[i])), r.Row(int(idx[j]))
 		for k := 0; k < a; k++ {
 			if ri[k] != rj[k] {
 				return ri[k] < rj[k]
 			}
 		}
 		return false
-	}
-	idx := make([]int32, n)
-	for i := range idx {
-		idx[i] = int32(i)
-	}
-	if par <= 1 || n < 4096 {
-		sort.Slice(idx, func(i, j int) bool { return less(idx[i], idx[j]) })
-	} else {
-		if par > n {
-			par = n
-		}
-		bounds := make([]int, par+1)
-		for w := 0; w <= par; w++ {
-			bounds[w] = w * n / par
-		}
-		var wg sync.WaitGroup
-		for w := 0; w < par; w++ {
-			seg := idx[bounds[w]:bounds[w+1]]
-			wg.Add(1)
-			go func(seg []int32) {
-				defer wg.Done()
-				sort.Slice(seg, func(i, j int) bool { return less(seg[i], seg[j]) })
-			}(seg)
-		}
-		wg.Wait()
-		// k-way merge of the par sorted runs (par is small: linear scan of
-		// the run heads per output row).
-		merged := make([]int32, 0, n)
-		heads := make([]int, par)
-		copy(heads, bounds[:par])
-		for len(merged) < n {
-			best := -1
-			for w := 0; w < par; w++ {
-				if heads[w] == bounds[w+1] {
-					continue
-				}
-				if best < 0 || less(idx[heads[w]], idx[heads[best]]) {
-					best = w
-				}
-			}
-			merged = append(merged, idx[heads[best]])
-			heads[best]++
-		}
-		idx = merged
-	}
+	})
 	out := make([]Value, 0, len(r.Data))
 	for _, i := range idx {
 		out = append(out, r.Row(int(i))...)
 	}
 	r.Data = out
+}
+
+// EqualRelations reports whether two relations over the same column sets
+// contain the same tuples after normalising the value space through the two
+// dictionaries (tests use it to compare engines).
+func EqualRelations(a *Relation, da *Dict, b *Relation, db *Dict) bool {
+	if a.Len() != b.Len() {
+		return false
+	}
+	norm := func(r *Relation, d *Dict) []string {
+		cols := append([]string(nil), r.Cols...)
+		idx := make([]int, len(cols))
+		sorted := append([]string(nil), cols...)
+		sort.Strings(sorted)
+		for i, c := range sorted {
+			idx[i] = r.ColIndex(c)
+		}
+		rows := make([]string, 0, r.Len())
+		for i := 0; i < r.Len(); i++ {
+			row := r.Row(i)
+			s := ""
+			for _, x := range idx {
+				s += d.Name(row[x]) + "\x00"
+			}
+			rows = append(rows, s)
+		}
+		sort.Strings(rows)
+		return rows
+	}
+	ra, rb := norm(a, da), norm(b, db)
+	for i := range ra {
+		if ra[i] != rb[i] {
+			return false
+		}
+	}
+	return true
 }

@@ -2,12 +2,10 @@ package engine
 
 import (
 	"context"
-	"errors"
 	"slices"
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"d2cq/internal/storage"
 )
@@ -15,8 +13,7 @@ import (
 // run is the data-dependent state of one evaluation of a Plan over one
 // compiled Instance: the materialised node relations. A run belongs to a
 // single evaluation call and is never shared between goroutines; the Plan it
-// points at is immutable. par is the bounded worker count of the parallel
-// passes (<= 1 means sequential). reduced records that every node relation is
+// points at is immutable. reduced records that every node relation is
 // bottom-up reduced already (newRun builds them so), rather than the
 // cover-based bag; counts is the counting DP of the pass that reduced them,
 // with its messages and slots (nil until a run over cover-based bags is
@@ -25,71 +22,8 @@ type run struct {
 	plan     *Plan
 	inst     *Instance
 	nodeRels []*Relation
-	par      int
 	reduced  bool
 	counts   *countState
-}
-
-// errUnsat is the internal early-exit signal of the parallel bottom-up pass:
-// some node relation emptied out, so the query is unsatisfiable.
-var errUnsat = errors.New("engine: node relation emptied")
-
-// parForEach applies f to every item, using up to par workers when par > 1.
-// The first error stops the remaining work and is returned.
-func parForEach(ctx context.Context, par int, items []int, f func(int) error) error {
-	if par <= 1 || len(items) <= 1 {
-		for _, it := range items {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if err := f(it); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if par > len(items) {
-		par = len(items)
-	}
-	var (
-		wg       sync.WaitGroup
-		next     atomic.Int64
-		stop     atomic.Bool
-		errMu    sync.Mutex
-		firstErr error
-	)
-	fail := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
-		stop.Store(true)
-	}
-	for w := 0; w < par; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for !stop.Load() {
-				i := int(next.Add(1) - 1)
-				if i >= len(items) {
-					return
-				}
-				if err := ctx.Err(); err != nil {
-					fail(err)
-					return
-				}
-				if err := f(items[i]); err != nil {
-					fail(err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	errMu.Lock()
-	defer errMu.Unlock()
-	return firstErr
 }
 
 // allNodes returns 0..n-1 (the work list of the materialisation pass).
@@ -336,17 +270,17 @@ func materialiseNodeWithSupport(p *Plan, inst *Instance, u int, edge func([]stri
 }
 
 // newRun materialises the node relations of the plan over inst bottom-up,
-// children strictly first and each level on up to par workers: every node is
-// built by materialiseReduced from its children's messages and reduced by
-// nodeMessage, which computes its own message on the way, so the run starts
-// out bottom-up reduced and carries the finished counting DP.
-func newRun(ctx context.Context, p *Plan, inst *Instance, par int) (*run, error) {
-	r := &run{plan: p, inst: inst, nodeRels: make([]*Relation, p.d.Nodes()), par: par, reduced: true}
+// children strictly first: every node is built by materialiseReduced from its
+// children's messages and reduced by nodeMessage, which computes its own
+// message on the way, so the run starts out bottom-up reduced and carries the
+// finished counting DP.
+func newRun(ctx context.Context, p *Plan, inst *Instance) (*run, error) {
+	r := &run{plan: p, inst: inst, nodeRels: make([]*Relation, p.d.Nodes()), reduced: true}
 	getEdge, err := edgeRelations(ctx, p, inst, allNodes(p.d.Nodes()))
 	if err != nil {
 		return nil, err
 	}
-	r.counts, err = countBottomUp(ctx, p, par, r.nodeRels, func(u int, msgs []*storage.TupleMap) *Relation {
+	r.counts, err = countBottomUp(ctx, p, r.nodeRels, func(u int, msgs []*storage.TupleMap) *Relation {
 		return materialiseReduced(p, inst, u, getEdge, msgs)
 	})
 	if err != nil {
@@ -356,27 +290,26 @@ func newRun(ctx context.Context, p *Plan, inst *Instance, par int) (*run, error)
 }
 
 // coverNodes materialises the cover-based node relations of the plan over
-// inst (materialiseNode), on up to par workers: the unreduced bags that
-// maintenance loads as node supports.
-func coverNodes(ctx context.Context, p *Plan, inst *Instance, par int) ([]*Relation, error) {
+// inst (materialiseNode): the unreduced bags that maintenance loads as node
+// supports.
+func coverNodes(ctx context.Context, p *Plan, inst *Instance) ([]*Relation, error) {
 	rels := make([]*Relation, p.d.Nodes())
 	getEdge, err := edgeRelations(ctx, p, inst, allNodes(p.d.Nodes()))
 	if err != nil {
 		return nil, err
 	}
-	err = parForEach(ctx, par, allNodes(p.d.Nodes()), func(u int) error {
+	for u := range rels {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		rels[u] = materialiseNode(p, inst, u, getEdge)
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	return rels, nil
 }
 
 // edgeRelations builds the λ edge relations of the given nodes, one per
 // distinct variable set, and returns their lookup — shared read-only across
-// nodes and workers.
+// nodes.
 func edgeRelations(ctx context.Context, p *Plan, inst *Instance, nodes []int) (func([]string) *Relation, error) {
 	edges := map[string]*Relation{}
 	for _, u := range nodes {
@@ -394,34 +327,26 @@ func edgeRelations(ctx context.Context, p *Plan, inst *Instance, nodes []int) (f
 
 // bool_ decides satisfiability by a bottom-up Yannakakis semijoin pass:
 // semijoin every parent with its children, children strictly first;
-// satisfiable iff no node relation empties out. Levels of the decomposition
-// tree are processed in parallel when the run has workers. A run that is
-// bottom-up reduced already only looks at its root.
+// satisfiable iff no node relation empties out. A run that is bottom-up
+// reduced already only looks at its root.
 func (r *run) bool_(ctx context.Context) (bool, error) {
 	if r.reduced {
 		return r.nodeRels[r.plan.d.Root()].Len() > 0, nil
 	}
-	for _, level := range r.plan.levels {
-		err := parForEach(ctx, r.par, level, func(u int) error {
-			rel := r.nodeRels[u]
-			for _, cj := range r.plan.childJoins[u] {
-				rel = semijoinOn(rel, r.nodeRels[cj.child], cj.shared, cj.uPos, cj.cPos)
-				if rel.Len() == 0 {
-					return errUnsat
-				}
-			}
-			r.nodeRels[u] = rel
-			if rel.Len() == 0 {
-				return errUnsat
-			}
-			return nil
-		})
-		if errors.Is(err, errUnsat) {
-			return false, nil
-		}
-		if err != nil {
+	for _, u := range r.plan.order {
+		if err := ctx.Err(); err != nil {
 			return false, err
 		}
+		rel := r.nodeRels[u]
+		for _, cj := range r.plan.childJoins[u] {
+			if rel = semijoinOn(rel, r.nodeRels[cj.child], cj.shared, cj.uPos, cj.cPos); rel.Len() == 0 {
+				return false, nil
+			}
+		}
+		if rel.Len() == 0 {
+			return false, nil
+		}
+		r.nodeRels[u] = rel
 	}
 	return true, nil
 }
@@ -486,33 +411,30 @@ type countState struct {
 	keySum []*storage.PMap[int64] // maintained form; nil entry for the root
 }
 
-// countBottomUp runs the counting DP over all nodes, children strictly first
-// and each level on up to par workers: node(u, msgs) returns node u's
-// relation — built then and there from its children's messages msgs, or one
-// built before — and nodeMessage computes the node's own message from it.
+// countBottomUp runs the counting DP over all nodes, children strictly first:
+// node(u, msgs) returns node u's relation — built then and there from its
+// children's messages msgs, or one built before — and nodeMessage computes
+// the node's own message from it.
 // With reduced non-nil, nodeMessage also reduces the relation, reduced[u]
 // receives the result and the state keeps its rows' message slots; otherwise
 // the relations are only read.
-func countBottomUp(ctx context.Context, p *Plan, par int, reduced []*Relation, node func(u int, msgs []*storage.TupleMap) *Relation) (*countState, error) {
+func countBottomUp(ctx context.Context, p *Plan, reduced []*Relation, node func(u int, msgs []*storage.TupleMap) *Relation) (*countState, error) {
 	cs := &countState{msgs: make([]*storage.TupleMap, p.d.Nodes())}
 	if reduced != nil {
 		cs.slots = make([][]int32, p.d.Nodes())
 	}
-	for _, level := range p.levels {
-		err := parForEach(ctx, par, level, func(u int) error {
-			rel, msg, slots, total := nodeMessage(p, u, node(u, cs.msgs), cs.msgs, reduced != nil)
-			if reduced != nil {
-				reduced[u], cs.slots[u] = rel, slots
-			}
-			if msg == nil {
-				cs.total = total
-			}
-			cs.msgs[u] = msg
-			return nil
-		})
-		if err != nil {
+	for _, u := range p.order {
+		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
+		rel, msg, slots, total := nodeMessage(p, u, node(u, cs.msgs), cs.msgs, reduced != nil)
+		if reduced != nil {
+			reduced[u], cs.slots[u] = rel, slots
+		}
+		if msg == nil {
+			cs.total = total
+		}
+		cs.msgs[u] = msg
 	}
 	return cs, nil
 }
@@ -520,15 +442,14 @@ func countBottomUp(ctx context.Context, p *Plan, par int, reduced []*Relation, n
 // reduceBottomUp runs the bottom-up half of the Yannakakis full reduction:
 // the counting pass with reduction on (countBottomUp), which keeps the rows of
 // every node whose key every child's message holds, children strictly first,
-// and leaves the messages and slots the top-down half marks. It runs
-// level-parallel when the run has workers. A bottom-up reduced run has
-// nothing to do.
+// and leaves the messages and slots the top-down half marks. A bottom-up
+// reduced run has nothing to do.
 func (r *run) reduceBottomUp(ctx context.Context) error {
 	if r.reduced {
 		return nil
 	}
 	rels := r.nodeRels
-	cs, err := countBottomUp(ctx, r.plan, r.par, rels, func(u int, _ []*storage.TupleMap) *Relation {
+	cs, err := countBottomUp(ctx, r.plan, rels, func(u int, _ []*storage.TupleMap) *Relation {
 		return rels[u]
 	})
 	if err != nil {
@@ -544,43 +465,40 @@ func (r *run) reduceBottomUp(ctx context.Context) error {
 // marks the slot it hits — there is one, as the parent is bottom-up reduced
 // by exactly that message; the child keeps the rows whose slot is marked, or
 // stays as it is, shared, once every slot is. It returns every node's rows'
-// message slots after the pass. Level-parallel when the run has workers (a
-// level writes its nodes' children, and every child has one parent).
+// message slots after the pass.
 func (r *run) reduceTopDown(ctx context.Context) ([][]int32, error) {
 	p, cs := r.plan, r.counts
 	slots := slices.Clone(cs.slots)
-	for l := len(p.levels) - 1; l >= 0; l-- {
-		err := parForEach(ctx, r.par, p.levels[l], func(u int) error {
-			rel := r.nodeRels[u]
-			key := make([]Value, len(rel.Cols))
-			for _, cj := range p.childJoins[u] {
-				msg := cs.msgs[cj.child]
-				mark, hit := make([]bool, msg.Len()), 0
-				for i := 0; i < rel.Len() && hit < len(mark); i++ {
-					if s := msg.Find(project(key, rel.Row(i), cj.uPos)); !mark[s] {
-						mark[s] = true
-						hit++
-					}
-				}
-				if hit == len(mark) {
-					continue
-				}
-				c, i := cj.child, 0
-				kept := make([]int32, 0, len(slots[c]))
-				r.nodeRels[c] = filterRows(r.nodeRels[c], func([]Value) bool {
-					s := slots[c][i]
-					i++
-					if mark[s] {
-						kept = append(kept, s)
-					}
-					return mark[s]
-				})
-				slots[c] = kept
-			}
-			return nil
-		})
-		if err != nil {
+	for o := len(p.order) - 1; o >= 0; o-- {
+		if err := ctx.Err(); err != nil {
 			return nil, err
+		}
+		u := p.order[o]
+		rel := r.nodeRels[u]
+		key := make([]Value, len(rel.Cols))
+		for _, cj := range p.childJoins[u] {
+			msg := cs.msgs[cj.child]
+			mark, hit := make([]bool, msg.Len()), 0
+			for i := 0; i < rel.Len() && hit < len(mark); i++ {
+				if s := msg.Find(project(key, rel.Row(i), cj.uPos)); !mark[s] {
+					mark[s] = true
+					hit++
+				}
+			}
+			if hit == len(mark) {
+				continue
+			}
+			c, i := cj.child, 0
+			kept := make([]int32, 0, len(slots[c]))
+			r.nodeRels[c] = filterRows(r.nodeRels[c], func([]Value) bool {
+				s := slots[c][i]
+				i++
+				if mark[s] {
+					kept = append(kept, s)
+				}
+				return mark[s]
+			})
+			slots[c] = kept
 		}
 	}
 	return slots, nil
@@ -678,8 +596,7 @@ func buildEnumState(p *Plan, rels []*Relation, msgs []*storage.TupleMap, slots [
 	return es
 }
 
-// rootLen returns the number of rows of the reduced root relation — the
-// extent the parallel enumeration splits.
+// rootLen returns the number of rows of the reduced root relation.
 func (es *enumState) rootLen() int {
 	root := es.pre[0]
 	if es.m != nil {
@@ -688,16 +605,16 @@ func (es *enumState) rootLen() int {
 	return es.nodes[root].rel.Len()
 }
 
-// enumerateRange streams the solutions whose root tuple index lies in
-// [rootLo, rootHi), in root-index order. It assumes the relations behind the
-// state are fully reduced: then every node tuple participates in a solution
-// and the backtracking search below never dead-ends, so the delay between
-// consecutive yields is bounded by the tree size. yield receives the
-// assignment as values indexed parallel to plan.Vars(); the slice is reused
-// between calls. Returning false from yield stops the enumeration early
-// (enumerateRange then returns nil). The state is never written, so any
-// number of ranges may run concurrently over one enumState.
-func (es *enumState) enumerateRange(ctx context.Context, rootLo, rootHi int, yield func(row []Value) bool) error {
+// enumerate streams every solution of the full CQ without materialising the
+// join. It assumes the relations behind the state are fully reduced: then
+// every node tuple participates in a solution and the backtracking search
+// below never dead-ends, so the delay between consecutive yields is bounded
+// by the tree size. yield receives the assignment as values indexed parallel
+// to plan.Vars(); the slice is reused between calls. Returning false from
+// yield stops the enumeration early (enumerate then returns nil). The state
+// is never written, so any number of enumerations may run concurrently over
+// one enumState.
+func (es *enumState) enumerate(ctx context.Context, yield func(row []Value) bool) error {
 	p := es.plan
 	if p.d.Nodes() == 0 {
 		return nil
@@ -740,7 +657,7 @@ func (es *enumState) enumerateRange(ctx context.Context, rootLo, rootHi int, yie
 					kb[j] = asg[vid]
 				}
 				rows, _ = m.down[u].Get(kb)
-			case i == 0 && rootLo == 0 && rootHi == m.fLen[u]:
+			case i == 0:
 				var err error
 				m.all[u].Range(func(row []Value, _ struct{}) bool {
 					for j, vid := range write {
@@ -750,8 +667,6 @@ func (es *enumState) enumerateRange(ctx context.Context, rootLo, rootHi int, yie
 					return err == nil && !stop
 				})
 				return err
-			case i == 0:
-				rows = es.flatF(u).Data[rootLo*a : rootHi*a]
 			default:
 				rows = es.flatF(u).Data
 			}
@@ -769,7 +684,7 @@ func (es *enumState) enumerateRange(ctx context.Context, rootLo, rootHi int, yie
 			return nil
 		}
 		en := es.nodes[u]
-		start, n := 0, en.rel.Len()
+		n := en.rel.Len()
 		var rows []int32
 		if en.idx != nil {
 			kb := keyBuf[:len(en.sharedVid)]
@@ -778,12 +693,8 @@ func (es *enumState) enumerateRange(ctx context.Context, rootLo, rootHi int, yie
 			}
 			rows = en.idx.lookup(kb)
 			n = len(rows)
-		} else if i == 0 {
-			// The root has no parent-shared columns, so its scan is the full
-			// relation — exactly the loop the range partition bounds.
-			start, n = rootLo, rootHi
 		}
-		for ri := start; ri < n; ri++ {
+		for ri := 0; ri < n; ri++ {
 			if stop {
 				return nil
 			}
@@ -802,233 +713,4 @@ func (es *enumState) enumerateRange(ctx context.Context, rootLo, rootHi int, yie
 		return nil
 	}
 	return rec(0)
-}
-
-// enumerate streams every solution of the full CQ without materialising the
-// join. With par ≤ 1 (or a root too small to split) it is the classic
-// sequential bounded-delay enumeration. With par > 1 the root relation is
-// over-split into ~enumChunkFactor×par contiguous chunks that par
-// bounded-delay producers claim dynamically (work-stealing) and walk down
-// the decomposition, and the streams merge back into the single yield: in
-// arrival order by default, or in root-index order — i.e. exactly the
-// sequential order — when ordered is set (WithDeterministicOrder).
-func (es *enumState) enumerate(ctx context.Context, par int, ordered bool, yield func(row []Value) bool) error {
-	if es.plan.d.Nodes() == 0 {
-		return nil
-	}
-	rootN := es.rootLen()
-	if par <= 1 || rootN < 2 {
-		return es.enumerateRange(ctx, 0, rootN, yield)
-	}
-	return es.enumerateParallel(ctx, par, ordered, rootN, yield)
-}
-
-// enumBatch is one producer→merger handoff of the parallel enumeration: a
-// flat block of up to enumBatchRows output rows. rows is explicit because
-// solutions may be zero-width.
-type enumBatch struct {
-	rows int
-	data []Value
-}
-
-// enumBatchRows is the producer batch size: small enough to keep the delay
-// between yields bounded, large enough to amortise the channel handoff.
-const enumBatchRows = 64
-
-// enumChunkFactor is the over-splitting of the parallel enumeration: the
-// root relation is cut into up to enumChunkFactor×par chunks that the par
-// workers claim dynamically, so one skewed contiguous range (a root tuple
-// with a huge subtree fan-out) occupies a single worker for one chunk
-// instead of serialising a par-th of the whole scan behind it.
-const enumChunkFactor = 4
-
-// enumerateParallel fans the root scan out over par workers that dynamically
-// claim ~enumChunkFactor×par root chunks (work-stealing: a worker stuck on a
-// skewed chunk no longer blocks the ranges behind it) and merges their
-// batches into the caller's yield. All channels are bounded, an early stop
-// (yield returning false) or a context cancellation tears the pool down, and
-// the function returns only after every producer goroutine has exited —
-// nothing leaks, whichever way the enumeration ends.
-func (es *enumState) enumerateParallel(ctx context.Context, par int, ordered bool, rootN int, yield func(row []Value) bool) error {
-	if par > rootN {
-		par = rootN
-	}
-	chunks := enumChunkFactor * par
-	if chunks > rootN {
-		chunks = rootN
-	}
-	width := len(es.plan.qvars)
-	wctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	var (
-		wg       sync.WaitGroup
-		errMu    sync.Mutex
-		firstErr error
-	)
-	// produce streams one chunk into send, batching rows. send reports false
-	// when the pool is being torn down.
-	produce := func(lo, hi int, send func(enumBatch) bool) {
-		b := enumBatch{data: make([]Value, 0, enumBatchRows*width)}
-		flush := func() bool {
-			if b.rows == 0 {
-				return true
-			}
-			if !send(b) {
-				return false
-			}
-			b = enumBatch{data: make([]Value, 0, enumBatchRows*width)}
-			return true
-		}
-		err := es.enumerateRange(wctx, lo, hi, func(row []Value) bool {
-			b.data = append(b.data, row...)
-			b.rows++
-			if b.rows >= enumBatchRows {
-				return flush()
-			}
-			return true
-		})
-		if err != nil {
-			errMu.Lock()
-			if firstErr == nil {
-				firstErr = err
-			}
-			errMu.Unlock()
-			cancel()
-			return
-		}
-		flush()
-	}
-	// drain hands one received batch to yield; it reports whether the merge
-	// should continue.
-	stopped := false
-	drain := func(b enumBatch) bool {
-		for r := 0; r < b.rows; r++ {
-			if !yield(b.data[r*width : r*width+width]) {
-				stopped = true
-				cancel()
-				return false
-			}
-		}
-		if err := ctx.Err(); err != nil {
-			cancel()
-			return false
-		}
-		return true
-	}
-
-	// Chunks are claimed in index order off one shared counter; a worker
-	// finishing a cheap chunk immediately steals the next unclaimed one.
-	var nextChunk atomic.Int64
-	claim := func() int {
-		return int(nextChunk.Add(1) - 1)
-	}
-
-	if ordered {
-		// One bounded channel per chunk, closed exactly once by the worker
-		// that claimed it (or, for chunks never claimed because the pool was
-		// torn down first, by the sweeper after every worker exited); the
-		// merger consumes the chunks in index order, which reproduces the
-		// sequential order exactly. Workers ahead of the merger fill their
-		// chunk buffers and block until its turn; cancellation unblocks them.
-		chans := make([]chan enumBatch, chunks)
-		for c := range chans {
-			chans[c] = make(chan enumBatch, 4)
-		}
-		for w := 0; w < par; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					c := claim()
-					if c >= chunks {
-						return
-					}
-					produce(c*rootN/chunks, (c+1)*rootN/chunks, func(b enumBatch) bool {
-						select {
-						case chans[c] <- b:
-							return true
-						case <-wctx.Done():
-							return false
-						}
-					})
-					close(chans[c])
-					if wctx.Err() != nil {
-						return
-					}
-				}
-			}()
-		}
-		go func() {
-			// Sweeper: chunks no worker ever claimed (possible only after a
-			// cancellation emptied the pool early) still need their channels
-			// closed so the merger's drain below terminates. Claims hand out
-			// indexes in order, so after the last worker exits the unclaimed
-			// chunks are exactly [min(counter, chunks), chunks).
-			wg.Wait()
-			first := int(nextChunk.Load())
-			if first > chunks {
-				first = chunks
-			}
-			for c := first; c < chunks; c++ {
-				close(chans[c])
-			}
-		}()
-		merging := true
-		for c := 0; c < chunks; c++ {
-			for b := range chans[c] {
-				if merging && !drain(b) {
-					merging = false
-				}
-			}
-		}
-		cancel()
-		wg.Wait()
-	} else {
-		// One shared bounded channel: batches merge in arrival order. The
-		// channel closes once every producer has exited, so the merge loop
-		// below always terminates and doubles as the teardown drain.
-		ch := make(chan enumBatch, par*2)
-		for w := 0; w < par; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for wctx.Err() == nil {
-					c := claim()
-					if c >= chunks {
-						return
-					}
-					produce(c*rootN/chunks, (c+1)*rootN/chunks, func(b enumBatch) bool {
-						select {
-						case ch <- b:
-							return true
-						case <-wctx.Done():
-							return false
-						}
-					})
-				}
-			}()
-		}
-		go func() {
-			wg.Wait()
-			close(ch)
-		}()
-		merging := true
-		for b := range ch {
-			if merging && !drain(b) {
-				merging = false
-			}
-		}
-		wg.Wait()
-	}
-
-	if stopped {
-		return nil
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	errMu.Lock()
-	defer errMu.Unlock()
-	return firstErr
 }

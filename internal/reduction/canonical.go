@@ -7,6 +7,7 @@
 package reduction
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -157,10 +158,18 @@ func (in Instance) Solutions() (*engine.Relation, *engine.Dict, error) {
 
 // BCQ decides the instance with the decomposition engine.
 func (in Instance) BCQ() (bool, error) {
-	return engine.BCQ(in.Q, in.D, nil)
+	p, err := engine.Default().Prepare(context.Background(), in.Q)
+	if err != nil {
+		return false, err
+	}
+	return p.Bool(context.Background(), in.D)
 }
 
 // Count counts the instance's solutions with the decomposition engine.
 func (in Instance) Count() (int64, error) {
-	return engine.Count(in.Q, in.D, nil)
+	p, err := engine.Default().Prepare(context.Background(), in.Q)
+	if err != nil {
+		return 0, err
+	}
+	return p.Count(context.Background(), in.D)
 }

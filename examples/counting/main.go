@@ -45,20 +45,19 @@ func main() {
 	// Compile and bind once, before any data arrives; afterwards every round
 	// is a Delta. One Apply per round builds the next snapshot (shared
 	// relations, shared dictionary) and both bound queries rebind to it
-	// incrementally — hence BindMaintained, whose cover-based node relations
-	// are what maintenance starts from. The mirror cq.Database only exists
-	// for the naive ground-truth check at the end.
+	// incrementally, maintaining the node relations Bind built. The mirror
+	// cq.Database only exists for the naive ground-truth check at the end.
 	people := []string{"ann", "bob", "cat", "dan", "eve"}
 	mirror := d2cq.Database{}
 	cdb, err := eng.CompileDB(ctx, mirror)
 	if err != nil {
 		log.Fatal(err)
 	}
-	pathBound, err := pathPrep.BindMaintained(ctx, cdb)
+	pathBound, err := pathPrep.Bind(ctx, cdb)
 	if err != nil {
 		log.Fatal(err)
 	}
-	triBound, err := triPrep.BindMaintained(ctx, cdb)
+	triBound, err := triPrep.Bind(ctx, cdb)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -14,11 +14,12 @@ import (
 	"d2cq/internal/storage"
 )
 
-// TestBindFormsAgreeOnCorpus: Bind (bottom-up reduced nodes) and
-// BindMaintained (cover-based nodes) give the same Bool, Count and
-// EnumerateAll rows on every entry of a degree-2 corpus that plans at width
-// ≤ 3 — the canonical query of each hypergraph over a seeded random
-// database, dense enough that the cyclic entries have answers. The corpus is
+// TestBindFormsAgreeOnCorpus: Bind and its maintained successor after a
+// round trip (one tuple of each relation deleted, then restored: the first
+// Rebind builds the maintained form, the second maintains it) give the same
+// Bool, Count and EnumerateAll rows on every entry of a degree-2 corpus that
+// plans at width ≤ 3 — the canonical query of each hypergraph over a seeded
+// random database, dense enough that the cyclic entries have answers. The corpus is
 // the repository benchmark's (batch.corpus), or a smaller one under -short.
 // Every entry is bound twice: over its database as generated, whose random
 // tuples repeat, so the atom relations are deduplicated copies; and over the
@@ -91,12 +92,12 @@ func TestBindFormsAgreeOnCorpus(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: Bind: %v", e.Name, err)
 			}
-			maintained, err := prep.BindMaintained(ctx, cdb)
+			maintained, err := roundTrip(ctx, oneShot, db)
 			if err != nil {
-				t.Fatalf("%s: BindMaintained: %v", e.Name, err)
+				t.Fatalf("%s: round trip: %v", e.Name, err)
 			}
 			if desc := compareBound(ctx, oneShot, maintained); desc != "" {
-				t.Errorf("%s (%s): Bind vs BindMaintained: %s", e.Name, q, desc)
+				t.Errorf("%s (%s): Bind vs its maintained successor: %s", e.Name, q, desc)
 			}
 			if first == nil {
 				first = oneShot
@@ -144,8 +145,8 @@ func sharesTable(rel *Relation, t *storage.Table) bool {
 
 // TestBindLeavesTablesUntouched: relations are never written once built, so
 // an atom relation may be its table's own rows and operators may return
-// their inputs. Every evaluation call, on both bound forms, and an Update
-// must then leave every compiled table exactly as it was. The queries cover
+// their inputs. Every evaluation call and an Update must then leave every
+// compiled table exactly as it was. The queries cover
 // atoms sharing their table, atoms with constants and repeated variables,
 // relations with repeated tuples, forced cross-product covers, and a query
 // in two components, whose decomposition has a child sharing no variable
@@ -199,36 +200,34 @@ func TestBindLeavesTablesUntouched(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, bind := range []func(context.Context, *CompiledDB) (*BoundQuery, error){prep.Bind, prep.BindMaintained} {
-			b, err := bind(ctx, cdb)
-			if err != nil {
-				t.Fatalf("%s: %v", text, err)
+		b, err := prep.Bind(ctx, cdb)
+		if err != nil {
+			t.Fatalf("%s: %v", text, err)
+		}
+		for i, a := range q.Atoms {
+			if sharesTable(b.inst.AtomRels[i], cdb.sdb.Table(a.Rel)) {
+				shared++
 			}
-			for i, a := range q.Atoms {
-				if sharesTable(b.inst.AtomRels[i], cdb.sdb.Table(a.Rel)) {
-					shared++
-				}
-			}
-			if desc := compareBound(ctx, b, b); desc != "" {
-				t.Errorf("%s: %s", text, desc)
-			}
-			if c, _ := b.Count(ctx); c != n {
-				t.Errorf("%s: Count %d, naive %d", text, c, n)
-			}
-			err = b.Enumerate(ctx, func(Solution) bool { return true })
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := b.CountProjection(ctx, q.Vars()[:1]); err != nil {
-				t.Fatal(err)
-			}
-			nb, err := b.Update(ctx, delta)
-			if err != nil {
-				t.Fatalf("%s: Update: %v", text, err)
-			}
-			if desc := compareBound(ctx, nb, nb); desc != "" {
-				t.Errorf("%s after Update: %s", text, desc)
-			}
+		}
+		if desc := compareBound(ctx, b, b); desc != "" {
+			t.Errorf("%s: %s", text, desc)
+		}
+		if c, _ := b.Count(ctx); c != n {
+			t.Errorf("%s: Count %d, naive %d", text, c, n)
+		}
+		err = b.Enumerate(ctx, func(Solution) bool { return true })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := b.CountProjection(ctx, q.Vars()[:1]); err != nil {
+			t.Fatal(err)
+		}
+		nb, err := b.Update(ctx, delta)
+		if err != nil {
+			t.Fatalf("%s: Update: %v", text, err)
+		}
+		if desc := compareBound(ctx, nb, nb); desc != "" {
+			t.Errorf("%s after Update: %s", text, desc)
 		}
 	}
 	if !nullary || shared == 0 {
@@ -243,9 +242,9 @@ func TestBindLeavesTablesUntouched(t *testing.T) {
 
 // TestBindConcurrentFirstUse races the state this file's binds set up
 // lazily or share: first binds over tables whose set check has not run,
-// first Counts of one BindMaintained query (the counting DP over its bags),
-// and Updates of one Bind query (which freeze its messages into key sums).
-// Run with -race.
+// first Enumerates of one maintained query (the counting pass that sends the
+// messages its top-down reduction marks), and Updates of one Bind query
+// (which freeze its messages into key sums). Run with -race.
 func TestBindConcurrentFirstUse(t *testing.T) {
 	ctx := context.Background()
 	q, db := cycleQuery(5, 3)
@@ -266,7 +265,7 @@ func TestBindConcurrentFirstUse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	maintained, err := prep.BindMaintained(ctx, cdb)
+	maintained, err := roundTrip(ctx, oneShot, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,11 +280,7 @@ func TestBindConcurrentFirstUse(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			bind := prep.Bind
-			if g%2 == 1 {
-				bind = prep.BindMaintained
-			}
-			b, err := bind(ctx, fresh)
+			b, err := prep.Bind(ctx, fresh)
 			if err != nil {
 				t.Error(err)
 				return
@@ -294,6 +289,9 @@ func TestBindConcurrentFirstUse(t *testing.T) {
 				if n, err := b.Count(ctx); err != nil || n != want {
 					t.Errorf("Count = %d, %v; want %d", n, err, want)
 				}
+			}
+			if err := maintained.Enumerate(ctx, func(Solution) bool { return false }); err != nil {
+				t.Error(err)
 			}
 			nb, err := oneShot.Update(ctx, delta)
 			if err != nil {

@@ -94,15 +94,11 @@ func (c *CompiledDB) RelationRows(name string) int {
 // BoundQuery is a prepared query bound to a compiled database: the interned
 // dictionary, the per-atom relations, and the materialised decomposition
 // node relations are all built once at bind time and reused by every
-// evaluation call. The node relations come in one of two forms: bottom-up
-// reduced (Bind, for evaluating a snapshot) or cover-based (BindMaintained,
-// for maintaining one under Rebind); a query records which it holds. Bind
-// finishes the counting DP on its way up, so Count after Bind only reads the
-// total; after BindMaintained the DP runs over the cover-based bags on the
-// first Count. The full Yannakakis reduction (with its enumeration indexes)
-// is built on the first Enumerate, from the messages of a bottom-up counting
-// pass — Bind's own, or after BindMaintained one over the bags. Both are then
-// shared.
+// evaluation call. The node relations are bottom-up reduced, and stay so
+// under Rebind, which maintains them. Bind finishes the counting DP on its
+// way up and Rebind carries it forward, so Count only reads the total. The
+// full Yannakakis reduction (with its enumeration indexes) is built on the
+// first Enumerate by the top-down pass alone, and then shared.
 // A BoundQuery is immutable after binding and safe for concurrent use;
 // Update/Rebind never mutate it — they return a new BoundQuery sharing all
 // state the delta did not touch.
@@ -116,11 +112,8 @@ type BoundQuery struct {
 	// not changed since it was flat: Rebind clears the entries a delta
 	// reaches — inst.AtomRels[i], nodeRels[u] — instead of rewriting them,
 	// and flatNodes lists a cleared node from the maintained state on demand.
-	// reduced records that nodeRels are bottom-up reduced (Bind) rather than
-	// cover-based; only a query that was never maintained holds that form.
 	inst     *Instance
 	nodeRels []*Relation
-	reduced  bool
 
 	// maint is the maintained (persistent-map) form of the same relations,
 	// nil until the first Rebind that changes something the query reads: a
@@ -131,40 +124,22 @@ type BoundQuery struct {
 
 	reduceMu sync.Mutex // serialises enumSt construction
 	enumSt   atomic.Pointer[enumState]
-	countMu  sync.Mutex // serialises countSt construction
-	countSt  atomic.Pointer[countState]
+	countSt  atomic.Pointer[countState] // set by Bind and by Rebind; nil for naive and ground plans
 }
 
-// Bind fixes the data-dependent half of the evaluation for a snapshot that is
-// evaluated rather than maintained: it builds the per-atom relations over the
-// compiled database and materialises the decomposition bottom-up, children
-// first — each node the connected join of its cover relations, its
-// children's messages and its filter atoms, projected to the bag. A child's
-// message is its rows grouped on the columns it shares with its parent, each
-// key carrying the counting DP's sum over those rows: one map that is the
-// parent's semijoin filter and its counting factor at once. The nodes are
-// thus bottom-up reduced from the start: a cover whose relations share no
-// variable is never built as a cross product on its own, Bool reads the root,
-// Count reads the total summed at the root, and Enumerate's reduction only
-// runs top-down, marking the slots of the messages each row of a node hits.
-// Rebind works on the result too, but its first call rebuilds the cover-based
-// bags maintenance needs; a query that will be rebound should use
-// BindMaintained.
+// Bind fixes the data-dependent half of the evaluation for a snapshot: it
+// builds the per-atom relations over the compiled database and materialises
+// the decomposition bottom-up, children first — each node the connected join
+// of its cover relations, its children's messages and its filter atoms,
+// projected to the bag. A child's message is its rows grouped on the columns
+// it shares with its parent, each key carrying the counting DP's sum over
+// those rows: one map that is the parent's semijoin filter and its counting
+// factor at once. The nodes are thus bottom-up reduced from the start: a
+// cover whose relations share no variable is never built as a cross product
+// on its own, Bool reads the root, Count reads the total summed at the root,
+// and Enumerate's reduction only runs top-down, marking the slots of the
+// messages each row of a node hits. Rebind maintains the same nodes.
 func (p *PreparedQuery) Bind(ctx context.Context, cdb *CompiledDB) (*BoundQuery, error) {
-	return p.bind(ctx, cdb, true)
-}
-
-// BindMaintained is Bind for a query that will be carried across deltas with
-// Rebind or Update: every node relation is its cover-based bag — the λ-edge
-// join (smallest first, connected) projected to the bag and filtered by the
-// assigned atoms, unreduced — which is what the first Rebind loads as the
-// node's maintained support. The answers are Bind's.
-func (p *PreparedQuery) BindMaintained(ctx context.Context, cdb *CompiledDB) (*BoundQuery, error) {
-	return p.bind(ctx, cdb, false)
-}
-
-// bind is Bind (reduced) or BindMaintained.
-func (p *PreparedQuery) bind(ctx context.Context, cdb *CompiledDB, reduced bool) (*BoundQuery, error) {
 	p.eng.binds.Add(1)
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -177,18 +152,11 @@ func (p *PreparedQuery) bind(ctx context.Context, cdb *CompiledDB, reduced bool)
 	if p.plan.Naive() || p.plan.d.Nodes() == 0 {
 		return b, nil
 	}
-	if !reduced {
-		b.nodeRels, err = coverNodes(ctx, p.plan, inst)
-		if err != nil {
-			return nil, err
-		}
-		return b, nil
-	}
 	r, err := newRun(ctx, p.plan, inst)
 	if err != nil {
 		return nil, err
 	}
-	b.nodeRels, b.reduced = r.nodeRels, true
+	b.nodeRels = r.nodeRels
 	b.countSt.Store(r.counts)
 	return b, nil
 }
@@ -199,10 +167,9 @@ func (b *BoundQuery) Query() cq.Query { return b.prep.Query() }
 // Database returns the compiled database snapshot the query is bound to.
 func (b *BoundQuery) Database() *CompiledDB { return b.cdb }
 
-// ExplainDB renders the plan together with the node relation sizes already
-// materialised — unlike PreparedQuery.ExplainDB it does no work beyond
-// formatting. After Bind the sizes are bottom-up reduced; after
-// BindMaintained or a Rebind they are the cover-based bags'.
+// ExplainDB renders the plan together with the (bottom-up reduced) node
+// relation sizes already materialised — unlike PreparedQuery.ExplainDB it
+// does no work beyond formatting.
 func (b *BoundQuery) ExplainDB() string {
 	plan := b.prep.plan
 	if plan.Naive() || plan.d.Nodes() == 0 {
@@ -210,16 +177,18 @@ func (b *BoundQuery) ExplainDB() string {
 	}
 	var sb strings.Builder
 	sb.WriteString(plan.Explain())
-	for u, rel := range b.nodeRels {
-		n := 0
-		if rel != nil {
-			n = rel.Len()
-		} else { // changed since it was flat: the maintained state knows
-			n = b.maint.nodes[u].sup.Len()
-		}
-		fmt.Fprintf(&sb, "node %d materialised: |rel|=%d\n", u, n)
+	for u := range b.nodeRels {
+		fmt.Fprintf(&sb, "node %d materialised: |rel|=%d\n", u, b.nodeLen(u))
 	}
 	return sb.String()
+}
+
+// nodeLen returns the number of rows of node u's relation.
+func (b *BoundQuery) nodeLen(u int) int {
+	if rel := b.nodeRels[u]; rel != nil {
+		return rel.Len()
+	}
+	return b.maint.nodes[u].sup.Len() // changed since it was flat: the maintained state knows
 }
 
 // Vars returns the query's variables in enumeration output order (sorted).
@@ -229,9 +198,8 @@ func (b *BoundQuery) Vars() []string { return b.prep.Vars() }
 // value space of the relations DiffFrom returns.
 func (b *BoundQuery) Dict() *Dict { return b.inst.Dict }
 
-// flatNodes returns every node relation as a flat Relation — what the
-// from-scratch passes (Bool's semijoin pass, the first full reduction, the
-// counting DP over cover-based bags) scan. A freshly bound query has them
+// flatNodes returns every node relation as a flat Relation — what the first
+// full reduction scans. A freshly bound query has them
 // from Bind; a maintained one lists the nodes that changed since off their
 // persistent maps, once, on first request.
 func (b *BoundQuery) flatNodes() []*Relation {
@@ -258,26 +226,22 @@ func (b *BoundQuery) flatNodes() []*Relation {
 
 // run clones the per-evaluation view of the bound node relations: the slice
 // is copied so the reduction passes can reassign its entries, while the
-// relations themselves are shared read-only. Bottom-up reduced nodes come
-// with Bind's counting DP, whose messages and slots the top-down pass marks.
+// relations themselves are shared read-only. Bind's counting DP comes along
+// while it is flat, with the messages and slots the top-down pass marks.
 func (b *BoundQuery) run() *run {
 	r := &run{
 		plan:     b.prep.plan,
 		inst:     b.inst,
 		nodeRels: append([]*Relation(nil), b.flatNodes()...),
-		reduced:  b.reduced,
 	}
-	if r.reduced {
-		r.counts = b.countSt.Load()
+	if cs := b.countSt.Load(); cs.slots != nil {
+		r.counts = cs
 	}
 	return r
 }
 
-// Bool decides q(D) ≠ ∅ over the bound database (Proposition 2.2). After
-// Bind the answer is whether the bottom-up reduced root is non-empty;
-// otherwise the bottom-up semijoin pass runs per call. When a full reduction
-// is already cached (a prior Enumerate, or carried forward by Update), the
-// answer is read off the reduced root relation without any pass at all.
+// Bool decides q(D) ≠ ∅ over the bound database (Proposition 2.2): whether
+// the bottom-up reduced root is non-empty.
 func (b *BoundQuery) Bool(ctx context.Context) (bool, error) {
 	if err := ctx.Err(); err != nil {
 		return false, err
@@ -288,17 +252,13 @@ func (b *BoundQuery) Bool(ctx context.Context) (bool, error) {
 	if b.prep.plan.d.Nodes() == 0 {
 		return groundSat(b.inst), nil
 	}
-	if es := b.enumSt.Load(); es != nil {
-		return es.rootLen() > 0, nil
-	}
-	return b.run().bool_(ctx)
+	return b.nodeLen(b.prep.plan.d.Root()) > 0, nil
 }
 
 // Count computes |q(D)| for a full CQ over the bound database
-// (Proposition 4.14). After Bind the counting DP is done and Count reads its
-// total; otherwise the first Count runs it over the bound node relations and
-// caches the per-node messages. Update maintains them as key sums,
-// incrementally on the affected subtrees only.
+// (Proposition 4.14). Bind runs the counting DP and Count reads its total;
+// Update maintains the per-node messages as key sums, incrementally on the
+// affected subtrees only.
 func (b *BoundQuery) Count(ctx context.Context) (int64, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
@@ -312,47 +272,15 @@ func (b *BoundQuery) Count(ctx context.Context) (int64, error) {
 		}
 		return 0, nil
 	}
-	cs, err := b.ensureCounts(ctx)
-	if err != nil {
-		return 0, err
-	}
-	return cs.total, nil
-}
-
-// ensureCounts runs the counting DP once over the bound node relations —
-// unless Bind already did — and caches the per-node messages (so Update can
-// maintain them incrementally).
-// Concurrent callers wait for the single construction; a failed attempt
-// (typically: a cancelled context) is not cached, so the next caller
-// retries.
-func (b *BoundQuery) ensureCounts(ctx context.Context) (*countState, error) {
-	if cs := b.countSt.Load(); cs != nil {
-		return cs, nil
-	}
-	b.countMu.Lock()
-	defer b.countMu.Unlock()
-	if cs := b.countSt.Load(); cs != nil {
-		return cs, nil
-	}
-	rels := b.flatNodes()
-	cs, err := countBottomUp(ctx, b.prep.plan, nil, func(u int, _ []*storage.TupleMap) *Relation {
-		return rels[u]
-	})
-	if err != nil {
-		return nil, err
-	}
-	b.countSt.Store(cs)
-	return cs, nil
+	return b.countSt.Load().total, nil
 }
 
 // ensureReduced runs the Yannakakis full reduction once and builds the shared
-// enumeration indexes over the reduced relations. After Bind, whose nodes are
-// bottom-up reduced already, only the top-down half runs, marking the slots
-// of Bind's messages; otherwise the bottom-up half is a counting pass over
-// the bags that reduces them and sends those messages first. The indexes are
-// the messages themselves, with each node's rows grouped by slot. The
-// bottom-up intermediate relations are kept alongside so Update can re-run
-// the semijoin passes only where a delta actually propagates. Concurrent callers
+// enumeration indexes over the reduced relations. The nodes are bottom-up
+// reduced already, so only the top-down half runs, marking the slots of
+// Bind's messages — or, once the query is maintained, of messages a counting
+// pass over the nodes sends first. The indexes are the messages themselves,
+// with each node's rows grouped by slot. Concurrent callers
 // wait for the single construction; a failed attempt (typically: a
 // cancelled context) is not cached, so the next caller retries.
 func (b *BoundQuery) ensureReduced(ctx context.Context) (*enumState, error) {

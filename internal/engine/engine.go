@@ -299,7 +299,7 @@ func (p *PreparedQuery) Bool(ctx context.Context, db cq.Database) (bool, error) 
 	if err != nil {
 		return false, err
 	}
-	return r.bool_(ctx)
+	return r.nodeRels[p.plan.d.Root()].Len() > 0, nil
 }
 
 // Count computes |q(db)| for a full CQ (Proposition 4.14: polynomial for

@@ -17,14 +17,18 @@ import (
 //     a different pointer in the new snapshot; its delta is read off the two
 //     tables' row maps, which share everything the change did not touch
 //     (atomDelta);
-//  2. nodes: a decomposition node with a dirty input delta-joins that delta
-//     through its other inputs into ±1 derivation counts; the tuples whose
-//     count crosses zero are the node's delta (maintainNode);
-//  3. reduction and counting: the node deltas are pushed through the tree
-//     edges' key groupings into the deltas of the reduced relations — which
-//     are recorded, so DiffFrom against the predecessor reads them instead of
-//     recomputing them — and into the key sums of the counting DP
-//     (maintreduce.go).
+//  2. nodes, children first: a node's relation is its bottom-up reduced bag
+//     B(u), the join of its atoms and its children's key sets projected to
+//     the bag. A node with a dirty input delta-joins that delta through its
+//     other inputs into ±1 derivation counts; the tuples whose count crosses
+//     zero are the node's delta (maintainNode), and the keys whose bucket
+//     appeared or vanished are the delta of its key set, an input of its
+//     parent (keyDelta);
+//  3. reduction and counting: the node deltas are pushed top-down through
+//     the tree edges' key groupings into the deltas of the fully reduced
+//     relations — which are recorded, so DiffFrom against the predecessor
+//     reads them instead of recomputing them — and into the key sums of the
+//     counting DP (maintreduce.go).
 //
 // An empty delta at any layer stops the propagation there. Every piece of
 // state lives in persistent maps, so the successor shares everything the
@@ -51,7 +55,7 @@ func (b *BoundQuery) Update(ctx context.Context, delta *storage.Delta) (*BoundQu
 // share returns b moved to cdb with all bound state shared, caches included:
 // nothing the query can see changed.
 func (b *BoundQuery) share(cdb *CompiledDB) *BoundQuery {
-	nb := &BoundQuery{prep: b.prep, cdb: cdb, inst: b.inst, nodeRels: b.nodeRels, reduced: b.reduced, maint: b.maint}
+	nb := &BoundQuery{prep: b.prep, cdb: cdb, inst: b.inst, nodeRels: b.nodeRels, maint: b.maint}
 	nb.enumSt.Store(b.enumSt.Load())
 	nb.countSt.Store(b.countSt.Load())
 	return nb
@@ -61,12 +65,10 @@ func (b *BoundQuery) share(cdb *CompiledDB) *BoundQuery {
 // the change between the two snapshots (see the file comment), sharing every
 // piece of bound state the change does not reach. The first Rebind of a
 // freshly bound query additionally converts its state to maintained form,
-// once, in O(database); after Bind rather than BindMaintained that includes
-// rebuilding the cover-based node relations. The snapshot must share the
-// receiver's dictionary (i.e. descend from the same CompileDB via Apply);
-// otherwise Rebind falls back to a full BindMaintained, as it does whenever a
-// delta reaches a relation of a plan that is not maintained (see
-// Plan.planMaintenance).
+// once, in O(database). The snapshot must share the receiver's dictionary
+// (i.e. descend from the same CompileDB via Apply); otherwise Rebind falls
+// back to a full Bind, as it does whenever a delta reaches a relation of a
+// plan that is not maintained (see Plan.planMaintenance).
 func (b *BoundQuery) Rebind(ctx context.Context, cdb *CompiledDB) (*BoundQuery, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -75,7 +77,7 @@ func (b *BoundQuery) Rebind(ctx context.Context, cdb *CompiledDB) (*BoundQuery, 
 	eng.rebinds.Add(1)
 	if b.cdb.sdb.Dict != cdb.sdb.Dict {
 		// Unrelated snapshot: values are not comparable across dictionaries.
-		return b.prep.BindMaintained(ctx, cdb)
+		return b.prep.Bind(ctx, cdb)
 	}
 	plan := b.prep.plan
 	q := plan.query
@@ -91,15 +93,15 @@ func (b *BoundQuery) Rebind(ctx context.Context, cdb *CompiledDB) (*BoundQuery, 
 	if !plan.maintainable {
 		// Naive plans, ground queries, and decompositions with a nullary atom
 		// or bag: there is no incremental state worth keeping for them.
-		return b.prep.BindMaintained(ctx, cdb)
+		return b.prep.Bind(ctx, cdb)
 	}
 	mc := &maintCtx{}
 	defer func() { eng.maintRows.Add(mc.rows) }()
 
-	ms, nodeRels := b.maint, b.nodeRels
+	ms := b.maint
 	if ms == nil {
 		var err error
-		if ms, nodeRels, err = b.buildMaint(ctx); err != nil {
+		if ms, err = b.buildMaint(ctx); err != nil {
 			return nil, err
 		}
 	}
@@ -107,7 +109,7 @@ func (b *BoundQuery) Rebind(ctx context.Context, cdb *CompiledDB) (*BoundQuery, 
 	// 1. Atoms: the exact delta of every dirty atom relation, and its
 	// successor state.
 	inst := &Instance{Query: q, Dict: b.inst.Dict, AtomRels: append([]*Relation(nil), b.inst.AtomRels...), atomKeys: b.inst.keys()}
-	nu := &nodeUpdate{oldAtoms: ms.atoms, newAtoms: append([]*atomState(nil), ms.atoms...), deltas: make([]*relDelta, len(q.Atoms))}
+	nu := &nodeUpdate{oldAtoms: ms.atoms, newAtoms: append([]*atomState(nil), ms.atoms...), deltas: make([]*relDelta, len(ms.atoms))}
 	visible := false
 	for _, i := range dirty {
 		rel := q.Atoms[i].Rel
@@ -127,18 +129,27 @@ func (b *BoundQuery) Rebind(ctx context.Context, cdb *CompiledDB) (*BoundQuery, 
 		// Every dirty atom absorbed: the delta is invisible to the query
 		// after all. Keep the (possibly just built) maintained form.
 		nb := b.share(cdb)
-		nb.maint, nb.nodeRels, nb.reduced = ms, nodeRels, false
+		nb.maint = ms
 		return nb, nil
 	}
 
-	// 2. Nodes: delta-join every node with a changed input, or rebuild it
-	// where the cost model prices the delta above that.
+	// 2. Nodes, children first: delta-join every node with a changed input,
+	// or rebuild it where the cost model prices the delta above that or a
+	// child sharing no column with it emptied or filled; then hand the
+	// node's key set delta to its parent.
 	nm := &maintState{atoms: nu.newAtoms, nodes: append([]*nodeState(nil), ms.nodes...)}
-	nb := &BoundQuery{prep: b.prep, cdb: cdb, inst: inst, maint: nm, nodeRels: append([]*Relation(nil), nodeRels...)}
+	nb := &BoundQuery{prep: b.prep, cdb: cdb, inst: inst, maint: nm, nodeRels: append([]*Relation(nil), b.nodeRels...)}
 	dN := make([]*relDelta, plan.d.Nodes())
-	for u := 0; u < plan.d.Nodes(); u++ {
+	for _, u := range plan.order {
 		if err := ctx.Err(); err != nil {
 			return nil, err
+		}
+		flipped, empty := false, false
+		for _, cj := range plan.childJoins[u] {
+			if len(cj.shared) == 0 {
+				was, is := ms.nodes[cj.child].sup.Len() > 0, nm.nodes[cj.child].sup.Len() > 0
+				flipped, empty = flipped || was != is, empty || !is
+			}
 		}
 		totalDelta, totalInput, maxInput := 0, 0, 0
 		for _, i := range plan.inputs[u] {
@@ -151,35 +162,61 @@ func (b *BoundQuery) Rebind(ctx context.Context, cdb *CompiledDB) (*BoundQuery, 
 				totalDelta += d.rows()
 			}
 		}
-		if totalDelta == 0 {
-			continue
+		if !flipped && (totalDelta == 0 || empty) {
+			continue // unchanged, or held empty by an absent nullary key set
 		}
-		if chooseNodeDelta(totalDelta, totalInput, ms.nodes[u].sup.Len(), maxInput) {
+		if !flipped && chooseNodeDelta(totalDelta, totalInput, ms.nodes[u].sup.Len(), maxInput) {
 			eng.nodeDeltaJoins.Add(1)
 			nm.nodes[u], dN[u] = maintainNode(plan, u, ms.nodes[u], nu, mc)
 			if !dN[u].empty() {
 				nb.nodeRels[u] = nil
 			}
-			continue
+		} else {
+			eng.nodeRebuilds.Add(1)
+			nm.nodes[u], nb.nodeRels[u], dN[u] = rebuildNode(plan, u, ms.nodes[u], inst, nu.flatInputs(plan, u, nm.nodes, inst, mc), mc)
 		}
-		eng.nodeRebuilds.Add(1)
-		for _, i := range plan.inputs[u] {
-			if inst.AtomRels[i] == nil {
-				inst.AtomRels[i] = flatten(nu.newAtoms[i].set, plan.atomVars[i])
-				mc.rows += uint64(inst.AtomRels[i].Len())
+		if !dN[u].empty() && len(plan.shared[u]) > 0 {
+			k := plan.keyInput(u)
+			if kd := keyDelta(plan, u, ms.nodes[u].byParent, nm.nodes[u].byParent, dN[u], mc); !kd.empty() {
+				nu.deltas[k] = kd
+				nu.newAtoms[k] = patchAtom(plan, k, ms.atoms[k], nil, kd, mc)
 			}
 		}
-		nm.nodes[u], nb.nodeRels[u], dN[u] = rebuildNode(plan, u, ms.nodes[u], inst, mc)
 	}
 
-	// 3. Carry whichever caches exist across the node deltas.
+	// 3. Carry the caches across the node deltas.
 	if es := b.enumSt.Load(); es != nil {
 		nb.enumSt.Store(es.update(ms.nodes, nm.nodes, dN, eng.stateSeq.Add(1), mc))
 	}
-	if cs := b.countSt.Load(); cs != nil {
-		nb.countSt.Store(cs.update(plan, ms.nodes, nm.nodes, dN, mc))
-	}
+	nb.countSt.Store(b.countSt.Load().update(plan, ms.nodes, nm.nodes, dN, nm.atoms, mc))
 	return nb, nil
+}
+
+// flatInputs lists the flat relations node u's rebuild joins: it fills in
+// the atom relations inst lacks (those that changed since they were flat) and
+// returns the children's key sets as join inputs, in Plan.childJoins order —
+// a child sharing no column with u as the nullary relation that is non-empty
+// iff the child is.
+func (nu *nodeUpdate) flatInputs(p *Plan, u int, nodes []*nodeState, inst *Instance, mc *maintCtx) []joinInput {
+	for _, i := range p.inputs[u] {
+		if i < len(inst.AtomRels) && inst.AtomRels[i] == nil {
+			inst.AtomRels[i] = flatten(nu.newAtoms[i].set, p.atomVars[i])
+			mc.rows += uint64(inst.AtomRels[i].Len())
+		}
+	}
+	keys := make([]joinInput, len(p.childJoins[u]), len(p.childJoins[u])+len(p.filters[u]))
+	for k, cj := range p.childJoins[u] {
+		if len(cj.shared) > 0 {
+			keys[k].rel = flatten(nu.newAtoms[p.keyInput(cj.child)].set, cj.shared)
+			mc.rows += uint64(keys[k].rel.Len())
+			continue
+		}
+		keys[k].rel = NewRelation()
+		if nodes[cj.child].sup.Len() > 0 {
+			keys[k].rel.AddEmpty()
+		}
+	}
+	return keys
 }
 
 // atomDelta computes the exact delta of dirty atom i against its old tuple

@@ -25,26 +25,28 @@ type (
 	rowIndex = storage.PMap[[]Value]
 )
 
-// atomState is one atom relation: its tuples over the atom's sorted distinct
-// variables, indexed on every column subset a delta plan probes
-// (Plan.atomIdxCols).
+// atomState is one input relation of the node joins — an atom, or a node's
+// key set: its tuples over its columns (Plan.atomVars), indexed on every
+// column subset a delta plan probes (Plan.atomIdxCols).
 type atomState struct {
 	set *rowSet
 	idx []*rowIndex
 }
 
-// nodeState is one decomposition node's relation: every bag tuple with its
-// derivation count in the join of the node's inputs (always positive — a
-// tuple whose last derivation goes away leaves the map), indexed on the
-// columns shared with each child (Plan.childJoins order; nil for a child
-// sharing none).
+// nodeState is one decomposition node's bottom-up reduced relation B(u):
+// every bag tuple with its derivation count in the join of the node's inputs
+// — atoms and children's key sets (always positive — a tuple whose last
+// derivation goes away leaves the map) — indexed on the columns shared with
+// the parent (nil for the root and a node sharing none), whose keys are the
+// node's key set.
 type nodeState struct {
-	sup     *storage.PMap[int64]
-	byChild []*rowIndex
+	sup      *storage.PMap[int64]
+	byParent *rowIndex
 }
 
-// maintState is the maintained form of everything Bind materialises.
-// Immutable once published on a BoundQuery.
+// maintState is the maintained form of everything Bind materialises: every
+// join input (atoms, then key sets; nil for a node without one) and every
+// node. Immutable once published on a BoundQuery.
 type maintState struct {
 	atoms []*atomState
 	nodes []*nodeState
@@ -244,13 +246,14 @@ func flatten[V any](m *storage.PMap[V], cols []string) *Relation {
 	return out
 }
 
-// newAtomState builds the maintained form of atom i's flat relation over the
-// table t. An atom whose relation is the table itself (Plan.directAtom)
-// shares the table's row map instead of building a set of its own.
+// newAtomState builds the maintained form of input i's flat relation: atom i
+// over the table t, or a key set (t nil). An atom whose relation is the
+// table itself (Plan.directAtom) shares the table's row map instead of
+// building a set of its own.
 func newAtomState(p *Plan, i int, rel *Relation, t *storage.Table) *atomState {
 	as := &atomState{idx: make([]*rowIndex, len(p.atomIdxCols[i]))}
-	if p.directAtom[i] {
-		as.set = tableRows(t, len(rel.Cols))
+	if t != nil && p.directAtom[i] {
+		as.set = t.RowMap()
 	} else {
 		as.set = setOfRows(rel)
 	}
@@ -261,9 +264,8 @@ func newAtomState(p *Plan, i int, rel *Relation, t *storage.Table) *atomState {
 }
 
 // newNodeState builds the maintained form of node u from its flat relation
-// and, for a projecting node, the derivation counts of the unfiltered bag
-// projection (nil otherwise: without projection every row has exactly one
-// derivation).
+// and, for a projecting node, the derivation counts of its bag tuples (nil
+// otherwise: without projection every row has exactly one derivation).
 func newNodeState(p *Plan, u int, rel *Relation, counts *storage.TupleMap) *nodeState {
 	sup := storage.NewPMap[int64](len(p.bagVars[u])).Edit()
 	for i := 0; i < rel.Len(); i++ {
@@ -273,62 +275,51 @@ func newNodeState(p *Plan, u int, rel *Relation, counts *storage.TupleMap) *node
 		}
 		sup.Set(rel.Row(i), n)
 	}
-	ns := &nodeState{sup: sup.Freeze(), byChild: make([]*rowIndex, len(p.childJoins[u]))}
-	for k, cj := range p.childJoins[u] {
-		if len(cj.uPos) > 0 {
-			ns.byChild[k] = indexRows(rel, cj.uPos)
-		}
+	ns := &nodeState{sup: sup.Freeze()}
+	if len(p.sharedPos[u]) > 0 {
+		ns.byParent = indexRows(rel, p.sharedPos[u])
 	}
 	return ns
 }
 
-// buildMaint converts a flat-bound query (every atom and node relation
-// present as a Relation) into maintained form, and returns the cover-based
-// node relations it holds. After BindMaintained, projecting nodes re-run
-// their input join once to learn the derivation counts and the others load
-// their rows as they are; after Bind, whose nodes are bottom-up reduced,
-// every node's cover-based bag is rebuilt with its counts. This is the
+// buildMaint converts a freshly bound query — every atom and node relation
+// present as a Relation, the nodes bottom-up reduced by Bind — into
+// maintained form. A projecting node re-runs its reduced join once, over
+// Bind's messages, to learn the derivation counts; the others load their
+// rows as they are. A node's key set is the keys of its message. This is the
 // one-off O(database) cost of the first maintenance, after which flat
 // relations are only ever produced on demand.
-func (b *BoundQuery) buildMaint(ctx context.Context) (*maintState, []*Relation, error) {
+func (b *BoundQuery) buildMaint(ctx context.Context) (*maintState, error) {
 	p := b.prep.plan
 	eng := b.prep.eng
-	ms := &maintState{atoms: make([]*atomState, len(p.query.Atoms)), nodes: make([]*nodeState, p.d.Nodes())}
-	for i := range ms.atoms {
+	ms := &maintState{atoms: make([]*atomState, p.keyInput(p.d.Nodes())), nodes: make([]*nodeState, p.d.Nodes())}
+	for i, a := range p.query.Atoms {
 		if err := ctx.Err(); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		ms.atoms[i] = newAtomState(p, i, b.inst.AtomRels[i], b.cdb.sdb.Table(p.query.Atoms[i].Rel))
+		ms.atoms[i] = newAtomState(p, i, b.inst.AtomRels[i], b.cdb.sdb.Table(a.Rel))
 	}
-	nodeRels := b.nodeRels
-	rejoin := allNodes(p.d.Nodes())
-	if b.reduced {
-		nodeRels = make([]*Relation, p.d.Nodes())
-	} else {
-		rejoin = slices.DeleteFunc(rejoin, func(u int) bool { return !p.projects[u] })
-	}
-	getEdge, err := edgeRelations(ctx, p, b.inst, rejoin)
+	projecting := slices.DeleteFunc(allNodes(p.d.Nodes()), func(u int) bool { return !p.projects[u] })
+	getEdge, err := edgeRelations(ctx, p, b.inst, projecting)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
+	msgs := b.countSt.Load().msgs
 	for u := range ms.nodes {
 		if err := ctx.Err(); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		var counts *storage.TupleMap
-		switch {
-		case b.reduced:
-			nodeRels[u], counts = materialiseNodeWithSupport(p, b.inst, u, getEdge)
-			if !p.projects[u] {
-				counts = nil
-			}
-		case p.projects[u]:
-			counts = projectCounts(joinLambda(p, u, getEdge), p.bagVars[u])
+		if p.projects[u] {
+			counts = projectCounts(nodeJoin(p, b.inst, u, getEdge, msgInputs(p, u, msgs)), p.bagVars[u])
 		}
-		ms.nodes[u] = newNodeState(p, u, nodeRels[u], counts)
+		ms.nodes[u] = newNodeState(p, u, b.nodeRels[u], counts)
+		if len(p.shared[u]) > 0 {
+			ms.atoms[p.keyInput(u)] = newAtomState(p, p.keyInput(u), keysOf(msgs[u], p.shared[u]), nil)
+		}
 		eng.nodeRebuilds.Add(1)
 	}
-	return ms, nodeRels, nil
+	return ms, nil
 }
 
 // patchAtom derives atom i's successor state under d. set is the successor
@@ -358,8 +349,8 @@ func patchAtom(p *Plan, i int, old *atomState, set *rowSet, d *relDelta, mc *mai
 // deltaJoin runs one delta plan: for a source row, every derivation of node
 // tuples through it — the row joined with the node's other inputs in the
 // planned probe order, projected to the bag. atoms holds the state to probe
-// each atom in (old or new, per the caller's telescoping); emit receives each
-// derivation's bag tuple (reused between calls).
+// each input in (old or new, per the caller's telescoping); emit receives
+// each derivation's bag tuple (reused between calls).
 type deltaJoin struct {
 	p     *Plan
 	dp    *deltaPlan
@@ -371,8 +362,9 @@ type deltaJoin struct {
 }
 
 func newDeltaJoin(p *Plan, dp *deltaPlan, atoms []*atomState, mc *maintCtx, emit func(bag []Value)) *deltaJoin {
+	buf := make([]Value, 2*dp.width+len(dp.bagFrom))
 	return &deltaJoin{p: p, dp: dp, atoms: atoms, mc: mc, emit: emit,
-		acc: make([]Value, dp.width), key: make([]Value, dp.width), bag: make([]Value, len(dp.bagFrom))}
+		acc: buf[:dp.width:dp.width], key: buf[dp.width : 2*dp.width : 2*dp.width], bag: buf[2*dp.width:]}
 }
 
 func (j *deltaJoin) run(src []Value) {
@@ -421,8 +413,8 @@ func (j *deltaJoin) extend(st *deltaStep, s, width int, row []Value) {
 }
 
 // nodeUpdate is everything maintainNode needs to know about one Rebind: the
-// predecessor and successor atom states and the atoms' deltas (nil for clean
-// atoms).
+// predecessor and successor input states and the inputs' deltas (nil for
+// clean inputs), atoms and key sets alike.
 type nodeUpdate struct {
 	oldAtoms, newAtoms []*atomState
 	deltas             []*relDelta
@@ -440,12 +432,19 @@ func maintainNode(p *Plan, u int, old *nodeState, nu *nodeUpdate, mc *maintCtx) 
 	// node before (so crossings can be classified afterwards).
 	before := storage.NewTupleMap(len(bag), 16)
 	// atoms is the telescoping view: every input starts in its old state and
-	// moves to its new one once its own delta has been joined through.
-	atoms := append([]*atomState(nil), nu.oldAtoms...)
+	// moves to its new one once its own delta has been joined through — which
+	// only a later delta sees, so the view is copied only then.
+	atoms, own, moved := nu.oldAtoms, false, -1
 	for x, src := range p.inputs[u] {
 		d := nu.deltas[src]
 		if d == nil {
 			continue
+		}
+		if moved >= 0 {
+			if !own {
+				atoms, own = slices.Clone(atoms), true
+			}
+			atoms[moved] = nu.newAtoms[moved]
 		}
 		sign := int64(1)
 		join := newDeltaJoin(p, &p.deltaPlans[u][x], atoms, mc, func(row []Value) {
@@ -467,7 +466,7 @@ func maintainNode(p *Plan, u int, old *nodeState, nu *nodeUpdate, mc *maintCtx) 
 		for r := 0; r < d.minus.Len(); r++ {
 			join.run(d.minus.Row(r))
 		}
-		atoms[src] = nu.newAtoms[src]
+		moved = src
 	}
 	d := newRelDelta(bag)
 	for slot := int32(0); int(slot) < before.Len(); slot++ {
@@ -480,29 +479,60 @@ func maintainNode(p *Plan, u int, old *nodeState, nu *nodeUpdate, mc *maintCtx) 
 		}
 	}
 	mc.rows += uint64(before.Len())
-	ns := &nodeState{sup: sup.done(mc), byChild: old.byChild}
-	if !d.empty() {
-		ns.byChild = make([]*rowIndex, len(old.byChild))
-		for k, cj := range p.childJoins[u] {
-			if old.byChild[k] != nil {
-				ix := edit(old.byChild[k])
-				patchIndex(&ix, cj.uPos, d, nil, mc)
-				ns.byChild[k] = ix.done(mc)
-			}
-		}
+	ns := &nodeState{sup: sup.done(mc), byParent: old.byParent}
+	if !d.empty() && old.byParent != nil {
+		ix := edit(old.byParent)
+		patchIndex(&ix, p.sharedPos[u], d, nil, mc)
+		ns.byParent = ix.done(mc)
 	}
 	return ns, d
 }
 
-// rebuildNode re-materialises node u from the (flat) relations of its inputs
-// — the fallback for a delta the cost model prices above a rebuild — and
-// diffs the result against the old state, so everything downstream still
-// receives an exact delta.
-func rebuildNode(p *Plan, u int, old *nodeState, inst *Instance, mc *maintCtx) (*nodeState, *Relation, *relDelta) {
-	rel, counts := materialiseNodeWithSupport(p, inst, u, inst.EdgeRelation)
-	if !p.projects[u] {
-		counts = nil
+// rebuildNode re-materialises node u from the flat relations of its inputs —
+// its atoms in inst, its children's key sets in keys (Plan.childJoins order)
+// — the fallback for a delta the cost model prices above a rebuild, and for a
+// nullary key set that flipped. It diffs the result against the old state,
+// so everything downstream still receives an exact delta.
+func rebuildNode(p *Plan, u int, old *nodeState, inst *Instance, keys []joinInput, mc *maintCtx) (*nodeState, *Relation, *relDelta) {
+	join := nodeJoin(p, inst, u, inst.EdgeRelation, keys)
+	rel := join.Project(p.bagVars[u])
+	var counts *storage.TupleMap
+	if p.projects[u] {
+		counts = projectCounts(join, p.bagVars[u])
 	}
 	mc.rows += uint64(2*rel.Len() + old.sup.Len())
 	return newNodeState(p, u, rel, counts), rel, diffRows(old.sup, rel)
+}
+
+// keyDelta is the change of node u's key set — its rows projected onto the
+// columns shared with its parent — under the node delta d, read off the
+// node's parent-side index before (old) and after (cur): the keys whose
+// bucket appeared or vanished.
+func keyDelta(p *Plan, u int, old, cur *rowIndex, d *relDelta, mc *maintCtx) *relDelta {
+	kd := newRelDelta(p.shared[u])
+	var seen *storage.TupleMap // the keys visited, once a second row could repeat one
+	if d.rows() > 1 {
+		seen = storage.NewTupleMap(len(p.sharedPos[u]), d.rows())
+	}
+	buf := make([]Value, len(p.sharedPos[u]))
+	visit := func(rel *Relation) {
+		for r := 0; r < rel.Len(); r++ {
+			key := project(buf, rel.Row(r), p.sharedPos[u])
+			if seen != nil {
+				if _, isNew := seen.Insert(key); !isNew {
+					continue
+				}
+			}
+			switch was, is := old.Has(key), cur.Has(key); {
+			case is && !was:
+				kd.plus.Add(key...)
+			case was && !is:
+				kd.minus.Add(key...)
+			}
+		}
+	}
+	visit(d.plus)
+	visit(d.minus)
+	mc.rows += uint64(2 * d.rows())
+	return kd
 }

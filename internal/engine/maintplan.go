@@ -3,33 +3,39 @@ package engine
 import "slices"
 
 // This file is the plan-time half of incremental maintenance. A node's
-// relation is the join of its input atoms — every atom over one of the
-// node's λ edges, plus the atoms filtered at the node — projected to the bag.
-// Filters join like any other input: their variables lie inside the bag, so
-// they contribute exactly one derivation to a bag tuple that passes and none
-// to one that does not, and the node needs no separate re-filter path. When
-// one input changes, the change of the node's relation is the input's delta
-// joined through the OTHER inputs; deltaPlan fixes, per (node, changed
-// input), the order those inputs are probed in and which persistent index of
-// each is used, so maintaining the node costs the size of that delta-join
-// and never a scan of an unchanged relation.
+// relation is its bottom-up reduced bag: the join of its input relations
+// projected to the bag. The inputs are every atom over one of the node's λ
+// edges, the atoms filtered at the node, and one key set per child sharing
+// columns with it — the child's relation projected onto those columns.
+// Filters and key sets join like any other input: their variables lie inside
+// the bag, so they contribute exactly one derivation to a bag tuple that
+// passes and none to one that does not. A key set is numbered after the
+// atoms (Plan.keyInput) and held like an atom, so everything below serves
+// both. A child sharing no column has a nullary key set — present or not —
+// which is no input: Rebind rebuilds the parent when it flips. When one input
+// changes, the change of the node's relation is the input's delta joined
+// through the OTHER inputs; deltaPlan fixes, per (node, changed input), the
+// order those inputs are probed in and which persistent index of each is
+// used, so maintaining the node costs the size of that delta-join and never a
+// scan of an unchanged relation. A child's key set probed through an index
+// is what connects a cover whose atoms share no variable.
 
-// deltaStep probes one input atom with the variables bound so far.
+// deltaStep probes one input with the variables bound so far.
 type deltaStep struct {
-	atom    int   // the input probed
+	atom    int   // the input probed: an atom, or a key set (Plan.keyInput)
 	idx     int   // index into Plan.atomIdxCols[atom], or stepMember / stepScan
 	keyFrom []int // accumulated-row positions forming the probe key, in index column order
-	extFrom []int // atom-tuple positions whose (new) variables extend the accumulated row
+	extFrom []int // input-tuple positions whose (new) variables extend the accumulated row
 }
 
 const (
-	stepMember = -1 // every variable of the atom is bound: a membership test on the atom's tuple set
-	stepScan   = -2 // no variable is bound: a cross product with the whole atom relation
+	stepMember = -1 // every variable of the input is bound: a membership test on its tuple set
+	stepScan   = -2 // no variable is bound: a cross product with the whole input relation
 )
 
 // deltaPlan is the probe order for one changed input of one node. The
-// accumulated row starts as the changed atom's tuple (over its sorted
-// variables) and grows by each step's extFrom columns to width; bagFrom
+// accumulated row starts as the changed input's tuple (over its columns,
+// Plan.atomVars) and grows by each step's extFrom columns to width; bagFrom
 // projects the finished row onto the node's bag columns.
 type deltaPlan struct {
 	steps   []deltaStep
@@ -44,7 +50,8 @@ type deltaPlan struct {
 // naive and ground plans, which have no decomposition state at all — afresh.
 func (p *Plan) planMaintenance() {
 	q, d := p.query, p.d
-	p.atomVars = make([][]string, len(q.Atoms))
+	n := len(q.Atoms) + d.Nodes()
+	p.atomVars = make([][]string, n)
 	p.directAtom = make([]bool, len(q.Atoms))
 	atomKey := make([]string, len(q.Atoms))
 	p.maintainable = true
@@ -57,6 +64,7 @@ func (p *Plan) planMaintenance() {
 		}
 	}
 	for u := 0; u < d.Nodes(); u++ {
+		p.atomVars[p.keyInput(u)] = p.shared[u]
 		if len(p.bagVars[u]) == 0 {
 			p.maintainable = false
 		}
@@ -67,8 +75,7 @@ func (p *Plan) planMaintenance() {
 	p.inputs = make([][]int, d.Nodes())
 	p.deltaPlans = make([][]deltaPlan, d.Nodes())
 	p.projects = make([]bool, d.Nodes())
-	p.atomIdxCols = make([][][]int, len(q.Atoms))
-	p.atomNodes = make([][]int, len(q.Atoms))
+	p.atomIdxCols = make([][][]int, n)
 	for u := 0; u < d.Nodes(); u++ {
 		lambda := map[string]bool{}
 		for _, names := range p.lambdaVars[u] {
@@ -80,9 +87,13 @@ func (p *Plan) planMaintenance() {
 			}
 		}
 		p.inputs[u] = append(p.inputs[u], p.filters[u]...)
+		for _, cj := range p.childJoins[u] {
+			if len(cj.shared) > 0 {
+				p.inputs[u] = append(p.inputs[u], p.keyInput(cj.child))
+			}
+		}
 		joined := map[string]bool{}
 		for _, i := range p.inputs[u] {
-			p.atomNodes[i] = append(p.atomNodes[i], u)
 			for _, v := range p.atomVars[i] {
 				joined[v] = true
 			}
@@ -94,6 +105,9 @@ func (p *Plan) planMaintenance() {
 		}
 	}
 }
+
+// keyInput is the input number of node u's key set: after the atoms.
+func (p *Plan) keyInput(u int) int { return len(p.query.Atoms) + u }
 
 // planDelta orders the other inputs of node u behind changed input x:
 // greedily the input sharing the most variables with what is already bound,
@@ -163,9 +177,9 @@ func (p *Plan) planDelta(u, x int) deltaPlan {
 	return dp
 }
 
-// atomIndex returns the slot of the index of atom's relation on cols within
-// atomIdxCols[atom], registering it on first request — one index serves every
-// delta plan that probes the same columns.
+// atomIndex returns the slot of the index of an input's relation on cols
+// within atomIdxCols[atom], registering it on first request — one index
+// serves every delta plan that probes the same columns.
 func (p *Plan) atomIndex(atom int, cols []int) int {
 	for i, have := range p.atomIdxCols[atom] {
 		if slices.Equal(have, cols) {

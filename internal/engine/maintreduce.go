@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"slices"
 	"sync/atomic"
 
 	"d2cq/internal/storage"
@@ -12,29 +13,31 @@ import (
 // rows of either side grouped by the shared key, a key's presence on one side
 // decides the liveness of the rows carrying it on the other, and a node delta
 // is pushed through the tree by re-deciding exactly the rows whose inputs
-// changed. With B(u) the bottom-up reduced rows of node u (rows of u with a
-// partner in B of every child) and F(u) the fully reduced rows (rows of B(u)
-// with a partner in F of the parent):
+// changed. A node's maintained relation is already B(u), its bottom-up
+// reduced rows (rows of u with a partner in B of every child: Rebind joins
+// the children's key sets in), so only the top-down half is left: F(u), the
+// fully reduced rows, is the rows of B(u) with a partner in F of the parent.
 //
-//	down[u]   groups B(u) by the columns shared with u's parent. It decides
-//	          the parent's B-liveness going up, and is the probe of the
-//	          top-down enumeration going down: reached from a row of F(parent),
-//	          every row in the bucket is in F(u).
+//	down[u]   groups B(u) by the columns shared with u's parent (the node's
+//	          nodeState.byParent). It is the probe of the top-down
+//	          enumeration: reached from a row of F(parent), every row in the
+//	          bucket is in F(u).
 //	up[u][k]  groups F(u) by the columns shared with child k. It decides that
 //	          child's F-liveness, and is the upward probe of enumerateVia.
 //	keySum[u] sums the counting-DP values of u's rows by the columns shared
 //	          with the parent; a parent row's value is the product of its
 //	          children's sums at its keys.
 //
-// The rows of a parent carrying a key come from nodeState.byChild. Rows of the
-// old snapshot are decided against the old maps, which stay untouched.
+// A key's sum is positive exactly while the key is in the node's key set.
+// Rows of the old snapshot are decided against the old maps, which stay
+// untouched.
 
 // enumMaint is the maintained form of an enumState.
 type enumMaint struct {
-	down       []*rowIndex   // nil for a node sharing no column with a parent
-	all        []*rowSet     // B(u) for exactly those nodes (the root among them)
-	up         [][]*rowIndex // nil entry for a child sharing no column
-	bLen, fLen []int
+	down []*rowIndex            // nil for a node sharing no column with a parent
+	all  []*storage.PMap[int64] // B(u) for exactly those nodes (the root among them)
+	up   [][]*rowIndex          // nil entry for a child sharing no column
+	fLen []int
 
 	// delta[u] is the change of F(u) against the state this one was derived
 	// from (nil: unchanged) — what DiffFrom against that state reads instead
@@ -44,8 +47,8 @@ type enumMaint struct {
 	flatF []atomic.Pointer[Relation] // F(u) as a relation, listed on demand
 }
 
-// maintained returns the maintained form of es, converting a flat state (the
-// from-scratch build: reduced relations and bottom-up intermediates) in
+// maintained returns the F half of the maintained form of es (up and fLen),
+// converting a flat state (the from-scratch build: reduced relations) in
 // O(its size). The result is not cached on es: the caller derives a
 // successor from it and the flat state stays what its readers use.
 func (es *enumState) maintained() *enumMaint {
@@ -54,49 +57,51 @@ func (es *enumState) maintained() *enumMaint {
 	}
 	p := es.plan
 	n := p.d.Nodes()
-	m := &enumMaint{
-		down: make([]*rowIndex, n), all: make([]*rowSet, n), up: make([][]*rowIndex, n),
-		bLen: make([]int, n), fLen: make([]int, n),
-	}
+	m := &enumMaint{up: make([][]*rowIndex, n), fLen: make([]int, n)}
 	for u := 0; u < n; u++ {
-		if len(p.shared[u]) > 0 {
-			m.down[u] = indexRows(es.buRels[u], p.sharedPos[u])
-		} else {
-			m.all[u] = setOfRows(es.buRels[u])
-		}
 		m.up[u] = make([]*rowIndex, len(p.childJoins[u]))
 		for k, cj := range p.childJoins[u] {
 			if len(cj.uPos) > 0 {
 				m.up[u][k] = indexRows(es.nodes[u].rel, cj.uPos)
 			}
 		}
-		m.bLen[u], m.fLen[u] = es.buRels[u].Len(), es.nodes[u].rel.Len()
+		m.fLen[u] = es.nodes[u].rel.Len()
 	}
 	return m
 }
 
 // gather lists the rows of node u that a change below it can affect: the
-// node's own entering and leaving rows, and the rows carrying a key that
-// changed in some child. changedKeys yields, for child join k, the keys to
-// look up (the empty key for a child sharing no column, which reaches every
-// row of the node).
-func gather(p *Plan, u int, node *nodeState, d *relDelta, changedKeys func(k int, yield func(key []Value))) workSet {
+// node's own entering and leaving rows, and the rows of its relation after
+// the change that carry a key whose sum changed in some child. changedKeys
+// yields, for child join k, those keys, and whether the sum crossed zero —
+// whether the key entered or left the child's key set, in which case every
+// row carrying it entered or left the node with it. Any other key is joined
+// through the node's other inputs in their states after the change (inputs)
+// along the delta plan of the child's key set; a child sharing no column
+// reaches every row.
+func gather(p *Plan, u int, node *nodeState, d *relDelta, inputs []*atomState, mc *maintCtx, changedKeys func(k int, yield func(key []Value, flipped bool))) workSet {
 	var rows workSet
 	if !d.empty() {
 		rows.addRel(d.plus)
 		rows.addRel(d.minus)
 	}
 	for k, cj := range p.childJoins[u] {
-		changedKeys(k, func(key []Value) {
-			if len(cj.uPos) == 0 {
+		var join *deltaJoin
+		changedKeys(k, func(key []Value, flipped bool) {
+			switch {
+			case flipped:
+			case len(cj.uPos) == 0:
 				node.sup.Range(func(row []Value, _ int64) bool {
 					rows.add(row)
 					return true
 				})
-				return
+			default:
+				if join == nil {
+					x := slices.Index(p.inputs[u], p.keyInput(cj.child))
+					join = newDeltaJoin(p, &p.deltaPlans[u][x], inputs, mc, rows.add)
+				}
+				join.run(key)
 			}
-			bucket, _ := node.byChild[k].Get(key)
-			rows.addBucket(bucket, len(p.bagVars[u]))
 		})
 	}
 	return rows
@@ -125,70 +130,39 @@ func classify(cols []string, rows workSet, member func(cur bool, row []Value) bo
 
 // update derives the successor of a cached reduction under the node deltas
 // dN (nil entries: node unchanged), given the node states before and after.
-// Bottom-up, each node re-decides the B-membership of its own changed rows
-// and of the rows carrying a key whose presence flipped in a child; top-down,
-// the F-membership of the rows whose B-membership changed and of those
-// carrying a key that flipped in the parent. The work is proportional to the
-// rows re-decided. The F deltas are recorded on the successor under id, with
-// es named as the parent.
+// The node relations are B, so dN is the change of B; top-down, each node
+// re-decides the F-membership of its rows whose B-membership changed and of
+// those carrying a key that flipped in the parent. The work is proportional
+// to the rows re-decided. The F deltas are recorded on the successor under
+// id, with es named as the parent.
 func (es *enumState) update(oldNodes, newNodes []*nodeState, dN []*relDelta, id uint64, mc *maintCtx) *enumState {
 	p := es.plan
 	n := p.d.Nodes()
 	o := es.maintained()
-	down := make([]editor[[]Value], n)
-	all := make([]editor[struct{}], n)
-	up := make([][]editor[[]Value], n)
+	// up[p.pairOf[u][k]] edits o.up[u][k]; upLog alike collects the keys the
+	// patch touched.
+	up, upLog := make([]editor[[]Value], p.pairs), make([]workSet, p.pairs)
 	for u := 0; u < n; u++ {
-		if o.down[u] != nil {
-			down[u] = edit(o.down[u])
-		} else {
-			all[u] = edit(o.all[u])
-		}
-		up[u] = make([]editor[[]Value], len(o.up[u]))
-		for k := range up[u] {
-			if o.up[u][k] != nil {
-				up[u][k] = edit(o.up[u][k])
-			}
+		for k, ix := range o.up[u] {
+			up[p.pairOf[u][k]] = edit(ix)
 		}
 	}
 	m := &enumMaint{
-		bLen: append([]int(nil), o.bLen...), fLen: append([]int(nil), o.fLen...),
-		delta: make([]*relDelta, n), flatF: make([]atomic.Pointer[Relation], n),
+		fLen: append([]int(nil), o.fLen...), delta: make([]*relDelta, n), flatF: make([]atomic.Pointer[Relation], n),
 	}
 	keyBuf := make([]Value, es.maxShared) // every tree edge's key is some node's parent-shared columns
 
-	// Membership of a row of node u in B and in F, before (cur=false) and
-	// after: a row of u is in B iff each child has a B row under the row's
-	// key, and in F iff moreover the parent has an F row under it. A tree
-	// edge sharing no column has one (empty) key, present iff the other side
-	// has any row at all.
-	inB := func(cur bool, u int, row []Value) bool {
-		nodes, lens := oldNodes, o.bLen
+	// Membership of a row of node u in F, before (cur=false) and after: a row
+	// of u is in F iff it is in B and the parent has an F row under the row's
+	// key. A tree edge sharing no column has one (empty) key, present iff the
+	// parent has any F row at all.
+	inF := func(cur bool, u int, row []Value) bool {
+		nodes := oldNodes
 		if cur {
-			nodes, lens = newNodes, m.bLen
+			nodes = newNodes
 		}
 		mc.rows++
 		if !nodes[u].sup.Has(row) {
-			return false
-		}
-		for _, cj := range p.childJoins[u] {
-			has := lens[cj.child] > 0
-			if len(cj.uPos) > 0 {
-				groups := o.down[cj.child]
-				if cur {
-					groups = down[cj.child].cur
-				}
-				mc.rows++
-				has = groups.Has(project(keyBuf, row, cj.uPos))
-			}
-			if !has {
-				return false
-			}
-		}
-		return true
-	}
-	inF := func(cur bool, u int, row []Value) bool {
-		if !inB(cur, u, row) {
 			return false
 		}
 		parent := p.d.Parent[u]
@@ -203,73 +177,32 @@ func (es *enumState) update(oldNodes, newNodes []*nodeState, dN []*relDelta, id 
 		}
 		groups := o.up[parent][p.joinSlot[u]]
 		if cur {
-			groups = up[parent][p.joinSlot[u]].cur
+			groups = up[p.pairOf[parent][p.joinSlot[u]]].cur
 		}
 		mc.rows++
 		return groups.Has(project(keyBuf, row, p.sharedPos[u]))
 	}
 
-	// Bottom-up: B deltas, applied to down/all; downLog[u] collects the keys
-	// of down[u] the patch touched.
-	dB := make([]*relDelta, n)
-	downLog := make([]workSet, n)
-	for _, u := range p.order {
-		rows := gather(p, u, newNodes[u], dN[u], func(k int, yield func([]Value)) {
-			c := p.childJoins[u][k].child
-			if o.down[c] == nil {
-				if (o.bLen[c] > 0) != (m.bLen[c] > 0) {
-					yield(nil)
-				}
-				return
-			}
-			downLog[c].each(func(key []Value) {
-				if o.down[c].Has(key) != down[c].cur.Has(key) {
-					yield(key)
-				}
-			})
-		})
-		d := classify(p.bagVars[u], rows, func(cur bool, row []Value) bool { return inB(cur, u, row) })
-		if d.empty() {
-			continue
-		}
-		dB[u] = d
-		m.bLen[u] += d.plus.Len() - d.minus.Len()
-		if o.down[u] != nil {
-			patchIndex(&down[u], p.sharedPos[u], d, &downLog[u], mc)
-			continue
-		}
-		for r := 0; r < d.minus.Len(); r++ {
-			all[u].w().Delete(d.minus.Row(r))
-		}
-		for r := 0; r < d.plus.Len(); r++ {
-			all[u].w().Set(d.plus.Row(r), struct{}{})
-		}
-		mc.rows += uint64(d.rows())
-	}
-
-	// Top-down: F deltas, recorded and applied to up; upLog[u][k] collects
-	// the keys of up[u][k] the patch touched.
-	upLog := make([][]workSet, n)
+	// Top-down: F deltas, recorded and applied to up.
 	for i := len(p.order) - 1; i >= 0; i-- {
 		u := p.order[i]
-		upLog[u] = make([]workSet, len(p.childJoins[u]))
 		var rows workSet
-		if d := dB[u]; d != nil {
+		if d := dN[u]; d != nil {
 			rows.addRel(d.plus)
 			rows.addRel(d.minus)
 		}
-		if parent := p.d.Parent[u]; parent >= 0 && o.down[u] == nil {
+		if parent := p.d.Parent[u]; parent >= 0 && len(p.shared[u]) == 0 {
 			if (o.fLen[parent] > 0) != (m.fLen[parent] > 0) {
-				all[u].cur.Range(func(row []Value, _ struct{}) bool {
+				newNodes[u].sup.Range(func(row []Value, _ int64) bool {
 					rows.add(row)
 					return true
 				})
 			}
 		} else if parent >= 0 {
-			k := p.joinSlot[u]
-			upLog[parent][k].each(func(key []Value) {
-				if o.up[parent][k].Has(key) != up[parent][k].cur.Has(key) {
-					bucket, _ := down[u].cur.Get(key)
+			k, pair := p.joinSlot[u], p.pairOf[parent][p.joinSlot[u]]
+			upLog[pair].each(func(key []Value) {
+				if o.up[parent][k].Has(key) != up[pair].cur.Has(key) {
+					bucket, _ := newNodes[u].byParent.Get(key)
 					rows.addBucket(bucket, len(p.bagVars[u]))
 				}
 			})
@@ -282,22 +215,27 @@ func (es *enumState) update(oldNodes, newNodes []*nodeState, dN []*relDelta, id 
 		m.fLen[u] += d.plus.Len() - d.minus.Len()
 		for k, cj := range p.childJoins[u] {
 			if len(cj.uPos) > 0 {
-				patchIndex(&up[u][k], cj.uPos, d, &upLog[u][k], mc)
+				pair := p.pairOf[u][k]
+				patchIndex(&up[pair], cj.uPos, d, &upLog[pair], mc)
 			}
 		}
 	}
 
-	m.down, m.all, m.up = make([]*rowIndex, n), make([]*rowSet, n), make([][]*rowIndex, n)
-	for u := 0; u < n; u++ {
-		if o.down[u] != nil {
-			m.down[u] = down[u].done(mc)
+	m.down, m.all, m.up = make([]*rowIndex, n), make([]*storage.PMap[int64], n), make([][]*rowIndex, n)
+	for u, ns := range newNodes {
+		if len(p.shared[u]) > 0 {
+			m.down[u] = ns.byParent
 		} else {
-			m.all[u] = all[u].done(mc)
+			m.all[u] = ns.sup
 		}
-		m.up[u] = make([]*rowIndex, len(up[u]))
-		for k := range up[u] {
-			if o.up[u][k] != nil {
-				m.up[u][k] = up[u][k].done(mc)
+	}
+	ups := make([]*rowIndex, p.pairs)
+	for u := 0; u < n; u++ {
+		m.up[u] = ups[:len(o.up[u]):len(o.up[u])]
+		ups = ups[len(o.up[u]):]
+		for k, ix := range o.up[u] {
+			if ix != nil {
+				m.up[u][k] = up[p.pairOf[u][k]].done(mc)
 			}
 		}
 	}
@@ -381,11 +319,11 @@ func (cs *countState) maintainedCounts(p *Plan) []*storage.PMap[int64] {
 // dN. The DP value of a node row is the product, over the node's children, of
 // the child's key sum at the row's key — a function of the key sums alone, so
 // no per-row vector is stored: bottom-up, each node re-evaluates its own
-// changed rows and the rows carrying a key whose sum changed in a child,
-// against the old sums and the new, and pushes the difference into its own
-// key sum (the root: into the total). Work is proportional to the rows
-// re-evaluated.
-func (cs *countState) update(p *Plan, oldNodes, newNodes []*nodeState, dN []*relDelta, mc *maintCtx) *countState {
+// changed rows and the rows carrying a key whose sum changed in a child
+// (gather, over the join inputs' states after the change), against the old
+// sums and the new, and pushes the difference into its own key sum (the root:
+// into the total). Work is proportional to the rows re-evaluated.
+func (cs *countState) update(p *Plan, oldNodes, newNodes []*nodeState, dN []*relDelta, inputs []*atomState, mc *maintCtx) *countState {
 	n := p.d.Nodes()
 	old := cs.maintainedCounts(p)
 	sums := make([]editor[int64], n)
@@ -428,12 +366,12 @@ func (cs *countState) update(p *Plan, oldNodes, newNodes []*nodeState, dN []*rel
 	}
 	sumLog := make([]workSet, n)
 	for _, u := range p.order {
-		rows := gather(p, u, newNodes[u], dN[u], func(k int, yield func([]Value)) {
+		rows := gather(p, u, newNodes[u], dN[u], inputs, mc, func(k int, yield func([]Value, bool)) {
 			c := p.childJoins[u][k].child
 			sumLog[c].each(func(key []Value) {
 				was, _ := old[c].Get(key)
 				if is, _ := sums[c].cur.Get(key); is != was {
-					yield(key)
+					yield(key, (was == 0) != (is == 0))
 				}
 			})
 		})

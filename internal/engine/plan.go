@@ -49,15 +49,16 @@ type Plan struct {
 	joinSlot   []int         // node → its position among its parent's child joins (-1 for the root)
 
 	// The maintenance half of the plan (maintplan.go): how a change to one
-	// atom relation is joined through a node's other inputs into a change of
-	// the node's relation. Fixed at plan time like the join positions above.
+	// input of a node — an atom, or a child's key set — is joined through the
+	// node's other inputs into a change of the node's relation. Inputs are
+	// numbered atoms first, then one key set per node (keyInput). Fixed at
+	// plan time like the join positions above.
 	maintainable bool          // false: Rebind rebuilds instead (naive, ground, nullary bag or atom)
-	atomVars     [][]string    // atom → sorted distinct variables (the columns of its relation)
+	atomVars     [][]string    // input → its columns: an atom's sorted distinct variables, a key set's shared[u]
 	directAtom   []bool        // atom → its arguments are exactly those, in that order: its relation is the table
-	inputs       [][]int       // node → atoms joined at the node: those over its λ edges, then its filters
+	inputs       [][]int       // node → inputs joined at the node: atoms over its λ edges, its filters, its children's key sets
 	deltaPlans   [][]deltaPlan // node → per input: the probe order when that input is the delta
-	atomIdxCols  [][][]int     // atom → column subsets of its relation the delta plans probe
-	atomNodes    [][]int       // atom → nodes that list it among their inputs
+	atomIdxCols  [][][]int     // input → column subsets of its relation the delta plans probe
 	projects     []bool        // node → the bag drops variables of the input join (derivation counts can exceed 1)
 }
 

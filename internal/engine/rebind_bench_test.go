@@ -75,7 +75,7 @@ func newMaintFixture(tb testing.TB, s maintShape, rows, domain int) *maintFixtur
 	tb.Helper()
 	ctx := context.Background()
 	eng, prep, cdb, planted := newMaintDB(tb, s, rows, domain)
-	b, err := prep.BindMaintained(ctx, cdb)
+	b, err := prep.Bind(ctx, cdb)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -194,7 +194,8 @@ func (f *maintFixture) warm(tb testing.TB) {
 // scaling pair: an O(change) path keeps the two within noise of each other.
 // cycle4-5k is a 4-cycle sized like path3-5k, affordable only while its plan
 // joins connected covers; cycle6-500 is the guard case whose width-2 plan
-// must keep cross-product bags, so no planning change can help it.
+// keeps covers that share no variable, which only the children's key sets
+// connect.
 func BenchmarkRebindSingleTuple(b *testing.B) {
 	for _, c := range []struct {
 		name         string

@@ -84,9 +84,10 @@ func sameRelation(got, want *Relation) string {
 	return ""
 }
 
-// checkReduction holds b's full reduction to the reference: the bottom-up
-// intermediates and the fully reduced relations of every node, and the
-// Enumerate stream (b's engine must enumerate in sequential order).
+// checkReduction holds b's full reduction to the reference: the bound node
+// relations must be bottom-up reduced already, the fully reduced relations
+// of every node must match, and so must the Enumerate stream (b's engine
+// must enumerate in sequential order).
 func checkReduction(t *testing.T, name string, b *BoundQuery) {
 	t.Helper()
 	ctx := context.Background()
@@ -100,7 +101,7 @@ func checkReduction(t *testing.T, name string, b *BoundQuery) {
 		t.Fatalf("%s: %v", name, err)
 	}
 	for u := range ref {
-		if desc := sameRelation(es.buRels[u], bu[u]); desc != "" {
+		if desc := sameRelation(b.flatNodes()[u], bu[u]); desc != "" {
 			t.Errorf("%s: node %d bottom-up: %s", name, u, desc)
 		}
 		if desc := sameRelation(es.nodes[u].rel, ref[u]); desc != "" {
@@ -126,10 +127,10 @@ func checkReduction(t *testing.T, name string, b *BoundQuery) {
 	}
 }
 
-// TestReductionMatchesSemijoinPasses: on both bind forms, sequentially and
-// with four workers, the slot-marking reduction and the slot-grouped
-// enumeration give exactly what the semijoin passes and a scanning
-// enumeration give. The instances: the one-shot benchmark shapes (forced
+// TestReductionMatchesSemijoinPasses: on Bind and on its maintained
+// successor after a round trip (roundTrip), the slot-marking reduction and
+// the slot-grouped enumeration give exactly what the semijoin passes and a
+// scanning enumeration give. The instances: the one-shot benchmark shapes (forced
 // cross-product covers and an acyclic path), the incremental differential
 // test's queries over random databases, a query in two components (a child
 // sharing no variable with its parent: a nullary message) and an
@@ -199,21 +200,24 @@ func TestReductionMatchesSemijoinPasses(t *testing.T) {
 		for u := 0; u < p.d.Nodes(); u++ {
 			nullary = nullary || (p.d.Parent[u] >= 0 && len(p.shared[u]) == 0)
 		}
+		bound, err := prep.Bind(ctx, cdb)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		maintained, err := roundTrip(ctx, bound, c.db)
+		if err != nil {
+			t.Fatalf("%s: round trip: %v", c.name, err)
+		}
 		for _, form := range []struct {
 			name string
-			bind func(context.Context, *CompiledDB) (*BoundQuery, error)
-		}{{"Bind", prep.Bind}, {"BindMaintained", prep.BindMaintained}} {
-			b, err := form.bind(ctx, cdb)
-			if err != nil {
-				t.Fatalf("%s: %v", c.name, err)
-			}
+			b    *BoundQuery
+		}{{"Bind", bound}, {"maintained", maintained}} {
 			name := c.name + "/" + form.name
-			checkReduction(t, name, b)
-			es, _ := b.ensureReduced(ctx)
+			checkReduction(t, name, form.b)
 			if c.name == "unsat" {
-				root := p.d.Root()
-				for u, rel := range es.buRels {
-					emptied = emptied || (u != root && rel.Len() > 0 && es.buRels[root].Len() == 0)
+				rels, root := form.b.flatNodes(), p.d.Root()
+				for u, rel := range rels {
+					emptied = emptied || (u != root && rel.Len() > 0 && rels[root].Len() == 0)
 				}
 			}
 		}

@@ -154,20 +154,17 @@ func TestNullaryQueryThroughEngine(t *testing.T) {
 
 // A cover path x–y–z–w whose two end relations are the smallest: smallest
 // first alone would join them into a cross product (columns x,y,w,z), so
-// joinLambda must take the middle relation, the smallest one sharing a
+// joinConnected must take the middle relation, the smallest one sharing a
 // column, second (columns x,y,z,w).
-func TestJoinLambdaConnectedOrder(t *testing.T) {
-	rels := map[string]*Relation{}
-	mk := func(a, b string, n int) []string {
+func TestJoinConnectedOrder(t *testing.T) {
+	mk := func(a, b string, n int) *Relation {
 		r := NewRelation(a, b)
 		for i := 0; i < n; i++ {
 			r.Add(Value(i), Value(i))
 		}
-		rels[a+b] = r
-		return []string{a, b}
+		return r
 	}
-	p := &Plan{lambdaVars: [][][]string{{mk("x", "y", 1), mk("w", "z", 2), mk("y", "z", 3)}}}
-	got := joinLambda(p, 0, func(names []string) *Relation { return rels[names[0]+names[1]] })
+	got := joinConnected([]*Relation{mk("x", "y", 1), mk("w", "z", 2), mk("y", "z", 3)}, nil)
 	if want := []string{"x", "y", "z", "w"}; fmt.Sprint(got.Cols) != fmt.Sprint(want) {
 		t.Errorf("join columns %v, want %v: the middle relation must be joined second", got.Cols, want)
 	}

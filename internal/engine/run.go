@@ -11,18 +11,16 @@ import (
 )
 
 // run is the data-dependent state of one evaluation of a Plan over one
-// compiled Instance: the materialised node relations. A run belongs to a
-// single evaluation call and is never shared between goroutines; the Plan it
-// points at is immutable. reduced records that every node relation is
-// bottom-up reduced already (newRun builds them so), rather than the
-// cover-based bag; counts is the counting DP of the pass that reduced them,
-// with its messages and slots (nil until a run over cover-based bags is
-// reduced).
+// compiled Instance: the materialised node relations, always bottom-up
+// reduced. A run belongs to a single evaluation call and is never shared
+// between goroutines; the Plan it points at is immutable. counts is the flat
+// counting DP over the nodes, with its messages and slots — Bind's, or nil
+// for a maintained query, whose DP is kept as key sums, until fullReduce
+// sends the messages again.
 type run struct {
 	plan     *Plan
 	inst     *Instance
 	nodeRels []*Relation
-	reduced  bool
 	counts   *countState
 }
 
@@ -155,52 +153,44 @@ func coveredBy(cols []string, r *Relation) (bound, shares bool) {
 	return bound, shares
 }
 
-// joinLambda builds the full (pre-projection) join of a node's λ edge
-// relations through joinConnected. edge supplies the relation of a λ variable
-// set (shared across nodes).
-func joinLambda(p *Plan, u int, edge func([]string) *Relation) *Relation {
-	rels := make([]*Relation, len(p.lambdaVars[u]))
-	for i, names := range p.lambdaVars[u] {
-		rels[i] = edge(names)
-	}
-	return joinConnected(rels, nil)
-}
-
-// materialiseNode builds the cover-based relation of one decomposition node:
-// the λ join projected to the bag, then filtered by every atom assigned to the
-// node. This is the form maintenance starts from (BindMaintained).
-func materialiseNode(p *Plan, inst *Instance, u int, edge func([]string) *Relation) *Relation {
-	acc := joinLambda(p, u, edge).Project(p.bagVars[u])
-	for _, ai := range p.filters[u] {
-		acc = Semijoin(acc, inst.AtomRels[ai])
-	}
-	return acc
-}
-
 // materialiseReduced builds the relation of one node from its children's
 // messages, which must be built already: the connected join of its λ
 // relations, each child's message and its filter atoms, projected to the
 // bag. A message whose columns are bound by then filters the join through its
 // keys; otherwise its keys (the child projected onto the columns it shares
 // with the node) are joined. Messages bound only at the end are left to
-// nodeMessage, so the node is bottom-up reduced once that has run: the
-// cover-based node after reduceBottomUp, without ever building the cover join
-// on its own — a message that connects two cover relations sharing no
-// variable is joined before they are, so a forced cross product never is.
+// nodeMessage, so the node is bottom-up reduced once that has run, without
+// ever building the cover join on its own — a message that connects two
+// cover relations sharing no variable is joined before they are, so a forced
+// cross product never is.
 func materialiseReduced(p *Plan, inst *Instance, u int, edge func([]string) *Relation, msgs []*storage.TupleMap) *Relation {
+	return nodeJoin(p, inst, u, edge, msgInputs(p, u, msgs)).Project(p.bagVars[u])
+}
+
+// nodeJoin is the connected join of node u's inputs before the projection:
+// its λ relations, one input per child (kids, in Plan.childJoins order) and
+// its filter atoms, which it appends to kids.
+func nodeJoin(p *Plan, inst *Instance, u int, edge func([]string) *Relation, kids []joinInput) *Relation {
 	cover := make([]*Relation, len(p.lambdaVars[u]))
 	for i, names := range p.lambdaVars[u] {
 		cover[i] = edge(names)
 	}
-	more := make([]joinInput, 0, len(p.childJoins[u])+len(p.filters[u]))
-	for _, cj := range p.childJoins[u] {
-		m := msgs[cj.child]
-		more = append(more, joinInput{rel: keysOf(m, cj.shared), msg: m})
-	}
 	for _, ai := range p.filters[u] {
-		more = append(more, joinInput{rel: inst.AtomRels[ai]})
+		kids = append(kids, joinInput{rel: inst.AtomRels[ai]})
 	}
-	return joinConnected(cover, more).Project(p.bagVars[u])
+	return joinConnected(cover, kids)
+}
+
+// msgInputs returns the messages of node u's children as join inputs: each
+// message's keys, probed through the message itself. There is room left for
+// the node's filters.
+func msgInputs(p *Plan, u int, msgs []*storage.TupleMap) []joinInput {
+	kids := make([]joinInput, len(p.childJoins[u]), len(p.childJoins[u])+len(p.filters[u]))
+	for k, cj := range p.childJoins[u] {
+		m := msgs[cj.child]
+		kids[k] = joinInput{rel: keysOf(m, cj.shared), msg: m}
+	}
+	return kids
 }
 
 // keysOf returns a message's keys as a relation over cols, the columns they
@@ -239,43 +229,13 @@ func projectCounts(acc *Relation, cols []string) *storage.TupleMap {
 	return m
 }
 
-// relFromSupport lists the tuples with positive support, in slot (first
-// derivation) order — the same order Relation.Project produces, so a node
-// materialised through its support map equals one materialised directly.
-func relFromSupport(sup *storage.TupleMap, cols []string) *Relation {
-	out := NewRelation(cols...)
-	for slot := int32(0); int(slot) < sup.Len(); slot++ {
-		if sup.Val(slot) <= 0 {
-			continue
-		}
-		if len(cols) == 0 {
-			out.AddEmpty()
-		} else {
-			out.Add(sup.Key(slot)...)
-		}
-	}
-	return out
-}
-
-// materialiseNodeWithSupport is materialiseNode keeping the derivation
-// counts of the unfiltered bag projection alongside, so later deltas can
-// maintain the node without re-running the λ join.
-func materialiseNodeWithSupport(p *Plan, inst *Instance, u int, edge func([]string) *Relation) (*Relation, *storage.TupleMap) {
-	sup := projectCounts(joinLambda(p, u, edge), p.bagVars[u])
-	rel := relFromSupport(sup, p.bagVars[u])
-	for _, ai := range p.filters[u] {
-		rel = Semijoin(rel, inst.AtomRels[ai])
-	}
-	return rel, sup
-}
-
 // newRun materialises the node relations of the plan over inst bottom-up,
 // children strictly first: every node is built by materialiseReduced from its
 // children's messages and reduced by nodeMessage, which computes its own
 // message on the way, so the run starts out bottom-up reduced and carries the
 // finished counting DP.
 func newRun(ctx context.Context, p *Plan, inst *Instance) (*run, error) {
-	r := &run{plan: p, inst: inst, nodeRels: make([]*Relation, p.d.Nodes()), reduced: true}
+	r := &run{plan: p, inst: inst, nodeRels: make([]*Relation, p.d.Nodes())}
 	getEdge, err := edgeRelations(ctx, p, inst, allNodes(p.d.Nodes()))
 	if err != nil {
 		return nil, err
@@ -287,24 +247,6 @@ func newRun(ctx context.Context, p *Plan, inst *Instance) (*run, error) {
 		return nil, err
 	}
 	return r, nil
-}
-
-// coverNodes materialises the cover-based node relations of the plan over
-// inst (materialiseNode): the unreduced bags that maintenance loads as node
-// supports.
-func coverNodes(ctx context.Context, p *Plan, inst *Instance) ([]*Relation, error) {
-	rels := make([]*Relation, p.d.Nodes())
-	getEdge, err := edgeRelations(ctx, p, inst, allNodes(p.d.Nodes()))
-	if err != nil {
-		return nil, err
-	}
-	for u := range rels {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		rels[u] = materialiseNode(p, inst, u, getEdge)
-	}
-	return rels, nil
 }
 
 // edgeRelations builds the λ edge relations of the given nodes, one per
@@ -325,32 +267,6 @@ func edgeRelations(ctx context.Context, p *Plan, inst *Instance, nodes []int) (f
 	return func(names []string) *Relation { return edges[edgeKey(names)] }, nil
 }
 
-// bool_ decides satisfiability by a bottom-up Yannakakis semijoin pass:
-// semijoin every parent with its children, children strictly first;
-// satisfiable iff no node relation empties out. A run that is bottom-up
-// reduced already only looks at its root.
-func (r *run) bool_(ctx context.Context) (bool, error) {
-	if r.reduced {
-		return r.nodeRels[r.plan.d.Root()].Len() > 0, nil
-	}
-	for _, u := range r.plan.order {
-		if err := ctx.Err(); err != nil {
-			return false, err
-		}
-		rel := r.nodeRels[u]
-		for _, cj := range r.plan.childJoins[u] {
-			if rel = semijoinOn(rel, r.nodeRels[cj.child], cj.shared, cj.uPos, cj.cPos); rel.Len() == 0 {
-				return false, nil
-			}
-		}
-		if rel.Len() == 0 {
-			return false, nil
-		}
-		r.nodeRels[u] = rel
-	}
-	return true, nil
-}
-
 // nodeMessage runs the counting DP (Pichler & Skritek, Proposition 4.14) at
 // node u over the node's relation rel, given the messages of all of u's
 // children. The DP value of a row is its number of extensions to the
@@ -358,17 +274,15 @@ func (r *run) bool_(ctx context.Context) (bool, error) {
 // the child's message value at the row's key. A non-root node's message
 // groups its rows on the columns it shares with its parent, each key carrying
 // the sum of its rows' values; the root sends none and returns the sum of its
-// rows' values instead: |q(D)|. With reduce set, the rows whose key some
-// child's message lacks are dropped, and kept is rel semijoined with every
-// child — rel itself when no row drops; the message then holds exactly
-// kept's keys and is the semijoin filter of the parent, and slots[i] is the
-// message slot of kept's row i.
-func nodeMessage(p *Plan, u int, rel *Relation, msgs []*storage.TupleMap, reduce bool) (kept *Relation, msg *storage.TupleMap, slots []int32, total int64) {
+// rows' values instead: |q(D)|. The rows whose key some child's message
+// lacks are dropped, and kept is rel semijoined with every child — rel
+// itself when no row drops; the message then holds exactly kept's keys and
+// is the semijoin filter of the parent, and slots[i] is the message slot of
+// kept's row i.
+func nodeMessage(p *Plan, u int, rel *Relation, msgs []*storage.TupleMap) (kept *Relation, msg *storage.TupleMap, slots []int32, total int64) {
 	if p.d.Parent[u] >= 0 {
 		msg = storage.NewTupleMap(len(p.sharedPos[u]), rel.Len())
-		if reduce {
-			slots = make([]int32, 0, rel.Len())
-		}
+		slots = make([]int32, 0, rel.Len())
 	}
 	key := make([]Value, len(rel.Cols))
 	kept = filterRows(rel, func(row []Value) bool {
@@ -376,19 +290,15 @@ func nodeMessage(p *Plan, u int, rel *Relation, msgs []*storage.TupleMap, reduce
 		for _, cj := range p.childJoins[u] {
 			m := msgs[cj.child]
 			s := m.Find(project(key, row, cj.uPos))
-			if s < 0 && reduce {
-				return false
-			}
 			if s < 0 {
-				v = 0
-				break
+				return false
 			}
 			v *= m.Val(s)
 		}
 		if msg == nil {
 			total += v
-		} else if s := msg.Add(project(key, row, p.sharedPos[u]), v); reduce {
-			slots = append(slots, s)
+		} else {
+			slots = append(slots, msg.Add(project(key, row, p.sharedPos[u]), v))
 		}
 		return true
 	})
@@ -397,16 +307,15 @@ func nodeMessage(p *Plan, u int, rel *Relation, msgs []*storage.TupleMap, reduce
 
 // countState is the cached counting DP of a BoundQuery: the total at the
 // root and what Rebind needs to carry it across a delta. Built from scratch
-// it is flat — every non-root node's message (nodeMessage), and when the pass
-// reduced the nodes, every node row's slot in it, which the top-down pass
-// marks (reduceTopDown); the first Rebind freezes the messages into per-node
-// key sums in persistent maps (keySum, countState.update) and from then on
-// maintains only them.
+// it is flat — every non-root node's message (nodeMessage) and every node
+// row's slot in it, which the top-down pass marks (reduceTopDown); the first
+// Rebind freezes the messages into per-node key sums in persistent maps
+// (keySum, countState.update) and from then on maintains only them.
 type countState struct {
 	total int64
 
 	msgs  []*storage.TupleMap // flat form: node → its message; nil for the root
-	slots [][]int32           // flat form of a reducing pass: node → its rows' message slots
+	slots [][]int32           // flat form: node → its rows' message slots
 
 	keySum []*storage.PMap[int64] // maintained form; nil entry for the root
 }
@@ -414,49 +323,21 @@ type countState struct {
 // countBottomUp runs the counting DP over all nodes, children strictly first:
 // node(u, msgs) returns node u's relation — built then and there from its
 // children's messages msgs, or one built before — and nodeMessage computes
-// the node's own message from it.
-// With reduced non-nil, nodeMessage also reduces the relation, reduced[u]
-// receives the result and the state keeps its rows' message slots; otherwise
-// the relations are only read.
+// the node's own message from it and reduces it into reduced[u]; the state
+// keeps the reduced rows' message slots.
 func countBottomUp(ctx context.Context, p *Plan, reduced []*Relation, node func(u int, msgs []*storage.TupleMap) *Relation) (*countState, error) {
-	cs := &countState{msgs: make([]*storage.TupleMap, p.d.Nodes())}
-	if reduced != nil {
-		cs.slots = make([][]int32, p.d.Nodes())
-	}
+	cs := &countState{msgs: make([]*storage.TupleMap, p.d.Nodes()), slots: make([][]int32, p.d.Nodes())}
 	for _, u := range p.order {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		rel, msg, slots, total := nodeMessage(p, u, node(u, cs.msgs), cs.msgs, reduced != nil)
-		if reduced != nil {
-			reduced[u], cs.slots[u] = rel, slots
-		}
-		if msg == nil {
+		var total int64
+		reduced[u], cs.msgs[u], cs.slots[u], total = nodeMessage(p, u, node(u, cs.msgs), cs.msgs)
+		if cs.msgs[u] == nil {
 			cs.total = total
 		}
-		cs.msgs[u] = msg
 	}
 	return cs, nil
-}
-
-// reduceBottomUp runs the bottom-up half of the Yannakakis full reduction:
-// the counting pass with reduction on (countBottomUp), which keeps the rows of
-// every node whose key every child's message holds, children strictly first,
-// and leaves the messages and slots the top-down half marks. A bottom-up
-// reduced run has nothing to do.
-func (r *run) reduceBottomUp(ctx context.Context) error {
-	if r.reduced {
-		return nil
-	}
-	rels := r.nodeRels
-	cs, err := countBottomUp(ctx, r.plan, rels, func(u int, _ []*storage.TupleMap) *Relation {
-		return rels[u]
-	})
-	if err != nil {
-		return err
-	}
-	r.counts, r.reduced = cs, true
-	return nil
 }
 
 // reduceTopDown runs the top-down half of the full reduction over bottom-up
@@ -504,23 +385,27 @@ func (r *run) reduceTopDown(ctx context.Context) ([][]int32, error) {
 	return slots, nil
 }
 
-// fullReduce performs the classic Yannakakis full reduction on the node
-// relations — the bottom-up pass, then the top-down one — and builds the
-// enumeration state over the result, keeping the bottom-up intermediates
-// alongside. After it, every remaining tuple of every node participates in
-// at least one solution.
+// fullReduce completes the Yannakakis full reduction of the bottom-up
+// reduced node relations with the top-down pass and builds the enumeration
+// state over the result. After it, every remaining tuple of every node
+// participates in at least one solution. A run without flat messages first
+// sends them by a counting pass, which drops no row.
 func (r *run) fullReduce(ctx context.Context) (*enumState, error) {
-	if err := r.reduceBottomUp(ctx); err != nil {
-		return nil, err
+	if r.counts == nil {
+		rels := r.nodeRels
+		cs, err := countBottomUp(ctx, r.plan, rels, func(u int, _ []*storage.TupleMap) *Relation {
+			return rels[u]
+		})
+		if err != nil {
+			return nil, err
+		}
+		r.counts = cs
 	}
-	bu := slices.Clone(r.nodeRels)
 	slots, err := r.reduceTopDown(ctx)
 	if err != nil {
 		return nil, err
 	}
-	es := buildEnumState(r.plan, r.nodeRels, r.counts.msgs, slots)
-	es.buRels = bu
-	return es, nil
+	return buildEnumState(r.plan, r.nodeRels, r.counts.msgs, slots), nil
 }
 
 // enumNode is the per-node enumeration state: the (fully reduced) relation,
@@ -540,9 +425,9 @@ type enumNode struct {
 // enumerate method allocates its own cursors, so one enumState serves any
 // number of concurrent enumerations. It has two forms. Built from scratch it
 // is flat: reduced relations with their rows grouped by message slot
-// (nodes), plus the bottom-up pass intermediates (buRels). Derived by Rebind
-// it is maintained: the same rows grouped in persistent maps (m, see
-// maintreduce.go), which the enumeration probes directly.
+// (nodes). Derived by Rebind it is maintained: the same rows grouped in
+// persistent maps (m, see maintreduce.go), which the enumeration probes
+// directly.
 type enumState struct {
 	plan      *Plan
 	pre       []int
@@ -554,8 +439,7 @@ type enumState struct {
 	// pointer, so a chain of snapshots does not keep its whole past alive.
 	id, parent uint64
 
-	nodes  []enumNode
-	buRels []*Relation
+	nodes []enumNode
 
 	// up caches, per (node, child-join) pair of the plan (pairOf), the
 	// grouping of the *parent* relation on the columns shared with that child —
@@ -594,15 +478,6 @@ func buildEnumState(p *Plan, rels []*Relation, msgs []*storage.TupleMap, slots [
 		es.nodes[u] = en
 	}
 	return es
-}
-
-// rootLen returns the number of rows of the reduced root relation.
-func (es *enumState) rootLen() int {
-	root := es.pre[0]
-	if es.m != nil {
-		return es.m.fLen[root]
-	}
-	return es.nodes[root].rel.Len()
 }
 
 // enumerate streams every solution of the full CQ without materialising the
@@ -659,7 +534,7 @@ func (es *enumState) enumerate(ctx context.Context, yield func(row []Value) bool
 				rows, _ = m.down[u].Get(kb)
 			case i == 0:
 				var err error
-				m.all[u].Range(func(row []Value, _ struct{}) bool {
+				m.all[u].Range(func(row []Value, _ int64) bool {
 					for j, vid := range write {
 						asg[vid] = row[j]
 					}

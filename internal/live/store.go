@@ -345,19 +345,21 @@ func (s *Store) register(ctx context.Context, name string, q cq.Query, logIt boo
 	// visits the query (see stage), so whatever snapshot the query holds on to
 	// must not keep the rest of the database as of that moment alive.
 	rels := relationsOf(q)
-	bound, err := prep.BindMaintained(ctx, s.cdb.Restrict(rels))
+	bound, err := prep.Bind(ctx, s.cdb.Restrict(rels))
 	if err != nil {
 		unreserve()
 		return err
 	}
+	// Bind has run the counting DP: Count only reads its total.
 	count, err := bound.Count(ctx)
 	if err != nil {
 		unreserve()
 		return err
 	}
-	// Prime the enumeration cache too: the full reduction and indexes are
-	// cached before streaming begins, so stopping at the first yield builds
-	// the whole state without walking the result set.
+	// Prime the enumeration cache too: the top-down pass over Bind's
+	// bottom-up reduced nodes and the indexes are cached before streaming
+	// begins, so stopping at the first yield builds the whole state without
+	// walking the result set.
 	if err := bound.Enumerate(ctx, func(engine.Solution) bool { return false }); err != nil {
 		unreserve()
 		return err

@@ -109,7 +109,12 @@ func TestSolutionsEndpoint(t *testing.T) {
 	if err := store.Register(ctx, "paths", q); err != nil {
 		t.Fatal(err)
 	}
-	version, err := store.SubmitSync(ctx, pairDelta(1).Merge(pairDelta(2)).Merge(pairDelta(3)))
+	three := storage.NewDelta()
+	for k := 1; k <= 3; k++ {
+		three.Add("R", fmt.Sprintf("a%d", k), fmt.Sprintf("b%d", k)).
+			Add("S", fmt.Sprintf("b%d", k), fmt.Sprintf("c%d", k))
+	}
+	version, err := store.SubmitSync(ctx, three)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -181,8 +181,11 @@ func SemanticGHW(q Query) (GHWResult, error) { return cq.SemanticGHW(q) }
 // resulting PreparedQuery evaluates any number of databases concurrently.
 type Engine = engine.Engine
 
-// PreparedQuery is a compiled, immutable, concurrency-safe query plan with
-// Bool / Count / Enumerate / Explain / CountProjection evaluation methods.
+// PreparedQuery is a compiled, immutable, concurrency-safe query plan. Bind
+// pairs it with a CompiledDB; its Bool / Count / Enumerate / ExplainDB
+// methods over a plain Database are each a one-shot CompileDB of the
+// relations the query reads, a Bind, and the BoundQuery method of the same
+// name, so repeated traffic over one database should bind once instead.
 type PreparedQuery = engine.PreparedQuery
 
 // CompiledDB is a database compiled once by Engine.CompileDB: constants
@@ -196,14 +199,14 @@ type CompiledDB = engine.CompiledDB
 
 // BoundQuery is a PreparedQuery bound to a CompiledDB: dictionary, atom
 // relations and decomposition node relations are built once at bind time,
-// so Bool / Count / Enumerate / CountProjection run the per-call passes
-// only. PreparedQuery.Bind builds the node relations bottom-up reduced, and
-// maintenance keeps them so. Safe for concurrent use. BoundQuery.Update(ctx, delta) (or
-// CompiledDB.Apply + BoundQuery.Rebind, to share one new snapshot across
-// several bound queries) carries the bound state forward incrementally:
-// only the atoms, decomposition nodes and cached reduction/count subtrees a
-// delta actually reaches are recomputed, and the receiver keeps answering
-// over its own snapshot.
+// so Bool and Count read them and Enumerate runs only the top-down pass, on
+// its first call. PreparedQuery.Bind builds the node relations bottom-up
+// reduced, and maintenance keeps them so. Safe for concurrent use.
+// BoundQuery.Update(ctx, delta) (or CompiledDB.Apply + BoundQuery.Rebind,
+// to share one new snapshot across several bound queries) carries the bound
+// state forward incrementally: only the atoms, decomposition nodes and
+// cached reduction/count subtrees a delta actually reaches are recomputed,
+// and the receiver keeps answering over its own snapshot.
 type BoundQuery = engine.BoundQuery
 
 // Delta is a batch of tuple insertions and deletions against a CompiledDB.
@@ -271,9 +274,10 @@ func NaiveEnumerate(q Query, db Database, yield func(Solution) bool) error {
 
 // LiveStore is the serving layer over the incremental engine: it owns an
 // evolving CompiledDB snapshot plus a registry of named bound queries,
-// coalesces Submit-ted Deltas into batched snapshot steps (Delta.Merge →
-// one Apply → one Rebind per query), and pushes result-change notifications
-// to Watch subscribers. cmd/d2cqd serves one over HTTP/JSON with SSE.
+// coalesces Submit-ted Deltas into batched snapshot steps (one coalesced
+// batch → one Apply → one Rebind per query), and pushes result-change
+// notifications to Watch subscribers. cmd/d2cqd serves one over HTTP/JSON
+// with SSE.
 type LiveStore = live.Store
 
 // LiveConfig sizes the per-query notification ring, which bounds both

@@ -51,6 +51,9 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println("Decide confirms J(3,3) dilutes to the extracted jigsaw:", ok)
+	if !ok {
+		log.Fatal("Decide rejects a dilution the extraction found")
+	}
 
 	// Control: an acyclic host contains no jigsaw dilution at all.
 	tree := d2cq.HypergraphFromGraph(graph.Star(6)).Dual()
@@ -59,6 +62,9 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println("acyclic control host yields a jigsaw:", seq != nil)
+	if seq != nil {
+		log.Fatal("an acyclic host yielded a jigsaw dilution")
+	}
 
 	// The extracted jigsaw is also a query shape: its canonical BCQ
 	// compiles to a plan of width ghw. A width-1 engine refuses it, the
@@ -67,6 +73,9 @@ func main() {
 	q := d2cq.CanonicalQuery(result)
 	_, err = d2cq.NewEngine(d2cq.WithMaxWidth(1)).Prepare(ctx, q)
 	fmt.Println("width-1 engine refuses the jigsaw query:", err != nil)
+	if err == nil {
+		log.Fatal("a width-1 engine accepted the jigsaw query, whose ghw is 2")
+	}
 	prep, err := d2cq.Prepare(ctx, q)
 	if err != nil {
 		log.Fatal(err)

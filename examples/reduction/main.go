@@ -83,4 +83,7 @@ func main() {
 	}
 	fmt.Printf("host instance: satisfiable=%v, solutions=%d (parsimonious: %v)\n",
 		sat2, count2, count2 == count)
+	if sat2 != sat || count2 != count {
+		log.Fatalf("the reduction is not parsimonious: host %v/%d, jigsaw %v/%d", sat2, count2, sat, count)
+	}
 }

@@ -35,7 +35,10 @@ func (inst *Instance) keys() []string {
 	return inst.atomKeys
 }
 
-// Compile interns db and builds the per-atom relations for q.
+// Compile interns db and builds the per-atom relations for q, straight from
+// the strings. The naive reference evaluators use it, so they share nothing
+// with the compiled-database path (CompileDB, BindCompile) they check; so
+// does reduction.AlignInstance.
 func Compile(q cq.Query, db cq.Database) (*Instance, error) {
 	if err := db.Validate(q); err != nil {
 		return nil, err

@@ -219,9 +219,6 @@ func TestBindLeavesTablesUntouched(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := b.CountProjection(ctx, q.Vars()[:1]); err != nil {
-			t.Fatal(err)
-		}
 		nb, err := b.Update(ctx, delta)
 		if err != nil {
 			t.Fatalf("%s: Update: %v", text, err)

@@ -355,14 +355,6 @@ func (b *BoundQuery) EnumerateAll(ctx context.Context) (*Relation, *Dict, error)
 	return out, b.inst.Dict, nil
 }
 
-// CountProjection counts the distinct projections of the solutions onto the
-// free variables (§4.4) over the bound database.
-func (b *BoundQuery) CountProjection(ctx context.Context, free []string) (int64, error) {
-	return countProjection(b.prep.plan.qvars, free, func(yield func(Solution) bool) error {
-		return b.Enumerate(ctx, yield)
-	})
-}
-
 // materialise streams every solution into an (unsorted) relation over the
 // query's variables — EnumerateAll without the display sort.
 func (b *BoundQuery) materialise(ctx context.Context) (*Relation, error) {

@@ -3,14 +3,12 @@ package engine
 import (
 	"context"
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 
 	"d2cq/internal/cq"
 	"d2cq/internal/decomp"
 	"d2cq/internal/hypergraph"
-	"d2cq/internal/storage"
 )
 
 // Engine owns the policy and the shared caches of query compilation: how
@@ -283,46 +281,40 @@ func (p *PreparedQuery) Plan() *Plan { return p.plan }
 // Explain renders the data-independent evaluation plan.
 func (p *PreparedQuery) Explain() string { return p.plan.Explain() }
 
+// bindDB compiles the relations the query reads from db, and only those,
+// and binds the query to them. The database-taking methods below are each
+// this one-shot bind followed by the BoundQuery method of the same name; a
+// malformed relation the query never reads is never compiled, so it is not
+// an error.
+func (p *PreparedQuery) bindDB(ctx context.Context, db cq.Database) (*BoundQuery, error) {
+	read := make(cq.Database, len(p.plan.query.Atoms))
+	for _, a := range p.plan.query.Atoms {
+		read[a.Rel] = db[a.Rel]
+	}
+	cdb, err := p.eng.CompileDB(ctx, read)
+	if err != nil {
+		return nil, err
+	}
+	return p.Bind(ctx, cdb)
+}
+
 // Bool decides q(db) ≠ ∅ (Proposition 2.2: polynomial for bounded ghw).
 func (p *PreparedQuery) Bool(ctx context.Context, db cq.Database) (bool, error) {
-	inst, err := Compile(p.plan.query, db)
+	b, err := p.bindDB(ctx, db)
 	if err != nil {
 		return false, err
 	}
-	if p.plan.Naive() {
-		return naiveBool(ctx, inst)
-	}
-	if p.plan.d.Nodes() == 0 {
-		return groundSat(inst), nil
-	}
-	r, err := newRun(ctx, p.plan, inst)
-	if err != nil {
-		return false, err
-	}
-	return r.nodeRels[p.plan.d.Root()].Len() > 0, nil
+	return b.Bool(ctx)
 }
 
 // Count computes |q(db)| for a full CQ (Proposition 4.14: polynomial for
 // bounded ghw).
 func (p *PreparedQuery) Count(ctx context.Context, db cq.Database) (int64, error) {
-	inst, err := Compile(p.plan.query, db)
+	b, err := p.bindDB(ctx, db)
 	if err != nil {
 		return 0, err
 	}
-	if p.plan.Naive() {
-		return naiveCount(ctx, inst)
-	}
-	if p.plan.d.Nodes() == 0 {
-		if groundSat(inst) {
-			return 1, nil
-		}
-		return 0, nil
-	}
-	r, err := newRun(ctx, p.plan, inst)
-	if err != nil {
-		return 0, err
-	}
-	return r.counts.total, nil
+	return b.Count(ctx)
 }
 
 // Solution is one answer handed to an Enumerate callback. The underlying
@@ -367,133 +359,31 @@ func (s Solution) Strings() []string {
 // returns false to stop early; Enumerate then returns nil. Solutions are
 // deduplicated by construction (each corresponds to a distinct assignment).
 func (p *PreparedQuery) Enumerate(ctx context.Context, db cq.Database, yield func(Solution) bool) error {
-	inst, err := Compile(p.plan.query, db)
+	b, err := p.bindDB(ctx, db)
 	if err != nil {
 		return err
 	}
-	sol := Solution{vars: p.plan.qvars, dict: inst.Dict}
-	if p.plan.Naive() {
-		return naiveEnumerate(ctx, inst, p.plan.qvars, func(row []Value) bool {
-			sol.row = row
-			return yield(sol)
-		})
-	}
-	if p.plan.d.Nodes() == 0 {
-		if groundSat(inst) {
-			sol.row = nil
-			yield(sol)
-		}
-		return nil
-	}
-	r, err := newRun(ctx, p.plan, inst)
-	if err != nil {
-		return err
-	}
-	es, err := r.fullReduce(ctx)
-	if err != nil {
-		return err
-	}
-	return es.enumerate(ctx, func(row []Value) bool {
-		sol.row = row
-		return yield(sol)
-	})
+	return b.Enumerate(ctx, yield)
 }
 
 // EnumerateAll materialises every solution as a sorted relation (a
 // convenience over Enumerate for tests and small result sets).
 func (p *PreparedQuery) EnumerateAll(ctx context.Context, db cq.Database) (*Relation, *Dict, error) {
-	out := NewRelation(p.plan.qvars...)
-	var dict *Dict
-	err := p.Enumerate(ctx, db, func(s Solution) bool {
-		dict = s.dict
-		if len(s.row) == 0 {
-			out.AddEmpty()
-		} else {
-			// Add copies into the backing array immediately, so the reused
-			// yield slice can be passed straight through.
-			out.Add(s.row...)
-		}
-		return true
-	})
+	b, err := p.bindDB(ctx, db)
 	if err != nil {
 		return nil, nil, err
 	}
-	if dict == nil {
-		dict = NewDict()
-	}
-	out.SortForDisplay()
-	return out, dict, nil
-}
-
-// CountProjection counts the distinct projections of the solutions onto the
-// free variables — the existentially-quantified counting problem of §4.4.
-// #P-hard even for acyclic queries (Pichler & Skritek), so this enumerates;
-// it exists to make the paper's full-CQ restriction tangible.
-func (p *PreparedQuery) CountProjection(ctx context.Context, db cq.Database, free []string) (int64, error) {
-	return countProjection(p.plan.qvars, free, func(yield func(Solution) bool) error {
-		return p.Enumerate(ctx, db, yield)
-	})
-}
-
-// countProjection counts the distinct projections of a solution stream onto
-// the free variables; shared by the prepared and bound paths.
-func countProjection(qvars, free []string, enumerate func(yield func(Solution) bool) error) (int64, error) {
-	idx := make([]int, len(free))
-	for i, f := range free {
-		idx[i] = -1
-		for j, v := range qvars {
-			if v == f {
-				idx[i] = j
-				break
-			}
-		}
-		if idx[i] < 0 {
-			return 0, fmt.Errorf("engine: free variable %s not in query", f)
-		}
-	}
-	seen := storage.NewTupleMap(len(free), 0)
-	buf := make([]Value, len(free))
-	satisfied := false
-	err := enumerate(func(s Solution) bool {
-		satisfied = true
-		for i, x := range idx {
-			buf[i] = s.row[x]
-		}
-		seen.Insert(buf)
-		return true
-	})
-	if err != nil {
-		return 0, err
-	}
-	if len(free) == 0 {
-		if satisfied {
-			return 1, nil
-		}
-		return 0, nil
-	}
-	return int64(seen.Len()), nil
+	return b.EnumerateAll(ctx)
 }
 
 // ExplainDB renders the plan together with the materialised per-node
 // relation sizes over db — bottom-up reduced, as Bind materialises them.
 func (p *PreparedQuery) ExplainDB(ctx context.Context, db cq.Database) (string, error) {
-	inst, err := Compile(p.plan.query, db)
+	b, err := p.bindDB(ctx, db)
 	if err != nil {
 		return "", err
 	}
-	if p.plan.Naive() || p.plan.d.Nodes() == 0 {
-		return p.plan.Explain(), nil
-	}
-	r, err := newRun(ctx, p.plan, inst)
-	if err != nil {
-		return "", err
-	}
-	var b strings.Builder
-	b.WriteString(p.plan.Explain())
-	for u, rel := range r.nodeRels {
-		fmt.Fprintf(&b, "node %d materialised: |rel|=%d\n", u, rel.Len())
-	}
-	return b.String(), nil
+	return b.ExplainDB(), nil
 }
 
 // groundSat reports satisfiability of a query whose hypergraph has no edges

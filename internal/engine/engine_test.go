@@ -41,9 +41,9 @@ func TestDict(t *testing.T) {
 	if d.Name(a) != "a" {
 		t.Error("name lookup broken")
 	}
-	f, err := d.Fresh("★")
-	if err != nil || d.Name(f) == "a" || d.Len() != 2 {
-		t.Error("fresh constant collided")
+	f, err := d.Intern("★")
+	if err != nil || f == a || d.Name(f) != "★" || d.Len() != 2 {
+		t.Error("new constant collided")
 	}
 }
 
@@ -68,17 +68,17 @@ func TestRelationOps(t *testing.T) {
 	if j.Len() != 3 { // (1,2,9), (3,4,8), (3,4,7)
 		t.Fatalf("join size = %d, want 3", j.Len())
 	}
-	sj := Semijoin(r, s)
+	sj := semijoin(r, s)
 	if sj.Len() != 2 {
 		t.Fatalf("semijoin size = %d, want 2", sj.Len())
 	}
 	// Disjoint-column semijoin behaves as emptiness test.
 	u := NewRelation("w")
-	if Semijoin(r, u).Len() != 0 {
+	if semijoin(r, u).Len() != 0 {
 		t.Error("semijoin with empty disjoint relation should be empty")
 	}
 	u.Add(5)
-	if Semijoin(r, u).Len() != 2 {
+	if semijoin(r, u).Len() != 2 {
 		t.Error("semijoin with non-empty disjoint relation should keep r")
 	}
 }

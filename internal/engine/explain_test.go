@@ -60,34 +60,3 @@ func TestExplainGroundQuery(t *testing.T) {
 		t.Errorf("Explain output: %s", out)
 	}
 }
-
-func TestCountProjection(t *testing.T) {
-	// ∃z: R(x,y) ∧ S(y,z): count distinct (x,y) with a witness z.
-	q, err := cq.ParseQuery("R(x,y), S(y,z)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	db := cq.Database{}
-	db.Add("R", "1", "2")
-	db.Add("S", "2", "3")
-	db.Add("S", "2", "4") // two witnesses, one projection
-	n, err := prepared(t, q).CountProjection(context.Background(), db, []string{"x", "y"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 1 {
-		t.Errorf("projection count = %d, want 1", n)
-	}
-	// Full count distinguishes the witnesses (the §4.4 contrast).
-	full, err := prepared(t, q).Count(context.Background(), db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if full != 2 {
-		t.Errorf("full count = %d, want 2", full)
-	}
-	// Unknown free variable rejected.
-	if _, err := prepared(t, q).CountProjection(context.Background(), db, []string{"nope"}); err == nil {
-		t.Error("expected unknown-variable error")
-	}
-}

@@ -765,9 +765,13 @@ func TestAtomDeltaFromTables(t *testing.T) {
 		}
 		// Emptied and gone: the new table is nil.
 		gone := storage.NewDelta()
-		for _, tuple := range next.RelationTuples("R") {
+		next.Table("R").Scan(func(row []Value) {
+			tuple := make([]string, len(row))
+			for i, v := range row {
+				tuple[i] = next.Dict.Name(v)
+			}
 			gone.Remove("R", tuple...)
-		}
+		})
 		empty, err := next.Apply(gone)
 		if err != nil {
 			t.Fatal(err)

@@ -281,32 +281,6 @@ func TestWithMaxWidthAndNaiveFallback(t *testing.T) {
 	}
 }
 
-func TestPreparedCountProjection(t *testing.T) {
-	db := cq.Database{}
-	db.Add("R", "1", "2")
-	db.Add("R", "1", "3")
-	db.Add("S", "2", "4")
-	db.Add("S", "3", "4")
-	query, err := cq.ParseQuery("R(x,y), S(y,z)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	prep, err := NewEngine().Prepare(context.Background(), query)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := prep.CountProjection(context.Background(), db, []string{"x", "z"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 1 { // both solutions project to (1, 4)
-		t.Errorf("CountProjection = %d, want 1", n)
-	}
-	if _, err := prep.CountProjection(context.Background(), db, []string{"nope"}); err == nil {
-		t.Error("unknown free variable must error")
-	}
-}
-
 func TestPreparedExplain(t *testing.T) {
 	q, db := cycleQuery(4, 2)
 	prep, err := NewEngine().Prepare(context.Background(), q)
@@ -372,5 +346,83 @@ func TestNaivePlanHonoursCancelledContext(t *testing.T) {
 	}
 	if err := prep.Enumerate(done, db, func(Solution) bool { return true }); !errors.Is(err, context.Canceled) {
 		t.Errorf("naive Enumerate on cancelled ctx: %v", err)
+	}
+}
+
+// TestPreparedDatabaseMethodsErrorParity pins what the database-taking
+// methods of a PreparedQuery answer at the edges of their input: an arity
+// mismatch (or mixed arities) in a relation the query reads is an error, a
+// read relation the database lacks and a query constant absent from it give
+// no answers, and a malformed relation the query never reads is ignored —
+// on a decomposed plan, a naive-fallback plan and a ground query alike, for
+// Bool, Count, EnumerateAll and ExplainDB.
+func TestPreparedDatabaseMethodsErrorParity(t *testing.T) {
+	ctx := context.Background()
+	db := func(rels map[string][][]string) cq.Database {
+		out := cq.Database{}
+		for rel, tuples := range rels {
+			for _, tuple := range tuples {
+				out.Add(rel, tuple...)
+			}
+		}
+		return out
+	}
+	path := db(map[string][][]string{"R": {{"1", "2"}}, "S": {{"2", "3"}}})
+	cases := []struct {
+		name    string
+		query   string
+		naive   bool
+		db      cq.Database
+		wantErr bool
+		wantN   int64
+	}{
+		{"arity-mismatch", "R(x,y), S(y,z)", false, db(map[string][][]string{"R": {{"1", "2", "3"}}, "S": {{"2", "3"}}}), true, 0},
+		{"mixed-arity-read", "R(x,y), S(y,z)", false, db(map[string][][]string{"R": {{"1", "2"}, {"1", "2", "3"}}, "S": {{"2", "3"}}}), true, 0},
+		{"missing-relation", "R(x,y), S(y,z)", false, db(map[string][][]string{"R": {{"1", "2"}}}), false, 0},
+		{"absent-constant", "R(x,y), S(y,'9')", false, path, false, 0},
+		{"present-constant", "R(x,'2'), S('2',z)", false, path, false, 1},
+		{"mixed-arity-unread", "R(x,y), S(y,z)", false, db(map[string][][]string{"R": {{"1", "2"}}, "S": {{"2", "3"}}, "U": {{"a"}, {"a", "b"}}}), false, 1},
+		{"naive", "R(x,y), S(y,z), T(z,x)", true, db(map[string][][]string{"R": {{"1", "2"}}, "S": {{"2", "3"}}, "T": {{"3", "1"}}, "U": {{"a"}, {"a", "b"}}}), false, 1},
+		{"naive-arity-mismatch", "R(x,y), S(y,z), T(z,x)", true, db(map[string][][]string{"R": {{"1", "2"}}, "S": {{"2", "3"}}, "T": {{"3"}}}), true, 0},
+		{"naive-missing-relation", "R(x,y), S(y,z), T(z,x)", true, path, false, 0},
+		{"ground", "R('1','2'), S('2','3')", false, db(map[string][][]string{"R": {{"1", "2"}}, "S": {{"2", "3"}}, "U": {{"a"}, {"a", "b"}}}), false, 1},
+		{"ground-absent-constant", "R('1','9')", false, path, false, 0},
+		{"ground-missing-relation", "R('1','2'), T('3')", false, path, false, 0},
+		{"ground-arity-mismatch", "R('1')", false, path, true, 0},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			q, err := cq.ParseQuery(c.query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng := NewEngine()
+			if c.naive {
+				eng = NewEngine(WithMaxWidth(1), WithNaiveFallback())
+			}
+			prep, err := eng.Prepare(ctx, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if prep.Plan().Naive() != c.naive {
+				t.Fatalf("naive plan = %v, want %v", prep.Plan().Naive(), c.naive)
+			}
+			ok, err := prep.Bool(ctx, c.db)
+			if (err != nil) != c.wantErr || ok != (c.wantN > 0) {
+				t.Errorf("Bool = %v, %v; want %v (error %v)", ok, err, c.wantN > 0, c.wantErr)
+			}
+			n, err := prep.Count(ctx, c.db)
+			if (err != nil) != c.wantErr || n != c.wantN {
+				t.Errorf("Count = %d, %v; want %d (error %v)", n, err, c.wantN, c.wantErr)
+			}
+			rel, _, err := prep.EnumerateAll(ctx, c.db)
+			if (err != nil) != c.wantErr || (err == nil && int64(rel.Len()) != c.wantN) {
+				t.Errorf("EnumerateAll = %v, %v; want %d rows (error %v)", rel, err, c.wantN, c.wantErr)
+			}
+			out, err := prep.ExplainDB(ctx, c.db)
+			if (err != nil) != c.wantErr || (err == nil && out == "") {
+				t.Errorf("ExplainDB = %q, %v; want a plan (error %v)", out, err, c.wantErr)
+			}
+		})
 	}
 }

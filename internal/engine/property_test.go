@@ -57,8 +57,8 @@ func TestQuickSemijoinIdempotent(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		a := randomRelation(r, []string{"x", "y"}, 4, 6)
 		b := randomRelation(r, []string{"y", "z"}, 4, 6)
-		once := Semijoin(a, b)
-		twice := Semijoin(once, b)
+		once := semijoin(a, b)
+		twice := semijoin(once, b)
 		if once.Len() != twice.Len() {
 			return false
 		}
@@ -90,7 +90,7 @@ func TestQuickSemijoinSelf(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		a := randomRelation(r, []string{"x", "y"}, 4, 6)
 		p := a.Project([]string{"y"})
-		return Semijoin(a, p).Len() == a.Len()
+		return semijoin(a, p).Len() == a.Len()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)

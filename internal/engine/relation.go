@@ -72,11 +72,6 @@ func (r *Relation) ColIndex(name string) int {
 	return -1
 }
 
-// Clone returns a deep copy.
-func (r *Relation) Clone() *Relation {
-	return &Relation{Cols: append([]string(nil), r.Cols...), Data: append([]Value(nil), r.Data...)}
-}
-
 // Dedup removes duplicate tuples in place (order not preserved).
 func (r *Relation) Dedup() {
 	a := len(r.Cols)
@@ -265,14 +260,9 @@ func Join(r, s *Relation) *Relation {
 	return out
 }
 
-// Semijoin returns r ⋉ s: the tuples of r that join with some tuple of s.
-func Semijoin(r, s *Relation) *Relation {
-	shared, rIdx, sIdx := sharedColumns(r, s)
-	return semijoinOn(r, s, shared, rIdx, sIdx)
-}
-
-// semijoinOn is Semijoin with the shared columns precomputed — evaluation
-// passes over a plan use it with positions fixed at plan time.
+// semijoinOn returns r ⋉ s, the tuples of r that join with some tuple of s,
+// on shared columns precomputed at plan time (sharedColumns): r's positions
+// rIdx, s's positions sIdx.
 func semijoinOn(r, s *Relation, shared []string, rIdx, sIdx []int) *Relation {
 	if len(shared) == 0 {
 		if s.Len() > 0 {

@@ -18,6 +18,13 @@ func nullaryWithEmptyTuple() *Relation {
 	return r
 }
 
+// semijoin returns r ⋉ s on the columns the two share — semijoinOn with
+// the shared columns worked out from the relations, as plans fix them.
+func semijoin(r, s *Relation) *Relation {
+	shared, rIdx, sIdx := sharedColumns(r, s)
+	return semijoinOn(r, s, shared, rIdx, sIdx)
+}
+
 func TestJoinNullary(t *testing.T) {
 	ab := NewRelation("a", "b")
 	ab.Add(1, 2)
@@ -47,15 +54,15 @@ func TestSemijoinNullary(t *testing.T) {
 	ab := NewRelation("a", "b")
 	ab.Add(1, 2)
 	// No shared columns, non-empty s: keep everything.
-	if s := Semijoin(ab, nullaryWithEmptyTuple()); s.Len() != 1 {
+	if s := semijoin(ab, nullaryWithEmptyTuple()); s.Len() != 1 {
 		t.Errorf("r ⋉ unit: len=%d", s.Len())
 	}
 	// No shared columns, empty s: drop everything.
-	if s := Semijoin(ab, NewRelation()); s.Len() != 0 {
+	if s := semijoin(ab, NewRelation()); s.Len() != 0 {
 		t.Errorf("r ⋉ empty-nullary: len=%d", s.Len())
 	}
 	// Nullary r against non-empty s.
-	if s := Semijoin(nullaryWithEmptyTuple(), ab); s.Len() != 1 || s.Arity() != 0 {
+	if s := semijoin(nullaryWithEmptyTuple(), ab); s.Len() != 1 || s.Arity() != 0 {
 		t.Errorf("unit ⋉ r: len=%d arity=%d", s.Len(), s.Arity())
 	}
 }
@@ -191,14 +198,14 @@ func TestOperatorsShareInputs(t *testing.T) {
 	if ab.Project([]string{"a", "b"}) != ab {
 		t.Error("projection onto the relation's own columns copied it")
 	}
-	if Semijoin(ab, bc) != ab {
+	if semijoin(ab, bc) != ab {
 		t.Error("semijoin keeping every row copied its input")
 	}
 	if Join(nullaryWithEmptyTuple(), ab) != ab || Join(ab, nullaryWithEmptyTuple()) != ab {
 		t.Error("join with the unit copied the other side")
 	}
 	bc.Data = bc.Data[:4] // drops b=6
-	if s := Semijoin(ab, bc); s == ab || !slices.Equal(s.Data, []Value{1, 2, 3, 4}) {
+	if s := semijoin(ab, bc); s == ab || !slices.Equal(s.Data, []Value{1, 2, 3, 4}) {
 		t.Errorf("semijoin dropping a row = %v", s.Data)
 	}
 	if p := ab.Project([]string{"b", "a"}); !slices.Equal(p.Data, []Value{2, 1, 4, 3, 6, 5}) {

@@ -318,7 +318,7 @@ func runWatchDifferential(t *testing.T, sh watchShape, seed int64) {
 // TestCoalescedIngestionIdentical drives the same delta stream through a
 // per-delta store and a coalescing store (one batch per 8 submits) and
 // asserts byte-identical final results with measurably fewer Rebinds — the
-// acceptance contract of Delta.Merge-based ingestion. A flush rebinds the
+// acceptance contract of coalesced ingestion. A flush rebinds the
 // query only when its batch lists a relation the query reads (Zed is noise),
 // so the expected counts are the flushes that do.
 func TestCoalescedIngestionIdentical(t *testing.T) {
@@ -372,7 +372,7 @@ func TestCoalescedIngestionIdentical(t *testing.T) {
 			wantB++
 			batchReaches = false
 		}
-		flushBatch(t, storeA, delta.Clone())
+		flushBatch(t, storeA, cloneDelta(delta))
 		if batchB = append(batchB, delta); len(batchB) == batch {
 			flushBatch(t, storeB, batchB...)
 			batchB = nil

@@ -1,7 +1,7 @@
 // Package live is the serving layer over the incremental engine: a Store
 // owns an evolving compiled database snapshot together with a registry of
 // named bound queries, absorbs a stream of small storage.Deltas by
-// coalescing them into batched snapshot steps (one set-semantic Delta.Merge
+// coalescing them into batched snapshot steps (one set-semantic coalesced
 // batch → one CompiledDB.Apply → one Rebind per query), and pushes
 // result-change notifications to Watch subscribers instead of making every
 // consumer poll and re-count.

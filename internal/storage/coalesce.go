@@ -1,20 +1,21 @@
 package storage
 
-// Coalescer accumulates a stream of deltas into one pending batch with the
-// exact semantics of chained Delta.Merge calls, but in time proportional to
-// each merged delta instead of the accumulated batch. Delta.Merge re-renders
-// the destination's key set on every call (tupleSet over everything already
-// pending), which makes ingesting a B-delta batch O(B²); the Coalescer keeps
-// that key index persistent between merges, so the whole batch costs O(B).
-// live.Store keeps one beside its pending delta and resets it on flush.
+// Coalescer accumulates a stream of deltas into one pending batch: applying
+// the batch once yields the database that applying the deltas one by one
+// does. It keeps a key index of the pending tuples between merges, so each
+// merge costs time proportional to the merged delta, not to the batch, and a
+// B-delta batch costs O(B). live.Store keeps one as its pending delta and
+// takes it on flush.
 //
-// The composition law is Delta.Merge's: per relation, Delete grows as D1 ∪ D2
-// and Insert as (I1 ∖ D2) ∪ I2. Cancelled inserts (an earlier insert deleted
-// by a later delta) are tombstoned in the key index and physically dropped
-// when the batch is taken, so Take returns a clean Delta. The insert tuples
-// retained between cancellation and Take stay visible through Pending —
-// harmless for arity validation, because every tuple accepted into one
-// relation of the batch passed the same arity check.
+// The composition law: per relation, Delete grows as D1 ∪ D2 and Insert as
+// (I1 ∖ D2) ∪ I2 — the later delta's deletes cancel the earlier inserts, and
+// deletes-first makes re-inserted tuples survive. Both halves stay
+// set-deduplicated. Cancelled inserts (an earlier insert deleted by a later
+// delta) are tombstoned in the key index and physically dropped when the
+// batch is taken, so Take returns a clean Delta. The insert tuples retained
+// between cancellation and Take stay visible through Pending — harmless for
+// arity validation, because every tuple accepted into one relation of the
+// batch passed the same arity check.
 //
 // A Coalescer is not safe for concurrent use; live.Store guards it with the
 // store lock, like the pending delta it wraps.
@@ -47,9 +48,8 @@ func keySet(m map[string]map[string]struct{}, rel string) map[string]struct{} {
 	return ks
 }
 
-// Merge folds a later delta into the pending batch — the O(|other|)
-// equivalent of pending.Merge(other). The batch keeps references to other's
-// tuple slices; do not mutate them afterwards.
+// Merge folds a later delta into the pending batch in O(|other|). The batch
+// keeps references to other's tuple slices; do not mutate them afterwards.
 func (c *Coalescer) Merge(other *Delta) {
 	if other.Empty() {
 		return
@@ -96,8 +96,8 @@ func (c *Coalescer) Merge(other *Delta) {
 }
 
 // Take detaches the accumulated batch — with every tombstoned insert filtered
-// out — and resets the coalescer to empty. The returned delta equals the
-// chained-Merge composition of everything merged since the last Take.
+// out — and resets the coalescer to empty. The returned delta is the
+// composition of everything merged since the last Take.
 func (c *Coalescer) Take() *Delta {
 	d := c.d
 	for rel, cancelled := range c.cancelled {
@@ -126,7 +126,7 @@ func (c *Coalescer) Take() *Delta {
 func (c *Coalescer) Pending() *Delta { return c.d }
 
 // Size returns the number of live tuples in the batch (deletes plus
-// non-cancelled inserts) — the same count chained Delta.Merge would report.
+// non-cancelled inserts) — the number of tuples Take's batch will list.
 func (c *Coalescer) Size() int { return c.size }
 
 // Empty reports whether the batch holds no live tuples.

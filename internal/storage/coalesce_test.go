@@ -4,10 +4,12 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"d2cq/internal/cq"
 )
 
 // tupleKeySet renders a tuple list as a key set (order-insensitive — Apply is
-// set-semantic, so Merge and Coalescer only need to agree up to order).
+// set-semantic, so two batches only need to agree up to order).
 func tupleKeySet(tuples [][]string) map[string]bool {
 	out := make(map[string]bool, len(tuples))
 	for _, t := range tuples {
@@ -32,28 +34,65 @@ func assertSameDelta(t *testing.T, step int, got, want *Delta) {
 	}
 }
 
-// TestCoalescerMatchesMergeChain drives a Coalescer and a chained Delta.Merge
-// through the same random delta stream and asserts identical batches (as
-// sets), identical sizes at every step, and identical batches again after a
-// mid-stream Take reset.
-func TestCoalescerMatchesMergeChain(t *testing.T) {
+// assertBatchLaw asserts the Coalescer's composition law on a taken batch:
+// it lists no tuple twice in either half (so its size is bounded by the
+// distinct tuples touched), and applying it once to base yields want, the
+// database the coalesced deltas gave when applied one by one.
+func assertBatchLaw(t *testing.T, round int, base cq.Database, batch *Delta, want cq.Database) {
+	t.Helper()
+	for _, rel := range batch.Relations() {
+		for half, tuples := range [][][]string{batch.Insert[rel], batch.Delete[rel]} {
+			if len(tupleKeySet(tuples)) != len(tuples) {
+				t.Fatalf("round %d: %s half %d lists a tuple twice: %v", round, rel, half, tuples)
+			}
+		}
+	}
+	got := base.Clone()
+	batch.ApplyToDatabase(got)
+	for _, db := range []cq.Database{got, want} {
+		for rel := range db {
+			if g, w := tupleKeySet(got[rel]), tupleKeySet(want[rel]); !reflect.DeepEqual(g, w) {
+				t.Fatalf("round %d: %s after the batch %v, after the deltas one by one %v", round, rel, g, w)
+			}
+		}
+	}
+}
+
+// TestCoalescerMatchesSequentialApply drives a Coalescer through random
+// delta streams. At every step, a coalescer taken and refilled there must
+// obey the composition law against the deltas applied one by one, and the
+// stream's coalescer must report the live size of that batch; the stream's
+// own Take, at the end, must return the same batch (as sets) and reset it.
+func TestCoalescerMatchesSequentialApply(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for round := 0; round < 50; round++ {
-		c := NewCoalescer()
-		chain := NewDelta()
+		base := cq.Database{}
+		for i, n := 0, rng.Intn(12); i < n; i++ {
+			d := randomDelta(rng)
+			for rel, tuples := range d.Insert {
+				base[rel] = append(base[rel], tuples...)
+			}
+		}
+		seq := base.Clone()
+		c, step := NewCoalescer(), NewCoalescer()
+		var batch *Delta
 		steps := 1 + rng.Intn(20)
 		for s := 0; s < steps; s++ {
 			d := randomDelta(rng)
-			c.Merge(d.Clone())
-			chain.Merge(d)
-			if c.Size() != chain.Size() {
-				t.Fatalf("round %d step %d: coalescer size %d, merge chain %d", round, s, c.Size(), chain.Size())
+			d.ApplyToDatabase(seq)
+			c.Merge(d)
+			step.Merge(d)
+			batch = step.Take()
+			assertBatchLaw(t, round, base, batch, seq)
+			if c.Size() != batch.Size() {
+				t.Fatalf("round %d step %d: coalescer size %d, its batch lists %d", round, s, c.Size(), batch.Size())
 			}
-			if c.Empty() != chain.Empty() {
-				t.Fatalf("round %d step %d: Empty %v vs %v", round, s, c.Empty(), chain.Empty())
+			if c.Empty() != batch.Empty() {
+				t.Fatalf("round %d step %d: Empty %v, batch empty %v", round, s, c.Empty(), batch.Empty())
 			}
+			step.Merge(batch)
 		}
-		assertSameDelta(t, round, c.Take(), chain)
+		assertSameDelta(t, round, c.Take(), batch)
 		// Take resets: the next stream starts from scratch.
 		if !c.Empty() || c.Size() != 0 {
 			t.Fatalf("round %d: coalescer not empty after Take", round)

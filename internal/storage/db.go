@@ -336,24 +336,6 @@ func (db *DB) Relations() []string {
 	return names
 }
 
-// RelationTuples returns the named relation's tuples decoded back to
-// constant strings; nil when the relation is absent.
-func (db *DB) RelationTuples(name string) [][]string {
-	t := db.Table(name)
-	if t == nil {
-		return nil
-	}
-	out := make([][]string, 0, t.Rows())
-	t.Scan(func(row []Value) {
-		tuple := make([]string, len(row))
-		for i, v := range row {
-			tuple[i] = db.Dict.Name(v)
-		}
-		out = append(out, tuple)
-	})
-	return out
-}
-
 // DBStats summarises a compiled database.
 type DBStats struct {
 	Relations int

@@ -48,82 +48,6 @@ func (d *Delta) Remove(rel string, vals ...string) *Delta {
 	return d
 }
 
-// Clone returns an independent copy of the delta (tuple slices are shared —
-// they are never mutated by the storage layer).
-func (d *Delta) Clone() *Delta {
-	out := NewDelta()
-	if d == nil {
-		return out
-	}
-	for rel, ts := range d.Insert {
-		out.Insert[rel] = append([][]string(nil), ts...)
-	}
-	for rel, ts := range d.Delete {
-		out.Delete[rel] = append([][]string(nil), ts...)
-	}
-	return out
-}
-
-// Merge folds a later delta into the receiver so that one Apply of the merged
-// delta produces the same database as applying the receiver and then other:
-// for every relation, Delete becomes D1 ∪ D2 and Insert becomes (I1 ∖ D2) ∪ I2
-// (the later delta's deletes cancel the earlier inserts; deletes-first then
-// makes re-inserted tuples survive). Both halves are kept set-deduplicated, so
-// a long coalesced stream stays proportional to the distinct tuples touched,
-// never the number of merged deltas. Returns the receiver.
-func (d *Delta) Merge(other *Delta) *Delta {
-	if other.Empty() {
-		return d
-	}
-	if d.Insert == nil {
-		d.Insert = map[string][][]string{}
-	}
-	if d.Delete == nil {
-		d.Delete = map[string][][]string{}
-	}
-	for _, rel := range other.Relations() {
-		if del2 := tupleSet(other.Delete[rel]); len(del2) > 0 {
-			// Cancel earlier inserts the later delta deletes.
-			if ins1 := d.Insert[rel]; len(ins1) > 0 {
-				kept := ins1[:0]
-				for _, t := range ins1 {
-					if _, hit := del2[tupleMergeKey(t)]; !hit {
-						kept = append(kept, t)
-					}
-				}
-				if len(kept) == 0 {
-					delete(d.Insert, rel)
-				} else {
-					d.Insert[rel] = kept
-				}
-			}
-			mergeTuples(d.Delete, rel, other.Delete[rel])
-		}
-		mergeTuples(d.Insert, rel, other.Insert[rel])
-	}
-	return d
-}
-
-// mergeTuples appends the tuples absent from dst[rel], preserving order and
-// set semantics.
-func mergeTuples(dst map[string][][]string, rel string, tuples [][]string) {
-	if len(tuples) == 0 {
-		return
-	}
-	have := tupleSet(dst[rel])
-	for _, t := range tuples {
-		k := tupleMergeKey(t)
-		if _, ok := have[k]; ok {
-			continue
-		}
-		have[k] = struct{}{}
-		dst[rel] = append(dst[rel], t)
-	}
-	if len(dst[rel]) == 0 {
-		delete(dst, rel)
-	}
-}
-
 // tupleMergeKey renders a constant tuple as a set key (constants are free
 // text, so a length-prefixed join is unambiguous).
 func tupleMergeKey(t []string) string {
@@ -134,14 +58,6 @@ func tupleMergeKey(t []string) string {
 		b.WriteString(c)
 	}
 	return b.String()
-}
-
-func tupleSet(tuples [][]string) map[string]struct{} {
-	out := make(map[string]struct{}, len(tuples))
-	for _, t := range tuples {
-		out[tupleMergeKey(t)] = struct{}{}
-	}
-	return out
 }
 
 // Empty reports whether the delta carries no insertions and no deletions.

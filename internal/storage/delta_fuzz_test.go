@@ -28,12 +28,13 @@ import (
 //   - DiffTables between the old and the new table of every relation lists
 //     exactly the rows that left and the rows that came (the old rows minus
 //     the first plus the second are the new rows, as sets);
-//   - Delta.Merge is equivalent to sequential application: folding the whole
-//     script into one delta and applying it to the initial snapshot yields
-//     the same database as the step-by-step chain, at every delta boundary;
-//   - a Coalescer fed the same delta stream agrees with the Delta.Merge
-//     chain at every boundary (same live size) and its Take returns the same
-//     batch as sets — the O(B) ingestion index is semantics-preserving;
+//   - a Coalescer is equivalent to sequential application: the script so
+//     far, coalesced into one batch and applied to the initial snapshot,
+//     yields the same database as the step-by-step chain at every delta
+//     boundary (a coalescer taken there and refilled with its batch);
+//   - a Coalescer fed the whole stream, taken only at the end, reports that
+//     batch's live size at every boundary and takes the same batch as sets —
+//     its tombstones over a long stream preserve the semantics;
 //   - the Delta byte codec round-trips every delta of the script exactly.
 func FuzzDeltaScript(f *testing.F) {
 	f.Add([]byte{})
@@ -56,9 +57,8 @@ func FuzzDeltaScript(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		base := cur // the initial snapshot, for the Merge-equivalence check
-		merged := NewDelta()
-		co := NewCoalescer()
+		base := cur // the initial snapshot, for the coalescing law
+		co, step := NewCoalescer(), NewCoalescer()
 		mirror := initial.Clone()
 
 		// Decode: each op is one tag byte (bit0 insert/delete, bits1-2 the
@@ -88,35 +88,35 @@ func FuzzDeltaScript(f *testing.F) {
 			if tag&0x40 != 0 {
 				cur, mirror = applyAndCheck(t, cur, mirror, delta)
 				checkCodec(t, delta)
-				co.Merge(delta.Clone())
-				merged.Merge(delta)
-				if co.Size() != merged.Size() {
-					t.Fatalf("coalescer size %d, merge chain %d", co.Size(), merged.Size())
-				}
-				checkMerged(t, base, merged, cur)
+				checkCoalescing(t, co, step, delta, base, cur)
 				delta = NewDelta()
 			}
 		}
 		cur, _ = applyAndCheck(t, cur, mirror, delta)
 		checkCodec(t, delta)
-		co.Merge(delta.Clone())
-		merged.Merge(delta)
-		if co.Size() != merged.Size() {
-			t.Fatalf("coalescer size %d, merge chain %d", co.Size(), merged.Size())
-		}
-		checkMerged(t, base, merged, cur)
-		checkCoalesced(t, co.Take(), merged)
+		batch := checkCoalescing(t, co, step, delta, base, cur)
+		checkCoalesced(t, co.Take(), batch)
 	})
 }
 
-// checkMerged asserts the Delta.Merge contract: applying the whole script
-// coalesced into one delta to the initial snapshot produces the same
-// database as the sequential Apply chain did.
-func checkMerged(t *testing.T, base *DB, merged *Delta, want *DB) {
+// checkCoalescing merges one delta into the stream's coalescer co and into
+// step, takes step's batch and asserts the coalescing law on it: applied to
+// the initial snapshot base, the batch yields want, the snapshot the
+// sequential Apply chain reached, and co's live size is the batch's. step is
+// refilled with the batch, so it carries the stream on; the batch is
+// returned.
+func checkCoalescing(t *testing.T, co, step *Coalescer, delta *Delta, base, want *DB) *Delta {
 	t.Helper()
-	got, err := base.Apply(merged)
+	co.Merge(delta)
+	step.Merge(delta)
+	batch := step.Take()
+	step.Merge(batch)
+	if co.Size() != batch.Size() {
+		t.Fatalf("coalescer size %d, its batch lists %d", co.Size(), batch.Size())
+	}
+	got, err := base.Apply(batch)
 	if err != nil {
-		t.Fatalf("Apply(merged): %v", err)
+		t.Fatalf("Apply(batch): %v", err)
 	}
 	names := map[string]bool{}
 	for _, n := range got.Relations() {
@@ -129,10 +129,11 @@ func checkMerged(t *testing.T, base *DB, merged *Delta, want *DB) {
 		g := tableTuples(got.Table(name), got.Dict)
 		w := tableTuples(want.Table(name), want.Dict)
 		if !tuplesEqual(g, w) {
-			t.Fatalf("relation %s: merged delta yields %v, sequential chain %v (merged %v/%v)",
-				name, keys(g), keys(w), merged.Insert, merged.Delete)
+			t.Fatalf("relation %s: coalesced batch yields %v, sequential chain %v (batch %v/%v)",
+				name, keys(g), keys(w), batch.Insert, batch.Delete)
 		}
 	}
+	return batch
 }
 
 // checkCodec asserts the Delta byte codec round-trips the delta exactly
@@ -156,12 +157,12 @@ func checkCodec(t *testing.T, d *Delta) {
 	}
 }
 
-// checkCoalesced asserts a Coalescer's taken batch equals the Delta.Merge
-// chain of the same stream, as per-relation tuple sets.
+// checkCoalesced asserts a Coalescer's taken batch equals another batch of
+// the same stream, as per-relation tuple sets.
 func checkCoalesced(t *testing.T, got, want *Delta) {
 	t.Helper()
 	if !slices.Equal(got.Relations(), want.Relations()) {
-		t.Fatalf("coalesced relations %v, merge chain %v", got.Relations(), want.Relations())
+		t.Fatalf("coalesced relations %v, step batch %v", got.Relations(), want.Relations())
 	}
 	asSet := func(tuples [][]string) map[string]bool {
 		out := make(map[string]bool, len(tuples))
@@ -183,10 +184,10 @@ func checkCoalesced(t *testing.T, got, want *Delta) {
 	}
 	for _, rel := range want.Relations() {
 		if !sameSet(asSet(got.Insert[rel]), asSet(want.Insert[rel])) {
-			t.Fatalf("coalesced inserts of %s: %v, merge chain %v", rel, got.Insert[rel], want.Insert[rel])
+			t.Fatalf("coalesced inserts of %s: %v, step batch %v", rel, got.Insert[rel], want.Insert[rel])
 		}
 		if !sameSet(asSet(got.Delete[rel]), asSet(want.Delete[rel])) {
-			t.Fatalf("coalesced deletes of %s: %v, merge chain %v", rel, got.Delete[rel], want.Delete[rel])
+			t.Fatalf("coalesced deletes of %s: %v, step batch %v", rel, got.Delete[rel], want.Delete[rel])
 		}
 	}
 }

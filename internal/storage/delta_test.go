@@ -273,9 +273,10 @@ func TestDictConcurrentReadersDuringApply(t *testing.T) {
 	<-done
 }
 
-// TestDeltaMergeSemantics pins the Merge composition law on hand-picked
-// cases: later deletes cancel earlier inserts, re-inserts survive
-// (deletes-first), and both halves stay set-deduplicated.
+// TestDeltaMergeSemantics pins the composition law of merging deltas in a
+// Coalescer on hand-picked cases: later deletes cancel earlier inserts,
+// re-inserts survive (deletes-first), and both halves stay
+// set-deduplicated.
 func TestDeltaMergeSemantics(t *testing.T) {
 	db := cq.Database{}
 	db.Add("R", "a")
@@ -297,7 +298,7 @@ func TestDeltaMergeSemantics(t *testing.T) {
 	}
 	for _, tc := range cases {
 		seq := sdb
-		merged := NewDelta()
+		merged := NewCoalescer()
 		for _, d := range tc.deltas {
 			next, err := seq.Apply(d)
 			if err != nil {
@@ -306,7 +307,7 @@ func TestDeltaMergeSemantics(t *testing.T) {
 			seq = next
 			merged.Merge(d)
 		}
-		got, err := sdb.Apply(merged)
+		got, err := sdb.Apply(merged.Take())
 		if err != nil {
 			t.Fatalf("%s: Apply(merged): %v", tc.name, err)
 		}
@@ -323,12 +324,12 @@ func TestDeltaMergeSemantics(t *testing.T) {
 		}
 	}
 	// Dedup bound: merging the same single-tuple delta many times stays O(1).
-	acc := NewDelta()
+	acc := NewCoalescer()
 	for i := 0; i < 100; i++ {
 		acc.Merge(NewDelta().Add("R", "x").Remove("R", "y"))
 	}
-	if n := acc.Size(); n != 2 {
-		t.Fatalf("coalesced size = %d, want 2 (set semantics must bound the merged delta)", n)
+	if n, listed := acc.Size(), acc.Take().Size(); n != 2 || listed != 2 {
+		t.Fatalf("coalesced size = %d listing %d, want 2 (set semantics must bound the merged delta)", n, listed)
 	}
 }
 

@@ -58,7 +58,6 @@ type Dict struct {
 	arena []byte
 	ends  []uint32 // ends[0] = 0
 	table []int32
-	fresh int
 }
 
 // NewDict returns an empty dictionary.
@@ -205,20 +204,6 @@ func (d *Dict) Name(v Value) string {
 		return fmt.Sprintf("<bad:%d>", v)
 	}
 	return d.at(v)
-}
-
-// Fresh interns a brand-new constant that does not occur in the database —
-// the ★ constants of the Theorem 3.4 reduction.
-func (d *Dict) Fresh(prefix string) (Value, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for {
-		name := fmt.Sprintf("%s%d", prefix, d.fresh)
-		d.fresh++
-		if i, _, exists := d.probe(name); !exists {
-			return d.add(name, i)
-		}
-	}
 }
 
 // prefix returns the arena and offsets of every name interned so far, which

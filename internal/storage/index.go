@@ -65,9 +65,6 @@ func (ix *Index) Row(r int32) []Value {
 	return ix.data[int(r)*ix.arity : (int(r)+1)*ix.arity]
 }
 
-// Cols returns the indexed column positions.
-func (ix *Index) Cols() []int { return ix.cols }
-
 // matches reports whether the indexed columns of row equal key.
 func (ix *Index) matches(row int32, key []Value) bool {
 	base := int(row) * ix.arity
@@ -100,18 +97,4 @@ func (ix *Index) Lookup(key []Value) []int32 {
 		}
 	}
 	return cand
-}
-
-// Contains reports whether some row has the key on the indexed columns,
-// without allocating on the collision path.
-func (ix *Index) Contains(key []Value) bool {
-	if ix.single != nil {
-		return len(ix.single[key[0]]) > 0
-	}
-	for _, row := range ix.multi[ix.hash(key)] {
-		if ix.matches(row, key) {
-			return true
-		}
-	}
-	return false
 }

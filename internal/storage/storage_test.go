@@ -28,9 +28,9 @@ func TestDictInternLookup(t *testing.T) {
 	if d.Name(a) != "a" || d.Name(b) != "b" {
 		t.Error("Name round-trip broken")
 	}
-	f, err := d.Fresh("star")
-	if err != nil || d.Name(f) == "a" || d.Len() != 3 {
-		t.Errorf("Fresh broken: name=%s len=%d err=%v", d.Name(f), d.Len(), err)
+	f, err := d.Intern("star")
+	if err != nil || d.Name(f) != "star" || f == a || f == b || d.Len() != 3 {
+		t.Errorf("new constant broken: name=%s len=%d err=%v", d.Name(f), d.Len(), err)
 	}
 }
 
@@ -95,8 +95,8 @@ func TestIndexSingleColumn(t *testing.T) {
 	if got := ix.Lookup([]Value{3}); len(got) != 0 {
 		t.Errorf("Lookup(3) = %v", got)
 	}
-	if !ix.Contains([]Value{2}) || ix.Contains([]Value{5}) {
-		t.Error("Contains broken on single-column path")
+	if got := ix.Lookup([]Value{2}); len(got) != 1 || got[0] != 1 {
+		t.Errorf("Lookup(2) = %v", got)
 	}
 }
 
@@ -108,14 +108,16 @@ func TestIndexMultiColumn(t *testing.T) {
 	if len(rows) != 2 || rows[0] != 0 || rows[1] != 2 {
 		t.Errorf("Lookup(1,10) = %v", rows)
 	}
-	if !ix.Contains([]Value{2, 20}) || ix.Contains([]Value{2, 10}) {
-		t.Error("Contains broken on composite path")
+	if got := ix.Lookup([]Value{2, 20}); len(got) != 1 || got[0] != 1 {
+		t.Errorf("Lookup(2,20) = %v", got)
+	}
+	if got := ix.Lookup([]Value{2, 10}); len(got) != 0 {
+		t.Errorf("Lookup(2,10) = %v", got)
 	}
 }
 
 // TestIndexCollisionVerification forces all composite keys into one bucket:
-// Lookup and Contains must verify against the stored tuples and return only
-// true matches.
+// Lookup must verify against the stored tuples and return only true matches.
 func TestIndexCollisionVerification(t *testing.T) {
 	// Rows: (1,10) (2,20) (1,10) (3,30)
 	data := []Value{1, 10, 2, 20, 1, 10, 3, 30}
@@ -127,8 +129,11 @@ func TestIndexCollisionVerification(t *testing.T) {
 	if got := ix.Lookup([]Value{9, 9}); len(got) != 0 {
 		t.Errorf("collision Lookup(9,9) = %v, want empty", got)
 	}
-	if !ix.Contains([]Value{3, 30}) || ix.Contains([]Value{10, 1}) {
-		t.Error("collision Contains is not verifying")
+	if got := ix.Lookup([]Value{3, 30}); len(got) != 1 || got[0] != 3 {
+		t.Errorf("collision Lookup(3,30) = %v, want [3]", got)
+	}
+	if got := ix.Lookup([]Value{10, 1}); len(got) != 0 {
+		t.Errorf("collision Lookup(10,1) = %v, want empty", got)
 	}
 	// Mid-bucket mismatch: first candidate matches, a later one does not.
 	if got := ix.Lookup([]Value{2, 20}); len(got) != 1 || got[0] != 1 {
@@ -280,7 +285,7 @@ func TestTableIndexConcurrent(t *testing.T) {
 					t.Error("nil index")
 					return
 				}
-				tab.Index(0, 1).Contains([]Value{1, 2})
+				tab.Index(0, 1).Lookup([]Value{1, 2})
 				tab.Stats()
 			}
 		}(g)

@@ -305,25 +305,10 @@ func (l *Log) syncLoop() {
 	}
 }
 
-// Replay streams every reachable record with LSN >= from, in order. Replay
-// stops at the first torn or discontinuous frame; records past a mid-log gap
-// are unreachable by design.
-func (l *Log) Replay(from uint64, fn func(Record) error) error {
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return ErrClosed
-	}
-	if err := l.syncLocked(); err != nil {
-		l.mu.Unlock()
-		return err
-	}
-	l.mu.Unlock()
-	return Replay(l.backend, from, fn)
-}
-
-// Replay is the backend-level replay used both by Log.Replay and by recovery
-// before a Log is opened.
+// Replay streams every reachable record of the backend with LSN >= from, in
+// order — recovery's replay, run before a Log is opened. Replay stops at the
+// first torn or discontinuous frame; records past a mid-log gap are
+// unreachable by design.
 func Replay(backend Backend, from uint64, fn func(Record) error) error {
 	starts, err := backend.ListSegments()
 	if err != nil {
@@ -473,19 +458,6 @@ func (l *Log) WriteCheckpoint(lsn uint64, keep int, write func(io.Writer) error)
 	// again: recovery starts from some retained checkpoint and replays the
 	// suffix beyond it.
 	return l.TruncateBefore(ckpts[0] + 1)
-}
-
-// LatestCheckpoint returns the highest checkpoint LSN, or (0, false) when no
-// checkpoint exists.
-func LatestCheckpoint(backend Backend) (uint64, bool, error) {
-	ckpts, err := backend.ListCheckpoints()
-	if err != nil {
-		return 0, false, err
-	}
-	if len(ckpts) == 0 {
-		return 0, false, nil
-	}
-	return ckpts[len(ckpts)-1], true, nil
 }
 
 // Close syncs and seals the active segment. Further operations fail with

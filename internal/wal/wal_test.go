@@ -207,10 +207,6 @@ func TestCheckpointLifecycle(t *testing.T) {
 	if len(ckpts) != 2 || ckpts[0] != 20 || ckpts[1] != 30 {
 		t.Fatalf("checkpoints = %v, want [20 30]", ckpts)
 	}
-	lsn, ok, err := LatestCheckpoint(backend)
-	if err != nil || !ok || lsn != 30 {
-		t.Fatalf("LatestCheckpoint = %d %v %v", lsn, ok, err)
-	}
 	rc, err := backend.OpenCheckpoint(30)
 	if err != nil {
 		t.Fatal(err)

@@ -43,8 +43,9 @@ func FuzzParseQuery(f *testing.F) {
 }
 
 // FuzzParseDatabase drives arbitrary text through the database parser: no
-// input may panic, and a database that parses, written back one quoted
-// ground atom per line, parses back to the same database.
+// input may panic, the result (database or error) is the line-at-a-time
+// reference's, and a database that parses, written back one quoted ground
+// atom per line, parses back to the same database.
 func FuzzParseDatabase(f *testing.F) {
 	for _, s := range []string{
 		"R(a, b)\nS(b, c)   # comment\n\n",
@@ -54,6 +55,7 @@ func FuzzParseDatabase(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, s string) {
+		requireSameParse(t, s)
 		db, err := ParseDatabaseString(s)
 		if err != nil {
 			return

@@ -1,7 +1,6 @@
 package cq
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"strings"
@@ -39,19 +38,10 @@ func ParseQuery(s string) (Query, error) {
 }
 
 func parseAtom(s string) (Atom, string, error) {
-	open := strings.Index(s, "(")
-	if open < 0 {
-		return Atom{}, "", fmt.Errorf("cq: expected '(' in %q", s)
+	rel, inner, rest, err := splitAtom(s)
+	if err != nil {
+		return Atom{}, "", err
 	}
-	rel := strings.TrimSpace(s[:open])
-	if rel == "" || !isIdent(rel) {
-		return Atom{}, "", fmt.Errorf("cq: bad relation name %q", rel)
-	}
-	close := strings.Index(s[open:], ")")
-	if close < 0 {
-		return Atom{}, "", fmt.Errorf("cq: missing ')' in %q", s)
-	}
-	inner := s[open+1 : open+close]
 	var args []Term
 	for _, tok := range strings.Split(inner, ",") {
 		tok = strings.TrimSpace(tok)
@@ -60,7 +50,25 @@ func parseAtom(s string) (Atom, string, error) {
 		}
 		args = append(args, parseTerm(tok))
 	}
-	return Atom{Rel: rel, Args: args}, s[open+close+1:], nil
+	return Atom{Rel: rel, Args: args}, rest, nil
+}
+
+// splitAtom cuts the atom at the start of s into its relation name, the text
+// between its parentheses, and what follows it.
+func splitAtom(s string) (rel, inner, rest string, err error) {
+	open := strings.Index(s, "(")
+	if open < 0 {
+		return "", "", "", fmt.Errorf("cq: expected '(' in %q", s)
+	}
+	rel = strings.TrimSpace(s[:open])
+	if rel == "" || !isIdent(rel) {
+		return "", "", "", fmt.Errorf("cq: bad relation name %q", rel)
+	}
+	close := strings.Index(s[open:], ")")
+	if close < 0 {
+		return "", "", "", fmt.Errorf("cq: missing ')' in %q", s)
+	}
+	return rel, s[open+1 : open+close], s[open+close+1:], nil
 }
 
 func parseTerm(tok string) Term {
@@ -87,39 +95,50 @@ func isIdent(s string) bool {
 //
 //	R(a, b)
 //	S(b, c)   # comments and blank lines are ignored
+//
+// It reads all of r and parses it as ParseDatabaseString does.
 func ParseDatabase(r io.Reader) (Database, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, err
+	}
+	return ParseDatabaseString(string(data))
+}
+
+// ParseDatabaseString is ParseDatabase over a string, in one pass that
+// slices it: every relation name and constant is a substring of s, and every
+// tuple a piece of one slab sized up front, so no line costs an allocation of
+// its own.
+func ParseDatabaseString(s string) (Database, error) {
 	db := Database{}
-	sc := bufio.NewScanner(r)
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
+	// Each line's atom has at most one constant more than it has commas.
+	slab := make([]string, 0, strings.Count(s, ",")+strings.Count(s, "\n")+1)
+	for line := 1; s != ""; line++ {
+		text, after, _ := strings.Cut(s, "\n")
+		s = after
+		text = strings.TrimSpace(text)
 		if i := strings.Index(text, "#"); i >= 0 {
 			text = strings.TrimSpace(text[:i])
 		}
 		if text == "" {
 			continue
 		}
-		atom, rest, err := parseAtom(text)
+		rel, inner, rest, err := splitAtom(text)
 		if err != nil {
 			return nil, fmt.Errorf("cq: line %d: %v", line, err)
 		}
 		if strings.TrimSpace(rest) != "" {
 			return nil, fmt.Errorf("cq: line %d: trailing input %q", line, rest)
 		}
-		vals := make([]string, len(atom.Args))
-		for i, t := range atom.Args {
-			vals[i] = t.Name // in a database file every token is a constant
+		start := len(slab)
+		for more := true; more; {
+			var tok string
+			tok, inner, more = strings.Cut(inner, ",")
+			if tok = strings.TrimSpace(tok); tok != "" {
+				slab = append(slab, parseTerm(tok).Name) // in a database file every token is a constant
+			}
 		}
-		db.Add(atom.Rel, vals...)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
+		db.Add(rel, slab[start:len(slab):len(slab)]...)
 	}
 	return db, nil
-}
-
-// ParseDatabaseString is ParseDatabase over a string.
-func ParseDatabaseString(s string) (Database, error) {
-	return ParseDatabase(strings.NewReader(s))
 }

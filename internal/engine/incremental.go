@@ -65,7 +65,8 @@ func (b *BoundQuery) share(cdb *CompiledDB) *BoundQuery {
 // the change between the two snapshots (see the file comment), sharing every
 // piece of bound state the change does not reach. The first Rebind of a
 // freshly bound query additionally converts its state to maintained form,
-// once, in O(database). The snapshot must share the receiver's dictionary
+// once: one bulk build per map, O(database) time in a few allocations per
+// map. The snapshot must share the receiver's dictionary
 // (i.e. descend from the same CompileDB via Apply); otherwise Rebind falls
 // back to a full Bind, as it does whenever a delta reaches a relation of a
 // plan that is not maintained (see Plan.planMaintenance).

@@ -10,12 +10,14 @@ import (
 // This file holds the maintained form of a bound query's atom and node
 // relations. A fresh Bind keeps them as flat Relations — the fastest thing
 // to build and scan, and all a bind-and-evaluate workload ever pays for. The
-// first Rebind that sees a visible change converts them, once and in
-// O(database), into persistent tuple maps (storage.PMap); from then on every
-// Rebind derives its successor state by patching exactly the touched keys,
-// while readers of the old snapshot keep the old roots. Identity is the
-// tuple itself — there are no row numbers to keep stable and no tombstones
-// to compact.
+// first Rebind that sees a visible change converts them, once, into
+// persistent tuple maps (storage.PMap): each map is bulk-built by
+// storage.BuildPMap in one pass over its flat relation, with a few
+// allocations per map rather than several per row. From then on every Rebind
+// derives its successor state by patching exactly the touched keys, while
+// readers of the old snapshot keep the old roots. Identity is the tuple
+// itself — there are no row numbers to keep stable and no tombstones to
+// compact.
 
 // rowSet is a persistent set of tuples; rowIndex maps a key (the projection
 // of a row onto some of its columns) to the flat bucket of full rows carrying
@@ -60,9 +62,15 @@ type relDelta struct {
 }
 
 // newRelDelta returns an empty delta over cols, which both sides share
-// (columns are never written once a relation is built).
+// (columns are never written once a relation is built). The delta and its
+// two relations are one allocation.
 func newRelDelta(cols []string) *relDelta {
-	return &relDelta{plus: &Relation{Cols: cols}, minus: &Relation{Cols: cols}}
+	d := &struct {
+		relDelta
+		plus, minus Relation
+	}{plus: Relation{Cols: cols}, minus: Relation{Cols: cols}}
+	d.relDelta = relDelta{plus: &d.plus, minus: &d.minus}
+	return &d.relDelta
 }
 
 func (d *relDelta) rows() int { return d.plus.Len() + d.minus.Len() }
@@ -124,16 +132,40 @@ func (e *editor[V]) done(mc *maintCtx) *storage.PMap[V] {
 }
 
 // workSet is a deduplicated list of tuples — rows to re-decide, keys an index
-// patch touched — empty until the first add.
+// patch touched — empty until the first add. A one-tuple flush puts a row or
+// two in most of them, so the first workSetFlat rows are kept flat and
+// deduplicated by scanning; a set that grows past them moves to a TupleMap.
 type workSet struct {
-	rows *storage.TupleMap
+	width, n int
+	flat     []Value // the rows while there are at most workSetFlat
+	rows     *storage.TupleMap
 }
 
+const workSetFlat = 8
+
 func (w *workSet) add(row []Value) {
-	if w.rows == nil {
-		w.rows = storage.NewTupleMap(len(row), 8)
+	if w.rows != nil {
+		w.rows.Insert(row)
+		return
 	}
-	w.rows.Insert(row)
+	a := len(row)
+	for i := 0; i < w.n; i++ {
+		if slices.Equal(w.flat[i*a:(i+1)*a], row) {
+			return
+		}
+	}
+	switch w.n {
+	case workSetFlat:
+		rows := storage.NewTupleMap(a, 2*workSetFlat)
+		w.each(func(r []Value) { rows.Insert(r) })
+		rows.Insert(row)
+		w.rows, w.flat = rows, nil
+		return
+	case 0:
+		w.width, w.flat = a, make([]Value, 0, workSetFlat*a)
+	}
+	w.flat = append(w.flat, row...)
+	w.n++
 }
 
 func (w *workSet) addRel(rel *Relation) {
@@ -150,11 +182,14 @@ func (w *workSet) addBucket(bucket []Value, width int) {
 }
 
 func (w *workSet) each(f func(row []Value)) {
-	if w.rows == nil {
+	if w.rows != nil {
+		for s := int32(0); int(s) < w.rows.Len(); s++ {
+			f(w.rows.Key(s))
+		}
 		return
 	}
-	for s := int32(0); int(s) < w.rows.Len(); s++ {
-		f(w.rows.Key(s))
+	for i := 0; i < w.n; i++ {
+		f(w.flat[i*w.width : (i+1)*w.width])
 	}
 }
 
@@ -212,27 +247,30 @@ func patchIndex(ix *editor[[]Value], cols []int, d *relDelta, touched *workSet, 
 	mc.rows += uint64(d.rows())
 }
 
-// indexRows builds the index of rel's rows on cols from scratch.
+// indexRows builds the index of rel's rows on cols from scratch: the bulk
+// build groups the rows by key, and each key's bucket — its rows in rel's
+// order — is the next slice of one arena holding every row.
 func indexRows(rel *Relation, cols []int) *rowIndex {
-	ix := storage.NewPMap[[]Value](len(cols)).Edit()
-	buf := make([]Value, len(cols))
+	a := len(rel.Cols)
+	keys := make([]Value, 0, rel.Len()*len(cols))
 	for i := 0; i < rel.Len(); i++ {
-		row := rel.Row(i)
-		key := project(buf, row, cols)
-		bucket, _ := ix.Get(key)
-		// Growing in place is safe here: the map is private until frozen.
-		ix.Set(key, append(bucket, row...))
+		for _, c := range cols {
+			keys = append(keys, rel.Data[i*a+c])
+		}
 	}
-	return ix.Freeze()
+	arena := make([]Value, 0, len(rel.Data))
+	return storage.BuildPMap(len(cols), keys, rel.Len(), func(rows []int32) []Value {
+		from := len(arena)
+		for _, i := range rows {
+			arena = append(arena, rel.Row(int(i))...)
+		}
+		return arena[from:len(arena):len(arena)]
+	})
 }
 
 // setOfRows builds the tuple set of rel's rows from scratch.
 func setOfRows(rel *Relation) *rowSet {
-	s := storage.NewPMap[struct{}](len(rel.Cols)).Edit()
-	for i := 0; i < rel.Len(); i++ {
-		s.Set(rel.Row(i), struct{}{})
-	}
-	return s.Freeze()
+	return storage.BuildPMap(len(rel.Cols), rel.Data, rel.Len(), func([]int32) struct{} { return struct{}{} })
 }
 
 // flatten lists a persistent map's keys as a flat relation over cols.
@@ -267,15 +305,12 @@ func newAtomState(p *Plan, i int, rel *Relation, t *storage.Table) *atomState {
 // and, for a projecting node, the derivation counts of its bag tuples (nil
 // otherwise: without projection every row has exactly one derivation).
 func newNodeState(p *Plan, u int, rel *Relation, counts *storage.TupleMap) *nodeState {
-	sup := storage.NewPMap[int64](len(p.bagVars[u])).Edit()
-	for i := 0; i < rel.Len(); i++ {
-		n := int64(1)
-		if counts != nil {
-			n = counts.Get(rel.Row(i))
+	ns := &nodeState{sup: storage.BuildPMap(len(p.bagVars[u]), rel.Data, rel.Len(), func(at []int32) int64 {
+		if counts == nil {
+			return 1
 		}
-		sup.Set(rel.Row(i), n)
-	}
-	ns := &nodeState{sup: sup.Freeze()}
+		return counts.Get(rel.Row(int(at[0])))
+	})}
 	if len(p.sharedPos[u]) > 0 {
 		ns.byParent = indexRows(rel, p.sharedPos[u])
 	}
@@ -287,8 +322,9 @@ func newNodeState(p *Plan, u int, rel *Relation, counts *storage.TupleMap) *node
 // maintained form. A projecting node re-runs its reduced join once, over
 // Bind's messages, to learn the derivation counts; the others load their
 // rows as they are. A node's key set is the keys of its message. This is the
-// one-off O(database) cost of the first maintenance, after which flat
-// relations are only ever produced on demand.
+// one-off O(database) cost of the first maintenance — every map bulk-built,
+// so its allocations do not grow with the rows — after which flat relations
+// are only ever produced on demand.
 func (b *BoundQuery) buildMaint(ctx context.Context) (*maintState, error) {
 	p := b.prep.plan
 	eng := b.prep.eng

@@ -293,8 +293,8 @@ func (m *enumMaint) sameF(o *enumMaint, p *Plan, u int) bool {
 	}
 }
 
-// maintainedCounts returns the per-node key sums of cs, freezing a flat
-// state's messages into persistent maps in O(their size).
+// maintainedCounts returns the per-node key sums of cs, bulk-building a flat
+// state's messages (their non-zero sums) into persistent maps.
 func (cs *countState) maintainedCounts(p *Plan) []*storage.PMap[int64] {
 	if cs.keySum != nil {
 		return cs.keySum
@@ -304,13 +304,13 @@ func (cs *countState) maintainedCounts(p *Plan) []*storage.PMap[int64] {
 		if msg == nil {
 			continue
 		}
-		ks := storage.NewPMap[int64](len(p.sharedPos[u])).Edit()
+		keys, sums := make([]Value, 0, len(msg.Keys())), make([]int64, 0, msg.Len())
 		for slot := int32(0); int(slot) < msg.Len(); slot++ {
 			if v := msg.Val(slot); v != 0 {
-				ks.Set(msg.Key(slot), v)
+				keys, sums = append(keys, msg.Key(slot)...), append(sums, v)
 			}
 		}
-		keySum[u] = ks.Freeze()
+		keySum[u] = storage.BuildPMap(len(p.sharedPos[u]), keys, len(sums), func(at []int32) int64 { return sums[at[0]] })
 	}
 	return keySum
 }

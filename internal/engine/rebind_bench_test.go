@@ -73,20 +73,26 @@ type maintFixture struct {
 
 func newMaintFixture(tb testing.TB, s maintShape, rows, domain int) *maintFixture {
 	tb.Helper()
-	ctx := context.Background()
 	eng, prep, cdb, planted := newMaintDB(tb, s, rows, domain)
+	return &maintFixture{shape: s, eng: eng, bound: bindPrimed(tb, prep, cdb), planted: planted}
+}
+
+// bindPrimed binds prep over cdb and primes the caches the way a live
+// registration does: a Count and the first step of an Enumerate.
+func bindPrimed(tb testing.TB, prep *PreparedQuery, cdb *CompiledDB) *BoundQuery {
+	tb.Helper()
+	ctx := context.Background()
 	b, err := prep.Bind(ctx, cdb)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	// Prime the caches the way a live registration does.
 	if _, err := b.Count(ctx); err != nil {
 		tb.Fatal(err)
 	}
 	if err := b.Enumerate(ctx, func(Solution) bool { return false }); err != nil {
 		tb.Fatal(err)
 	}
-	return &maintFixture{shape: s, eng: eng, bound: b, planted: planted}
+	return b
 }
 
 // newMaintDB prepares the shape's query on a fresh engine and compiles its
@@ -187,28 +193,32 @@ func (f *maintFixture) warm(tb testing.TB) {
 	}
 }
 
+// rebindFixtures are the maintenance benchmarks' bound queries: the
+// flush.closed shapes and sizings. path3-5k vs path3-20k (same domain/row
+// ratio) is the scaling pair. cycle4-5k is a 4-cycle sized like path3-5k,
+// affordable only while its plan joins connected covers; cycle6-500 is the
+// guard case whose width-2 plan keeps covers that share no variable, which
+// only the children's key sets connect.
+var rebindFixtures = []struct {
+	name         string
+	shape        maintShape
+	rows, domain int
+}{
+	{"path3-5k", maintPath3, 5000, 2500},
+	{"path3-20k", maintPath3, 20000, 10000},
+	{"cycle4-500", maintCycle4, 500, 250},
+	{"cycle4-5k", maintCycle4, 5000, 2500},
+	{"cycle6-500", maintCycle6, 500, 250},
+	{"jigsaw2x3-200", maintJigsaw, 200, 100},
+}
+
 // BenchmarkRebindSingleTuple measures one live flush's engine work for a
 // single result-changing tuple — Rebind + Count + DiffFrom over an untimed
 // Apply, alternating delete and re-insert of a planted solution's tuple — on
-// the flush.closed shapes. path3-5k vs path3-20k (same domain/row ratio) is the
-// scaling pair: an O(change) path keeps the two within noise of each other.
-// cycle4-5k is a 4-cycle sized like path3-5k, affordable only while its plan
-// joins connected covers; cycle6-500 is the guard case whose width-2 plan
-// keeps covers that share no variable, which only the children's key sets
-// connect.
+// rebindFixtures, past the first maintenance. An O(change) path keeps
+// path3-5k and path3-20k within noise of each other.
 func BenchmarkRebindSingleTuple(b *testing.B) {
-	for _, c := range []struct {
-		name         string
-		shape        maintShape
-		rows, domain int
-	}{
-		{"path3-5k", maintPath3, 5000, 2500},
-		{"path3-20k", maintPath3, 20000, 10000},
-		{"cycle4-500", maintCycle4, 500, 250},
-		{"cycle4-5k", maintCycle4, 5000, 2500},
-		{"cycle6-500", maintCycle6, 500, 250},
-		{"jigsaw2x3-200", maintJigsaw, 200, 100},
-	} {
+	for _, c := range rebindFixtures {
 		b.Run(c.name, func(b *testing.B) {
 			f := newMaintFixture(b, c.shape, c.rows, c.domain)
 			f.warm(b)
@@ -223,6 +233,39 @@ func BenchmarkRebindSingleTuple(b *testing.B) {
 				b.StartTimer()
 				if f.maintain(b, ncdb) != 1 {
 					b.Fatalf("step %d: toggling a planted tuple must change exactly one result row", n)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkFirstRebind measures what a registration pays before its first
+// write is answered, on rebindFixtures: bind is Bind plus the priming Count
+// and Enumerate; first-rebind is the first Rebind + Count + DiffFrom after
+// it, over an untimed Bind and Apply deleting one planted tuple — the
+// conversion of every atom, node, index and counting message to maintained
+// form, plus one flush's maintenance.
+func BenchmarkFirstRebind(b *testing.B) {
+	for _, c := range rebindFixtures {
+		b.Run(c.name+"/bind", func(b *testing.B) {
+			_, prep, cdb, _ := newMaintDB(b, c.shape, c.rows, c.domain)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				bindPrimed(b, prep, cdb)
+			}
+		})
+		b.Run(c.name+"/first-rebind", func(b *testing.B) {
+			eng, prep, cdb, planted := newMaintDB(b, c.shape, c.rows, c.domain)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				b.StopTimer()
+				f := &maintFixture{shape: c.shape, eng: eng, bound: bindPrimed(b, prep, cdb), planted: planted}
+				ncdb := f.apply(b, n%planted, n%len(c.shape.atoms), false)
+				b.StartTimer()
+				if f.maintain(b, ncdb) != 1 {
+					b.Fatal("deleting a planted tuple must remove exactly one result row")
 				}
 			}
 		})

@@ -342,7 +342,7 @@ func DecodeDB(r io.Reader) (*DB, error) {
 		return nil, err
 	}
 	out := newDB(dict)
-	dir := out.tables.Edit()
+	ids, tables := make([]Value, 0, min(nTables, 1024)), make([]*Table, 0, min(nTables, 1024))
 	seen := make(map[string]bool, min(nTables, 1024))
 	for i := 0; i < nTables; i++ {
 		b, err := readInto(nil, "table name")
@@ -384,8 +384,8 @@ func DecodeDB(r io.Reader) (*DB, error) {
 		if err != nil {
 			return nil, err
 		}
-		put(dir, id, t)
+		ids, tables = append(ids, id), append(tables, t)
 	}
-	out.tables = dir.Freeze()
+	out.tables = directory(ids, tables)
 	return out, nil
 }

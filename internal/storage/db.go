@@ -18,8 +18,8 @@ import (
 // form is what a small delta produces: the rows are the keys of a PMap (Data
 // is nil), so it is a set, and the successor shares every untouched trie node
 // with its parent and costs one root-to-leaf path per tuple. A flat table
-// becomes persistent at its first small delta (RowMap builds the map once
-// and caches it on the flat table); DB.Apply states the rule. The tuple data
+// becomes persistent at its first small delta (RowMap bulk-builds the map
+// once and caches it on the flat table); DB.Apply states the rule. The tuple data
 // is immutable either way; the lazily built indexes, statistics, row map and
 // set check are guarded by a mutex, so a Table is safe for concurrent use.
 type Table struct {
@@ -108,9 +108,10 @@ func (t *Table) Scan(f func(row []Value)) {
 }
 
 // RowMap returns the table's rows as a persistent set: the table's own map
-// in the persistent form, a conversion built once — O(rows) — and cached for
-// a flat table. Successors derived from it by Apply share its structure, so
-// PMap.Diff between a table's map and a descendant's costs O(change).
+// in the persistent form; for a flat table, a conversion BuildPMap makes once,
+// in one pass over the rows and a few allocations, and caches on the table.
+// Successors derived from it by Apply share its structure, so PMap.Diff
+// between a table's map and a descendant's costs O(change).
 func (t *Table) RowMap() *PMap[struct{}] {
 	m, _ := t.rowMap()
 	return m
@@ -124,9 +125,8 @@ func (t *Table) rowMap() (m *PMap[struct{}], built bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.asMap == nil {
-		m := NewPMap[struct{}](t.Arity).Edit()
-		t.Scan(func(row []Value) { m.Set(row, struct{}{}) })
-		t.asMap, built = m.Freeze(), true
+		// A nullary table's Data is one sentinel per row; its keys are empty.
+		t.asMap, built = BuildPMap(t.Arity, t.Data, t.Rows(), func([]int32) struct{} { return struct{}{} }), true
 	}
 	return t.asMap, built
 }
@@ -236,6 +236,12 @@ func newDB(dict *Dict) *DB {
 	return &DB{Dict: dict, rels: NewDict(), tables: NewPMap[*Table](1)}
 }
 
+// directory returns the relation directory holding tables[i] under relation
+// number ids[i] (a number may repeat, always with its one table).
+func directory(ids []Value, tables []*Table) *PMap[*Table] {
+	return BuildPMap(1, ids, len(ids), func(at []int32) *Table { return tables[at[0]] })
+}
+
 // put installs t under relation number id in dir, an open edit of a
 // relation directory, or removes the relation when t is nil.
 func put(dir *PMap[*Table], id Value, t *Table) {
@@ -253,13 +259,13 @@ func put(dir *PMap[*Table], id Value, t *Table) {
 // with ErrDictFull if its constants overflow the dictionary.
 func Compile(db cq.Database) (*DB, error) {
 	out := newDB(NewDict())
-	dir := out.tables.Edit()
 	// Deterministic interning order: sorted relation names.
 	names := make([]string, 0, len(db))
 	for name := range db {
 		names = append(names, name)
 	}
 	sort.Strings(names)
+	ids, tables := make([]Value, 0, len(names)), make([]*Table, 0, len(names))
 	for _, name := range names {
 		tuples := db[name]
 		if len(tuples) == 0 {
@@ -283,9 +289,9 @@ func Compile(db cq.Database) (*DB, error) {
 		if err != nil {
 			return nil, err
 		}
-		put(dir, id, t)
+		ids, tables = append(ids, id), append(tables, t)
 	}
-	out.tables = dir.Freeze()
+	out.tables = directory(ids, tables)
 	return out, nil
 }
 
@@ -305,16 +311,14 @@ func (db *DB) Table(name string) *Table {
 // sharing their tables, the dictionary and the relation numbering: whoever
 // holds it keeps those tables alive and nothing else of db.
 func (db *DB) Restrict(relations []string) *DB {
-	out := &DB{Dict: db.Dict, rels: db.rels}
-	dir := NewPMap[*Table](1).Edit()
+	ids, tables := make([]Value, 0, len(relations)), make([]*Table, 0, len(relations))
 	for _, name := range relations {
 		if t := db.Table(name); t != nil {
 			id, _ := db.rels.Lookup(name)
-			put(dir, id, t)
+			ids, tables = append(ids, id), append(tables, t)
 		}
 	}
-	out.tables = dir.Freeze()
-	return out
+	return &DB{Dict: db.Dict, rels: db.rels, tables: directory(ids, tables)}
 }
 
 // ApplyRows returns the number of rows the Apply that produced this snapshot

@@ -3,6 +3,7 @@ package storage
 import (
 	"math/bits"
 	"slices"
+	"sync"
 )
 
 // PMap is a persistent hash map from fixed-width value tuples to V: a
@@ -36,8 +37,10 @@ type pedit struct{ _ byte }
 
 // pnode is one trie node. Position p (0..31) holds an inline entry when
 // datamap has bit p, a child when nodemap has bit p; entries and children are
-// stored densely in position order. A node below the last hash bit group
-// holds colliding entries as a plain list with both maps zero.
+// stored densely in position order. A position holds an entry exactly when one
+// key of the map falls under it, so the trie's shape is a function of its
+// content. A node below the last hash bit group holds colliding entries as a
+// plain list in key order, with both maps zero.
 type pnode[V any] struct {
 	edit    *pedit
 	datamap uint32
@@ -93,6 +96,192 @@ func (m *PMap[V]) Freeze() *PMap[V] {
 	return m
 }
 
+// BuildPMap returns the frozen map over the n width-k keys laid out in keys
+// (key i is keys[i*k:(i+1)*k]). It holds each distinct key once, under the
+// value val returns for it: val is called once per distinct key, in the
+// map's layout order, with the positions of that key's occurrences in input
+// order (a view into the builder's memory: do not retain it). The map is the
+// one that Setting the keys in turn into an empty map makes — the same trie,
+// so Range lists both in one order and Diff between them reports nothing —
+// built in one pass instead of one root-to-leaf path per key: every key is
+// hashed once, the keys are counting-sorted on each 5-bit hash group in turn,
+// and every node's entries and children are laid out once, at their final
+// size, in a few slabs the whole map shares (and a slab lives as long as any
+// node cut from it). Those nodes are frozen like any other, so an edit copies
+// each on its first write. keys is not retained.
+func BuildPMap[V any](k int, keys []Value, n int, val func(occurrences []int32) V) *PMap[V] {
+	return NewPMap[V](k).build(keys, n, val)
+}
+
+// pbuild is one bulk build in progress. The first pass sorts the keys into
+// trie order and records the trie: every node's maps in preorder, and each
+// entry's run of occurrences, in the order the nodes will list them. The
+// second lays the nodes out from that record, in slabs sized by it.
+type pbuild[V any] struct {
+	*pscratch
+	k     int
+	keys  []Value
+	val   func([]int32) V
+	nodes []pnode[V]
+	kids  []*pnode[V]
+	nkeys []Value
+	nvals []V
+}
+
+// pscratch is a build's working memory. Builds reuse it through a pool,
+// since every build writes each element before reading it: the conversion to
+// maintained form makes a dozen maps in a row, and zeroing fresh scratch for
+// each cost more than the sort.
+type pscratch struct {
+	hash     []uint64 // key i's hash
+	ord, tmp []int32  // key positions, and the buffer the counting sort scatters into
+	shape    []uint64 // per node, in preorder: datamap<<32 | nodemap; a collision list's length
+	runs     []int32  // per entry, in layout order: where its run of occurrences starts and ends in ord
+}
+
+var pscratchPool = sync.Pool{New: func() any { return new(pscratch) }}
+
+// build fills the empty map m; see BuildPMap.
+func (m *PMap[V]) build(keys []Value, n int, val func([]int32) V) *PMap[V] {
+	if n == 0 {
+		return m
+	}
+	sc := pscratchPool.Get().(*pscratch)
+	defer pscratchPool.Put(sc)
+	sc.hash, sc.ord, sc.tmp = grown(sc.hash, n), grown(sc.ord, n), grown(sc.tmp, n)
+	sc.runs, sc.shape = grown(sc.runs, 2*n)[:0], sc.shape[:0]
+	b := &pbuild[V]{pscratch: sc, k: m.k, keys: keys, val: val}
+	for i := range b.ord {
+		b.ord[i] = int32(i)
+		b.hash[i] = m.hash(b.key(int32(i)))
+	}
+	b.sort(0, int32(n), 0)
+	shape, runs := sc.shape, sc.runs // the layout pass consumes them
+	entries := len(runs) / 2
+	b.nodes = make([]pnode[V], len(shape))
+	b.kids = make([]*pnode[V], len(shape)-1)
+	b.nkeys = make([]Value, entries*m.k)
+	b.nvals = make([]V, entries)
+	m.root, m.n = b.node(0), entries
+	sc.shape, sc.runs = shape, runs
+	return m
+}
+
+// grown returns s resized to n elements, keeping its array when it is large
+// enough. The elements are left as they were.
+func grown[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+func (b *pbuild[V]) key(i int32) []Value { return b.keys[int(i)*b.k : (int(i)+1)*b.k] }
+
+func (b *pbuild[V]) group(i int32, shift uint) uint32 { return uint32(b.hash[i]>>shift) & 31 }
+
+// single reports whether the keys at ord[lo:hi] are all one key, so that
+// they make one trie entry.
+func (b *pbuild[V]) single(lo, hi int32) bool {
+	first := b.ord[lo]
+	for _, i := range b.ord[lo+1 : hi] {
+		if b.hash[i] != b.hash[first] || !slices.Equal(b.key(i), b.key(first)) {
+			return false
+		}
+	}
+	return true
+}
+
+// sort orders ord[lo:hi], the keys under one node at shift, into trie order —
+// stably by each 5-bit hash group from shift on, and a collision list by key,
+// so that a key's occurrences stay in input order — and records that node and
+// the ones under it.
+func (b *pbuild[V]) sort(lo, hi int32, shift uint) {
+	if shift > pmapMaxShift {
+		slices.SortStableFunc(b.ord[lo:hi], func(x, y int32) int { return slices.Compare(b.key(x), b.key(y)) })
+		runs := len(b.runs)
+		for i, start := lo, lo; i < hi; i++ {
+			if i+1 == hi || !slices.Equal(b.key(b.ord[i]), b.key(b.ord[i+1])) {
+				b.runs, start = append(b.runs, start, i+1), i+1
+			}
+		}
+		b.shape = append(b.shape, uint64(len(b.runs)-runs)/2)
+		return
+	}
+	var end [32]int32 // end[g]: where group g ends once scattered
+	var used uint32   // the groups present
+	for _, i := range b.ord[lo:hi] {
+		g := b.group(i, shift)
+		end[g]++
+		used |= 1 << g
+	}
+	at := lo
+	for rest := used; rest != 0; rest &= rest - 1 {
+		g := bits.TrailingZeros32(rest)
+		at += end[g]
+		end[g] = at - end[g]
+	}
+	for _, i := range b.ord[lo:hi] {
+		g := b.group(i, shift)
+		b.tmp[end[g]] = i
+		end[g]++
+	}
+	copy(b.ord[lo:hi], b.tmp[lo:hi])
+	// This node's entries first, then the nodes under it, in preorder.
+	var datamap uint32
+	start := lo
+	for rest := used; rest != 0; rest &= rest - 1 {
+		g := bits.TrailingZeros32(rest)
+		if end[g]-start == 1 || b.single(start, end[g]) {
+			datamap |= 1 << g
+			b.runs = append(b.runs, start, end[g])
+		}
+		start = end[g]
+	}
+	b.shape = append(b.shape, uint64(datamap)<<32|uint64(used&^datamap))
+	start = lo
+	for rest := used; rest != 0; rest &= rest - 1 {
+		g := bits.TrailingZeros32(rest)
+		if datamap&(1<<g) == 0 {
+			b.sort(start, end[g], shift+pmapBits)
+		}
+		start = end[g]
+	}
+}
+
+// node lays out the next recorded node, at shift, and everything under it.
+func (b *pbuild[V]) node(shift uint) *pnode[V] {
+	n, shape := &b.nodes[0], b.shape[0]
+	b.nodes, b.shape = b.nodes[1:], b.shape[1:]
+	entries, kids := int(shape), 0
+	if shift <= pmapMaxShift {
+		n.datamap, n.nodemap = uint32(shape>>32), uint32(shape)
+		entries, kids = bits.OnesCount32(n.datamap), bits.OnesCount32(n.nodemap)
+	}
+	n.keys, n.vals, n.kids = cut(&b.nkeys, entries*b.k), cut(&b.nvals, entries), cut(&b.kids, kids)
+	for e := range entries {
+		run := b.ord[b.runs[2*e]:b.runs[2*e+1]]
+		copy(n.keys[e*b.k:], b.key(run[0]))
+		n.vals[e] = b.val(run)
+	}
+	b.runs = b.runs[2*entries:]
+	for i := range n.kids {
+		n.kids[i] = b.node(shift + pmapBits)
+	}
+	return n
+}
+
+// cut takes the first n elements off a slab, capped so that appending to them
+// copies rather than overwrites the slab.
+func cut[T any](slab *[]T, n int) []T {
+	if n == 0 {
+		return nil
+	}
+	s := (*slab)[:n:n]
+	*slab = (*slab)[n:]
+	return s
+}
+
 func (m *PMap[V]) keyAt(n *pnode[V], i int) []Value { return n.keys[i*m.k : (i+1)*m.k] }
 
 func (m *PMap[V]) find(key []Value) (*pnode[V], int) {
@@ -138,8 +327,9 @@ func (m *PMap[V]) Has(key []Value) bool {
 }
 
 // Range calls f for every entry until f returns false, in an order fixed by
-// the keys' hashes alone (not by the edit history). The key slice aliases the
-// map's storage: do not mutate it, copy to retain it.
+// the keys alone — by their hashes, and keys whose hashes coincide in key
+// order — not by the edit history. The key slice aliases the map's storage:
+// do not mutate it, copy to retain it.
 func (m *PMap[V]) Range(f func(key []Value, v V) bool) {
 	if m.root != nil {
 		m.rangeNode(m.root, f)
@@ -213,14 +403,19 @@ func (m *PMap[V]) set(n *pnode[V], shift uint, h uint64, key []Value, v V) (*pno
 		n = m.own(n)
 	}
 	if shift > pmapMaxShift {
-		for i := range n.vals {
-			if slices.Equal(m.keyAt(n, i), key) {
+		// A collision list is kept in key order, so that Range's order does
+		// not depend on which colliding key came first.
+		i := 0
+		for ; i < len(n.vals); i++ {
+			if c := slices.Compare(m.keyAt(n, i), key); c == 0 {
 				n.vals[i] = v
 				return n, false
+			} else if c > 0 {
+				break
 			}
 		}
-		n.keys = append(n.keys, key...)
-		n.vals = append(n.vals, v)
+		n.keys = slices.Insert(n.keys, i*m.k, key...)
+		n.vals = slices.Insert(n.vals, i, v)
 		return n, true
 	}
 	bit := uint32(1) << ((h >> shift) & 31)

@@ -3,6 +3,8 @@ package storage
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -298,6 +300,173 @@ func BenchmarkIndexPatch(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				BuildIndex(data, 2, []int{0})
+			}
+		})
+	}
+}
+
+// samePNodes reports whether two tries have the same shape and content, node
+// by node.
+func samePNodes[V comparable](a, b *pnode[V]) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	if a.datamap != b.datamap || a.nodemap != b.nodemap || !slices.Equal(a.keys, b.keys) ||
+		!slices.Equal(a.vals, b.vals) || len(a.kids) != len(b.kids) {
+		return false
+	}
+	for i := range a.kids {
+		if !samePNodes(a.kids[i], b.kids[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// rangeOf lists a map's entries in Range order.
+func rangeOf(m *PMap[int64]) string {
+	var b strings.Builder
+	m.Range(func(k []Value, v int64) bool {
+		fmt.Fprint(&b, k, v, ";")
+		return true
+	})
+	return b.String()
+}
+
+// buildLast bulk-builds the empty map m over the width-2 keys, each under
+// the value of its last occurrence in vals, as per-key Set would leave it —
+// and checks that the builder hands every key its occurrences in input order.
+func buildLast(m *PMap[int64], keys []Value, vals []int64) *PMap[int64] {
+	return m.build(keys, len(vals), func(at []int32) int64 {
+		for j := range at {
+			if j > 0 && at[j-1] >= at[j] || !slices.Equal(keys[2*at[j]:2*at[j]+2], keys[2*at[0]:2*at[0]+2]) {
+				panic(fmt.Sprintf("occurrences %v: not one key's, in input order", at))
+			}
+		}
+		return vals[at[len(at)-1]]
+	})
+}
+
+// requireSameMap holds a bulk-built map to the per-key one of the same
+// content: one shape, one Range order, an empty Diff either way.
+func requireSameMap(t *testing.T, what string, built, set *PMap[int64]) {
+	t.Helper()
+	if built.Len() != set.Len() {
+		t.Fatalf("%s: Len %d, per-key Set makes %d", what, built.Len(), set.Len())
+	}
+	if !samePNodes(built.root, set.root) {
+		t.Fatalf("%s: the trie's shape differs from per-key Set's", what)
+	}
+	if a, b := rangeOf(built), rangeOf(set); a != b {
+		t.Fatalf("%s: Range order differs:\n built %s\n   set %s", what, a, b)
+	}
+	report := func([]Value) { t.Fatalf("%s: Diff reports a key between equal maps", what) }
+	built.Diff(set, report, report)
+	set.Diff(built, report, report)
+}
+
+// TestBuildPMapMatchesSet is BuildPMap's contract over random key sets, with
+// repeated keys and with degenerate hashes that force push-downs and
+// collision lists: the map equals the one per-key Set builds from the same
+// pairs, and after one random Set/Delete script on each the successors
+// still do.
+func TestBuildPMapMatchesSet(t *testing.T) {
+	hashes := map[string]func([]Value) uint64{
+		"fnv":       pmapHash,
+		"constant":  func([]Value) uint64 { return 42 },
+		"low-bits":  func(k []Value) uint64 { return uint64(k[0]) & 3 },
+		"high-only": func(k []Value) uint64 { return uint64(k[0]&7) << 58 },
+	}
+	for name, hash := range hashes {
+		t.Run(name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(11))
+			for round, n := range []int{0, 1, 2, 3, 17, 40, 300, 3000} {
+				domain := 1 + n/2 // about one key in three repeats
+				keys, vals := make([]Value, 0, 2*n), make([]int64, n)
+				set := newPMapWithHash[int64](2, hash).Edit()
+				for i := range vals {
+					key := []Value{Value(rng.Intn(domain)), Value(rng.Intn(3))}
+					keys, vals[i] = append(keys, key...), rng.Int63n(1000)
+					set.Set(key, vals[i])
+				}
+				built := buildLast(newPMapWithHash[int64](2, hash), keys, vals)
+				what := fmt.Sprintf("round %d (%d pairs)", round, n)
+				requireSameMap(t, what, built, set.Freeze())
+				eb, es := built.Edit(), set.Edit()
+				for op := 0; op < 1+n/4; op++ {
+					key := []Value{Value(rng.Intn(domain + 2)), Value(rng.Intn(3))}
+					if rng.Intn(2) == 0 {
+						if eb.Delete(key) != es.Delete(key) {
+							t.Fatalf("%s: Delete(%v) disagrees", what, key)
+						}
+					} else {
+						v := rng.Int63n(1000)
+						eb.Set(key, v)
+						es.Set(key, v)
+					}
+				}
+				requireSameMap(t, what+" after edits", eb.Freeze(), es.Freeze())
+				// The built map itself is untouched by its successor's edits.
+				requireSameMap(t, what+" original", built, buildLast(newPMapWithHash[int64](2, hash), keys, vals))
+			}
+		})
+	}
+}
+
+// TestPMapCollisionOrder: keys whose hashes coincide are listed in key order,
+// so Range's order is the same whatever order they were set in, and the same
+// as BuildPMap's.
+func TestPMapCollisionOrder(t *testing.T) {
+	constant := func([]Value) uint64 { return 7 }
+	var keys []Value
+	vals := make([]int64, 12)
+	for i := range vals {
+		keys = append(keys, Value(11-i), Value(i%3))
+		vals[i] = int64(i)
+	}
+	want := rangeOf(buildLast(newPMapWithHash[int64](2, constant), keys, vals))
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 20; trial++ {
+		e := newPMapWithHash[int64](2, constant).Edit()
+		for _, i := range rng.Perm(len(vals)) {
+			e.Set(keys[2*i:2*i+2], vals[i])
+		}
+		if got := rangeOf(e.Freeze()); got != want {
+			t.Fatalf("trial %d: Range order\n %s\ndepends on the insertion order; BuildPMap lists\n %s", trial, got, want)
+		}
+	}
+	var prev []Value
+	buildLast(newPMapWithHash[int64](2, constant), keys, vals).Range(func(k []Value, _ int64) bool {
+		if prev != nil && slices.Compare(prev, k) >= 0 {
+			t.Fatalf("collision list not in key order: %v before %v", prev, k)
+		}
+		prev = slices.Clone(k)
+		return true
+	})
+}
+
+// BenchmarkPMapBuild is the bulk build against per-key Set, over n two-column
+// keys: the conversion a first Rebind pays per maintained map.
+func BenchmarkPMapBuild(b *testing.B) {
+	for _, n := range []int{5_000, 20_000} {
+		keys, vals := make([]Value, 0, 2*n), make([]int64, n)
+		for i := range vals {
+			keys, vals[i] = append(keys, Value(i), Value(i*7)), int64(i)
+		}
+		b.Run(fmt.Sprintf("build-%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				BuildPMap(2, keys, n, func(at []int32) int64 { return vals[at[0]] })
+			}
+		})
+		b.Run(fmt.Sprintf("set-%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				m := NewPMap[int64](2).Edit()
+				for j, v := range vals {
+					m.Set(keys[2*j:2*j+2], v)
+				}
+				m.Freeze()
 			}
 		})
 	}

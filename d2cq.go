@@ -199,9 +199,9 @@ type CompiledDB = engine.CompiledDB
 
 // BoundQuery is a PreparedQuery bound to a CompiledDB: dictionary, atom
 // relations and decomposition node relations are built once at bind time,
-// so Bool and Count read them and Enumerate runs only the top-down pass, on
-// its first call. PreparedQuery.Bind builds the node relations bottom-up
-// reduced, and maintenance keeps them so. Safe for concurrent use.
+// so Bool and Count read them and Enumerate walks them from the root down,
+// building its indexes on its first call. PreparedQuery.Bind builds the node
+// relations bottom-up reduced, and maintenance keeps them so. Safe for concurrent use.
 // BoundQuery.Update(ctx, delta) (or CompiledDB.Apply + BoundQuery.Rebind,
 // to share one new snapshot across several bound queries) carries the bound
 // state forward incrementally: only the atoms, decomposition nodes and

@@ -240,7 +240,7 @@ func TestBindLeavesTablesUntouched(t *testing.T) {
 // TestBindConcurrentFirstUse races the state this file's binds set up
 // lazily or share: first binds over tables whose set check has not run,
 // first Enumerates of one maintained query (the counting pass that sends the
-// messages its top-down reduction marks), and Updates of one Bind query
+// messages its enumeration indexes group by), and Updates of one Bind query
 // (which freeze its messages into key sums). Run with -race.
 func TestBindConcurrentFirstUse(t *testing.T) {
 	ctx := context.Background()

@@ -97,8 +97,8 @@ func (c *CompiledDB) RelationRows(name string) int {
 // evaluation call. The node relations are bottom-up reduced, and stay so
 // under Rebind, which maintains them. Bind finishes the counting DP on its
 // way up and Rebind carries it forward, so Count only reads the total. The
-// full Yannakakis reduction (with its enumeration indexes) is built on the
-// first Enumerate by the top-down pass alone, and then shared.
+// enumeration runs over the same nodes: its indexes are built on the first
+// Enumerate, with no further reduction, and then shared.
 // A BoundQuery is immutable after binding and safe for concurrent use;
 // Update/Rebind never mutate it — they return a new BoundQuery sharing all
 // state the delta did not touch.
@@ -137,8 +137,8 @@ type BoundQuery struct {
 // factor at once. The nodes are thus bottom-up reduced from the start: a
 // cover whose relations share no variable is never built as a cross product
 // on its own, Bool reads the root, Count reads the total summed at the root,
-// and Enumerate's reduction only runs top-down, marking the slots of the
-// messages each row of a node hits. Rebind maintains the same nodes.
+// and Enumerate groups each node's rows by the message slots they were
+// counted into. Rebind maintains the same nodes.
 func (p *PreparedQuery) Bind(ctx context.Context, cdb *CompiledDB) (*BoundQuery, error) {
 	p.eng.binds.Add(1)
 	if err := ctx.Err(); err != nil {
@@ -198,9 +198,9 @@ func (b *BoundQuery) Vars() []string { return b.prep.Vars() }
 // value space of the relations DiffFrom returns.
 func (b *BoundQuery) Dict() *Dict { return b.inst.Dict }
 
-// flatNodes returns every node relation as a flat Relation — what the first
-// full reduction scans. A freshly bound query has them
-// from Bind; a maintained one lists the nodes that changed since off their
+// flatNodes returns every node relation B(u) as a flat Relation — what the
+// first enumeration state is built over. A freshly bound query has them from
+// Bind; a maintained one lists the nodes that changed since off their
 // persistent maps, once, on first request.
 func (b *BoundQuery) flatNodes() []*Relation {
 	if b.maint == nil {
@@ -225,9 +225,9 @@ func (b *BoundQuery) flatNodes() []*Relation {
 }
 
 // run clones the per-evaluation view of the bound node relations: the slice
-// is copied so the reduction passes can reassign its entries, while the
-// relations themselves are shared read-only. Bind's counting DP comes along
-// while it is flat, with the messages and slots the top-down pass marks.
+// is copied so a counting pass can reassign its entries, while the relations
+// themselves are shared read-only. Bind's counting DP comes along while it is
+// flat, with the messages and slots the enumeration indexes group by.
 func (b *BoundQuery) run() *run {
 	r := &run{
 		plan:     b.prep.plan,
@@ -275,13 +275,11 @@ func (b *BoundQuery) Count(ctx context.Context) (int64, error) {
 	return b.countSt.Load().total, nil
 }
 
-// ensureReduced runs the Yannakakis full reduction once and builds the shared
-// enumeration indexes over the reduced relations. The nodes are bottom-up
-// reduced already, so only the top-down half runs, marking the slots of
-// Bind's messages — or, once the query is maintained, of messages a counting
-// pass over the nodes sends first. The indexes are the messages themselves,
-// with each node's rows grouped by slot. Concurrent callers
-// wait for the single construction; a failed attempt (typically: a
+// ensureReduced builds the shared enumeration indexes over the bottom-up
+// reduced nodes once. No reduction pass runs: the indexes are Bind's
+// messages — or, once the query is maintained, messages a counting pass over
+// the nodes sends first — with each node's rows grouped by slot. Concurrent
+// callers wait for the single construction; a failed attempt (typically: a
 // cancelled context) is not cached, so the next caller retries.
 func (b *BoundQuery) ensureReduced(ctx context.Context) (*enumState, error) {
 	if es := b.enumSt.Load(); es != nil {
@@ -292,7 +290,7 @@ func (b *BoundQuery) ensureReduced(ctx context.Context) (*enumState, error) {
 	if es := b.enumSt.Load(); es != nil {
 		return es, nil
 	}
-	es, err := b.run().fullReduce(ctx)
+	es, err := b.run().enumIndex(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -302,9 +300,8 @@ func (b *BoundQuery) ensureReduced(ctx context.Context) (*enumState, error) {
 }
 
 // Enumerate streams every solution of the full CQ over the bound database.
-// The first call pays for the full reduction and the per-node enumeration
-// indexes; later calls — including concurrent ones — reuse them and stream
-// with bounded delay. See PreparedQuery.Enumerate for the yield contract.
+// The first call pays for the per-node enumeration indexes; later calls —
+// including concurrent ones — reuse them and stream with bounded delay. See PreparedQuery.Enumerate for the yield contract.
 func (b *BoundQuery) Enumerate(ctx context.Context, yield func(Solution) bool) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -337,17 +334,7 @@ func (b *BoundQuery) Enumerate(ctx context.Context, yield func(Solution) bool) e
 // EnumerateAll materialises every solution as a sorted relation (a
 // convenience over Enumerate for tests and small result sets).
 func (b *BoundQuery) EnumerateAll(ctx context.Context) (*Relation, *Dict, error) {
-	out := NewRelation(b.prep.plan.qvars...)
-	err := b.Enumerate(ctx, func(s Solution) bool {
-		if len(s.row) == 0 {
-			out.AddEmpty()
-		} else {
-			// Add copies into the backing array immediately, so the reused
-			// yield slice can be passed straight through.
-			out.Add(s.row...)
-		}
-		return true
-	})
+	out, err := b.materialise(ctx)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -355,14 +342,25 @@ func (b *BoundQuery) EnumerateAll(ctx context.Context) (*Relation, *Dict, error)
 	return out, b.inst.Dict, nil
 }
 
+// maxReserve caps the Values materialise reserves up front (64 MiB): a
+// larger result is grown by append, so an enumeration cancelled early does
+// not hold memory sized for all of it.
+const maxReserve = 1 << 24
+
 // materialise streams every solution into an (unsorted) relation over the
-// query's variables — EnumerateAll without the display sort.
+// query's variables — EnumerateAll without the display sort. The relation is
+// reserved at Count's total, which Bind and Rebind leave ready.
 func (b *BoundQuery) materialise(ctx context.Context) (*Relation, error) {
 	out := NewRelation(b.prep.plan.qvars...)
+	if cs, a := b.countSt.Load(), int64(len(out.Cols)); cs != nil && a > 0 && cs.total <= maxReserve/a {
+		out.Data = make([]Value, 0, cs.total*a)
+	}
 	err := b.Enumerate(ctx, func(s Solution) bool {
 		if len(s.row) == 0 {
 			out.AddEmpty()
 		} else {
+			// Add copies into the backing array immediately, so the reused
+			// yield slice can be passed straight through.
 			out.Add(s.row...)
 		}
 		return true

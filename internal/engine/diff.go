@@ -9,20 +9,24 @@ import (
 // This file is the O(change) half of BoundQuery.DiffFrom: instead of
 // materialising both results and diffing them as sets, the diff is
 // enumerated directly from the per-node changes of the two cached
-// enumeration states. The characterisation it rests on:
+// enumeration states, whose node relations are the bottom-up reduced bags
+// B(u). The characterisation it rests on:
 //
 //	a solution of the new result is absent from the old one iff its
 //	projection onto some node's bag lies in that node's added rows
-//	(new reduced relation ∖ old reduced relation),
+//	(new B(u) ∖ old B(u)),
 //
-// because a solution all of whose bag projections lie in the old reduced
-// relations is, by definition of the decomposition join, a solution of the
-// old result. (The removed side is the mirror image over the old state.)
-// So the added solutions are enumerated by walking the decomposition from
-// each changed node's added rows — up the tree probing parents on the shared
-// columns, then down the remaining nodes exactly like the ordinary
-// enumeration — and likewise for removals over the old state. Full reduction
-// guarantees the walk never dead-ends, so the cost is O(per-node change +
+// because the join of all B(u) is the result and the projection of a
+// solution onto a bag always lies in that bag's B(u): a solution all of
+// whose bag projections lie in the old bags is a solution of the old result.
+// (The removed side is the mirror image over the old state.) So the added
+// solutions are enumerated by walking the decomposition from each changed
+// node's added rows — up the tree probing parents on the shared columns,
+// then down the remaining nodes exactly like the ordinary enumeration — and
+// likewise for removals over the old state. An added row need not join
+// anything above it, so the upward probe may find no parent row and the walk
+// ends there; the downward part never dead-ends, as every row of B(u) has a
+// partner in B of each child. The cost is O(per-node change × depth +
 // |result diff| × tree), never O(|result|).
 //
 // A solution whose projections land in the added rows of several changed
@@ -72,9 +76,10 @@ type viaStep struct {
 // property are exactly the already-assigned variables of the parent's bag —
 // and then the remaining nodes in ordinary pre-order. yield receives the
 // full vertex assignment (reused between calls; asg[:len(Vars())] is the
-// output row); returning false stops the enumeration. When via's rows lie in
-// the state's (fully reduced) relation for v, the delay between yields is
-// bounded by the tree size, as in enumState.enumerate.
+// output row); returning false stops the enumeration. via's rows must lie in
+// the state's B(v). A via row no ancestor row joins yields nothing, at the
+// cost of the probes up to where the walk ends; below the path the walk never
+// dead-ends, as in enumState.enumerate.
 func (es *enumState) enumerateVia(ctx context.Context, v int, via *Relation, yield func(asg []Value) bool) error {
 	p := es.plan
 	steps := make([]viaStep, 0, p.d.Nodes())
@@ -106,7 +111,7 @@ func (es *enumState) enumerateVia(ctx context.Context, v int, via *Relation, yie
 			break
 		}
 		if st.key == nil {
-			st.scan = es.flatF(u) // no shared columns: cartesian with the subtree below
+			st.scan = es.flatB(u) // no shared columns: cartesian with the subtree below
 		}
 		steps = append(steps, st)
 		onPath[u] = true
@@ -119,9 +124,9 @@ func (es *enumState) enumerateVia(ctx context.Context, v int, via *Relation, yie
 		st := viaStep{write: p.bagVids[u]}
 		switch {
 		case len(p.shared[u]) == 0:
-			st.scan = es.flatF(u)
+			st.scan = es.flatB(u)
 		case es.m != nil:
-			st.group, st.key = es.m.down[u], p.sharedVids[u]
+			st.group, st.key = es.m.nodes[u].byParent, p.sharedVids[u]
 		default:
 			st.idx, st.rel, st.key = es.nodes[u].idx, es.nodes[u].rel, p.sharedVids[u]
 		}
@@ -204,9 +209,8 @@ func (es *enumState) enumerateVia(ctx context.Context, v int, via *Relation, yie
 }
 
 // nodeDiff is the per-node change between two enumeration states: the rows
-// entering (plus) and leaving (minus) node u's reduced relation, with
-// membership sets built only when a later changed node needs the dedup
-// check.
+// entering (plus) and leaving (minus) B(u), with membership sets built only
+// when a later changed node needs the dedup check.
 type nodeDiff struct {
 	u           int
 	plus, minus *Relation
@@ -214,11 +218,11 @@ type nodeDiff struct {
 	minusSet    *storage.TupleMap
 }
 
-// nodeDiffs lists the nodes whose reduced relation differs between the two
-// states, with the rows entering and leaving. When bes was derived from pes
-// by Rebind the deltas are already recorded on it and are simply read;
-// between any other two states they are recomputed by diffing the reduced
-// relations, O(their size).
+// nodeDiffs lists the nodes whose B(u) differs between the two states, with
+// the rows entering and leaving. When bes was derived from pes by Rebind the
+// deltas are already recorded on it and are simply read; between any other
+// two states they are recomputed by diffing the B(u) of the nodes whose
+// persistent maps differ, O(their size).
 func nodeDiffs(pes, bes *enumState, mc *maintCtx) []nodeDiff {
 	var diffs []nodeDiff
 	if bes.m != nil && bes.parent == pes.id {
@@ -230,10 +234,10 @@ func nodeDiffs(pes, bes *enumState, mc *maintCtx) []nodeDiff {
 		return diffs
 	}
 	for u := 0; u < bes.plan.d.Nodes(); u++ {
-		if pes.m != nil && bes.m != nil && pes.m.sameF(bes.m, bes.plan, u) {
-			continue
+		if pes.m != nil && bes.m != nil && pes.m.nodes[u].sup == bes.m.nodes[u].sup {
+			continue // the same persistent map: the same B(u)
 		}
-		old, cur := pes.flatF(u), bes.flatF(u)
+		old, cur := pes.flatB(u), bes.flatB(u)
 		if old == cur {
 			continue
 		}

@@ -354,8 +354,9 @@ func (s Solution) Strings() []string {
 }
 
 // Enumerate streams every solution of the full CQ over db to yield, without
-// materialising the answer relation. After a Yannakakis full reduction the
-// traversal never dead-ends, so answers arrive with bounded delay. yield
+// materialising the answer relation. The traversal runs from the root down
+// over the bottom-up reduced nodes, where every row has a partner in each
+// child, so it never dead-ends and answers arrive with bounded delay. yield
 // returns false to stop early; Enumerate then returns nil. Solutions are
 // deduplicated by construction (each corresponds to a distinct assignment).
 func (p *PreparedQuery) Enumerate(ctx context.Context, db cq.Database, yield func(Solution) bool) error {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"d2cq/internal/cq"
@@ -35,9 +36,11 @@ func TestEnumerateAllMatchesNaive(t *testing.T) {
 	}
 }
 
-func TestFullReduceRemovesDanglingTuples(t *testing.T) {
-	// R(x,y) ⋈ S(y,z): tuples of R with no S partner (and vice versa) must
-	// vanish after the full reduction.
+func TestEnumerateSkipsDanglingTuples(t *testing.T) {
+	// R(x,y) ⋈ S(y,z) over two nodes: the bottom-up pass drops the root's
+	// tuple with no partner below; the child's tuple with no partner above
+	// stays in its bag, and the enumeration from the root never reaches it.
+	ctx := context.Background()
 	db := cq.Database{}
 	db.Add("R", "1", "2")
 	db.Add("R", "9", "9") // dangling
@@ -59,17 +62,38 @@ func TestFullReduceRemovesDanglingTuples(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, err := newRun(context.Background(), p, inst)
+	if p.d.Nodes() != 2 {
+		t.Fatalf("plan has %d nodes, want 2", p.d.Nodes())
+	}
+	run, err := newRun(ctx, p, inst)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := run.fullReduce(context.Background()); err != nil {
+	for u, rel := range run.nodeRels {
+		want := 2
+		if u == p.d.Root() {
+			want = 1
+		}
+		if rel.Len() != want {
+			t.Errorf("node %d has %d tuples after the bottom-up pass, want %d", u, rel.Len(), want)
+		}
+	}
+	es, err := run.enumIndex(ctx)
+	if err != nil {
 		t.Fatal(err)
 	}
-	for u, rel := range run.nodeRels {
-		if rel.Len() != 1 {
-			t.Errorf("node %d has %d tuples after full reduction, want 1", u, rel.Len())
+	var got []string
+	err = es.enumerate(ctx, func(row []Value) bool {
+		for _, v := range row {
+			got = append(got, inst.Dict.Name(v))
 		}
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"1", "2", "3"}; !slices.Equal(got, want) {
+		t.Errorf("enumeration yields %v, want the one solution %v", got, want)
 	}
 }
 

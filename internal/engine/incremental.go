@@ -24,11 +24,11 @@ import (
 //     zero are the node's delta (maintainNode), and the keys whose bucket
 //     appeared or vanished are the delta of its key set, an input of its
 //     parent (keyDelta);
-//  3. reduction and counting: the node deltas are pushed top-down through
-//     the tree edges' key groupings into the deltas of the fully reduced
-//     relations — which are recorded, so DiffFrom against the predecessor
-//     reads them instead of recomputing them — and into the key sums of the
-//     counting DP (maintreduce.go).
+//  3. enumeration and counting: the node deltas patch the enumeration
+//     state's groupings of B(u) on the columns shared with each child, and
+//     are recorded on it, so DiffFrom against the predecessor reads them
+//     instead of recomputing them; bottom-up, they are pushed into the key
+//     sums of the counting DP (maintreduce.go).
 //
 // An empty delta at any layer stops the propagation there. Every piece of
 // state lives in persistent maps, so the successor shares everything the
@@ -187,7 +187,7 @@ func (b *BoundQuery) Rebind(ctx context.Context, cdb *CompiledDB) (*BoundQuery, 
 
 	// 3. Carry the caches across the node deltas.
 	if es := b.enumSt.Load(); es != nil {
-		nb.enumSt.Store(es.update(ms.nodes, nm.nodes, dN, eng.stateSeq.Add(1), mc))
+		nb.enumSt.Store(es.update(nm.nodes, dN, eng.stateSeq.Add(1), mc))
 	}
 	nb.countSt.Store(b.countSt.Load().update(plan, ms.nodes, nm.nodes, dN, nm.atoms, mc))
 	return nb, nil

@@ -54,6 +54,9 @@ type diffShape struct {
 	// is a steady-state Rebind instead of the one that builds the maintained
 	// form.
 	maintained bool
+	// naive also holds every step's EnumerateAll to NaiveEnumerate over the
+	// mirrored database.
+	naive bool
 }
 
 // bindForms runs f once per state a maintained query can start from — a
@@ -264,8 +267,30 @@ func runScriptOn(t *testing.T, eng *Engine, sh diffShape, q cq.Query, initial cq
 		if desc := compareBound(ctx, inc, ref); desc != "" {
 			return i, desc
 		}
+		if sh.naive {
+			if desc := compareNaive(ctx, inc, q, mirror); desc != "" {
+				return i, desc
+			}
+		}
 	}
 	return -1, ""
+}
+
+// compareNaive checks b's EnumerateAll against NaiveEnumerate over db and
+// returns a description of the divergence ("" if none).
+func compareNaive(ctx context.Context, b *BoundQuery, q cq.Query, db cq.Database) string {
+	got, gdict, err := b.EnumerateAll(ctx)
+	if err != nil {
+		return "EnumerateAll: " + err.Error()
+	}
+	want, wdict, err := NaiveEnumerate(q, db)
+	if err != nil {
+		return "NaiveEnumerate: " + err.Error()
+	}
+	if !EqualRelations(got, gdict, want, wdict) {
+		return fmt.Sprintf("EnumerateAll: %d rows differ from NaiveEnumerate's %d rows", got.Len(), want.Len())
+	}
+	return ""
 }
 
 // roundTrip returns b's maintained successor over the same data: one Update
@@ -829,7 +854,8 @@ func scripted(steps ...string) []diffStep {
 
 // TestIncrementalScriptedCases replays the update patterns a carried delta
 // can get wrong where a recomputed one could not, each held step by step to
-// a from-scratch Bind (Bool, Count, EnumerateAll) and to the diff oracle.
+// a from-scratch Bind (Bool, Count, EnumerateAll), to NaiveEnumerate and to
+// the diff oracle, with every DiffFrom on the incremental path.
 func TestIncrementalScriptedCases(t *testing.T) {
 	path := diffShape{name: "path", query: "R(a,b), S(b,c), T(c,d)"}
 	pathDB := func() cq.Database {
@@ -947,6 +973,43 @@ func TestIncrementalScriptedCases(t *testing.T) {
 			}(),
 			steps: scripted("+Zed(x,y)", "+T(4,6)"),
 		},
+		{
+			// The path is rooted at S, with R's and T's nodes leaves below it.
+			// A leaf row whose key no S row carries enters its node's B but
+			// joins nothing upward: the diff walk from it finds no parent row
+			// and the diff is empty. Its key entering a leaf's key set changes
+			// nothing above either, and deleting it is the mirror image.
+			name: "leaf-insert-joins-nothing-upward", shape: path, db: pathDB(),
+			steps: scripted("+R(7,8)", "+T(9,9)", "+R(6,8) +T(8,1)", "-R(7,8)", "-T(9,9) -R(6,8)", "+S(2,9)", "-T(8,1)"),
+		},
+		{
+			// Leaf rows with no partner in S wait in their nodes' B; one S
+			// row joining both sides connects them all at once, and deleting
+			// it disconnects them again.
+			name: "parent-insert-connects-unpartnered-children", shape: path, db: func() cq.Database {
+				db := cq.Database{}
+				db.Add("R", "4", "6")
+				db.Add("R", "5", "6")
+				db.Add("T", "7", "8")
+				db.Add("T", "7", "9")
+				db.Add("S", "1", "1")
+				return db
+			}(),
+			steps: scripted("+S(6,7)", "-S(6,7)", "+S(6,7) +R(3,6)", "-T(7,8) -T(7,9)", "+T(7,8)", "-S(6,7) +S(6,1)"),
+		},
+		{
+			// The child shares no column with its parent, the root, which is
+			// empty: the child's rows are in its B, but no solution reaches
+			// them until the root gets a row, and they leave every solution
+			// when it loses its last.
+			name: "no-shared-column-empty-parent", shape: diffShape{name: "disconnected", query: "R(a,b), S(c,d)"},
+			db: func() cq.Database {
+				db := cq.Database{}
+				db.Add("R", "1", "2")
+				return db
+			}(),
+			steps: scripted("+R(3,4)", "+S(5,6)", "-S(5,6)", "-R(1,2) +R(7,8)", "+S(5,6) +S(9,9)", "-S(5,6) -S(9,9) +R(1,2)"),
+		},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -954,9 +1017,14 @@ func TestIncrementalScriptedCases(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			c.shape.naive = true
 			bindForms(t, c.shape, func(t *testing.T, sh diffShape) {
-				if at, desc := runScript(t, sh, q, c.db, c.steps); at >= 0 {
+				eng := NewEngine(sh.opts...)
+				if at, desc := runScriptOn(t, eng, sh, q, c.db, c.steps); at >= 0 {
 					t.Fatalf("divergence at step %d (%v): %s", at, c.steps[at], desc)
+				}
+				if n := eng.Stats().DiffsOracle; n != 0 {
+					t.Fatalf("%d DiffFrom calls fell back to the oracle", n)
 				}
 			})
 		})

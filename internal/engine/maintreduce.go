@@ -7,23 +7,23 @@ import (
 	"d2cq/internal/storage"
 )
 
-// This file maintains the cached full reduction and the counting DP under
+// This file maintains the cached enumeration state and the counting DP under
 // node deltas, in the manner of counting-based dynamic Yannakakis: instead of
-// re-running semijoin passes over whole relations, every tree edge keeps the
-// rows of either side grouped by the shared key, a key's presence on one side
-// decides the liveness of the rows carrying it on the other, and a node delta
-// is pushed through the tree by re-deciding exactly the rows whose inputs
-// changed. A node's maintained relation is already B(u), its bottom-up
-// reduced rows (rows of u with a partner in B of every child: Rebind joins
-// the children's key sets in), so only the top-down half is left: F(u), the
-// fully reduced rows, is the rows of B(u) with a partner in F of the parent.
+// re-running passes over whole relations, every tree edge keeps the rows of
+// either side grouped by the shared key. A node's maintained relation is
+// B(u), its bottom-up reduced rows (rows of u with a partner in B of every
+// child: Rebind joins the children's key sets in). That is all the
+// enumeration needs: the join of the B(u) is the result, and a walk from the
+// root down never dead-ends, since every row of B(u) has a partner in B of
+// each child. No top-down pass runs, so a node delta only patches the
+// groupings of its own rows; the counting DP re-evaluates exactly the rows
+// whose inputs changed.
 //
-//	down[u]   groups B(u) by the columns shared with u's parent (the node's
-//	          nodeState.byParent). It is the probe of the top-down
-//	          enumeration: reached from a row of F(parent), every row in the
-//	          bucket is in F(u).
-//	up[u][k]  groups F(u) by the columns shared with child k. It decides that
-//	          child's F-liveness, and is the upward probe of enumerateVia.
+//	byParent  (of u's nodeState) groups B(u) by the columns shared with u's
+//	          parent. It is the probe of the top-down enumeration: reached
+//	          from a row of B(parent), the bucket is never empty.
+//	up[u][k]  groups B(u) by the columns shared with child k: the upward
+//	          probe of enumerateVia, which may find no row.
 //	keySum[u] sums the counting-DP values of u's rows by the columns shared
 //	          with the parent; a parent row's value is the product of its
 //	          children's sums at its keys.
@@ -34,40 +34,36 @@ import (
 
 // enumMaint is the maintained form of an enumState.
 type enumMaint struct {
-	down []*rowIndex            // nil for a node sharing no column with a parent
-	all  []*storage.PMap[int64] // B(u) for exactly those nodes (the root among them)
-	up   [][]*rowIndex          // nil entry for a child sharing no column
-	fLen []int
+	nodes []*nodeState  // B(u), as Rebind maintains it
+	up    [][]*rowIndex // nil entry for a child sharing no column
 
-	// delta[u] is the change of F(u) against the state this one was derived
+	// delta[u] is the change of B(u) against the state this one was derived
 	// from (nil: unchanged) — what DiffFrom against that state reads instead
 	// of diffing relations.
 	delta []*relDelta
 
-	flatF []atomic.Pointer[Relation] // F(u) as a relation, listed on demand
+	flatB []atomic.Pointer[Relation] // B(u) as a relation, listed on demand
 }
 
-// maintained returns the F half of the maintained form of es (up and fLen),
-// converting a flat state (the from-scratch build: reduced relations) in
-// O(its size). The result is not cached on es: the caller derives a
-// successor from it and the flat state stays what its readers use.
-func (es *enumState) maintained() *enumMaint {
+// maintainedUp returns the up groupings of the maintained form of es,
+// building them from a flat state (the from-scratch build: flat relations)
+// in O(its size). The result is not cached on es: the caller
+// derives a successor from it and the flat state stays what its readers use.
+func (es *enumState) maintainedUp() [][]*rowIndex {
 	if es.m != nil {
-		return es.m
+		return es.m.up
 	}
 	p := es.plan
-	n := p.d.Nodes()
-	m := &enumMaint{up: make([][]*rowIndex, n), fLen: make([]int, n)}
-	for u := 0; u < n; u++ {
-		m.up[u] = make([]*rowIndex, len(p.childJoins[u]))
+	up := make([][]*rowIndex, p.d.Nodes())
+	for u := range up {
+		up[u] = make([]*rowIndex, len(p.childJoins[u]))
 		for k, cj := range p.childJoins[u] {
 			if len(cj.uPos) > 0 {
-				m.up[u][k] = indexRows(es.nodes[u].rel, cj.uPos)
+				up[u][k] = indexRows(es.nodes[u].rel, cj.uPos)
 			}
 		}
-		m.fLen[u] = es.nodes[u].rel.Len()
 	}
-	return m
+	return up
 }
 
 // gather lists the rows of node u that a change below it can affect: the
@@ -107,190 +103,55 @@ func gather(p *Plan, u int, node *nodeState, d *relDelta, inputs []*atomState, m
 	return rows
 }
 
-// classify sorts the rows of a work set into a delta by their membership
-// before and after. It is nil when no row changes membership.
-func classify(cols []string, rows workSet, member func(cur bool, row []Value) bool) *relDelta {
-	var d *relDelta
-	rows.each(func(row []Value) {
-		was, is := member(false, row), member(true, row)
-		if was == is {
-			return
-		}
-		if d == nil {
-			d = newRelDelta(cols)
-		}
-		if is {
-			d.plus.Add(row...)
-		} else {
-			d.minus.Add(row...)
-		}
-	})
-	return d
-}
-
-// update derives the successor of a cached reduction under the node deltas
-// dN (nil entries: node unchanged), given the node states before and after.
-// The node relations are B, so dN is the change of B; top-down, each node
-// re-decides the F-membership of its rows whose B-membership changed and of
-// those carrying a key that flipped in the parent. The work is proportional
-// to the rows re-decided. The F deltas are recorded on the successor under
-// id, with es named as the parent.
-func (es *enumState) update(oldNodes, newNodes []*nodeState, dN []*relDelta, id uint64, mc *maintCtx) *enumState {
+// update derives the successor of a cached enumeration state under the node
+// deltas dN (nil entries: node unchanged), given the node states after them.
+// The node relations are B, so dN is the change of B: it patches the up
+// groupings of the changed nodes and is recorded on the successor as its
+// delta, under id, with es named as the parent. The work is proportional to
+// the changed rows.
+func (es *enumState) update(newNodes []*nodeState, dN []*relDelta, id uint64, mc *maintCtx) *enumState {
 	p := es.plan
 	n := p.d.Nodes()
-	o := es.maintained()
-	// up[p.pairOf[u][k]] edits o.up[u][k]; upLog alike collects the keys the
-	// patch touched.
-	up, upLog := make([]editor[[]Value], p.pairs), make([]workSet, p.pairs)
-	for u := 0; u < n; u++ {
-		for k, ix := range o.up[u] {
-			up[p.pairOf[u][k]] = edit(ix)
-		}
-	}
+	o := es.maintainedUp()
 	m := &enumMaint{
-		fLen: append([]int(nil), o.fLen...), delta: make([]*relDelta, n), flatF: make([]atomic.Pointer[Relation], n),
+		nodes: newNodes, up: make([][]*rowIndex, n), delta: make([]*relDelta, n), flatB: make([]atomic.Pointer[Relation], n),
 	}
-	keyBuf := make([]Value, es.maxShared) // every tree edge's key is some node's parent-shared columns
-
-	// Membership of a row of node u in F, before (cur=false) and after: a row
-	// of u is in F iff it is in B and the parent has an F row under the row's
-	// key. A tree edge sharing no column has one (empty) key, present iff the
-	// parent has any F row at all.
-	inF := func(cur bool, u int, row []Value) bool {
-		nodes := oldNodes
-		if cur {
-			nodes = newNodes
-		}
-		mc.rows++
-		if !nodes[u].sup.Has(row) {
-			return false
-		}
-		parent := p.d.Parent[u]
-		if parent < 0 {
-			return true
-		}
-		if len(p.shared[u]) == 0 {
-			if cur {
-				return m.fLen[parent] > 0
-			}
-			return o.fLen[parent] > 0
-		}
-		groups := o.up[parent][p.joinSlot[u]]
-		if cur {
-			groups = up[p.pairOf[parent][p.joinSlot[u]]].cur
-		}
-		mc.rows++
-		return groups.Has(project(keyBuf, row, p.sharedPos[u]))
-	}
-
-	// Top-down: F deltas, recorded and applied to up.
-	for i := len(p.order) - 1; i >= 0; i-- {
-		u := p.order[i]
-		var rows workSet
-		if d := dN[u]; d != nil {
-			rows.addRel(d.plus)
-			rows.addRel(d.minus)
-		}
-		if parent := p.d.Parent[u]; parent >= 0 && len(p.shared[u]) == 0 {
-			if (o.fLen[parent] > 0) != (m.fLen[parent] > 0) {
-				newNodes[u].sup.Range(func(row []Value, _ int64) bool {
-					rows.add(row)
-					return true
-				})
-			}
-		} else if parent >= 0 {
-			k, pair := p.joinSlot[u], p.pairOf[parent][p.joinSlot[u]]
-			upLog[pair].each(func(key []Value) {
-				if o.up[parent][k].Has(key) != up[pair].cur.Has(key) {
-					bucket, _ := newNodes[u].byParent.Get(key)
-					rows.addBucket(bucket, len(p.bagVars[u]))
-				}
-			})
-		}
-		d := classify(p.bagVars[u], rows, func(cur bool, row []Value) bool { return inF(cur, u, row) })
+	ups := make([]*rowIndex, p.pairs)
+	for u := range newNodes {
+		m.up[u] = ups[:len(o[u]):len(o[u])]
+		ups = ups[len(o[u]):]
+		copy(m.up[u], o[u])
+		d := dN[u]
 		if d.empty() {
 			continue
 		}
 		m.delta[u] = d
-		m.fLen[u] += d.plus.Len() - d.minus.Len()
-		for k, cj := range p.childJoins[u] {
-			if len(cj.uPos) > 0 {
-				pair := p.pairOf[u][k]
-				patchIndex(&up[pair], cj.uPos, d, &upLog[pair], mc)
-			}
-		}
-	}
-
-	m.down, m.all, m.up = make([]*rowIndex, n), make([]*storage.PMap[int64], n), make([][]*rowIndex, n)
-	for u, ns := range newNodes {
-		if len(p.shared[u]) > 0 {
-			m.down[u] = ns.byParent
-		} else {
-			m.all[u] = ns.sup
-		}
-	}
-	ups := make([]*rowIndex, p.pairs)
-	for u := 0; u < n; u++ {
-		m.up[u] = ups[:len(o.up[u]):len(o.up[u])]
-		ups = ups[len(o.up[u]):]
-		for k, ix := range o.up[u] {
+		for k, ix := range o[u] {
 			if ix != nil {
-				m.up[u][k] = up[p.pairOf[u][k]].done(mc)
+				e := edit(ix)
+				patchIndex(&e, p.childJoins[u][k].uPos, d, nil, mc)
+				m.up[u][k] = e.done(mc)
 			}
 		}
 	}
 	return &enumState{plan: p, pre: es.pre, maxShared: es.maxShared, id: id, parent: es.id, m: m}
 }
 
-// flatF returns F(u) as a relation. The flat form holds it; the maintained
-// form lists it on first request — B(u) filtered by the parent's keys, O(B(u))
-// — and caches it. Only paths that are O(relation) anyway ask: the diff
-// against a snapshot other than the predecessor, and nodes joined to their
-// parent by a cross product.
-func (es *enumState) flatF(u int) *Relation {
+// flatB returns B(u) as a relation. The flat form holds it; the maintained
+// form lists it on first request, O(B(u)), and caches it. Only paths that are
+// O(relation) anyway ask: the diff against a snapshot other than the
+// predecessor, and nodes joined to their parent by a cross product.
+func (es *enumState) flatB(u int) *Relation {
 	if es.m == nil {
 		return es.nodes[u].rel
 	}
 	m, p := es.m, es.plan
-	if rel := m.flatF[u].Load(); rel != nil {
+	if rel := m.flatB[u].Load(); rel != nil {
 		return rel
 	}
-	rel := NewRelation(p.bagVars[u]...)
-	parent := p.d.Parent[u]
-	switch {
-	case m.all[u] != nil:
-		if parent < 0 || m.fLen[parent] > 0 {
-			rel = flatten(m.all[u], p.bagVars[u])
-		}
-	default:
-		upIdx := m.up[parent][p.joinSlot[u]]
-		m.down[u].Range(func(key, bucket []Value) bool {
-			if upIdx.Has(key) {
-				rel.Data = append(rel.Data, bucket...)
-			}
-			return true
-		})
-	}
-	m.flatF[u].Store(rel)
+	rel := flatten(m.nodes[u].sup, p.bagVars[u])
+	m.flatB[u].Store(rel)
 	return rel
-}
-
-// sameF reports whether F(u) is provably the same set in m and o: the same
-// grouping of B(u), decided by the same grouping of the parent's F.
-func (m *enumMaint) sameF(o *enumMaint, p *Plan, u int) bool {
-	if m.down[u] != o.down[u] || m.all[u] != o.all[u] {
-		return false
-	}
-	parent := p.d.Parent[u]
-	switch {
-	case parent < 0:
-		return true
-	case m.all[u] != nil:
-		return (m.fLen[parent] > 0) == (o.fLen[parent] > 0)
-	default:
-		k := p.joinSlot[u]
-		return m.up[parent][k] == o.up[parent][k]
-	}
 }
 
 // maintainedCounts returns the per-node key sums of cs, bulk-building a flat

@@ -46,7 +46,6 @@ type Plan struct {
 	sharedVids [][]int       // node → vertex id of each shared column
 	pairs      int           // number of (node, child-join) edges of the tree
 	pairOf     [][]int       // node → child join → index of that edge among all pairs
-	joinSlot   []int         // node → its position among its parent's child joins (-1 for the root)
 
 	// The maintenance half of the plan (maintplan.go): how a change to one
 	// input of a node — an atom, or a child's key set — is joined through the
@@ -218,13 +217,8 @@ func NewPlan(q cq.Query, d *decomp.GHD) (*Plan, error) {
 		}
 	}
 	p.pairOf = make([][]int, d.Nodes())
-	p.joinSlot = make([]int, d.Nodes())
-	for u := range p.joinSlot {
-		p.joinSlot[u] = -1
-	}
 	for u := 0; u < d.Nodes(); u++ {
-		for k, cj := range p.childJoins[u] {
-			p.joinSlot[cj.child] = k
+		for range p.childJoins[u] {
 			p.pairOf[u] = append(p.pairOf[u], p.pairs)
 			p.pairs++
 		}

@@ -314,8 +314,8 @@ func BenchmarkBindOneShot(b *testing.B) {
 
 // BenchmarkEnumerateFirst measures the read side of a one-shot evaluation:
 // the first EnumerateAll after an untimed Bind on oneShotShapes — the
-// top-down half of the full reduction, the enumeration indexes, the
-// enumeration and the display sort.
+// enumeration indexes over the bottom-up reduced nodes, the enumeration and
+// the display sort.
 func BenchmarkEnumerateFirst(b *testing.B) {
 	for _, c := range oneShotShapes {
 		b.Run(c.name, func(b *testing.B) {

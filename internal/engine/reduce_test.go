@@ -10,12 +10,14 @@ import (
 	"d2cq/internal/cq"
 )
 
-// The full reduction reads the bottom-up pass's messages: the top-down half
-// marks the message slots a parent's rows hit, and the enumeration indexes
-// group each node's rows by slot. The reference below is the reduction those
-// replace — semijoin passes that hash a fresh key set per tree edge — and a
-// backtracking enumeration that scans every node; the two must agree row for
-// row, in order.
+// The enumeration runs over the bottom-up reduced nodes B(u), its indexes
+// grouping each node's rows by the slots of the bottom-up pass's messages.
+// The reference below is what those replace — semijoin passes that hash a
+// fresh key set per tree edge, bottom-up and then top-down into the full
+// reduction — and a backtracking enumeration that scans every node of the
+// full reduction. The nodes must agree with the bottom-up passes and the
+// enumeration with the reference row for row, in order: the rows of B(u)
+// outside the full reduction never reach a solution.
 
 // refReduceBottomUp semijoins every node with its children, children first.
 func refReduceBottomUp(p *Plan, rels []*Relation) {
@@ -36,7 +38,7 @@ func refReduceTopDown(p *Plan, rels []*Relation) {
 	}
 }
 
-// refEnumerate lists the solutions over fully reduced relations in the
+// refEnumerate lists the solutions over the given relations in the
 // order of the sequential enumeration: nodes in pre-order, each node's rows
 // that agree with what is assigned already, in row order.
 func refEnumerate(p *Plan, rels []*Relation) [][]Value {
@@ -84,10 +86,10 @@ func sameRelation(got, want *Relation) string {
 	return ""
 }
 
-// checkReduction holds b's full reduction to the reference: the bound node
-// relations must be bottom-up reduced already, the fully reduced relations
-// of every node must match, and so must the Enumerate stream (b's engine
-// must enumerate in sequential order).
+// checkReduction holds b's enumeration to the reference: the bound node
+// relations and the enumeration state's must be the bottom-up reduced ones,
+// and the Enumerate stream must be the reference enumeration's over the full
+// reduction (b's engine must enumerate in sequential order).
 func checkReduction(t *testing.T, name string, b *BoundQuery) {
 	t.Helper()
 	ctx := context.Background()
@@ -104,8 +106,8 @@ func checkReduction(t *testing.T, name string, b *BoundQuery) {
 		if desc := sameRelation(b.flatNodes()[u], bu[u]); desc != "" {
 			t.Errorf("%s: node %d bottom-up: %s", name, u, desc)
 		}
-		if desc := sameRelation(es.nodes[u].rel, ref[u]); desc != "" {
-			t.Errorf("%s: node %d fully reduced: %s", name, u, desc)
+		if desc := sameRelation(es.nodes[u].rel, bu[u]); desc != "" {
+			t.Errorf("%s: node %d enumerated: %s", name, u, desc)
 		}
 	}
 	var got [][]Value
@@ -128,13 +130,14 @@ func checkReduction(t *testing.T, name string, b *BoundQuery) {
 }
 
 // TestReductionMatchesSemijoinPasses: on Bind and on its maintained
-// successor after a round trip (roundTrip), the slot-marking reduction and
-// the slot-grouped enumeration give exactly what the semijoin passes and a
-// scanning enumeration give. The instances: the one-shot benchmark shapes (forced
-// cross-product covers and an acyclic path), the incremental differential
-// test's queries over random databases, a query in two components (a child
-// sharing no variable with its parent: a nullary message) and an
-// unsatisfiable path whose root empties on the way up.
+// successor after a round trip (roundTrip), the bound nodes and the
+// slot-grouped enumeration over them give exactly what the semijoin passes
+// and a scanning enumeration over the full reduction give. The instances:
+// the one-shot benchmark shapes (forced cross-product covers and an acyclic
+// path), the incremental differential test's queries over random databases,
+// a query in two components (a child sharing no variable with its parent: a
+// nullary message) and an unsatisfiable path whose root empties on the way
+// up.
 func TestReductionMatchesSemijoinPasses(t *testing.T) {
 	type instance struct {
 		name  string

@@ -331,32 +331,78 @@ func sharedColumns(r, s *Relation) (shared []string, rIdx, sIdx []int) {
 	return
 }
 
+// radixMin is the fewest rows SortForDisplay radix-sorts, the number of
+// digits of a byte: below it, clearing and summing a pass's 256 counters
+// costs more than comparing rows.
+const radixMin = 256
+
 // SortForDisplay orders tuples lexicographically (for deterministic test
-// output and golden comparisons). A permutation of row indexes is sorted and
-// the rows are copied out in its order.
+// output and golden comparisons). A permutation of row indexes is sorted — by
+// comparison below radixMin rows, by radixSortRows from there on — and the
+// rows are copied out in its order.
 func (r *Relation) SortForDisplay() {
-	a := len(r.Cols)
-	if a == 0 {
+	a, n := len(r.Cols), r.Len()
+	if a == 0 || n < 2 {
 		return
 	}
-	idx := make([]int32, r.Len())
+	idx := make([]int32, n)
 	for i := range idx {
 		idx[i] = int32(i)
 	}
-	sort.Slice(idx, func(i, j int) bool {
-		ri, rj := r.Row(int(idx[i])), r.Row(int(idx[j]))
-		for k := 0; k < a; k++ {
-			if ri[k] != rj[k] {
-				return ri[k] < rj[k]
-			}
-		}
-		return false
-	})
+	if n < radixMin {
+		slices.SortFunc(idx, func(i, j int32) int { return slices.Compare(r.Row(int(i)), r.Row(int(j))) })
+	} else {
+		idx = radixSortRows(r.Data, a, idx)
+	}
 	out := make([]Value, 0, len(r.Data))
 	for _, i := range idx {
 		out = append(out, r.Row(int(i))...)
 	}
 	r.Data = out
+}
+
+// radixSortRows sorts idx, a permutation of the rows of data (a Values each),
+// into the lexicographic order of the rows by an LSD radix sort: the columns
+// last to first, each by its Values' bytes low to high, every pass a stable
+// counting sort of idx. One sequential scan of a column counts all four of
+// its bytes; a pass on a byte every row shares orders nothing and is skipped,
+// so a column whose largest Value fits in b bytes takes at most b passes.
+// Values order as int32s: when one is negative, each is keyed with its sign
+// bit flipped.
+func radixSortRows(data []Value, a int, idx []int32) []int32 {
+	n := int32(len(idx))
+	var bias uint32
+	if slices.Min(data) < 0 {
+		bias = 1 << 31
+	}
+	tmp := make([]int32, n)
+	for k := a - 1; k >= 0; k-- {
+		var counts [4][256]int32
+		for i := k; i < len(data); i += a {
+			x := uint32(data[i]) ^ bias
+			counts[0][byte(x)]++
+			counts[1][byte(x>>8)]++
+			counts[2][byte(x>>16)]++
+			counts[3][byte(x>>24)]++
+		}
+		for d := range counts {
+			c, shift := &counts[d], 8*d
+			if slices.Contains(c[:], n) {
+				continue
+			}
+			sum := int32(0)
+			for b, m := range c {
+				c[b], sum = sum, sum+m
+			}
+			for _, i := range idx {
+				b := byte((uint32(data[int(i)*a+k]) ^ bias) >> shift)
+				tmp[c[b]] = i
+				c[b]++
+			}
+			idx, tmp = tmp, idx
+		}
+	}
+	return idx
 }
 
 // EqualRelations reports whether two relations over the same column sets

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -268,5 +269,72 @@ func TestJoinMatchesNestedLoop(t *testing.T) {
 		if cap(j.Data) != len(j.Data) {
 			t.Errorf("%v ⋈ %v: output cap %d for %d values", c.r, c.s, cap(j.Data), len(j.Data))
 		}
+	}
+}
+
+// sortValues are the Values TestSortForDisplayOrder draws its large ones
+// from: the boundaries of one, two, three and four bytes, where the radix
+// sort's passes begin or end.
+var sortValues = []Value{255, 256, 257, 65535, 65536, 65537, 1<<24 - 1, 1 << 24, 1<<24 + 1, math.MaxInt32 - 1, math.MaxInt32}
+
+// TestSortForDisplayOrder holds SortForDisplay to a lexicographic
+// slices.SortFunc of the rows for arities 1–5 and sizes below, at and above
+// radixMin, over Values mixing the byte boundaries with small ones (so that
+// many rows share a byte and its pass is skipped) — and again with negative
+// Values, which key every byte with the sign bit flipped.
+func TestSortForDisplayOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	negatives := []Value{-1, -256, -65536, math.MinInt32}
+	for a := 1; a <= 5; a++ {
+		cols := make([]string, a)
+		for j := range cols {
+			cols[j] = fmt.Sprint("c", j)
+		}
+		for _, n := range []int{0, 1, 2, 255, 256, 257, 10000} {
+			for _, neg := range []bool{false, true} {
+				rel, rows := NewRelation(cols...), make([][]Value, n)
+				for i := range rows {
+					rows[i] = make([]Value, a)
+					for j := range rows[i] {
+						switch x := rng.Intn(8); {
+						case neg && x == 0:
+							rows[i][j] = negatives[rng.Intn(len(negatives))]
+						case x < 4:
+							rows[i][j] = sortValues[rng.Intn(len(sortValues))]
+						default:
+							rows[i][j] = Value(rng.Intn(3))
+						}
+					}
+					rel.Add(rows[i]...)
+				}
+				slices.SortFunc(rows, slices.Compare[[]Value])
+				rel.SortForDisplay()
+				if want := slices.Concat(rows...); !slices.Equal(rel.Data, want) {
+					t.Fatalf("arity %d, %d rows, negatives %v: SortForDisplay differs from the lexicographic order", a, n, neg)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkSortForDisplay sorts relations of rows×arity random Values below
+// the row count — the dictionary ids of a result over about as many
+// constants: 2×4 and 16×4 as a flush's diff, by comparison; 10k×3 and 50k×4
+// as EnumerateAll's output, by radix.
+func BenchmarkSortForDisplay(b *testing.B) {
+	for _, c := range []struct{ rows, arity int }{{2, 4}, {16, 4}, {10000, 3}, {50000, 4}} {
+		b.Run(fmt.Sprintf("%dx%d", c.rows, c.arity), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			data := make([]Value, c.rows*c.arity)
+			for i := range data {
+				data[i] = Value(rng.Intn(c.rows))
+			}
+			rel := NewRelation(make([]string, c.arity)...)
+			b.ReportAllocs()
+			for n := 0; n < b.N; n++ {
+				rel.Data = data // SortForDisplay replaces Data, never writes it
+				rel.SortForDisplay()
+			}
+		})
 	}
 }

@@ -15,7 +15,7 @@ import (
 // reduced. A run belongs to a single evaluation call and is never shared
 // between goroutines; the Plan it points at is immutable. counts is the flat
 // counting DP over the nodes, with its messages and slots — Bind's, or nil
-// for a maintained query, whose DP is kept as key sums, until fullReduce
+// for a maintained query, whose DP is kept as key sums, until enumIndex
 // sends the messages again.
 type run struct {
 	plan     *Plan
@@ -308,9 +308,10 @@ func nodeMessage(p *Plan, u int, rel *Relation, msgs []*storage.TupleMap) (kept 
 // countState is the cached counting DP of a BoundQuery: the total at the
 // root and what Rebind needs to carry it across a delta. Built from scratch
 // it is flat — every non-root node's message (nodeMessage) and every node
-// row's slot in it, which the top-down pass marks (reduceTopDown); the first
-// Rebind freezes the messages into per-node key sums in persistent maps
-// (keySum, countState.update) and from then on maintains only them.
+// row's slot in it, by which the enumeration indexes group the rows
+// (buildEnumState); the first Rebind freezes the messages into per-node key
+// sums in persistent maps (keySum, countState.update) and from then on
+// maintains only them.
 type countState struct {
 	total int64
 
@@ -340,57 +341,12 @@ func countBottomUp(ctx context.Context, p *Plan, reduced []*Relation, node func(
 	return cs, nil
 }
 
-// reduceTopDown runs the top-down half of the full reduction over bottom-up
-// reduced nodes, parents strictly first: every row of a (fully reduced)
-// parent probes each child's message once, on the columns they share, and
-// marks the slot it hits — there is one, as the parent is bottom-up reduced
-// by exactly that message; the child keeps the rows whose slot is marked, or
-// stays as it is, shared, once every slot is. It returns every node's rows'
-// message slots after the pass.
-func (r *run) reduceTopDown(ctx context.Context) ([][]int32, error) {
-	p, cs := r.plan, r.counts
-	slots := slices.Clone(cs.slots)
-	for o := len(p.order) - 1; o >= 0; o-- {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		u := p.order[o]
-		rel := r.nodeRels[u]
-		key := make([]Value, len(rel.Cols))
-		for _, cj := range p.childJoins[u] {
-			msg := cs.msgs[cj.child]
-			mark, hit := make([]bool, msg.Len()), 0
-			for i := 0; i < rel.Len() && hit < len(mark); i++ {
-				if s := msg.Find(project(key, rel.Row(i), cj.uPos)); !mark[s] {
-					mark[s] = true
-					hit++
-				}
-			}
-			if hit == len(mark) {
-				continue
-			}
-			c, i := cj.child, 0
-			kept := make([]int32, 0, len(slots[c]))
-			r.nodeRels[c] = filterRows(r.nodeRels[c], func([]Value) bool {
-				s := slots[c][i]
-				i++
-				if mark[s] {
-					kept = append(kept, s)
-				}
-				return mark[s]
-			})
-			slots[c] = kept
-		}
-	}
-	return slots, nil
-}
-
-// fullReduce completes the Yannakakis full reduction of the bottom-up
-// reduced node relations with the top-down pass and builds the enumeration
-// state over the result. After it, every remaining tuple of every node
-// participates in at least one solution. A run without flat messages first
-// sends them by a counting pass, which drops no row.
-func (r *run) fullReduce(ctx context.Context) (*enumState, error) {
+// enumIndex builds the enumeration state over the bottom-up reduced node
+// relations B(u), reducing nothing further: the join of the B(u) is the
+// result, and every row of B(u) has a partner in B of each child, so the
+// enumeration from the root down never dead-ends. A run without flat messages
+// first sends them by a counting pass, which drops no row.
+func (r *run) enumIndex(ctx context.Context) (*enumState, error) {
 	if r.counts == nil {
 		rels := r.nodeRels
 		cs, err := countBottomUp(ctx, r.plan, rels, func(u int, _ []*storage.TupleMap) *Relation {
@@ -401,14 +357,10 @@ func (r *run) fullReduce(ctx context.Context) (*enumState, error) {
 		}
 		r.counts = cs
 	}
-	slots, err := r.reduceTopDown(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return buildEnumState(r.plan, r.nodeRels, r.counts.msgs, slots), nil
+	return buildEnumState(r.plan, r.nodeRels, r.counts.msgs, r.counts.slots), nil
 }
 
-// enumNode is the per-node enumeration state: the (fully reduced) relation,
+// enumNode is the per-node enumeration state: the relation B(u),
 // its rows grouped on the columns shared with the parent bag — keyed by the
 // node's own message, which the parent's rows probe — and the hypergraph
 // vertex ids to write each column to.
@@ -419,15 +371,14 @@ type enumNode struct {
 	write     []int      // vertex id of every relation column
 }
 
-// enumState is the immutable, shareable part of an enumeration over fully
-// reduced node relations: the pre-order traversal and the per-node indexes.
-// Building it is the per-evaluation cost the bound API caches away; the
-// enumerate method allocates its own cursors, so one enumState serves any
+// enumState is the immutable, shareable part of an enumeration over the
+// bottom-up reduced node relations: the pre-order traversal and the per-node
+// indexes. Building it is the per-evaluation cost the bound API caches away;
+// the enumerate method allocates its own cursors, so one enumState serves any
 // number of concurrent enumerations. It has two forms. Built from scratch it
-// is flat: reduced relations with their rows grouped by message slot
-// (nodes). Derived by Rebind it is maintained: the same rows grouped in
-// persistent maps (m, see maintreduce.go), which the enumeration probes
-// directly.
+// is flat: the relations with their rows grouped by message slot (nodes).
+// Derived by Rebind it is maintained: the same rows grouped in persistent
+// maps (m, see maintreduce.go), which the enumeration probes directly.
 type enumState struct {
 	plan      *Plan
 	pre       []int
@@ -481,10 +432,10 @@ func buildEnumState(p *Plan, rels []*Relation, msgs []*storage.TupleMap, slots [
 }
 
 // enumerate streams every solution of the full CQ without materialising the
-// join. It assumes the relations behind the state are fully reduced: then
-// every node tuple participates in a solution and the backtracking search
-// below never dead-ends, so the delay between consecutive yields is bounded
-// by the tree size. yield receives the assignment as values indexed parallel
+// join. The relations behind the state are bottom-up reduced: a row of B(u)
+// may join no row of its parent, but the search starts at the root and every
+// row it reaches has a partner in B of each child, so it never dead-ends and
+// the delay between consecutive yields is bounded by the tree size. yield receives the assignment as values indexed parallel
 // to plan.Vars(); the slice is reused between calls. Returning false from
 // yield stops the enumeration early (enumerate then returns nil). The state
 // is never written, so any number of enumerations may run concurrently over
@@ -525,16 +476,16 @@ func (es *enumState) enumerate(ctx context.Context, yield func(row []Value) bool
 			write := p.bagVids[u]
 			a := len(write)
 			var rows []Value
-			switch {
-			case m.down[u] != nil:
+			switch ns := m.nodes[u]; {
+			case ns.byParent != nil:
 				kb := keyBuf[:len(p.sharedVids[u])]
 				for j, vid := range p.sharedVids[u] {
 					kb[j] = asg[vid]
 				}
-				rows, _ = m.down[u].Get(kb)
+				rows, _ = ns.byParent.Get(kb)
 			case i == 0:
 				var err error
-				m.all[u].Range(func(row []Value, _ int64) bool {
+				ns.sup.Range(func(row []Value, _ int64) bool {
 					for j, vid := range write {
 						asg[vid] = row[j]
 					}
@@ -543,7 +494,7 @@ func (es *enumState) enumerate(ctx context.Context, yield func(row []Value) bool
 				})
 				return err
 			default:
-				rows = es.flatF(u).Data
+				rows = es.flatB(u).Data
 			}
 			for off := 0; off+a <= len(rows); off += a {
 				if stop {

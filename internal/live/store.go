@@ -356,9 +356,8 @@ func (s *Store) register(ctx context.Context, name string, q cq.Query, logIt boo
 		unreserve()
 		return err
 	}
-	// Prime the enumeration cache too: the top-down pass over Bind's
-	// bottom-up reduced nodes and the indexes are cached before streaming
-	// begins, so stopping at the first yield builds the whole state without
+	// Prime the enumeration cache too: the indexes over Bind's bottom-up
+	// reduced nodes are cached before streaming begins, so stopping at the first yield builds the whole state without
 	// walking the result set.
 	if err := bound.Enumerate(ctx, func(engine.Solution) bool { return false }); err != nil {
 		unreserve()

@@ -239,9 +239,9 @@ func TestBindLeavesTablesUntouched(t *testing.T) {
 
 // TestBindConcurrentFirstUse races the state this file's binds set up
 // lazily or share: first binds over tables whose set check has not run,
-// first Enumerates of one maintained query (the counting pass that sends the
-// messages its enumeration indexes group by), and Updates of one Bind query
-// (which freeze its messages into key sums). Run with -race.
+// first Enumerates of one maintained query (over the enumeration state its
+// Rebind derived), and Updates of one Bind query (which load its messages
+// into the maintained nodes' parent groupings). Run with -race.
 func TestBindConcurrentFirstUse(t *testing.T) {
 	ctx := context.Background()
 	q, db := cycleQuery(5, 3)

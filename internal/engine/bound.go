@@ -97,8 +97,9 @@ func (c *CompiledDB) RelationRows(name string) int {
 // evaluation call. The node relations are bottom-up reduced, and stay so
 // under Rebind, which maintains them. Bind finishes the counting DP on its
 // way up and Rebind carries it forward, so Count only reads the total. The
-// enumeration runs over the same nodes: its indexes are built on the first
-// Enumerate, with no further reduction, and then shared.
+// enumeration runs over the same nodes, with no further reduction: its
+// indexes are built on the first Enumerate after Bind, or carried forward by
+// Rebind, and shared.
 // A BoundQuery is immutable after binding and safe for concurrent use;
 // Update/Rebind never mutate it — they return a new BoundQuery sharing all
 // state the delta did not touch.
@@ -110,19 +111,20 @@ type BoundQuery struct {
 	// (nodeRels is nil for naive and ground plans). Once the query is being
 	// maintained (maint below), an entry is valid only while its relation has
 	// not changed since it was flat: Rebind clears the entries a delta
-	// reaches — inst.AtomRels[i], nodeRels[u] — instead of rewriting them,
-	// and flatNodes lists a cleared node from the maintained state on demand.
+	// reaches — inst.AtomRels[i], nodeRels[u] — instead of rewriting them.
 	inst     *Instance
 	nodeRels []*Relation
 
 	// maint is the maintained (persistent-map) form of the same relations,
 	// nil until the first Rebind that changes something the query reads: a
 	// bind-and-evaluate workload that never updates builds none of it.
-	maint  *maintState
-	flatMu sync.Mutex                  // serialises flatNodes' listing
-	flat   atomic.Pointer[[]*Relation] // flatNodes' result, once some entry of nodeRels was nil
+	maint *maintState
 
-	reduceMu sync.Mutex // serialises enumSt construction
+	// enumSt is the enumeration state: built over Bind's flat nodes on the
+	// first Enumerate under reduceMu, or derived by Rebind over the
+	// maintained nodes — so a query whose nodeRels has a cleared entry
+	// always has one.
+	reduceMu sync.Mutex
 	enumSt   atomic.Pointer[enumState]
 	countSt  atomic.Pointer[countState] // set by Bind and by Rebind; nil for naive and ground plans
 }
@@ -152,12 +154,12 @@ func (p *PreparedQuery) Bind(ctx context.Context, cdb *CompiledDB) (*BoundQuery,
 	if p.plan.Naive() || p.plan.d.Nodes() == 0 {
 		return b, nil
 	}
-	r, err := newRun(ctx, p.plan, inst)
+	rels, cs, err := bindNodes(ctx, p.plan, inst)
 	if err != nil {
 		return nil, err
 	}
-	b.nodeRels = r.nodeRels
-	b.countSt.Store(r.counts)
+	b.nodeRels = rels
+	b.countSt.Store(cs)
 	return b, nil
 }
 
@@ -198,48 +200,6 @@ func (b *BoundQuery) Vars() []string { return b.prep.Vars() }
 // value space of the relations DiffFrom returns.
 func (b *BoundQuery) Dict() *Dict { return b.inst.Dict }
 
-// flatNodes returns every node relation B(u) as a flat Relation — what the
-// first enumeration state is built over. A freshly bound query has them from
-// Bind; a maintained one lists the nodes that changed since off their
-// persistent maps, once, on first request.
-func (b *BoundQuery) flatNodes() []*Relation {
-	if b.maint == nil {
-		return b.nodeRels
-	}
-	if rels := b.flat.Load(); rels != nil {
-		return *rels
-	}
-	b.flatMu.Lock()
-	defer b.flatMu.Unlock()
-	if rels := b.flat.Load(); rels != nil {
-		return *rels
-	}
-	rels := append([]*Relation(nil), b.nodeRels...)
-	for u, rel := range rels {
-		if rel == nil {
-			rels[u] = flatten(b.maint.nodes[u].sup, b.prep.plan.bagVars[u])
-		}
-	}
-	b.flat.Store(&rels)
-	return rels
-}
-
-// run clones the per-evaluation view of the bound node relations: the slice
-// is copied so a counting pass can reassign its entries, while the relations
-// themselves are shared read-only. Bind's counting DP comes along while it is
-// flat, with the messages and slots the enumeration indexes group by.
-func (b *BoundQuery) run() *run {
-	r := &run{
-		plan:     b.prep.plan,
-		inst:     b.inst,
-		nodeRels: append([]*Relation(nil), b.flatNodes()...),
-	}
-	if cs := b.countSt.Load(); cs.slots != nil {
-		r.counts = cs
-	}
-	return r
-}
-
 // Bool decides q(D) ≠ ∅ over the bound database (Proposition 2.2): whether
 // the bottom-up reduced root is non-empty.
 func (b *BoundQuery) Bool(ctx context.Context) (bool, error) {
@@ -257,8 +217,8 @@ func (b *BoundQuery) Bool(ctx context.Context) (bool, error) {
 
 // Count computes |q(D)| for a full CQ over the bound database
 // (Proposition 4.14). Bind runs the counting DP and Count reads its total;
-// Update maintains the per-node messages as key sums, incrementally on the
-// affected subtrees only.
+// Update maintains the per-node messages beside the nodes' rows,
+// incrementally on the affected subtrees only.
 func (b *BoundQuery) Count(ctx context.Context) (int64, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
@@ -275,28 +235,25 @@ func (b *BoundQuery) Count(ctx context.Context) (int64, error) {
 	return b.countSt.Load().total, nil
 }
 
-// ensureReduced builds the shared enumeration indexes over the bottom-up
-// reduced nodes once. No reduction pass runs: the indexes are Bind's
-// messages — or, once the query is maintained, messages a counting pass over
-// the nodes sends first — with each node's rows grouped by slot. Concurrent
-// callers wait for the single construction; a failed attempt (typically: a
-// cancelled context) is not cached, so the next caller retries.
-func (b *BoundQuery) ensureReduced(ctx context.Context) (*enumState, error) {
+// ensureReduced returns the enumeration state, building the shared
+// enumeration indexes over Bind's bottom-up reduced nodes once. No reduction
+// pass runs: the indexes are Bind's messages, with each node's rows grouped
+// by slot. Concurrent callers wait for the single construction. A query
+// Rebind derived has its state already.
+func (b *BoundQuery) ensureReduced() *enumState {
 	if es := b.enumSt.Load(); es != nil {
-		return es, nil
+		return es
 	}
 	b.reduceMu.Lock()
 	defer b.reduceMu.Unlock()
 	if es := b.enumSt.Load(); es != nil {
-		return es, nil
+		return es
 	}
-	es, err := b.run().enumIndex(ctx)
-	if err != nil {
-		return nil, err
-	}
+	cs := b.countSt.Load()
+	es := buildEnumState(b.prep.plan, b.nodeRels, cs.msgs, cs.slots)
 	es.id = b.prep.eng.stateSeq.Add(1)
 	b.enumSt.Store(es)
-	return es, nil
+	return es
 }
 
 // Enumerate streams every solution of the full CQ over the bound database.
@@ -321,11 +278,7 @@ func (b *BoundQuery) Enumerate(ctx context.Context, yield func(Solution) bool) e
 		}
 		return nil
 	}
-	es, err := b.ensureReduced(ctx)
-	if err != nil {
-		return err
-	}
-	return es.enumerate(ctx, func(row []Value) bool {
+	return b.ensureReduced().enumerate(ctx, func(row []Value) bool {
 		sol.row = row
 		return yield(sol)
 	})
@@ -408,14 +361,7 @@ func (b *BoundQuery) DiffFrom(ctx context.Context, prev *BoundQuery) (added, rem
 		return empty() // shared instance: the delta was invisible to the query
 	}
 	if p := b.prep.plan; !p.Naive() && p.d.Nodes() > 0 && len(p.qvars) > 0 {
-		bes, err := b.ensureReduced(ctx)
-		if err != nil {
-			return nil, nil, err
-		}
-		pes, err := prev.ensureReduced(ctx)
-		if err != nil {
-			return nil, nil, err
-		}
+		bes, pes := b.ensureReduced(), prev.ensureReduced()
 		mc := &maintCtx{}
 		defer func() { b.prep.eng.maintRows.Add(mc.rows) }()
 		diffs := nodeDiffs(pes, bes, mc)

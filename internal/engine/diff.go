@@ -37,36 +37,48 @@ import (
 // upIndex returns node u's rows grouped on the columns it shares with its
 // k-th child join — the upward probe of enumerateVia over a flat state —
 // building the grouping on first use and caching it on the state. (A
-// maintained state needs no such build: enumMaint.up is kept current by
-// update.)
+// maintained state needs no such build: Rebind keeps nodeState.up current.)
 func (es *enumState) upIndex(u, k int) *keyGroups {
 	p := es.plan
-	i := p.pairOf[u][k]
 	es.upMu.Lock()
 	defer es.upMu.Unlock()
 	if es.up == nil {
-		es.up = make([]*keyGroups, p.pairs)
+		es.up = make([][]*keyGroups, p.d.Nodes())
 	}
-	if es.up[i] == nil {
+	if es.up[u] == nil {
+		es.up[u] = make([]*keyGroups, len(p.childJoins[u]))
+	}
+	if es.up[u][k] == nil {
 		g := groupRows(es.nodes[u].rel, p.childJoins[u][k].uPos)
-		es.up[i] = &g
+		es.up[u][k] = &g
 	}
-	return es.up[i]
+	return es.up[u][k]
 }
 
 // viaStep is one node visit of enumerateVia's walk: either a full scan of
 // scan's rows (the via rows themselves, or a node sharing no columns with
 // what is already assigned) or a probe on the key vertex ids — of a flat
 // grouping of rel's rows, or of a persistent grouping whose buckets hold the
-// rows themselves. write maps every relation column to its hypergraph vertex
-// id.
+// rows themselves (a node's up grouping, or its byParent). write maps every
+// relation column to its hypergraph vertex id.
 type viaStep struct {
-	scan  *Relation
-	idx   *keyGroups
-	rel   *Relation
-	group *rowIndex
-	key   []int
-	write []int
+	scan     *Relation
+	idx      *keyGroups
+	rel      *Relation
+	group    *rowIndex
+	byParent *storage.PMap[keyGroup]
+	key      []int
+	write    []int
+}
+
+// bucket returns the rows of a persistent grouping under key.
+func (st *viaStep) bucket(key []Value) []Value {
+	if st.group != nil {
+		rows, _ := st.group.Get(key)
+		return rows
+	}
+	g, _ := st.byParent.Get(key)
+	return g.rows
 }
 
 // enumerateVia streams every solution whose projection onto node v's bag is
@@ -98,7 +110,7 @@ func (es *enumState) enumerateVia(ctx context.Context, v int, via *Relation, yie
 			}
 			if len(cj.uPos) > 0 {
 				if es.m != nil {
-					st.group = es.m.up[u][k]
+					st.group = es.m.nodes[u].up[k]
 				} else {
 					st.idx = es.upIndex(u, k)
 					st.rel = es.nodes[u].rel
@@ -117,7 +129,7 @@ func (es *enumState) enumerateVia(ctx context.Context, v int, via *Relation, yie
 		onPath[u] = true
 		w = u
 	}
-	for _, u := range es.pre {
+	for _, u := range p.pre {
 		if onPath[u] {
 			continue
 		}
@@ -126,7 +138,7 @@ func (es *enumState) enumerateVia(ctx context.Context, v int, via *Relation, yie
 		case len(p.shared[u]) == 0:
 			st.scan = es.flatB(u)
 		case es.m != nil:
-			st.group, st.key = es.m.nodes[u].byParent, p.sharedVids[u]
+			st.byParent, st.key = es.m.nodes[u].byParent, p.sharedVids[u]
 		default:
 			st.idx, st.rel, st.key = es.nodes[u].idx, es.nodes[u].rel, p.sharedVids[u]
 		}
@@ -176,8 +188,8 @@ func (es *enumState) enumerateVia(ctx context.Context, v int, via *Relation, yie
 		for j, vid := range st.key {
 			kb[j] = asg[vid]
 		}
-		if st.group != nil {
-			bucket, _ := st.group.Get(kb)
+		if st.idx == nil { // a maintained state's persistent grouping
+			bucket := st.bucket(kb)
 			for a, off := len(st.write), 0; off+a <= len(bucket); off += a {
 				if stop {
 					return nil

@@ -65,11 +65,11 @@ func TestEnumerateSkipsDanglingTuples(t *testing.T) {
 	if p.d.Nodes() != 2 {
 		t.Fatalf("plan has %d nodes, want 2", p.d.Nodes())
 	}
-	run, err := newRun(ctx, p, inst)
+	rels, cs, err := bindNodes(ctx, p, inst)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for u, rel := range run.nodeRels {
+	for u, rel := range rels {
 		want := 2
 		if u == p.d.Root() {
 			want = 1
@@ -78,10 +78,7 @@ func TestEnumerateSkipsDanglingTuples(t *testing.T) {
 			t.Errorf("node %d has %d tuples after the bottom-up pass, want %d", u, rel.Len(), want)
 		}
 	}
-	es, err := run.enumIndex(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	es := buildEnumState(p, rels, cs.msgs, cs.slots)
 	var got []string
 	err = es.enumerate(ctx, func(row []Value) bool {
 		for _, v := range row {

@@ -80,3 +80,46 @@ func TestFirstRebindKeepsOldSnapshot(t *testing.T) {
 		})
 	}
 }
+
+// TestMaintainedStateBytes accounts for the heap a registered query holds on
+// each rebind fixture, as live heap after two collections: the compiled
+// database (around CompileDB), then Bind with the priming Count and
+// Enumerate, the first Rebind + Count + DiffFrom (the conversion to
+// maintained form) and a second. The query state — everything after the
+// compiled database, the shared pieces of the flat state the maintained one
+// still points at included — is held, relative to the database, to a ceiling
+// per fixture 10 % above what the one-map-per-node-key form measured on a
+// 2-CPU host, so a duplicated map shows.
+func TestMaintainedStateBytes(t *testing.T) {
+	ceiling := map[string]float64{
+		"path3-5k": 8.43, "path3-20k": 7.54, "cycle4-500": 7.66,
+		"cycle4-5k": 9.67, "cycle6-500": 16.68, "jigsaw2x3-200": 6.57,
+	}
+	heap := func() int64 {
+		runtime.GC()
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return int64(m.HeapAlloc)
+	}
+	mb := func(b int64) float64 { return float64(b) / (1 << 20) }
+	for _, c := range rebindFixtures {
+		h0 := heap()
+		eng, prep, cdb, planted := newMaintDB(t, c.shape, c.rows, c.domain)
+		h1 := heap()
+		f := &maintFixture{shape: c.shape, eng: eng, bound: bindPrimed(t, prep, cdb), planted: planted}
+		h2 := heap()
+		f.maintain(t, f.apply(t, 0, 0, false))
+		h3 := heap()
+		f.maintain(t, f.apply(t, 0, 0, true))
+		h4 := heap()
+		runtime.KeepAlive(cdb)
+		runtime.KeepAlive(f)
+		ratio := float64(h4-h1) / float64(h1-h0)
+		t.Logf("%s: compiled DB %.2f MB, Bind+prime %+.2f MB, first Rebind %+.2f MB, second %+.2f MB: query state %.2f× the database",
+			c.name, mb(h1-h0), mb(h2-h1), mb(h3-h2), mb(h4-h3), ratio)
+		if ratio > ceiling[c.name] {
+			t.Errorf("%s: query state is %.1f× the compiled database, ceiling %.1f×", c.name, ratio, ceiling[c.name])
+		}
+	}
+}

@@ -17,18 +17,21 @@ import (
 //     a different pointer in the new snapshot; its delta is read off the two
 //     tables' row maps, which share everything the change did not touch
 //     (atomDelta);
-//  2. nodes, children first: a node's relation is its bottom-up reduced bag
-//     B(u), the join of its atoms and its children's key sets projected to
-//     the bag. A node with a dirty input delta-joins that delta through its
-//     other inputs into ±1 derivation counts; the tuples whose count crosses
-//     zero are the node's delta (maintainNode), and the keys whose bucket
-//     appeared or vanished are the delta of its key set, an input of its
-//     parent (keyDelta);
-//  3. enumeration and counting: the node deltas patch the enumeration
-//     state's groupings of B(u) on the columns shared with each child, and
-//     are recorded on it, so DiffFrom against the predecessor reads them
-//     instead of recomputing them; bottom-up, they are pushed into the key
-//     sums of the counting DP (maintreduce.go).
+//  2. nodes, children first, in one walk: a node's relation is its
+//     bottom-up reduced bag B(u), the join of its atoms and its children's
+//     key sets projected to the bag. A node with a dirty input delta-joins
+//     that delta through its other inputs into ±1 derivation counts; the
+//     tuples whose count crosses zero are the node's delta (maintainNode).
+//     The delta patches the node's groupings of B(u), and the counting DP is
+//     re-evaluated at the node's changed rows and at the rows carrying a key
+//     whose sum changed in a child — read off that child's grouping, with no
+//     join (regroup, maintreduce.go). The keys whose group appeared or
+//     vanished are the delta of the node's key set, an input of its parent
+//     (keyDelta), and the keys whose sum changed are what the parent
+//     re-evaluates;
+//  3. enumeration and counting: the enumeration state holds the maintained
+//     nodes and records their deltas, so DiffFrom against the predecessor
+//     reads them instead of recomputing them; the count is the root's sum.
 //
 // An empty delta at any layer stops the propagation there. Every piece of
 // state lives in persistent maps, so the successor shares everything the
@@ -136,11 +139,15 @@ func (b *BoundQuery) Rebind(ctx context.Context, cdb *CompiledDB) (*BoundQuery, 
 
 	// 2. Nodes, children first: delta-join every node with a changed input,
 	// or rebuild it where the cost model prices the delta above that or a
-	// child sharing no column with it emptied or filled; then hand the
-	// node's key set delta to its parent.
+	// child sharing no column with it emptied or filled; carry its groupings
+	// across the change and re-evaluate its counting DP where a row or a
+	// child's sum changed (regroup); then hand the node's key set, with its
+	// delta, to its parent.
+	n := plan.d.Nodes()
 	nm := &maintState{atoms: nu.newAtoms, nodes: append([]*nodeState(nil), ms.nodes...)}
 	nb := &BoundQuery{prep: b.prep, cdb: cdb, inst: inst, maint: nm, nodeRels: append([]*Relation(nil), b.nodeRels...)}
-	dN := make([]*relDelta, plan.d.Nodes())
+	dN := make([]*relDelta, n)
+	touched := make([]workSet, n)
 	for _, u := range plan.order {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -154,7 +161,7 @@ func (b *BoundQuery) Rebind(ctx context.Context, cdb *CompiledDB) (*BoundQuery, 
 		}
 		totalDelta, totalInput, maxInput := 0, 0, 0
 		for _, i := range plan.inputs[u] {
-			l := nu.newAtoms[i].set.Len()
+			l := nu.newAtoms[i].len()
 			totalInput += l
 			if l > maxInput {
 				maxInput = l
@@ -163,41 +170,47 @@ func (b *BoundQuery) Rebind(ctx context.Context, cdb *CompiledDB) (*BoundQuery, 
 				totalDelta += d.rows()
 			}
 		}
-		if !flipped && (totalDelta == 0 || empty) {
-			continue // unchanged, or held empty by an absent nullary key set
-		}
-		if !flipped && chooseNodeDelta(totalDelta, totalInput, ms.nodes[u].sup.Len(), maxInput) {
+		old, sup := ms.nodes[u], ms.nodes[u].sup
+		switch {
+		case !flipped && (totalDelta == 0 || empty):
+			// no input changed, or the node is held empty by an absent
+			// nullary key set
+		case !flipped && chooseNodeDelta(totalDelta, totalInput, old.sup.Len(), maxInput):
 			eng.nodeDeltaJoins.Add(1)
-			nm.nodes[u], dN[u] = maintainNode(plan, u, ms.nodes[u], nu, mc)
-			if !dN[u].empty() {
+			if sup, dN[u] = maintainNode(plan, u, old, nu, mc); !dN[u].empty() {
 				nb.nodeRels[u] = nil
 			}
-		} else {
+		default:
 			eng.nodeRebuilds.Add(1)
-			nm.nodes[u], nb.nodeRels[u], dN[u] = rebuildNode(plan, u, ms.nodes[u], inst, nu.flatInputs(plan, u, nm.nodes, inst, mc), mc)
+			sup, nb.nodeRels[u], dN[u] = rebuildNode(plan, u, old, inst, nu.flatInputs(plan, u, nm.nodes, inst, mc), mc)
 		}
-		if !dN[u].empty() && len(plan.shared[u]) > 0 {
+		ns := regroup(plan, u, old, sup, dN[u], ms.nodes, nm.nodes, touched, mc)
+		nm.nodes[u] = ns
+		if ns.byParent != old.byParent {
 			k := plan.keyInput(u)
-			if kd := keyDelta(plan, u, ms.nodes[u].byParent, nm.nodes[u].byParent, dN[u], mc); !kd.empty() {
-				nu.deltas[k] = kd
-				nu.newAtoms[k] = patchAtom(plan, k, ms.atoms[k], nil, kd, mc)
-			}
+			kd := keyDelta(plan, u, old.byParent, ns.byParent, &touched[u], mc)
+			nu.deltas[k] = kd
+			nu.newAtoms[k] = &atomState{keys: ns.byParent, idx: patchIndexes(plan, k, ms.atoms[k].idx, kd, mc)}
 		}
 	}
 
-	// 3. Carry the caches across the node deltas.
-	if es := b.enumSt.Load(); es != nil {
-		nb.enumSt.Store(es.update(nm.nodes, dN, eng.stateSeq.Add(1), mc))
+	// 3. Carry the caches across: the enumeration reads the nodes' own
+	// groupings and records the node deltas — against b's enumeration state,
+	// when b has one; the count is the root's sum.
+	es := b.enumSt.Load()
+	if es == nil {
+		es = &enumState{plan: plan}
 	}
-	nb.countSt.Store(b.countSt.Load().update(plan, ms.nodes, nm.nodes, dN, nm.atoms, mc))
+	nb.enumSt.Store(es.update(nm.nodes, dN, eng.stateSeq.Add(1)))
+	nb.countSt.Store(&countState{total: nm.nodes[plan.d.Root()].sum})
 	return nb, nil
 }
 
 // flatInputs lists the flat relations node u's rebuild joins: it fills in
 // the atom relations inst lacks (those that changed since they were flat) and
-// returns the children's key sets as join inputs, in Plan.childJoins order —
-// a child sharing no column with u as the nullary relation that is non-empty
-// iff the child is.
+// returns the children's key sets — the keys of their parent groupings — as
+// join inputs, in Plan.childJoins order; a child sharing no column with u as
+// the nullary relation that is non-empty iff the child is.
 func (nu *nodeUpdate) flatInputs(p *Plan, u int, nodes []*nodeState, inst *Instance, mc *maintCtx) []joinInput {
 	for _, i := range p.inputs[u] {
 		if i < len(inst.AtomRels) && inst.AtomRels[i] == nil {
@@ -208,7 +221,7 @@ func (nu *nodeUpdate) flatInputs(p *Plan, u int, nodes []*nodeState, inst *Insta
 	keys := make([]joinInput, len(p.childJoins[u]), len(p.childJoins[u])+len(p.filters[u]))
 	for k, cj := range p.childJoins[u] {
 		if len(cj.shared) > 0 {
-			keys[k].rel = flatten(nu.newAtoms[p.keyInput(cj.child)].set, cj.shared)
+			keys[k].rel = flatten(nodes[cj.child].byParent, cj.shared)
 			mc.rows += uint64(keys[k].rel.Len())
 			continue
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"maps"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -193,6 +194,112 @@ func compareBound(ctx context.Context, inc, ref *BoundQuery) string {
 	}
 	if !EqualRelations(irel, idict, rrel, rdict) {
 		return fmt.Sprintf("EnumerateAll: incremental %d rows differ from reference %d rows", irel.Len(), rrel.Len())
+	}
+	return compareNodes(inc, ref)
+}
+
+// decodeNode decodes b's state at node u through b's dictionary: B(u) as a set
+// of rows and, for a non-root node, its counting sum per parent key (the key
+// of a node sharing no column with its parent is ""). A maintained query
+// reads its maintained nodes, and checks on the way that each of their
+// groupings holds every row of B(u) once, under the row's own key; any other
+// reads Bind's flat relations and messages. It returns a description of a
+// broken grouping, or "".
+func decodeNode(b *BoundQuery, u int) (rows map[string]bool, sums map[string]int64, broken string) {
+	p, dict := b.prep.plan, b.inst.Dict
+	enc := func(t []Value) string {
+		var sb strings.Builder
+		for _, v := range t {
+			sb.WriteString(dict.Name(v))
+			sb.WriteByte(0)
+		}
+		return sb.String()
+	}
+	rows, sums = map[string]bool{}, map[string]int64{}
+	if b.maint == nil {
+		rel := b.nodeRels[u]
+		for i := 0; i < rel.Len(); i++ {
+			rows[enc(rel.Row(i))] = true
+		}
+		if msg := b.countSt.Load().msgs[u]; msg != nil {
+			for s := int32(0); int(s) < msg.Len(); s++ {
+				if v := msg.Val(s); v != 0 {
+					sums[enc(msg.Key(s))] = v
+				}
+			}
+		}
+		return rows, sums, ""
+	}
+	ns := b.maint.nodes[u]
+	ns.sup.Range(func(t []Value, _ int64) bool {
+		rows[enc(t)] = true
+		return true
+	})
+	// partition checks that a grouping on the columns at pos holds B(u).
+	partition := func(what string, pos []int, each func(f func(key, bucket []Value))) {
+		seen := 0
+		a := len(p.bagVars[u])
+		each(func(key, bucket []Value) {
+			for i := 0; i+a <= len(bucket); i += a {
+				row := bucket[i : i+a]
+				if !rows[enc(row)] || enc(project(make([]Value, len(pos)), row, pos)) != enc(key) {
+					broken = fmt.Sprintf("node %d: %s holds a row %q under key %q", u, what, enc(row), enc(key))
+				}
+				seen++
+			}
+		})
+		if broken == "" && seen != len(rows) {
+			broken = fmt.Sprintf("node %d: %s holds %d rows, B(u) %d", u, what, seen, len(rows))
+		}
+	}
+	switch {
+	case ns.byParent != nil:
+		partition("byParent", p.sharedPos[u], func(f func(key, bucket []Value)) {
+			ns.byParent.Range(func(key []Value, g keyGroup) bool {
+				sums[enc(key)] = g.sum
+				f(key, g.rows)
+				return true
+			})
+		})
+	case p.d.Parent[u] >= 0 && ns.sum != 0:
+		sums[""] = ns.sum
+	}
+	for k, ix := range ns.up {
+		if ix != nil {
+			partition(fmt.Sprintf("up[%d]", k), p.childJoins[u][k].uPos, func(f func(key, bucket []Value)) {
+				ix.Range(func(key, bucket []Value) bool {
+					f(key, bucket)
+					return true
+				})
+			})
+		}
+	}
+	return rows, sums, broken
+}
+
+// compareNodes checks inc against ref node by node, through decoded
+// constants (the two have dictionaries of their own): every node's B(u)
+// must be the reference's, and every non-root node's per-key sums its
+// message's non-zero entries — the state a sum drifting at a key that no
+// parent row joins, which no answer shows, breaks. It returns a description
+// of the first divergence ("" if none).
+func compareNodes(inc, ref *BoundQuery) string {
+	p := inc.prep.plan
+	if p.Naive() || p.d.Nodes() == 0 {
+		return ""
+	}
+	for u := 0; u < p.d.Nodes(); u++ {
+		irows, isums, broken := decodeNode(inc, u)
+		if broken != "" {
+			return broken
+		}
+		rrows, rsums, _ := decodeNode(ref, u)
+		if !maps.Equal(irows, rrows) {
+			return fmt.Sprintf("node %d: B(u) has %d rows, reference %d (or other rows)", u, len(irows), len(rrows))
+		}
+		if !maps.Equal(isums, rsums) {
+			return fmt.Sprintf("node %d: per-key sums %q, reference %q", u, isums, rsums)
+		}
 	}
 	return ""
 }
@@ -432,7 +539,8 @@ func TestIncrementalDifferential(t *testing.T) {
 	}
 }
 
-// incSeed reproduces a reported divergence: go test -run Differential -incseed N
+// incSeed reproduces a reported divergence:
+// go test ./internal/engine -run Differential -incseed N
 var incSeed = flag.Int64("incseed", 1, "base seed of the incremental differential test")
 
 // TestRebindSharesCleanState checks the copy-on-write contract: a delta

@@ -18,6 +18,14 @@ import (
 // readers of the old snapshot keep the old roots. Identity is the tuple
 // itself — there are no row numbers to keep stable and no tombstones to
 // compact.
+//
+// There is one map per node key. An atom keeps its tuple set and the indexes
+// its delta plans probe. A node keeps B(u) with its derivation counts and its
+// rows grouped by each tree edge's key (nodeState): the grouping by the
+// parent's columns carries each key's counting sum beside its rows, and its
+// keys are the node's key set — the input of the parent's joins, which keeps
+// no set of its own, only the indexes on partial columns that a plan joining
+// covers that share no variable probes.
 
 // rowSet is a persistent set of tuples; rowIndex maps a key (the projection
 // of a row onto some of its columns) to the flat bucket of full rows carrying
@@ -27,23 +35,71 @@ type (
 	rowIndex = storage.PMap[[]Value]
 )
 
-// atomState is one input relation of the node joins — an atom, or a node's
+// atomState is one input relation of the node joins — an atom, or a child's
 // key set: its tuples over its columns (Plan.atomVars), indexed on every
-// column subset a delta plan probes (Plan.atomIdxCols).
+// column subset a delta plan probes (Plan.atomIdxCols). An atom's tuples are
+// a set of their own; a key set's are the keys of the child's byParent, so
+// it keeps no set.
 type atomState struct {
-	set *rowSet
-	idx []*rowIndex
+	set  *rowSet
+	keys *storage.PMap[keyGroup]
+	idx  []*rowIndex
 }
 
-// nodeState is one decomposition node's bottom-up reduced relation B(u):
-// every bag tuple with its derivation count in the join of the node's inputs
-// — atoms and children's key sets (always positive — a tuple whose last
-// derivation goes away leaves the map) — indexed on the columns shared with
-// the parent (nil for the root and a node sharing none), whose keys are the
-// node's key set.
+// has reports whether t is a tuple of the input.
+func (as *atomState) has(t []Value) bool {
+	if as.keys != nil {
+		return as.keys.Has(t)
+	}
+	return as.set.Has(t)
+}
+
+// len returns the number of tuples of the input.
+func (as *atomState) len() int {
+	if as.keys != nil {
+		return as.keys.Len()
+	}
+	return as.set.Len()
+}
+
+// scan calls f with every tuple of the input.
+func (as *atomState) scan(f func(t []Value)) {
+	if as.keys != nil {
+		as.keys.Range(func(t []Value, _ keyGroup) bool {
+			f(t)
+			return true
+		})
+		return
+	}
+	as.set.Range(func(t []Value, _ struct{}) bool {
+		f(t)
+		return true
+	})
+}
+
+// keyGroup is one key of a node's parent grouping: the rows of B(u) carrying
+// it, flat, and the counting DP's sum over them — positive, since every row
+// of B(u) has a partner in each child, so the key is in the node's key set
+// exactly while it has a group.
+type keyGroup struct {
+	rows []Value
+	sum  int64
+}
+
+// nodeState is the one maintained structure of a decomposition node: its
+// bottom-up reduced relation B(u) — every bag tuple with its derivation count
+// in the join of the node's inputs, atoms and children's key sets (always
+// positive: a tuple whose last derivation goes away leaves the map) — and
+// B(u) grouped by the columns shared with the parent, each key with its
+// counting sum (byParent: the node's key set, its counting message and the
+// enumeration's probe at once; nil for the root and a node sharing none,
+// which keep their one sum beside it) and by the columns shared with each
+// child (up: the re-evaluation's and the upward walk's probe).
 type nodeState struct {
 	sup      *storage.PMap[int64]
-	byParent *rowIndex
+	byParent *storage.PMap[keyGroup]
+	up       []*rowIndex // per child join; nil entry for a child sharing no column
+	sum      int64       // without byParent: the DP's sum over B(u), at the root |q(D)|
 }
 
 // maintState is the maintained form of everything Bind materialises: every
@@ -168,6 +224,13 @@ func (w *workSet) add(row []Value) {
 	w.n++
 }
 
+func (w *workSet) len() int {
+	if w.rows != nil {
+		return w.rows.Len()
+	}
+	return w.n
+}
+
 func (w *workSet) addRel(rel *Relation) {
 	for i := 0; i < rel.Len(); i++ {
 		w.add(rel.Row(i))
@@ -203,54 +266,66 @@ func project(buf, row []Value, pos []int) []Value {
 	return buf
 }
 
-// idxAdd adds row to key's bucket.
-func idxAdd(ix *rowIndex, key, row []Value) {
-	bucket, _ := ix.Get(key)
-	ix.Set(key, append(bucket[:len(bucket):len(bucket)], row...))
+// withRow returns bucket with row appended, in a new array: buckets are
+// shared with the snapshots before the patch.
+func withRow(bucket, row []Value) []Value {
+	return append(bucket[:len(bucket):len(bucket)], row...)
 }
 
-// idxRemove removes row from key's bucket, and the key with its last row.
-// Removing a row that is not there is a no-op.
-func idxRemove(ix *rowIndex, key, row []Value) {
-	bucket, _ := ix.Get(key)
+// withoutRow returns bucket without row, in a new array — bucket itself when
+// row is not in it.
+func withoutRow(bucket, row []Value) []Value {
 	a := len(row)
 	for i := 0; i+a <= len(bucket); i += a {
-		if !slices.Equal(bucket[i:i+a], row) {
-			continue
+		if slices.Equal(bucket[i:i+a], row) {
+			out := make([]Value, 0, len(bucket)-a)
+			return append(append(out, bucket[:i]...), bucket[i+a:]...)
 		}
-		if len(bucket) == a {
-			ix.Delete(key)
-			return
-		}
-		out := make([]Value, 0, len(bucket)-a)
-		ix.Set(key, append(append(out, bucket[:i]...), bucket[i+a:]...))
-		return
 	}
+	return bucket
 }
 
-// patchIndex carries an index on cols across d: leaving rows out, entering
-// rows in. touched, when given, collects the keys involved, so the caller can
-// tell afterwards which keys appeared or vanished.
-func patchIndex(ix *editor[[]Value], cols []int, d *relDelta, touched *workSet, mc *maintCtx) {
-	keyBuf := make([]Value, len(cols))
-	patch := func(rel *Relation, op func(ix *rowIndex, key, row []Value)) {
-		for r := 0; r < rel.Len(); r++ {
-			key := project(keyBuf, rel.Row(r), cols)
-			op(ix.w(), key, rel.Row(r))
-			if touched != nil {
-				touched.add(key)
-			}
+// patchIndex carries an index on cols across d: leaving rows out (a key with
+// its last row), entering rows in.
+func patchIndex(ix *editor[[]Value], cols []int, d *relDelta, mc *maintCtx) {
+	key := make([]Value, len(cols))
+	for r := 0; r < d.minus.Len(); r++ {
+		row := d.minus.Row(r)
+		bucket, _ := ix.cur.Get(project(key, row, cols))
+		if rest := withoutRow(bucket, row); len(rest) == 0 {
+			ix.w().Delete(key)
+		} else {
+			ix.w().Set(key, rest)
 		}
 	}
-	patch(d.minus, idxRemove)
-	patch(d.plus, idxAdd)
+	for r := 0; r < d.plus.Len(); r++ {
+		row := d.plus.Row(r)
+		bucket, _ := ix.cur.Get(project(key, row, cols))
+		ix.w().Set(key, withRow(bucket, row))
+	}
 	mc.rows += uint64(d.rows())
 }
 
-// indexRows builds the index of rel's rows on cols from scratch: the bulk
+// patchIndexes carries input i's indexes (Plan.atomIdxCols) across d,
+// returning idx itself when there is nothing to patch.
+func patchIndexes(p *Plan, i int, idx []*rowIndex, d *relDelta, mc *maintCtx) []*rowIndex {
+	if d.empty() || len(idx) == 0 {
+		return idx
+	}
+	out := make([]*rowIndex, len(idx))
+	for x, cols := range p.atomIdxCols[i] {
+		ix := edit(idx[x])
+		patchIndex(&ix, cols, d, mc)
+		out[x] = ix.done(mc)
+	}
+	return out
+}
+
+// indexRows builds a grouping of rel's rows on cols from scratch: the bulk
 // build groups the rows by key, and each key's bucket — its rows in rel's
-// order — is the next slice of one arena holding every row.
-func indexRows(rel *Relation, cols []int) *rowIndex {
+// order — is the next slice of one arena holding every row. val makes the
+// key's value from its bucket and the index of its first row in rel.
+func indexRows[V any](rel *Relation, cols []int, val func(bucket []Value, first int32) V) *storage.PMap[V] {
 	a := len(rel.Cols)
 	keys := make([]Value, 0, rel.Len()*len(cols))
 	for i := 0; i < rel.Len(); i++ {
@@ -259,14 +334,17 @@ func indexRows(rel *Relation, cols []int) *rowIndex {
 		}
 	}
 	arena := make([]Value, 0, len(rel.Data))
-	return storage.BuildPMap(len(cols), keys, rel.Len(), func(rows []int32) []Value {
+	return storage.BuildPMap(len(cols), keys, rel.Len(), func(rows []int32) V {
 		from := len(arena)
 		for _, i := range rows {
 			arena = append(arena, rel.Row(int(i))...)
 		}
-		return arena[from:len(arena):len(arena)]
+		return val(arena[from:len(arena):len(arena)], rows[0])
 	})
 }
+
+// bucketOf is indexRows' value for a rowIndex: the bucket itself.
+func bucketOf(bucket []Value, _ int32) []Value { return bucket }
 
 // setOfRows builds the tuple set of rel's rows from scratch.
 func setOfRows(rel *Relation) *rowSet {
@@ -284,47 +362,55 @@ func flatten[V any](m *storage.PMap[V], cols []string) *Relation {
 	return out
 }
 
-// newAtomState builds the maintained form of input i's flat relation: atom i
-// over the table t, or a key set (t nil). An atom whose relation is the
-// table itself (Plan.directAtom) shares the table's row map instead of
-// building a set of its own.
+// newAtomState builds the maintained form of atom i's flat relation rel over
+// the table t. An atom whose relation is the table itself
+// (Plan.directAtom) shares the table's row map instead of building a set of
+// its own.
 func newAtomState(p *Plan, i int, rel *Relation, t *storage.Table) *atomState {
-	as := &atomState{idx: make([]*rowIndex, len(p.atomIdxCols[i]))}
+	as := &atomState{idx: indexesOf(p, i, rel)}
 	if t != nil && p.directAtom[i] {
 		as.set = t.RowMap()
 	} else {
 		as.set = setOfRows(rel)
 	}
-	for x, cols := range p.atomIdxCols[i] {
-		as.idx[x] = indexRows(rel, cols)
-	}
 	return as
 }
 
-// newNodeState builds the maintained form of node u from its flat relation
-// and, for a projecting node, the derivation counts of its bag tuples (nil
-// otherwise: without projection every row has exactly one derivation).
-func newNodeState(p *Plan, u int, rel *Relation, counts *storage.TupleMap) *nodeState {
-	ns := &nodeState{sup: storage.BuildPMap(len(p.bagVars[u]), rel.Data, rel.Len(), func(at []int32) int64 {
+// indexesOf builds input i's indexes (Plan.atomIdxCols) over its flat
+// relation rel.
+func indexesOf(p *Plan, i int, rel *Relation) []*rowIndex {
+	if len(p.atomIdxCols[i]) == 0 {
+		return nil
+	}
+	idx := make([]*rowIndex, len(p.atomIdxCols[i]))
+	for x, cols := range p.atomIdxCols[i] {
+		idx[x] = indexRows(rel, cols, bucketOf)
+	}
+	return idx
+}
+
+// newSup builds B(u) from node u's flat relation and, for a projecting node,
+// the derivation counts of its bag tuples (nil otherwise: without projection
+// every row has exactly one derivation).
+func newSup(p *Plan, u int, rel *Relation, counts *storage.TupleMap) *storage.PMap[int64] {
+	return storage.BuildPMap(len(p.bagVars[u]), rel.Data, rel.Len(), func(at []int32) int64 {
 		if counts == nil {
 			return 1
 		}
 		return counts.Get(rel.Row(int(at[0])))
-	})}
-	if len(p.sharedPos[u]) > 0 {
-		ns.byParent = indexRows(rel, p.sharedPos[u])
-	}
-	return ns
+	})
 }
 
 // buildMaint converts a freshly bound query — every atom and node relation
-// present as a Relation, the nodes bottom-up reduced by Bind — into
-// maintained form. A projecting node re-runs its reduced join once, over
-// Bind's messages, to learn the derivation counts; the others load their
-// rows as they are. A node's key set is the keys of its message. This is the
-// one-off O(database) cost of the first maintenance — every map bulk-built,
-// so its allocations do not grow with the rows — after which flat relations
-// are only ever produced on demand.
+// present as a Relation, the nodes bottom-up reduced by Bind, the counting DP
+// flat — into maintained form. A projecting node re-runs its reduced join
+// once, over Bind's messages, to learn the derivation counts; the others load
+// their rows as they are. A node's parent grouping takes each key's sum from
+// Bind's message, through the message slot of the key's first row, so its
+// keys are the message's keys: the node's key set, which the parent's delta
+// plans read. This is the one-off O(database) cost of the first maintenance —
+// every map bulk-built, so its allocations do not grow with the rows — after
+// which flat relations are only ever produced on demand.
 func (b *BoundQuery) buildMaint(ctx context.Context) (*maintState, error) {
 	p := b.prep.plan
 	eng := b.prep.eng
@@ -340,19 +426,37 @@ func (b *BoundQuery) buildMaint(ctx context.Context) (*maintState, error) {
 	if err != nil {
 		return nil, err
 	}
-	msgs := b.countSt.Load().msgs
+	cs := b.countSt.Load()
 	for u := range ms.nodes {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		var counts *storage.TupleMap
 		if p.projects[u] {
-			counts = projectCounts(nodeJoin(p, b.inst, u, getEdge, msgInputs(p, u, msgs)), p.bagVars[u])
+			counts = projectCounts(nodeJoin(p, b.inst, u, getEdge, msgInputs(p, u, cs.msgs)), p.bagVars[u])
 		}
-		ms.nodes[u] = newNodeState(p, u, b.nodeRels[u], counts)
-		if len(p.shared[u]) > 0 {
-			ms.atoms[p.keyInput(u)] = newAtomState(p, p.keyInput(u), keysOf(msgs[u], p.shared[u]), nil)
+		rel := b.nodeRels[u]
+		ns := &nodeState{sup: newSup(p, u, rel, counts), up: make([]*rowIndex, len(p.childJoins[u]))}
+		for k, cj := range p.childJoins[u] {
+			if len(cj.uPos) > 0 {
+				ns.up[k] = indexRows(rel, cj.uPos, bucketOf)
+			}
 		}
+		switch msg, slots := cs.msgs[u], cs.slots[u]; {
+		case msg == nil:
+			ns.sum = cs.total
+		case len(p.sharedPos[u]) == 0:
+			if msg.Len() > 0 {
+				ns.sum = msg.Val(0)
+			}
+		default:
+			ns.byParent = indexRows(rel, p.sharedPos[u], func(bucket []Value, first int32) keyGroup {
+				return keyGroup{rows: bucket, sum: msg.Val(slots[first])}
+			})
+			k := p.keyInput(u)
+			ms.atoms[k] = &atomState{keys: ns.byParent, idx: indexesOf(p, k, keysOf(msg, p.shared[u]))}
+		}
+		ms.nodes[u] = ns
 		eng.nodeRebuilds.Add(1)
 	}
 	return ms, nil
@@ -373,13 +477,7 @@ func patchAtom(p *Plan, i int, old *atomState, set *rowSet, d *relDelta, mc *mai
 		mc.rows += uint64(d.rows() + w.Copied())
 		set = w.Freeze()
 	}
-	as := &atomState{set: set, idx: make([]*rowIndex, len(old.idx))}
-	for x, cols := range p.atomIdxCols[i] {
-		ix := edit(old.idx[x])
-		patchIndex(&ix, cols, d, nil, mc)
-		as.idx[x] = ix.done(mc)
-	}
-	return as
+	return &atomState{set: set, idx: patchIndexes(p, i, old.idx, d, mc)}
 }
 
 // deltaJoin runs one delta plan: for a source row, every derivation of node
@@ -421,14 +519,13 @@ func (j *deltaJoin) step(s, width int) {
 	case stepMember:
 		// keyFrom lists every column of the atom in order: the key is the
 		// atom's tuple.
-		if as.set.Has(project(j.key, j.acc, st.keyFrom)) {
+		if as.has(project(j.key, j.acc, st.keyFrom)) {
 			j.step(s+1, width)
 		}
 	case stepScan:
-		as.set.Range(func(row []Value, _ struct{}) bool {
+		as.scan(func(row []Value) {
 			j.mc.rows++
 			j.extend(st, s, width, row)
-			return true
 		})
 	default:
 		bucket, _ := as.idx[st.idx].Get(project(j.key, j.acc, st.keyFrom))
@@ -456,12 +553,12 @@ type nodeUpdate struct {
 	deltas             []*relDelta
 }
 
-// maintainNode derives node u's successor state by delta-joining each
-// changed input through the others — inputs already processed in their new
-// state, those still to come in their old one, the standard telescoping of a
-// finite difference — and applying the result as ±1 derivation counts. The
-// node's own delta is the set of tuples whose count crossed zero.
-func maintainNode(p *Plan, u int, old *nodeState, nu *nodeUpdate, mc *maintCtx) (*nodeState, *relDelta) {
+// maintainNode derives node u's successor B(u) by delta-joining each changed
+// input through the others — inputs already processed in their new state,
+// those still to come in their old one, the standard telescoping of a finite
+// difference — and applying the result as ±1 derivation counts. The node's
+// own delta is the set of tuples whose count crossed zero.
+func maintainNode(p *Plan, u int, old *nodeState, nu *nodeUpdate, mc *maintCtx) (*storage.PMap[int64], *relDelta) {
 	bag := p.bagVars[u]
 	sup := edit(old.sup)
 	// before records, per bag tuple the delta reaches, whether it was in the
@@ -515,21 +612,16 @@ func maintainNode(p *Plan, u int, old *nodeState, nu *nodeUpdate, mc *maintCtx) 
 		}
 	}
 	mc.rows += uint64(before.Len())
-	ns := &nodeState{sup: sup.done(mc), byParent: old.byParent}
-	if !d.empty() && old.byParent != nil {
-		ix := edit(old.byParent)
-		patchIndex(&ix, p.sharedPos[u], d, nil, mc)
-		ns.byParent = ix.done(mc)
-	}
-	return ns, d
+	return sup.done(mc), d
 }
 
-// rebuildNode re-materialises node u from the flat relations of its inputs —
-// its atoms in inst, its children's key sets in keys (Plan.childJoins order)
-// — the fallback for a delta the cost model prices above a rebuild, and for a
-// nullary key set that flipped. It diffs the result against the old state,
-// so everything downstream still receives an exact delta.
-func rebuildNode(p *Plan, u int, old *nodeState, inst *Instance, keys []joinInput, mc *maintCtx) (*nodeState, *Relation, *relDelta) {
+// rebuildNode re-materialises node u's B(u) from the flat relations of its
+// inputs — its atoms in inst, its children's key sets in keys
+// (Plan.childJoins order) — the fallback for a delta the cost model prices
+// above a rebuild, and for a nullary key set that flipped. It diffs the
+// result against the old state, so everything downstream still receives an
+// exact delta.
+func rebuildNode(p *Plan, u int, old *nodeState, inst *Instance, keys []joinInput, mc *maintCtx) (*storage.PMap[int64], *Relation, *relDelta) {
 	join := nodeJoin(p, inst, u, inst.EdgeRelation, keys)
 	rel := join.Project(p.bagVars[u])
 	var counts *storage.TupleMap
@@ -537,38 +629,5 @@ func rebuildNode(p *Plan, u int, old *nodeState, inst *Instance, keys []joinInpu
 		counts = projectCounts(join, p.bagVars[u])
 	}
 	mc.rows += uint64(2*rel.Len() + old.sup.Len())
-	return newNodeState(p, u, rel, counts), rel, diffRows(old.sup, rel)
-}
-
-// keyDelta is the change of node u's key set — its rows projected onto the
-// columns shared with its parent — under the node delta d, read off the
-// node's parent-side index before (old) and after (cur): the keys whose
-// bucket appeared or vanished.
-func keyDelta(p *Plan, u int, old, cur *rowIndex, d *relDelta, mc *maintCtx) *relDelta {
-	kd := newRelDelta(p.shared[u])
-	var seen *storage.TupleMap // the keys visited, once a second row could repeat one
-	if d.rows() > 1 {
-		seen = storage.NewTupleMap(len(p.sharedPos[u]), d.rows())
-	}
-	buf := make([]Value, len(p.sharedPos[u]))
-	visit := func(rel *Relation) {
-		for r := 0; r < rel.Len(); r++ {
-			key := project(buf, rel.Row(r), p.sharedPos[u])
-			if seen != nil {
-				if _, isNew := seen.Insert(key); !isNew {
-					continue
-				}
-			}
-			switch was, is := old.Has(key), cur.Has(key); {
-			case is && !was:
-				kd.plus.Add(key...)
-			case was && !is:
-				kd.minus.Add(key...)
-			}
-		}
-	}
-	visit(d.plus)
-	visit(d.minus)
-	mc.rows += uint64(2 * d.rows())
-	return kd
+	return newSup(p, u, rel, counts), rel, diffRows(old.sup, rel)
 }

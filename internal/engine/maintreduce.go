@@ -1,41 +1,40 @@
 package engine
 
 import (
-	"slices"
 	"sync/atomic"
 
 	"d2cq/internal/storage"
 )
 
-// This file maintains the cached enumeration state and the counting DP under
-// node deltas, in the manner of counting-based dynamic Yannakakis: instead of
-// re-running passes over whole relations, every tree edge keeps the rows of
-// either side grouped by the shared key. A node's maintained relation is
-// B(u), its bottom-up reduced rows (rows of u with a partner in B of every
-// child: Rebind joins the children's key sets in). That is all the
+// This file maintains the groupings of each node's B(u) and the counting DP
+// under node deltas, in the manner of counting-based dynamic Yannakakis:
+// instead of re-running passes over whole relations, every node keeps its
+// rows grouped by the key of each tree edge it lies on. A node's maintained
+// relation is B(u), its bottom-up reduced rows (rows of u with a partner in B
+// of every child: Rebind joins the children's key sets in). That is all the
 // enumeration needs: the join of the B(u) is the result, and a walk from the
 // root down never dead-ends, since every row of B(u) has a partner in B of
 // each child. No top-down pass runs, so a node delta only patches the
 // groupings of its own rows; the counting DP re-evaluates exactly the rows
-// whose inputs changed.
+// whose inputs changed. There is one map per node key (nodeState):
 //
-//	byParent  (of u's nodeState) groups B(u) by the columns shared with u's
-//	          parent. It is the probe of the top-down enumeration: reached
-//	          from a row of B(parent), the bucket is never empty.
-//	up[u][k]  groups B(u) by the columns shared with child k: the upward
-//	          probe of enumerateVia, which may find no row.
-//	keySum[u] sums the counting-DP values of u's rows by the columns shared
-//	          with the parent; a parent row's value is the product of its
-//	          children's sums at its keys.
+//	byParent  groups B(u) by the columns shared with u's parent, each key
+//	          with the sum of its rows' DP values. Its keys are the node's
+//	          key set, an input of the parent's delta plans; its sums are
+//	          the node's counting message, a parent row's value being the
+//	          product of its children's sums at its keys; and it is the probe
+//	          of the top-down enumeration: reached from a row of B(parent),
+//	          the bucket is never empty.
+//	up[k]     groups B(u) by the columns shared with child k: the rows a
+//	          change of that child's sum at a key re-evaluates, and the
+//	          upward probe of enumerateVia, which may find no row.
 //
-// A key's sum is positive exactly while the key is in the node's key set.
-// Rows of the old snapshot are decided against the old maps, which stay
-// untouched.
+// A key's sum is positive exactly while the key has a group. Rows of the old
+// snapshot are decided against the old maps, which stay untouched.
 
 // enumMaint is the maintained form of an enumState.
 type enumMaint struct {
-	nodes []*nodeState  // B(u), as Rebind maintains it
-	up    [][]*rowIndex // nil entry for a child sharing no column
+	nodes []*nodeState // B(u) and its groupings, as Rebind maintains them
 
 	// delta[u] is the change of B(u) against the state this one was derived
 	// from (nil: unchanged) — what DiffFrom against that state reads instead
@@ -45,96 +44,20 @@ type enumMaint struct {
 	flatB []atomic.Pointer[Relation] // B(u) as a relation, listed on demand
 }
 
-// maintainedUp returns the up groupings of the maintained form of es,
-// building them from a flat state (the from-scratch build: flat relations)
-// in O(its size). The result is not cached on es: the caller
-// derives a successor from it and the flat state stays what its readers use.
-func (es *enumState) maintainedUp() [][]*rowIndex {
-	if es.m != nil {
-		return es.m.up
-	}
-	p := es.plan
-	up := make([][]*rowIndex, p.d.Nodes())
-	for u := range up {
-		up[u] = make([]*rowIndex, len(p.childJoins[u]))
-		for k, cj := range p.childJoins[u] {
-			if len(cj.uPos) > 0 {
-				up[u][k] = indexRows(es.nodes[u].rel, cj.uPos)
-			}
+// update derives the successor of a cached enumeration state from the node
+// states after a Rebind and the node deltas dN (nil or empty entries: node
+// unchanged), recorded on the successor under id, with es named as the
+// parent. The groupings it probes are the nodes' own, which Rebind carried
+// across the deltas already.
+func (es *enumState) update(newNodes []*nodeState, dN []*relDelta, id uint64) *enumState {
+	n := len(newNodes)
+	m := &enumMaint{nodes: newNodes, delta: make([]*relDelta, n), flatB: make([]atomic.Pointer[Relation], n)}
+	for u, d := range dN {
+		if !d.empty() {
+			m.delta[u] = d
 		}
 	}
-	return up
-}
-
-// gather lists the rows of node u that a change below it can affect: the
-// node's own entering and leaving rows, and the rows of its relation after
-// the change that carry a key whose sum changed in some child. changedKeys
-// yields, for child join k, those keys, and whether the sum crossed zero —
-// whether the key entered or left the child's key set, in which case every
-// row carrying it entered or left the node with it. Any other key is joined
-// through the node's other inputs in their states after the change (inputs)
-// along the delta plan of the child's key set; a child sharing no column
-// reaches every row.
-func gather(p *Plan, u int, node *nodeState, d *relDelta, inputs []*atomState, mc *maintCtx, changedKeys func(k int, yield func(key []Value, flipped bool))) workSet {
-	var rows workSet
-	if !d.empty() {
-		rows.addRel(d.plus)
-		rows.addRel(d.minus)
-	}
-	for k, cj := range p.childJoins[u] {
-		var join *deltaJoin
-		changedKeys(k, func(key []Value, flipped bool) {
-			switch {
-			case flipped:
-			case len(cj.uPos) == 0:
-				node.sup.Range(func(row []Value, _ int64) bool {
-					rows.add(row)
-					return true
-				})
-			default:
-				if join == nil {
-					x := slices.Index(p.inputs[u], p.keyInput(cj.child))
-					join = newDeltaJoin(p, &p.deltaPlans[u][x], inputs, mc, rows.add)
-				}
-				join.run(key)
-			}
-		})
-	}
-	return rows
-}
-
-// update derives the successor of a cached enumeration state under the node
-// deltas dN (nil entries: node unchanged), given the node states after them.
-// The node relations are B, so dN is the change of B: it patches the up
-// groupings of the changed nodes and is recorded on the successor as its
-// delta, under id, with es named as the parent. The work is proportional to
-// the changed rows.
-func (es *enumState) update(newNodes []*nodeState, dN []*relDelta, id uint64, mc *maintCtx) *enumState {
-	p := es.plan
-	n := p.d.Nodes()
-	o := es.maintainedUp()
-	m := &enumMaint{
-		nodes: newNodes, up: make([][]*rowIndex, n), delta: make([]*relDelta, n), flatB: make([]atomic.Pointer[Relation], n),
-	}
-	ups := make([]*rowIndex, p.pairs)
-	for u := range newNodes {
-		m.up[u] = ups[:len(o[u]):len(o[u])]
-		ups = ups[len(o[u]):]
-		copy(m.up[u], o[u])
-		d := dN[u]
-		if d.empty() {
-			continue
-		}
-		m.delta[u] = d
-		for k, ix := range o[u] {
-			if ix != nil {
-				e := edit(ix)
-				patchIndex(&e, p.childJoins[u][k].uPos, d, nil, mc)
-				m.up[u][k] = e.done(mc)
-			}
-		}
-	}
-	return &enumState{plan: p, pre: es.pre, maxShared: es.maxShared, id: id, parent: es.id, m: m}
+	return &enumState{plan: es.plan, id: id, parent: es.id, m: m}
 }
 
 // flatB returns B(u) as a relation. The flat form holds it; the maintained
@@ -154,70 +77,72 @@ func (es *enumState) flatB(u int) *Relation {
 	return rel
 }
 
-// maintainedCounts returns the per-node key sums of cs, bulk-building a flat
-// state's messages (their non-zero sums) into persistent maps.
-func (cs *countState) maintainedCounts(p *Plan) []*storage.PMap[int64] {
-	if cs.keySum != nil {
-		return cs.keySum
-	}
-	keySum := make([]*storage.PMap[int64], p.d.Nodes())
-	for u, msg := range cs.msgs {
-		if msg == nil {
-			continue
-		}
-		keys, sums := make([]Value, 0, len(msg.Keys())), make([]int64, 0, msg.Len())
-		for slot := int32(0); int(slot) < msg.Len(); slot++ {
-			if v := msg.Val(slot); v != 0 {
-				keys, sums = append(keys, msg.Key(slot)...), append(sums, v)
+// regroup derives node u's successor from its old state, given the new B(u)
+// (sup) and the change d between the two (nil: none), once every child has
+// its successor in newNodes. It carries the up groupings across d and
+// re-evaluates the counting DP at every row whose value can have changed:
+// d's rows and, for each child key whose sum changed without the key
+// entering or leaving the child's key set (then its rows are in d), the rows
+// of the new B(u) carrying that key — the key's up bucket, so no join runs; a
+// child sharing no column reaches every row. A row's value is the product of
+// its children's sums at its keys, and the difference between its new and
+// its old value goes into its key's group in byParent, together with the row
+// itself when it entered or left (without byParent: into sum). touched[u]
+// collects the keys whose group the call rewrote, which the parent reads in
+// turn. The old state is returned when nothing changed.
+func regroup(p *Plan, u int, old *nodeState, sup *storage.PMap[int64], d *relDelta, oldNodes, newNodes []*nodeState, touched []workSet, mc *maintCtx) *nodeState {
+	a := len(p.bagVars[u])
+	ns := &nodeState{sup: sup, byParent: old.byParent, up: old.up, sum: old.sum}
+	var rows workSet
+	if !d.empty() {
+		ns.up = make([]*rowIndex, len(old.up))
+		for k, ix := range old.up {
+			if ix != nil {
+				e := edit(ix)
+				patchIndex(&e, p.childJoins[u][k].uPos, d, mc)
+				ns.up[k] = e.done(mc)
 			}
 		}
-		keySum[u] = storage.BuildPMap(len(p.sharedPos[u]), keys, len(sums), func(at []int32) int64 { return sums[at[0]] })
+		rows.addRel(d.plus)
+		rows.addRel(d.minus)
 	}
-	return keySum
-}
-
-// update derives the successor of a cached counting DP under the node deltas
-// dN. The DP value of a node row is the product, over the node's children, of
-// the child's key sum at the row's key — a function of the key sums alone, so
-// no per-row vector is stored: bottom-up, each node re-evaluates its own
-// changed rows and the rows carrying a key whose sum changed in a child
-// (gather, over the join inputs' states after the change), against the old
-// sums and the new, and pushes the difference into its own key sum (the root:
-// into the total). Work is proportional to the rows re-evaluated.
-func (cs *countState) update(p *Plan, oldNodes, newNodes []*nodeState, dN []*relDelta, inputs []*atomState, mc *maintCtx) *countState {
-	n := p.d.Nodes()
-	old := cs.maintainedCounts(p)
-	sums := make([]editor[int64], n)
-	for u := range sums {
-		if old[u] != nil {
-			sums[u] = edit(old[u])
-		}
-	}
-	total := cs.total
-	maxKey := 0
-	for u := 0; u < n; u++ {
-		if len(p.sharedPos[u]) > maxKey {
-			maxKey = len(p.sharedPos[u])
+	for k, cj := range p.childJoins[u] {
+		was, is := oldNodes[cj.child], newNodes[cj.child]
+		switch {
+		case was == is:
+		case len(cj.uPos) == 0:
+			if was.sum != is.sum && was.sum != 0 && is.sum != 0 {
+				sup.Range(func(row []Value, _ int64) bool {
+					rows.add(row)
+					return true
+				})
+			}
+		default:
+			touched[cj.child].each(func(key []Value) {
+				g0, _ := was.byParent.Get(key)
+				g1, _ := is.byParent.Get(key)
+				mc.rows += 2
+				if g0.sum != g1.sum && g0.sum != 0 && g1.sum != 0 {
+					bucket, _ := ns.up[k].Get(key)
+					rows.addBucket(bucket, a)
+				}
+			})
 		}
 	}
-	keyBuf := make([]Value, maxKey)
-	value := func(cur bool, u int, row []Value) int64 {
-		nodes := oldNodes
-		if cur {
-			nodes = newNodes
-		}
-		mc.rows++
-		if !nodes[u].sup.Has(row) {
-			return 0
-		}
+	if sup == old.sup && rows.len() == 0 {
+		return old
+	}
+	buf := make([]Value, a)
+	value := func(nodes []*nodeState, row []Value) int64 {
 		v := int64(1)
 		for _, cj := range p.childJoins[u] {
-			ks := old[cj.child]
-			if cur {
-				ks = sums[cj.child].cur
+			c := nodes[cj.child]
+			s := c.sum
+			if len(cj.uPos) > 0 {
+				g, _ := c.byParent.Get(project(buf, row, cj.uPos))
+				s = g.sum
 			}
 			mc.rows++
-			s, _ := ks.Get(project(keyBuf, row, cj.uPos))
 			if s == 0 {
 				return 0
 			}
@@ -225,42 +150,70 @@ func (cs *countState) update(p *Plan, oldNodes, newNodes []*nodeState, dN []*rel
 		}
 		return v
 	}
-	sumLog := make([]workSet, n)
-	for _, u := range p.order {
-		rows := gather(p, u, newNodes[u], dN[u], inputs, mc, func(k int, yield func([]Value, bool)) {
-			c := p.childJoins[u][k].child
-			sumLog[c].each(func(key []Value) {
-				was, _ := old[c].Get(key)
-				if is, _ := sums[c].cur.Get(key); is != was {
-					yield(key, (was == 0) != (is == 0))
-				}
-			})
-		})
-		rows.each(func(row []Value) {
-			diff := value(true, u, row) - value(false, u, row)
-			if diff == 0 {
-				return
-			}
-			if old[u] == nil {
-				total += diff
-				return
-			}
-			key := project(keyBuf, row, p.sharedPos[u])
-			sum, _ := sums[u].cur.Get(key)
-			if sum += diff; sum == 0 {
-				sums[u].w().Delete(key)
-			} else {
-				sums[u].w().Set(key, sum)
-			}
-			sumLog[u].add(key)
-			mc.rows++
-		})
+	var groups editor[keyGroup]
+	if old.byParent != nil {
+		groups = edit(old.byParent)
 	}
-	ncs := &countState{total: total, keySum: make([]*storage.PMap[int64], n)}
-	for u := range sums {
-		if old[u] != nil {
-			ncs.keySum[u] = sums[u].done(mc)
+	rows.each(func(row []Value) {
+		was, is := old.sup.Has(row), sup.Has(row)
+		mc.rows += 2
+		var diff int64
+		if is {
+			diff += value(newNodes, row)
 		}
+		if was {
+			diff -= value(oldNodes, row)
+		}
+		if diff == 0 && was == is {
+			return
+		}
+		if old.byParent == nil {
+			ns.sum += diff
+			return
+		}
+		key := project(buf, row, p.sharedPos[u])
+		g, _ := groups.cur.Get(key)
+		switch {
+		case is && !was:
+			g.rows = withRow(g.rows, row)
+		case was && !is:
+			g.rows = withoutRow(g.rows, row)
+		}
+		// Rows are re-evaluated one at a time, so a group runs out of rows
+		// exactly when the last of its old rows has left and none of its new
+		// ones has arrived: its sum is zero then.
+		if g.sum += diff; len(g.rows) == 0 {
+			groups.w().Delete(key)
+		} else {
+			groups.w().Set(key, g)
+		}
+		touched[u].add(key)
+	})
+	if old.byParent != nil {
+		ns.byParent = groups.done(mc)
 	}
-	return ncs
+	return ns
+}
+
+// keyDelta is the change of node u's key set between its parent groupings
+// old and cur: the touched keys whose group appeared or vanished. It is nil
+// when none did.
+func keyDelta(p *Plan, u int, old, cur *storage.PMap[keyGroup], touched *workSet, mc *maintCtx) *relDelta {
+	var kd *relDelta
+	touched.each(func(key []Value) {
+		was, is := old.Has(key), cur.Has(key)
+		if was == is {
+			return
+		}
+		if kd == nil {
+			kd = newRelDelta(p.shared[u])
+		}
+		if is {
+			kd.plus.Add(key...)
+		} else {
+			kd.minus.Add(key...)
+		}
+	})
+	mc.rows += uint64(2 * touched.len())
+	return kd
 }

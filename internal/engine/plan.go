@@ -34,18 +34,18 @@ type Plan struct {
 	lambdaVars [][][]string
 	children   [][]int
 	order      []int      // topological order, leaves before parents
+	pre        []int      // pre-order (order reversed): every node after its ancestors
 	shared     [][]string // node → bag vars shared with the parent's bag
 
 	// Precomputed join-column sets. Node relations always carry their bag
-	// variables in sorted order (newRun projects onto bagVars and semijoins
+	// variables in sorted order (bindNodes projects onto bagVars and semijoins
 	// preserve columns), so column positions are fixed at plan time and the
 	// per-evaluation passes never touch column names again.
 	childJoins [][]childJoin // node → per-child semijoin/count key positions
 	sharedPos  [][]int       // node → positions of shared[u] within bagVars[u]
 	bagVids    [][]int       // node → hypergraph vertex id of each bag column
 	sharedVids [][]int       // node → vertex id of each shared column
-	pairs      int           // number of (node, child-join) edges of the tree
-	pairOf     [][]int       // node → child join → index of that edge among all pairs
+	maxShared  int           // the most columns a node shares with its parent
 
 	// The maintenance half of the plan (maintplan.go): how a change to one
 	// input of a node — an atom, or a child's key set — is joined through the
@@ -179,6 +179,10 @@ func NewPlan(q cq.Query, d *decomp.GHD) (*Plan, error) {
 	if len(p.order) != d.Nodes() {
 		return nil, fmt.Errorf("engine: decomposition tree is not connected")
 	}
+	p.pre = make([]int, len(p.order))
+	for i, u := range p.order {
+		p.pre[len(p.order)-1-i] = u
+	}
 	// Column positions of every join the evaluation passes will run, fixed
 	// now so indexes can be built straight off precomputed integer columns.
 	posIn := func(list []string, name string) int {
@@ -215,13 +219,7 @@ func NewPlan(q cq.Query, d *decomp.GHD) (*Plan, error) {
 			p.sharedPos[u][i] = posIn(p.bagVars[u], name)
 			p.sharedVids[u][i] = h.VertexID(name)
 		}
-	}
-	p.pairOf = make([][]int, d.Nodes())
-	for u := 0; u < d.Nodes(); u++ {
-		for range p.childJoins[u] {
-			p.pairOf[u] = append(p.pairOf[u], p.pairs)
-			p.pairs++
-		}
+		p.maxShared = max(p.maxShared, len(p.shared[u]))
 	}
 	p.planMaintenance()
 	return p, nil

@@ -10,20 +10,6 @@ import (
 	"d2cq/internal/storage"
 )
 
-// run is the data-dependent state of one evaluation of a Plan over one
-// compiled Instance: the materialised node relations, always bottom-up
-// reduced. A run belongs to a single evaluation call and is never shared
-// between goroutines; the Plan it points at is immutable. counts is the flat
-// counting DP over the nodes, with its messages and slots — Bind's, or nil
-// for a maintained query, whose DP is kept as key sums, until enumIndex
-// sends the messages again.
-type run struct {
-	plan     *Plan
-	inst     *Instance
-	nodeRels []*Relation
-	counts   *countState
-}
-
 // allNodes returns 0..n-1 (the work list of the materialisation pass).
 func allNodes(n int) []int {
 	out := make([]int, n)
@@ -229,24 +215,30 @@ func projectCounts(acc *Relation, cols []string) *storage.TupleMap {
 	return m
 }
 
-// newRun materialises the node relations of the plan over inst bottom-up,
+// bindNodes materialises the node relations of the plan over inst bottom-up,
 // children strictly first: every node is built by materialiseReduced from its
 // children's messages and reduced by nodeMessage, which computes its own
-// message on the way, so the run starts out bottom-up reduced and carries the
-// finished counting DP.
-func newRun(ctx context.Context, p *Plan, inst *Instance) (*run, error) {
-	r := &run{plan: p, inst: inst, nodeRels: make([]*Relation, p.d.Nodes())}
+// message on the way, so the relations start out bottom-up reduced and the
+// counting DP comes out finished, flat: its messages, the slots of the
+// reduced rows in them, and the total.
+func bindNodes(ctx context.Context, p *Plan, inst *Instance) ([]*Relation, *countState, error) {
 	getEdge, err := edgeRelations(ctx, p, inst, allNodes(p.d.Nodes()))
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	r.counts, err = countBottomUp(ctx, p, r.nodeRels, func(u int, msgs []*storage.TupleMap) *Relation {
-		return materialiseReduced(p, inst, u, getEdge, msgs)
-	})
-	if err != nil {
-		return nil, err
+	rels := make([]*Relation, p.d.Nodes())
+	cs := &countState{msgs: make([]*storage.TupleMap, p.d.Nodes()), slots: make([][]int32, p.d.Nodes())}
+	for _, u := range p.order {
+		if err := ctx.Err(); err != nil {
+			return nil, nil, err
+		}
+		var total int64
+		rels[u], cs.msgs[u], cs.slots[u], total = nodeMessage(p, u, materialiseReduced(p, inst, u, getEdge, cs.msgs), cs.msgs)
+		if cs.msgs[u] == nil {
+			cs.total = total
+		}
 	}
-	return r, nil
+	return rels, cs, nil
 }
 
 // edgeRelations builds the λ edge relations of the given nodes, one per
@@ -306,58 +298,18 @@ func nodeMessage(p *Plan, u int, rel *Relation, msgs []*storage.TupleMap) (kept 
 }
 
 // countState is the cached counting DP of a BoundQuery: the total at the
-// root and what Rebind needs to carry it across a delta. Built from scratch
-// it is flat — every non-root node's message (nodeMessage) and every node
-// row's slot in it, by which the enumeration indexes group the rows
-// (buildEnumState); the first Rebind freezes the messages into per-node key
-// sums in persistent maps (keySum, countState.update) and from then on
-// maintains only them.
+// root and, built from scratch by Bind, the flat DP — every non-root node's
+// message (nodeMessage) and every node row's slot in it, by which the
+// enumeration indexes group the rows (buildEnumState). The first Rebind
+// loads each message into its node's parent grouping (buildMaint), whose
+// keys are the message's keys and whose values carry its sums; from then on
+// Rebind maintains the sums there, beside the rows (regroup), and the state
+// a maintained query caches is the total alone.
 type countState struct {
 	total int64
 
 	msgs  []*storage.TupleMap // flat form: node → its message; nil for the root
 	slots [][]int32           // flat form: node → its rows' message slots
-
-	keySum []*storage.PMap[int64] // maintained form; nil entry for the root
-}
-
-// countBottomUp runs the counting DP over all nodes, children strictly first:
-// node(u, msgs) returns node u's relation — built then and there from its
-// children's messages msgs, or one built before — and nodeMessage computes
-// the node's own message from it and reduces it into reduced[u]; the state
-// keeps the reduced rows' message slots.
-func countBottomUp(ctx context.Context, p *Plan, reduced []*Relation, node func(u int, msgs []*storage.TupleMap) *Relation) (*countState, error) {
-	cs := &countState{msgs: make([]*storage.TupleMap, p.d.Nodes()), slots: make([][]int32, p.d.Nodes())}
-	for _, u := range p.order {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		var total int64
-		reduced[u], cs.msgs[u], cs.slots[u], total = nodeMessage(p, u, node(u, cs.msgs), cs.msgs)
-		if cs.msgs[u] == nil {
-			cs.total = total
-		}
-	}
-	return cs, nil
-}
-
-// enumIndex builds the enumeration state over the bottom-up reduced node
-// relations B(u), reducing nothing further: the join of the B(u) is the
-// result, and every row of B(u) has a partner in B of each child, so the
-// enumeration from the root down never dead-ends. A run without flat messages
-// first sends them by a counting pass, which drops no row.
-func (r *run) enumIndex(ctx context.Context) (*enumState, error) {
-	if r.counts == nil {
-		rels := r.nodeRels
-		cs, err := countBottomUp(ctx, r.plan, rels, func(u int, _ []*storage.TupleMap) *Relation {
-			return rels[u]
-		})
-		if err != nil {
-			return nil, err
-		}
-		r.counts = cs
-	}
-	return buildEnumState(r.plan, r.nodeRels, r.counts.msgs, r.counts.slots), nil
 }
 
 // enumNode is the per-node enumeration state: the relation B(u),
@@ -372,17 +324,17 @@ type enumNode struct {
 }
 
 // enumState is the immutable, shareable part of an enumeration over the
-// bottom-up reduced node relations: the pre-order traversal and the per-node
-// indexes. Building it is the per-evaluation cost the bound API caches away;
+// bottom-up reduced node relations: the per-node indexes, walked in the
+// plan's pre-order. Building it is the per-evaluation cost the bound API caches away;
 // the enumerate method allocates its own cursors, so one enumState serves any
 // number of concurrent enumerations. It has two forms. Built from scratch it
 // is flat: the relations with their rows grouped by message slot (nodes).
-// Derived by Rebind it is maintained: the same rows grouped in persistent
-// maps (m, see maintreduce.go), which the enumeration probes directly.
+// Derived by Rebind it is maintained (m, see maintreduce.go): it holds the
+// maintained nodes themselves, and the enumeration probes their persistent
+// groupings directly — byParent going down, up going up — so it keeps no
+// grouping of its own.
 type enumState struct {
-	plan      *Plan
-	pre       []int
-	maxShared int
+	plan *Plan
 
 	// id names this state among its engine's (0: not a bound query's) and
 	// parent the state it was derived from by update, whose recorded deltas
@@ -392,13 +344,13 @@ type enumState struct {
 
 	nodes []enumNode
 
-	// up caches, per (node, child-join) pair of the plan (pairOf), the
-	// grouping of the *parent* relation on the columns shared with that child —
+	// up caches, per node and child join, the grouping of the *parent*
+	// relation on the columns shared with that child —
 	// the probe direction of enumerateVia's path walk, which is the reverse of
 	// the enumNode groupings above. Flat form only, built lazily under upMu
-	// (the maintained form keeps these groupings up to date as enumMaint.up).
+	// (a maintained node keeps these groupings up to date as nodeState.up).
 	upMu sync.Mutex
-	up   []*keyGroups
+	up   [][]*keyGroups
 
 	m *enumMaint
 }
@@ -408,23 +360,14 @@ type enumState struct {
 // constrained by the time the node is visited. The groups are keyed by the
 // node's message msgs[u], and slots[u] gives each row's slot in it, so they
 // are laid out without hashing a row. rels must carry the bag columns of the
-// plan (the invariant of newRun).
+// plan (the invariant of bindNodes).
 func buildEnumState(p *Plan, rels []*Relation, msgs []*storage.TupleMap, slots [][]int32) *enumState {
-	es := &enumState{plan: p, pre: make([]int, len(p.order)), nodes: make([]enumNode, p.d.Nodes())}
-	// Pre-order over the tree: reverse of the (post-order) topological
-	// order. Every node appears after all of its ancestors.
-	for i, u := range p.order {
-		es.pre[len(p.order)-1-i] = u
-	}
-	for _, u := range es.pre {
-		rel := rels[u]
+	es := &enumState{plan: p, nodes: make([]enumNode, p.d.Nodes())}
+	for u, rel := range rels {
 		en := enumNode{rel: rel, write: p.bagVids[u], sharedVid: p.sharedVids[u]}
 		if len(p.shared[u]) > 0 {
 			g := groupSlots(msgs[u], slots[u])
 			en.idx = &g
-			if len(p.shared[u]) > es.maxShared {
-				es.maxShared = len(p.shared[u])
-			}
 		}
 		es.nodes[u] = en
 	}
@@ -447,12 +390,12 @@ func (es *enumState) enumerate(ctx context.Context, yield func(row []Value) bool
 	}
 	asg := make([]Value, p.h.NV())
 	out := make([]Value, len(p.qvars))
-	keyBuf := make([]Value, es.maxShared)
+	keyBuf := make([]Value, p.maxShared)
 	var yielded int
 	stop := false
 	var rec func(i int) error
 	rec = func(i int) error {
-		if i == len(es.pre) {
+		if i == len(p.pre) {
 			yielded++
 			if yielded&0x3f == 0 {
 				if err := ctx.Err(); err != nil {
@@ -467,7 +410,7 @@ func (es *enumState) enumerate(ctx context.Context, yield func(row []Value) bool
 			}
 			return nil
 		}
-		u := es.pre[i]
+		u := p.pre[i]
 		if m := es.m; m != nil {
 			// Maintained form: the rows to visit are a contiguous bucket —
 			// of the persistent index on the parent-shared columns, or of the
@@ -482,7 +425,8 @@ func (es *enumState) enumerate(ctx context.Context, yield func(row []Value) bool
 				for j, vid := range p.sharedVids[u] {
 					kb[j] = asg[vid]
 				}
-				rows, _ = ns.byParent.Get(kb)
+				g, _ := ns.byParent.Get(kb)
+				rows = g.rows
 			case i == 0:
 				var err error
 				ns.sup.Range(func(row []Value, _ int64) bool {

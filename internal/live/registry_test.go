@@ -241,8 +241,8 @@ func TestFlushAllocsFlatInRegistry(t *testing.T) {
 	}
 	// The ceiling keeps the count itself from creeping back up: an enum
 	// node no row of which changes membership allocates no delta.
-	if few > 208 {
-		t.Fatalf("a one-tuple flush allocates %.1f times, want at most 208", few)
+	if few > 187 {
+		t.Fatalf("a one-tuple flush allocates %.1f times, want at most 187", few)
 	}
 }
 

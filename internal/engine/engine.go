@@ -35,14 +35,11 @@ type Engine struct {
 	binds          atomic.Uint64
 	rebinds        atomic.Uint64
 
-	// Chosen-path counters of the incremental maintenance cost model (see
-	// cost.go): which side each measured-stats decision actually took, so
-	// operators can see whether traffic is being maintained incrementally
-	// or falling back to rebuilds.
-	atomDeltaFast  atomic.Uint64 // dirty atoms whose delta was read off the two tables' row maps
-	atomDeltaScan  atomic.Uint64 // dirty atoms rebuilt by a table scan
-	nodeDeltaJoins atomic.Uint64 // nodes maintained by delta-join
-	nodeRebuilds   atomic.Uint64 // nodes re-materialised from scratch
+	// What incremental maintenance did (see Stats).
+	atomDeltaFast  atomic.Uint64
+	atomDeltaScan  atomic.Uint64
+	nodeDeltaJoins atomic.Uint64
+	nodeRebuilds   atomic.Uint64
 	diffsFast      atomic.Uint64 // DiffFroms answered by propagated per-node diffs
 	diffsOracle    atomic.Uint64 // DiffFroms that materialised both results
 	maintRows      atomic.Uint64 // rows hashed, probed or copied by Rebind and DiffFrom
@@ -117,12 +114,17 @@ type Stats struct {
 	Rebinds         uint64
 	Cache           decomp.CacheStats
 
-	// Chosen-path counters of incremental maintenance: for each decision the
-	// measured-stats cost model makes (cost.go), how often each side ran.
-	AtomDeltaFast  uint64 // dirty atoms whose delta was read off the two tables' row maps
-	AtomDeltaScan  uint64 // dirty atoms rebuilt by a table scan
-	NodeDeltaJoins uint64 // nodes maintained by delta-join
-	NodeRebuilds   uint64 // nodes re-materialised from scratch
+	// What incremental maintenance did. Rebind has one path for every
+	// delta; these count what it cost. A dirty atom's delta is read off the
+	// two tables' row maps, which share everything the change did not touch
+	// (AtomDeltaFast) — unless Apply rewrote the new table flat, so that the
+	// diff first listed the whole table (AtomDeltaScan). A node with a
+	// changed input is delta-joined (NodeDeltaJoins); a query's first Rebind
+	// converts each node to maintained form once (NodeRebuilds).
+	AtomDeltaFast  uint64
+	AtomDeltaScan  uint64
+	NodeDeltaJoins uint64
+	NodeRebuilds   uint64
 	DiffsFast      uint64 // DiffFroms answered by propagated per-node diffs
 	DiffsOracle    uint64 // DiffFroms that materialised both results
 

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"d2cq/internal/storage"
 )
@@ -35,8 +36,10 @@ import (
 //
 // An empty delta at any layer stops the propagation there. Every piece of
 // state lives in persistent maps, so the successor shares everything the
-// delta did not touch and costs time proportional to the change; the cost
-// model (cost.go) sends deltas too large for that back to a rebuild.
+// delta did not touch and costs time proportional to the change. There is
+// this one path for every delta, however large: a delta the size of a
+// relation delta-joins every row of it, which costs about what rebuilding
+// the nodes it reaches would.
 
 // Update applies a delta to the bound query's database snapshot and carries
 // the bound evaluation state forward incrementally: the new snapshot is
@@ -117,7 +120,7 @@ func (b *BoundQuery) Rebind(ctx context.Context, cdb *CompiledDB) (*BoundQuery, 
 	visible := false
 	for _, i := range dirty {
 		rel := q.Atoms[i].Rel
-		d, set, flat, err := atomDelta(plan, i, ms.atoms[i].set, b.cdb.sdb.Table(rel), cdb.sdb.Table(rel), cdb.sdb.Dict, eng, mc)
+		d, set, err := atomDelta(plan, i, ms.atoms[i].set, b.cdb.sdb.Table(rel), cdb.sdb.Table(rel), cdb.sdb.Dict, eng, mc)
 		if err != nil {
 			return nil, err
 		}
@@ -126,7 +129,7 @@ func (b *BoundQuery) Rebind(ctx context.Context, cdb *CompiledDB) (*BoundQuery, 
 		}
 		nu.deltas[i] = d
 		nu.newAtoms[i] = patchAtom(plan, i, ms.atoms[i], set, d, mc)
-		inst.AtomRels[i] = flat
+		inst.AtomRels[i] = nil
 		visible = true
 	}
 	if !visible {
@@ -137,12 +140,11 @@ func (b *BoundQuery) Rebind(ctx context.Context, cdb *CompiledDB) (*BoundQuery, 
 		return nb, nil
 	}
 
-	// 2. Nodes, children first: delta-join every node with a changed input,
-	// or rebuild it where the cost model prices the delta above that or a
-	// child sharing no column with it emptied or filled; carry its groupings
-	// across the change and re-evaluate its counting DP where a row or a
-	// child's sum changed (regroup); then hand the node's key set, with its
-	// delta, to its parent.
+	// 2. Nodes, children first: delta-join every node with a changed input;
+	// carry its groupings across the change and re-evaluate its counting DP
+	// where a row or a child's sum changed (regroup); then hand the node's
+	// key set, with its delta, to its parent — a key set sharing no column
+	// with the parent changes when the node empties or fills.
 	n := plan.d.Nodes()
 	nm := &maintState{atoms: nu.newAtoms, nodes: append([]*nodeState(nil), ms.nodes...)}
 	nb := &BoundQuery{prep: b.prep, cdb: cdb, inst: inst, maint: nm, nodeRels: append([]*Relation(nil), b.nodeRels...)}
@@ -152,45 +154,29 @@ func (b *BoundQuery) Rebind(ctx context.Context, cdb *CompiledDB) (*BoundQuery, 
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		flipped, empty := false, false
-		for _, cj := range plan.childJoins[u] {
-			if len(cj.shared) == 0 {
-				was, is := ms.nodes[cj.child].sup.Len() > 0, nm.nodes[cj.child].sup.Len() > 0
-				flipped, empty = flipped || was != is, empty || !is
-			}
-		}
-		totalDelta, totalInput, maxInput := 0, 0, 0
-		for _, i := range plan.inputs[u] {
-			l := nu.newAtoms[i].len()
-			totalInput += l
-			if l > maxInput {
-				maxInput = l
-			}
-			if d := nu.deltas[i]; d != nil {
-				totalDelta += d.rows()
-			}
-		}
 		old, sup := ms.nodes[u], ms.nodes[u].sup
-		switch {
-		case !flipped && (totalDelta == 0 || empty):
-			// no input changed, or the node is held empty by an absent
-			// nullary key set
-		case !flipped && chooseNodeDelta(totalDelta, totalInput, old.sup.Len(), maxInput):
+		if slices.ContainsFunc(plan.inputs[u], func(i int) bool { return nu.deltas[i] != nil }) {
 			eng.nodeDeltaJoins.Add(1)
 			if sup, dN[u] = maintainNode(plan, u, old, nu, mc); !dN[u].empty() {
 				nb.nodeRels[u] = nil
 			}
-		default:
-			eng.nodeRebuilds.Add(1)
-			sup, nb.nodeRels[u], dN[u] = rebuildNode(plan, u, old, inst, nu.flatInputs(plan, u, nm.nodes, inst, mc), mc)
 		}
 		ns := regroup(plan, u, old, sup, dN[u], ms.nodes, nm.nodes, touched, mc)
 		nm.nodes[u] = ns
+		k := plan.keyInput(u)
 		if ns.byParent != old.byParent {
-			k := plan.keyInput(u)
 			kd := keyDelta(plan, u, old.byParent, ns.byParent, &touched[u], mc)
 			nu.deltas[k] = kd
 			nu.newAtoms[k] = &atomState{keys: ns.byParent, idx: patchIndexes(plan, k, ms.atoms[k].idx, kd, mc)}
+		} else if ka := ms.atoms[k]; ka != nil && ka.keys == nil && ka.len() != min(ns.sup.Len(), 1) {
+			kd := newRelDelta(nil)
+			if ns.sup.Len() > 0 {
+				kd.plus.AddEmpty()
+			} else {
+				kd.minus.AddEmpty()
+			}
+			nu.deltas[k] = kd
+			nu.newAtoms[k] = patchAtom(plan, k, ka, nil, kd, mc)
 		}
 	}
 
@@ -206,69 +192,36 @@ func (b *BoundQuery) Rebind(ctx context.Context, cdb *CompiledDB) (*BoundQuery, 
 	return nb, nil
 }
 
-// flatInputs lists the flat relations node u's rebuild joins: it fills in
-// the atom relations inst lacks (those that changed since they were flat) and
-// returns the children's key sets — the keys of their parent groupings — as
-// join inputs, in Plan.childJoins order; a child sharing no column with u as
-// the nullary relation that is non-empty iff the child is.
-func (nu *nodeUpdate) flatInputs(p *Plan, u int, nodes []*nodeState, inst *Instance, mc *maintCtx) []joinInput {
-	for _, i := range p.inputs[u] {
-		if i < len(inst.AtomRels) && inst.AtomRels[i] == nil {
-			inst.AtomRels[i] = flatten(nu.newAtoms[i].set, p.atomVars[i])
-			mc.rows += uint64(inst.AtomRels[i].Len())
-		}
-	}
-	keys := make([]joinInput, len(p.childJoins[u]), len(p.childJoins[u])+len(p.filters[u]))
-	for k, cj := range p.childJoins[u] {
-		if len(cj.shared) > 0 {
-			keys[k].rel = flatten(nodes[cj.child].byParent, cj.shared)
-			mc.rows += uint64(keys[k].rel.Len())
-			continue
-		}
-		keys[k].rel = NewRelation()
-		if nodes[cj.child].sup.Len() > 0 {
-			keys[k].rel.AddEmpty()
-		}
-	}
-	return keys
-}
-
 // atomDelta computes the exact delta of dirty atom i against its old tuple
 // set, given the relation's table before and after (either may be nil: the
-// empty relation). Normally it is read off the two tables' row maps
-// (storage.DiffTables — O(change) when the new table descends from the old by
-// small deltas, whatever the number of Applies in between; counted as
-// AtomDeltaFast): the projection of matching table rows onto the atom's
-// distinct variables is injective — the tuple plus the atom's constants and
-// repeated variables reconstruct the row — so the matching rows that left the
-// table are exactly the tuples leaving the relation, and likewise entering.
-// An atom whose relation IS the table (Plan.directAtom) skips even the
-// projection, and its successor set — the new table's own map, shared, not
-// patched — is returned too. Only a table rewritten flat (a delta the size of
-// the relation: it shares nothing with its predecessor) is rescanned and
-// diffed against the old set (AtomDeltaScan); the scanned flat relation is
-// then returned as well, so a node rebuild need not list it again.
-func atomDelta(p *Plan, i int, old *rowSet, oldT, newT *storage.Table, dict *Dict, eng *Engine, mc *maintCtx) (d *relDelta, set *rowSet, flat *Relation, err error) {
+// empty relation), off the two tables' row maps (storage.DiffTables —
+// O(change) when the new table descends from the old by small deltas,
+// whatever the number of Applies in between): the projection of matching
+// table rows onto the atom's distinct variables is injective — the tuple
+// plus the atom's constants and repeated variables reconstruct the row — so
+// the matching rows that left the table are exactly the tuples leaving the
+// relation, and likewise entering. An atom whose relation IS the table
+// (Plan.directAtom) skips even the projection, and its successor set — the
+// new table's own map, shared, not patched — is returned too. A table that
+// Apply rewrote flat shares nothing with its predecessor, so its diff first
+// lists its row map, O(relation); it is counted as AtomDeltaScan, every other
+// diff as AtomDeltaFast.
+func atomDelta(p *Plan, i int, old *rowSet, oldT, newT *storage.Table, dict *Dict, eng *Engine, mc *maintCtx) (d *relDelta, set *rowSet, err error) {
 	a, vars := p.query.Atoms[i], p.atomVars[i]
 	if newT != nil && newT.Arity != len(a.Args) {
-		return nil, nil, nil, fmt.Errorf("engine: arity mismatch in %s", a.Rel)
-	}
-	if p.directAtom[i] {
-		eng.atomDeltaFast.Add(1)
-		d, set = newRelDelta(vars), tableRows(newT, len(a.Args))
-		mc.rows += uint64(set.Diff(old, func(row []Value) { d.minus.Add(row...) }, func(row []Value) { d.plus.Add(row...) }))
-		return d, set, nil, nil
+		return nil, nil, fmt.Errorf("engine: arity mismatch in %s", a.Rel)
 	}
 	if newT != nil && newT.Flat() {
 		eng.atomDeltaScan.Add(1)
-		if flat, err = bindAtomRelation(a, newT, dict); err != nil {
-			return nil, nil, nil, err
-		}
-		mc.rows += uint64(2*flat.Len() + old.Len())
-		return diffRows(old, flat), nil, flat, nil
+	} else {
+		eng.atomDeltaFast.Add(1)
 	}
-	eng.atomDeltaFast.Add(1)
 	d = newRelDelta(vars)
+	if p.directAtom[i] {
+		set = tableRows(newT, len(a.Args))
+		mc.rows += uint64(set.Diff(old, func(row []Value) { d.minus.Add(row...) }, func(row []Value) { d.plus.Add(row...) }))
+		return d, set, nil
+	}
 	// A constant the dictionary has never seen matches nothing — and the
 	// dictionary only grows, so the old relation was empty too.
 	if m := newAtomMatcher(a, vars, dict); m.ok {
@@ -281,7 +234,7 @@ func atomDelta(p *Plan, i int, old *rowSet, oldT, newT *storage.Table, dict *Dic
 		}
 		mc.rows += uint64(storage.DiffTables(oldT, newT, side(d.minus), side(d.plus)))
 	}
-	return d, nil, nil, nil
+	return d, nil, nil
 }
 
 // tableRows returns a table's rows as a persistent set (nil: the empty

@@ -39,7 +39,8 @@ type (
 // key set: its tuples over its columns (Plan.atomVars), indexed on every
 // column subset a delta plan probes (Plan.atomIdxCols). An atom's tuples are
 // a set of their own; a key set's are the keys of the child's byParent, so
-// it keeps no set.
+// it keeps no set — except the key set of a child sharing no column with its
+// parent, a nullary set holding the empty tuple while the child has a row.
 type atomState struct {
 	set  *rowSet
 	keys *storage.PMap[keyGroup]
@@ -103,8 +104,8 @@ type nodeState struct {
 }
 
 // maintState is the maintained form of everything Bind materialises: every
-// join input (atoms, then key sets; nil for a node without one) and every
-// node. Immutable once published on a BoundQuery.
+// join input (atoms, then key sets; nil for the root) and every node.
+// Immutable once published on a BoundQuery.
 type maintState struct {
 	atoms []*atomState
 	nodes []*nodeState
@@ -132,27 +133,6 @@ func newRelDelta(cols []string) *relDelta {
 func (d *relDelta) rows() int { return d.plus.Len() + d.minus.Len() }
 
 func (d *relDelta) empty() bool { return d == nil || d.rows() == 0 }
-
-// diffRows is the delta that turns the key set of old into the rows of rel,
-// by two whole-relation passes — the price of a rebuild, which has no delta
-// to carry.
-func diffRows[V any](old *storage.PMap[V], rel *Relation) *relDelta {
-	d := newRelDelta(rel.Cols)
-	now := storage.NewTupleMap(len(rel.Cols), rel.Len())
-	for i := 0; i < rel.Len(); i++ {
-		now.Insert(rel.Row(i))
-		if !old.Has(rel.Row(i)) {
-			d.plus.Add(rel.Row(i)...)
-		}
-	}
-	old.Range(func(row []Value, _ V) bool {
-		if now.Find(row) < 0 {
-			d.minus.Add(row...)
-		}
-		return true
-	})
-	return d
-}
 
 // maintCtx carries one maintenance call's rows-touched tally (rows hashed,
 // probed or copied), flushed into Engine.Stats.MaintRowsTouched at the end.
@@ -408,9 +388,11 @@ func newSup(p *Plan, u int, rel *Relation, counts *storage.TupleMap) *storage.PM
 // their rows as they are. A node's parent grouping takes each key's sum from
 // Bind's message, through the message slot of the key's first row, so its
 // keys are the message's keys: the node's key set, which the parent's delta
-// plans read. This is the one-off O(database) cost of the first maintenance —
-// every map bulk-built, so its allocations do not grow with the rows — after
-// which flat relations are only ever produced on demand.
+// plans read (a node sharing no column has the nullary key set, present
+// while its message is non-empty). This is the one-off O(database) cost of
+// the first maintenance — every map bulk-built, so its allocations do not
+// grow with the rows — after which flat relations are only ever produced on
+// demand.
 func (b *BoundQuery) buildMaint(ctx context.Context) (*maintState, error) {
 	p := b.prep.plan
 	eng := b.prep.eng
@@ -449,6 +431,7 @@ func (b *BoundQuery) buildMaint(ctx context.Context) (*maintState, error) {
 			if msg.Len() > 0 {
 				ns.sum = msg.Val(0)
 			}
+			ms.atoms[p.keyInput(u)] = &atomState{set: setOfRows(keysOf(msg, nil))}
 		default:
 			ns.byParent = indexRows(rel, p.sharedPos[u], func(bucket []Value, first int32) keyGroup {
 				return keyGroup{rows: bucket, sum: msg.Val(slots[first])}
@@ -562,8 +545,16 @@ func maintainNode(p *Plan, u int, old *nodeState, nu *nodeUpdate, mc *maintCtx) 
 	bag := p.bagVars[u]
 	sup := edit(old.sup)
 	// before records, per bag tuple the delta reaches, whether it was in the
-	// node before (so crossings can be classified afterwards).
-	before := storage.NewTupleMap(len(bag), 16)
+	// node before (so crossings can be classified afterwards). It is sized
+	// for one tuple per changed input row, so a large delta does not grow it
+	// step by step.
+	rows := 16
+	for _, src := range p.inputs[u] {
+		if d := nu.deltas[src]; d != nil {
+			rows += d.rows()
+		}
+	}
+	before := storage.NewTupleMap(len(bag), rows)
 	// atoms is the telescoping view: every input starts in its old state and
 	// moves to its new one once its own delta has been joined through — which
 	// only a later delta sees, so the view is copied only then.
@@ -613,21 +604,4 @@ func maintainNode(p *Plan, u int, old *nodeState, nu *nodeUpdate, mc *maintCtx) 
 	}
 	mc.rows += uint64(before.Len())
 	return sup.done(mc), d
-}
-
-// rebuildNode re-materialises node u's B(u) from the flat relations of its
-// inputs — its atoms in inst, its children's key sets in keys
-// (Plan.childJoins order) — the fallback for a delta the cost model prices
-// above a rebuild, and for a nullary key set that flipped. It diffs the
-// result against the old state, so everything downstream still receives an
-// exact delta.
-func rebuildNode(p *Plan, u int, old *nodeState, inst *Instance, keys []joinInput, mc *maintCtx) (*storage.PMap[int64], *Relation, *relDelta) {
-	join := nodeJoin(p, inst, u, inst.EdgeRelation, keys)
-	rel := join.Project(p.bagVars[u])
-	var counts *storage.TupleMap
-	if p.projects[u] {
-		counts = projectCounts(join, p.bagVars[u])
-	}
-	mc.rows += uint64(2*rel.Len() + old.sup.Len())
-	return newSup(p, u, rel, counts), rel, diffRows(old.sup, rel)
 }

@@ -5,20 +5,23 @@ import "slices"
 // This file is the plan-time half of incremental maintenance. A node's
 // relation is its bottom-up reduced bag: the join of its input relations
 // projected to the bag. The inputs are every atom over one of the node's λ
-// edges, the atoms filtered at the node, and one key set per child sharing
-// columns with it — the child's relation projected onto those columns.
+// edges, the atoms filtered at the node, and one key set per child — the
+// child's relation projected onto the columns it shares with the node.
 // Filters and key sets join like any other input: their variables lie inside
 // the bag, so they contribute exactly one derivation to a bag tuple that
 // passes and none to one that does not. A key set is numbered after the
 // atoms (Plan.keyInput) and held like an atom, so everything below serves
-// both. A child sharing no column has a nullary key set — present or not —
-// which is no input: Rebind rebuilds the parent when it flips. When one input
-// changes, the change of the node's relation is the input's delta joined
-// through the OTHER inputs; deltaPlan fixes, per (node, changed input), the
-// order those inputs are probed in and which persistent index of each is
-// used, so maintaining the node costs the size of that delta-join and never a
-// scan of an unchanged relation. A child's key set probed through an index
-// is what connects a cover whose atoms share no variable.
+// both. When one input changes, the change of the node's relation is the
+// input's delta joined through the OTHER inputs; deltaPlan fixes, per (node,
+// changed input), the order those inputs are probed in and which persistent
+// index of each is used, so maintaining the node costs the size of that
+// delta-join and never a scan of an unchanged relation. A child's key set
+// probed through an index is what connects a cover whose atoms share no
+// variable. A child sharing no column has a nullary key set, holding the
+// empty tuple while the child has a row: always fully bound, so every delta
+// plan probes it first and a node it holds empty costs O(delta). Its own
+// delta — the child emptied or filled — binds nothing, so it joins the
+// node's other inputs from a scan: the whole node enters or leaves.
 
 // deltaStep probes one input with the variables bound so far.
 type deltaStep struct {
@@ -88,9 +91,7 @@ func (p *Plan) planMaintenance() {
 		}
 		p.inputs[u] = append(p.inputs[u], p.filters[u]...)
 		for _, cj := range p.childJoins[u] {
-			if len(cj.shared) > 0 {
-				p.inputs[u] = append(p.inputs[u], p.keyInput(cj.child))
-			}
+			p.inputs[u] = append(p.inputs[u], p.keyInput(cj.child))
 		}
 		joined := map[string]bool{}
 		for _, i := range p.inputs[u] {

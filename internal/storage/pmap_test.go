@@ -219,8 +219,7 @@ func BenchmarkPMapDiff(b *testing.B) {
 // differs in one key, or in 100 keys patched inside one edit (reported per
 // edit: divide by 100 for the per-key cost). The persistent map pays the trie
 // path; the flat TupleMap it replaced on that path had to copy everything
-// (divide by n for the flat per-row cost). The engine's patchWeight is read
-// off these numbers.
+// (divide by n for the flat per-row cost).
 func BenchmarkTupleMapSuccessor(b *testing.B) {
 	for _, n := range []int{5_000, 100_000} {
 		key := make([]Value, 2)

@@ -189,12 +189,14 @@ type Engine = engine.Engine
 type PreparedQuery = engine.PreparedQuery
 
 // CompiledDB is a database compiled once by Engine.CompileDB: constants
-// interned, relations laid out flat with integer-keyed indexes. Share one
-// CompiledDB across any number of concurrent Binds and evaluations. A
-// CompiledDB is a snapshot: CompiledDB.Apply(ctx, delta) produces the next
-// snapshot copy-on-write, sharing every untouched relation (and the
-// append-friendly dictionary) with its parent, so an update stream costs
-// time proportional to the touched relations — not the database.
+// interned, relations compiled into flat tables with integer-keyed indexes.
+// Share one CompiledDB across any number of concurrent Binds and
+// evaluations. A CompiledDB is a snapshot: CompiledDB.Apply(ctx, delta)
+// produces the next snapshot copy-on-write, sharing every untouched relation
+// (and the append-friendly dictionary) with its parent — a table a small
+// delta reaches turns persistent, sharing its untouched rows too — so once
+// a table has taken its first delta, an update stream costs time
+// proportional to the change, not the database.
 type CompiledDB = engine.CompiledDB
 
 // BoundQuery is a PreparedQuery bound to a CompiledDB: dictionary, atom

@@ -4,20 +4,19 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"d2cq/internal/cq"
 	"d2cq/internal/storage"
 )
 
 // CompiledDB is a database compiled once by Engine.CompileDB: constants
-// interned through one dictionary, relations laid out flat with lazily built
-// integer-keyed indexes. A CompiledDB is read-only after compilation and
-// safe to share between any number of concurrent Binds and evaluations.
-// Apply evolves it into a new snapshot without recompiling: the two
-// snapshots share every untouched table and the (append-friendly)
-// dictionary.
+// interned through one dictionary, relations compiled into flat tables with
+// lazily built integer-keyed indexes. A CompiledDB is read-only after
+// compilation and safe to share between any number of concurrent Binds and
+// evaluations. Apply evolves it into a new snapshot without recompiling: the
+// two snapshots share every untouched table and the (append-friendly)
+// dictionary, and a table a small delta reaches turns persistent, so that
+// its successors share its rows too (see storage.DB.Apply).
 type CompiledDB struct {
 	sdb *storage.DB
 	eng *Engine // whose Stats count the rows Apply touches
@@ -97,9 +96,9 @@ func (c *CompiledDB) RelationRows(name string) int {
 // evaluation call. The node relations are bottom-up reduced, and stay so
 // under Rebind, which maintains them. Bind finishes the counting DP on its
 // way up and Rebind carries it forward, so Count only reads the total. The
-// enumeration runs over the same nodes, with no further reduction: its
-// indexes are built on the first Enumerate after Bind, or carried forward by
-// Rebind, and shared.
+// enumeration runs over the same nodes, with no further reduction and no
+// index of its own: Bind lays each node's rows out by parent key, and Rebind
+// maintains that grouping.
 // A BoundQuery is immutable after binding and safe for concurrent use;
 // Update/Rebind never mutate it — they return a new BoundQuery sharing all
 // state the delta did not touch.
@@ -120,13 +119,11 @@ type BoundQuery struct {
 	// bind-and-evaluate workload that never updates builds none of it.
 	maint *maintState
 
-	// enumSt is the enumeration state: built over Bind's flat nodes on the
-	// first Enumerate under reduceMu, or derived by Rebind over the
-	// maintained nodes — so a query whose nodeRels has a cleared entry
-	// always has one.
-	reduceMu sync.Mutex
-	enumSt   atomic.Pointer[enumState]
-	countSt  atomic.Pointer[countState] // set by Bind and by Rebind; nil for naive and ground plans
+	// enumSt is the enumeration state and countSt the counting DP, both set
+	// by Bind over its flat nodes and by Rebind over the maintained ones (nil
+	// for naive and ground plans).
+	enumSt  *enumState
+	countSt *countState
 }
 
 // Bind fixes the data-dependent half of the evaluation for a snapshot: it
@@ -139,8 +136,9 @@ type BoundQuery struct {
 // factor at once. The nodes are thus bottom-up reduced from the start: a
 // cover whose relations share no variable is never built as a cross product
 // on its own, Bool reads the root, Count reads the total summed at the root,
-// and Enumerate groups each node's rows by the message slots they were
-// counted into. Rebind maintains the same nodes.
+// and each non-root node's rows are laid out in the buckets of its message,
+// grouped by the key they were counted into, which Enumerate walks as they
+// are. Rebind maintains the same nodes.
 func (p *PreparedQuery) Bind(ctx context.Context, cdb *CompiledDB) (*BoundQuery, error) {
 	p.eng.binds.Add(1)
 	if err := ctx.Err(); err != nil {
@@ -158,8 +156,8 @@ func (p *PreparedQuery) Bind(ctx context.Context, cdb *CompiledDB) (*BoundQuery,
 	if err != nil {
 		return nil, err
 	}
-	b.nodeRels = rels
-	b.countSt.Store(cs)
+	b.nodeRels, b.countSt = rels, cs
+	b.enumSt = &enumState{plan: p.plan, id: p.eng.stateSeq.Add(1), rels: rels, groups: cs.groups}
 	return b, nil
 }
 
@@ -232,33 +230,17 @@ func (b *BoundQuery) Count(ctx context.Context) (int64, error) {
 		}
 		return 0, nil
 	}
-	return b.countSt.Load().total, nil
+	return b.countSt.total, nil
 }
 
-// ensureReduced returns the enumeration state, building the shared
-// enumeration indexes over Bind's bottom-up reduced nodes once. No reduction
-// pass runs: the indexes are Bind's messages, with each node's rows grouped
-// by slot. Concurrent callers wait for the single construction. A query
-// Rebind derived has its state already.
-func (b *BoundQuery) ensureReduced() *enumState {
-	if es := b.enumSt.Load(); es != nil {
-		return es
-	}
-	b.reduceMu.Lock()
-	defer b.reduceMu.Unlock()
-	if es := b.enumSt.Load(); es != nil {
-		return es
-	}
-	cs := b.countSt.Load()
-	es := buildEnumState(b.prep.plan, b.nodeRels, cs.msgs, cs.slots)
-	es.id = b.prep.eng.stateSeq.Add(1)
-	b.enumSt.Store(es)
-	return es
-}
+// ensureReduced returns the enumeration state over the bottom-up reduced
+// nodes, which Bind and Rebind leave ready.
+func (b *BoundQuery) ensureReduced() *enumState { return b.enumSt }
 
-// Enumerate streams every solution of the full CQ over the bound database.
-// The first call pays for the per-node enumeration indexes; later calls —
-// including concurrent ones — reuse them and stream with bounded delay. See PreparedQuery.Enumerate for the yield contract.
+// Enumerate streams every solution of the full CQ over the bound database,
+// with bounded delay: it walks the nodes' rows in the parent-key buckets Bind
+// laid them out in, or Rebind maintains, so even the first call builds
+// nothing. See PreparedQuery.Enumerate for the yield contract.
 func (b *BoundQuery) Enumerate(ctx context.Context, yield func(Solution) bool) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -278,7 +260,7 @@ func (b *BoundQuery) Enumerate(ctx context.Context, yield func(Solution) bool) e
 		}
 		return nil
 	}
-	return b.ensureReduced().enumerate(ctx, func(row []Value) bool {
+	return b.enumSt.enumerate(ctx, func(row []Value) bool {
 		sol.row = row
 		return yield(sol)
 	})
@@ -305,7 +287,7 @@ const maxReserve = 1 << 24
 // reserved at Count's total, which Bind and Rebind leave ready.
 func (b *BoundQuery) materialise(ctx context.Context) (*Relation, error) {
 	out := NewRelation(b.prep.plan.qvars...)
-	if cs, a := b.countSt.Load(), int64(len(out.Cols)); cs != nil && a > 0 && cs.total <= maxReserve/a {
+	if cs, a := b.countSt, int64(len(out.Cols)); cs != nil && a > 0 && cs.total <= maxReserve/a {
 		out.Data = make([]Value, 0, cs.total*a)
 	}
 	err := b.Enumerate(ctx, func(s Solution) bool {
@@ -361,7 +343,7 @@ func (b *BoundQuery) DiffFrom(ctx context.Context, prev *BoundQuery) (added, rem
 		return empty() // shared instance: the delta was invisible to the query
 	}
 	if p := b.prep.plan; !p.Naive() && p.d.Nodes() > 0 && len(p.qvars) > 0 {
-		bes, pes := b.ensureReduced(), prev.ensureReduced()
+		bes, pes := b.enumSt, prev.enumSt
 		mc := &maintCtx{}
 		defer func() { b.prep.eng.maintRows.Add(mc.rows) }()
 		diffs := nodeDiffs(pes, bes, mc)

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"slices"
 
 	"d2cq/internal/storage"
 )
@@ -34,122 +35,139 @@ import (
 // solution to the first changed node (in node order) that covers it, which
 // both dedups and keeps the two sides exactly disjoint.
 
-// upIndex returns node u's rows grouped on the columns it shares with its
-// k-th child join — the upward probe of enumerateVia over a flat state —
-// building the grouping on first use and caching it on the state. (A
-// maintained state needs no such build: Rebind keeps nodeState.up current.)
-func (es *enumState) upIndex(u, k int) *keyGroups {
+// upIndex returns a flat form's B(u) grouped on the columns it shares with
+// its k-th child join — the walk up of enumerateVia — building the grouping on
+// first use, charged to mc, and caching it on the state. (A maintained state
+// needs no such build: Rebind keeps nodeState.up current.)
+func (es *enumState) upIndex(u, k int, mc *maintCtx) *flatGroups {
 	p := es.plan
 	es.upMu.Lock()
 	defer es.upMu.Unlock()
 	if es.up == nil {
-		es.up = make([][]*keyGroups, p.d.Nodes())
+		es.up = make([][]*flatGroups, p.d.Nodes())
 	}
 	if es.up[u] == nil {
-		es.up[u] = make([]*keyGroups, len(p.childJoins[u]))
+		es.up[u] = make([]*flatGroups, len(p.childJoins[u]))
 	}
 	if es.up[u][k] == nil {
-		g := groupRows(es.nodes[u].rel, p.childJoins[u][k].uPos)
+		g := groupRows(es.rels[u], p.childJoins[u][k].uPos)
 		es.up[u][k] = &g
+		mc.rows += uint64(es.rels[u].Len())
 	}
 	return es.up[u][k]
 }
 
-// viaStep is one node visit of enumerateVia's walk: either a full scan of
-// scan's rows (the via rows themselves, or a node sharing no columns with
-// what is already assigned) or a probe on the key vertex ids — of a flat
-// grouping of rel's rows, or of a persistent grouping whose buckets hold the
-// rows themselves (a node's up grouping, or its byParent). write maps every
-// relation column to its hypergraph vertex id.
-type viaStep struct {
-	scan     *Relation
-	idx      *keyGroups
-	rel      *Relation
-	group    *rowIndex
-	byParent *storage.PMap[keyGroup]
-	key      []int
-	write    []int
+// grouping is B(u) grouped on some of its columns: get returns the rows
+// carrying key, one contiguous bucket (none when no row does).
+type grouping interface {
+	get(key []Value) []Value
 }
 
-// bucket returns the rows of a persistent grouping under key.
-func (st *viaStep) bucket(key []Value) []Value {
-	if st.group != nil {
-		rows, _ := st.group.Get(key)
-		return rows
+// parentIndex and childIndex are a maintained node's groupings, byParent and
+// up[k], as groupings.
+type (
+	parentIndex storage.PMap[keyGroup]
+	childIndex  storage.PMap[[]Value]
+)
+
+func (g *parentIndex) get(key []Value) []Value {
+	kg, _ := (*storage.PMap[keyGroup])(g).Get(key)
+	return kg.rows
+}
+
+func (g *childIndex) get(key []Value) []Value {
+	rows, _ := (*rowIndex)(g).Get(key)
+	return rows
+}
+
+// probe returns B(u) grouped on some of its columns: with k < 0 those shared
+// with u's parent — the walk down, where a key read off a row of B(parent)
+// always finds rows — and otherwise those shared with u's k-th child join —
+// the walk up, which may find none. In both forms a bucket is a contiguous run
+// of B(u)'s rows: of Bind's layout or a grouped copy of it, or held by the
+// maintained node's persistent grouping.
+func (es *enumState) probe(u, k int, mc *maintCtx) grouping {
+	switch {
+	case es.m != nil && k < 0:
+		return (*parentIndex)(es.m.nodes[u].byParent)
+	case es.m != nil:
+		return (*childIndex)(es.m.nodes[u].up[k])
+	case k < 0:
+		return &es.groups[u]
+	default:
+		return es.upIndex(u, k, mc)
 	}
-	g, _ := st.byParent.Get(key)
-	return g.rows
+}
+
+// walkStep is one node visit of a walk: every row of rows, or of the
+// persistent set set, or the rows of group carrying the values at the key
+// vertex ids. write maps every column to its hypergraph vertex id.
+type walkStep struct {
+	rows  *Relation
+	set   *storage.PMap[int64]
+	group grouping
+	key   []int
+	write []int
 }
 
 // enumerateVia streams every solution whose projection onto node v's bag is
-// one of via's rows (via's columns must be v's bag columns). The walk visits
-// v first, then v's ancestors up to the root — probing each parent on the
-// columns it shares with the child below, which by the running-intersection
-// property are exactly the already-assigned variables of the parent's bag —
-// and then the remaining nodes in ordinary pre-order. yield receives the
-// full vertex assignment (reused between calls; asg[:len(Vars())] is the
-// output row); returning false stops the enumeration. via's rows must lie in
-// the state's B(v). A via row no ancestor row joins yields nothing, at the
-// cost of the probes up to where the walk ends; below the path the walk never
-// dead-ends, as in enumState.enumerate.
-func (es *enumState) enumerateVia(ctx context.Context, v int, via *Relation, yield func(asg []Value) bool) error {
+// a row of first (first.write is set here). The walk visits v first, then v's
+// ancestors up to the root — probing each parent on the columns it shares
+// with the child below, which by the running-intersection property are
+// exactly the already-assigned variables of the parent's bag — and then the
+// remaining nodes in pre-order, probing each by its parent key. yield
+// receives the full vertex assignment (reused between calls;
+// asg[:len(Vars())] is the output row); returning false stops the
+// enumeration. first's rows must lie in the state's B(v). A row no ancestor
+// row joins yields nothing, at the cost of the probes up to where the walk
+// ends; below the path the walk never dead-ends, as every row of B(u) has a
+// partner in B of each child. mc is charged with the upward groupings a flat
+// state builds (nil when v is the root: there are none).
+func (es *enumState) enumerateVia(ctx context.Context, v int, first walkStep, mc *maintCtx, yield func(asg []Value) bool) error {
 	p := es.plan
-	steps := make([]viaStep, 0, p.d.Nodes())
+	first.write = p.bagVids[v]
+	steps := make([]walkStep, 1, p.d.Nodes())
+	steps[0] = first
 	onPath := make([]bool, p.d.Nodes())
-	steps = append(steps, viaStep{scan: via, write: p.bagVids[v]})
 	onPath[v] = true
-	for w := v; ; {
+	for w := v; p.d.Parent[w] >= 0; w = p.d.Parent[w] {
 		u := p.d.Parent[w]
-		if u < 0 {
-			break
-		}
-		st := viaStep{write: p.bagVids[u]}
-		for k, cj := range p.childJoins[u] {
-			if cj.child != w {
-				continue
+		k := slices.IndexFunc(p.childJoins[u], func(cj childJoin) bool { return cj.child == w })
+		st := walkStep{write: p.bagVids[u]}
+		if uPos := p.childJoins[u][k].uPos; len(uPos) > 0 {
+			st.group, st.key = es.probe(u, k, mc), make([]int, len(uPos))
+			for j, pos := range uPos {
+				st.key[j] = p.bagVids[u][pos]
 			}
-			if len(cj.uPos) > 0 {
-				if es.m != nil {
-					st.group = es.m.nodes[u].up[k]
-				} else {
-					st.idx = es.upIndex(u, k)
-					st.rel = es.nodes[u].rel
-				}
-				st.key = make([]int, len(cj.uPos))
-				for j, pos := range cj.uPos {
-					st.key[j] = p.bagVids[u][pos]
-				}
-			}
-			break
-		}
-		if st.key == nil {
-			st.scan = es.flatB(u) // no shared columns: cartesian with the subtree below
+		} else {
+			st.rows = es.flatB(u) // no shared columns: cartesian with the subtree below
 		}
 		steps = append(steps, st)
 		onPath[u] = true
-		w = u
 	}
 	for _, u := range p.pre {
 		if onPath[u] {
 			continue
 		}
-		st := viaStep{write: p.bagVids[u]}
-		switch {
-		case len(p.shared[u]) == 0:
-			st.scan = es.flatB(u)
-		case es.m != nil:
-			st.byParent, st.key = es.m.nodes[u].byParent, p.sharedVids[u]
-		default:
-			st.idx, st.rel, st.key = es.nodes[u].idx, es.nodes[u].rel, p.sharedVids[u]
+		st := walkStep{write: p.bagVids[u]}
+		if len(p.shared[u]) == 0 {
+			st.rows = es.flatB(u)
+		} else {
+			st.group, st.key = es.probe(u, -1, mc), p.sharedVids[u]
 		}
 		steps = append(steps, st)
 	}
-	asg := make([]Value, p.h.NV())
+	return walk(ctx, p.h.NV(), steps, yield)
+}
+
+// walk streams every assignment of nv vertices that takes one row of each
+// step in turn, each step's rows agreeing with what the steps before it
+// assigned (see enumerateVia).
+func walk(ctx context.Context, nv int, steps []walkStep, yield func(asg []Value) bool) error {
+	asg := make([]Value, nv)
 	maxKey := 0
 	for _, st := range steps {
-		if len(st.key) > maxKey {
-			maxKey = len(st.key)
-		}
+		maxKey = max(maxKey, len(st.key))
 	}
 	keyBuf := make([]Value, maxKey)
 	var yielded int
@@ -168,48 +186,35 @@ func (es *enumState) enumerateVia(ctx context.Context, v int, via *Relation, yie
 			}
 			return nil
 		}
-		st := steps[i]
-		if st.scan != nil {
-			for ri := 0; ri < st.scan.Len(); ri++ {
-				if stop {
-					return nil
-				}
-				row := st.scan.Row(ri)
+		st := &steps[i]
+		if st.set != nil {
+			var err error
+			st.set.Range(func(row []Value, _ int64) bool {
 				for j, vid := range st.write {
 					asg[vid] = row[j]
 				}
-				if err := rec(i + 1); err != nil {
-					return err
-				}
+				err = rec(i + 1)
+				return err == nil && !stop
+			})
+			return err
+		}
+		a, rows, n := len(st.write), []Value(nil), 0
+		if st.group != nil {
+			kb := keyBuf[:len(st.key)]
+			for j, vid := range st.key {
+				kb[j] = asg[vid]
 			}
-			return nil
+			rows = st.group.get(kb)
+			n = len(rows) / a // a probed node has columns: the key's
+		} else {
+			rows, n = st.rows.Data, st.rows.Len()
 		}
-		kb := keyBuf[:len(st.key)]
-		for j, vid := range st.key {
-			kb[j] = asg[vid]
-		}
-		if st.idx == nil { // a maintained state's persistent grouping
-			bucket := st.bucket(kb)
-			for a, off := len(st.write), 0; off+a <= len(bucket); off += a {
-				if stop {
-					return nil
-				}
-				for j, vid := range st.write {
-					asg[vid] = bucket[off+j]
-				}
-				if err := rec(i + 1); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		for _, rowIdx := range st.idx.lookup(kb) {
+		for r := 0; r < n; r++ {
 			if stop {
 				return nil
 			}
-			row := st.rel.Row(int(rowIdx))
 			for j, vid := range st.write {
-				asg[vid] = row[j]
+				asg[vid] = rows[r*a+j]
 			}
 			if err := rec(i + 1); err != nil {
 				return err
@@ -308,7 +313,7 @@ func (b *BoundQuery) diffIncremental(ctx context.Context, pes, bes *enumState, d
 		if nd.plus.Len() == 0 {
 			continue
 		}
-		err := bes.enumerateVia(ctx, nd.u, nd.plus, func(asg []Value) bool {
+		err := bes.enumerateVia(ctx, nd.u, walkStep{rows: nd.plus}, mc, func(asg []Value) bool {
 			for j := 0; j < i; j++ {
 				if s := diffs[j].plusSet; s != nil && s.Find(proj(asg, diffs[j].u)) >= 0 {
 					return true
@@ -326,7 +331,7 @@ func (b *BoundQuery) diffIncremental(ctx context.Context, pes, bes *enumState, d
 		if nd.minus.Len() == 0 {
 			continue
 		}
-		err := pes.enumerateVia(ctx, nd.u, nd.minus, func(asg []Value) bool {
+		err := pes.enumerateVia(ctx, nd.u, walkStep{rows: nd.minus}, mc, func(asg []Value) bool {
 			for j := 0; j < i; j++ {
 				if s := diffs[j].minusSet; s != nil && s.Find(proj(asg, diffs[j].u)) >= 0 {
 					return true

@@ -16,7 +16,8 @@ import (
 // per-node changes of the cached enumeration states) must be byte-identical
 // — columns, rows and order — to the materialise-both oracle, both against
 // the immediately preceding snapshot and against a snapshot several Updates
-// back.
+// back; and so must the diff of a fresh Bind of each new snapshot, from the
+// preceding snapshot and from a fresh Bind of it.
 
 func requireSameRelation(t *testing.T, what string, got, want *Relation) {
 	t.Helper()
@@ -61,29 +62,47 @@ func runDiffScript(t *testing.T, sh diffShape, seed int64, nSteps int) {
 		t.Fatal(err)
 	}
 	window := []*BoundQuery{cur} // recent snapshots, oldest first
+	// A fresh Bind of the current snapshot, never enumerated: the added side
+	// of a diff from it walks Bind's layout.
+	fresh, err := prep.Bind(ctx, cdb)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < nSteps; i++ {
 		next, err := cur.Update(ctx, stepDelta(genStep(rng, sh, relNames)))
 		if err != nil {
 			t.Fatalf("%s seed %d step %d: Update: %v", sh.name, seed, i, err)
 		}
-		for _, prev := range []*BoundQuery{cur, window[0]} {
-			ga, gr, err := next.DiffFrom(ctx, prev)
+		nextFresh, err := prep.Bind(ctx, next.Database())
+		if err != nil {
+			t.Fatalf("%s seed %d step %d: Bind: %v", sh.name, seed, i, err)
+		}
+		for _, c := range []struct {
+			what      string
+			cur, prev *BoundQuery
+		}{
+			{"from the predecessor", next, cur},
+			{"from a snapshot back", next, window[0]},
+			{"fresh Bind from the predecessor", nextFresh, cur},
+			{"fresh Bind from a fresh Bind", nextFresh, fresh},
+		} {
+			what := fmt.Sprintf("%s seed %d step %d, %s", sh.name, seed, i, c.what)
+			ga, gr, err := c.cur.DiffFrom(ctx, c.prev)
 			if err != nil {
-				t.Fatalf("%s seed %d step %d: DiffFrom: %v", sh.name, seed, i, err)
+				t.Fatalf("%s: DiffFrom: %v", what, err)
 			}
-			wa, wr, err := next.diffOracle(ctx, prev)
+			wa, wr, err := c.cur.diffOracle(ctx, c.prev)
 			if err != nil {
-				t.Fatalf("%s seed %d step %d: oracle: %v", sh.name, seed, i, err)
+				t.Fatalf("%s: oracle: %v", what, err)
 			}
-			what := fmt.Sprintf("%s seed %d step %d", sh.name, seed, i)
-			requireSameRelation(t, what+" added", ga, wa)
-			requireSameRelation(t, what+" removed", gr, wr)
+			requireSameRelation(t, what+": added", ga, wa)
+			requireSameRelation(t, what+": removed", gr, wr)
 		}
 		window = append(window, next)
 		if len(window) > 4 {
 			window = window[1:]
 		}
-		cur = next
+		cur, fresh = next, nextFresh
 	}
 	// Coverage check, full runs only: short mode's 40 steps can leave a
 	// shape's every diff on the absorbed empty fast path (const-repeat does),

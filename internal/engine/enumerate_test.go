@@ -78,7 +78,7 @@ func TestEnumerateSkipsDanglingTuples(t *testing.T) {
 			t.Errorf("node %d has %d tuples after the bottom-up pass, want %d", u, rel.Len(), want)
 		}
 	}
-	es := buildEnumState(p, rels, cs.msgs, cs.slots)
+	es := &enumState{plan: p, rels: rels, groups: cs.groups}
 	var got []string
 	err = es.enumerate(ctx, func(row []Value) bool {
 		for _, v := range row {
@@ -247,7 +247,7 @@ func TestEnumerateEarlyStop(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("maintained", nb)
-	if es := nb.enumSt.Load(); es == nil || es.m == nil {
+	if es := nb.enumSt; es == nil || es.m == nil {
 		t.Fatal("Update did not carry the enumeration state forward in maintained form")
 	}
 }

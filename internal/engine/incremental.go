@@ -61,10 +61,7 @@ func (b *BoundQuery) Update(ctx context.Context, delta *storage.Delta) (*BoundQu
 // share returns b moved to cdb with all bound state shared, caches included:
 // nothing the query can see changed.
 func (b *BoundQuery) share(cdb *CompiledDB) *BoundQuery {
-	nb := &BoundQuery{prep: b.prep, cdb: cdb, inst: b.inst, nodeRels: b.nodeRels, maint: b.maint}
-	nb.enumSt.Store(b.enumSt.Load())
-	nb.countSt.Store(b.countSt.Load())
-	return nb
+	return &BoundQuery{prep: b.prep, cdb: cdb, inst: b.inst, nodeRels: b.nodeRels, maint: b.maint, enumSt: b.enumSt, countSt: b.countSt}
 }
 
 // Rebind rebinds the query to a new database snapshot in time proportional to
@@ -181,14 +178,10 @@ func (b *BoundQuery) Rebind(ctx context.Context, cdb *CompiledDB) (*BoundQuery, 
 	}
 
 	// 3. Carry the caches across: the enumeration reads the nodes' own
-	// groupings and records the node deltas — against b's enumeration state,
-	// when b has one; the count is the root's sum.
-	es := b.enumSt.Load()
-	if es == nil {
-		es = &enumState{plan: plan}
-	}
-	nb.enumSt.Store(es.update(nm.nodes, dN, eng.stateSeq.Add(1)))
-	nb.countSt.Store(&countState{total: nm.nodes[plan.d.Root()].sum})
+	// groupings and records the node deltas against b's enumeration state;
+	// the count is the root's sum.
+	nb.enumSt = b.enumSt.update(nm.nodes, dN, eng.stateSeq.Add(1))
+	nb.countSt = &countState{total: nm.nodes[plan.d.Root()].sum}
 	return nb, nil
 }
 

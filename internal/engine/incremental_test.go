@@ -221,7 +221,7 @@ func decodeNode(b *BoundQuery, u int) (rows map[string]bool, sums map[string]int
 		for i := 0; i < rel.Len(); i++ {
 			rows[enc(rel.Row(i))] = true
 		}
-		if msg := b.countSt.Load().msgs[u]; msg != nil {
+		if msg := b.countSt.groups[u].keys; msg != nil {
 			for s := int32(0); int(s) < msg.Len(); s++ {
 				if v := msg.Val(s); v != 0 {
 					sums[enc(msg.Key(s))] = v
@@ -587,7 +587,7 @@ func TestRebindSharesCleanState(t *testing.T) {
 	if nb.inst != b.inst {
 		t.Error("invisible delta should share the whole instance")
 	}
-	if nb.enumSt.Load() != b.enumSt.Load() || nb.countSt.Load() != b.countSt.Load() {
+	if nb.enumSt != b.enumSt || nb.countSt != b.countSt {
 		t.Error("invisible delta should share the enum and count caches")
 	}
 	if nb.Database() == b.Database() {
@@ -1256,7 +1256,7 @@ func TestRecordedDeltasDoNotPinPredecessors(t *testing.T) {
 		}
 		if i == 1 { // an early, already maintained snapshot
 			runtime.AddCleanup(cur, func(struct{}) { collected.Add(1) }, struct{}{})
-			runtime.AddCleanup(cur.enumSt.Load(), func(struct{}) { collected.Add(1) }, struct{}{})
+			runtime.AddCleanup(cur.enumSt, func(struct{}) { collected.Add(1) }, struct{}{})
 		}
 		cur = next
 	}

@@ -303,9 +303,8 @@ func patchIndexes(p *Plan, i int, idx []*rowIndex, d *relDelta, mc *maintCtx) []
 
 // indexRows builds a grouping of rel's rows on cols from scratch: the bulk
 // build groups the rows by key, and each key's bucket — its rows in rel's
-// order — is the next slice of one arena holding every row. val makes the
-// key's value from its bucket and the index of its first row in rel.
-func indexRows[V any](rel *Relation, cols []int, val func(bucket []Value, first int32) V) *storage.PMap[V] {
+// order — is the next slice of one arena holding every row.
+func indexRows(rel *Relation, cols []int) *rowIndex {
 	a := len(rel.Cols)
 	keys := make([]Value, 0, rel.Len()*len(cols))
 	for i := 0; i < rel.Len(); i++ {
@@ -314,17 +313,14 @@ func indexRows[V any](rel *Relation, cols []int, val func(bucket []Value, first 
 		}
 	}
 	arena := make([]Value, 0, len(rel.Data))
-	return storage.BuildPMap(len(cols), keys, rel.Len(), func(rows []int32) V {
+	return storage.BuildPMap(len(cols), keys, rel.Len(), func(rows []int32) []Value {
 		from := len(arena)
 		for _, i := range rows {
 			arena = append(arena, rel.Row(int(i))...)
 		}
-		return val(arena[from:len(arena):len(arena)], rows[0])
+		return arena[from:len(arena):len(arena)]
 	})
 }
-
-// bucketOf is indexRows' value for a rowIndex: the bucket itself.
-func bucketOf(bucket []Value, _ int32) []Value { return bucket }
 
 // setOfRows builds the tuple set of rel's rows from scratch.
 func setOfRows(rel *Relation) *rowSet {
@@ -364,7 +360,7 @@ func indexesOf(p *Plan, i int, rel *Relation) []*rowIndex {
 	}
 	idx := make([]*rowIndex, len(p.atomIdxCols[i]))
 	for x, cols := range p.atomIdxCols[i] {
-		idx[x] = indexRows(rel, cols, bucketOf)
+		idx[x] = indexRows(rel, cols)
 	}
 	return idx
 }
@@ -383,16 +379,15 @@ func newSup(p *Plan, u int, rel *Relation, counts *storage.TupleMap) *storage.PM
 
 // buildMaint converts a freshly bound query — every atom and node relation
 // present as a Relation, the nodes bottom-up reduced by Bind, the counting DP
-// flat — into maintained form. A projecting node re-runs its reduced join
-// once, over Bind's messages, to learn the derivation counts; the others load
-// their rows as they are. A node's parent grouping takes each key's sum from
-// Bind's message, through the message slot of the key's first row, so its
-// keys are the message's keys: the node's key set, which the parent's delta
-// plans read (a node sharing no column has the nullary key set, present
-// while its message is non-empty). This is the one-off O(database) cost of
-// the first maintenance — every map bulk-built, so its allocations do not
-// grow with the rows — after which flat relations are only ever produced on
-// demand.
+// flat — into maintained form. A node loads its rows as they are, with the
+// derivation counts Bind kept for a projecting node. Its parent grouping is
+// Bind's layout (countState.groups) taken over as it is: one key per key of
+// the node's message, each with the message's sum and its bucket of Bind's
+// rows, so its keys are the node's key set, which the parent's delta plans
+// read (a node sharing no column has the nullary key set, present while its
+// message is non-empty). This is the one-off O(database) cost of the first
+// maintenance — every map bulk-built, so its allocations do not grow with the
+// rows — after which flat relations are only ever produced on demand.
 func (b *BoundQuery) buildMaint(ctx context.Context) (*maintState, error) {
 	p := b.prep.plan
 	eng := b.prep.eng
@@ -403,41 +398,32 @@ func (b *BoundQuery) buildMaint(ctx context.Context) (*maintState, error) {
 		}
 		ms.atoms[i] = newAtomState(p, i, b.inst.AtomRels[i], b.cdb.sdb.Table(a.Rel))
 	}
-	projecting := slices.DeleteFunc(allNodes(p.d.Nodes()), func(u int) bool { return !p.projects[u] })
-	getEdge, err := edgeRelations(ctx, p, b.inst, projecting)
-	if err != nil {
-		return nil, err
-	}
-	cs := b.countSt.Load()
+	cs := b.countSt
 	for u := range ms.nodes {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		var counts *storage.TupleMap
-		if p.projects[u] {
-			counts = projectCounts(nodeJoin(p, b.inst, u, getEdge, msgInputs(p, u, cs.msgs)), p.bagVars[u])
-		}
 		rel := b.nodeRels[u]
-		ns := &nodeState{sup: newSup(p, u, rel, counts), up: make([]*rowIndex, len(p.childJoins[u]))}
+		ns := &nodeState{sup: newSup(p, u, rel, cs.counts[u]), up: make([]*rowIndex, len(p.childJoins[u]))}
 		for k, cj := range p.childJoins[u] {
 			if len(cj.uPos) > 0 {
-				ns.up[k] = indexRows(rel, cj.uPos, bucketOf)
+				ns.up[k] = indexRows(rel, cj.uPos)
 			}
 		}
-		switch msg, slots := cs.msgs[u], cs.slots[u]; {
-		case msg == nil:
+		switch g := &cs.groups[u]; {
+		case g.keys == nil:
 			ns.sum = cs.total
 		case len(p.sharedPos[u]) == 0:
-			if msg.Len() > 0 {
-				ns.sum = msg.Val(0)
+			if g.keys.Len() > 0 {
+				ns.sum = g.keys.Val(0)
 			}
-			ms.atoms[p.keyInput(u)] = &atomState{set: setOfRows(keysOf(msg, nil))}
+			ms.atoms[p.keyInput(u)] = &atomState{set: setOfRows(keysOf(g.keys, nil))}
 		default:
-			ns.byParent = indexRows(rel, p.sharedPos[u], func(bucket []Value, first int32) keyGroup {
-				return keyGroup{rows: bucket, sum: msg.Val(slots[first])}
+			ns.byParent = storage.BuildPMap(len(p.sharedPos[u]), g.keys.Keys(), g.keys.Len(), func(at []int32) keyGroup {
+				return keyGroup{rows: g.bucket(at[0]), sum: g.keys.Val(at[0])}
 			})
 			k := p.keyInput(u)
-			ms.atoms[k] = &atomState{keys: ns.byParent, idx: indexesOf(p, k, keysOf(msg, p.shared[u]))}
+			ms.atoms[k] = &atomState{keys: ns.byParent, idx: indexesOf(p, k, keysOf(g.keys, p.shared[u]))}
 		}
 		ms.nodes[u] = ns
 		eng.nodeRebuilds.Add(1)

@@ -66,7 +66,7 @@ func (es *enumState) update(newNodes []*nodeState, dN []*relDelta, id uint64) *e
 // predecessor, and nodes joined to their parent by a cross product.
 func (es *enumState) flatB(u int) *Relation {
 	if es.m == nil {
-		return es.nodes[u].rel
+		return es.rels[u]
 	}
 	m, p := es.m, es.plan
 	if rel := m.flatB[u].Load(); rel != nil {

@@ -93,60 +93,77 @@ func (r *Relation) Dedup() {
 // which must all exist. Projecting onto the relation's own columns, in
 // order, returns the relation itself.
 func (r *Relation) Project(cols []string) *Relation {
-	if slices.Equal(cols, r.Cols) {
+	switch {
+	case slices.Equal(cols, r.Cols):
 		return r
-	}
-	idx := make([]int, len(cols))
-	for i, c := range cols {
-		idx[i] = r.ColIndex(c)
-		if idx[i] < 0 {
-			panic("engine: projection onto missing column " + c)
-		}
-	}
-	out := NewRelation(cols...)
-	if len(cols) == 0 {
+	case len(cols) == 0:
+		out := NewRelation()
 		if r.Len() > 0 {
 			out.AddEmpty()
 		}
 		return out
-	}
-	if len(cols) == len(r.Cols) {
-		// A permutation of the columns of a set: no two rows collide.
-		out.Data = make([]Value, 0, len(r.Data))
-		for i := 0; i < r.Len(); i++ {
-			row := r.Row(i)
-			for _, x := range idx {
-				out.Data = append(out.Data, row[x])
-			}
-		}
+	case len(cols) < len(r.Cols):
+		out, _ := projectCounts(r, cols)
 		return out
 	}
-	// The distinct projected tuples are the map's keys, in first-seen order:
-	// the relation keeps them in place, unless most of the room reserved for
-	// them went unused.
-	seen := storage.NewTupleMap(len(cols), r.Len())
-	buf := make([]Value, len(cols))
+	// A permutation of the columns of a set: no two rows collide.
+	idx := colIndexes(r, cols)
+	out := NewRelation(cols...)
+	out.Data = make([]Value, 0, len(r.Data))
 	for i := 0; i < r.Len(); i++ {
-		seen.Insert(project(buf, r.Row(i), idx))
-	}
-	out.Data = seen.Keys()
-	if cap(out.Data) > 2*len(out.Data) {
-		out.Data = slices.Clone(out.Data)
+		row := r.Row(i)
+		for _, x := range idx {
+			out.Data = append(out.Data, row[x])
+		}
 	}
 	return out
 }
 
-// keyGroups groups the rows of a relation on some of its columns: slot s of
-// keys is one key tuple, and rows[start[s]:start[s+1]] are the rows carrying
-// it, in row order (none, for a key no row carries).
-type keyGroups struct {
-	keys  *storage.TupleMap
-	start []int32
-	rows  []int32
+// projectCounts projects r onto cols, which must all exist, returning the
+// projection and the multiplicity of every projected tuple — the derivation
+// counts the incremental engine maintains. The distinct projected tuples are
+// the map's keys, in first-seen order: the relation keeps them in place,
+// unless most of the room reserved for them went unused.
+func projectCounts(r *Relation, cols []string) (*Relation, *storage.TupleMap) {
+	idx := colIndexes(r, cols)
+	m := storage.NewTupleMap(len(cols), r.Len())
+	buf := make([]Value, len(cols))
+	for i := 0; i < r.Len(); i++ {
+		m.Add(project(buf, r.Row(i), idx), 1)
+	}
+	out := NewRelation(cols...)
+	out.Data = m.Keys()
+	if cap(out.Data) > 2*len(out.Data) {
+		out.Data = slices.Clone(out.Data)
+	}
+	return out, m
 }
 
-// groupRows groups r's rows on the columns at pos, hashing each row once.
-func groupRows(r *Relation, pos []int) keyGroups {
+// colIndexes returns the position in r of every column of cols, which must
+// all exist.
+func colIndexes(r *Relation, cols []string) []int {
+	idx := make([]int, len(cols))
+	for i, c := range cols {
+		if idx[i] = r.ColIndex(c); idx[i] < 0 {
+			panic("engine: projection onto missing column " + c)
+		}
+	}
+	return idx
+}
+
+// flatGroups is a relation's rows grouped on some of its columns, laid out
+// flat: slot s of keys is one key tuple, and the a-wide rows carrying it are
+// bucket s, rows[start[s]*a : start[s+1]*a], in their order in the relation.
+type flatGroups struct {
+	keys  *storage.TupleMap
+	start []int32
+	rows  []Value
+	a     int
+}
+
+// groupRows groups r's rows on the columns at pos, hashing each row once,
+// into a grouped copy.
+func groupRows(r *Relation, pos []int) flatGroups {
 	n := r.Len()
 	keys := storage.NewTupleMap(len(pos), n)
 	slots := make([]int32, n)
@@ -154,35 +171,57 @@ func groupRows(r *Relation, pos []int) keyGroups {
 	for i := range slots {
 		slots[i], _ = keys.Insert(project(buf, r.Row(i), pos))
 	}
-	return groupSlots(keys, slots)
+	rows, start := groupBySlot(r, slots, keys.Len())
+	return flatGroups{keys: keys, start: start, rows: rows, a: len(r.Cols)}
 }
 
-// groupSlots groups rows on keys already hashed: row i carries the key at
-// slot slots[i] of keys. The groups are laid out by a counting sort of the
-// slots, with no hashing.
-func groupSlots(keys *storage.TupleMap, slots []int32) keyGroups {
-	g := keyGroups{keys: keys, start: make([]int32, keys.Len()+1), rows: make([]int32, len(slots))}
+// groupBySlot lays r's rows out in n buckets, row i in bucket slots[i] (none
+// when that is negative), by a stable counting sort of the slots: bucket s is
+// rows start[s] to start[s+1] of the layout, in r's order. When the slots are
+// in order already, the layout is r's own Data.
+func groupBySlot(r *Relation, slots []int32, n int) (rows []Value, start []int32) {
+	start = make([]int32, n+1)
+	inOrder, prev := true, int32(0)
 	for _, s := range slots {
-		g.start[s+1]++
+		inOrder = inOrder && s >= prev
+		prev = s
+		start[s+1]++ // start[0] counts the negative slots
 	}
-	for s := 1; s < len(g.start); s++ {
-		g.start[s] += g.start[s-1]
+	start[0] = 0
+	for s := 1; s <= n; s++ {
+		start[s] += start[s-1]
 	}
-	next := append([]int32(nil), g.start[:len(g.start)-1]...)
+	if inOrder {
+		return r.Data, start
+	}
+	// start[s] is the cursor of bucket s while the rows are scattered, which
+	// leaves it at the start of bucket s+1: shifting it by one restores it.
+	a, data := len(r.Cols), r.Data
+	rows = make([]Value, int(start[n])*a)
 	for i, s := range slots {
-		g.rows[next[s]] = int32(i)
-		next[s]++
+		if s >= 0 {
+			to := rows[int(start[s])*a:][:a]
+			for j := range to {
+				to[j] = data[i*a+j]
+			}
+			start[s]++
+		}
 	}
-	return g
+	copy(start[1:], start[:n])
+	start[0] = 0
+	return rows, start
 }
 
-// group returns the rows carrying the key at slot s.
-func (g *keyGroups) group(s int32) []int32 { return g.rows[g.start[s]:g.start[s+1]] }
+// bucket returns the rows carrying the key at slot s.
+func (g *flatGroups) bucket(s int32) []Value {
+	lo, hi := int(g.start[s])*g.a, int(g.start[s+1])*g.a
+	return g.rows[lo:hi:hi]
+}
 
-// lookup returns the rows carrying key (none when no row does).
-func (g *keyGroups) lookup(key []Value) []int32 {
+// get returns the rows carrying key (none when no row does).
+func (g *flatGroups) get(key []Value) []Value {
 	if s := g.keys.Find(key); s >= 0 {
-		return g.group(s)
+		return g.bucket(s)
 	}
 	return nil
 }
@@ -237,14 +276,14 @@ func Join(r, s *Relation) *Relation {
 		}
 		return out
 	}
-	g := groupRows(s, sIdx)
+	g, a := groupRows(s, sIdx), len(s.Cols)
 	match := make([]int32, r.Len())
 	total := 0
 	buf := make([]Value, len(shared))
 	for i := range match {
 		match[i] = g.keys.Find(project(buf, r.Row(i), rIdx))
 		if match[i] >= 0 {
-			total += len(g.group(match[i]))
+			total += len(g.bucket(match[i])) / a
 		}
 	}
 	out.Data = make([]Value, 0, total*len(outCols))
@@ -252,9 +291,9 @@ func Join(r, s *Relation) *Relation {
 		if m < 0 {
 			continue
 		}
-		row := r.Row(i)
-		for _, si := range g.group(m) {
-			emit(row, s.Row(int(si)))
+		row, bucket := r.Row(i), g.bucket(m)
+		for off := 0; off < len(bucket); off += a {
+			emit(row, bucket[off:off+a])
 		}
 	}
 	return out

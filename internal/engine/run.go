@@ -10,15 +10,6 @@ import (
 	"d2cq/internal/storage"
 )
 
-// allNodes returns 0..n-1 (the work list of the materialisation pass).
-func allNodes(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
-}
-
 // edgeKey renders a sorted variable set as the cache key of its λ-edge
 // relation.
 func edgeKey(names []string) string { return strings.Join(names, "\x00") }
@@ -148,35 +139,27 @@ func coveredBy(cols []string, r *Relation) (bound, shares bool) {
 // nodeMessage, so the node is bottom-up reduced once that has run, without
 // ever building the cover join on its own — a message that connects two
 // cover relations sharing no variable is joined before they are, so a forced
-// cross product never is.
-func materialiseReduced(p *Plan, inst *Instance, u int, edge func([]string) *Relation, msgs []*storage.TupleMap) *Relation {
-	return nodeJoin(p, inst, u, edge, msgInputs(p, u, msgs)).Project(p.bagVars[u])
-}
-
-// nodeJoin is the connected join of node u's inputs before the projection:
-// its λ relations, one input per child (kids, in Plan.childJoins order) and
-// its filter atoms, which it appends to kids.
-func nodeJoin(p *Plan, inst *Instance, u int, edge func([]string) *Relation, kids []joinInput) *Relation {
+// cross product never is. A projecting node of a maintained plan
+// (Plan.projects) also returns the derivation count of every bag tuple, which
+// the first Rebind loads (buildMaint); any other returns nil counts.
+func materialiseReduced(p *Plan, inst *Instance, u int, edge func([]string) *Relation, groups []flatGroups) (rel *Relation, counts *storage.TupleMap) {
 	cover := make([]*Relation, len(p.lambdaVars[u]))
 	for i, names := range p.lambdaVars[u] {
 		cover[i] = edge(names)
 	}
+	kids := make([]joinInput, 0, len(p.childJoins[u])+len(p.filters[u]))
+	for _, cj := range p.childJoins[u] {
+		m := groups[cj.child].keys
+		kids = append(kids, joinInput{rel: keysOf(m, cj.shared), msg: m})
+	}
 	for _, ai := range p.filters[u] {
 		kids = append(kids, joinInput{rel: inst.AtomRels[ai]})
 	}
-	return joinConnected(cover, kids)
-}
-
-// msgInputs returns the messages of node u's children as join inputs: each
-// message's keys, probed through the message itself. There is room left for
-// the node's filters.
-func msgInputs(p *Plan, u int, msgs []*storage.TupleMap) []joinInput {
-	kids := make([]joinInput, len(p.childJoins[u]), len(p.childJoins[u])+len(p.filters[u]))
-	for k, cj := range p.childJoins[u] {
-		m := msgs[cj.child]
-		kids[k] = joinInput{rel: keysOf(m, cj.shared), msg: m}
+	acc := joinConnected(cover, kids)
+	if p.maintainable && p.projects[u] {
+		return projectCounts(acc, p.bagVars[u])
 	}
-	return kids
+	return acc.Project(p.bagVars[u]), nil
 }
 
 // keysOf returns a message's keys as a relation over cols, the columns they
@@ -192,61 +175,40 @@ func keysOf(m *storage.TupleMap, cols []string) *Relation {
 	return r
 }
 
-// projectCounts projects a relation onto cols, returning the multiplicity
-// of every projected tuple — the derivation counts the incremental engine
-// maintains under deltas.
-func projectCounts(acc *Relation, cols []string) *storage.TupleMap {
-	idx := make([]int, len(cols))
-	for i, c := range cols {
-		idx[i] = acc.ColIndex(c)
-		if idx[i] < 0 {
-			panic("engine: projection onto missing column " + c)
-		}
-	}
-	m := storage.NewTupleMap(len(cols), acc.Len())
-	buf := make([]Value, len(cols))
-	for i := 0; i < acc.Len(); i++ {
-		row := acc.Row(i)
-		for j, x := range idx {
-			buf[j] = row[x]
-		}
-		m.Add(buf, 1)
-	}
-	return m
-}
-
 // bindNodes materialises the node relations of the plan over inst bottom-up,
 // children strictly first: every node is built by materialiseReduced from its
 // children's messages and reduced by nodeMessage, which computes its own
-// message on the way, so the relations start out bottom-up reduced and the
-// counting DP comes out finished, flat: its messages, the slots of the
-// reduced rows in them, and the total.
+// message on the way and lays its rows out by it, so the relations start out
+// bottom-up reduced and the counting DP comes out finished, flat.
 func bindNodes(ctx context.Context, p *Plan, inst *Instance) ([]*Relation, *countState, error) {
-	getEdge, err := edgeRelations(ctx, p, inst, allNodes(p.d.Nodes()))
+	n := p.d.Nodes()
+	getEdge, err := edgeRelations(ctx, p, inst)
 	if err != nil {
 		return nil, nil, err
 	}
-	rels := make([]*Relation, p.d.Nodes())
-	cs := &countState{msgs: make([]*storage.TupleMap, p.d.Nodes()), slots: make([][]int32, p.d.Nodes())}
+	rels := make([]*Relation, n)
+	cs := &countState{groups: make([]flatGroups, n), counts: make([]*storage.TupleMap, n)}
 	for _, u := range p.order {
 		if err := ctx.Err(); err != nil {
 			return nil, nil, err
 		}
+		var rel *Relation
+		rel, cs.counts[u] = materialiseReduced(p, inst, u, getEdge, cs.groups)
 		var total int64
-		rels[u], cs.msgs[u], cs.slots[u], total = nodeMessage(p, u, materialiseReduced(p, inst, u, getEdge, cs.msgs), cs.msgs)
-		if cs.msgs[u] == nil {
+		rels[u], cs.groups[u], total = nodeMessage(p, u, rel, cs.groups)
+		if p.d.Parent[u] < 0 {
 			cs.total = total
 		}
 	}
 	return rels, cs, nil
 }
 
-// edgeRelations builds the λ edge relations of the given nodes, one per
+// edgeRelations builds the λ edge relations of the plan's nodes, one per
 // distinct variable set, and returns their lookup — shared read-only across
 // nodes.
-func edgeRelations(ctx context.Context, p *Plan, inst *Instance, nodes []int) (func([]string) *Relation, error) {
+func edgeRelations(ctx context.Context, p *Plan, inst *Instance) (func([]string) *Relation, error) {
 	edges := map[string]*Relation{}
-	for _, u := range nodes {
+	for u := 0; u < p.d.Nodes(); u++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -260,227 +222,121 @@ func edgeRelations(ctx context.Context, p *Plan, inst *Instance, nodes []int) (f
 }
 
 // nodeMessage runs the counting DP (Pichler & Skritek, Proposition 4.14) at
-// node u over the node's relation rel, given the messages of all of u's
-// children. The DP value of a row is its number of extensions to the
-// variables introduced strictly below u: the product, over u's children, of
-// the child's message value at the row's key. A non-root node's message
-// groups its rows on the columns it shares with its parent, each key carrying
-// the sum of its rows' values; the root sends none and returns the sum of its
-// rows' values instead: |q(D)|. The rows whose key some child's message
-// lacks are dropped, and kept is rel semijoined with every child — rel
-// itself when no row drops; the message then holds exactly kept's keys and
-// is the semijoin filter of the parent, and slots[i] is the message slot of
-// kept's row i.
-func nodeMessage(p *Plan, u int, rel *Relation, msgs []*storage.TupleMap) (kept *Relation, msg *storage.TupleMap, slots []int32, total int64) {
-	if p.d.Parent[u] >= 0 {
-		msg = storage.NewTupleMap(len(p.sharedPos[u]), rel.Len())
-		slots = make([]int32, 0, rel.Len())
-	}
+// node u over the node's relation rel, given the groupings of all of u's
+// children, whose keys are their messages. The DP value of a row is its
+// number of extensions to the variables introduced strictly below u: the
+// product, over u's children, of the child's message value at the row's key.
+// The rows whose key some child's message lacks are dropped; the others are
+// kept, which is rel semijoined with every child. A non-root node's message
+// groups the kept rows on the columns it shares with its parent, each key
+// carrying the sum of its rows' values, and the rows are laid out in the
+// message's buckets, bucket s the rows of key s (groupBySlot): the message
+// holds exactly the kept rows' keys and is the semijoin filter of the parent.
+// The root sends none: its kept rows stay in rel's order, and total is the
+// sum of their values, |q(D)|.
+func nodeMessage(p *Plan, u int, rel *Relation, groups []flatGroups) (kept *Relation, g flatGroups, total int64) {
 	key := make([]Value, len(rel.Cols))
-	kept = filterRows(rel, func(row []Value) bool {
+	value := func(row []Value) (int64, bool) {
 		v := int64(1)
 		for _, cj := range p.childJoins[u] {
-			m := msgs[cj.child]
+			m := groups[cj.child].keys
 			s := m.Find(project(key, row, cj.uPos))
 			if s < 0 {
-				return false
+				return 0, false
 			}
 			v *= m.Val(s)
 		}
-		if msg == nil {
+		return v, true
+	}
+	if p.d.Parent[u] < 0 {
+		kept = filterRows(rel, func(row []Value) bool {
+			v, ok := value(row)
 			total += v
+			return ok
+		})
+		return kept, flatGroups{}, total
+	}
+	msg := storage.NewTupleMap(len(p.sharedPos[u]), rel.Len())
+	slots := make([]int32, rel.Len())
+	for i := range slots {
+		row := rel.Row(i)
+		if v, ok := value(row); ok {
+			slots[i] = msg.Add(project(key, row, p.sharedPos[u]), v)
 		} else {
-			slots = append(slots, msg.Add(project(key, row, p.sharedPos[u]), v))
+			slots[i] = -1
 		}
-		return true
-	})
-	return kept, msg, slots, total
+	}
+	rows, start := groupBySlot(rel, slots, msg.Len())
+	return &Relation{Cols: rel.Cols, Data: rows}, flatGroups{keys: msg, start: start, rows: rows, a: len(rel.Cols)}, 0
 }
 
 // countState is the cached counting DP of a BoundQuery: the total at the
-// root and, built from scratch by Bind, the flat DP — every non-root node's
-// message (nodeMessage) and every node row's slot in it, by which the
-// enumeration indexes group the rows (buildEnumState). The first Rebind
-// loads each message into its node's parent grouping (buildMaint), whose
-// keys are the message's keys and whose values carry its sums; from then on
-// Rebind maintains the sums there, beside the rows (regroup), and the state
-// a maintained query caches is the total alone.
+// root and, built from scratch by Bind, the flat DP. groups[u] is B(u) laid
+// out in the buckets of its message (nodeMessage): its keys are the message,
+// each with its sum, and bucket s holds the rows of key s — the parent-key
+// grouping the enumeration probes and the first Rebind loads into the node's
+// maintained one (buildMaint), which from then on carries the sums beside the
+// rows (regroup), so the state a maintained query caches is the total alone.
+// counts[u] holds a projecting node's derivation counts, which only that
+// first Rebind reads.
 type countState struct {
 	total int64
 
-	msgs  []*storage.TupleMap // flat form: node → its message; nil for the root
-	slots [][]int32           // flat form: node → its rows' message slots
-}
-
-// enumNode is the per-node enumeration state: the relation B(u),
-// its rows grouped on the columns shared with the parent bag — keyed by the
-// node's own message, which the parent's rows probe — and the hypergraph
-// vertex ids to write each column to.
-type enumNode struct {
-	rel       *Relation
-	idx       *keyGroups // nil for nodes with no parent-shared columns
-	sharedVid []int      // vertex ids of the shared columns
-	write     []int      // vertex id of every relation column
+	groups []flatGroups        // flat form: node → B(u) by parent key; none for the root
+	counts []*storage.TupleMap // flat form: node → its rows' derivation counts; nil unless it projects
 }
 
 // enumState is the immutable, shareable part of an enumeration over the
-// bottom-up reduced node relations: the per-node indexes, walked in the
-// plan's pre-order. Building it is the per-evaluation cost the bound API caches away;
-// the enumerate method allocates its own cursors, so one enumState serves any
-// number of concurrent enumerations. It has two forms. Built from scratch it
-// is flat: the relations with their rows grouped by message slot (nodes).
+// bottom-up reduced node relations B(u), walked in the plan's pre-order. The
+// enumerate method allocates its own cursors, so one enumState serves any
+// number of concurrent enumerations. It has two forms, and in both the walk
+// reads each node's rows as contiguous buckets (probe). The flat form is a
+// view of Bind's nodes, laid out by parent key already (countState.groups).
 // Derived by Rebind it is maintained (m, see maintreduce.go): it holds the
-// maintained nodes themselves, and the enumeration probes their persistent
-// groupings directly — byParent going down, up going up — so it keeps no
-// grouping of its own.
+// maintained nodes themselves, and the walk probes their persistent
+// groupings — byParent going down, up going up.
 type enumState struct {
 	plan *Plan
 
-	// id names this state among its engine's (0: not a bound query's) and
-	// parent the state it was derived from by update, whose recorded deltas
-	// (enumMaint.delta) are against exactly that state. A name rather than a
-	// pointer, so a chain of snapshots does not keep its whole past alive.
+	// id names this state among its engine's and parent the state it was
+	// derived from by update, whose recorded deltas (enumMaint.delta) are
+	// against exactly that state. A name rather than a pointer, so a chain of
+	// snapshots does not keep its whole past alive.
 	id, parent uint64
 
-	nodes []enumNode
+	// The flat form: B(u) as a relation, and grouped by parent key.
+	rels   []*Relation
+	groups []flatGroups
 
-	// up caches, per node and child join, the grouping of the *parent*
-	// relation on the columns shared with that child —
-	// the probe direction of enumerateVia's path walk, which is the reverse of
-	// the enumNode groupings above. Flat form only, built lazily under upMu
-	// (a maintained node keeps these groupings up to date as nodeState.up).
+	// up caches, per node and child join, a flat form's B(u) grouped on the
+	// columns shared with that child — the walk up of enumerateVia, the
+	// reverse of groups — built on first use under upMu (a maintained node
+	// keeps these groupings up to date as nodeState.up).
 	upMu sync.Mutex
-	up   [][]*keyGroups
+	up   [][]*flatGroups
 
 	m *enumMaint
 }
 
-// buildEnumState groups every non-root node's relation on the columns shared
-// with its parent bag; by TD connectedness those are exactly the columns
-// constrained by the time the node is visited. The groups are keyed by the
-// node's message msgs[u], and slots[u] gives each row's slot in it, so they
-// are laid out without hashing a row. rels must carry the bag columns of the
-// plan (the invariant of bindNodes).
-func buildEnumState(p *Plan, rels []*Relation, msgs []*storage.TupleMap, slots [][]int32) *enumState {
-	es := &enumState{plan: p, nodes: make([]enumNode, p.d.Nodes())}
-	for u, rel := range rels {
-		en := enumNode{rel: rel, write: p.bagVids[u], sharedVid: p.sharedVids[u]}
-		if len(p.shared[u]) > 0 {
-			g := groupSlots(msgs[u], slots[u])
-			en.idx = &g
-		}
-		es.nodes[u] = en
-	}
-	return es
-}
-
 // enumerate streams every solution of the full CQ without materialising the
-// join. The relations behind the state are bottom-up reduced: a row of B(u)
-// may join no row of its parent, but the search starts at the root and every
-// row it reaches has a partner in B of each child, so it never dead-ends and
-// the delay between consecutive yields is bounded by the tree size. yield receives the assignment as values indexed parallel
-// to plan.Vars(); the slice is reused between calls. Returning false from
-// yield stops the enumeration early (enumerate then returns nil). The state
-// is never written, so any number of enumerations may run concurrently over
-// one enumState.
+// join: the walk of enumerateVia from the whole root. yield receives the
+// assignment as values indexed parallel to plan.Vars(); the slice is reused
+// between calls. Returning false from yield stops the enumeration early
+// (enumerate then returns nil).
 func (es *enumState) enumerate(ctx context.Context, yield func(row []Value) bool) error {
 	p := es.plan
-	if p.d.Nodes() == 0 {
-		return nil
+	root := p.pre[0]
+	var first walkStep
+	if es.m != nil {
+		first.set = es.m.nodes[root].sup // streamed straight off the persistent set
+	} else {
+		first.rows = es.rels[root]
 	}
-	asg := make([]Value, p.h.NV())
 	out := make([]Value, len(p.qvars))
-	keyBuf := make([]Value, p.maxShared)
-	var yielded int
-	stop := false
-	var rec func(i int) error
-	rec = func(i int) error {
-		if i == len(p.pre) {
-			yielded++
-			if yielded&0x3f == 0 {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-			}
-			// Vertex ids follow sorted variable order, so the assignment
-			// is already the output row.
-			copy(out, asg[:len(out)])
-			if !yield(out) {
-				stop = true
-			}
-			return nil
-		}
-		u := p.pre[i]
-		if m := es.m; m != nil {
-			// Maintained form: the rows to visit are a contiguous bucket —
-			// of the persistent index on the parent-shared columns, or of the
-			// listed relation for a node sharing none — except for the whole
-			// root, which streams straight off its persistent set.
-			write := p.bagVids[u]
-			a := len(write)
-			var rows []Value
-			switch ns := m.nodes[u]; {
-			case ns.byParent != nil:
-				kb := keyBuf[:len(p.sharedVids[u])]
-				for j, vid := range p.sharedVids[u] {
-					kb[j] = asg[vid]
-				}
-				g, _ := ns.byParent.Get(kb)
-				rows = g.rows
-			case i == 0:
-				var err error
-				ns.sup.Range(func(row []Value, _ int64) bool {
-					for j, vid := range write {
-						asg[vid] = row[j]
-					}
-					err = rec(1)
-					return err == nil && !stop
-				})
-				return err
-			default:
-				rows = es.flatB(u).Data
-			}
-			for off := 0; off+a <= len(rows); off += a {
-				if stop {
-					return nil
-				}
-				for j, vid := range write {
-					asg[vid] = rows[off+j]
-				}
-				if err := rec(i + 1); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		en := es.nodes[u]
-		n := en.rel.Len()
-		var rows []int32
-		if en.idx != nil {
-			kb := keyBuf[:len(en.sharedVid)]
-			for j, vid := range en.sharedVid {
-				kb[j] = asg[vid]
-			}
-			rows = en.idx.lookup(kb)
-			n = len(rows)
-		}
-		for ri := 0; ri < n; ri++ {
-			if stop {
-				return nil
-			}
-			rowIdx := ri
-			if rows != nil {
-				rowIdx = int(rows[ri])
-			}
-			row := en.rel.Row(rowIdx)
-			for j, vid := range en.write {
-				asg[vid] = row[j]
-			}
-			if err := rec(i + 1); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return rec(0)
+	return es.enumerateVia(ctx, root, first, nil, func(asg []Value) bool {
+		// Vertex ids follow sorted variable order, so the assignment starts
+		// with the output row.
+		copy(out, asg)
+		return yield(out)
+	})
 }

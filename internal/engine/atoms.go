@@ -91,8 +91,6 @@ type atomMatcher struct {
 	hasRepeat bool
 	buf       []Value
 	ok        bool // false: a constant is unknown to the dictionary — nothing matches
-	constCols []int
-	constVals []Value
 }
 
 // newAtomMatcher resolves a's terms against dict. vars must be a.VarSet().
@@ -115,8 +113,6 @@ func newAtomMatcher(a cq.Atom, vars []string, dict *Dict) *atomMatcher {
 			return m
 		}
 		m.plans[i] = argPlan{varPos: -1, want: v}
-		m.constCols = append(m.constCols, i)
-		m.constVals = append(m.constVals, v)
 	}
 	// Without repeated variables every buffer slot is written exactly once
 	// per row, so the reset and the mismatch check are skipped.
@@ -150,15 +146,14 @@ func (m *atomMatcher) match(row []Value) (key []Value, _ bool) {
 
 // bindAtomRelation is atomRelation over a compiled table: selection on the
 // atom's constants and repeated variables, projection onto the distinct
-// variables, all on interned values. Constants are resolved with a read-only
-// dictionary lookup — a constant the dictionary has never seen cannot occur
-// in the data, so the atom relation is empty. Atoms with constants probe the
-// table's cached per-column-set index instead of scanning; the index is
-// shared by every bind against the same compiled database. Over a table that
-// is a set (Table.IsSet) the selection is one already, since its projection
-// is injective (see atomMatcher), so nothing is deduplicated; and an atom
-// whose arguments are exactly its distinct variables, in order, over a flat
-// set table is that table: the relation shares the table's Data.
+// variables, all on interned values, in one scan of the table through
+// atomMatcher. Constants are resolved with a read-only dictionary lookup — a
+// constant the dictionary has never seen cannot occur in the data, so the
+// atom relation is empty. Over a table that is a set (Table.IsSet) the
+// selection is one already, since its projection is injective (see
+// atomMatcher), so nothing is deduplicated; and an atom whose arguments are
+// exactly its distinct variables, in order, over a flat set table is that
+// table: the relation shares the table's Data.
 func bindAtomRelation(a cq.Atom, t *storage.Table, dict *Dict) (*Relation, error) {
 	vars := a.VarSet()
 	out := NewRelation(vars...)
@@ -177,8 +172,8 @@ func bindAtomRelation(a cq.Atom, t *storage.Table, dict *Dict) (*Relation, error
 	if !m.ok {
 		return out, nil
 	}
-	constCols, constVals := m.constCols, m.constVals
-	emit := func(row []Value) {
+	out.Data = make([]Value, 0, t.Rows()*len(vars))
+	t.Scan(func(row []Value) {
 		if key, ok := m.match(row); ok {
 			if len(vars) == 0 {
 				out.AddEmpty()
@@ -186,31 +181,7 @@ func bindAtomRelation(a cq.Atom, t *storage.Table, dict *Dict) (*Relation, error
 				out.Add(key...)
 			}
 		}
-	}
-	if len(constCols) > 0 && t.Arity > 0 {
-		// Probe the table's cached index on the most selective constant
-		// column (highest distinct count → smallest expected bucket); match
-		// re-checks the remaining constants. Indexing single columns keeps
-		// the shared cache small and maximally reusable across queries.
-		best := 0
-		if len(constCols) > 1 {
-			st := t.Stats()
-			for i := 1; i < len(constCols); i++ {
-				if st.Distinct[constCols[i]] > st.Distinct[constCols[best]] {
-					best = i
-				}
-			}
-		}
-		ix := t.Index(constCols[best])
-		rows := ix.Lookup(constVals[best : best+1])
-		out.Data = make([]Value, 0, len(rows)*len(vars))
-		for _, ri := range rows {
-			emit(ix.Row(ri))
-		}
-	} else {
-		out.Data = make([]Value, 0, t.Rows()*len(vars))
-		t.Scan(emit)
-	}
+	})
 	if !set {
 		out.Dedup()
 	}
@@ -294,16 +265,4 @@ func (inst *Instance) EdgeRelation(vars []string) *Relation {
 		acc = NewRelation(vars...)
 	}
 	return acc
-}
-
-func sameStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

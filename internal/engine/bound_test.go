@@ -254,8 +254,8 @@ func TestBoundCancellation(t *testing.T) {
 }
 
 // TestBoundConstantsAndRepeatedVars exercises the bind-time atom paths the
-// random instances miss: constant selection (served by the compiled table's
-// cached index), repeated variables, and constants unknown to the database.
+// random instances miss: constant selection (one scan of the compiled table),
+// repeated variables, and constants unknown to the database.
 func TestBoundConstantsAndRepeatedVars(t *testing.T) {
 	ctx := context.Background()
 	db := cq.Database{}
@@ -273,10 +273,10 @@ func TestBoundConstantsAndRepeatedVars(t *testing.T) {
 		query string
 		want  int64
 	}{
-		{"R('a',y), S(y,z)", 2},   // constant selection via table index
+		{"R('a',y), S(y,z)", 2},   // constant selection
 		{"R(x,x), S(x,z)", 1},     // repeated variable: only (a,a)
 		{"R('zzz',y), S(y,z)", 0}, // constant the dictionary never saw
-		{"R('a','b'), S(x,z)", 2}, // two constants: most selective column probed
+		{"R('a','b'), S(x,z)", 2}, // two constants, both checked per row
 		{"R('c','b'), S(x,z)", 0}, // two constants, no matching tuple
 		{"R('a',x), S(x,'y')", 1}, // constants in two atoms: only (a,b)·(b,y)
 	} {

@@ -21,7 +21,7 @@ import (
 
 func requireSameRelation(t *testing.T, what string, got, want *Relation) {
 	t.Helper()
-	if !sameStrings(got.Cols, want.Cols) {
+	if !slices.Equal(got.Cols, want.Cols) {
 		t.Fatalf("%s: columns %v, oracle %v", what, got.Cols, want.Cols)
 	}
 	if !slices.Equal(got.Data, want.Data) {

@@ -9,8 +9,13 @@ import (
 // TestFirstRebindAllocationsFlat: converting a bound query to maintained form
 // allocates per map, not per row — every map is bulk-built — so the first
 // Rebind of path3 at 20 000 rows per relation allocates within 10 % of the one
-// at 5 000.
+// at 5 000. The comparison is skipped under the race detector, whose
+// sync.Pool drops Puts at random and so reallocates BuildPMap's pooled
+// scratch a varying number of times.
 func TestFirstRebindAllocationsFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts through sync.Pool vary under the race detector")
+	}
 	allocs := func(rows int) uint64 {
 		eng, prep, cdb, planted := newMaintDB(t, maintPath3, rows, rows/2)
 		best := ^uint64(0)

@@ -923,7 +923,7 @@ func TestAtomDeltaFromTables(t *testing.T) {
 // row absent, and the patched set equal to want's rows. Maintained atoms keep
 // sets, not row order, so this is set equality.
 func patchesTo(old *Relation, d *relDelta, want *Relation) bool {
-	if !sameStrings(d.plus.Cols, want.Cols) || !sameStrings(d.minus.Cols, want.Cols) {
+	if !slices.Equal(d.plus.Cols, want.Cols) || !slices.Equal(d.minus.Cols, want.Cols) {
 		return false
 	}
 	set := setOfRows(old).Edit()
@@ -1043,6 +1043,30 @@ func TestIncrementalScriptedCases(t *testing.T) {
 				return db
 			}(),
 			steps: scripted("+R(b,k)", "+R(a,b)", "+R(k,k) +S(k,k)", "-R(a,a)", "+R(a,a) -R(b,k)", "+R(b,k) +S(a,k)", "-R(k,k)"),
+		},
+		{
+			// Two constants and a repeat select from one table: a row enters
+			// the atom only if it matches all three, so rows matching one
+			// constant, both, or the repeat alone come and go unseen. The
+			// first Bind scans the compiled (flat) T; every step's delta is
+			// smaller than T, so each fresh Bind after it scans a persistent T.
+			name: "two-constants", shape: diffShape{name: "two-constants", query: "T(x,'k',x,'m'), S(x,y)"},
+			db: func() cq.Database {
+				db := cq.Database{}
+				db.Add("T", "1", "k", "1", "m") // matches
+				db.Add("T", "2", "k", "3", "m") // both constants, not the repeat
+				db.Add("T", "4", "k", "4", "n") // the first constant and the repeat
+				db.Add("T", "5", "j", "5", "m") // the second constant and the repeat
+				db.Add("T", "6", "j", "6", "n") // the repeat only
+				db.Add("T", "7", "k", "8", "n") // the first constant only
+				for _, x := range []string{"1", "2", "4", "5", "6", "9"} {
+					db.Add("S", x, "y"+x)
+				}
+				return db
+			}(),
+			steps: scripted("+T(9,k,9,m)", "+T(9,j,9,m)", "+T(9,k,9,n)", "+T(9,k,2,m)", "-T(1,k,1,m)",
+				"-T(4,k,4,n) +T(4,k,4,m)", "-T(5,j,5,m) +T(5,k,5,m) -S(9,y9)", "+T(1,k,1,m) -T(9,k,9,m) -T(4,k,4,m)",
+				"+T(6,k,6,m) -T(6,j,6,n)", "-T(2,k,3,m) +T(2,k,2,m) +S(9,y9)"),
 		},
 		{
 			// A variable-free atom makes a nullary relation, which the plan

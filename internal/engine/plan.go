@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -139,7 +140,7 @@ func NewPlan(q cq.Query, d *decomp.GHD) (*Plan, error) {
 			vs := q.Atoms[ai].VarSet()
 			redundant := false
 			for _, names := range p.lambdaVars[u] {
-				if sameStrings(names, vs) {
+				if slices.Equal(names, vs) {
 					redundant = true
 					break
 				}
@@ -185,14 +186,6 @@ func NewPlan(q cq.Query, d *decomp.GHD) (*Plan, error) {
 	}
 	// Column positions of every join the evaluation passes will run, fixed
 	// now so indexes can be built straight off precomputed integer columns.
-	posIn := func(list []string, name string) int {
-		for i, c := range list {
-			if c == name {
-				return i
-			}
-		}
-		return -1
-	}
 	p.childJoins = make([][]childJoin, d.Nodes())
 	p.sharedPos = make([][]int, d.Nodes())
 	p.bagVids = make([][]int, d.Nodes())
@@ -201,7 +194,7 @@ func NewPlan(q cq.Query, d *decomp.GHD) (*Plan, error) {
 		for _, c := range p.children[u] {
 			cj := childJoin{child: c}
 			for i, name := range p.bagVars[u] {
-				if j := posIn(p.bagVars[c], name); j >= 0 {
+				if j := slices.Index(p.bagVars[c], name); j >= 0 {
 					cj.shared = append(cj.shared, name)
 					cj.uPos = append(cj.uPos, i)
 					cj.cPos = append(cj.cPos, j)
@@ -216,7 +209,7 @@ func NewPlan(q cq.Query, d *decomp.GHD) (*Plan, error) {
 		p.sharedPos[u] = make([]int, len(p.shared[u]))
 		p.sharedVids[u] = make([]int, len(p.shared[u]))
 		for i, name := range p.shared[u] {
-			p.sharedPos[u][i] = posIn(p.bagVars[u], name)
+			p.sharedPos[u][i] = slices.Index(p.bagVars[u], name)
 			p.sharedVids[u][i] = h.VertexID(name)
 		}
 		p.maxShared = max(p.maxShared, len(p.shared[u]))

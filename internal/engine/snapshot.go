@@ -15,9 +15,10 @@ func (c *CompiledDB) WriteSnapshot(w io.Writer) error {
 }
 
 // ReadCompiledDB reconstructs a CompiledDB from a snapshot stream produced by
-// WriteSnapshot. The result carries no cached indexes or statistics — they
-// rebuild lazily on first use — but is otherwise equivalent to the snapshot
-// it was written from: Apply, Bind, and Rebind all work on top of it.
+// WriteSnapshot. Its tables are flat and carry no cached row map or set
+// check — those rebuild lazily on first use — but it is otherwise equivalent
+// to the snapshot it was written from: Apply, Bind, and Rebind all work on
+// top of it.
 func (e *Engine) ReadCompiledDB(r io.Reader) (*CompiledDB, error) {
 	sdb, err := storage.DecodeDB(r)
 	if err != nil {

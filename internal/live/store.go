@@ -262,10 +262,11 @@ func newStore(eng *engine.Engine, cfg Config, cdb *engine.CompiledDB, version ui
 func (s *Store) Engine() *engine.Engine { return s.eng }
 
 // Register prepares and binds a named query over the current snapshot and
-// starts maintaining it across flushes. Registration primes the counting and
-// enumeration caches, so every later flush maintains them incrementally and
-// Watch diffs stay cheap. Re-registering the same name with the same query
-// is a no-op; a different query under a taken name is an error.
+// starts maintaining it across flushes. Bind runs the counting pass and
+// leaves the enumeration state ready, so every later flush maintains both
+// incrementally and Watch diffs stay cheap. Re-registering the same name with
+// the same query is a no-op; a different query under a taken name is an
+// error.
 func (s *Store) Register(ctx context.Context, name string, q cq.Query) error {
 	return s.register(ctx, name, q, true)
 }
@@ -277,9 +278,8 @@ func (s *Store) Register(ctx context.Context, name string, q cq.Query) error {
 // the flush pipeline (the new query either sees a snapshot entirely before a
 // flush or entirely after, never a half-committed one) and against other
 // registrations (the conflict check and the map insert must be atomic). The
-// expensive part — Bind, the initial Count, priming the enumeration cache —
-// runs with mu released, so readers and submitters keep flowing while a
-// query spins up.
+// expensive part — Bind and the initial Count — runs with mu released, so
+// readers and submitters keep flowing while a query spins up.
 func (s *Store) register(ctx context.Context, name string, q cq.Query, logIt bool) error {
 	if name == "" {
 		return errors.New("live: empty query name")
@@ -353,13 +353,6 @@ func (s *Store) register(ctx context.Context, name string, q cq.Query, logIt boo
 	// Bind has run the counting DP: Count only reads its total.
 	count, err := bound.Count(ctx)
 	if err != nil {
-		unreserve()
-		return err
-	}
-	// Prime the enumeration cache too: the indexes over Bind's bottom-up
-	// reduced nodes are cached before streaming begins, so stopping at the first yield builds the whole state without
-	// walking the result set.
-	if err := bound.Enumerate(ctx, func(engine.Solution) bool { return false }); err != nil {
 		unreserve()
 		return err
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"strconv"
 	"sync"
 
 	"d2cq/internal/cq"
@@ -20,8 +19,8 @@ import (
 // with its parent and costs one root-to-leaf path per tuple. A flat table
 // becomes persistent at its first small delta (RowMap bulk-builds the map
 // once and caches it on the flat table); DB.Apply states the rule. The tuple data
-// is immutable either way; the lazily built indexes, statistics, row map and
-// set check are guarded by a mutex, so a Table is safe for concurrent use.
+// is immutable either way; the lazily built row map and set check are guarded
+// by a mutex, so a Table is safe for concurrent use.
 type Table struct {
 	Name  string
 	Arity int
@@ -29,11 +28,9 @@ type Table struct {
 
 	rows *PMap[struct{}] // the persistent form's rows; nil for a flat table
 
-	mu      sync.Mutex
-	asMap   *PMap[struct{}] // a flat table's rows as a map, built on first RowMap
-	indexes map[string]*Index
-	stats   *TableStats
-	set     int8 // a flat table's IsSet: 0 not yet checked, 1 a set, -1 not
+	mu    sync.Mutex
+	asMap *PMap[struct{}] // a flat table's rows as a map, built on first RowMap
+	set   int8            // a flat table's IsSet: 0 not yet checked, 1 a set, -1 not
 }
 
 // Flat reports whether the table is in the flat form.
@@ -129,87 +126,6 @@ func (t *Table) rowMap() (m *PMap[struct{}], built bool) {
 		t.asMap, built = BuildPMap(t.Arity, t.Data, t.Rows(), func([]int32) struct{} { return struct{}{} }), true
 	}
 	return t.asMap, built
-}
-
-// flatData returns the rows laid out flat: Data itself for a flat table, a
-// fresh listing for a persistent one.
-func (t *Table) flatData() []Value {
-	if t.rows == nil {
-		return t.Data
-	}
-	data := make([]Value, 0, t.Rows()*t.Arity)
-	t.Scan(func(row []Value) { data = append(data, row...) })
-	return data
-}
-
-// colsKey renders a column set as a cache key.
-func colsKey(cols []int) string {
-	b := make([]byte, 0, 3*len(cols))
-	for _, c := range cols {
-		b = strconv.AppendInt(b, int64(c), 10)
-		b = append(b, ',')
-	}
-	return string(b)
-}
-
-// maxCachedIndexes bounds the per-table index cache: a long-lived shared
-// table serving ad-hoc traffic must not accumulate one O(rows) index per
-// column set ever queried. Past the cap, indexes are built per call and not
-// retained.
-const maxCachedIndexes = 16
-
-// Index returns the hash index of the table on the given column positions,
-// building it on first use and caching up to maxCachedIndexes of them.
-func (t *Table) Index(cols ...int) *Index {
-	key := colsKey(cols)
-	t.mu.Lock()
-	if ix, ok := t.indexes[key]; ok {
-		t.mu.Unlock()
-		return ix
-	}
-	t.mu.Unlock()
-	ix := BuildIndex(t.flatData(), t.Arity, cols)
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if cached, ok := t.indexes[key]; ok {
-		return cached // another goroutine built it meanwhile
-	}
-	if t.indexes == nil {
-		t.indexes = map[string]*Index{}
-	}
-	if len(t.indexes) < maxCachedIndexes {
-		t.indexes[key] = ix
-	}
-	return ix
-}
-
-// TableStats carries the basic statistics join ordering uses: cardinality
-// and the number of distinct values per column.
-type TableStats struct {
-	Rows     int
-	Distinct []int
-}
-
-// Stats returns the table statistics, computing and caching them on first
-// use.
-func (t *Table) Stats() TableStats {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.stats == nil {
-		st := &TableStats{Rows: t.Rows(), Distinct: make([]int, t.Arity)}
-		buf := make([]Value, 1)
-		for c := 0; c < t.Arity; c++ {
-			m := NewTupleMap(1, st.Rows)
-			col := c
-			t.Scan(func(row []Value) {
-				buf[0] = row[col]
-				m.Insert(buf)
-			})
-			st.Distinct[c] = m.Len()
-		}
-		t.stats = st
-	}
-	return *t.stats
 }
 
 // DB is a compiled database: every constant interned through one shared

@@ -1,12 +1,13 @@
 // Package storage is the compiled-database layer of the engine: dictionary
-// interning of constants, immutable compiled relations, and integer-keyed
-// hash indexes over column sets. A cq.Database is compiled once — strings
-// interned to dense Values, tuples laid out flat — and the result is shared,
-// read-only, by any number of concurrent evaluations. This gives the data
-// side the same compile-once treatment the query side gets from preparation:
-// the Yannakakis-style evaluation bounds (Propositions 2.2 and 4.14 of the
-// paper) assume relations that can be scanned and probed in constant time
-// per tuple, which is exactly what the interned, indexed representation
+// interning of constants, immutable compiled relations, and the persistent
+// integer-keyed maps they and the engine's maintained state are built from.
+// A cq.Database is compiled once — strings interned to dense Values, tuples
+// laid out flat — and the result is shared, read-only, by any number of
+// concurrent evaluations. This gives the data side the same compile-once
+// treatment the query side gets from preparation: the Yannakakis-style
+// evaluation bounds (Propositions 2.2 and 4.14 of the paper) assume
+// relations that can be scanned in constant time per tuple and joined
+// through hashing on integer keys, which is what the interned representation
 // provides. The dictionary holds no pointers (a byte arena behind an
 // open-addressing table) and refuses with ErrDictFull past the Value range.
 // Databases evolve by Delta application: DB.Apply produces a new snapshot

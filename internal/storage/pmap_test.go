@@ -271,15 +271,13 @@ func BenchmarkTupleMapSuccessor(b *testing.B) {
 }
 
 // BenchmarkIndexPatch is the join-index step: add one row under an existing
-// key of an index over n rows (bucket copy-on-write inside a persistent map)
-// against rebuilding the flat Index.
+// key of an index over n rows (bucket copy-on-write inside a persistent map).
+// It must cost the same at 5 000 and 100 000 rows.
 func BenchmarkIndexPatch(b *testing.B) {
 	for _, n := range []int{5_000, 100_000} {
-		data := make([]Value, 0, 2*n)
 		pm := NewPMap[[]Value](1).Edit()
 		for i := 0; i < n; i++ {
 			row := []Value{Value(i / 2), Value(i)}
-			data = append(data, row...)
 			bucket, _ := pm.Get(row[:1])
 			pm.Set(row[:1], append(bucket[:len(bucket):len(bucket)], row...))
 		}
@@ -293,12 +291,6 @@ func BenchmarkIndexPatch(b *testing.B) {
 				bucket, _ := e.Get(row[:1])
 				e.Set(row[:1], append(bucket[:len(bucket):len(bucket)], row...))
 				cur = e.Freeze()
-			}
-		})
-		b.Run(fmt.Sprintf("flat-rebuild-%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				BuildIndex(data, 2, []int{0})
 			}
 		})
 	}

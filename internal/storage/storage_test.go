@@ -84,63 +84,6 @@ func TestTupleMapCollisions(t *testing.T) {
 	}
 }
 
-func TestIndexSingleColumn(t *testing.T) {
-	// Rows: (1,10) (2,20) (1,30)
-	data := []Value{1, 10, 2, 20, 1, 30}
-	ix := BuildIndex(data, 2, []int{0})
-	rows := ix.Lookup([]Value{1})
-	if len(rows) != 2 || rows[0] != 0 || rows[1] != 2 {
-		t.Errorf("Lookup(1) = %v", rows)
-	}
-	if got := ix.Lookup([]Value{3}); len(got) != 0 {
-		t.Errorf("Lookup(3) = %v", got)
-	}
-	if got := ix.Lookup([]Value{2}); len(got) != 1 || got[0] != 1 {
-		t.Errorf("Lookup(2) = %v", got)
-	}
-}
-
-func TestIndexMultiColumn(t *testing.T) {
-	// Rows: (1,10,7) (2,20,7) (1,10,9)
-	data := []Value{1, 10, 7, 2, 20, 7, 1, 10, 9}
-	ix := BuildIndex(data, 3, []int{0, 1})
-	rows := ix.Lookup([]Value{1, 10})
-	if len(rows) != 2 || rows[0] != 0 || rows[1] != 2 {
-		t.Errorf("Lookup(1,10) = %v", rows)
-	}
-	if got := ix.Lookup([]Value{2, 20}); len(got) != 1 || got[0] != 1 {
-		t.Errorf("Lookup(2,20) = %v", got)
-	}
-	if got := ix.Lookup([]Value{2, 10}); len(got) != 0 {
-		t.Errorf("Lookup(2,10) = %v", got)
-	}
-}
-
-// TestIndexCollisionVerification forces all composite keys into one bucket:
-// Lookup must verify against the stored tuples and return only true matches.
-func TestIndexCollisionVerification(t *testing.T) {
-	// Rows: (1,10) (2,20) (1,10) (3,30)
-	data := []Value{1, 10, 2, 20, 1, 10, 3, 30}
-	ix := buildIndexWithHash(data, 2, []int{0, 1}, func([]Value) uint64 { return 7 })
-	rows := ix.Lookup([]Value{1, 10})
-	if len(rows) != 2 || rows[0] != 0 || rows[1] != 2 {
-		t.Fatalf("collision Lookup(1,10) = %v, want [0 2]", rows)
-	}
-	if got := ix.Lookup([]Value{9, 9}); len(got) != 0 {
-		t.Errorf("collision Lookup(9,9) = %v, want empty", got)
-	}
-	if got := ix.Lookup([]Value{3, 30}); len(got) != 1 || got[0] != 3 {
-		t.Errorf("collision Lookup(3,30) = %v, want [3]", got)
-	}
-	if got := ix.Lookup([]Value{10, 1}); len(got) != 0 {
-		t.Errorf("collision Lookup(10,1) = %v, want empty", got)
-	}
-	// Mid-bucket mismatch: first candidate matches, a later one does not.
-	if got := ix.Lookup([]Value{2, 20}); len(got) != 1 || got[0] != 1 {
-		t.Errorf("collision Lookup(2,20) = %v, want [1]", got)
-	}
-}
-
 func TestCompileAndTable(t *testing.T) {
 	db := cq.Database{}
 	db.Add("R", "a", "b")
@@ -160,10 +103,6 @@ func TestCompileAndTable(t *testing.T) {
 	}
 	if sdb.Table("missing") != nil {
 		t.Error("absent relation should be nil")
-	}
-	st := r.Stats()
-	if st.Rows != 3 || st.Distinct[0] != 1 || st.Distinct[1] != 2 {
-		t.Errorf("stats = %+v", st)
 	}
 	dbst := sdb.Stats()
 	if dbst.Relations != 2 || dbst.Tuples != 4 || dbst.Constants != 3 {
@@ -233,66 +172,84 @@ func TestCompileRaggedArity(t *testing.T) {
 	}
 }
 
-// TestTableIndexCacheBounded asks for more column sets than the cache keeps:
-// every lookup must stay correct past the cap.
-func TestTableIndexCacheBounded(t *testing.T) {
-	db := cq.Database{}
-	arity := maxCachedIndexes + 4
-	row := make([]string, arity)
-	for i := range row {
-		row[i] = fmt.Sprintf("v%d", i)
-	}
-	db.Add("W", row...)
-	sdb, err := Compile(db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tab := sdb.Table("W")
-	for c := 0; c < arity; c++ {
-		v, _ := sdb.Dict.Lookup(fmt.Sprintf("v%d", c))
-		if rows := tab.Index(c).Lookup([]Value{v}); len(rows) != 1 || rows[0] != 0 {
-			t.Errorf("col %d: Lookup = %v", c, rows)
-		}
-	}
-	tab.mu.Lock()
-	cached := len(tab.indexes)
-	tab.mu.Unlock()
-	if cached > maxCachedIndexes {
-		t.Errorf("cache holds %d indexes, cap is %d", cached, maxCachedIndexes)
-	}
-}
-
-// TestTableIndexConcurrent hammers the lazy index cache from many
-// goroutines; run with -race.
+// TestTableIndexConcurrent hammers a table's lazily built state — the row
+// map (RowMap) a flat table converts to once, the cached IsSet check — and
+// its plain reads (Rows, Scan) from goroutines released together, on a flat
+// set, a flat table repeating rows and a persistent table, while some of
+// them derive successors (Apply reads a flat parent's row map). Run with
+// -race.
 func TestTableIndexConcurrent(t *testing.T) {
 	db := cq.Database{}
-	for i := 0; i < 64; i++ {
-		db.Add("R", string(rune('a'+i%7)), string(rune('a'+i%5)), string(rune('a'+i%3)))
+	for i := 0; i < 2000; i++ {
+		db.Add("R", fmt.Sprint(i%7), fmt.Sprint(i%5), fmt.Sprint(i))
+		db.Add("D", fmt.Sprint(i%3), fmt.Sprint(i%2)) // repeats rows
+		db.Add("P", fmt.Sprint(i))
 	}
 	sdb, err := Compile(db)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab := sdb.Table("R")
+	next, err := sdb.Apply(NewDelta().Remove("P", "0"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tables := []struct {
+		tab            *Table
+		rows, distinct int
+	}{
+		{sdb.Table("R"), 2000, 2000},
+		{sdb.Table("D"), 2000, 6},
+		{next.Table("P"), 1999, 1999},
+	}
+	if tables[2].tab.Flat() {
+		t.Fatal("a one-row delta left P flat")
+	}
+	const goroutines = 8
+	maps := make([][goroutines]*PMap[struct{}], len(tables))
+	start := make(chan struct{})
 	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
+	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for i := 0; i < 20; i++ {
-				ix := tab.Index(g % 3)
-				if ix == nil {
-					t.Error("nil index")
-					return
+			<-start
+			for j, c := range tables {
+				maps[j][g] = c.tab.RowMap()
+			}
+			for i := 0; i < 10; i++ {
+				for j, c := range tables {
+					if got, want := c.tab.IsSet(), c.rows == c.distinct; got != want {
+						t.Errorf("table %d: IsSet = %v, want %v", j, got, want)
+					}
+					n := 0
+					c.tab.Scan(func([]Value) { n++ })
+					if n != c.rows || c.tab.Rows() != c.rows {
+						t.Errorf("table %d: Scan saw %d rows, Rows says %d, want %d", j, n, c.tab.Rows(), c.rows)
+					}
+					if m := c.tab.RowMap(); m != maps[j][g] {
+						t.Errorf("table %d: RowMap changed between calls", j)
+					}
 				}
-				tab.Index(0, 1).Lookup([]Value{1, 2})
-				tab.Stats()
+				if g%2 == 0 {
+					if _, err := sdb.Apply(NewDelta().Remove("R", "1", "1", "1")); err != nil {
+						t.Error(err)
+					}
+				}
 			}
 		}(g)
 	}
+	close(start)
 	wg.Wait()
-	// The cache must hand out one index per column set.
-	if a, b := tab.Index(1), tab.Index(1); a != b {
-		t.Error("index cache returned distinct instances")
+	// Each table has one row map, shared by every caller, keyed by its
+	// distinct rows.
+	for j, ms := range maps {
+		for _, m := range ms {
+			if m != ms[0] {
+				t.Fatalf("table %d: RowMap returned distinct maps", j)
+			}
+		}
+		if got, want := ms[0].Len(), tables[j].distinct; got != want {
+			t.Errorf("table %d: row map holds %d keys, want %d", j, got, want)
+		}
 	}
 }

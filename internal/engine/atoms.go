@@ -146,14 +146,16 @@ func (m *atomMatcher) match(row []Value) (key []Value, _ bool) {
 
 // bindAtomRelation is atomRelation over a compiled table: selection on the
 // atom's constants and repeated variables, projection onto the distinct
-// variables, all on interned values, in one scan of the table through
-// atomMatcher. Constants are resolved with a read-only dictionary lookup — a
-// constant the dictionary has never seen cannot occur in the data, so the
-// atom relation is empty. Over a table that is a set (Table.IsSet) the
-// selection is one already, since its projection is injective (see
-// atomMatcher), so nothing is deduplicated; and an atom whose arguments are
-// exactly its distinct variables, in order, over a flat set table is that
-// table: the relation shares the table's Data.
+// variables, all on interned values, in one scan of the table's distinct rows
+// through atomMatcher. Constants are resolved with a read-only dictionary
+// lookup — a constant the dictionary has never seen cannot occur in the data,
+// so the atom relation is empty. A flat table's distinct rows are cached on
+// it (Table.Distinct) and a persistent table is a set, so the selection is
+// a set already, since its projection is injective (see atomMatcher), and
+// nothing is deduplicated per bind; an atom whose arguments are exactly its
+// distinct variables, in order, over a flat table is those rows: the
+// relation shares them. Only an atom without constants reserves room for
+// every row of the table; a constant's selection grows as it matches.
 func bindAtomRelation(a cq.Atom, t *storage.Table, dict *Dict) (*Relation, error) {
 	vars := a.VarSet()
 	out := NewRelation(vars...)
@@ -163,17 +165,29 @@ func bindAtomRelation(a cq.Atom, t *storage.Table, dict *Dict) (*Relation, error
 	if t.Arity != len(a.Args) {
 		return nil, fmt.Errorf("engine: arity mismatch in %s", a.Rel)
 	}
-	set := t.IsSet()
-	if set && t.Flat() && directArgs(a, vars) {
-		out.Data = t.Data
-		return out, nil
+	scan, n := t.Scan, t.Rows()
+	if t.Flat() {
+		rows := t.Distinct()
+		if directArgs(a, vars) {
+			out.Data = rows
+			return out, nil
+		}
+		// Not direct, so the atom has an argument and the table a column.
+		scan = func(f func(row []Value)) {
+			for i := 0; i < len(rows); i += t.Arity {
+				f(rows[i : i+t.Arity])
+			}
+		}
+		n = len(rows) / t.Arity
 	}
 	m := newAtomMatcher(a, vars, dict)
 	if !m.ok {
 		return out, nil
 	}
-	out.Data = make([]Value, 0, t.Rows()*len(vars))
-	t.Scan(func(row []Value) {
+	if !slices.ContainsFunc(a.Args, func(arg cq.Term) bool { return !arg.Var }) {
+		out.Data = make([]Value, 0, n*len(vars))
+	}
+	scan(func(row []Value) {
 		if key, ok := m.match(row); ok {
 			if len(vars) == 0 {
 				out.AddEmpty()
@@ -182,9 +196,6 @@ func bindAtomRelation(a cq.Atom, t *storage.Table, dict *Dict) (*Relation, error
 			}
 		}
 	})
-	if !set {
-		out.Dedup()
-	}
 	return out, nil
 }
 

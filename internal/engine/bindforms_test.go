@@ -17,16 +17,77 @@ import (
 // TestBindFormsAgreeOnCorpus: Bind and its maintained successor after a
 // round trip (one tuple of each relation deleted, then restored: the first
 // Rebind builds the maintained form, the second maintains it) give the same
-// Bool, Count and EnumerateAll rows on every entry of a degree-2 corpus that
-// plans at width ≤ 3 — the canonical query of each hypergraph over a seeded
-// random database, dense enough that the cyclic entries have answers. The corpus is
-// the repository benchmark's (batch.corpus), or a smaller one under -short.
-// Every entry is bound twice: over its database as generated, whose random
-// tuples repeat, so the atom relations are deduplicated copies; and over the
-// same database with the repeats removed, where every table is a set and an
-// atom over its distinct variables in order shares its table's rows. The two
-// must agree too, and each path must be taken somewhere in the corpus.
+// Bool, Count and EnumerateAll rows on every entry of testCorpus. Every
+// entry is bound twice: over its database as generated, whose random
+// tuples repeat, so the atom relations are deduplicated copies (an atom over
+// its distinct variables in order shares the copy its table caches,
+// Table.Distinct); and over the same database with the repeats removed,
+// where every table is a set and an atom over its distinct variables in
+// order shares its table's rows. The two must agree too, and each path must
+// be taken somewhere in the corpus.
 func TestBindFormsAgreeOnCorpus(t *testing.T) {
+	ctx := context.Background()
+	checked, shared, deduped := 0, 0, 0
+	for _, e := range testCorpus(t) {
+		var first *BoundQuery
+		for _, db := range []cq.Database{e.db, distinct(e.db)} {
+			cdb, err := e.prep.eng.CompileDB(ctx, db)
+			if err != nil {
+				t.Fatal(err)
+			}
+			oneShot, err := e.prep.Bind(ctx, cdb)
+			if err != nil {
+				t.Fatalf("%s: Bind: %v", e.name, err)
+			}
+			maintained, err := roundTrip(ctx, oneShot, db)
+			if err != nil {
+				t.Fatalf("%s: round trip: %v", e.name, err)
+			}
+			if desc := compareBound(ctx, oneShot, maintained); desc != "" {
+				t.Errorf("%s (%s): Bind vs its maintained successor: %s", e.name, e.q, desc)
+			}
+			if first == nil {
+				first = oneShot
+			} else if desc := compareBound(ctx, oneShot, first); desc != "" {
+				t.Errorf("%s (%s): without repeated tuples vs as generated: %s", e.name, e.q, desc)
+			}
+			for i, a := range e.q.Atoms {
+				rel, tab := oneShot.inst.AtomRels[i], cdb.sdb.Table(a.Rel)
+				switch {
+				case sharesTable(rel, tab):
+					shared++
+				case !tab.IsSet():
+					deduped++
+					if directArgs(a, a.VarSet()) && rel.Len() > 0 && &rel.Data[0] != &tab.Distinct()[0] {
+						t.Errorf("%s: %s does not share its table's cached distinct rows", e.name, a)
+					}
+				}
+			}
+		}
+		checked++
+	}
+	if shared == 0 || deduped == 0 {
+		t.Fatalf("atom relations sharing their table: %d, deduplicated: %d; want both", shared, deduped)
+	}
+	t.Logf("%d corpus entries agree (%d atoms share their table, %d deduplicated)", checked, shared, deduped)
+}
+
+// corpusQuery is one entry of testCorpus: a corpus hypergraph's canonical
+// query, prepared, and its seeded database.
+type corpusQuery struct {
+	name string
+	q    cq.Query
+	prep *PreparedQuery
+	db   cq.Database
+}
+
+// testCorpus returns every entry of a degree-2 corpus that plans at width ≤
+// 3 — the canonical query of each hypergraph over a seeded random database,
+// dense enough that the cyclic entries have answers. The corpus is the
+// repository benchmark's (batch.corpus), or a smaller one under -short. The
+// random tuples repeat, so not every table is a set.
+func testCorpus(t *testing.T) []corpusQuery {
+	t.Helper()
 	opts := hyperbench.Options{Seed: 5, PerFamily: 6, MaxWidth: 5}
 	if testing.Short() {
 		opts = hyperbench.Options{Seed: 1, PerFamily: 2, MaxWidth: 3}
@@ -35,10 +96,9 @@ func TestBindFormsAgreeOnCorpus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := context.Background()
 	eng := NewEngine(WithMaxWidth(3))
 	tuples := map[int]int{1: 300, 2: 60, 3: 14}
-	checked, shared, deduped := 0, 0, 0
+	var out []corpusQuery
 	for i, e := range c.Entries {
 		if e.GHW.Upper > 3 {
 			continue
@@ -51,7 +111,7 @@ func TestBindFormsAgreeOnCorpus(t *testing.T) {
 			}
 			q.Atoms = append(q.Atoms, a)
 		}
-		prep, err := eng.Prepare(ctx, q)
+		prep, err := eng.Prepare(context.Background(), q)
 		if err != nil {
 			continue // the plan came out wider than the bound
 		}
@@ -82,45 +142,75 @@ func TestBindFormsAgreeOnCorpus(t *testing.T) {
 				db.Add(a.Rel, row...)
 			}
 		}
-		var first *BoundQuery
-		for _, db := range []cq.Database{db, distinct(db)} {
-			cdb, err := eng.CompileDB(ctx, db)
-			if err != nil {
-				t.Fatal(err)
+		out = append(out, corpusQuery{name: e.Name, q: q, prep: prep, db: db})
+	}
+	if len(out) == 0 {
+		t.Fatal("no corpus entry planned at width ≤ 3")
+	}
+	return out
+}
+
+// TestPlanRulesOnCorpus checks Bind's two plan-time savings on the corpus of
+// TestBindFormsAgreeOnCorpus. An atom assigned to node u that is no filter
+// there, although no λ edge of u is over its variables, is enforced by a λ
+// edge below u: every row of B(u) must satisfy it. And some λ edge must be
+// joined through its projection. The corpus must exercise both.
+func TestPlanRulesOnCorpus(t *testing.T) {
+	ctx := context.Background()
+	dropped, projected := 0, 0
+	for _, e := range testCorpus(t) {
+		p := e.prep.Plan()
+		cdb, err := e.prep.eng.CompileDB(ctx, e.db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := e.prep.Bind(ctx, cdb)
+		if err != nil {
+			t.Fatalf("%s: Bind: %v", e.name, err)
+		}
+		for ai, a := range e.q.Atoms {
+			vars := a.VarSet()
+			u := slices.IndexFunc(p.bagVars, func(bag []string) bool { return isSubset(vars, bag) })
+			if slices.Contains(p.filters[u], ai) || slices.ContainsFunc(p.lambdaVars[u], func(names []string) bool { return slices.Equal(names, vars) }) {
+				continue
 			}
-			oneShot, err := prep.Bind(ctx, cdb)
-			if err != nil {
-				t.Fatalf("%s: Bind: %v", e.Name, err)
+			dropped++
+			rel := b.inst.AtomRels[ai]
+			member := storage.NewTupleMap(len(vars), rel.Len())
+			for i := 0; i < rel.Len(); i++ {
+				member.Insert(rel.Row(i))
 			}
-			maintained, err := roundTrip(ctx, oneShot, db)
-			if err != nil {
-				t.Fatalf("%s: round trip: %v", e.Name, err)
-			}
-			if desc := compareBound(ctx, oneShot, maintained); desc != "" {
-				t.Errorf("%s (%s): Bind vs its maintained successor: %s", e.Name, q, desc)
-			}
-			if first == nil {
-				first = oneShot
-			} else if desc := compareBound(ctx, oneShot, first); desc != "" {
-				t.Errorf("%s (%s): without repeated tuples vs as generated: %s", e.Name, q, desc)
-			}
-			for i, a := range q.Atoms {
-				if sharesTable(oneShot.inst.AtomRels[i], cdb.sdb.Table(a.Rel)) {
-					shared++
-				} else if !cdb.sdb.Table(a.Rel).IsSet() {
-					deduped++
+			pos := colIndexes(b.nodeRels[u], vars)
+			key := make([]Value, len(vars))
+			for i := 0; i < b.nodeRels[u].Len(); i++ {
+				if member.Find(project(key, b.nodeRels[u].Row(i), pos)) < 0 {
+					t.Errorf("%s: row %v of node %d violates %s, which it does not filter by", e.name, b.nodeRels[u].Row(i), u, a)
+					break
 				}
 			}
 		}
-		checked++
+		for u := range p.lambdaKeep {
+			for _, keep := range p.lambdaKeep[u] {
+				if keep != nil {
+					projected++
+				}
+			}
+		}
 	}
-	if checked == 0 {
-		t.Fatal("no corpus entry planned at width ≤ 3")
+	if dropped == 0 || projected == 0 {
+		t.Fatalf("filters enforced below: %d, λ edges joined through a projection: %d; want both", dropped, projected)
 	}
-	if shared == 0 || deduped == 0 {
-		t.Fatalf("atom relations sharing their table: %d, deduplicated: %d; want both", shared, deduped)
+	t.Logf("%d filters enforced below their node, %d λ edges joined through a projection", dropped, projected)
+}
+
+// isSubset reports whether every name of a is one of b's.
+func isSubset(a, b []string) bool {
+	for _, x := range a {
+		if !slices.Contains(b, x) {
+			return false
+		}
 	}
-	t.Logf("%d corpus entries agree (%d atoms share their table, %d deduplicated)", checked, shared, deduped)
+	return true
 }
 
 // distinct returns db without repeated tuples.

@@ -4,8 +4,10 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"d2cq/internal/bitset"
 	"d2cq/internal/cq"
 	"d2cq/internal/decomp"
 )
@@ -301,6 +303,46 @@ func TestExplicitDecompositionOption(t *testing.T) {
 	}
 	if !got {
 		t.Error("explicit decomposition evaluation failed")
+	}
+}
+
+// TestFilterEnforcedBelowOnlyInsideItsBag: an atom is no filter at its node
+// when a λ edge over its variables sits below the node in a bag that holds
+// them, and stays one when that bag leaves one of them out — the child's key
+// set then cannot carry the constraint up. Both decompositions are written
+// out by hand: C(x,y,z) at the root, where A(x,y) is assigned, and a child
+// covered by A and B(y,w) whose bag keeps x or drops it. Over a database in
+// which A has no (x,y) of C, the query has no answer.
+func TestFilterEnforcedBelowOnlyInsideItsBag(t *testing.T) {
+	query := q(t, "C(x,y,z), A(x,y), B(y,w)")
+	h := query.Hypergraph()
+	set := func(names ...string) bitset.Set {
+		ids := make([]int, len(names))
+		for i, n := range names {
+			ids[i] = h.VertexID(n)
+		}
+		return bitset.FromSlice(h.NV(), ids)
+	}
+	db := cq.Database{}
+	db.Add("C", "1", "2", "3")
+	db.Add("A", "9", "2")
+	db.Add("B", "2", "5")
+	for _, c := range []struct {
+		child    bitset.Set
+		filtered bool
+	}{{set("x", "y", "w"), false}, {set("y", "w"), true}} {
+		d := &decomp.GHD{Bags: []bitset.Set{set("x", "y", "z"), c.child}, Lambdas: [][]int{{0}, {1, 2}}, Parent: []int{-1, 0}}
+		plan, err := NewPlan(query, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := slices.Contains(plan.filters[0], 1); got != c.filtered {
+			t.Errorf("child bag %v: A filters the root = %v, want %v", c.child, got, c.filtered)
+		}
+		prep := &PreparedQuery{eng: Default(), plan: plan}
+		if n, err := prep.Count(context.Background(), db); err != nil || n != 0 {
+			t.Errorf("child bag %v: Count = %d, %v; want 0", c.child, n, err)
+		}
 	}
 }
 

@@ -130,6 +130,14 @@ var diffShapes = []diffShape{
 		rels:  map[string]int{"A": 2, "B": 2, "C": 2, "D": 2, "E": 2, "F": 2},
 	},
 	{
+		// Unary atoms planned as leaves below the nodes they are assigned
+		// to: each is enforced once, at its leaf, and its changes reach the
+		// parent only through the leaf's key set.
+		name:  "unary-leaves",
+		query: "R(x,y), U(x), S(y,z), V(z)",
+		rels:  map[string]int{"R": 2, "U": 1, "S": 2, "V": 1},
+	},
+	{
 		name:  "naive-triangle",
 		query: "E(x,y), F(y,z), G(z,x)",
 		rels:  map[string]int{"E": 2, "F": 2, "G": 2},
@@ -1150,6 +1158,24 @@ func TestIncrementalScriptedCases(t *testing.T) {
 				return db
 			}(),
 			steps: scripted("+S(6,7)", "-S(6,7)", "+S(6,7) +R(3,6)", "-T(7,8) -T(7,9)", "+T(7,8)", "-S(6,7) +S(6,1)"),
+		},
+		{
+			// The 6-cycle's × nodes join a(a,b) through its projection onto
+			// a: b is private to it there, so a bag tuple's derivation count
+			// is the number of b values of its a, which Bind weighs in and
+			// the first Rebind loads. The steps add and remove b values of
+			// a=1 that leave π_a as it is — one joins nothing in b, so only
+			// the counts see it — and then remove the last one.
+			name: "private-column", shape: diffShape{name: "cycle6", query: "a(a,b), b(b,c), c(c,d), d(d,e), e(e,f), f(f,a)"},
+			db: func() cq.Database {
+				db := cq.Database{}
+				for _, row := range [][]string{{"a", "1", "2"}, {"a", "1", "3"}, {"a", "9", "3"}, {"b", "2", "5"}, {"b", "3", "5"},
+					{"c", "5", "6"}, {"d", "6", "7"}, {"e", "7", "8"}, {"f", "8", "1"}, {"f", "8", "9"}} {
+					db.Add(row[0], row[1:]...)
+				}
+				return db
+			}(),
+			steps: scripted("+a(1,4)", "-a(1,2)", "+b(4,5)", "+a(1,2) -a(1,3)", "-a(1,4)", "-b(4,5) -a(9,3)", "-a(1,2)", "+a(1,3)"),
 		},
 		{
 			// The child shares no column with its parent, the root, which is

@@ -9,7 +9,9 @@ import "slices"
 // child's relation projected onto the columns it shares with the node.
 // Filters and key sets join like any other input: their variables lie inside
 // the bag, so they contribute exactly one derivation to a bag tuple that
-// passes and none to one that does not. A key set is numbered after the
+// passes and none to one that does not. An atom a λ edge below the node
+// enforces is no filter of it (NewPlan): its changes reach the node through
+// the key sets on the way up. A key set is numbered after the
 // atoms (Plan.keyInput) and held like an atom, so everything below serves
 // both. When one input changes, the change of the node's relation is the
 // input's delta joined through the OTHER inputs; deltaPlan fixes, per (node,

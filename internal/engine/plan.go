@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"strings"
@@ -29,10 +30,10 @@ type Plan struct {
 	noRows *Relation // the empty relation over qvars; shared, never written
 
 	// Per-node plan shape (empty for naive plans and ground queries).
-	assigned   [][]int    // node → indices of atoms filtered at that node
-	filters    [][]int    // assigned minus atoms redundant with a λ edge
+	filters    [][]int    // node → the atoms Bind semijoins at it: those assigned to it that no λ edge at or below it enforces
 	bagVars    [][]string // node → sorted bag variable names
 	lambdaVars [][][]string
+	lambdaKeep [][][]string // node → per λ edge: the columns it is joined on when it has private ones, projected out first; nil: all
 	children   [][]int
 	order      []int      // topological order, leaves before parents
 	pre        []int      // pre-order (order reversed): every node after its ancestors
@@ -84,7 +85,7 @@ func NewPlan(q cq.Query, d *decomp.GHD) (*Plan, error) {
 	}
 	p.children = d.Children()
 	// Assign each atom to a node whose bag contains its variables.
-	p.assigned = make([][]int, d.Nodes())
+	assigned := make([][]int, d.Nodes())
 	for ai, a := range q.Atoms {
 		vs := a.VarSet()
 		node := -1
@@ -105,7 +106,7 @@ func NewPlan(q cq.Query, d *decomp.GHD) (*Plan, error) {
 		if node < 0 {
 			return nil, fmt.Errorf("engine: atom %s fits no bag", a)
 		}
-		p.assigned[node] = append(p.assigned[node], ai)
+		assigned[node] = append(assigned[node], ai)
 	}
 	// Per-node variable lists.
 	p.bagVars = make([][]string, d.Nodes())
@@ -126,28 +127,6 @@ func NewPlan(q cq.Query, d *decomp.GHD) (*Plan, error) {
 			})
 			sort.Strings(names)
 			p.lambdaVars[u] = append(p.lambdaVars[u], names)
-		}
-	}
-	// Effective filters: an assigned atom whose variable set equals one of
-	// the node's λ edges is redundant — the λ join already intersects with
-	// that edge relation (the join of every atom over the variable set), so
-	// each joined tuple's projection onto those variables is a binding of
-	// the atom. Dropping them here removes a full semijoin pass per node
-	// from materialisation and from incremental maintenance alike.
-	p.filters = make([][]int, d.Nodes())
-	for u := 0; u < d.Nodes(); u++ {
-		for _, ai := range p.assigned[u] {
-			vs := q.Atoms[ai].VarSet()
-			redundant := false
-			for _, names := range p.lambdaVars[u] {
-				if slices.Equal(names, vs) {
-					redundant = true
-					break
-				}
-			}
-			if !redundant {
-				p.filters[u] = append(p.filters[u], ai)
-			}
 		}
 	}
 	// Bag variables shared with the parent (the enumeration join keys).
@@ -183,6 +162,57 @@ func NewPlan(q cq.Query, d *decomp.GHD) (*Plan, error) {
 	p.pre = make([]int, len(p.order))
 	for i, u := range p.order {
 		p.pre[len(p.order)-1-i] = u
+	}
+	// Filters, enforced once: an atom assigned to u is no filter there when a
+	// λ edge over exactly its variables sits at u or at a node w below it
+	// whose bag holds them. The edge relation is the join of every atom over
+	// those variables, so B(w) satisfies the atom; and every node on the way
+	// up from w holds them in its bag (they are in bag(u) and bag(w)), so
+	// each child's key set on the path carries the constraint up to u. The
+	// semijoin would keep every row and every derivation, in Bind and in
+	// maintenance alike.
+	p.filters = make([][]int, d.Nodes())
+	enforced := make([]map[string]bool, d.Nodes()) // node → var sets of λ edges at or below it, within their node's bag
+	for _, u := range p.order {
+		enforced[u] = map[string]bool{}
+		for _, c := range p.children[u] {
+			maps.Copy(enforced[u], enforced[c])
+		}
+		for i, e := range d.Lambdas[u] {
+			if h.EdgeSet(e).SubsetOf(d.Bags[u]) {
+				enforced[u][edgeKey(p.lambdaVars[u][i])] = true
+			}
+		}
+		for _, ai := range assigned[u] {
+			if !enforced[u][edgeKey(q.Atoms[ai].VarSet())] {
+				p.filters[u] = append(p.filters[u], ai)
+			}
+		}
+	}
+	// λ-private columns: a λ edge's column that neither the bag nor another
+	// λ edge of the node holds is read by nothing in the node's join, so the
+	// edge is joined through its projection onto the other columns, each
+	// tuple weighted by its multiplicity (edgeRelations). The bag relation
+	// is the same; a derivation count is the sum, per bag tuple, of the
+	// product of the weights — the full join's.
+	p.lambdaKeep = make([][][]string, d.Nodes())
+	for u := 0; u < d.Nodes(); u++ {
+		p.lambdaKeep[u] = make([][]string, len(p.lambdaVars[u]))
+		for i, names := range p.lambdaVars[u] {
+			var keep []string
+			for _, v := range names {
+				held := slices.Contains(p.bagVars[u], v)
+				for j, other := range p.lambdaVars[u] {
+					held = held || (j != i && slices.Contains(other, v))
+				}
+				if held {
+					keep = append(keep, v)
+				}
+			}
+			if len(keep) < len(names) {
+				p.lambdaKeep[u][i] = keep
+			}
+		}
 	}
 	// Column positions of every join the evaluation passes will run, fixed
 	// now so indexes can be built straight off precomputed integer columns.
@@ -240,7 +270,9 @@ func (p *Plan) Width() int {
 }
 
 // Explain renders the data-independent plan: the decomposition tree with
-// per-node bags, covers and atom filters. A cover that is not connected
+// per-node bags, covers and the atoms Bind filters each node by. A λ edge
+// joined through its projection shows the columns it keeps, as a[x,y]. A
+// cover that is not connected
 // (decomp.CoverConnected) is marked "×": its bag is a cross product, kept
 // only because the search found no plan of the same width without one. See
 // PreparedQuery.ExplainDB for the variant that includes materialised
@@ -261,17 +293,21 @@ func (p *Plan) Explain() string {
 	walk = func(u, depth int) {
 		indent := strings.Repeat("  ", depth)
 		var cover []string
-		for _, e := range p.d.Lambdas[u] {
-			cover = append(cover, p.h.EdgeName(e))
+		for i, e := range p.d.Lambdas[u] {
+			name := p.h.EdgeName(e)
+			if keep := p.lambdaKeep[u][i]; keep != nil {
+				name += "[" + strings.Join(keep, ",") + "]"
+			}
+			cover = append(cover, name)
 		}
 		fmt.Fprintf(&b, "%snode %d: bag={%s} λ={%s}", indent, u,
 			strings.Join(p.bagVars[u], ","), strings.Join(cover, ","))
 		if !decomp.CoverConnected(p.h, p.d.Lambdas[u]) {
 			b.WriteString(" ×")
 		}
-		if len(p.assigned[u]) > 0 {
+		if len(p.filters[u]) > 0 {
 			var atoms []string
-			for _, ai := range p.assigned[u] {
+			for _, ai := range p.filters[u] {
 				atoms = append(atoms, p.query.Atoms[ai].String())
 			}
 			fmt.Fprintf(&b, " filters={%s}", strings.Join(atoms, "; "))

@@ -34,6 +34,17 @@ var (
 // 3×2 grid, one atom per vertex of the subdivided grid over its edges.
 var maintSubgrid = dualShape("subgrid3x2", hypergraph.FromGraph(graph.Subdivide(graph.Grid(3, 2))).Dual())
 
+// maintCycle10 is the corpus's cycle-1 shape, the dual of the 10-cycle: its
+// plan has seven × nodes, each joining the first atom through its projection
+// onto the one column the node keeps.
+var maintCycle10 = dualShape("cycle10", hypergraph.FromGraph(graph.Cycle(10)).Dual())
+
+// maintTree4 is the corpus's tree-4 shape, the dual of a tree: an acyclic
+// query whose unary atoms are leaves of its plan, each enforced at its own
+// node and not again at its parent.
+var maintTree4 = maintShape{"tree4", [][]string{{"x0", "x1", "x2"}, {"x0", "x3", "x4"}, {"x1", "x5"}, {"x2", "x6", "x7"},
+	{"x6"}, {"x3"}, {"x4"}, {"x5"}, {"x7"}}}
+
 // dualShape is the maintShape of a hypergraph: one atom per edge, over
 // variables named after the vertices.
 func dualShape(name string, h *hypergraph.Hypergraph) maintShape {
@@ -440,15 +451,19 @@ func BenchmarkFirstRebind(b *testing.B) {
 }
 
 // oneShotShapes are the seeded maintenance databases the one-shot
-// benchmarks bind. cycle5, the 3×2 subgrid and cycle6 get plans whose covers
-// are forced cross products, which the bottom-up materialisation joins
-// through the children's messages instead; path3 is acyclic, where a message
-// is a semijoin filter and must cost no more than one.
+// benchmarks bind. cycle5, the 3×2 subgrid, cycle6 and cycle10 get plans
+// whose covers are forced cross products, which the bottom-up
+// materialisation joins through the children's messages instead, cycle10's
+// through a projection of an edge; path3 and tree4 are acyclic, where a
+// message is a semijoin filter and must cost no more than one, and tree4's
+// unary leaves filter their parents through their messages alone.
 var oneShotShapes = []maintSizing{
 	{"path3-5k", maintPath3, 5000, 2500},
 	{"cycle5-500", maintCycle5, 500, 250},
 	{"subgrid3x2-200", maintSubgrid, 200, 100},
 	{"cycle6-500", maintCycle6, 500, 250},
+	{"cycle10-200", maintCycle10, 200, 100},
+	{"tree4-5k", maintTree4, 5000, 2500},
 }
 
 // BenchmarkBindOneShot measures one Bind and Count on oneShotShapes. Bind

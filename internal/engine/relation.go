@@ -103,7 +103,7 @@ func (r *Relation) Project(cols []string) *Relation {
 		}
 		return out
 	case len(cols) < len(r.Cols):
-		out, _ := projectCounts(r, cols)
+		out, _ := projectCounts(r, cols, nil)
 		return out
 	}
 	// A permutation of the columns of a set: no two rows collide.
@@ -121,22 +121,36 @@ func (r *Relation) Project(cols []string) *Relation {
 
 // projectCounts projects r onto cols, which must all exist, returning the
 // projection and the multiplicity of every projected tuple — the derivation
-// counts the incremental engine maintains. The distinct projected tuples are
-// the map's keys, in first-seen order: the relation keeps them in place,
-// unless most of the room reserved for them went unused.
-func projectCounts(r *Relation, cols []string) (*Relation, *storage.TupleMap) {
-	idx := colIndexes(r, cols)
-	m := storage.NewTupleMap(len(cols), r.Len())
-	buf := make([]Value, len(cols))
-	for i := 0; i < r.Len(); i++ {
-		m.Add(project(buf, r.Row(i), idx), 1)
-	}
+// counts the incremental engine maintains. A row counts for the product of
+// its values at the weight positions (for a row of a join of weighted
+// projections, the number of full-join rows it stands for), and for 1 when
+// there are none. The distinct projected tuples are the map's keys, in
+// first-seen order: the relation keeps them in place, unless most of the
+// room reserved for them went unused.
+func projectCounts(r *Relation, cols []string, weights []int) (*Relation, *storage.TupleMap) {
+	m := countProjection(r, cols, weights)
 	out := NewRelation(cols...)
 	out.Data = m.Keys()
 	if cap(out.Data) > 2*len(out.Data) {
 		out.Data = slices.Clone(out.Data)
 	}
 	return out, m
+}
+
+// countProjection is projectCounts' map: every projected tuple with its
+// multiplicity.
+func countProjection(r *Relation, cols []string, weights []int) *storage.TupleMap {
+	idx := colIndexes(r, cols)
+	m := storage.NewTupleMap(len(cols), r.Len())
+	buf := make([]Value, len(cols))
+	for i := 0; i < r.Len(); i++ {
+		row, w := r.Row(i), int64(1)
+		for _, x := range weights {
+			w *= int64(row[x])
+		}
+		m.Add(project(buf, row, idx), w)
+	}
+	return m
 }
 
 // colIndexes returns the position in r of every column of cols, which must

@@ -132,21 +132,19 @@ func coveredBy(cols []string, r *Relation) (bound, shares bool) {
 
 // materialiseReduced builds the relation of one node from its children's
 // messages, which must be built already: the connected join of its λ
-// relations, each child's message and its filter atoms, projected to the
-// bag. A message whose columns are bound by then filters the join through its
-// keys; otherwise its keys (the child projected onto the columns it shares
-// with the node) are joined. Messages bound only at the end are left to
-// nodeMessage, so the node is bottom-up reduced once that has run, without
-// ever building the cover join on its own — a message that connects two
-// cover relations sharing no variable is joined before they are, so a forced
-// cross product never is. A projecting node of a maintained plan
-// (Plan.projects) also returns the derivation count of every bag tuple, which
-// the first Rebind loads (buildMaint); any other returns nil counts.
-func materialiseReduced(p *Plan, inst *Instance, u int, edge func([]string) *Relation, groups []flatGroups) (rel *Relation, counts *storage.TupleMap) {
-	cover := make([]*Relation, len(p.lambdaVars[u]))
-	for i, names := range p.lambdaVars[u] {
-		cover[i] = edge(names)
-	}
+// relations (cover, from edgeRelations: an edge with private columns is its
+// weighted projection), each child's message and its filter atoms, projected
+// to the bag. A message whose columns are bound by then filters the join
+// through its keys; otherwise its keys (the child projected onto the columns
+// it shares with the node) are joined. Messages bound only at the end are
+// left to nodeMessage, so the node is bottom-up reduced once that has run,
+// without ever building the cover join on its own — a message that connects
+// two cover relations sharing no variable is joined before they are, so a
+// forced cross product never is. A projecting node of a maintained plan
+// (Plan.projects) also returns the derivation count of every bag tuple, the
+// product of its joined row's weights summed over the rows, which the first
+// Rebind loads (buildMaint); any other returns nil counts.
+func materialiseReduced(p *Plan, inst *Instance, u int, cover []*Relation, groups []flatGroups) (rel *Relation, counts *storage.TupleMap) {
 	kids := make([]joinInput, 0, len(p.childJoins[u])+len(p.filters[u]))
 	for _, cj := range p.childJoins[u] {
 		m := groups[cj.child].keys
@@ -157,7 +155,13 @@ func materialiseReduced(p *Plan, inst *Instance, u int, edge func([]string) *Rel
 	}
 	acc := joinConnected(cover, kids)
 	if p.maintainable && p.projects[u] {
-		return projectCounts(acc, p.bagVars[u])
+		var weights []int
+		for i, keep := range p.lambdaKeep[u] {
+			if keep != nil {
+				weights = append(weights, acc.ColIndex(weightCol(p.lambdaVars[u][i])))
+			}
+		}
+		return projectCounts(acc, p.bagVars[u], weights)
 	}
 	return acc.Project(p.bagVars[u]), nil
 }
@@ -182,7 +186,7 @@ func keysOf(m *storage.TupleMap, cols []string) *Relation {
 // bottom-up reduced and the counting DP comes out finished, flat.
 func bindNodes(ctx context.Context, p *Plan, inst *Instance) ([]*Relation, *countState, error) {
 	n := p.d.Nodes()
-	getEdge, err := edgeRelations(ctx, p, inst)
+	covers, err := edgeRelations(ctx, p, inst)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -193,7 +197,7 @@ func bindNodes(ctx context.Context, p *Plan, inst *Instance) ([]*Relation, *coun
 			return nil, nil, err
 		}
 		var rel *Relation
-		rel, cs.counts[u] = materialiseReduced(p, inst, u, getEdge, cs.groups)
+		rel, cs.counts[u] = materialiseReduced(p, inst, u, covers[u], cs.groups)
 		var total int64
 		rels[u], cs.groups[u], total = nodeMessage(p, u, rel, cs.groups)
 		if p.d.Parent[u] < 0 {
@@ -203,22 +207,54 @@ func bindNodes(ctx context.Context, p *Plan, inst *Instance) ([]*Relation, *coun
 	return rels, cs, nil
 }
 
-// edgeRelations builds the λ edge relations of the plan's nodes, one per
-// distinct variable set, and returns their lookup — shared read-only across
-// nodes.
-func edgeRelations(ctx context.Context, p *Plan, inst *Instance) (func([]string) *Relation, error) {
-	edges := map[string]*Relation{}
-	for u := 0; u < p.d.Nodes(); u++ {
+// edgeRelations builds the λ relations of the plan's nodes, node → one per λ
+// edge: the edge's relation, or for an edge with private columns
+// (Plan.lambdaKeep) its weighted projection onto the kept ones. Each
+// distinct relation is built once and shared read-only across nodes — one
+// projection serves every node that keeps the same columns of the edge.
+func edgeRelations(ctx context.Context, p *Plan, inst *Instance) ([][]*Relation, error) {
+	built := map[string]*Relation{}
+	covers := make([][]*Relation, p.d.Nodes())
+	for u := range covers {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		for _, names := range p.lambdaVars[u] {
-			if k := edgeKey(names); edges[k] == nil {
-				edges[k] = inst.EdgeRelation(names)
+		covers[u] = make([]*Relation, len(p.lambdaVars[u]))
+		for i, names := range p.lambdaVars[u] {
+			k := edgeKey(names)
+			r := built[k]
+			if r == nil {
+				r = inst.EdgeRelation(names)
+				built[k] = r
 			}
+			if keep := p.lambdaKeep[u][i]; keep != nil {
+				k += "\x01" + edgeKey(keep)
+				if built[k] == nil {
+					built[k] = weightedProjection(r, keep, weightCol(names))
+				}
+				r = built[k]
+			}
+			covers[u][i] = r
 		}
 	}
-	return func(names []string) *Relation { return edges[edgeKey(names)] }, nil
+	return covers, nil
+}
+
+// weightCol names the weight column of the weighted projections of the λ
+// edge over names; no parsed query variable can carry the name.
+func weightCol(names []string) string { return "\x00#" + edgeKey(names) }
+
+// weightedProjection returns r projected onto cols, which must all exist,
+// with one more column, named w, holding each projected tuple's multiplicity
+// — the number of r's rows it stands for.
+func weightedProjection(r *Relation, cols []string, w string) *Relation {
+	m := countProjection(r, cols, nil)
+	out := NewRelation(append(slices.Clip(cols), w)...)
+	out.Data = make([]Value, 0, m.Len()*len(out.Cols))
+	for s := int32(0); int(s) < m.Len(); s++ {
+		out.Data = append(append(out.Data, m.Key(s)...), Value(m.Val(s)))
+	}
+	return out
 }
 
 // nodeMessage runs the counting DP (Pichler & Skritek, Proposition 4.14) at

@@ -13,14 +13,15 @@ import (
 // The flat form is what Compile, DecodeDB and a delta rewriting most of a
 // relation produce: row i occupies Data[i*Arity:(i+1)*Arity], the cheapest
 // thing to build and scan. A flat table keeps its input as given, so it may
-// repeat a tuple (Compile does not deduplicate); IsSet tells. The persistent
+// repeat a tuple (Compile does not deduplicate); IsSet tells, and Distinct
+// lists its rows without the repeats. The persistent
 // form is what a small delta produces: the rows are the keys of a PMap (Data
 // is nil), so it is a set, and the successor shares every untouched trie node
 // with its parent and costs one root-to-leaf path per tuple. A flat table
 // becomes persistent at its first small delta (RowMap bulk-builds the map
 // once and caches it on the flat table); DB.Apply states the rule. The tuple data
-// is immutable either way; the lazily built row map and set check are guarded
-// by a mutex, so a Table is safe for concurrent use.
+// is immutable either way; the lazily built row map and distinct rows are
+// guarded by a mutex, so a Table is safe for concurrent use.
 type Table struct {
 	Name  string
 	Arity int
@@ -28,9 +29,9 @@ type Table struct {
 
 	rows *PMap[struct{}] // the persistent form's rows; nil for a flat table
 
-	mu    sync.Mutex
-	asMap *PMap[struct{}] // a flat table's rows as a map, built on first RowMap
-	set   int8            // a flat table's IsSet: 0 not yet checked, 1 a set, -1 not
+	mu       sync.Mutex
+	asMap    *PMap[struct{}] // a flat table's rows as a map, built on first RowMap
+	distinct []Value         // a flat table's rows without repeats, found on first Distinct: Data itself for a set
 }
 
 // Flat reports whether the table is in the flat form.
@@ -48,43 +49,65 @@ func (t *Table) Rows() int {
 }
 
 // IsSet reports whether the table repeats no row. A persistent table always
-// is a set; a flat one is checked once, by hashing its rows, and the answer
-// is cached on the table.
+// is a set; a flat one is one when its Distinct rows are all of its rows.
 func (t *Table) IsSet() bool {
+	return t.rows != nil || len(t.Distinct()) == len(t.Data)
+}
+
+// Distinct returns a flat table's rows, laid out like Data, with every repeat
+// of a row dropped: Data itself when the table is a set, else a copy keeping
+// each row's first occurrence in order. It is found by one hashing pass on
+// first use and cached on the table, so a table that repeats rows is
+// deduplicated once, however many evaluations read it.
+func (t *Table) Distinct() []Value {
 	if t.rows != nil {
-		return true
+		panic("storage: Distinct of a persistent table")
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.set == 0 {
-		t.set = -1
-		if distinctRows(t.Data, t.Arity, t.Rows()) {
-			t.set = 1
-		}
+	if t.distinct == nil && len(t.Data) > 0 {
+		t.distinct = distinctRows(t.Data, t.Arity, t.Rows())
 	}
-	return t.set > 0
+	return t.distinct
 }
 
-// distinctRows reports whether the n flat rows of data (arity a) are pairwise
-// distinct. Each row is hashed once into an open-addressing table of row
-// numbers and compared in place, so nothing is copied.
-func distinctRows(data []Value, a, n int) bool {
+// distinctRows returns the n flat rows of data (arity a) with every repeat
+// dropped, first occurrences in order — data itself when no row repeats, so
+// a set costs no copy. Each row is hashed once into an open-addressing table
+// of row numbers and compared in place. A nullary table's Data is one
+// sentinel per row: its distinct rows are at most one.
+func distinctRows(data []Value, a, n int) []Value {
 	if a == 0 {
-		return n <= 1
+		return data[:min(n, 1)]
 	}
 	size := tableSize(n)
 	table, mask := make([]int32, size), uint64(size-1)
+	var out []Value // nil until the first repeat
 	for i := 0; i < n; i++ {
 		row := data[i*a : (i+1)*a]
 		j := mapHash(row) & mask
+		seen := false
 		for ; table[j] != 0; j = (j + 1) & mask {
 			if o := int(table[j] - 1); slices.Equal(data[o*a:(o+1)*a], row) {
-				return false
+				seen = true
+				break
 			}
 		}
-		table[j] = int32(i + 1)
+		switch {
+		case !seen:
+			table[j] = int32(i + 1)
+			if out != nil {
+				out = append(out, row...)
+			}
+		case out == nil:
+			// The first repeat: the rows before it are the distinct ones so far.
+			out = append(make([]Value, 0, len(data)-a), data[:i*a]...)
+		}
 	}
-	return true
+	if out == nil {
+		return data
+	}
+	return out
 }
 
 // Scan calls f for every row — in storage order for a flat table, in the

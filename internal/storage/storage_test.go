@@ -3,6 +3,7 @@ package storage
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -119,7 +120,9 @@ func TestCompileAndTable(t *testing.T) {
 }
 
 // TestTableIsSet: a flat table is a set iff it repeats no row, whatever the
-// arity and wherever the repeat sits; a persistent table always is one.
+// arity and wherever the repeat sits; a persistent table always is one. Its
+// Distinct rows are its rows' first occurrences in order, and a set's are
+// its own Data.
 func TestTableIsSet(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -141,6 +144,31 @@ func TestTableIsSet(t *testing.T) {
 		tab := sdb.Table("R")
 		if got := tab.IsSet(); got != c.want || tab.IsSet() != got {
 			t.Errorf("%s: IsSet = %v, want %v", c.name, got, c.want)
+		}
+		var want, got []string
+		seen := map[string]bool{}
+		for _, row := range c.rows {
+			if k := strings.Join(row, ","); !seen[k] {
+				seen[k] = true
+				want = append(want, k)
+			}
+		}
+		d := tab.Distinct()
+		if tab.Arity == 0 {
+			got = make([]string, len(d))
+		}
+		for i := 0; tab.Arity > 0 && i < len(d); i += tab.Arity {
+			var names []string
+			for _, v := range d[i : i+tab.Arity] {
+				names = append(names, sdb.Dict.Name(v))
+			}
+			got = append(got, strings.Join(names, ","))
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: Distinct = %q, want %q", c.name, got, want)
+		}
+		if c.want && len(d) > 0 && &d[0] != &tab.Data[0] {
+			t.Errorf("%s: a set's Distinct is a copy of its Data", c.name)
 		}
 	}
 	rows := make([][]string, 0, 2000)
@@ -173,7 +201,8 @@ func TestCompileRaggedArity(t *testing.T) {
 }
 
 // TestTableIndexConcurrent hammers a table's lazily built state — the row
-// map (RowMap) a flat table converts to once, the cached IsSet check — and
+// map (RowMap) a flat table converts to once, the cached IsSet check and
+// Distinct rows — and
 // its plain reads (Rows, Scan) from goroutines released together, on a flat
 // set, a flat table repeating rows and a persistent table, while some of
 // them derive successors (Apply reads a flat parent's row map). Run with
@@ -220,6 +249,9 @@ func TestTableIndexConcurrent(t *testing.T) {
 				for j, c := range tables {
 					if got, want := c.tab.IsSet(), c.rows == c.distinct; got != want {
 						t.Errorf("table %d: IsSet = %v, want %v", j, got, want)
+					}
+					if c.tab.Flat() && len(c.tab.Distinct()) != c.distinct*c.tab.Arity {
+						t.Errorf("table %d: Distinct holds %d values, want %d rows", j, len(c.tab.Distinct()), c.distinct)
 					}
 					n := 0
 					c.tab.Scan(func([]Value) { n++ })

@@ -254,7 +254,7 @@ func TestDaemonRestartResume(t *testing.T) {
 	lagEvents, lagCancel := watchFrom(t, ts2.URL, "paths", "99")
 	defer lagCancel()
 	snap := awaitIDEvent(t, lagEvents, "snapshot")
-	var sv snapshotEvent
+	var sv live.Snapshot
 	if err := json.Unmarshal([]byte(snap.data), &sv); err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +314,7 @@ func TestNonDurableDaemonResume(t *testing.T) {
 	lagEvents, lagCancel := watchFrom(t, ts2.URL, "paths", strconv.FormatUint(cursor, 10))
 	defer lagCancel()
 	snap := awaitIDEvent(t, lagEvents, "snapshot")
-	var sv snapshotEvent
+	var sv live.Snapshot
 	if err := json.Unmarshal([]byte(snap.data), &sv); err != nil {
 		t.Fatal(err)
 	}

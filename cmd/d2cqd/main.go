@@ -39,12 +39,13 @@
 //	              for the flush that makes the delta visible and reports
 //	              a version at which it is.
 //	GET  /watch?query=paths
-//	              an SSE stream: one "snapshot" event with the current
-//	              count, then one "change" event per flush that changed the
-//	              result, carrying the exact added/removed tuples. Every
-//	              event carries an SSE id (the snapshot version); a client
-//	              reconnecting with Last-Event-ID (or ?from=N) resumes the
-//	              stream exactly when the store still holds every change
+//	              an SSE stream: one "snapshot" event with the count at the
+//	              version the stream starts from, then one "change" event per
+//	              later flush that changed the result, carrying the exact
+//	              added/removed tuples — every change event's id is above the
+//	              snapshot's. Every event carries an SSE id (its version); a
+//	              client reconnecting with Last-Event-ID (or ?from=N) resumes
+//	              the stream exactly when the store still holds every change
 //	              past that cursor — otherwise it gets a fresh "snapshot"
 //	              event with "lagged":true and must re-read the result.
 //	GET  /solutions?query=paths&limit=10
@@ -289,6 +290,20 @@ func httpError(w http.ResponseWriter, status int, err error) {
 	json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
 }
 
+// statuses is the HTTP status of each class of failed request.
+var statuses = [...]int{
+	live.Internal:     http.StatusInternalServerError,
+	live.BadRequest:   http.StatusBadRequest,
+	live.UnknownQuery: http.StatusNotFound,
+	live.Conflict:     http.StatusConflict,
+	live.Closed:       http.StatusServiceUnavailable,
+}
+
+// failure answers a request the store refused or failed.
+func failure(w http.ResponseWriter, err error) {
+	httpError(w, statuses[live.Classify(err)], err)
+}
+
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
@@ -341,39 +356,17 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	if req.Name == "" || req.Query == "" {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("name and query are required"))
-		return
-	}
-	q, err := cq.ParseQuery(req.Query)
+	info, err := live.RegisterText(r.Context(), s.store, req.Name, req.Query)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	if err := s.store.Register(r.Context(), req.Name, q); err != nil {
-		status := http.StatusBadRequest // compilation/width failures
-		switch {
-		case errors.Is(err, live.ErrQueryConflict):
-			status = http.StatusConflict
-		case errors.Is(err, live.ErrClosed):
-			status = http.StatusServiceUnavailable
-		}
-		httpError(w, status, err)
-		return
-	}
-	info, err := s.store.Info(req.Name)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, err)
+		failure(w, err)
 		return
 	}
 	resp := queryResponse{QueryInfo: info}
 	if req.Limit != 0 {
-		rows, _, err := s.store.Solutions(r.Context(), req.Name, req.Limit)
-		if err != nil {
-			httpError(w, http.StatusInternalServerError, err)
+		if resp.Rows, _, err = s.store.Solutions(r.Context(), req.Name, req.Limit); err != nil {
+			failure(w, err)
 			return
 		}
-		resp.Rows = rows
 	}
 	writeJSON(w, resp)
 }
@@ -383,11 +376,6 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 type updateRequest struct {
 	Insert map[string][][]string `json:"insert"`
 	Delete map[string][][]string `json:"delete"`
-}
-
-type updateResponse struct {
-	Version       uint64 `json:"version"`
-	PendingTuples int    `json:"pending_tuples"`
 }
 
 func (s *server) handleUpdate(w http.ResponseWriter, r *http.Request) {
@@ -400,39 +388,12 @@ func (s *server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	delta := &storage.Delta{Insert: req.Insert, Delete: req.Delete}
-	var version uint64
-	var err error
-	if r.URL.Query().Get("sync") != "" {
-		version, err = s.store.SubmitSync(r.Context(), delta)
-	} else if err = s.store.Submit(delta); err == nil {
-		version = s.store.Version()
-	}
+	ack, err := live.SubmitAck(r.Context(), s.store, delta, r.URL.Query().Get("sync") != "")
 	if err != nil {
-		// A failed flush is not necessarily this caller's fault: the batch
-		// may carry other submitters' tuples.
-		status := http.StatusInternalServerError
-		switch {
-		case errors.Is(err, live.ErrInvalidDelta):
-			status = http.StatusBadRequest
-		case errors.Is(err, live.ErrClosed):
-			status = http.StatusServiceUnavailable
-		}
-		httpError(w, status, err)
+		failure(w, err)
 		return
 	}
-	writeJSON(w, updateResponse{Version: version, PendingTuples: s.store.PendingTuples()})
-}
-
-// snapshotEvent is the first SSE event of a watch stream: where the
-// subscriber starts from. Lagged is set when the client presented a resume
-// cursor the store no longer covers — its diff stream has a hole, and this
-// snapshot is the resynchronisation point.
-type snapshotEvent struct {
-	Query   string   `json:"query"`
-	Version uint64   `json:"version"`
-	Count   int64    `json:"count"`
-	Vars    []string `json:"vars"`
-	Lagged  bool     `json:"lagged,omitempty"`
+	writeJSON(w, ack)
 }
 
 func (s *server) handleWatch(w http.ResponseWriter, r *http.Request) {
@@ -453,44 +414,24 @@ func (s *server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	// A resume cursor comes from the standard SSE reconnect header, or from
 	// ?from= for clients that manage cursors themselves. The cursor is the
 	// version of the last event the client fully processed.
-	cursor, hasCursor := uint64(0), false
-	if v := r.Header.Get("Last-Event-ID"); v != "" {
-		n, err := strconv.ParseUint(v, 10, 64)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("bad Last-Event-ID %q: %w", v, err))
+	var cursor uint64
+	from, param := r.Header.Get("Last-Event-ID"), "Last-Event-ID"
+	if from == "" {
+		from, param = r.URL.Query().Get("from"), "from"
+	}
+	if from != "" {
+		var err error
+		if cursor, err = strconv.ParseUint(from, 10, 64); err != nil {
+			httpError(w, http.StatusBadRequest, fmt.Errorf("bad %s %q: %w", param, from, err))
 			return
 		}
-		cursor, hasCursor = n, true
-	} else if v := r.URL.Query().Get("from"); v != "" {
-		n, err := strconv.ParseUint(v, 10, 64)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("bad from %q: %w", v, err))
-			return
-		}
-		cursor, hasCursor = n, true
 	}
-	// Subscribe before reading the snapshot: a flush between the two at
-	// worst duplicates a change into the snapshot, never loses one. With a
-	// resumable cursor the missed changes are already queued on the
-	// subscription, so no snapshot is needed at all.
-	var sub *live.Subscription
-	resumed := false
-	var err error
-	if hasCursor {
-		sub, resumed, err = s.store.WatchFrom(name, cursor)
-	} else {
-		sub, err = s.store.Watch(name)
-	}
+	sub, snap, err := s.store.Subscribe(name, cursor, from != "")
 	if err != nil {
-		httpError(w, notFoundUnlessClosed(err), err)
+		failure(w, err)
 		return
 	}
 	defer sub.Cancel()
-	info, err := s.store.Info(name)
-	if err != nil {
-		httpError(w, http.StatusNotFound, err)
-		return
-	}
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
@@ -507,11 +448,11 @@ func (s *server) handleWatch(w http.ResponseWriter, r *http.Request) {
 		flusher.Flush()
 		return true
 	}
-	if !resumed {
-		snap := snapshotEvent{Query: info.Name, Version: info.Version, Count: info.Count, Vars: info.Vars, Lagged: hasCursor}
-		if !event("snapshot", info.Version, snap) {
-			return
-		}
+	// The snapshot is the version the stream's cursor was placed at, so
+	// every change event after it is a later one. A resumed stream has the
+	// missed changes queued instead and sends no snapshot.
+	if !snap.Resumed && !event("snapshot", snap.Version, snap) {
+		return
 	}
 	for {
 		// Next blocks on the query's shared broadcast ring — no per-watcher
@@ -525,15 +466,6 @@ func (s *server) handleWatch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-}
-
-// notFoundUnlessClosed is the status of a failed read of a named query: 503
-// once the store is closed, 404 (an unknown query) otherwise.
-func notFoundUnlessClosed(err error) int {
-	if errors.Is(err, live.ErrClosed) {
-		return http.StatusServiceUnavailable
-	}
-	return http.StatusNotFound
 }
 
 // solutionsResponse is the GET /solutions body: a point-in-time read of a
@@ -565,7 +497,7 @@ func (s *server) handleSolutions(w http.ResponseWriter, r *http.Request) {
 	}
 	rows, version, err := s.store.Solutions(r.Context(), name, limit)
 	if err != nil {
-		httpError(w, notFoundUnlessClosed(err), err)
+		failure(w, err)
 		return
 	}
 	if rows == nil {

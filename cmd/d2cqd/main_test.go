@@ -142,7 +142,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 	events, cancelWatch := watchStream(t, ts.URL, "paths")
 	defer cancelWatch()
 	snap := awaitEvent(t, events, "snapshot")
-	var sv snapshotEvent
+	var sv live.Snapshot
 	if err := json.Unmarshal([]byte(snap.data), &sv); err != nil {
 		t.Fatal(err)
 	}

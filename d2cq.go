@@ -338,7 +338,7 @@ func NewWALMem() *wal.Mem { return wal.NewMem() }
 // logged queries and re-applying logged delta batches), and then serves and
 // logs exactly like NewLiveStore. A store that was SIGKILLed resumes at its
 // precise pre-crash version; Watch subscribers reconnecting with a version
-// cursor (Store.WatchFrom) resume their notification stream without a fresh
+// cursor (Store.Subscribe) resume their notification stream without a fresh
 // snapshot when the cursor is inside the retained history window.
 func OpenLiveStore(ctx context.Context, eng *Engine, cfg LiveDurableConfig) (*LiveStore, error) {
 	return live.Open(ctx, eng, cfg)

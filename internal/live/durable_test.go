@@ -218,11 +218,11 @@ func TestDurableCrashRecoveryDifferential(t *testing.T) {
 		// already saw has Version <= k+1, so it must now receive precisely
 		// the reference notifications beyond that — the replayed ring
 		// satisfies any in-window backlog, the live stream the rest.
-		sub, resumed, err := s.WatchFrom("path", uint64(k+1))
+		sub, snap, err := s.Subscribe("path", uint64(k+1), true)
 		if err != nil {
-			t.Fatalf("crash at boundary %d: WatchFrom: %v", k, err)
+			t.Fatalf("crash at boundary %d: Subscribe: %v", k, err)
 		}
-		if !resumed {
+		if !snap.Resumed {
 			t.Fatalf("crash at boundary %d: cursor %d not resumable (floor should cover the whole run)", k, k+1)
 		}
 		for i := k; i < nFlush; i++ {
@@ -388,27 +388,27 @@ func TestWatchFromWindow(t *testing.T) {
 	}
 	for _, tc := range cases {
 		tc.from += base
-		sub, resumed, err := s.WatchFrom("q", tc.from)
+		sub, snap, err := s.Subscribe("q", tc.from, true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if resumed != tc.resumed {
-			t.Fatalf("WatchFrom(%d): resumed=%v, want %v", tc.from, resumed, tc.resumed)
+		if snap.Resumed != tc.resumed {
+			t.Fatalf("Subscribe(%d): resumed=%v, want %v", tc.from, snap.Resumed, tc.resumed)
 		}
 		got := drain(sub)
 		if !tc.resumed {
 			if len(got) != 0 {
-				t.Fatalf("WatchFrom(%d): unresumable cursor still got %d queued notifications", tc.from, len(got))
+				t.Fatalf("Subscribe(%d): unresumable cursor still got %d queued notifications", tc.from, len(got))
 			}
 			sub.Cancel()
 			continue
 		}
 		if len(got) != tc.missed {
-			t.Fatalf("WatchFrom(%d): %d queued notifications, want %d", tc.from, len(got), tc.missed)
+			t.Fatalf("Subscribe(%d): %d queued notifications, want %d", tc.from, len(got), tc.missed)
 		}
 		for i, n := range got {
 			if want := tc.from + uint64(i) + 1; n.Version != want {
-				t.Fatalf("WatchFrom(%d): queued[%d].Version = %d, want %d (no gaps, no dupes)", tc.from, i, n.Version, want)
+				t.Fatalf("Subscribe(%d): queued[%d].Version = %d, want %d (no gaps, no dupes)", tc.from, i, n.Version, want)
 			}
 		}
 		sub.Cancel()
@@ -451,12 +451,12 @@ func TestWatchFromEarlierStore(t *testing.T) {
 	if v := second.Version(); v <= cursor {
 		t.Fatalf("later store at version %d, not past the earlier store's %d", v, cursor)
 	}
-	sub, resumed, err := second.WatchFrom("q", cursor)
+	sub, snap, err := second.Subscribe("q", cursor, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sub.Cancel()
-	if resumed {
+	if snap.Resumed {
 		t.Fatalf("cursor %d from an earlier store resumed against a later one", cursor)
 	}
 	if got := drain(sub); len(got) != 0 {

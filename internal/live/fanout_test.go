@@ -45,7 +45,7 @@ func fanoutStore(t *testing.T, cfg Config, n int) (*Store, []*Subscription) {
 // TestNotificationRingAliasing pins the immutability contract of the shared
 // broadcast ring: Lagged is per-subscriber state set on the DELIVERED COPY
 // only. A slow subscriber taking a lagged delivery must not scribble its lag
-// onto the ring entry every other subscriber (and every WatchFrom resume)
+// onto the ring entry every other subscriber (and every resume from a cursor)
 // reads.
 func TestNotificationRingAliasing(t *testing.T) {
 	cfg := Config{History: 1}
@@ -84,9 +84,9 @@ func TestNotificationRingAliasing(t *testing.T) {
 	}
 
 	// And a resume reading the same entry sees it pristine too.
-	sub, resumed, err := s.WatchFrom("q", base+4)
-	if err != nil || !resumed {
-		t.Fatalf("WatchFrom(q,4) resumed=%v err=%v, want an exact resume", resumed, err)
+	sub, snap, err := s.Subscribe("q", base+4, true)
+	if err != nil || !snap.Resumed {
+		t.Fatalf("Subscribe(q,4) resumed=%v err=%v, want an exact resume", snap.Resumed, err)
 	}
 	n, ok = sub.TryNext()
 	if !ok || n.Version != base+5 || n.Lagged != 0 {

@@ -8,10 +8,10 @@ import (
 )
 
 // Service is the live-store surface the front ends take: cmd/d2cqd's HTTP
-// handlers and wire.NewServer serve whatever implements it. *Store is the one
-// implementation; the interface exists so tests and the benchmark harness can
-// wrap a store (recording, tracing or faking calls) without either front end
-// knowing.
+// handlers and wire.NewServer serve whatever implements it, through the
+// request core (request.go). *Store is the one implementation; the interface
+// exists so tests and the benchmark harness can wrap a store (recording,
+// tracing or faking calls) without either front end knowing.
 type Service interface {
 	Register(ctx context.Context, name string, q cq.Query) error
 	Submit(delta *storage.Delta) error
@@ -19,10 +19,8 @@ type Service interface {
 	SubmitSync(ctx context.Context, delta *storage.Delta) (uint64, error)
 	Flush(ctx context.Context) error
 	Watch(name string) (*Subscription, error)
-	WatchFrom(name string, fromSeq uint64) (*Subscription, bool, error)
-	Count(name string) (int64, uint64, error)
+	Subscribe(name string, from uint64, hasCursor bool) (*Subscription, Snapshot, error)
 	Info(name string) (QueryInfo, error)
-	Queries() []QueryInfo
 	Solutions(ctx context.Context, name string, limit int) ([][]string, uint64, error)
 	Version() uint64
 	// PendingTuples is the coalesced pending batch's tuple count.
@@ -30,7 +28,6 @@ type Service interface {
 	// Stats is the /stats payload and the store half of the wire STATS
 	// document.
 	Stats() Stats
-	Close() error
 }
 
 var _ Service = (*Store)(nil)

@@ -38,7 +38,7 @@ type Config struct {
 	// bounds both how far a slow subscriber may fall behind before it loses
 	// the oldest unread ones (counted, see Notification.Lagged) and how far
 	// back a reconnecting watcher may resume from a version cursor
-	// (WatchFrom) without a fresh snapshot. Every staged query's diff feeds
+	// (Subscribe) without a fresh snapshot. Every staged query's diff feeds
 	// the ring, watched or not, so a watcher that connects later can resume.
 	// Default 256.
 	History int
@@ -54,7 +54,7 @@ func (c Config) withDefaults() Config {
 }
 
 // ErrClosed is returned by the mutating operations (Submit, SubmitSync,
-// Flush, Register, Watch) on a closed Store. The read accessors — Count,
+// Flush, Register, Subscribe) on a closed Store. The read accessors — Count,
 // Info, Queries, Solutions, Version, Stats — keep answering from the final
 // snapshot.
 var ErrClosed = errors.New("live: store closed")
@@ -186,12 +186,13 @@ type liveQuery struct {
 	// ring is the query's shared broadcast buffer — ONE copy of each recent
 	// change notification, oldest first, immutable once appended — serving
 	// both live fan-out (every Subscription holds a cursor into it) and
-	// WatchFrom resume. ringStart is the broadcast sequence number of
-	// ring[0]; the sequence is dense and per-query, distinct from snapshot
-	// versions. Capacity is Config.History; appending past it evicts the
-	// oldest entry and charges every subscriber still behind it.
+	// resume from a version cursor (Subscribe). ringStart is the broadcast
+	// sequence number of ring[0]; the sequence is dense and per-query,
+	// distinct from snapshot versions. Capacity is Config.History; appending
+	// past it evicts the oldest entry and charges every subscriber still
+	// behind it.
 	//
-	// histFloor is the WatchFrom floor: it starts at the registration
+	// histFloor is the resume floor: it starts at the registration
 	// version and advances to the evicted entry's version on every
 	// eviction. The resume invariant — every change with Version >
 	// histFloor sits in the ring — lets a cursor at or above the floor
@@ -233,7 +234,7 @@ func NewStore(ctx context.Context, eng *engine.Engine, db cq.Database, cfg Confi
 // a client kept from an earlier run (an SSE Last-Event-ID, a wire WATCH
 // From) must never resume against this one. An earlier run started before
 // this one and flushed at most once per microsecond, so all its versions lie
-// below this store's, under every query's resume floor: WatchFrom answers
+// below this store's, under every query's resume floor: Subscribe answers
 // them with a fresh snapshot. A durable store persists its version instead
 // (Open), so its cursors stay valid across restarts.
 func firstVersion() uint64 {
@@ -893,7 +894,7 @@ func (s *Store) Count(name string) (int64, uint64, error) {
 	defer s.mu.Unlock()
 	lq, ok := s.queries[name]
 	if !ok {
-		return 0, 0, fmt.Errorf("live: unknown query %q", name)
+		return 0, 0, unknownQuery(name)
 	}
 	return lq.count, s.version, nil
 }
@@ -913,7 +914,7 @@ func (s *Store) Info(name string) (QueryInfo, error) {
 	defer s.mu.Unlock()
 	lq, ok := s.queries[name]
 	if !ok {
-		return QueryInfo{}, fmt.Errorf("live: unknown query %q", name)
+		return QueryInfo{}, unknownQuery(name)
 	}
 	return QueryInfo{Name: lq.name, Query: lq.src, Vars: lq.bound.Vars(), Count: lq.count, Version: s.version}, nil
 }
@@ -939,7 +940,7 @@ func (s *Store) Solutions(ctx context.Context, name string, limit int) ([][]stri
 	lq, ok := s.queries[name]
 	if !ok {
 		s.mu.Unlock()
-		return nil, 0, fmt.Errorf("live: unknown query %q", name)
+		return nil, 0, unknownQuery(name)
 	}
 	bound, version := lq.bound, s.version
 	s.mu.Unlock()

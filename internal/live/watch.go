@@ -1,10 +1,6 @@
 package live
 
-import (
-	"context"
-	"fmt"
-	"sort"
-)
+import "context"
 
 // Notification is one result-change event of a watched query: the snapshot
 // version that produced it, the new and previous counts, and the exact
@@ -80,86 +76,12 @@ type Subscription struct {
 // diff against the previous snapshot; flushes the query's result absorbs are
 // silent. Subscribers share the query's broadcast ring: fall behind by more
 // than its capacity (Config.History) and the oldest unread notifications are
-// lost, accounted in Lagged. Cancel (or Store.Close) ends the stream.
-//
-// Admission holds flushMu, serialising it against the flush pipeline: the
-// cursor is placed at the ring end of a committed version, so the stream
-// starts with the first flush that begins after the Watch — no torn first
-// notification. (A Watch issued mid-flush therefore waits for that flush to
-// commit.)
+// lost, accounted in Lagged. Cancel (or Store.Close) ends the stream. The
+// stream starts with the first flush to commit after admission, which is
+// Subscribe's without a cursor.
 func (s *Store) Watch(name string) (*Subscription, error) {
-	s.flushMu.Lock()
-	defer s.flushMu.Unlock()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil, ErrClosed
-	}
-	lq, ok := s.queries[name]
-	if !ok {
-		return nil, fmt.Errorf("live: unknown query %q", name)
-	}
-	sub := s.newSubLocked(lq)
-	sub.cursor = lq.ringEnd()
-	return sub, nil
-}
-
-// WatchFrom subscribes like Watch, resuming from a version cursor: fromSeq
-// is the last snapshot version the subscriber fully processed (the Version
-// of its last received Notification, or the version of the snapshot it
-// loaded). When the store still holds every change past that cursor in the
-// query's ring (Config.History), the subscription's cursor is positioned at
-// the first missed notification — Next/TryNext deliver the backlog in order,
-// exactly once, with no gap before the live stream — and resumed reports
-// true. Otherwise resumed is false and the stream carries only future
-// changes: the subscriber must re-read the full result (Solutions) to
-// resynchronise, exactly as after a Lagged drop. Cursors work across a
-// durable store's restart: recovery replay re-fills the rings. An in-memory
-// store starts past every version an earlier run handed out (NewStore), so a
-// cursor from a previous run is below the floor and unresumable.
-//
-// Like Watch, admission holds flushMu: the resume backlog and the live
-// stream are one ring, so the in-order exactly-once guarantee spans the
-// seam.
-func (s *Store) WatchFrom(name string, fromSeq uint64) (*Subscription, bool, error) {
-	s.flushMu.Lock()
-	defer s.flushMu.Unlock()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil, false, ErrClosed
-	}
-	lq, ok := s.queries[name]
-	if !ok {
-		return nil, false, fmt.Errorf("live: unknown query %q", name)
-	}
-	// The resume invariant: every change with Version > the floor is in the
-	// ring. A cursor at or above the floor (and not from a future the store
-	// never produced) can therefore be resumed exactly.
-	resumed := fromSeq >= lq.histFloor && fromSeq <= s.version
-	sub := s.newSubLocked(lq)
-	if resumed {
-		idx := sort.Search(len(lq.ring), func(i int) bool { return lq.ring[i].Version > fromSeq })
-		sub.cursor = lq.ringStart + uint64(idx)
-	} else {
-		sub.cursor = lq.ringEnd()
-	}
-	return sub, resumed, nil
-}
-
-// newSubLocked allocates a subscription and registers it on the query. The
-// caller holds flushMu and mu and sets the cursor.
-func (s *Store) newSubLocked(lq *liveQuery) *Subscription {
-	sub := &Subscription{
-		store: s,
-		lq:    lq,
-		id:    s.nextSubID,
-		wake:  make(chan struct{}, 1),
-		limit: noLimit,
-	}
-	s.nextSubID++
-	lq.subs = append(lq.subs, sub)
-	return sub
+	sub, _, err := s.Subscribe(name, 0, false)
+	return sub, err
 }
 
 // Next blocks until the next notification is available and returns it. It

@@ -453,6 +453,7 @@ func (c *Client) Watch(ctx context.Context, name string, opts WatchOptions) (*Wa
 				cleanup()
 				return nil, err
 			}
+			snap.Query = name
 			w.Snapshot = snap
 			return w, nil
 		case FrameError:

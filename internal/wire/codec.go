@@ -262,8 +262,9 @@ func decodeQueryOK(payload []byte) (queryOKPayload, error) {
 }
 
 // watchPayload opens a watch stream. hasCursor distinguishes "resume from
-// version `from`" (WatchFrom) from a fresh watch; credit is the initial
-// notification budget — 0 parks the stream until the first CREDIT frame.
+// version `from`" from a fresh watch, as Store.Subscribe takes them; credit
+// is the initial notification budget — 0 parks the stream until the first
+// CREDIT frame.
 type watchPayload struct {
 	name      string
 	hasCursor bool
@@ -303,18 +304,13 @@ func decodeWatch(payload []byte) (watchPayload, error) {
 	return p, r.Done()
 }
 
-// WatchSnapshot is the WATCH_OK payload: where the stream starts. When
-// Resumed is set the missed notifications follow as NOTIFY frames and the
-// snapshot fields describe the current state only informationally; when it
-// is not, the snapshot is the client's synchronisation point (Lagged flags a
-// presented cursor the server could not honour).
-type WatchSnapshot struct {
-	Resumed bool
-	Version uint64
-	Count   int64
-	Vars    []string
-	Lagged  bool
-}
+// WatchSnapshot is the WATCH_OK payload: the live.Snapshot the stream starts
+// from. When Resumed is set the missed notifications follow as NOTIFY frames
+// and the snapshot fields describe the current state only informationally;
+// when it is not, the snapshot is the client's synchronisation point (Lagged
+// flags a presented cursor the server could not honour). Query is not sent:
+// the client fills in the name it watched.
+type WatchSnapshot = live.Snapshot
 
 func encodeWatchOK(p WatchSnapshot) []byte {
 	flags := byte(0)

@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"d2cq/internal/cq"
 	"d2cq/internal/live"
 )
 
@@ -20,29 +19,17 @@ type Options struct {
 	// Token is the bearer token every connection must present in its HELLO.
 	// Empty disables auth.
 	Token string
-	// HandshakeTimeout bounds how long an accepted connection may take to
-	// complete the HELLO exchange (default 10s) — a connection that never
-	// speaks cannot pin a goroutine forever.
-	HandshakeTimeout time.Duration
-	// WriteTimeout bounds a single frame write (default 60s). A peer that
-	// stops reading fails its connection instead of wedging the writer.
-	WriteTimeout time.Duration
 }
 
 // DefaultHandshakeTimeout is how long an accepted connection gets to say who
 // it is before it is dropped: the HELLO exchange here, the request headers on
-// the daemon's HTTP listener.
+// the daemon's HTTP listener. A connection that never speaks cannot pin a
+// goroutine forever.
 const DefaultHandshakeTimeout = 10 * time.Second
 
-func (o Options) withDefaults() Options {
-	if o.HandshakeTimeout <= 0 {
-		o.HandshakeTimeout = DefaultHandshakeTimeout
-	}
-	if o.WriteTimeout <= 0 {
-		o.WriteTimeout = 60 * time.Second
-	}
-	return o
-}
+// writeTimeout bounds a single frame write: a peer that stops reading fails
+// its connection instead of wedging the writer.
+const writeTimeout = 60 * time.Second
 
 // Server serves the wire protocol over a live.Service — the same store the
 // HTTP handlers route to, so both protocols observe one state. Create with
@@ -86,7 +73,7 @@ type ServerStats struct {
 func NewServer(svc live.Service, opts Options) *Server {
 	return &Server{
 		svc:   svc,
-		opts:  opts.withDefaults(),
+		opts:  opts,
 		lns:   map[net.Listener]struct{}{},
 		conns: map[*conn]struct{}{},
 	}
@@ -205,14 +192,14 @@ func (s *Server) serveConn(nc net.Conn) {
 	defer c.fail()
 
 	// Handshake, under a deadline and before the conn counts as active.
-	nc.SetReadDeadline(time.Now().Add(s.opts.HandshakeTimeout))
+	nc.SetReadDeadline(time.Now().Add(DefaultHandshakeTimeout))
 	f, err := ReadFrame(c.br)
 	if err != nil {
 		return
 	}
 	refuse := func(code uint64, msg string) {
 		s.stats.authFailures.Add(1)
-		nc.SetWriteDeadline(time.Now().Add(s.opts.HandshakeTimeout))
+		nc.SetWriteDeadline(time.Now().Add(DefaultHandshakeTimeout))
 		nc.Write(AppendFrame(nil, Frame{Type: FrameError, Stream: 0, Payload: encodeError(code, msg)}))
 	}
 	if f.Type != FrameHello || f.Stream != 0 {
@@ -362,7 +349,7 @@ func (c *conn) writer() {
 	for {
 		select {
 		case f := <-c.out:
-			c.nc.SetWriteDeadline(time.Now().Add(c.srv.opts.WriteTimeout))
+			c.nc.SetWriteDeadline(time.Now().Add(writeTimeout))
 			if _, err := bw.Write(AppendFrame(bw.AvailableBuffer(), f)); err != nil {
 				c.fail()
 				return
@@ -394,16 +381,18 @@ func (c *conn) sendError(stream uint32, code uint64, msg string) {
 	c.send(Frame{Type: FrameError, Stream: stream, Payload: encodeError(code, msg)})
 }
 
-// errCode maps a service error onto a wire error code.
-func errCode(err error) uint64 {
-	switch {
-	case errors.Is(err, live.ErrClosed):
-		return ErrCodeClosed
-	case errors.Is(err, live.ErrQueryConflict):
-		return ErrCodeConflict
-	default:
-		return ErrCodeBadRequest
-	}
+// errCodes is the wire error code of each class of failed request.
+var errCodes = [...]uint64{
+	live.Internal:     ErrCodeInternal,
+	live.BadRequest:   ErrCodeBadRequest,
+	live.UnknownQuery: ErrCodeUnknownQuery,
+	live.Conflict:     ErrCodeConflict,
+	live.Closed:       ErrCodeClosed,
+}
+
+// sendFailure answers a request the store refused or failed.
+func (c *conn) sendFailure(stream uint32, err error) {
+	c.sendError(stream, errCodes[live.Classify(err)], err.Error())
 }
 
 func (c *conn) handleRegister(stream uint32, payload []byte) {
@@ -412,18 +401,9 @@ func (c *conn) handleRegister(stream uint32, payload []byte) {
 		c.sendError(stream, ErrCodeBadRequest, err.Error())
 		return
 	}
-	q, err := cq.ParseQuery(p.query)
+	info, err := live.RegisterText(c.ctx, c.srv.svc, p.name, p.query)
 	if err != nil {
-		c.sendError(stream, ErrCodeBadRequest, err.Error())
-		return
-	}
-	if err := c.srv.svc.Register(c.ctx, p.name, q); err != nil {
-		c.sendError(stream, errCode(err), err.Error())
-		return
-	}
-	info, err := c.srv.svc.Info(p.name)
-	if err != nil {
-		c.sendError(stream, ErrCodeInternal, err.Error())
+		c.sendFailure(stream, err)
 		return
 	}
 	c.send(Frame{Type: FrameRegisterOK, Stream: stream,
@@ -436,21 +416,13 @@ func (c *conn) handleSubmit(stream uint32, payload []byte) {
 		c.sendError(stream, ErrCodeBadRequest, err.Error())
 		return
 	}
-	var version uint64
-	if p.sync {
-		version, err = c.srv.svc.SubmitSync(c.ctx, p.delta)
-	} else if err = c.srv.svc.Submit(p.delta); err == nil {
-		version = c.srv.svc.Version()
-	}
+	ack, err := live.SubmitAck(c.ctx, c.srv.svc, p.delta, p.sync)
 	if err != nil {
-		c.sendError(stream, errCode(err), err.Error())
+		c.sendFailure(stream, err)
 		return
 	}
 	c.send(Frame{Type: FrameSubmitOK, Stream: stream,
-		Payload: encodeSubmitOK(submitOKPayload{
-			version: version,
-			pending: uint64(c.srv.svc.PendingTuples()),
-		})})
+		Payload: encodeSubmitOK(submitOKPayload{version: ack.Version, pending: uint64(ack.PendingTuples)})})
 }
 
 func (c *conn) handleQuery(stream uint32, payload []byte) {
@@ -462,7 +434,7 @@ func (c *conn) handleQuery(stream uint32, payload []byte) {
 	limit := int(p.limit) // 0 means all, matching Solutions' limit <= 0
 	rows, version, err := c.srv.svc.Solutions(c.ctx, p.name, limit)
 	if err != nil {
-		c.sendError(stream, errCode(err), err.Error())
+		c.sendFailure(stream, err)
 		return
 	}
 	c.send(Frame{Type: FrameQueryOK, Stream: stream,
@@ -497,34 +469,15 @@ func (c *conn) handleWatch(stream uint32, payload []byte) {
 		c.sendError(stream, ErrCodeBadRequest, err.Error())
 		return
 	}
-	var (
-		sub     *live.Subscription
-		resumed bool
-	)
-	if p.hasCursor {
-		sub, resumed, err = c.srv.svc.WatchFrom(p.name, p.from)
-	} else {
-		sub, err = c.srv.svc.Watch(p.name)
-	}
+	sub, snap, err := c.srv.svc.Subscribe(p.name, p.from, p.hasCursor)
 	if err != nil {
-		code := errCode(err)
-		if code == ErrCodeBadRequest {
-			code = ErrCodeUnknownQuery
-		}
-		c.sendError(stream, code, err.Error())
+		c.sendFailure(stream, err)
 		return
 	}
 	// Credit gating starts before the first possible notification: the
 	// subscription is parked from birth unless the WATCH carried credit.
 	sub.EnableCredit(p.credit)
 	c.srv.stats.watches.Add(1)
-
-	info, err := c.srv.svc.Info(p.name)
-	if err != nil {
-		sub.Cancel()
-		c.sendError(stream, ErrCodeInternal, err.Error())
-		return
-	}
 	wctx, wcancel := context.WithCancel(c.ctx)
 	defer wcancel()
 	c.mu.Lock()
@@ -537,17 +490,10 @@ func (c *conn) handleWatch(stream uint32, payload []byte) {
 		sub.Cancel()
 	}()
 
-	// Like the SSE handler: subscribe first, snapshot second — a flush in
-	// between at worst duplicates a change into the snapshot, never loses
-	// one. With a resumed cursor the backlog is already queued behind the
-	// credit gate.
-	c.send(Frame{Type: FrameWatchOK, Stream: stream, Payload: encodeWatchOK(WatchSnapshot{
-		Resumed: resumed,
-		Version: info.Version,
-		Count:   info.Count,
-		Vars:    info.Vars,
-		Lagged:  p.hasCursor && !resumed,
-	})})
+	// The snapshot is the version the stream's cursor was placed at, so
+	// every NOTIFY after it is a later change. With a resumed cursor the
+	// backlog is already queued behind the credit gate.
+	c.send(Frame{Type: FrameWatchOK, Stream: stream, Payload: encodeWatchOK(snap)})
 	for {
 		n, ok := sub.Next(wctx)
 		if !ok {

@@ -166,6 +166,39 @@ func TestRoundtrip(t *testing.T) {
 			t.Fatalf("unknown-query error = %v, want ErrCodeUnknownQuery", err)
 		}
 	}
+	// And on the point read, as HTTP answers 404 for both.
+	if _, _, err := c.Solutions(ctx, "nope", 0); err == nil {
+		t.Fatal("query of an unknown name accepted")
+	} else {
+		var re *RemoteError
+		if !errors.As(err, &re) || re.Code != ErrCodeUnknownQuery {
+			t.Fatalf("unknown-query read error = %v, want ErrCodeUnknownQuery", err)
+		}
+	}
+}
+
+// failingFlush is a store whose every sync submit fails in its flush.
+type failingFlush struct{ live.Service }
+
+func (failingFlush) SubmitSync(context.Context, *storage.Delta) (uint64, error) {
+	return 0, errors.New("flush failed")
+}
+
+// TestSubmitFlushFailure: a sync SUBMIT whose flush fails is the server's
+// failure, not the request's — ErrCodeInternal, as HTTP answers 500.
+func TestSubmitFlushFailure(t *testing.T) {
+	s, err := live.NewStore(context.Background(), nil, cq.Database{}, live.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	_, addr := serve(t, failingFlush{s}, "")
+	c := dialTest(t, addr, "")
+	_, _, err = c.Submit(context.Background(), pairDelta(1), true)
+	var re *RemoteError
+	if !errors.As(err, &re) || re.Code != ErrCodeInternal {
+		t.Fatalf("failed flush error = %v, want ErrCodeInternal", err)
+	}
 }
 
 // TestWatchNotifies: a watch stream delivers each flush's diff in order,
@@ -353,6 +386,74 @@ func TestWatchFromResume(t *testing.T) {
 		t.Fatalf("out-of-window snapshot = %+v, want lagged", w2.Snapshot)
 	}
 	w2.Cancel()
+}
+
+// TestWatchAdmissionExact: a WATCH's snapshot and its stream's cursor are one
+// point in the store's history. Sequential WATCHes race a loop of sync
+// submits, each of which changes the result; every stream's first NOTIFY must
+// be the first change past its snapshot — a later version, counted from the
+// snapshot's count — never a change the snapshot already holds. The default
+// History keeps ring lag rare; on a loaded host the loop can still run a
+// ring's worth of flushes before a stream's pump first reads, and then the
+// check steps back over the Lagged changes, one version and one answer each.
+func TestWatchAdmissionExact(t *testing.T) {
+	s, err := live.NewStore(context.Background(), nil, cq.Database{}, live.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	_, addr := serve(t, s, "")
+	c := dialTest(t, addr, "")
+	ctx := context.Background()
+	if _, err := c.Register(ctx, "paths", "R(x,y), S(y,z)"); err != nil {
+		t.Fatal(err)
+	}
+
+	stop := make(chan struct{})
+	submitErr := make(chan error, 1)
+	go func() {
+		for k := 0; ; k++ {
+			select {
+			case <-stop:
+				submitErr <- nil
+				return
+			default:
+			}
+			if _, err := s.SubmitSync(ctx, pairDelta(k)); err != nil {
+				submitErr <- err
+				return
+			}
+		}
+	}()
+
+	const watches = 300
+	bad := 0
+	for i := 0; i < watches; i++ {
+		w, err := c.Watch(ctx, "paths", WatchOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nctx, cancel := context.WithTimeout(ctx, 10*time.Second)
+		n, ok := w.Next(nctx)
+		cancel()
+		if !ok {
+			t.Fatalf("watch %d: stream ended before its first notification: %v", i, w.Err())
+		}
+		if n.Version-n.Lagged <= w.Snapshot.Version || n.PrevCount-int64(n.Lagged) != w.Snapshot.Count {
+			if bad++; bad <= 3 {
+				t.Errorf("watch %d: snapshot version %d count %d, first notification version %d prev_count %d lagged %d",
+					i, w.Snapshot.Version, w.Snapshot.Count, n.Version, n.PrevCount, n.Lagged)
+			}
+		}
+		w.Cancel()
+	}
+	close(stop)
+	if err := <-submitErr; err != nil {
+		t.Fatal(err)
+	}
+	if bad > 0 {
+		t.Fatalf("%d of %d first notifications were already in their snapshot", bad, watches)
+	}
 }
 
 // TestConcurrentStreams: many watches and submitters share one connection;

@@ -238,6 +238,10 @@ func NewEngine(opts ...EngineOption) *Engine { return engine.NewEngine(opts...) 
 // WithMaxWidth bounds the decomposition width accepted by Prepare.
 func WithMaxWidth(w int) EngineOption { return engine.WithMaxWidth(w) }
 
+// ErrWidthExceeded is returned (wrapped) by Prepare when the query has no
+// decomposition within the WithMaxWidth bound.
+var ErrWidthExceeded = engine.ErrWidthExceeded
+
 // WithDecompCache bounds the engine's decomposition cache (0 disables).
 func WithDecompCache(capacity int) EngineOption { return engine.WithDecompCache(capacity) }
 
@@ -380,6 +384,8 @@ type Corpus = hyperbench.Corpus
 type CorpusOptions = hyperbench.Options
 
 // GenerateCorpus builds the degree-2 corpus with ghw data (Table 1 input).
+// The ghw census runs one entry per core; the corpus is the same on any
+// number of cores.
 func GenerateCorpus(opts CorpusOptions) (*Corpus, error) { return hyperbench.Generate(opts) }
 
 // --- additional conveniences -----------------------------------------------------

@@ -8,6 +8,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"log"
 
@@ -72,8 +73,8 @@ func main() {
 	ctx := context.Background()
 	q := d2cq.CanonicalQuery(result)
 	_, err = d2cq.NewEngine(d2cq.WithMaxWidth(1)).Prepare(ctx, q)
-	fmt.Println("width-1 engine refuses the jigsaw query:", err != nil)
-	if err == nil {
+	fmt.Println("width-1 engine refuses the jigsaw query:", errors.Is(err, d2cq.ErrWidthExceeded))
+	if !errors.Is(err, d2cq.ErrWidthExceeded) {
 		log.Fatal("a width-1 engine accepted the jigsaw query, whose ghw is 2")
 	}
 	prep, err := d2cq.Prepare(ctx, q)

@@ -1,6 +1,7 @@
 package decomp
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -343,7 +344,7 @@ func TestFHWUpper(t *testing.T) {
 
 func TestEvalDecomposition(t *testing.T) {
 	// Acyclic: join tree of width 1.
-	d, err := EvalDecomposition(pathHG(4))
+	d, err := EvalDecomposition(context.Background(), pathHG(4), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +352,7 @@ func TestEvalDecomposition(t *testing.T) {
 		t.Errorf("width = %d, want 1", d.Width())
 	}
 	// Cyclic: still valid, width = hw.
-	d, err = EvalDecomposition(jigsawHG(2, 2))
+	d, err = EvalDecomposition(context.Background(), jigsawHG(2, 2), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package decomp_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -70,7 +71,7 @@ func TestEvalDecompositionConnectedCovers(t *testing.T) {
 		{"jigsaw2x3", queryHG([]string{"h11", "v1"}, []string{"h11", "h12", "v2"}, []string{"h12", "v3"},
 			[]string{"h21", "v1"}, []string{"h21", "h22", "v2"}, []string{"h22", "v3"})},
 	} {
-		d, err := decomp.EvalDecomposition(c.h)
+		d, err := decomp.EvalDecomposition(context.Background(), c.h, 0)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -90,7 +91,7 @@ func TestEvalDecompositionConnectedCovers(t *testing.T) {
 // keeps the first plan rather than a wider connected one.
 func TestEvalDecompositionFallbackKeepsWidth(t *testing.T) {
 	h := cycleHG(6)
-	d, err := decomp.EvalDecomposition(h)
+	d, err := decomp.EvalDecomposition(context.Background(), h, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +123,7 @@ func TestEvalDecompositionWidthOnCorpus(t *testing.T) {
 		if err != nil || !ok {
 			t.Fatalf("%s: HypertreeWidth: ok=%v err=%v", e.Name, ok, err)
 		}
-		d, err := decomp.EvalDecomposition(e.H)
+		d, err := decomp.EvalDecomposition(context.Background(), e.H, 0)
 		if err != nil {
 			t.Fatalf("%s: %v", e.Name, err)
 		}

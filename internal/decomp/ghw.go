@@ -1,6 +1,7 @@
 package decomp
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
@@ -237,6 +238,10 @@ func GHW(h *hypergraph.Hypergraph, opts *GHWOptions) (GHWResult, error) {
 	return res, nil
 }
 
+// ErrWidthExceeded is returned (wrapped) by EvalDecomposition when h has no
+// hypertree decomposition within its width cap.
+var ErrWidthExceeded = errors.New("decomp: decomposition width exceeds bound")
+
 // EvalDecomposition returns a decomposition of h suitable for driving query
 // evaluation: a join tree when h is α-acyclic, otherwise a hypertree
 // decomposition of minimum width k. Among width-k plans it prefers one whose
@@ -246,7 +251,11 @@ func GHW(h *hypergraph.Hypergraph, opts *GHWOptions) (GHWResult, error) {
 // so the width never grows. The plan is the same on every call: the
 // children of a node come in order of their smallest edge id. h must have
 // no isolated vertices.
-func EvalDecomposition(h *hypergraph.Hypergraph) (*GHD, error) {
+//
+// maxWidth > 0 caps the search: when hw(h) > maxWidth it returns an error
+// wrapping ErrWidthExceeded once the search at maxWidth fails. When ctx ends
+// during the search it returns ctx's error.
+func EvalDecomposition(ctx context.Context, h *hypergraph.Hypergraph, maxWidth int) (*GHD, error) {
 	for v := 0; v < h.NV(); v++ {
 		if h.Degree(v) == 0 {
 			return nil, ErrNoCover
@@ -258,20 +267,31 @@ func EvalDecomposition(h *hypergraph.Hypergraph) (*GHD, error) {
 	if Acyclic(h) {
 		return JoinTree(h)
 	}
-	d, k, ok, err := HypertreeWidth(h, 0)
-	if err != nil {
-		return nil, err
+	if maxWidth <= 0 {
+		maxWidth = h.NE()
 	}
-	if !ok {
-		return nil, errors.New("decomp: no decomposition found")
-	}
-	for _, lambda := range d.Lambdas {
-		if !CoverConnected(h, lambda) {
-			if c, ok, _ := connectedWidthLE(h, k); ok {
-				return c, nil
-			}
-			break
+	// Not acyclic, so hw(h) ≥ 2: the search at k = 1 would fail.
+	for k := 2; k <= maxWidth; k++ {
+		d, ok, err := search(&hwSearcher{ctx: ctx, h: h, k: k, budget: DefaultSearchBudget})
+		if err != nil {
+			return nil, err
 		}
+		if !ok {
+			continue
+		}
+		for _, lambda := range d.Lambdas {
+			if !CoverConnected(h, lambda) {
+				if c, ok, _ := connectedWidthLE(ctx, h, k); ok {
+					return c, nil
+				}
+				// A plan cut short by ctx is not the plan of every call.
+				if err := ctx.Err(); err != nil {
+					return nil, err
+				}
+				break
+			}
+		}
+		return d, nil
 	}
-	return d, nil
+	return nil, fmt.Errorf("%w: hw > %d", ErrWidthExceeded, maxWidth)
 }

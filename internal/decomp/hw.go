@@ -1,6 +1,7 @@
 package decomp
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -23,6 +24,11 @@ var ErrSearchBudget = errors.New("decomp: width search budget exhausted")
 // budget keeps worst-case instances from hanging instead of failing fast.
 const DefaultSearchBudget = 3_000_000
 
+// ctxCheckEvery is how many candidates a search tries between two looks at
+// its context: often enough to stop within milliseconds of the context's
+// end, rarely enough that looking costs nothing.
+const ctxCheckEvery = 1024
+
 // HypertreeWidthLE decides whether hw(h) ≤ k using a det-k-decomp-style
 // backtracking search over edge separators (Gottlob & Samer) with
 // memoization on (component, connector) pairs. On success it returns a
@@ -34,7 +40,7 @@ func HypertreeWidthLE(h *hypergraph.Hypergraph, k int) (*GHD, bool, error) {
 // HypertreeWidthLEBudget is HypertreeWidthLE with an explicit candidate
 // budget; it returns ErrSearchBudget when the budget runs out undecided.
 func HypertreeWidthLEBudget(h *hypergraph.Hypergraph, k, budget int) (*GHD, bool, error) {
-	return search(&hwSearcher{h: h, k: k, budget: budget})
+	return search(&hwSearcher{ctx: context.Background(), h: h, k: k, budget: budget})
 }
 
 // search runs s over all of its hypergraph's edges and flattens the witness.
@@ -53,6 +59,9 @@ func search(s *hwSearcher) (*GHD, bool, error) {
 	}
 	s.memo = map[string]*ghdNode{}
 	node, ok := s.solve(h.AllEdges(), bitset.New(h.NV()))
+	if s.ended != nil {
+		return nil, false, s.ended
+	}
 	if s.err != nil && !ok {
 		return nil, false, s.err
 	}
@@ -75,13 +84,14 @@ const MaxGeneralizedBagClasses = 16
 // intended for small hypergraphs. Returns an error when a candidate bag has
 // more than MaxGeneralizedBagClasses classes.
 func GeneralizedWidthLE(h *hypergraph.Hypergraph, k int) (*GHD, bool, error) {
-	return search(&hwSearcher{h: h, k: k, generalized: true, budget: DefaultSearchBudget})
+	return search(&hwSearcher{ctx: context.Background(), h: h, k: k, generalized: true, budget: DefaultSearchBudget})
 }
 
 // connectedWidthLE is HypertreeWidthLE restricted to covers that are joins:
-// it tries only λ for which CoverConnected holds.
-func connectedWidthLE(h *hypergraph.Hypergraph, k int) (*GHD, bool, error) {
-	return search(&hwSearcher{h: h, k: k, connected: true, budget: DefaultSearchBudget})
+// it tries only λ for which CoverConnected holds. It stops with ctx's error
+// once ctx ends.
+func connectedWidthLE(ctx context.Context, h *hypergraph.Hypergraph, k int) (*GHD, bool, error) {
+	return search(&hwSearcher{ctx: ctx, h: h, k: k, connected: true, budget: DefaultSearchBudget})
 }
 
 // CoverConnected reports whether the edges of lambda form a connected set:
@@ -137,6 +147,7 @@ type ghdNode struct {
 }
 
 type hwSearcher struct {
+	ctx         context.Context
 	h           *hypergraph.Hypergraph
 	k           int
 	generalized bool                // enumerate subset bags (exact ghw) instead of χ = ∪λ∩scope
@@ -144,6 +155,8 @@ type hwSearcher struct {
 	memo        map[string]*ghdNode // nil entry = known failure
 	budget      int                 // remaining (λ, bag) candidates; ≤ 0 aborts
 	err         error
+	ticks       int   // candidates tried, counted for the periodic look at ctx
+	ended       error // ctx's error once a look has seen it; the search stops
 
 	// Scratch, reused across calls. Each is dead again before the call
 	// that fills it recurses, so nested calls may share it.
@@ -180,7 +193,7 @@ func (s *hwSearcher) solve(comp bitset.Set, conn bitset.Set) (*ghdNode, bool) {
 	var result *ghdNode
 	base := bitset.New(s.h.NV())
 	s.enumLambdas(conn, func(lambda []int, union bitset.Set) bool {
-		if s.err != nil {
+		if s.err != nil || s.canceled() {
 			return false
 		}
 		if s.connected && !CoverConnected(s.h, lambda) {
@@ -223,6 +236,9 @@ func (s *hwSearcher) tryBag(comp bitset.Set, lambda []int, chi bitset.Set) (*ghd
 		}
 		return nil, false
 	}
+	if s.canceled() {
+		return nil, false
+	}
 	if s.remaining == nil {
 		s.remaining = bitset.New(s.h.NE())
 	}
@@ -262,6 +278,16 @@ func (s *hwSearcher) tryBag(comp bitset.Set, lambda []int, chi bitset.Set) (*ghd
 		children = append(children, child)
 	}
 	return &ghdNode{bag: chi.Clone(), lambda: append([]int(nil), lambda...), children: children}, true
+}
+
+// canceled counts one candidate and, every ctxCheckEvery candidates, looks
+// at the search's context. It reports whether the context has been seen to
+// end; from then on the search unwinds and returns the context's error.
+func (s *hwSearcher) canceled() bool {
+	if s.ticks++; s.ticks%ctxCheckEvery == 0 && s.ended == nil {
+		s.ended = s.ctx.Err()
+	}
+	return s.ended != nil
 }
 
 // enumBags enumerates candidate generalized bags χ with conn ⊆ χ ⊆ base.

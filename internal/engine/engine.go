@@ -52,9 +52,10 @@ type Engine struct {
 }
 
 type flight struct {
-	done chan struct{}
-	d    *decomp.GHD
-	err  error
+	done      chan struct{}
+	d         *decomp.GHD
+	err       error
+	abandoned bool // the owner's ctx ended before the search did
 }
 
 // Option configures an Engine.
@@ -169,14 +170,18 @@ func (s Stats) String() string {
 		s.DiffsFast, s.DiffsFast+s.DiffsOracle, s.MaintRowsTouched, s.ApplyRowsTouched)
 }
 
-// ErrWidthExceeded is returned (wrapped) by Prepare when the decomposition
-// width exceeds the WithMaxWidth bound and no naive fallback is configured.
-var ErrWidthExceeded = fmt.Errorf("engine: decomposition width exceeds bound")
+// ErrWidthExceeded is returned (wrapped) by Prepare when the query has no
+// decomposition within the WithMaxWidth bound and no naive fallback is
+// configured. The search stops at the bound, so refusing a wide query costs
+// no more than the searches up to it.
+var ErrWidthExceeded = decomp.ErrWidthExceeded
 
 // Prepare compiles q into a reusable evaluation plan: it builds the query
 // hypergraph, finds (or fetches from the cache) a decomposition, and fixes
 // the node plan. The returned PreparedQuery is immutable and safe for
-// concurrent use; each evaluation call binds a database.
+// concurrent use; each evaluation call binds a database. The decomposition
+// search honours ctx: when ctx ends, Prepare returns ctx's error, with or
+// without the naive fallback.
 func (e *Engine) Prepare(ctx context.Context, q cq.Query) (*PreparedQuery, error) {
 	e.prepares.Add(1)
 	if err := ctx.Err(); err != nil {
@@ -191,29 +196,15 @@ func (e *Engine) Prepare(ctx context.Context, q cq.Query) (*PreparedQuery, error
 	}
 	h := q.Hypergraph()
 	key := decomp.CacheKey(h)
-	d, err := e.decompFor(h, key)
+	d, err := e.decompFor(ctx, h, key)
+	if cerr := ctx.Err(); cerr != nil {
+		return nil, cerr
+	}
 	if err != nil {
-		if e.naiveFallback {
-			p, perr := NewPlan(q, nil)
-			if perr != nil {
-				return nil, perr
-			}
-			return &PreparedQuery{eng: e, plan: p}, nil
+		if !e.naiveFallback {
+			return nil, fmt.Errorf("%w for %s", err, q)
 		}
-		return nil, err
-	}
-	if e.maxWidth > 0 && d.Width() > e.maxWidth {
-		if e.naiveFallback {
-			p, err := NewPlan(q, nil)
-			if err != nil {
-				return nil, err
-			}
-			return &PreparedQuery{eng: e, plan: p}, nil
-		}
-		return nil, fmt.Errorf("%w: width %d > %d for %s", ErrWidthExceeded, d.Width(), e.maxWidth, q)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
+		d = nil // the naive plan
 	}
 	p, err := NewPlan(q, d)
 	if err != nil {
@@ -226,39 +217,47 @@ func (e *Engine) Prepare(ctx context.Context, q cq.Query) (*PreparedQuery, error
 // the cache and collapsing concurrent misses for the same key into a single
 // computation. A flight caches its result before it leaves inflight, so a
 // miss that finds no flight looks at the cache once more, under flightMu: the
-// flight it missed may have finished in between.
-func (e *Engine) decompFor(h *hypergraph.Hypergraph, key string) (*decomp.GHD, error) {
+// flight it missed may have finished in between. Only successes are cached.
+// A waiter stops waiting when its own ctx ends; when the flight's owner gave
+// up because its ctx ended, a waiter whose ctx lives on searches itself.
+func (e *Engine) decompFor(ctx context.Context, h *hypergraph.Hypergraph, key string) (*decomp.GHD, error) {
 	if d, ok := e.cache.Get(key); ok {
 		return d, nil
 	}
-	e.flightMu.Lock()
-	if f, ok := e.inflight[key]; ok {
+	for {
+		e.flightMu.Lock()
+		if f, ok := e.inflight[key]; ok {
+			e.flightMu.Unlock()
+			select {
+			case <-f.done:
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+			if f.abandoned {
+				continue
+			}
+			return f.d, f.err
+		}
+		if d, ok := e.cache.Peek(key); ok {
+			e.flightMu.Unlock()
+			return d, nil
+		}
+		f := &flight{done: make(chan struct{})}
+		e.inflight[key] = f
 		e.flightMu.Unlock()
-		<-f.done
+
+		e.decompComputed.Add(1)
+		f.d, f.err = decomp.EvalDecomposition(ctx, h, e.maxWidth)
+		if f.err == nil {
+			e.cache.Put(key, f.d)
+		}
+		f.abandoned = f.err != nil && ctx.Err() != nil
+		e.flightMu.Lock()
+		delete(e.inflight, key)
+		e.flightMu.Unlock()
+		close(f.done)
 		return f.d, f.err
 	}
-	if d, ok := e.cache.Peek(key); ok {
-		e.flightMu.Unlock()
-		return d, nil
-	}
-	f := &flight{done: make(chan struct{})}
-	e.inflight[key] = f
-	e.flightMu.Unlock()
-
-	f.d, f.err = e.computeDecomp(h)
-	if f.err == nil {
-		e.cache.Put(key, f.d)
-	}
-	e.flightMu.Lock()
-	delete(e.inflight, key)
-	e.flightMu.Unlock()
-	close(f.done)
-	return f.d, f.err
-}
-
-func (e *Engine) computeDecomp(h *hypergraph.Hypergraph) (*decomp.GHD, error) {
-	e.decompComputed.Add(1)
-	return decomp.EvalDecomposition(h)
 }
 
 // PreparedQuery is a compiled query: the product of Engine.Prepare. It holds

@@ -284,7 +284,7 @@ func TestGHDEngineMatchesNaiveRandomized(t *testing.T) {
 
 func TestExplicitDecompositionOption(t *testing.T) {
 	query := q(t, "E1(x,y), E2(y,z), E3(z,x)")
-	d, err := decomp.EvalDecomposition(query.Hypergraph())
+	d, err := decomp.EvalDecomposition(context.Background(), query.Hypergraph(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,7 +54,7 @@ func TestEnumerateSkipsDanglingTuples(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := decomp.EvalDecomposition(query.Hypergraph())
+	d, err := decomp.EvalDecomposition(context.Background(), query.Hypergraph(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,8 +7,11 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"d2cq/internal/cq"
+	"d2cq/internal/graph"
+	"d2cq/internal/hypergraph"
 )
 
 // cycleQuery returns the n-cycle query E0(x0,x1), ..., E{n-1}(x{n-1},x0)
@@ -424,5 +427,127 @@ func TestPreparedDatabaseMethodsErrorParity(t *testing.T) {
 				t.Errorf("ExplainDB = %q, %v; want a plan (error %v)", out, err, c.wantErr)
 			}
 		})
+	}
+}
+
+// raceSlack scales a wall-clock limit for the race detector, under which
+// the width searches run about ten times slower.
+func raceSlack(d time.Duration) time.Duration {
+	if raceEnabled {
+		return 10 * d
+	}
+	return d
+}
+
+// gridDualQuery is the dual of the n×n grid as a query: one atom r<v> per
+// grid vertex v over the variables of v's grid edges. It is degree-2, with
+// n² atoms, and its hypertree width grows with n.
+func gridDualQuery(n int) cq.Query {
+	h := hypergraph.FromGraph(graph.Grid(n, n)).Dual()
+	var q cq.Query
+	for e := 0; e < h.NE(); e++ {
+		a := cq.Atom{Rel: fmt.Sprintf("r%d", e)}
+		for _, v := range h.EdgeVertices(e) {
+			a.Args = append(a.Args, cq.V(fmt.Sprintf("x%d", v)))
+		}
+		q.Atoms = append(q.Atoms, a)
+	}
+	return q
+}
+
+// TestMaxWidthCapsSearch: WithMaxWidth(2) refuses the 5×5 grid's dual
+// (width 5) after the search at width 2, not after finding its width, and
+// caches no refusal.
+func TestMaxWidthCapsSearch(t *testing.T) {
+	q := gridDualQuery(5)
+	eng := NewEngine(WithMaxWidth(2))
+	start := time.Now()
+	_, err := eng.Prepare(context.Background(), q)
+	if el := time.Since(start); el > raceSlack(100*time.Millisecond) {
+		t.Errorf("refusal took %v", el)
+	}
+	if !errors.Is(err, ErrWidthExceeded) {
+		t.Fatalf("want ErrWidthExceeded, got %v", err)
+	}
+	if n := eng.Stats().Cache.Len; n != 0 {
+		t.Errorf("cache holds %d entries after a refusal", n)
+	}
+	prep, err := NewEngine(WithMaxWidth(2), WithNaiveFallback()).Prepare(context.Background(), q)
+	if err != nil || !prep.Plan().Naive() {
+		t.Fatalf("fallback: err=%v, naive=%v", err, err == nil && prep.Plan().Naive())
+	}
+}
+
+// TestPrepareHonoursDeadline: the search for the 6×6 grid's dual runs for
+// minutes; Prepare stops it at its context's deadline, with or without the
+// naive fallback, and caches nothing.
+func TestPrepareHonoursDeadline(t *testing.T) {
+	q := gridDualQuery(6)
+	for _, eng := range []*Engine{NewEngine(), NewEngine(WithNaiveFallback())} {
+		ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+		start := time.Now()
+		_, err := eng.Prepare(ctx, q)
+		cancel()
+		if el := time.Since(start); el > raceSlack(time.Second) {
+			t.Errorf("Prepare with a 200ms deadline returned after %v", el)
+		}
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("want context.DeadlineExceeded, got %v", err)
+		}
+		if n := eng.Stats().Cache.Len; n != 0 {
+			t.Errorf("cache holds %d entries after a cancelled search", n)
+		}
+	}
+}
+
+// TestPrepareWaiterOwnContext: a Prepare waiting on another's search of the
+// same shape stops when its own context ends, and one whose context outlives
+// the owner's searches on under its own, so every caller gets its own
+// context's error.
+func TestPrepareWaiterOwnContext(t *testing.T) {
+	q := gridDualQuery(6)
+	eng := NewEngine()
+	inflight := func() int {
+		eng.flightMu.Lock()
+		defer eng.flightMu.Unlock()
+		return len(eng.inflight)
+	}
+	owner, cancelOwner := context.WithCancel(context.Background())
+	defer cancelOwner()
+	ownerErr := make(chan error, 1)
+	go func() { _, err := eng.Prepare(owner, q); ownerErr <- err }()
+	for inflight() == 0 {
+		select {
+		case err := <-ownerErr:
+			t.Fatalf("owner returned before its search began: %v", err)
+		case <-time.After(time.Millisecond):
+		}
+	}
+	heir, cancelHeir := context.WithTimeout(context.Background(), 400*time.Millisecond)
+	defer cancelHeir()
+	heirErr := make(chan error, 1)
+	go func() { _, err := eng.Prepare(heir, q); heirErr <- err }()
+
+	waiter, cancelWaiter := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancelWaiter()
+	start := time.Now()
+	if _, err := eng.Prepare(waiter, q); !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("waiter: want context.DeadlineExceeded, got %v", err)
+	}
+	if el := time.Since(start); el > raceSlack(time.Second) {
+		t.Errorf("waiter with a 50ms deadline returned after %v", el)
+	}
+	cancelOwner()
+	if err := <-ownerErr; !errors.Is(err, context.Canceled) {
+		t.Errorf("owner: want context.Canceled, got %v", err)
+	}
+	if err := <-heirErr; !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("heir: want its own context.DeadlineExceeded, got %v", err)
+	}
+	if n := inflight(); n != 0 {
+		t.Errorf("%d flights left", n)
+	}
+	if n := eng.Stats().Cache.Len; n != 0 {
+		t.Errorf("cache holds %d entries after cancelled searches", n)
 	}
 }

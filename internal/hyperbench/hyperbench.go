@@ -22,7 +22,10 @@ package hyperbench
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"d2cq/internal/decomp"
 	"d2cq/internal/dilution"
@@ -54,7 +57,10 @@ type Options struct {
 	MaxWidth int
 }
 
-// Generate builds the corpus and computes ghw data for every member.
+// Generate builds the corpus and computes ghw data for every member. The
+// hypergraphs come from the seeded generator in corpus order; the ghw census
+// then runs one entry per core (see census). Every search is deterministic,
+// so the corpus is the same on any number of cores.
 func Generate(opts Options) (*Corpus, error) {
 	if opts.PerFamily == 0 {
 		opts.PerFamily = 24
@@ -71,16 +77,7 @@ func Generate(opts Options) (*Corpus, error) {
 		if h.NE() == 0 {
 			return nil
 		}
-		res, err := decomp.GHW(h, &decomp.GHWOptions{
-			MaxWidth:             opts.MaxWidth + 1,
-			ExactSearchEdgeLimit: 12,
-			HWEdgeLimit:          14,
-			Budget:               150_000,
-		})
-		if err != nil {
-			return fmt.Errorf("hyperbench: %s: %w", name, err)
-		}
-		c.Entries = append(c.Entries, Entry{Name: name, Family: family, H: h, GHW: res})
+		c.Entries = append(c.Entries, Entry{Name: name, Family: family, H: h})
 		return nil
 	}
 
@@ -160,7 +157,48 @@ func Generate(opts Options) (*Corpus, error) {
 			return nil, err
 		}
 	}
+	if err := census(c.Entries, ghwOptions(opts.MaxWidth)); err != nil {
+		return nil, err
+	}
 	return c, nil
+}
+
+// ghwOptions are the census's search options for a corpus of the given
+// MaxWidth.
+func ghwOptions(maxWidth int) *decomp.GHWOptions {
+	return &decomp.GHWOptions{
+		MaxWidth:             maxWidth + 1,
+		ExactSearchEdgeLimit: 12,
+		HWEdgeLimit:          14,
+		Budget:               150_000,
+	}
+}
+
+// census computes every entry's GHW on GOMAXPROCS workers, each result into
+// its own entry. Workers take entries from the end of the corpus: the
+// high-width family comes last and holds the longest searches, so they start
+// first. An error names the first failing entry in corpus order.
+func census(entries []Entry, opts *decomp.GHWOptions) error {
+	errs := make([]error, len(entries))
+	var next atomic.Int64
+	next.Store(int64(len(entries)))
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), len(entries)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := next.Add(-1); i >= 0; i = next.Add(-1) {
+				entries[i].GHW, errs[i] = decomp.GHW(entries[i].H, opts)
+			}
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			return fmt.Errorf("hyperbench: %s: %w", entries[i].Name, err)
+		}
+	}
+	return nil
 }
 
 // CSV renders the corpus as comma-separated rows for external analysis:

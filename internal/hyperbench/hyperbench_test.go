@@ -1,6 +1,7 @@
 package hyperbench
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"sync"
@@ -85,12 +86,12 @@ func TestGenerateDeterministic(t *testing.T) {
 		}
 	}
 	for _, e := range a.Entries {
-		first, err := decomp.EvalDecomposition(e.H)
+		first, err := decomp.EvalDecomposition(context.Background(), e.H, 0)
 		if err != nil {
 			t.Fatalf("%s: %v", e.Name, err)
 		}
 		for run := 1; run < 10; run++ {
-			d, err := decomp.EvalDecomposition(e.H)
+			d, err := decomp.EvalDecomposition(context.Background(), e.H, 0)
 			if err != nil {
 				t.Fatalf("%s: %v", e.Name, err)
 			}
@@ -98,6 +99,29 @@ func TestGenerateDeterministic(t *testing.T) {
 				t.Errorf("%s: EvalDecomposition call %d differs from the first:\n%v\n%v", e.Name, run+1, d, first)
 				break
 			}
+		}
+	}
+}
+
+// TestGenerateMatchesSerial recomputes every entry's census serially, with
+// the options Generate uses, and requires the same bounds and witness: the
+// worker pool must not change a result.
+func TestGenerateMatchesSerial(t *testing.T) {
+	opts := Options{Seed: 1, PerFamily: 2, MaxWidth: 5}
+	c, err := Generate(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range c.Entries {
+		want, err := decomp.GHW(e.H, ghwOptions(opts.MaxWidth))
+		if err != nil {
+			t.Fatalf("%s: %v", e.Name, err)
+		}
+		if e.GHW.Lower != want.Lower || e.GHW.Upper != want.Upper || e.GHW.Exact != want.Exact {
+			t.Errorf("%s: census %v, serial %v", e.Name, e.GHW, want)
+		}
+		if !reflect.DeepEqual(e.GHW.Decomp, want.Decomp) {
+			t.Errorf("%s: census witness differs from the serial one:\n%v\n%v", e.Name, e.GHW.Decomp, want.Decomp)
 		}
 	}
 }
@@ -209,8 +233,10 @@ func TestHighWidthFamilyPopulatesTail(t *testing.T) {
 }
 
 // BenchmarkGenerateCorpus generates the corpus the batch.corpus workload of
-// bench/ builds in its set-up: the census search on every entry, dominated by
-// the treewidth branch and bound of the 5×5 jigsaw's dual.
+// bench/ builds in its set-up: the census search on every entry, one entry
+// per core. Two entries dominate it at about equal cost: the hypertree
+// search of bigpkt-1 and the treewidth branch and bound of the 5×5 jigsaw's
+// dual; -cpu 1,4 shows the serial and the parallel census.
 func BenchmarkGenerateCorpus(b *testing.B) {
 	for b.Loop() {
 		if _, err := Generate(Options{Seed: 5, PerFamily: 6, MaxWidth: 5}); err != nil {

@@ -189,14 +189,14 @@ type Engine = engine.Engine
 type PreparedQuery = engine.PreparedQuery
 
 // CompiledDB is a database compiled once by Engine.CompileDB: constants
-// interned, relations compiled into flat tables with integer-keyed indexes.
+// interned, relations compiled into flat tables of interned rows.
 // Share one CompiledDB across any number of concurrent Binds and
 // evaluations. A CompiledDB is a snapshot: CompiledDB.Apply(ctx, delta)
 // produces the next snapshot copy-on-write, sharing every untouched relation
-// (and the append-friendly dictionary) with its parent — a table a small
-// delta reaches turns persistent, sharing its untouched rows too — so once
-// a table has taken its first delta, an update stream costs time
-// proportional to the change, not the database.
+// (and the append-friendly dictionary) with its parent — a table any delta
+// reaches turns persistent, sharing its untouched rows too — so once a
+// table has taken its first delta, an update stream costs time proportional
+// to the change, not the database.
 type CompiledDB = engine.CompiledDB
 
 // BoundQuery is a PreparedQuery bound to a CompiledDB: dictionary, atom

@@ -36,7 +36,9 @@ type CacheStats struct {
 
 // Cache is a bounded, concurrency-safe LRU cache of decompositions keyed by
 // CacheKey. Cached GHDs are shared between callers and must be treated as
-// immutable. The zero capacity disables caching (every Get misses).
+// immutable; a nil one is stored like any other (the engine records a shape
+// refused under its width bound so). The zero capacity disables caching
+// (every Get misses).
 type Cache struct {
 	mu        sync.Mutex
 	capacity  int

@@ -17,22 +17,18 @@ type Instance struct {
 	// AtomRels[i] is the relation for atom i, with columns = the atom's
 	// distinct variables (sorted).
 	AtomRels []*Relation
-	// atomKeys[i] caches edgeKey(atom i's variable set) so the hot
-	// EdgeRelation path compares strings instead of re-deriving variable
-	// sets (may be nil; derived lazily then).
+	// atomKeys[i] is edgeKey(atom i's variable set), so that EdgeRelation
+	// compares strings instead of re-deriving variable sets.
 	atomKeys []string
 }
 
-// keys returns the per-atom variable-set keys, deriving and caching them on
-// first use.
-func (inst *Instance) keys() []string {
-	if inst.atomKeys == nil {
-		inst.atomKeys = make([]string, len(inst.Query.Atoms))
-		for i, a := range inst.Query.Atoms {
-			inst.atomKeys[i] = edgeKey(a.VarSet())
-		}
+// newInstance returns q's instance over dict, with no atom relation yet.
+func newInstance(q cq.Query, dict *Dict) *Instance {
+	inst := &Instance{Query: q, Dict: dict, atomKeys: make([]string, len(q.Atoms))}
+	for i, a := range q.Atoms {
+		inst.atomKeys[i] = edgeKey(a.VarSet())
 	}
-	return inst.atomKeys
+	return inst
 }
 
 // Compile interns db and builds the per-atom relations for q, straight from
@@ -43,7 +39,7 @@ func Compile(q cq.Query, db cq.Database) (*Instance, error) {
 	if err := db.Validate(q); err != nil {
 		return nil, err
 	}
-	inst := &Instance{Query: q, Dict: NewDict()}
+	inst := newInstance(q, NewDict())
 	for _, a := range q.Atoms {
 		rel, err := atomRelation(a, db, inst.Dict)
 		if err != nil {
@@ -51,7 +47,6 @@ func Compile(q cq.Query, db cq.Database) (*Instance, error) {
 		}
 		inst.AtomRels = append(inst.AtomRels, rel)
 	}
-	inst.keys()
 	return inst, nil
 }
 
@@ -60,7 +55,7 @@ func Compile(q cq.Query, db cq.Database) (*Instance, error) {
 // hashed and no constant re-interned. The compiled database is only read, so
 // concurrent BindCompiles over one storage.DB are safe.
 func BindCompile(q cq.Query, sdb *storage.DB) (*Instance, error) {
-	inst := &Instance{Query: q, Dict: sdb.Dict}
+	inst := newInstance(q, sdb.Dict)
 	for _, a := range q.Atoms {
 		rel, err := bindAtomRelation(a, sdb.Table(a.Rel), sdb.Dict)
 		if err != nil {
@@ -68,7 +63,6 @@ func BindCompile(q cq.Query, sdb *storage.DB) (*Instance, error) {
 		}
 		inst.AtomRels = append(inst.AtomRels, rel)
 	}
-	inst.keys()
 	return inst, nil
 }
 
@@ -260,10 +254,9 @@ func atomRelation(a cq.Atom, db cq.Database, dict *Dict) (*Relation, error) {
 // relations it may alias.
 func (inst *Instance) EdgeRelation(vars []string) *Relation {
 	key := edgeKey(vars)
-	keys := inst.keys()
 	var acc *Relation
 	for i := range inst.Query.Atoms {
-		if keys[i] != key {
+		if inst.atomKeys[i] != key {
 			continue
 		}
 		if acc == nil {

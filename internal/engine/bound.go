@@ -10,13 +10,13 @@ import (
 )
 
 // CompiledDB is a database compiled once by Engine.CompileDB: constants
-// interned through one dictionary, relations compiled into flat tables with
-// lazily built integer-keyed indexes. A CompiledDB is read-only after
-// compilation and safe to share between any number of concurrent Binds and
-// evaluations. Apply evolves it into a new snapshot without recompiling: the
-// two snapshots share every untouched table and the (append-friendly)
-// dictionary, and a table a small delta reaches turns persistent, so that
-// its successors share its rows too (see storage.DB.Apply).
+// interned through one dictionary, relations compiled into flat tables of
+// interned rows. A CompiledDB is read-only after compilation and safe to
+// share between any number of concurrent Binds and evaluations. Apply evolves
+// it into a new snapshot without recompiling: the two snapshots share every
+// untouched table and the (append-friendly) dictionary, and a table any delta
+// reaches turns persistent, so that its successors share its rows too (see
+// storage.DB.Apply).
 type CompiledDB struct {
 	sdb *storage.DB
 	eng *Engine // whose Stats count the rows Apply touches
@@ -106,11 +106,10 @@ type BoundQuery struct {
 	prep *PreparedQuery
 	cdb  *CompiledDB
 
-	// inst and nodeRels are the flat atom and node relations the bind builds
-	// (nodeRels is nil for naive and ground plans). Once the query is being
-	// maintained (maint below), an entry is valid only while its relation has
-	// not changed since it was flat: Rebind clears the entries a delta
-	// reaches — inst.AtomRels[i], nodeRels[u] — instead of rewriting them.
+	// inst and nodeRels are the flat atom and node relations Bind builds
+	// (nodeRels is nil for naive and ground plans). Both are nil whenever
+	// maint is set: a Rebind result that holds the maintained form holds
+	// nothing else.
 	inst     *Instance
 	nodeRels []*Relation
 
@@ -177,7 +176,7 @@ func (b *BoundQuery) ExplainDB() string {
 	}
 	var sb strings.Builder
 	sb.WriteString(plan.Explain())
-	for u := range b.nodeRels {
+	for u := range plan.d.Nodes() {
 		fmt.Fprintf(&sb, "node %d materialised: |rel|=%d\n", u, b.nodeLen(u))
 	}
 	return sb.String()
@@ -185,10 +184,10 @@ func (b *BoundQuery) ExplainDB() string {
 
 // nodeLen returns the number of rows of node u's relation.
 func (b *BoundQuery) nodeLen(u int) int {
-	if rel := b.nodeRels[u]; rel != nil {
-		return rel.Len()
+	if b.maint != nil {
+		return b.maint.nodes[u].sup.Len()
 	}
-	return b.maint.nodes[u].sup.Len() // changed since it was flat: the maintained state knows
+	return b.nodeRels[u].Len()
 }
 
 // Vars returns the query's variables in enumeration output order (sorted).
@@ -196,7 +195,7 @@ func (b *BoundQuery) Vars() []string { return b.prep.Vars() }
 
 // Dict returns the interned dictionary of the bound database lineage — the
 // value space of the relations DiffFrom returns.
-func (b *BoundQuery) Dict() *Dict { return b.inst.Dict }
+func (b *BoundQuery) Dict() *Dict { return b.cdb.sdb.Dict }
 
 // Bool decides q(D) ≠ ∅ over the bound database (Proposition 2.2): whether
 // the bottom-up reduced root is non-empty.
@@ -246,7 +245,7 @@ func (b *BoundQuery) Enumerate(ctx context.Context, yield func(Solution) bool) e
 		return err
 	}
 	p := b.prep.plan
-	sol := Solution{vars: p.qvars, dict: b.inst.Dict}
+	sol := Solution{vars: p.qvars, dict: b.Dict()}
 	if p.Naive() {
 		return naiveEnumerate(ctx, b.inst, p.qvars, func(row []Value) bool {
 			sol.row = row
@@ -274,7 +273,7 @@ func (b *BoundQuery) EnumerateAll(ctx context.Context) (*Relation, *Dict, error)
 		return nil, nil, err
 	}
 	out.SortForDisplay()
-	return out, b.inst.Dict, nil
+	return out, b.Dict(), nil
 }
 
 // maxReserve caps the Values materialise reserves up front (64 MiB): a
@@ -331,7 +330,7 @@ func (b *BoundQuery) DiffFrom(ctx context.Context, prev *BoundQuery) (added, rem
 	if b.prep != prev.prep {
 		return nil, nil, fmt.Errorf("engine: DiffFrom across different prepared queries")
 	}
-	if b.inst.Dict != prev.inst.Dict {
+	if b.Dict() != prev.Dict() {
 		return nil, nil, fmt.Errorf("engine: DiffFrom across unrelated database lineages")
 	}
 	// One shared, never-written empty relation per plan: an invisible or
@@ -339,8 +338,10 @@ func (b *BoundQuery) DiffFrom(ctx context.Context, prev *BoundQuery) (added, rem
 	empty := func() (*Relation, *Relation, error) {
 		return b.prep.plan.noRows, b.prep.plan.noRows, nil
 	}
-	if b == prev || b.inst == prev.inst {
-		return empty() // shared instance: the delta was invisible to the query
+	// Every visible Rebind renews the enumeration state, or for a plan
+	// without one (naive, ground) binds a fresh instance; share keeps both.
+	if b.enumSt == prev.enumSt && b.inst == prev.inst {
+		return empty() // shared state: the delta was invisible to the query
 	}
 	if p := b.prep.plan; !p.Naive() && p.d.Nodes() > 0 && len(p.qvars) > 0 {
 		bes, pes := b.enumSt, prev.enumSt

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -37,7 +38,6 @@ type Engine struct {
 
 	// What incremental maintenance did (see Stats).
 	atomDeltaFast  atomic.Uint64
-	atomDeltaScan  atomic.Uint64
 	nodeDeltaJoins atomic.Uint64
 	nodeRebuilds   atomic.Uint64
 	diffsFast      atomic.Uint64 // DiffFroms answered by propagated per-node diffs
@@ -118,10 +118,11 @@ type Stats struct {
 	// What incremental maintenance did. Rebind has one path for every
 	// delta; these count what it cost. A dirty atom's delta is read off the
 	// two tables' row maps, which share everything the change did not touch
-	// (AtomDeltaFast) — unless Apply rewrote the new table flat, so that the
-	// diff first listed the whole table (AtomDeltaScan). A node with a
-	// changed input is delta-joined (NodeDeltaJoins); a query's first Rebind
-	// converts each node to maintained form once (NodeRebuilds).
+	// (AtomDeltaFast). AtomDeltaScan counts nothing: Apply leaves every table
+	// a delta reaches persistent, so no atom diff lists a whole table; it
+	// stays for the readers of the counter pair. A node with a changed input
+	// is delta-joined (NodeDeltaJoins); a query's first Rebind converts each
+	// node to maintained form once (NodeRebuilds).
 	AtomDeltaFast  uint64
 	AtomDeltaScan  uint64
 	NodeDeltaJoins uint64
@@ -150,7 +151,6 @@ func (e *Engine) Stats() Stats {
 		Rebinds:         e.rebinds.Load(),
 		Cache:           e.cache.Stats(),
 		AtomDeltaFast:   e.atomDeltaFast.Load(),
-		AtomDeltaScan:   e.atomDeltaScan.Load(),
 		NodeDeltaJoins:  e.nodeDeltaJoins.Load(),
 		NodeRebuilds:    e.nodeRebuilds.Load(),
 		DiffsFast:       e.diffsFast.Load(),
@@ -217,12 +217,14 @@ func (e *Engine) Prepare(ctx context.Context, q cq.Query) (*PreparedQuery, error
 // the cache and collapsing concurrent misses for the same key into a single
 // computation. A flight caches its result before it leaves inflight, so a
 // miss that finds no flight looks at the cache once more, under flightMu: the
-// flight it missed may have finished in between. Only successes are cached.
-// A waiter stops waiting when its own ctx ends; when the flight's owner gave
-// up because its ctx ended, a waiter whose ctx lives on searches itself.
+// flight it missed may have finished in between. A success is cached, and so
+// is a refusal under WithMaxWidth, as a nil decomposition: the bound is
+// engine-wide, so the shape alone decides it. No other error is cached. A
+// waiter stops waiting when its own ctx ends; when the flight's owner gave up
+// because its ctx ended, a waiter whose ctx lives on searches itself.
 func (e *Engine) decompFor(ctx context.Context, h *hypergraph.Hypergraph, key string) (*decomp.GHD, error) {
 	if d, ok := e.cache.Get(key); ok {
-		return d, nil
+		return d, e.refused(d)
 	}
 	for {
 		e.flightMu.Lock()
@@ -240,7 +242,7 @@ func (e *Engine) decompFor(ctx context.Context, h *hypergraph.Hypergraph, key st
 		}
 		if d, ok := e.cache.Peek(key); ok {
 			e.flightMu.Unlock()
-			return d, nil
+			return d, e.refused(d)
 		}
 		f := &flight{done: make(chan struct{})}
 		e.inflight[key] = f
@@ -248,7 +250,7 @@ func (e *Engine) decompFor(ctx context.Context, h *hypergraph.Hypergraph, key st
 
 		e.decompComputed.Add(1)
 		f.d, f.err = decomp.EvalDecomposition(ctx, h, e.maxWidth)
-		if f.err == nil {
+		if f.err == nil || errors.Is(f.err, ErrWidthExceeded) {
 			e.cache.Put(key, f.d)
 		}
 		f.abandoned = f.err != nil && ctx.Err() != nil
@@ -258,6 +260,15 @@ func (e *Engine) decompFor(ctx context.Context, h *hypergraph.Hypergraph, key st
 		close(f.done)
 		return f.d, f.err
 	}
+}
+
+// refused returns the error of a cached decomposition: ErrWidthExceeded for
+// the nil that records a refusal.
+func (e *Engine) refused(d *decomp.GHD) error {
+	if d == nil {
+		return fmt.Errorf("%w: hw > %d", ErrWidthExceeded, e.maxWidth)
+	}
+	return nil
 }
 
 // PreparedQuery is a compiled query: the product of Engine.Prepare. It holds

@@ -2,8 +2,14 @@ package engine
 
 import (
 	"context"
+	"fmt"
+	"reflect"
 	"runtime"
 	"testing"
+	"unsafe"
+
+	"d2cq/internal/cq"
+	"d2cq/internal/storage"
 )
 
 // TestFirstRebindAllocationsFlat: converting a bound query to maintained form
@@ -168,4 +174,124 @@ func TestFirstDiffFromIncremental(t *testing.T) {
 	if touched[false] != touched[true] {
 		t.Fatalf("Rebind + DiffFrom touched %d rows after a bare Bind, %d after a primed one", touched[false], touched[true])
 	}
+}
+
+// TestRebindKeepsNoFlatRelations: a Rebind that changes what the query reads
+// leaves a query holding only its database and the maintained state. Nothing
+// reachable from the result, the plan aside, is Bind's instance, one of its
+// atom or node relations, or its enumeration or counting state — on every
+// rebind fixture shape, direct atoms and column permutations alike, before
+// and after the query's first conversion to maintained form, and after a
+// first Rebind whose delta its atoms filter out.
+func TestRebindKeepsNoFlatRelations(t *testing.T) {
+	check := func(what string, bound, nb *BoundQuery) {
+		t.Helper()
+		bind := map[unsafe.Pointer]bool{
+			unsafe.Pointer(bound.inst): true, unsafe.Pointer(bound.enumSt): true, unsafe.Pointer(bound.countSt): true,
+		}
+		for _, rel := range append(append([]*Relation(nil), bound.inst.AtomRels...), bound.nodeRels...) {
+			bind[unsafe.Pointer(rel)] = true
+		}
+		if nb.inst != nil || nb.nodeRels != nil || nb.maint == nil {
+			t.Fatalf("%s: the Rebind's result keeps flat relations or no maintained state", what)
+		}
+		v := reflect.ValueOf(nb).Elem()
+		for _, field := range []string{"maint", "enumSt", "countSt"} {
+			if reaches(v.FieldByName(field), bind, map[reached]bool{}) {
+				t.Fatalf("%s: the result's %s reaches Bind's flat state", what, field)
+			}
+		}
+	}
+	for _, s := range []maintShape{maintPath3, maintCycle4, maintCycle6, maintJigsaw} {
+		f := newMaintFixture(t, s, 200, 100)
+		bound := f.bound
+		for step := range 2 * len(s.atoms) {
+			f.maintain(t, f.apply(t, 0, step/2, step%2 == 1))
+			check(fmt.Sprintf("%s step %d", s.name, step), bound, f.bound)
+		}
+	}
+	// R(x,'c') filters out R(5,'d'): the first Rebind converts the query and
+	// no node changes.
+	ctx := context.Background()
+	eng := NewEngine()
+	q, err := cq.ParseQuery("R(x,'c'), S(x,y)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prep, err := eng.Prepare(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cdb, err := eng.CompileDB(ctx, cq.Database{"R": {{"1", "c"}}, "S": {{"1", "2"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := prep.Bind(ctx, cdb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next, err := cdb.Apply(ctx, storage.NewDelta().Add("R", "5", "d"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	nb, err := b.Rebind(ctx, next)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("a first Rebind its atoms filter out", b, nb)
+	added, removed, err := nb.DiffFrom(ctx, b)
+	if n, _ := nb.Count(ctx); err != nil || added.Len()+removed.Len() != 0 || n != 1 {
+		t.Fatalf("filtered-out delta: err %v, diff +%d/−%d, count %d; want no change and 1 answer", err, added.Len(), removed.Len(), n)
+	}
+}
+
+// reached is one visited pointer of reaches, with its type: a struct and its
+// first field share an address.
+type reached struct {
+	p unsafe.Pointer
+	t reflect.Type
+}
+
+// reaches reports whether v, or anything it points to through pointers,
+// slices, arrays, structs, maps and interfaces, is one of the targets.
+func reaches(v reflect.Value, targets map[unsafe.Pointer]bool, seen map[reached]bool) bool {
+	switch v.Kind() {
+	case reflect.Pointer, reflect.UnsafePointer:
+		if v.IsNil() {
+			return false
+		}
+		p := v.UnsafePointer()
+		if targets[p] {
+			return true
+		}
+		if v.Kind() == reflect.UnsafePointer || seen[reached{p, v.Type()}] {
+			return false
+		}
+		seen[reached{p, v.Type()}] = true
+		return reaches(v.Elem(), targets, seen)
+	case reflect.Interface:
+		return !v.IsNil() && reaches(v.Elem(), targets, seen)
+	case reflect.Struct:
+		for i := range v.NumField() {
+			if reaches(v.Field(i), targets, seen) {
+				return true
+			}
+		}
+	case reflect.Slice, reflect.Array:
+		if k := v.Type().Elem().Kind(); k <= reflect.Complex128 || k == reflect.String {
+			return false // scalars point nowhere
+		}
+		for i := range v.Len() {
+			if reaches(v.Index(i), targets, seen) {
+				return true
+			}
+		}
+	case reflect.Map:
+		for it := v.MapRange(); it.Next(); {
+			if reaches(it.Key(), targets, seen) || reaches(it.Value(), targets, seen) {
+				return true
+			}
+		}
+	}
+	return false
 }

@@ -61,7 +61,9 @@ func (b *BoundQuery) Update(ctx context.Context, delta *storage.Delta) (*BoundQu
 // share returns b moved to cdb with all bound state shared, caches included:
 // nothing the query can see changed.
 func (b *BoundQuery) share(cdb *CompiledDB) *BoundQuery {
-	return &BoundQuery{prep: b.prep, cdb: cdb, inst: b.inst, nodeRels: b.nodeRels, maint: b.maint, enumSt: b.enumSt, countSt: b.countSt}
+	nb := *b
+	nb.cdb = cdb
+	return &nb
 }
 
 // Rebind rebinds the query to a new database snapshot in time proportional to
@@ -69,10 +71,11 @@ func (b *BoundQuery) share(cdb *CompiledDB) *BoundQuery {
 // piece of bound state the change does not reach. The first Rebind of a
 // freshly bound query additionally converts its state to maintained form,
 // once: one bulk build per map, O(database) time in a few allocations per
-// map. The snapshot must share the receiver's dictionary
-// (i.e. descend from the same CompileDB via Apply); otherwise Rebind falls
-// back to a full Bind, as it does whenever a delta reaches a relation of a
-// plan that is not maintained (see Plan.planMaintenance).
+// map, and the result holds the maintained form only, none of Bind's flat
+// relations. The snapshot must share the receiver's dictionary (i.e.
+// descend from the same CompileDB via Apply); otherwise Rebind falls back to
+// a full Bind, as it does whenever a delta reaches a relation of a plan that
+// is not maintained (see Plan.planMaintenance).
 func (b *BoundQuery) Rebind(ctx context.Context, cdb *CompiledDB) (*BoundQuery, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -112,7 +115,6 @@ func (b *BoundQuery) Rebind(ctx context.Context, cdb *CompiledDB) (*BoundQuery, 
 
 	// 1. Atoms: the exact delta of every dirty atom relation, and its
 	// successor state.
-	inst := &Instance{Query: q, Dict: b.inst.Dict, AtomRels: append([]*Relation(nil), b.inst.AtomRels...), atomKeys: b.inst.keys()}
 	nu := &nodeUpdate{oldAtoms: ms.atoms, newAtoms: append([]*atomState(nil), ms.atoms...), deltas: make([]*relDelta, len(ms.atoms))}
 	visible := false
 	for _, i := range dirty {
@@ -126,15 +128,14 @@ func (b *BoundQuery) Rebind(ctx context.Context, cdb *CompiledDB) (*BoundQuery, 
 		}
 		nu.deltas[i] = d
 		nu.newAtoms[i] = patchAtom(plan, i, ms.atoms[i], set, d, mc)
-		inst.AtomRels[i] = nil
 		visible = true
 	}
-	if !visible {
+	if !visible && b.maint != nil {
 		// Every dirty atom absorbed: the delta is invisible to the query
-		// after all. Keep the (possibly just built) maintained form.
-		nb := b.share(cdb)
-		nb.maint = ms
-		return nb, nil
+		// after all. (A just-built maintained form goes on through the
+		// nodes, which nothing reaches, so the result keeps it and not
+		// Bind's flat relations.)
+		return b.share(cdb), nil
 	}
 
 	// 2. Nodes, children first: delta-join every node with a changed input;
@@ -144,7 +145,7 @@ func (b *BoundQuery) Rebind(ctx context.Context, cdb *CompiledDB) (*BoundQuery, 
 	// with the parent changes when the node empties or fills.
 	n := plan.d.Nodes()
 	nm := &maintState{atoms: nu.newAtoms, nodes: append([]*nodeState(nil), ms.nodes...)}
-	nb := &BoundQuery{prep: b.prep, cdb: cdb, inst: inst, maint: nm, nodeRels: append([]*Relation(nil), b.nodeRels...)}
+	nb := &BoundQuery{prep: b.prep, cdb: cdb, maint: nm}
 	dN := make([]*relDelta, n)
 	touched := make([]workSet, n)
 	for _, u := range plan.order {
@@ -154,9 +155,7 @@ func (b *BoundQuery) Rebind(ctx context.Context, cdb *CompiledDB) (*BoundQuery, 
 		old, sup := ms.nodes[u], ms.nodes[u].sup
 		if slices.ContainsFunc(plan.inputs[u], func(i int) bool { return nu.deltas[i] != nil }) {
 			eng.nodeDeltaJoins.Add(1)
-			if sup, dN[u] = maintainNode(plan, u, old, nu, mc); !dN[u].empty() {
-				nb.nodeRels[u] = nil
-			}
+			sup, dN[u] = maintainNode(plan, u, old, nu, mc)
 		}
 		ns := regroup(plan, u, old, sup, dN[u], ms.nodes, nm.nodes, touched, mc)
 		nm.nodes[u] = ns
@@ -187,28 +186,23 @@ func (b *BoundQuery) Rebind(ctx context.Context, cdb *CompiledDB) (*BoundQuery, 
 
 // atomDelta computes the exact delta of dirty atom i against its old tuple
 // set, given the relation's table before and after (either may be nil: the
-// empty relation), off the two tables' row maps (storage.DiffTables —
-// O(change) when the new table descends from the old by small deltas,
-// whatever the number of Applies in between): the projection of matching
-// table rows onto the atom's distinct variables is injective — the tuple
-// plus the atom's constants and repeated variables reconstruct the row — so
-// the matching rows that left the table are exactly the tuples leaving the
-// relation, and likewise entering. An atom whose relation IS the table
-// (Plan.directAtom) skips even the projection, and its successor set — the
-// new table's own map, shared, not patched — is returned too. A table that
-// Apply rewrote flat shares nothing with its predecessor, so its diff first
-// lists its row map, O(relation); it is counted as AtomDeltaScan, every other
-// diff as AtomDeltaFast.
+// empty relation), off the two tables' row maps (storage.DiffTables): Apply
+// leaves every table a delta reaches persistent, so the new table descends
+// from the old one — or from the row map a flat old one converted to — and
+// the diff is O(change), whatever the number of Applies in between. The
+// projection of matching table rows onto the atom's distinct variables is
+// injective — the tuple plus the atom's constants and repeated variables
+// reconstruct the row — so the matching rows that left the table are exactly
+// the tuples leaving the relation, and likewise entering. An atom whose
+// relation IS the table (Plan.directAtom) skips even the projection, and its
+// successor set — the new table's own map, shared, not patched — is returned
+// too. Each call counts as AtomDeltaFast.
 func atomDelta(p *Plan, i int, old *rowSet, oldT, newT *storage.Table, dict *Dict, eng *Engine, mc *maintCtx) (d *relDelta, set *rowSet, err error) {
 	a, vars := p.query.Atoms[i], p.atomVars[i]
 	if newT != nil && newT.Arity != len(a.Args) {
 		return nil, nil, fmt.Errorf("engine: arity mismatch in %s", a.Rel)
 	}
-	if newT != nil && newT.Flat() {
-		eng.atomDeltaScan.Add(1)
-	} else {
-		eng.atomDeltaFast.Add(1)
-	}
+	eng.atomDeltaFast.Add(1)
 	d = newRelDelta(vars)
 	if p.directAtom[i] {
 		set = tableRows(newT, len(a.Args))

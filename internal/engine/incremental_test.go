@@ -214,7 +214,7 @@ func compareBound(ctx context.Context, inc, ref *BoundQuery) string {
 // reads Bind's flat relations and messages. It returns a description of a
 // broken grouping, or "".
 func decodeNode(b *BoundQuery, u int) (rows map[string]bool, sums map[string]int64, broken string) {
-	p, dict := b.prep.plan, b.inst.Dict
+	p, dict := b.prep.plan, b.Dict()
 	enc := func(t []Value) string {
 		var sb strings.Builder
 		for _, v := range t {
@@ -381,6 +381,11 @@ func runScriptOn(t *testing.T, eng *Engine, sh diffShape, q cq.Query, initial cq
 		}
 		if desc := compareBound(ctx, inc, ref); desc != "" {
 			return i, desc
+		}
+		for _, a := range q.Atoms {
+			if tab := next.cdb.sdb.Table(a.Rel); tab != nil && tab.Flat() && tab != cdb.sdb.Table(a.Rel) {
+				return i, fmt.Sprintf("relation %s is flat after a delta", a.Rel)
+			}
 		}
 		if sh.naive {
 			if desc := compareNaive(ctx, inc, q, mirror); desc != "" {
@@ -607,11 +612,15 @@ func TestRebindSharesCleanState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if nb2.inst.AtomRels[2] == b.inst.AtomRels[2] {
-		t.Error("dirty atom T should have a fresh relation")
+	nb3, err := nb2.Update(ctx, storage.NewDelta().Add("T", "3", "6"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if nb2.inst.AtomRels[0] != b.inst.AtomRels[0] || nb2.inst.AtomRels[1] != b.inst.AtomRels[1] {
-		t.Error("clean atoms R and S should share their relations")
+	if nb3.maint.atoms[2] == nb2.maint.atoms[2] {
+		t.Error("dirty atom T should have a fresh maintained state")
+	}
+	if nb3.maint.atoms[0] != nb2.maint.atoms[0] || nb3.maint.atoms[1] != nb2.maint.atoms[1] {
+		t.Error("clean atoms R and S should share their maintained state")
 	}
 	got, err := nb2.Count(ctx)
 	if err != nil {
@@ -800,8 +809,8 @@ func TestUpdateCancelledContext(t *testing.T) {
 // exactly the rows of a full bindAtomRelation scan (selection by constants
 // and repeated variables included) — one Apply later, twenty Applies later
 // (there is no chain to run out of: the two row maps are diffed
-// structurally), and across a delta that rewrites the table flat, whose
-// diff first lists the new table's row map and is counted as a scan.
+// structurally), and across a delta larger than the table, which Apply
+// applies to the row map like any other.
 func TestAtomDeltaFromTables(t *testing.T) {
 	atoms := []string{"R(x,y)", "R(y,x)", "R(x,x)", "R(x,'c1')", "R(x,y), Zed(x)"}
 	db := cq.Database{}
@@ -828,8 +837,8 @@ func TestAtomDeltaFromTables(t *testing.T) {
 		}
 		plan, a := prep.plan, q.Atoms[0]
 		// check runs atomDelta from one snapshot to a later one against a scan
-		// of both, and returns which path it took.
-		check := func(what string, from, to *storage.DB) (fast bool) {
+		// of both.
+		check := func(what string, from, to *storage.DB) {
 			t.Helper()
 			oldRel, err := bindAtomRelation(a, from.Table(a.Rel), from.Dict)
 			if err != nil {
@@ -854,11 +863,9 @@ func TestAtomDeltaFromTables(t *testing.T) {
 			if set != nil && !diffRows(set, want).empty() {
 				t.Fatalf("%s %s: successor set differs from the scan", src, what)
 			}
-			after := eng.Stats()
-			if after.AtomDeltaFast+after.AtomDeltaScan != before.AtomDeltaFast+before.AtomDeltaScan+1 {
-				t.Fatalf("%s %s: atomDelta must count exactly one path", src, what)
+			if eng.Stats().AtomDeltaFast != before.AtomDeltaFast+1 {
+				t.Fatalf("%s %s: atomDelta must count exactly one diff off the row maps", src, what)
 			}
-			return after.AtomDeltaFast > before.AtomDeltaFast
 		}
 		base, err := storage.Compile(db)
 		if err != nil {
@@ -870,8 +877,8 @@ func TestAtomDeltaFromTables(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if next.Table(a.Rel) != cur.Table(a.Rel) && !check(fmt.Sprintf("delta %d", di), cur, next) {
-				t.Fatalf("%s delta %d: a small delta must be read off the row maps, not rescanned", src, di)
+			if next.Table(a.Rel) != cur.Table(a.Rel) {
+				check(fmt.Sprintf("delta %d", di), cur, next)
 			}
 			cur = next
 		}
@@ -885,12 +892,10 @@ func TestAtomDeltaFromTables(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if !check("25 applies late", base, cur) {
-			t.Fatalf("%s: a late rebind over small deltas must still be read off the row maps", src)
-		}
-		// A delta the size of the relation rewrites the table flat: every
-		// atom still reads its delta off the row maps, the new table's listed
-		// first, which counts as a scan.
+		check("25 applies late", base, cur)
+		// A delta the size of the relation edits the row map like any other:
+		// the new table is persistent and every atom reads its delta off the
+		// two row maps.
 		bulk := storage.NewDelta()
 		for i := 0; i < 64; i++ {
 			bulk.Add("R", fmt.Sprintf("c%d", i%4), fmt.Sprintf("bulk%d", i))
@@ -899,12 +904,10 @@ func TestAtomDeltaFromTables(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !next.Table(a.Rel).Flat() {
-			t.Fatalf("%s bulk: Apply was meant to rewrite the table flat", src)
+		if next.Table(a.Rel).Flat() {
+			t.Fatalf("%s bulk: Apply left the table flat", src)
 		}
-		if check("bulk", cur, next) {
-			t.Fatalf("%s bulk: the diff of a table rewritten flat must count as a scan", src)
-		}
+		check("bulk", cur, next)
 		// Emptied and gone: the new table is nil.
 		gone := storage.NewDelta()
 		next.Table("R").Scan(func(row []Value) {
@@ -1213,8 +1216,8 @@ func TestIncrementalScriptedCases(t *testing.T) {
 
 // TestIncrementalLargeDeltaStaysOnDeltaPath: a delta larger than the
 // relations it lands in, in the middle of a stream of small deltas, is
-// maintained like any other — the atom's delta read off the row maps, its new
-// table rewritten flat by Apply, every node delta-joined — and the maintained
+// maintained like any other — Apply edits the table's row map, the atom's
+// delta is read off the row maps, every node is delta-joined — and the maintained
 // state it leaves behind keeps patching correctly. The bulk lands in D(d,a),
 // whose relation is a column permutation of the table. The only node builds
 // are the first Rebind's conversion to maintained form.
@@ -1247,8 +1250,15 @@ func TestIncrementalLargeDeltaStaysOnDeltaPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := eng.Stats()
-	if st.AtomDeltaScan == 0 {
-		t.Error("the bulk delta never reached a table rewritten flat")
+	cdb, err := eng.CompileDB(context.Background(), db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cdb, err = cdb.Apply(context.Background(), stepDelta(bulk)); err != nil {
+		t.Fatal(err)
+	}
+	if cdb.sdb.Table("D").Flat() {
+		t.Error("the bulk delta left D flat")
 	}
 	if nodes := uint64(prep.Plan().Decomp().Nodes()); st.NodeRebuilds != nodes {
 		t.Errorf("%d node builds, want %d: the first Rebind's conversion only", st.NodeRebuilds, nodes)

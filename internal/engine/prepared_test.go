@@ -457,24 +457,37 @@ func gridDualQuery(n int) cq.Query {
 
 // TestMaxWidthCapsSearch: WithMaxWidth(2) refuses the 5×5 grid's dual
 // (width 5) after the search at width 2, not after finding its width, and
-// caches no refusal.
+// caches the refusal: a second Prepare of the shape searches nothing and
+// returns at once, the same error without the fallback and the naive plan
+// with it.
 func TestMaxWidthCapsSearch(t *testing.T) {
 	q := gridDualQuery(5)
-	eng := NewEngine(WithMaxWidth(2))
-	start := time.Now()
-	_, err := eng.Prepare(context.Background(), q)
-	if el := time.Since(start); el > raceSlack(100*time.Millisecond) {
-		t.Errorf("refusal took %v", el)
-	}
-	if !errors.Is(err, ErrWidthExceeded) {
-		t.Fatalf("want ErrWidthExceeded, got %v", err)
-	}
-	if n := eng.Stats().Cache.Len; n != 0 {
-		t.Errorf("cache holds %d entries after a refusal", n)
-	}
-	prep, err := NewEngine(WithMaxWidth(2), WithNaiveFallback()).Prepare(context.Background(), q)
-	if err != nil || !prep.Plan().Naive() {
-		t.Fatalf("fallback: err=%v, naive=%v", err, err == nil && prep.Plan().Naive())
+	for _, fallback := range []bool{false, true} {
+		opts := []Option{WithMaxWidth(2)}
+		if fallback {
+			opts = append(opts, WithNaiveFallback())
+		}
+		eng := NewEngine(opts...)
+		for call := 1; call <= 2; call++ {
+			limit := 100 * time.Millisecond
+			if call == 2 {
+				limit = 10 * time.Millisecond
+			}
+			start := time.Now()
+			prep, err := eng.Prepare(context.Background(), q)
+			if el := time.Since(start); el > raceSlack(limit) {
+				t.Errorf("fallback %v, call %d: refusal took %v", fallback, call, el)
+			}
+			switch {
+			case fallback && (err != nil || !prep.Plan().Naive()):
+				t.Fatalf("fallback, call %d: err=%v, naive=%v", call, err, err == nil && prep.Plan().Naive())
+			case !fallback && !errors.Is(err, ErrWidthExceeded):
+				t.Fatalf("call %d: want ErrWidthExceeded, got %v", call, err)
+			}
+		}
+		if st := eng.Stats(); st.DecompsComputed != 1 || st.Cache.Len != 1 {
+			t.Errorf("fallback %v: %d searches and %d cache entries for two Prepares of one refused shape, want 1 and 1", fallback, st.DecompsComputed, st.Cache.Len)
+		}
 	}
 }
 

@@ -15,8 +15,8 @@ func (c *CompiledDB) WriteSnapshot(w io.Writer) error {
 }
 
 // ReadCompiledDB reconstructs a CompiledDB from a snapshot stream produced by
-// WriteSnapshot. Its tables are flat and carry no cached row map or set
-// check — those rebuild lazily on first use — but it is otherwise equivalent
+// WriteSnapshot. Its tables are flat and carry no cached row map or distinct
+// rows — those rebuild lazily on first use — but it is otherwise equivalent
 // to the snapshot it was written from: Apply, Bind, and Rebind all work on
 // top of it.
 func (e *Engine) ReadCompiledDB(r io.Reader) (*CompiledDB, error) {

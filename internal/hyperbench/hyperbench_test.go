@@ -3,8 +3,10 @@ package hyperbench
 import (
 	"context"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"d2cq/internal/decomp"
@@ -85,17 +87,30 @@ func TestGenerateDeterministic(t *testing.T) {
 			t.Errorf("%s: witness GHD differs across identical seeds:\n%v\n%v", x.Name, x.GHW.Decomp, y.GHW.Decomp)
 		}
 	}
-	for _, e := range a.Entries {
-		first, err := decomp.EvalDecomposition(context.Background(), e.H, 0)
-		if err != nil {
-			t.Fatalf("%s: %v", e.Name, err)
-		}
-		for run := 1; run < 10; run++ {
-			d, err := decomp.EvalDecomposition(context.Background(), e.H, 0)
-			if err != nil {
+	// The 10 calls per entry run on GOMAXPROCS workers, each into its own
+	// slot, and are compared against the entry's first call afterwards.
+	const runs = 10
+	plans := make([]*decomp.GHD, runs*len(a.Entries))
+	errs := make([]error, len(plans))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), len(plans)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < len(plans); i = int(next.Add(1)) - 1 {
+				plans[i], errs[i] = decomp.EvalDecomposition(context.Background(), a.Entries[i/runs].H, 0)
+			}
+		}()
+	}
+	wg.Wait()
+	for i, e := range a.Entries {
+		first := plans[i*runs]
+		for run := 0; run < runs; run++ {
+			if err := errs[i*runs+run]; err != nil {
 				t.Fatalf("%s: %v", e.Name, err)
 			}
-			if !reflect.DeepEqual(d, first) {
+			if d := plans[i*runs+run]; !reflect.DeepEqual(d, first) {
 				t.Errorf("%s: EvalDecomposition call %d differs from the first:\n%v\n%v", e.Name, run+1, d, first)
 				break
 			}

@@ -94,12 +94,12 @@ func TestApplyRowsTouchedScaling(t *testing.T) {
 	check("128 → 2 048 relations", touched(128, 64), touched(2_048, 64))
 }
 
-// TestApplyFormsMidStream walks one relation through every change of form —
-// flat from Compile, persistent at the first small delta, deleted down to
-// empty (the relation disappears), re-inserted (flat again: the delta is as
-// large as the relation), persistent again — holding the content to an
-// ApplyToDatabase mirror at every step and the parent snapshot to its own
-// content afterwards.
+// TestApplyFormsMidStream walks one relation through its one change of form —
+// flat from Compile, persistent at the first delta — and on through deletes
+// down to empty (the relation disappears), a re-insert (persistent from the
+// empty map), more small deltas and one as large as the relation (still
+// persistent), holding the content to an ApplyToDatabase mirror at every step
+// and the parent snapshot to its own content afterwards.
 func TestApplyFormsMidStream(t *testing.T) {
 	mirror := seededDB(1, 6)
 	cur := compileT(t, mirror.Clone())
@@ -143,13 +143,101 @@ func TestApplyFormsMidStream(t *testing.T) {
 		t.Fatalf("a relation deleted to empty must disappear; relations %v", cur.Relations())
 	}
 	step("re-insert", NewDelta().Add("r0", "a", "b").Add("r0", "c", "d").Add("r0", "e", "f"))
-	wantFlat("re-created", true)
+	wantFlat("re-created", false)
 	step("small insert again", NewDelta().Add("r0", "g", "h"))
 	wantFlat("after a small insert again", false)
 	step("no-op", NewDelta().Add("r0", "g", "h").Remove("r0", "never", "there"))
 	step("delete and re-insert in one delta", NewDelta().Remove("r0", "a", "b").Add("r0", "a", "b"))
 	step("bulk rewrite", NewDelta().Remove("r0", "a", "b").Remove("r0", "c", "d").Add("r0", "i", "j").Add("r0", "k", "l"))
-	wantFlat("after a delta as large as the relation", true)
+	wantFlat("after a delta as large as the relation", false)
+}
+
+// TestApplyOneRule: every delta leaves the relation persistent, or absent
+// when it empties it, whatever its size against the relation's — from one
+// tuple to twice the relation, pure inserts, pure deletes and a whole
+// replacement, into a flat table, a persistent one, an absent relation and a
+// nullary one — and the content matches an ApplyToDatabase mirror.
+func TestApplyOneRule(t *testing.T) {
+	const rows = 16
+	tuple := func(rel string, i int) []string {
+		if rel == "p" {
+			return nil
+		}
+		return []string{fmt.Sprint(i), fmt.Sprint(i * 7)}
+	}
+	inserts := func(rel string, from, n int) *Delta {
+		d := NewDelta()
+		for i := from; i < from+n; i++ {
+			d.Add(rel, tuple(rel, i)...)
+		}
+		return d
+	}
+	deletes := func(rel string, n int) *Delta {
+		d := NewDelta()
+		for i := 0; i < n; i++ {
+			d.Remove(rel, tuple(rel, i)...)
+		}
+		return d
+	}
+	replace := func(rel string, n int) *Delta {
+		d := deletes(rel, rows)
+		for i := rows; i < rows+n; i++ {
+			d.Add(rel, tuple(rel, i)...)
+		}
+		return d
+	}
+	for _, n := range []int{1, 2, rows / 2, rows - 1, rows, rows + 1, 2 * rows} {
+		cases := []struct {
+			name string
+			d    *Delta
+		}{
+			{"insert", inserts("r0", rows, n)},
+			{"delete", deletes("r0", min(n, rows))},
+			{"replace", replace("r0", n)},
+			{"insert into absent", inserts("new", 0, n)},
+			{"delete from absent", deletes("new", n)},
+			{"nullary insert", inserts("p", 0, n)},
+			{"nullary delete", deletes("p", n)},
+		}
+		for _, c := range cases {
+			mirror := seededDB(1, rows)
+			mirror.Add("p")
+			base := compileT(t, mirror.Clone())
+			// The same delta against the flat tables and against persistent
+			// ones of the same content.
+			persistent, err := base.Apply(NewDelta().Remove("r0", "0", "0").Add("r0", "0", "0").Remove("p").Add("p"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if persistent.Table("r0").Flat() || persistent.Table("p").Flat() {
+				t.Fatal("a delete and re-insert left a flat table")
+			}
+			for _, from := range []*DB{base, persistent} {
+				next, err := from.Apply(c.d)
+				if err != nil {
+					t.Fatalf("%s of %d: %v", c.name, n, err)
+				}
+				want := mirror.Clone()
+				c.d.ApplyToDatabase(want)
+				for _, rel := range []string{"r0", "new", "p"} {
+					if tab := next.Table(rel); tab != nil && tab != from.Table(rel) && (tab.Flat() || tab.Rows() == 0) {
+						t.Fatalf("%s of %d: %s is flat=%v with %d rows; want persistent and non-empty, or absent", c.name, n, rel, tab.Flat(), tab.Rows())
+					}
+					got, wantRows := rowsOf(next, rel), map[string]int{}
+					for _, tu := range want[rel] {
+						key := ""
+						for _, v := range tu {
+							key += v + "|"
+						}
+						wantRows[key]++
+					}
+					if !tuplesEqual(got, wantRows) {
+						t.Fatalf("%s of %d: %s holds %v, mirror %v", c.name, n, rel, got, wantRows)
+					}
+				}
+			}
+		}
+	}
 }
 
 // TestOldSnapshotReadableDuringApplies: an old snapshot keeps listing exactly

@@ -277,8 +277,9 @@ func EncodeDB(w io.Writer, db *DB) error {
 
 // DecodeDB reconstructs a compiled snapshot written by EncodeDB: a fresh
 // dictionary holding exactly the encoded names (interning on top of it is
-// append-only, as always) and fresh flat tables. Indexes and statistics are
-// not part of the snapshot — they are caches, rebuilt lazily on use.
+// append-only, as always) and fresh flat tables. A table's row map and
+// distinct rows are not part of the snapshot — they are caches, rebuilt
+// lazily on use.
 func DecodeDB(r io.Reader) (*DB, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, len(snapMagic))

@@ -9,19 +9,20 @@ import (
 	"d2cq/internal/cq"
 )
 
-// Table is one compiled relation of interned tuples, in one of two forms.
-// The flat form is what Compile, DecodeDB and a delta rewriting most of a
-// relation produce: row i occupies Data[i*Arity:(i+1)*Arity], the cheapest
-// thing to build and scan. A flat table keeps its input as given, so it may
-// repeat a tuple (Compile does not deduplicate); IsSet tells, and Distinct
-// lists its rows without the repeats. The persistent
-// form is what a small delta produces: the rows are the keys of a PMap (Data
-// is nil), so it is a set, and the successor shares every untouched trie node
+// Table is one compiled relation of interned tuples, in one of two forms,
+// and one rule between them: flat until the relation's first delta,
+// persistent after it, never back and never both. The flat form is what
+// Compile and DecodeDB produce: row i occupies Data[i*Arity:(i+1)*Arity],
+// the cheapest thing to build and scan. A flat table keeps its input as
+// given, so it may repeat a tuple (Compile does not deduplicate); Distinct
+// lists its rows without the repeats. The persistent form is what every
+// delta produces, whatever its size: the rows are the keys of a PMap (Data is
+// nil), so it is a set, and the successor shares every untouched trie node
 // with its parent and costs one root-to-leaf path per tuple. A flat table
-// becomes persistent at its first small delta (RowMap bulk-builds the map
-// once and caches it on the flat table); DB.Apply states the rule. The tuple data
-// is immutable either way; the lazily built row map and distinct rows are
-// guarded by a mutex, so a Table is safe for concurrent use.
+// converts at its first delta (RowMap bulk-builds the map once and caches it
+// on the flat table); DB.Apply states the rule. The tuple data is immutable
+// either way; the lazily built row map and distinct rows are guarded by a
+// mutex, so a Table is safe for concurrent use.
 type Table struct {
 	Name  string
 	Arity int
@@ -46,12 +47,6 @@ func (t *Table) Rows() int {
 		return len(t.Data) // nullary tables store one sentinel per row
 	}
 	return len(t.Data) / t.Arity
-}
-
-// IsSet reports whether the table repeats no row. A persistent table always
-// is a set; a flat one is one when its Distinct rows are all of its rows.
-func (t *Table) IsSet() bool {
-	return t.rows != nil || len(t.Distinct()) == len(t.Data)
 }
 
 // Distinct returns a flat table's rows, laid out like Data, with every repeat
@@ -262,8 +257,8 @@ func (db *DB) Restrict(relations []string) *DB {
 
 // ApplyRows returns the number of rows the Apply that produced this snapshot
 // hashed, probed or copied — interned delta tuples, trie entries moved by
-// path copies (the relation directory's included), and every row of a table
-// it converted or rewrote whole. Zero for a snapshot from Compile or
+// path copies (the relation directory's included), and every row of a flat
+// table it converted. Zero for a snapshot from Compile or
 // DecodeDB. For a fixed small delta it must not grow with the relation or
 // with the number of relations (a test holds it to that).
 func (db *DB) ApplyRows() uint64 { return db.applyRows }

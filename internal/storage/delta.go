@@ -174,12 +174,12 @@ func (d *Delta) ApplyToDatabase(db cq.Database) {
 // precise dirty set; what did change in a relation is read off the two
 // tables (DiffTables).
 //
-// One rule picks a touched relation's form. A delta listing at least as many
-// tuples as the relation holds rewrites it flat — that costs no more than a
-// constant times the delta, and is what a bulk load into an empty or small
-// relation wants. Any smaller delta edits the relation's persistent row map,
-// one root-to-leaf path per tuple, converting a flat table first (once: the
-// conversion is cached on it, see Table.RowMap).
+// Every touched relation ends up persistent, whatever the size of its
+// delta: the delta edits the relation's row map, one root-to-leaf path per
+// tuple, converting a flat table first (once: the conversion is cached on
+// it, see Table.RowMap); the map of a relation absent before the delta is
+// bulk-built from its inserts. A relation the delta empties leaves the
+// directory.
 //
 // The constants of the delta are interned all at once, after every relation
 // has been validated, and taken back whole on ErrDictFull, so a failed Apply
@@ -271,26 +271,25 @@ func lookupTuple(dict *Dict, tuple []string, buf []Value) bool {
 }
 
 // applyToTable computes the new table of one relation under a set of
-// validated insertions and deletions, by Apply's rule; ins holds the
+// validated insertions and deletions, by editing its row map; ins holds the
 // interned insert rows flat, in table layout. old may be nil (relation
 // currently empty); the result is nil when the relation ends up empty and old
 // itself when its content does not change. touched accumulates the rows
 // hashed, probed or copied.
 func applyToTable(name string, old *Table, arity int, dict *Dict, ins []Value, deletes [][]string, touched *uint64) *Table {
-	oldRows := 0
-	if old != nil {
-		oldRows = old.Rows()
-	}
 	stride := max(arity, 1) // a nullary row is one sentinel
-	switch n := len(ins)/stride + len(deletes); {
-	case n == 0:
+	switch {
+	case len(ins) == 0 && len(deletes) == 0:
 		return old
-	case n >= oldRows:
-		return rewriteFlat(name, old, oldRows, arity, dict, ins, deletes, touched)
+	case old == nil:
+		// An absent relation (so ins is not empty: see deltaArity): its rows
+		// are the inserts, in one bulk build.
+		*touched += uint64(len(ins) / stride)
+		return &Table{Name: name, Arity: arity, rows: BuildPMap(arity, ins, len(ins)/stride, func([]int32) struct{} { return struct{}{} })}
 	}
 	base, built := old.rowMap()
 	if built {
-		*touched += uint64(oldRows)
+		*touched += uint64(old.Rows())
 	}
 	rows := base.Edit()
 	buf := make([]Value, arity)
@@ -307,77 +306,20 @@ func applyToTable(name string, old *Table, arity int, dict *Dict, ins []Value, d
 		}
 	}
 	*touched += uint64(len(ins)/stride + len(deletes) + rows.Copied())
-	if !changed {
-		return old
-	}
-	return &Table{Name: name, Arity: arity, rows: rows.Freeze()}
-}
-
-// rewriteFlat is applyToTable for a delta at least the size of the relation:
-// the survivors and the genuinely new inserts, laid out flat.
-func rewriteFlat(name string, old *Table, oldRows, arity int, dict *Dict, ins []Value, deletes [][]string, touched *uint64) *Table {
-	stride := max(arity, 1) // a nullary row is one sentinel
-	*touched += uint64(oldRows + len(ins)/stride + len(deletes))
-	buf := make([]Value, arity)
-	var del *TupleMap
-	if oldRows > 0 {
-		for _, tuple := range deletes {
-			if !lookupTuple(dict, tuple, buf) {
-				continue
-			}
-			if del == nil {
-				del = NewTupleMap(arity, len(deletes))
-			}
-			del.Insert(buf)
-		}
-	}
-	// The membership map over the surviving rows is only built when needed
-	// (pure-delete deltas skip it).
-	data := make([]Value, 0, oldRows*stride+len(ins))
-	var present *TupleMap
-	if len(ins) > 0 {
-		present = NewTupleMap(arity, oldRows+len(ins)/stride)
-	}
-	appendRow := func(row []Value) {
-		data = append(data, row...)
-		if arity == 0 {
-			data = append(data, 0)
-		}
-	}
-	removed := false
-	if old != nil {
-		old.Scan(func(row []Value) {
-			if del != nil && del.Find(row) >= 0 {
-				removed = true
-				return
-			}
-			appendRow(row)
-			if present != nil {
-				present.Insert(row)
-			}
-		})
-	}
-	survivors := len(data)
-	for k := 0; k < len(ins); k += stride {
-		row := ins[k : k+arity]
-		if _, isNew := present.Insert(row); isNew {
-			appendRow(row)
-		}
-	}
 	switch {
-	case !removed && len(data) == survivors:
+	case !changed:
 		return old
-	case len(data) == 0:
+	case rows.Len() == 0:
 		return nil
 	}
-	return &Table{Name: name, Arity: arity, Data: data}
+	return &Table{Name: name, Arity: arity, rows: rows.Freeze()}
 }
 
 // DiffTables reports how the rows of cur differ from those of old: gone is
 // called for every row of old that cur lacks, came for every row of cur that
 // old lacks. Either table may be nil (the empty relation). The rows are
-// compared through the tables' row maps, so between a table and a descendant
-// produced by small deltas the cost is proportional to the change (PMap.Diff
+// compared through the tables' row maps, so between a table and any
+// descendant Apply produced the cost is proportional to the change (PMap.Diff
 // skips what the two share); a flat table is converted first (Table.RowMap).
 // It returns the number of rows it looked at. The row slices are views: copy
 // to retain.

@@ -233,7 +233,19 @@ func TestApplyNullaryRelation(t *testing.T) {
 		t.Fatal(err)
 	}
 	if ndb2.Table("P") == nil || ndb2.Table("P").Rows() != 1 {
-		t.Error("re-inserted nullary fact missing")
+		t.Fatal("re-inserted nullary fact missing")
+	}
+	// Both nullary deltas went through the row map: the table is persistent,
+	// and re-asserting the fact is a no-op that keeps it.
+	if ndb2.Table("P").Flat() {
+		t.Error("re-inserted nullary fact left a flat table")
+	}
+	ndb3, err := ndb2.Apply(NewDelta().Add("P").Add("P"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ndb3.Table("P") != ndb2.Table("P") {
+		t.Error("re-asserting a present nullary fact replaced its table")
 	}
 }
 
@@ -377,8 +389,8 @@ func TestDiffTables(t *testing.T) {
 	if !slices.Equal(gone, []string{"a1,b1"}) || !slices.Equal(came, []string{"c,d", "e,f"}) {
 		t.Errorf("four steps: gone %v came %v", gone, came)
 	}
-	// A delta as large as the relation rewrites it flat; the diff is still
-	// exact, and so is the diff against an absent relation.
+	// A delta as large as the relation edits its row map like any other; the
+	// diff is still exact, and so is the diff against an absent relation.
 	all := NewDelta()
 	for i := 0; i < 9; i++ {
 		all.Add("R", fmt.Sprint("z", i), "w")
@@ -387,8 +399,8 @@ func TestDiffTables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bulk.Table("R").Flat() {
-		t.Error("a delta listing as many tuples as the relation holds should rewrite it flat")
+	if bulk.Table("R").Flat() {
+		t.Error("a delta listing as many tuples as the relation holds left it flat")
 	}
 	if gone, came = diff(cur.Table("R"), bulk.Table("R"), bulk.Dict); len(gone) != 0 || len(came) != 9 {
 		t.Errorf("bulk step: gone %v came %v", gone, came)

@@ -99,8 +99,8 @@ func TestCompileAndTable(t *testing.T) {
 	if r == nil || r.Rows() != 3 || r.Arity != 2 {
 		t.Fatalf("table R = %+v", r)
 	}
-	if r.IsSet() || !sdb.Table("S").IsSet() {
-		t.Errorf("IsSet: R %v (repeats a tuple), S %v", r.IsSet(), sdb.Table("S").IsSet())
+	if d, s := r.Distinct(), sdb.Table("S"); len(d) != 2*r.Arity || len(s.Distinct()) != len(s.Data) {
+		t.Errorf("Distinct: R keeps %d of its 6 values (repeats a tuple), S %d of its %d", len(d), len(s.Distinct()), len(s.Data))
 	}
 	if sdb.Table("missing") != nil {
 		t.Error("absent relation should be nil")
@@ -119,11 +119,11 @@ func TestCompileAndTable(t *testing.T) {
 	}
 }
 
-// TestTableIsSet: a flat table is a set iff it repeats no row, whatever the
-// arity and wherever the repeat sits; a persistent table always is one. Its
-// Distinct rows are its rows' first occurrences in order, and a set's are
-// its own Data.
-func TestTableIsSet(t *testing.T) {
+// TestTableDistinct: a flat table's Distinct rows are its rows' first
+// occurrences in order, whatever the arity and wherever a repeat sits, and a
+// table that repeats no row keeps all of them: its own Data. A delta leaves a
+// persistent table, a set by construction.
+func TestTableDistinct(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		rows [][]string
@@ -142,8 +142,8 @@ func TestTableIsSet(t *testing.T) {
 			t.Fatal(err)
 		}
 		tab := sdb.Table("R")
-		if got := tab.IsSet(); got != c.want || tab.IsSet() != got {
-			t.Errorf("%s: IsSet = %v, want %v", c.name, got, c.want)
+		if got := len(tab.Distinct()) == len(tab.Data); got != c.want {
+			t.Errorf("%s: Distinct keeps every row = %v, want %v", c.name, got, c.want)
 		}
 		var want, got []string
 		seen := map[string]bool{}
@@ -179,15 +179,15 @@ func TestTableIsSet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sdb.Table("R").IsSet() {
-		t.Error("2000 distinct rows: IsSet = false")
+	if tab := sdb.Table("R"); len(tab.Distinct()) != len(tab.Data) {
+		t.Errorf("2000 distinct rows: Distinct keeps %d of %d values", len(tab.Distinct()), len(tab.Data))
 	}
 	next, err := sdb.Apply(NewDelta().Add("R", "x", "y"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tab := next.Table("R"); tab.Flat() || !tab.IsSet() {
-		t.Errorf("after a small delta: flat %v, IsSet %v; want a persistent set", tab.Flat(), tab.IsSet())
+	if tab := next.Table("R"); tab.Flat() || tab.Rows() != 2001 {
+		t.Errorf("after a delta: flat %v, %d rows; want a persistent set of 2001", tab.Flat(), tab.Rows())
 	}
 }
 
@@ -201,9 +201,8 @@ func TestCompileRaggedArity(t *testing.T) {
 }
 
 // TestTableIndexConcurrent hammers a table's lazily built state — the row
-// map (RowMap) a flat table converts to once, the cached IsSet check and
-// Distinct rows — and
-// its plain reads (Rows, Scan) from goroutines released together, on a flat
+// map (RowMap) a flat table converts to once and its cached Distinct rows —
+// and its plain reads (Rows, Scan) from goroutines released together, on a flat
 // set, a flat table repeating rows and a persistent table, while some of
 // them derive successors (Apply reads a flat parent's row map). Run with
 // -race.
@@ -247,9 +246,6 @@ func TestTableIndexConcurrent(t *testing.T) {
 			}
 			for i := 0; i < 10; i++ {
 				for j, c := range tables {
-					if got, want := c.tab.IsSet(), c.rows == c.distinct; got != want {
-						t.Errorf("table %d: IsSet = %v, want %v", j, got, want)
-					}
 					if c.tab.Flat() && len(c.tab.Distinct()) != c.distinct*c.tab.Arity {
 						t.Errorf("table %d: Distinct holds %d values, want %d rows", j, len(c.tab.Distinct()), c.distinct)
 					}

@@ -180,11 +180,12 @@ func TestPlanRulesOnCorpus(t *testing.T) {
 			for i := 0; i < rel.Len(); i++ {
 				member.Insert(rel.Row(i))
 			}
-			pos := colIndexes(b.nodeRels[u], vars)
+			node := b.enumSt.rels[u]
+			pos := colIndexes(node, vars)
 			key := make([]Value, len(vars))
-			for i := 0; i < b.nodeRels[u].Len(); i++ {
-				if member.Find(project(key, b.nodeRels[u].Row(i), pos)) < 0 {
-					t.Errorf("%s: row %v of node %d violates %s, which it does not filter by", e.name, b.nodeRels[u].Row(i), u, a)
+			for i := 0; i < node.Len(); i++ {
+				if member.Find(project(key, node.Row(i), pos)) < 0 {
+					t.Errorf("%s: row %v of node %d violates %s, which it does not filter by", e.name, node.Row(i), u, a)
 					break
 				}
 			}

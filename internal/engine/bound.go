@@ -106,12 +106,9 @@ type BoundQuery struct {
 	prep *PreparedQuery
 	cdb  *CompiledDB
 
-	// inst and nodeRels are the flat atom and node relations Bind builds
-	// (nodeRels is nil for naive and ground plans). Both are nil whenever
-	// maint is set: a Rebind result that holds the maintained form holds
-	// nothing else.
-	inst     *Instance
-	nodeRels []*Relation
+	// inst is the flat atom relations Bind builds, nil whenever maint is
+	// set: a Rebind result that holds the maintained form holds nothing else.
+	inst *Instance
 
 	// maint is the maintained (persistent-map) form of the same relations,
 	// nil until the first Rebind that changes something the query reads: a
@@ -119,8 +116,8 @@ type BoundQuery struct {
 	maint *maintState
 
 	// enumSt is the enumeration state and countSt the counting DP, both set
-	// by Bind over its flat nodes and by Rebind over the maintained ones (nil
-	// for naive and ground plans).
+	// by Bind over its flat nodes (enumSt.rels) and by Rebind over the
+	// maintained ones (nil for naive and ground plans).
 	enumSt  *enumState
 	countSt *countState
 }
@@ -155,7 +152,7 @@ func (p *PreparedQuery) Bind(ctx context.Context, cdb *CompiledDB) (*BoundQuery,
 	if err != nil {
 		return nil, err
 	}
-	b.nodeRels, b.countSt = rels, cs
+	b.countSt = cs
 	b.enumSt = &enumState{plan: p.plan, id: p.eng.stateSeq.Add(1), rels: rels, groups: cs.groups}
 	return b, nil
 }
@@ -187,7 +184,7 @@ func (b *BoundQuery) nodeLen(u int) int {
 	if b.maint != nil {
 		return b.maint.nodes[u].sup.Len()
 	}
-	return b.nodeRels[u].Len()
+	return b.enumSt.rels[u].Len()
 }
 
 // Vars returns the query's variables in enumeration output order (sorted).
@@ -231,10 +228,6 @@ func (b *BoundQuery) Count(ctx context.Context) (int64, error) {
 	}
 	return b.countSt.total, nil
 }
-
-// ensureReduced returns the enumeration state over the bottom-up reduced
-// nodes, which Bind and Rebind leave ready.
-func (b *BoundQuery) ensureReduced() *enumState { return b.enumSt }
 
 // Enumerate streams every solution of the full CQ over the bound database,
 // with bounded delay: it walks the nodes' rows in the parent-key buckets Bind
@@ -313,16 +306,14 @@ func (b *BoundQuery) materialise(ctx context.Context) (*Relation, error) {
 // lineage — interned values are not comparable across dictionaries, so
 // anything else is an error. When the delta never reached the query, or was
 // absorbed before the reduced relations, the diff is empty without
-// enumerating anything. Otherwise the diff is enumerated straight from the
-// per-node changes of the two cached enumeration states in O(per-node change
-// + |result diff| × tree) — see diff.go — never materialising either result.
-// When prev is the snapshot b was derived from by Rebind or Update, the
-// per-node changes are the deltas that Rebind recorded, so the whole call is
-// O(change); against any other snapshot of the lineage they are recomputed by
-// diffing the reduced relations. Only plans without cached enumeration state
-// (naive plans, ground queries) fall back to materialising both sides and
-// diffing them as sets. This is the hook a live view-maintenance layer turns
-// into change notifications. The returned relations are read-only.
+// enumerating anything. When the receiver was derived from prev by Rebind or
+// Update, the diff is enumerated straight from the node deltas that Rebind
+// recorded, in O(per-node change + |result diff| × tree) — see diff.go —
+// never materialising either result. Against any other snapshot of the
+// lineage, and for plans without enumeration state (naive plans, ground
+// queries), both results are materialised and diffed as sets. This is the
+// hook a live view-maintenance layer turns into change notifications. The
+// returned relations are read-only.
 func (b *BoundQuery) DiffFrom(ctx context.Context, prev *BoundQuery) (added, removed *Relation, err error) {
 	if prev == nil {
 		return nil, nil, fmt.Errorf("engine: DiffFrom against a nil snapshot")
@@ -335,24 +326,27 @@ func (b *BoundQuery) DiffFrom(ctx context.Context, prev *BoundQuery) (added, rem
 	}
 	// One shared, never-written empty relation per plan: an invisible or
 	// absorbed delta allocates nothing here.
-	empty := func() (*Relation, *Relation, error) {
-		return b.prep.plan.noRows, b.prep.plan.noRows, nil
-	}
+	noRows := b.prep.plan.noRows
 	// Every visible Rebind renews the enumeration state, or for a plan
 	// without one (naive, ground) binds a fresh instance; share keeps both.
 	if b.enumSt == prev.enumSt && b.inst == prev.inst {
-		return empty() // shared state: the delta was invisible to the query
+		return noRows, noRows, nil // shared state: the delta was invisible to the query
 	}
-	if p := b.prep.plan; !p.Naive() && p.d.Nodes() > 0 && len(p.qvars) > 0 {
-		bes, pes := b.enumSt, prev.enumSt
-		mc := &maintCtx{}
-		defer func() { b.prep.eng.maintRows.Add(mc.rows) }()
-		diffs := nodeDiffs(pes, bes, mc)
+	if bes, pes := b.enumSt, prev.enumSt; bes != nil && bes.m != nil && bes.parent == pes.id {
+		var diffs []nodeDiff
+		for u, d := range bes.m.delta {
+			if d != nil {
+				diffs = append(diffs, nodeDiff{u: u, plus: d.plus, minus: d.minus})
+			}
+		}
 		if len(diffs) == 0 {
-			return empty() // every reduced relation absorbed: identical results
+			return noRows, noRows, nil // every reduced relation absorbed: identical results
+		}
+		if pes.m == nil {
+			pes = bes.m.base
 		}
 		b.prep.eng.diffsFast.Add(1)
-		return b.diffIncremental(ctx, pes, bes, diffs, mc)
+		return b.diffIncremental(ctx, pes, bes, diffs)
 	}
 	b.prep.eng.diffsOracle.Add(1)
 	return b.diffOracle(ctx, prev)

@@ -9,9 +9,9 @@ import (
 
 // This file is the O(change) half of BoundQuery.DiffFrom: instead of
 // materialising both results and diffing them as sets, the diff is
-// enumerated directly from the per-node changes of the two cached
-// enumeration states, whose node relations are the bottom-up reduced bags
-// B(u). The characterisation it rests on:
+// enumerated directly from the node deltas Rebind recorded, whose node
+// relations are the bottom-up reduced bags B(u). The characterisation it
+// rests on:
 //
 //	a solution of the new result is absent from the old one iff its
 //	projection onto some node's bag lies in that node's added rows
@@ -20,42 +20,23 @@ import (
 // because the join of all B(u) is the result and the projection of a
 // solution onto a bag always lies in that bag's B(u): a solution all of
 // whose bag projections lie in the old bags is a solution of the old result.
-// (The removed side is the mirror image over the old state.) So the added
+// (The removed side is the mirror image over the old nodes.) So the added
 // solutions are enumerated by walking the decomposition from each changed
 // node's added rows — up the tree probing parents on the shared columns,
 // then down the remaining nodes exactly like the ordinary enumeration — and
-// likewise for removals over the old state. An added row need not join
+// likewise for removals over the old nodes. An added row need not join
 // anything above it, so the upward probe may find no parent row and the walk
 // ends there; the downward part never dead-ends, as every row of B(u) has a
-// partner in B of each child. The cost is O(per-node change × depth +
-// |result diff| × tree), never O(|result|).
+// partner in B of each child. Both walks read maintained nodes, whose
+// groupings serve every probe: the receiver's, and the predecessor's — or,
+// when that is a fresh Bind, its nodes as the first Rebind converted them.
+// The cost is O(per-node change × depth + |result diff| × tree), never
+// O(|result|).
 //
 // A solution whose projections land in the added rows of several changed
 // nodes would be enumerated once per node; the skip check below assigns each
 // solution to the first changed node (in node order) that covers it, which
 // both dedups and keeps the two sides exactly disjoint.
-
-// upIndex returns a flat form's B(u) grouped on the columns it shares with
-// its k-th child join — the walk up of enumerateVia — building the grouping on
-// first use, charged to mc, and caching it on the state. (A maintained state
-// needs no such build: Rebind keeps nodeState.up current.)
-func (es *enumState) upIndex(u, k int, mc *maintCtx) *flatGroups {
-	p := es.plan
-	es.upMu.Lock()
-	defer es.upMu.Unlock()
-	if es.up == nil {
-		es.up = make([][]*flatGroups, p.d.Nodes())
-	}
-	if es.up[u] == nil {
-		es.up[u] = make([]*flatGroups, len(p.childJoins[u]))
-	}
-	if es.up[u][k] == nil {
-		g := groupRows(es.rels[u], p.childJoins[u][k].uPos)
-		es.up[u][k] = &g
-		mc.rows += uint64(es.rels[u].Len())
-	}
-	return es.up[u][k]
-}
 
 // grouping is B(u) grouped on some of its columns: get returns the rows
 // carrying key, one contiguous bucket (none when no row does).
@@ -80,23 +61,37 @@ func (g *childIndex) get(key []Value) []Value {
 	return rows
 }
 
-// probe returns B(u) grouped on some of its columns: with k < 0 those shared
-// with u's parent — the walk down, where a key read off a row of B(parent)
-// always finds rows — and otherwise those shared with u's k-th child join —
-// the walk up, which may find none. In both forms a bucket is a contiguous run
-// of B(u)'s rows: of Bind's layout or a grouped copy of it, or held by the
-// maintained node's persistent grouping.
-func (es *enumState) probe(u, k int, mc *maintCtx) grouping {
-	switch {
-	case es.m != nil && k < 0:
-		return (*parentIndex)(es.m.nodes[u].byParent)
-	case es.m != nil:
-		return (*childIndex)(es.m.nodes[u].up[k])
-	case k < 0:
-		return &es.groups[u]
-	default:
-		return es.upIndex(u, k, mc)
+// probe returns the walk's visit of node u: with k < 0 reached from its
+// parent — the walk down, where a key read off a row of B(parent) always
+// finds rows — and otherwise from its k-th child join — the walk up, which
+// may find none, and which only a maintained state takes. The rows carrying
+// the key form one contiguous bucket: of Bind's layout, or held by the
+// maintained node's persistent grouping. A node that shares no column with
+// the one it is reached from is a cross product with what is assigned
+// already, walked whole: off Bind's relation, or the maintained set.
+func (es *enumState) probe(u, k int) walkStep {
+	p := es.plan
+	st := walkStep{write: p.bagVids[u]}
+	pos, vids := p.sharedPos[u], p.sharedVids[u]
+	if k >= 0 {
+		pos, vids = p.childJoins[u][k].uPos, make([]int, len(p.childJoins[u][k].uPos))
+		for j, x := range pos {
+			vids[j] = p.bagVids[u][x]
+		}
 	}
+	switch {
+	case len(pos) == 0 && es.m == nil:
+		st.rows = es.rels[u]
+	case len(pos) == 0:
+		st.set = es.m.nodes[u].sup
+	case es.m == nil:
+		st.group, st.key = &es.groups[u], vids
+	case k < 0:
+		st.group, st.key = (*parentIndex)(es.m.nodes[u].byParent), vids
+	default:
+		st.group, st.key = (*childIndex)(es.m.nodes[u].up[k]), vids
+	}
+	return st
 }
 
 // walkStep is one node visit of a walk: every row of rows, or of the
@@ -121,9 +116,8 @@ type walkStep struct {
 // enumeration. first's rows must lie in the state's B(v). A row no ancestor
 // row joins yields nothing, at the cost of the probes up to where the walk
 // ends; below the path the walk never dead-ends, as every row of B(u) has a
-// partner in B of each child. mc is charged with the upward groupings a flat
-// state builds (nil when v is the root: there are none).
-func (es *enumState) enumerateVia(ctx context.Context, v int, first walkStep, mc *maintCtx, yield func(asg []Value) bool) error {
+// partner in B of each child. Only a maintained state starts below the root.
+func (es *enumState) enumerateVia(ctx context.Context, v int, first walkStep, yield func(asg []Value) bool) error {
 	p := es.plan
 	first.write = p.bagVids[v]
 	steps := make([]walkStep, 1, p.d.Nodes())
@@ -133,29 +127,13 @@ func (es *enumState) enumerateVia(ctx context.Context, v int, first walkStep, mc
 	for w := v; p.d.Parent[w] >= 0; w = p.d.Parent[w] {
 		u := p.d.Parent[w]
 		k := slices.IndexFunc(p.childJoins[u], func(cj childJoin) bool { return cj.child == w })
-		st := walkStep{write: p.bagVids[u]}
-		if uPos := p.childJoins[u][k].uPos; len(uPos) > 0 {
-			st.group, st.key = es.probe(u, k, mc), make([]int, len(uPos))
-			for j, pos := range uPos {
-				st.key[j] = p.bagVids[u][pos]
-			}
-		} else {
-			st.rows = es.flatB(u) // no shared columns: cartesian with the subtree below
-		}
-		steps = append(steps, st)
+		steps = append(steps, es.probe(u, k))
 		onPath[u] = true
 	}
 	for _, u := range p.pre {
-		if onPath[u] {
-			continue
+		if !onPath[u] {
+			steps = append(steps, es.probe(u, -1))
 		}
-		st := walkStep{write: p.bagVids[u]}
-		if len(p.shared[u]) == 0 {
-			st.rows = es.flatB(u)
-		} else {
-			st.group, st.key = es.probe(u, -1, mc), p.sharedVids[u]
-		}
-		steps = append(steps, st)
 	}
 	return walk(ctx, p.h.NV(), steps, yield)
 }
@@ -225,9 +203,9 @@ func walk(ctx context.Context, nv int, steps []walkStep, yield func(asg []Value)
 	return rec(0)
 }
 
-// nodeDiff is the per-node change between two enumeration states: the rows
-// entering (plus) and leaving (minus) B(u), with membership sets built only
-// when a later changed node needs the dedup check.
+// nodeDiff is one node's recorded change: the rows entering (plus) and
+// leaving (minus) B(u), with membership sets built only when a later changed
+// node needs the dedup check.
 type nodeDiff struct {
 	u           int
 	plus, minus *Relation
@@ -235,43 +213,13 @@ type nodeDiff struct {
 	minusSet    *storage.TupleMap
 }
 
-// nodeDiffs lists the nodes whose B(u) differs between the two states, with
-// the rows entering and leaving. When bes was derived from pes by Rebind the
-// deltas are already recorded on it and are simply read; between any other
-// two states they are recomputed by diffing the B(u) of the nodes whose
-// persistent maps differ, O(their size).
-func nodeDiffs(pes, bes *enumState, mc *maintCtx) []nodeDiff {
-	var diffs []nodeDiff
-	if bes.m != nil && bes.parent == pes.id {
-		for u, d := range bes.m.delta {
-			if d != nil {
-				diffs = append(diffs, nodeDiff{u: u, plus: d.plus, minus: d.minus})
-			}
-		}
-		return diffs
-	}
-	for u := 0; u < bes.plan.d.Nodes(); u++ {
-		if pes.m != nil && bes.m != nil && pes.m.nodes[u].sup == bes.m.nodes[u].sup {
-			continue // the same persistent map: the same B(u)
-		}
-		old, cur := pes.flatB(u), bes.flatB(u)
-		if old == cur {
-			continue
-		}
-		mc.rows += uint64(old.Len() + cur.Len())
-		if plus, minus := relDiff(old, cur); plus.Len()+minus.Len() > 0 {
-			diffs = append(diffs, nodeDiff{u: u, plus: plus, minus: minus})
-		}
-	}
-	return diffs
-}
-
-// diffIncremental computes the result diff from the per-node changes of the
-// two cached enumeration states (nodeDiffs, non-empty), per the
-// characterisation at the top of the file. Both returned relations are sorted
-// — the same order diffOracle produces, so the two paths are byte-comparable.
-// The enumeration costs O(|result diff| × tree).
-func (b *BoundQuery) diffIncremental(ctx context.Context, pes, bes *enumState, diffs []nodeDiff, mc *maintCtx) (added, removed *Relation, err error) {
+// diffIncremental computes the result diff from the node changes recorded
+// on the maintained state bes (non-empty) against its predecessor pes, also
+// maintained, per the characterisation at the top of the file. Both
+// returned relations are sorted — the same order diffOracle produces, so the
+// two paths are byte-comparable. The enumeration costs O(|result diff| ×
+// tree).
+func (b *BoundQuery) diffIncremental(ctx context.Context, pes, bes *enumState, diffs []nodeDiff) (added, removed *Relation, err error) {
 	p := b.prep.plan
 	added, removed = NewRelation(p.qvars...), NewRelation(p.qvars...)
 	toSet := func(rel *Relation) *storage.TupleMap {
@@ -313,7 +261,7 @@ func (b *BoundQuery) diffIncremental(ctx context.Context, pes, bes *enumState, d
 		if nd.plus.Len() == 0 {
 			continue
 		}
-		err := bes.enumerateVia(ctx, nd.u, walkStep{rows: nd.plus}, mc, func(asg []Value) bool {
+		err := bes.enumerateVia(ctx, nd.u, walkStep{rows: nd.plus}, func(asg []Value) bool {
 			for j := 0; j < i; j++ {
 				if s := diffs[j].plusSet; s != nil && s.Find(proj(asg, diffs[j].u)) >= 0 {
 					return true
@@ -326,12 +274,12 @@ func (b *BoundQuery) diffIncremental(ctx context.Context, pes, bes *enumState, d
 			return nil, nil, err
 		}
 	}
-	// Removed side: the mirror image over the old state's leaving rows.
+	// Removed side: the mirror image over the old nodes' leaving rows.
 	for i, nd := range diffs {
 		if nd.minus.Len() == 0 {
 			continue
 		}
-		err := pes.enumerateVia(ctx, nd.u, walkStep{rows: nd.minus}, mc, func(asg []Value) bool {
+		err := pes.enumerateVia(ctx, nd.u, walkStep{rows: nd.minus}, func(asg []Value) bool {
 			for j := 0; j < i; j++ {
 				if s := diffs[j].minusSet; s != nil && s.Find(proj(asg, diffs[j].u)) >= 0 {
 					return true
@@ -344,7 +292,7 @@ func (b *BoundQuery) diffIncremental(ctx context.Context, pes, bes *enumState, d
 			return nil, nil, err
 		}
 	}
-	mc.rows += uint64(added.Len() + removed.Len())
+	b.prep.eng.maintRows.Add(uint64(added.Len() + removed.Len()))
 	added.SortForDisplay()
 	removed.SortForDisplay()
 	return added, removed, nil

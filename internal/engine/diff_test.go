@@ -12,12 +12,13 @@ import (
 )
 
 // The DiffFrom differential harness: across the shared query shapes and a
-// random insert/delete stream, the incremental diff (enumerated from the
-// per-node changes of the cached enumeration states) must be byte-identical
-// — columns, rows and order — to the materialise-both oracle, both against
-// the immediately preceding snapshot and against a snapshot several Updates
-// back; and so must the diff of a fresh Bind of each new snapshot, from the
-// preceding snapshot and from a fresh Bind of it.
+// random insert/delete stream, DiffFrom must be byte-identical — columns,
+// rows and order — to the materialise-both oracle against the immediately
+// preceding snapshot, where it is enumerated from the node deltas Rebind
+// recorded. It is held to the oracle in three more pairings, which it
+// answers with the oracle: against a snapshot several Updates back, and a
+// fresh Bind of each new snapshot against the preceding snapshot and
+// against a fresh Bind of it.
 
 func requireSameRelation(t *testing.T, what string, got, want *Relation) {
 	t.Helper()
@@ -62,8 +63,7 @@ func runDiffScript(t *testing.T, sh diffShape, seed int64, nSteps int) {
 		t.Fatal(err)
 	}
 	window := []*BoundQuery{cur} // recent snapshots, oldest first
-	// A fresh Bind of the current snapshot, never enumerated: the added side
-	// of a diff from it walks Bind's layout.
+	// A fresh Bind of the current snapshot, never enumerated.
 	fresh, err := prep.Bind(ctx, cdb)
 	if err != nil {
 		t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -158,7 +159,7 @@ func TestFirstDiffFromIncremental(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := nb.ensureReduced().parent, b.ensureReduced().id; got != want {
+		if got, want := nb.enumSt.parent, b.enumSt.id; got != want {
 			t.Fatalf("primed %v: the first Rebind names state %d as its parent, Bind's is %d", primed, got, want)
 		}
 		added, removed, err := nb.DiffFrom(ctx, b)
@@ -189,10 +190,10 @@ func TestRebindKeepsNoFlatRelations(t *testing.T) {
 		bind := map[unsafe.Pointer]bool{
 			unsafe.Pointer(bound.inst): true, unsafe.Pointer(bound.enumSt): true, unsafe.Pointer(bound.countSt): true,
 		}
-		for _, rel := range append(append([]*Relation(nil), bound.inst.AtomRels...), bound.nodeRels...) {
+		for _, rel := range append(append([]*Relation(nil), bound.inst.AtomRels...), bound.enumSt.rels...) {
 			bind[unsafe.Pointer(rel)] = true
 		}
-		if nb.inst != nil || nb.nodeRels != nil || nb.maint == nil {
+		if nb.inst != nil || nb.enumSt.rels != nil || nb.maint == nil {
 			t.Fatalf("%s: the Rebind's result keeps flat relations or no maintained state", what)
 		}
 		v := reflect.ValueOf(nb).Elem()
@@ -242,6 +243,64 @@ func TestRebindKeepsNoFlatRelations(t *testing.T) {
 	added, removed, err := nb.DiffFrom(ctx, b)
 	if n, _ := nb.Count(ctx); err != nil || added.Len()+removed.Len() != 0 || n != 1 {
 		t.Fatalf("filtered-out delta: err %v, diff +%d/−%d, count %d; want no change and 1 answer", err, added.Len(), removed.Len(), n)
+	}
+}
+
+// TestSecondRebindDropsConvertedNodes: the first Rebind of a fresh Bind
+// records Bind's nodes as it converted them, the old side of its DiffFrom;
+// the second Rebind's result holds none of them, nor any node of the first
+// result that it replaced, so a chain of Updates keeps only its head's
+// nodes alive. A DiffFrom two Updates back — against Bind, and against the
+// first result from the third — materialises both results and equals the
+// oracle.
+func TestSecondRebindDropsConvertedNodes(t *testing.T) {
+	ctx := context.Background()
+	for _, s := range []maintShape{maintPath3, maintCycle4, maintCycle6, maintJigsaw} {
+		f := newMaintFixture(t, s, 200, 100)
+		chain := []*BoundQuery{f.bound}
+		for step := range 3 { // each deletes a tuple of another planted solution
+			f.maintain(t, f.apply(t, step, step%len(s.atoms), false))
+			chain = append(chain, f.bound)
+		}
+		first, second := chain[1].enumSt.m, chain[2].enumSt.m
+		if first.base == nil {
+			t.Fatalf("%s: the first Rebind records no converted nodes", s.name)
+		}
+		own := map[*nodeState]bool{}
+		for _, ns := range second.nodes {
+			own[ns] = true
+		}
+		gone := map[unsafe.Pointer]bool{}
+		for _, ns := range append(slices.Clone(first.base.m.nodes), first.nodes...) {
+			if !own[ns] {
+				gone[unsafe.Pointer(ns)] = true
+			}
+		}
+		if len(gone) == 0 {
+			t.Fatalf("%s: the second Rebind replaced no node", s.name)
+		}
+		if reaches(reflect.ValueOf(chain[2]), gone, map[reached]bool{}) {
+			t.Fatalf("%s: the second Rebind's result holds a node of the state before it", s.name)
+		}
+		for _, c := range []struct{ cur, prev *BoundQuery }{{chain[2], chain[0]}, {chain[3], chain[1]}} {
+			oracle := f.eng.Stats().DiffsOracle
+			added, removed, err := c.cur.DiffFrom(ctx, c.prev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := f.eng.Stats().DiffsOracle - oracle; n != 1 {
+				t.Fatalf("%s: a DiffFrom two Updates back counts %d oracle diffs, want 1", s.name, n)
+			}
+			wa, wr, err := c.cur.diffOracle(ctx, c.prev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameRelation(t, s.name+": added", added, wa)
+			requireSameRelation(t, s.name+": removed", removed, wr)
+			if added.Len()+removed.Len() == 0 {
+				t.Fatalf("%s: two Updates back diff to nothing", s.name)
+			}
+		}
 	}
 }
 

@@ -31,8 +31,8 @@ import (
 //     (keyDelta), and the keys whose sum changed are what the parent
 //     re-evaluates;
 //  3. enumeration and counting: the enumeration state holds the maintained
-//     nodes and records their deltas, so DiffFrom against the predecessor
-//     reads them instead of recomputing them; the count is the root's sum.
+//     nodes and records their deltas, which DiffFrom against the predecessor
+//     walks from; the count is the root's sum.
 //
 // An empty delta at any layer stops the propagation there. Every piece of
 // state lives in persistent maps, so the successor shares everything the
@@ -72,10 +72,11 @@ func (b *BoundQuery) share(cdb *CompiledDB) *BoundQuery {
 // freshly bound query additionally converts its state to maintained form,
 // once: one bulk build per map, O(database) time in a few allocations per
 // map, and the result holds the maintained form only, none of Bind's flat
-// relations. The snapshot must share the receiver's dictionary (i.e.
-// descend from the same CompileDB via Apply); otherwise Rebind falls back to
-// a full Bind, as it does whenever a delta reaches a relation of a plan that
-// is not maintained (see Plan.planMaintenance).
+// relations. Every plan with a decomposition is maintained; a naive plan or
+// a ground query, which keep no decomposition state, is bound afresh when a
+// delta reaches a relation it reads. So is the query when the snapshot does
+// not share the receiver's dictionary (i.e. does not descend from the same
+// CompileDB via Apply).
 func (b *BoundQuery) Rebind(ctx context.Context, cdb *CompiledDB) (*BoundQuery, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -97,20 +98,19 @@ func (b *BoundQuery) Rebind(ctx context.Context, cdb *CompiledDB) (*BoundQuery, 
 	if len(dirty) == 0 {
 		return b.share(cdb), nil
 	}
-	if !plan.maintainable {
-		// Naive plans, ground queries, and decompositions with a nullary atom
-		// or bag: there is no incremental state worth keeping for them.
-		return b.prep.Bind(ctx, cdb)
+	if plan.Naive() || plan.d.Nodes() == 0 {
+		return b.prep.Bind(ctx, cdb) // no decomposition state to maintain
 	}
 	mc := &maintCtx{}
 	defer func() { eng.maintRows.Add(mc.rows) }()
 
-	ms := b.maint
+	ms, base := b.maint, []*nodeState(nil)
 	if ms == nil {
 		var err error
 		if ms, err = b.buildMaint(ctx); err != nil {
 			return nil, err
 		}
+		base = ms.nodes
 	}
 
 	// 1. Atoms: the exact delta of every dirty atom relation, and its
@@ -177,9 +177,9 @@ func (b *BoundQuery) Rebind(ctx context.Context, cdb *CompiledDB) (*BoundQuery, 
 	}
 
 	// 3. Carry the caches across: the enumeration reads the nodes' own
-	// groupings and records the node deltas against b's enumeration state;
-	// the count is the root's sum.
-	nb.enumSt = b.enumSt.update(nm.nodes, dN, eng.stateSeq.Add(1))
+	// groupings and records the node deltas against b's enumeration state
+	// (and, converted just now, b's nodes); the count is the root's sum.
+	nb.enumSt = b.enumSt.update(nm.nodes, base, dN, eng.stateSeq.Add(1))
 	nb.countSt = &countState{total: nm.nodes[plan.d.Root()].sum}
 	return nb, nil
 }
@@ -206,7 +206,7 @@ func atomDelta(p *Plan, i int, old *rowSet, oldT, newT *storage.Table, dict *Dic
 	d = newRelDelta(vars)
 	if p.directAtom[i] {
 		set = tableRows(newT, len(a.Args))
-		mc.rows += uint64(set.Diff(old, func(row []Value) { d.minus.Add(row...) }, func(row []Value) { d.plus.Add(row...) }))
+		mc.rows += uint64(set.Diff(old, d.minus.addRow, d.plus.addRow))
 		return d, set, nil
 	}
 	// A constant the dictionary has never seen matches nothing — and the
@@ -215,7 +215,7 @@ func atomDelta(p *Plan, i int, old *rowSet, oldT, newT *storage.Table, dict *Dic
 		side := func(rel *Relation) func(row []Value) {
 			return func(row []Value) {
 				if key, ok := m.match(row); ok {
-					rel.Add(key...)
+					rel.addRow(key)
 				}
 			}
 		}

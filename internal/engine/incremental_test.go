@@ -13,7 +13,9 @@ import (
 	"testing"
 	"time"
 
+	"d2cq/internal/bitset"
 	"d2cq/internal/cq"
+	"d2cq/internal/decomp"
 	"d2cq/internal/storage"
 )
 
@@ -225,7 +227,7 @@ func decodeNode(b *BoundQuery, u int) (rows map[string]bool, sums map[string]int
 	}
 	rows, sums = map[string]bool{}, map[string]int64{}
 	if b.maint == nil {
-		rel := b.nodeRels[u]
+		rel := b.enumSt.rels[u]
 		for i := 0; i < rel.Len(); i++ {
 			rows[enc(rel.Row(i))] = true
 		}
@@ -322,16 +324,24 @@ func runScript(t *testing.T, sh diffShape, q cq.Query, initial cq.Database, step
 }
 
 // runScriptOn is runScript on a caller-supplied engine (whose Stats the
-// caller wants to read afterwards). Besides the three evaluation modes,
-// every step's DiffFrom against the previous snapshot — the recorded-delta
-// path — is held to the materialise-both oracle.
+// caller wants to read afterwards).
 func runScriptOn(t *testing.T, eng *Engine, sh diffShape, q cq.Query, initial cq.Database, steps []diffStep) (int, string) {
 	t.Helper()
-	ctx := context.Background()
-	prep, err := eng.Prepare(ctx, q)
+	prep, err := eng.Prepare(context.Background(), q)
 	if err != nil {
 		t.Fatalf("%s: Prepare: %v", sh.name, err)
 	}
+	return runPrepared(t, prep, sh, initial, steps)
+}
+
+// runPrepared is runScript on a caller-supplied prepared query. Besides the
+// three evaluation modes, every step's DiffFrom against the previous
+// snapshot — the recorded-delta path — is held to the materialise-both
+// oracle.
+func runPrepared(t *testing.T, prep *PreparedQuery, sh diffShape, initial cq.Database, steps []diffStep) (int, string) {
+	t.Helper()
+	ctx := context.Background()
+	eng, q := prep.eng, prep.Query()
 	mirror := initial.Clone()
 	cdb, err := eng.CompileDB(ctx, mirror)
 	if err != nil {
@@ -982,11 +992,11 @@ func scripted(steps ...string) []diffStep {
 		var step diffStep
 		for _, op := range strings.Fields(batch) {
 			open := strings.IndexByte(op, '(')
-			step = append(step, diffOp{
-				insert: op[0] == '+',
-				rel:    op[1:open],
-				tuple:  strings.Split(op[open+1:len(op)-1], ","),
-			})
+			var tuple []string
+			if args := op[open+1 : len(op)-1]; args != "" {
+				tuple = strings.Split(args, ",")
+			}
+			step = append(step, diffOp{insert: op[0] == '+', rel: op[1:open], tuple: tuple})
 		}
 		out = append(out, step)
 	}
@@ -1080,8 +1090,9 @@ func TestIncrementalScriptedCases(t *testing.T) {
 				"+T(6,k,6,m) -T(6,j,6,n)", "-T(2,k,3,m) +T(2,k,2,m) +S(9,y9)"),
 		},
 		{
-			// A variable-free atom makes a nullary relation, which the plan
-			// does not maintain: Rebind binds afresh.
+			// A variable-free atom is a nullary filter: its relation holds the
+			// empty tuple while G(k,k) is in G, and G(k,j) matches nothing.
+			// Flipping it empties or fills every node it filters at once.
 			name: "ground-atom", shape: diffShape{name: "ground-atom", query: "R(x,y), S(y,z), G('k','k')"},
 			db: func() cq.Database {
 				db := cq.Database{}
@@ -1090,6 +1101,18 @@ func TestIncrementalScriptedCases(t *testing.T) {
 				return db
 			}(),
 			steps: scripted("+G(k,k)", "+R(4,2)", "+G(k,j)", "-G(k,k)", "+G(k,k) -S(2,3)", "+S(2,3) +S(2,7)", "-G(k,j)"),
+		},
+		{
+			// A nullary atom's relation is its table's, the empty tuple while
+			// the fact G() holds.
+			name: "nullary-atom", shape: diffShape{name: "nullary-atom", query: "R(x,y), S(y,z), G()"},
+			db: func() cq.Database {
+				db := cq.Database{}
+				db.Add("R", "1", "2")
+				db.Add("S", "2", "3")
+				return db
+			}(),
+			steps: scripted("+G()", "+R(4,2)", "-G()", "+S(2,7)", "+G() -S(2,3)", "-R(1,2) -R(4,2)", "+R(1,2)", "-G()"),
 		},
 		{
 			// The plan roots the path at T, with R's node a leaf two levels
@@ -1211,6 +1234,116 @@ func TestIncrementalScriptedCases(t *testing.T) {
 				}
 			})
 		})
+	}
+}
+
+// TestGroundAtomIsMaintained: a query with a variable-free atom, which the
+// plan filters its root by, keeps its maintained state across Updates like
+// any other: every visible delta — a new R row, G's fact leaving and coming
+// back — is delta-joined into the nodes, and DiffFrom against the
+// predecessor reads what Rebind recorded, equal to the oracle, never binding
+// afresh. A G row the atom's constants do not match is invisible.
+func TestGroundAtomIsMaintained(t *testing.T) {
+	ctx := context.Background()
+	eng := NewEngine()
+	q, err := cq.ParseQuery("R(x,y), G('a','b')")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prep, err := eng.Prepare(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Contains(prep.plan.filters[prep.plan.d.Root()], 1) {
+		t.Fatalf("G is no filter at the root:\n%s", prep.plan.Explain())
+	}
+	cdb, err := eng.CompileDB(ctx, cq.Database{"R": {{"1", "2"}}, "G": {{"a", "b"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur, err := prep.Bind(ctx, cdb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range []struct {
+		delta   *storage.Delta
+		visible bool
+		count   int64
+	}{
+		{storage.NewDelta().Add("R", "3", "4"), true, 2},
+		{storage.NewDelta().Remove("G", "a", "b"), true, 0},
+		{storage.NewDelta().Add("R", "5", "6"), true, 0},
+		{storage.NewDelta().Add("G", "a", "b"), true, 3},
+		{storage.NewDelta().Add("G", "a", "c"), false, 3},
+		{storage.NewDelta().Remove("R", "1", "2"), true, 2},
+	} {
+		joins := eng.Stats().NodeDeltaJoins
+		next, err := cur.Update(ctx, c.delta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if next.maint == nil {
+			t.Fatalf("step %d: the Update's result holds no maintained state", i)
+		}
+		if grew := eng.Stats().NodeDeltaJoins > joins; grew != c.visible {
+			t.Fatalf("step %d: NodeDeltaJoins grew = %v, want %v", i, grew, c.visible)
+		}
+		if n, err := next.Count(ctx); err != nil || n != c.count {
+			t.Fatalf("step %d: Count = %d, %v; want %d", i, n, err, c.count)
+		}
+		added, removed, err := next.DiffFrom(ctx, cur)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wa, wr, err := next.diffOracle(ctx, cur)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameRelation(t, fmt.Sprintf("step %d: added", i), added, wa)
+		requireSameRelation(t, fmt.Sprintf("step %d: removed", i), removed, wr)
+		cur = next
+	}
+	if s := eng.Stats(); s.DiffsOracle != 0 || s.Binds != 1 {
+		t.Fatalf("%d DiffFroms fell back to the oracle and %d Binds ran, want 0 and 1", s.DiffsOracle, s.Binds)
+	}
+}
+
+// TestEmptyBagIsMaintained: a decomposition whose nodes have empty bags —
+// one whose λ edge's columns are all private, so its relation holds the
+// empty tuple while S has a row, and one with no λ edge, which always holds
+// it — is maintained like any other. Their key sets, nullary, are inputs of
+// the root; the root filters by the ground atom G('k','k').
+func TestEmptyBagIsMaintained(t *testing.T) {
+	query, err := cq.ParseQuery("R(x,y), S(y,z), G('k','k')")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := query.Hypergraph()
+	all := bitset.FromSlice(h.NV(), []int{h.VertexID("x"), h.VertexID("y"), h.VertexID("z")})
+	d := &decomp.GHD{
+		Bags:    []bitset.Set{all, bitset.New(h.NV()), bitset.New(h.NV())},
+		Lambdas: [][]int{{0, 1}, {1}, nil},
+		Parent:  []int{-1, 0, 0},
+	}
+	plan, err := NewPlan(query, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := NewEngine()
+	prep := &PreparedQuery{eng: eng, plan: plan}
+	db := cq.Database{}
+	db.Add("R", "1", "2")
+	db.Add("S", "2", "3")
+	db.Add("G", "k", "k")
+	sh := diffShape{name: "empty-bags", query: query.String(), naive: true}
+	steps := scripted("-S(2,3)", "+S(2,3) +R(4,2)", "-G(k,k)", "+S(5,6)", "+G(k,k)", "-S(2,3) -S(5,6)", "+S(2,7)")
+	bindForms(t, sh, func(t *testing.T, sh diffShape) {
+		if at, desc := runPrepared(t, prep, sh, db, steps); at >= 0 {
+			t.Fatalf("divergence at step %d (%v): %s", at, steps[at], desc)
+		}
+	})
+	if s := eng.Stats(); s.DiffsOracle != 0 || s.NodeDeltaJoins == 0 {
+		t.Fatalf("DiffsOracle %d, NodeDeltaJoins %d: want no oracle diff and delta-joined nodes", s.DiffsOracle, s.NodeDeltaJoins)
 	}
 }
 

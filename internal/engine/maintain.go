@@ -327,17 +327,6 @@ func setOfRows(rel *Relation) *rowSet {
 	return storage.BuildPMap(len(rel.Cols), rel.Data, rel.Len(), func([]int32) struct{} { return struct{}{} })
 }
 
-// flatten lists a persistent map's keys as a flat relation over cols.
-func flatten[V any](m *storage.PMap[V], cols []string) *Relation {
-	out := NewRelation(cols...)
-	out.Data = make([]Value, 0, m.Len()*len(cols))
-	m.Range(func(key []Value, _ V) bool {
-		out.Data = append(out.Data, key...)
-		return true
-	})
-	return out
-}
-
 // newAtomState builds the maintained form of atom i's flat relation rel over
 // the table t. An atom whose relation is the table itself
 // (Plan.directAtom) shares the table's row map instead of building a set of
@@ -387,7 +376,7 @@ func newSup(p *Plan, u int, rel *Relation, counts *storage.TupleMap) *storage.PM
 // read (a node sharing no column has the nullary key set, present while its
 // message is non-empty). This is the one-off O(database) cost of the first
 // maintenance — every map bulk-built, so its allocations do not grow with the
-// rows — after which flat relations are only ever produced on demand.
+// rows — after which the query keeps no flat relation.
 func (b *BoundQuery) buildMaint(ctx context.Context) (*maintState, error) {
 	p := b.prep.plan
 	eng := b.prep.eng
@@ -403,7 +392,7 @@ func (b *BoundQuery) buildMaint(ctx context.Context) (*maintState, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		rel := b.nodeRels[u]
+		rel := b.enumSt.rels[u]
 		ns := &nodeState{sup: newSup(p, u, rel, cs.counts[u]), up: make([]*rowIndex, len(p.childJoins[u]))}
 		for k, cj := range p.childJoins[u] {
 			if len(cj.uPos) > 0 {
@@ -583,9 +572,9 @@ func maintainNode(p *Plan, u int, old *nodeState, nu *nodeUpdate, mc *maintCtx) 
 		row := before.Key(slot)
 		was, is := before.Val(slot) > 0, sup.cur.Has(row)
 		if is && !was {
-			d.plus.Add(row...)
+			d.plus.addRow(row)
 		} else if was && !is {
-			d.minus.Add(row...)
+			d.minus.addRow(row)
 		}
 	}
 	mc.rows += uint64(before.Len())

@@ -23,7 +23,10 @@ import "slices"
 // empty tuple while the child has a row: always fully bound, so every delta
 // plan probes it first and a node it holds empty costs O(delta). Its own
 // delta — the child emptied or filled — binds nothing, so it joins the
-// node's other inputs from a scan: the whole node enters or leaves.
+// node's other inputs from a scan: the whole node enters or leaves. A
+// variable-free atom is a nullary input of the same kind, a filter of the
+// node it is assigned to, and a node with an empty bag holds a nullary
+// relation the same way.
 
 // deltaStep probes one input with the variables bound so far.
 type deltaStep struct {
@@ -49,33 +52,20 @@ type deltaPlan struct {
 }
 
 // planMaintenance derives the maintenance plan from the evaluation plan
-// already in p. Queries with a variable-free atom or an empty bag keep
-// maintainable=false: their relations are nullary (0 or 1 rows), which the
-// tuple-keyed maintenance state does not represent. Rebind binds those — and
-// naive and ground plans, which have no decomposition state at all — afresh.
+// already in p: every plan with a decomposition has one.
 func (p *Plan) planMaintenance() {
 	q, d := p.query, p.d
 	n := len(q.Atoms) + d.Nodes()
 	p.atomVars = make([][]string, n)
 	p.directAtom = make([]bool, len(q.Atoms))
 	atomKey := make([]string, len(q.Atoms))
-	p.maintainable = true
 	for i, a := range q.Atoms {
 		p.atomVars[i] = a.VarSet()
 		p.directAtom[i] = directArgs(a, p.atomVars[i])
 		atomKey[i] = edgeKey(p.atomVars[i])
-		if len(p.atomVars[i]) == 0 {
-			p.maintainable = false
-		}
 	}
 	for u := 0; u < d.Nodes(); u++ {
 		p.atomVars[p.keyInput(u)] = p.shared[u]
-		if len(p.bagVars[u]) == 0 {
-			p.maintainable = false
-		}
-	}
-	if !p.maintainable {
-		return
 	}
 	p.inputs = make([][]int, d.Nodes())
 	p.deltaPlans = make([][]deltaPlan, d.Nodes())

@@ -1,10 +1,6 @@
 package engine
 
-import (
-	"sync/atomic"
-
-	"d2cq/internal/storage"
-)
+import "d2cq/internal/storage"
 
 // This file maintains the groupings of each node's B(u) and the counting DP
 // under node deltas, in the manner of counting-based dynamic Yannakakis:
@@ -37,44 +33,33 @@ type enumMaint struct {
 	nodes []*nodeState // B(u) and its groupings, as Rebind maintains them
 
 	// delta[u] is the change of B(u) against the state this one was derived
-	// from (nil: unchanged) — what DiffFrom against that state reads instead
-	// of diffing relations.
+	// from (nil: unchanged) — what DiffFrom against that state reads.
 	delta []*relDelta
 
-	flatB []atomic.Pointer[Relation] // B(u) as a relation, listed on demand
+	// base is, on the first Rebind of a fresh Bind only, that Bind's state
+	// over its nodes as the Rebind converted them (buildMaint): the old side
+	// DiffFrom walks, as Bind's flat form is walked down only. No later
+	// state keeps it, so a chain of snapshots holds no nodes but its own.
+	base *enumState
 }
 
 // update derives the successor of a cached enumeration state from the node
 // states after a Rebind and the node deltas dN (nil or empty entries: node
 // unchanged), recorded on the successor under id, with es named as the
-// parent. The groupings it probes are the nodes' own, which Rebind carried
-// across the deltas already.
-func (es *enumState) update(newNodes []*nodeState, dN []*relDelta, id uint64) *enumState {
-	n := len(newNodes)
-	m := &enumMaint{nodes: newNodes, delta: make([]*relDelta, n), flatB: make([]atomic.Pointer[Relation], n)}
+// parent. base is es's nodes in maintained form when es is flat (nil
+// otherwise). The groupings it probes are the nodes' own, which Rebind
+// carried across the deltas already.
+func (es *enumState) update(newNodes, base []*nodeState, dN []*relDelta, id uint64) *enumState {
+	m := &enumMaint{nodes: newNodes, delta: make([]*relDelta, len(newNodes))}
+	if base != nil {
+		m.base = &enumState{plan: es.plan, m: &enumMaint{nodes: base}}
+	}
 	for u, d := range dN {
 		if !d.empty() {
 			m.delta[u] = d
 		}
 	}
 	return &enumState{plan: es.plan, id: id, parent: es.id, m: m}
-}
-
-// flatB returns B(u) as a relation. The flat form holds it; the maintained
-// form lists it on first request, O(B(u)), and caches it. Only paths that are
-// O(relation) anyway ask: the diff against a snapshot other than the
-// predecessor, and nodes joined to their parent by a cross product.
-func (es *enumState) flatB(u int) *Relation {
-	if es.m == nil {
-		return es.rels[u]
-	}
-	m, p := es.m, es.plan
-	if rel := m.flatB[u].Load(); rel != nil {
-		return rel
-	}
-	rel := flatten(m.nodes[u].sup, p.bagVars[u])
-	m.flatB[u].Store(rel)
-	return rel
 }
 
 // regroup derives node u's successor from its old state, given the new B(u)

@@ -54,13 +54,12 @@ type Plan struct {
 	// node's other inputs into a change of the node's relation. Inputs are
 	// numbered atoms first, then one key set per node (keyInput). Fixed at
 	// plan time like the join positions above.
-	maintainable bool          // false: Rebind rebuilds instead (naive, ground, nullary bag or atom)
-	atomVars     [][]string    // input → its columns: an atom's sorted distinct variables, a key set's shared[u]
-	directAtom   []bool        // atom → its arguments are exactly those, in that order: its relation is the table
-	inputs       [][]int       // node → inputs joined at the node: atoms over its λ edges, its filters, its children's key sets
-	deltaPlans   [][]deltaPlan // node → per input: the probe order when that input is the delta
-	atomIdxCols  [][][]int     // input → column subsets of its relation the delta plans probe
-	projects     []bool        // node → the bag drops variables of the input join (derivation counts can exceed 1)
+	atomVars    [][]string    // input → its columns: an atom's sorted distinct variables, a key set's shared[u]
+	directAtom  []bool        // atom → its arguments are exactly those, in that order: its relation is the table
+	inputs      [][]int       // node → inputs joined at the node: atoms over its λ edges, its filters, its children's key sets
+	deltaPlans  [][]deltaPlan // node → per input: the probe order when that input is the delta
+	atomIdxCols [][][]int     // input → column subsets of its relation the delta plans probe
+	projects    []bool        // node → the bag drops variables of the input join (derivation counts can exceed 1)
 }
 
 // childJoin is the precomputed key of the join between a node's relation and

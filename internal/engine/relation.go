@@ -46,6 +46,15 @@ func (r *Relation) Add(tuple ...Value) {
 	r.Data = append(r.Data, tuple...)
 }
 
+// addRow appends row, which for the zero-column relation is the empty tuple.
+func (r *Relation) addRow(row []Value) {
+	if len(r.Cols) == 0 {
+		r.AddEmpty()
+		return
+	}
+	r.Data = append(r.Data, row...)
+}
+
 // AddEmpty marks the zero-column relation as containing the empty tuple.
 func (r *Relation) AddEmpty() {
 	if len(r.Cols) != 0 {
@@ -126,13 +135,19 @@ func (r *Relation) Project(cols []string) *Relation {
 // projections, the number of full-join rows it stands for), and for 1 when
 // there are none. The distinct projected tuples are the map's keys, in
 // first-seen order: the relation keeps them in place, unless most of the
-// room reserved for them went unused.
+// room reserved for them went unused. Onto no column, it holds the empty
+// tuple while r has a row.
 func projectCounts(r *Relation, cols []string, weights []int) (*Relation, *storage.TupleMap) {
 	m := countProjection(r, cols, weights)
 	out := NewRelation(cols...)
-	out.Data = m.Keys()
-	if cap(out.Data) > 2*len(out.Data) {
-		out.Data = slices.Clone(out.Data)
+	switch {
+	case len(cols) > 0:
+		out.Data = m.Keys()
+		if cap(out.Data) > 2*len(out.Data) {
+			out.Data = slices.Clone(out.Data)
+		}
+	case m.Len() > 0:
+		out.AddEmpty()
 	}
 	return out, m
 }

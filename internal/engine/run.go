@@ -5,7 +5,6 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"sync"
 
 	"d2cq/internal/storage"
 )
@@ -140,10 +139,10 @@ func coveredBy(cols []string, r *Relation) (bound, shares bool) {
 // left to nodeMessage, so the node is bottom-up reduced once that has run,
 // without ever building the cover join on its own — a message that connects
 // two cover relations sharing no variable is joined before they are, so a
-// forced cross product never is. A projecting node of a maintained plan
-// (Plan.projects) also returns the derivation count of every bag tuple, the
-// product of its joined row's weights summed over the rows, which the first
-// Rebind loads (buildMaint); any other returns nil counts.
+// forced cross product never is. A projecting node (Plan.projects) also
+// returns the derivation count of every bag tuple, the product of its joined
+// row's weights summed over the rows, which the first Rebind loads
+// (buildMaint); any other returns nil counts.
 func materialiseReduced(p *Plan, inst *Instance, u int, cover []*Relation, groups []flatGroups) (rel *Relation, counts *storage.TupleMap) {
 	kids := make([]joinInput, 0, len(p.childJoins[u])+len(p.filters[u]))
 	for _, cj := range p.childJoins[u] {
@@ -154,7 +153,7 @@ func materialiseReduced(p *Plan, inst *Instance, u int, cover []*Relation, group
 		kids = append(kids, joinInput{rel: inst.AtomRels[ai]})
 	}
 	acc := joinConnected(cover, kids)
-	if p.maintainable && p.projects[u] {
+	if p.projects[u] {
 		var weights []int
 		for i, keep := range p.lambdaKeep[u] {
 			if keep != nil {
@@ -344,13 +343,6 @@ type enumState struct {
 	rels   []*Relation
 	groups []flatGroups
 
-	// up caches, per node and child join, a flat form's B(u) grouped on the
-	// columns shared with that child — the walk up of enumerateVia, the
-	// reverse of groups — built on first use under upMu (a maintained node
-	// keeps these groupings up to date as nodeState.up).
-	upMu sync.Mutex
-	up   [][]*flatGroups
-
 	m *enumMaint
 }
 
@@ -361,15 +353,8 @@ type enumState struct {
 // (enumerate then returns nil).
 func (es *enumState) enumerate(ctx context.Context, yield func(row []Value) bool) error {
 	p := es.plan
-	root := p.pre[0]
-	var first walkStep
-	if es.m != nil {
-		first.set = es.m.nodes[root].sup // streamed straight off the persistent set
-	} else {
-		first.rows = es.rels[root]
-	}
 	out := make([]Value, len(p.qvars))
-	return es.enumerateVia(ctx, root, first, nil, func(asg []Value) bool {
+	return es.enumerateVia(ctx, p.pre[0], es.probe(p.pre[0], -1), func(asg []Value) bool {
 		// Vertex ids follow sorted variable order, so the assignment starts
 		// with the output row.
 		copy(out, asg)

@@ -8,7 +8,7 @@
 //
 // The Store is the piece between the paper's count/enumerate primitives and
 // a network-facing service: cmd/d2cqd exposes it over HTTP/JSON with an SSE
-// watch stream.
+// watch stream, and over the binary wire protocol of internal/wire.
 package live
 
 import (

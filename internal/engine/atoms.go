@@ -17,18 +17,6 @@ type Instance struct {
 	// AtomRels[i] is the relation for atom i, with columns = the atom's
 	// distinct variables (sorted).
 	AtomRels []*Relation
-	// atomKeys[i] is edgeKey(atom i's variable set), so that EdgeRelation
-	// compares strings instead of re-deriving variable sets.
-	atomKeys []string
-}
-
-// newInstance returns q's instance over dict, with no atom relation yet.
-func newInstance(q cq.Query, dict *Dict) *Instance {
-	inst := &Instance{Query: q, Dict: dict, atomKeys: make([]string, len(q.Atoms))}
-	for i, a := range q.Atoms {
-		inst.atomKeys[i] = edgeKey(a.VarSet())
-	}
-	return inst
 }
 
 // Compile interns db and builds the per-atom relations for q, straight from
@@ -39,7 +27,7 @@ func Compile(q cq.Query, db cq.Database) (*Instance, error) {
 	if err := db.Validate(q); err != nil {
 		return nil, err
 	}
-	inst := newInstance(q, NewDict())
+	inst := &Instance{Query: q, Dict: NewDict()}
 	for _, a := range q.Atoms {
 		rel, err := atomRelation(a, db, inst.Dict)
 		if err != nil {
@@ -55,7 +43,7 @@ func Compile(q cq.Query, db cq.Database) (*Instance, error) {
 // hashed and no constant re-interned. The compiled database is only read, so
 // concurrent BindCompiles over one storage.DB are safe.
 func BindCompile(q cq.Query, sdb *storage.DB) (*Instance, error) {
-	inst := newInstance(q, sdb.Dict)
+	inst := &Instance{Query: q, Dict: sdb.Dict}
 	for _, a := range q.Atoms {
 		rel, err := bindAtomRelation(a, sdb.Table(a.Rel), sdb.Dict)
 		if err != nil {
@@ -245,28 +233,4 @@ func atomRelation(a cq.Atom, db cq.Database, dict *Dict) (*Relation, error) {
 	}
 	out.Dedup()
 	return out, nil
-}
-
-// EdgeRelation joins the atom relations of every atom whose variable set
-// equals the given variable set (several atoms can share one hypergraph
-// edge). vars must be sorted. When a single atom carries the edge, its
-// relation is returned directly — the result is read-only, like the atom
-// relations it may alias.
-func (inst *Instance) EdgeRelation(vars []string) *Relation {
-	key := edgeKey(vars)
-	var acc *Relation
-	for i := range inst.Query.Atoms {
-		if inst.atomKeys[i] != key {
-			continue
-		}
-		if acc == nil {
-			acc = inst.AtomRels[i]
-		} else {
-			acc = Join(acc, inst.AtomRels[i])
-		}
-	}
-	if acc == nil {
-		acc = NewRelation(vars...)
-	}
-	return acc
 }

@@ -20,9 +20,12 @@ import (
 //     (atomDelta);
 //  2. nodes, children first, in one walk: a node's relation is its
 //     bottom-up reduced bag B(u), the join of its atoms and its children's
-//     key sets projected to the bag. A node with a dirty input delta-joins
-//     that delta through its other inputs into ±1 derivation counts; the
-//     tuples whose count crosses zero are the node's delta (maintainNode).
+//     key sets projected to the bag, an edge with private columns joined
+//     through its weighted projection, whose rows change when a key's
+//     multiplicity does (weightDelta). A node with a dirty input delta-joins
+//     that delta through its other inputs into derivation counts, each
+//     derivation weighing the product of its weights; the tuples whose count
+//     crosses zero are the node's delta (maintainNode).
 //     The delta patches the node's groupings of B(u), and the counting DP is
 //     re-evaluated at the node's changed rows and at the rows carrying a key
 //     whose sum changed in a child — read off that child's grouping, with no
@@ -114,8 +117,8 @@ func (b *BoundQuery) Rebind(ctx context.Context, cdb *CompiledDB) (*BoundQuery, 
 	}
 
 	// 1. Atoms: the exact delta of every dirty atom relation, and its
-	// successor state.
-	nu := &nodeUpdate{oldAtoms: ms.atoms, newAtoms: append([]*atomState(nil), ms.atoms...), deltas: make([]*relDelta, len(ms.atoms))}
+	// successor state; then the same for every weighted projection of one.
+	nu := &nodeUpdate{plan: ms.plan, oldAtoms: ms.atoms, newAtoms: append([]*atomState(nil), ms.atoms...), deltas: make([]*relDelta, len(ms.atoms))}
 	visible := false
 	for _, i := range dirty {
 		rel := q.Atoms[i].Rel
@@ -127,8 +130,17 @@ func (b *BoundQuery) Rebind(ctx context.Context, cdb *CompiledDB) (*BoundQuery, 
 			continue // invisible to this atom (e.g. filtered out by its constants)
 		}
 		nu.deltas[i] = d
-		nu.newAtoms[i] = patchAtom(plan, i, ms.atoms[i], set, d, mc)
+		nu.newAtoms[i] = patchAtom(ms.plan, i, ms.atoms[i], set, d, mc)
 		visible = true
+	}
+	for j, w := range plan.weighted {
+		if d := nu.deltas[w.atom]; d != nil {
+			in := plan.weightedInput(j)
+			if wd := weightDelta(plan, j, ms.atoms[in], d, mc); !wd.empty() {
+				nu.deltas[in] = wd
+				nu.newAtoms[in] = patchAtom(ms.plan, in, ms.atoms[in], nil, wd, mc)
+			}
+		}
 	}
 	if !visible && b.maint != nil {
 		// Every dirty atom absorbed: the delta is invisible to the query
@@ -144,7 +156,7 @@ func (b *BoundQuery) Rebind(ctx context.Context, cdb *CompiledDB) (*BoundQuery, 
 	// key set, with its delta, to its parent — a key set sharing no column
 	// with the parent changes when the node empties or fills.
 	n := plan.d.Nodes()
-	nm := &maintState{atoms: nu.newAtoms, nodes: append([]*nodeState(nil), ms.nodes...)}
+	nm := &maintState{plan: ms.plan, atoms: nu.newAtoms, nodes: append([]*nodeState(nil), ms.nodes...)}
 	nb := &BoundQuery{prep: b.prep, cdb: cdb, maint: nm}
 	dN := make([]*relDelta, n)
 	touched := make([]workSet, n)
@@ -163,8 +175,8 @@ func (b *BoundQuery) Rebind(ctx context.Context, cdb *CompiledDB) (*BoundQuery, 
 		if ns.byParent != old.byParent {
 			kd := keyDelta(plan, u, old.byParent, ns.byParent, &touched[u], mc)
 			nu.deltas[k] = kd
-			nu.newAtoms[k] = &atomState{keys: ns.byParent, idx: patchIndexes(plan, k, ms.atoms[k].idx, kd, mc)}
-		} else if ka := ms.atoms[k]; ka != nil && ka.keys == nil && ka.len() != min(ns.sup.Len(), 1) {
+			nu.newAtoms[k] = &atomState{keys: ns.byParent, idx: patchIndexes(ms.plan.idxCols[k], ms.atoms[k].idx, kd, mc)}
+		} else if ka := ms.atoms[k]; ka != nil && ka.keys == nil && ka.set.Len() != min(ns.sup.Len(), 1) {
 			kd := newRelDelta(nil)
 			if ns.sup.Len() > 0 {
 				kd.plus.AddEmpty()
@@ -172,7 +184,7 @@ func (b *BoundQuery) Rebind(ctx context.Context, cdb *CompiledDB) (*BoundQuery, 
 				kd.minus.AddEmpty()
 			}
 			nu.deltas[k] = kd
-			nu.newAtoms[k] = patchAtom(plan, k, ka, nil, kd, mc)
+			nu.newAtoms[k] = patchAtom(ms.plan, k, ka, nil, kd, mc)
 		}
 	}
 

@@ -1204,6 +1204,28 @@ func TestIncrementalScriptedCases(t *testing.T) {
 			steps: scripted("+a(1,4)", "-a(1,2)", "+b(4,5)", "+a(1,2) -a(1,3)", "-a(1,4)", "-b(4,5) -a(9,3)", "-a(1,2)", "+a(1,3)"),
 		},
 		{
+			// cycle10's × nodes join a(x0,x1) through its weighted
+			// projection onto x1, x0 private to it there. x1=1 weighs 2
+			// (x0 = 0 and 3) and x1=6 weighs 1. The first steps move x1=1's
+			// weight without crossing 0, up, down, and by a batch that adds
+			// and removes at once, leaving it as it was; then a batch takes
+			// it to 0, out of the projection, and the next brings it back
+			// with a new x0; the last ones take x1=6 across 0 and back
+			// beside a move of x1=1.
+			name: "projected-edge-weight", shape: diffShape{name: "cycle10", query: maintCycle10.query()},
+			db: func() cq.Database {
+				db := cq.Database{}
+				for _, row := range [][]string{{"a", "0", "1"}, {"a", "3", "1"}, {"a", "5", "6"},
+					{"b", "0", "2"}, {"b", "3", "2"}, {"b", "5", "2"}, {"b", "7", "2"}, {"b", "8", "2"}, {"b", "9", "2"},
+					{"c", "2", "30"}, {"d", "30", "40"}, {"e", "40", "50"}, {"f", "50", "60"}, {"g", "60", "70"},
+					{"h", "70", "80"}, {"i", "80", "90"}, {"j", "1", "90"}, {"j", "6", "90"}} {
+					db.Add(row[0], row[1:]...)
+				}
+				return db
+			}(),
+			steps: scripted("+a(7,1)", "-a(0,1)", "+a(8,1) -a(3,1)", "-a(7,1) -a(8,1)", "+a(9,1)", "+a(0,1) -a(5,6)", "-a(9,1) -a(0,1) +a(5,6)", "+a(3,1)"),
+		},
+		{
 			// The child shares no column with its parent, the root, which is
 			// empty: the child's rows are in its B, but no solution reaches
 			// them until the root gets a row, and they leave every solution
@@ -1312,7 +1334,9 @@ func TestGroundAtomIsMaintained(t *testing.T) {
 // one whose λ edge's columns are all private, so its relation holds the
 // empty tuple while S has a row, and one with no λ edge, which always holds
 // it — is maintained like any other. Their key sets, nullary, are inputs of
-// the root; the root filters by the ground atom G('k','k').
+// the root; the root filters by the ground atom G('k','k'). The first joins
+// S through its projection onto no column, one row weighing |S|, in Bind
+// and in Rebind alike.
 func TestEmptyBagIsMaintained(t *testing.T) {
 	query, err := cq.ParseQuery("R(x,y), S(y,z), G('k','k')")
 	if err != nil {
@@ -1329,6 +1353,9 @@ func TestEmptyBagIsMaintained(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if out := plan.Explain(); !strings.Contains(out, "node 1: bag={} λ={a1[]}\n") {
+		t.Fatalf("S is not joined through its projection onto no column at node 1:\n%s", out)
+	}
 	eng := NewEngine()
 	prep := &PreparedQuery{eng: eng, plan: plan}
 	db := cq.Database{}
@@ -1337,6 +1364,54 @@ func TestEmptyBagIsMaintained(t *testing.T) {
 	db.Add("G", "k", "k")
 	sh := diffShape{name: "empty-bags", query: query.String(), naive: true}
 	steps := scripted("-S(2,3)", "+S(2,3) +R(4,2)", "-G(k,k)", "+S(5,6)", "+G(k,k)", "-S(2,3) -S(5,6)", "+S(2,7)")
+	bindForms(t, sh, func(t *testing.T, sh diffShape) {
+		if at, desc := runPrepared(t, prep, sh, db, steps); at >= 0 {
+			t.Fatalf("divergence at step %d (%v): %s", at, steps[at], desc)
+		}
+	})
+	if s := eng.Stats(); s.DiffsOracle != 0 || s.NodeDeltaJoins == 0 {
+		t.Fatalf("DiffsOracle %d, NodeDeltaJoins %d: want no oracle diff and delta-joined nodes", s.DiffsOracle, s.NodeDeltaJoins)
+	}
+}
+
+// TestWeightedProjectionCrossProduct: a node whose two λ edges share no
+// variable and each keep one column — R(x,y) onto x, S(z,w) onto z, with y
+// and w private — joins the two weighted projections as a cross product, so
+// a delta of one scans the other's rows, each with its weight. The children
+// below hold R and S whole. Hand-built, under the scripted harness.
+func TestWeightedProjectionCrossProduct(t *testing.T) {
+	query, err := cq.ParseQuery("R(x,y), S(z,w)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := query.Hypergraph()
+	bag := func(vs ...string) bitset.Set {
+		ids := make([]int, len(vs))
+		for i, v := range vs {
+			ids[i] = h.VertexID(v)
+		}
+		return bitset.FromSlice(h.NV(), ids)
+	}
+	d := &decomp.GHD{
+		Bags:    []bitset.Set{bag("x", "z"), bag("x", "y"), bag("z", "w")},
+		Lambdas: [][]int{{0, 1}, {0}, {1}},
+		Parent:  []int{-1, 0, 0},
+	}
+	plan, err := NewPlan(query, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out := plan.Explain(); !strings.Contains(out, "node 0: bag={x,z} λ={a0[x],a1[z]}") {
+		t.Fatalf("the root does not join both edges through their projections:\n%s", out)
+	}
+	eng := NewEngine()
+	prep := &PreparedQuery{eng: eng, plan: plan}
+	db := cq.Database{}
+	db.Add("R", "1", "2")
+	db.Add("R", "1", "3")
+	db.Add("S", "5", "6")
+	sh := diffShape{name: "weighted-cross", query: query.String(), naive: true}
+	steps := scripted("+S(5,7)", "+R(4,2)", "-R(1,2)", "-S(5,6) -S(5,7)", "+S(8,8) +R(1,2)", "-R(1,3) -R(4,2)", "-R(1,2)", "+R(1,9)")
 	bindForms(t, sh, func(t *testing.T, sh diffShape) {
 		if at, desc := runPrepared(t, prep, sh, db, steps); at >= 0 {
 			t.Fatalf("divergence at step %d (%v): %s", at, steps[at], desc)
@@ -1637,6 +1712,68 @@ func TestMaintRowsTouchedHotKey(t *testing.T) {
 		t.Logf("hot key of degree %d: %d rows touched per result-neutral toggle", d, per)
 		if per > ceiling[d] {
 			t.Errorf("hot key of degree %d: %d rows touched per toggle, ceiling %d", d, per, ceiling[d])
+		}
+	}
+}
+
+// TestMaintRowsTouchedProjectedEdge holds maintenance through a weighted
+// projection to the change, not to the multiplicity behind a key: on
+// cycle10-200 (maintCycle10), whose × nodes join a(x0,x1) through its
+// projection onto x1, d extra rows a(h_k, p1_x1) put d more x0 values under
+// planted solution 1's x1 — one row of weight d+1 in the projection — and
+// toggling that solution's c, f and i tuples, each of which changes one
+// answer, must touch as many rows at d = 10 000 as at d = 10 (at most 1.1×).
+// Joined whole, a(x0,x1) made each × node extend the delta over every x0 of
+// the key: 834 rows per toggle of i at d = 10, 350 516 at d = 10 000. Each
+// atom's count is held to its measurement + 10 %.
+func TestMaintRowsTouchedProjectedEdge(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a key of multiplicity 10 000")
+	}
+	toggled := []struct {
+		rel     string
+		atom    int
+		ceiling map[int]uint64 // d → rows per toggle
+	}{
+		{"c", 2, map[int]uint64{10: 155, 10_000: 156}},
+		{"f", 5, map[int]uint64{10: 374, 10_000: 389}},
+		{"i", 8, map[int]uint64{10: 532, 10_000: 572}},
+	}
+	per := map[string]map[int]uint64{}
+	for _, d := range []int{10, 10_000} {
+		db, planted := maintCycle10.database(200, 100)
+		hot := maintCycle10.plantedTuple(1, 0)[1]
+		for k := 0; k < d; k++ {
+			db.Add(maintCycle10.rel(0), fmt.Sprint("h", k), hot)
+		}
+		eng, prep, cdb := compileShape(t, maintCycle10, db)
+		f := &maintFixture{shape: maintCycle10, eng: eng, bound: bindPrimed(t, prep, cdb), planted: planted}
+		f.warm(t)
+		for _, tg := range toggled {
+			rel := tg.rel
+			before := f.eng.Stats()
+			for _, insert := range []bool{false, true} {
+				if f.maintain(t, f.apply(t, 1, tg.atom, insert)) != 1 {
+					t.Fatalf("toggling %s's tuple of planted solution 1 must change exactly one answer", rel)
+				}
+			}
+			after := f.eng.Stats()
+			if after.NodeRebuilds != before.NodeRebuilds || after.DiffsOracle != before.DiffsOracle {
+				t.Fatalf("d = %d: toggling %s left the delta path", d, rel)
+			}
+			if per[rel] == nil {
+				per[rel] = map[int]uint64{}
+			}
+			per[rel][d] = (after.MaintRowsTouched - before.MaintRowsTouched) / 2
+			t.Logf("%s toggled under a key of multiplicity %d: %d rows touched per toggle", rel, d+1, per[rel][d])
+			if per[rel][d] > tg.ceiling[d] {
+				t.Errorf("%s, d = %d: %d rows touched per toggle, ceiling %d", rel, d, per[rel][d], tg.ceiling[d])
+			}
+		}
+	}
+	for rel, n := range per {
+		if 10*n[10_000] > 11*n[10] {
+			t.Errorf("%s: rows touched per toggle grew %d → %d from d = 10 to d = 10 000; want ≤ 1.1×", rel, n[10], n[10_000])
 		}
 	}
 }

@@ -20,8 +20,8 @@ import (
 // compact.
 //
 // There is one map per node key. An atom keeps its tuple set and the indexes
-// its delta plans probe. A node keeps B(u) with its derivation counts and its
-// rows grouped by each tree edge's key (nodeState): the grouping by the
+// its delta plans probe, a weighted projection its indexes alone. A node
+// keeps B(u) with its derivation counts and its rows grouped by each tree edge's key (nodeState): the grouping by the
 // parent's columns carries each key's counting sum beside its rows, and its
 // keys are the node's key set — the input of the parent's joins, which keeps
 // no set of its own, only the indexes on partial columns that a plan joining
@@ -35,12 +35,13 @@ type (
 	rowIndex = storage.PMap[[]Value]
 )
 
-// atomState is one input relation of the node joins — an atom, or a child's
-// key set: its tuples over its columns (Plan.atomVars), indexed on every
-// column subset a delta plan probes (Plan.atomIdxCols). An atom's tuples are
-// a set of their own; a key set's are the keys of the child's byParent, so
-// it keeps no set — except the key set of a child sharing no column with its
-// parent, a nullary set holding the empty tuple while the child has a row.
+// atomState is one input relation of the node joins: its tuples over its
+// columns (Plan.atomVars), indexed on every column subset a delta plan probes
+// (maintPlan.idxCols). An atom's tuples are a set of their own; a key set's
+// are the keys of the child's byParent, so it keeps no set — except the key
+// set of a child sharing no column with its parent, a nullary set holding the
+// empty tuple while the child has a row; a weighted projection's are the rows
+// of its first index, on every kept column.
 type atomState struct {
 	set  *rowSet
 	keys *storage.PMap[keyGroup]
@@ -55,19 +56,18 @@ func (as *atomState) has(t []Value) bool {
 	return as.set.Has(t)
 }
 
-// len returns the number of tuples of the input.
-func (as *atomState) len() int {
-	if as.keys != nil {
-		return as.keys.Len()
-	}
-	return as.set.Len()
-}
-
 // scan calls f with every tuple of the input.
 func (as *atomState) scan(f func(t []Value)) {
 	if as.keys != nil {
 		as.keys.Range(func(t []Value, _ keyGroup) bool {
 			f(t)
+			return true
+		})
+		return
+	}
+	if as.set == nil {
+		as.idx[0].Range(func(_, row []Value) bool {
+			f(row)
 			return true
 		})
 		return
@@ -103,10 +103,11 @@ type nodeState struct {
 	sum      int64       // without byParent: the DP's sum over B(u), at the root |q(D)|
 }
 
-// maintState is the maintained form of everything Bind materialises: every
-// join input (atoms, then key sets; nil for the root) and every node.
-// Immutable once published on a BoundQuery.
+// maintState is the maintained form of everything Bind materialises — every
+// join input (nil for the root's key set) and every node — and its delta
+// plans. Immutable once published on a BoundQuery.
 type maintState struct {
+	plan  *maintPlan
 	atoms []*atomState
 	nodes []*nodeState
 }
@@ -286,14 +287,14 @@ func patchIndex(ix *editor[[]Value], cols []int, d *relDelta, mc *maintCtx) {
 	mc.rows += uint64(d.rows())
 }
 
-// patchIndexes carries input i's indexes (Plan.atomIdxCols) across d,
-// returning idx itself when there is nothing to patch.
-func patchIndexes(p *Plan, i int, idx []*rowIndex, d *relDelta, mc *maintCtx) []*rowIndex {
+// patchIndexes carries an input's indexes on idxCols (maintPlan.idxCols)
+// across d, returning idx itself when there is nothing to patch.
+func patchIndexes(idxCols [][]int, idx []*rowIndex, d *relDelta, mc *maintCtx) []*rowIndex {
 	if d.empty() || len(idx) == 0 {
 		return idx
 	}
 	out := make([]*rowIndex, len(idx))
-	for x, cols := range p.atomIdxCols[i] {
+	for x, cols := range idxCols {
 		ix := edit(idx[x])
 		patchIndex(&ix, cols, d, mc)
 		out[x] = ix.done(mc)
@@ -331,8 +332,8 @@ func setOfRows(rel *Relation) *rowSet {
 // the table t. An atom whose relation is the table itself
 // (Plan.directAtom) shares the table's row map instead of building a set of
 // its own.
-func newAtomState(p *Plan, i int, rel *Relation, t *storage.Table) *atomState {
-	as := &atomState{idx: indexesOf(p, i, rel)}
+func newAtomState(p *Plan, mp *maintPlan, i int, rel *Relation, t *storage.Table) *atomState {
+	as := &atomState{idx: indexesOf(mp.idxCols[i], rel)}
 	if t != nil && p.directAtom[i] {
 		as.set = t.RowMap()
 	} else {
@@ -341,14 +342,13 @@ func newAtomState(p *Plan, i int, rel *Relation, t *storage.Table) *atomState {
 	return as
 }
 
-// indexesOf builds input i's indexes (Plan.atomIdxCols) over its flat
-// relation rel.
-func indexesOf(p *Plan, i int, rel *Relation) []*rowIndex {
-	if len(p.atomIdxCols[i]) == 0 {
+// indexesOf builds an input's indexes on idxCols over its flat relation.
+func indexesOf(idxCols [][]int, rel *Relation) []*rowIndex {
+	if len(idxCols) == 0 {
 		return nil
 	}
-	idx := make([]*rowIndex, len(p.atomIdxCols[i]))
-	for x, cols := range p.atomIdxCols[i] {
+	idx := make([]*rowIndex, len(idxCols))
+	for x, cols := range idxCols {
 		idx[x] = indexRows(rel, cols)
 	}
 	return idx
@@ -368,8 +368,11 @@ func newSup(p *Plan, u int, rel *Relation, counts *storage.TupleMap) *storage.PM
 
 // buildMaint converts a freshly bound query — every atom and node relation
 // present as a Relation, the nodes bottom-up reduced by Bind, the counting DP
-// flat — into maintained form. A node loads its rows as they are, with the
-// derivation counts Bind kept for a projecting node. Its parent grouping is
+// flat — into maintained form. The delta plans are fixed first, over the
+// sizes of Bind's inputs (planMaintenance), and the weighted projections
+// built again from the atom relations, as Bind built them. A node loads its
+// rows as they are, with the derivation counts Bind kept for a projecting
+// node. Its parent grouping is
 // Bind's layout (countState.groups) taken over as it is: one key per key of
 // the node's message, each with the message's sum and its bucket of Bind's
 // rows, so its keys are the node's key set, which the parent's delta plans
@@ -380,14 +383,26 @@ func newSup(p *Plan, u int, rel *Relation, counts *storage.TupleMap) *storage.PM
 func (b *BoundQuery) buildMaint(ctx context.Context) (*maintState, error) {
 	p := b.prep.plan
 	eng := b.prep.eng
-	ms := &maintState{atoms: make([]*atomState, p.keyInput(p.d.Nodes())), nodes: make([]*nodeState, p.d.Nodes())}
-	for i, a := range p.query.Atoms {
+	cs := b.countSt
+	ins := inputRelations(p, b.inst.AtomRels)
+	for u, g := range cs.groups {
+		if g.keys != nil {
+			ins[p.keyInput(u)] = keysOf(g.keys, p.shared[u])
+		}
+	}
+	mp := p.planMaintenance(ins)
+	ms := &maintState{plan: mp, atoms: make([]*atomState, len(ins)), nodes: make([]*nodeState, p.d.Nodes())}
+	for i, rel := range ins {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		ms.atoms[i] = newAtomState(p, i, b.inst.AtomRels[i], b.cdb.sdb.Table(a.Rel))
+		switch {
+		case i < len(p.query.Atoms):
+			ms.atoms[i] = newAtomState(p, mp, i, rel, b.cdb.sdb.Table(p.query.Atoms[i].Rel))
+		case i >= p.weightedInput(0):
+			ms.atoms[i] = &atomState{idx: indexesOf(mp.idxCols[i], rel)}
+		}
 	}
-	cs := b.countSt
 	for u := range ms.nodes {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -406,13 +421,13 @@ func (b *BoundQuery) buildMaint(ctx context.Context) (*maintState, error) {
 			if g.keys.Len() > 0 {
 				ns.sum = g.keys.Val(0)
 			}
-			ms.atoms[p.keyInput(u)] = &atomState{set: setOfRows(keysOf(g.keys, nil))}
+			ms.atoms[p.keyInput(u)] = &atomState{set: setOfRows(ins[p.keyInput(u)])}
 		default:
 			ns.byParent = storage.BuildPMap(len(p.sharedPos[u]), g.keys.Keys(), g.keys.Len(), func(at []int32) keyGroup {
 				return keyGroup{rows: g.bucket(at[0]), sum: g.keys.Val(at[0])}
 			})
 			k := p.keyInput(u)
-			ms.atoms[k] = &atomState{keys: ns.byParent, idx: indexesOf(p, k, keysOf(g.keys, p.shared[u]))}
+			ms.atoms[k] = &atomState{keys: ns.byParent, idx: indexesOf(mp.idxCols[k], ins[k])}
 		}
 		ms.nodes[u] = ns
 		eng.nodeRebuilds.Add(1)
@@ -420,11 +435,11 @@ func (b *BoundQuery) buildMaint(ctx context.Context) (*maintState, error) {
 	return ms, nil
 }
 
-// patchAtom derives atom i's successor state under d. set is the successor
+// patchAtom derives input i's successor state under d. set is the successor
 // tuple set when the caller already has it (a direct atom's new table map);
-// otherwise it is derived by patching the old one.
-func patchAtom(p *Plan, i int, old *atomState, set *rowSet, d *relDelta, mc *maintCtx) *atomState {
-	if set == nil {
+// otherwise it is derived by patching the old one, if any.
+func patchAtom(mp *maintPlan, i int, old *atomState, set *rowSet, d *relDelta, mc *maintCtx) *atomState {
+	if set == nil && old.set != nil {
 		w := old.set.Edit()
 		for r := 0; r < d.minus.Len(); r++ {
 			w.Delete(d.minus.Row(r))
@@ -435,25 +450,62 @@ func patchAtom(p *Plan, i int, old *atomState, set *rowSet, d *relDelta, mc *mai
 		mc.rows += uint64(d.rows() + w.Copied())
 		set = w.Freeze()
 	}
-	return &atomState{set: set, idx: patchIndexes(p, i, old.idx, d, mc)}
+	return &atomState{set: set, idx: patchIndexes(mp.idxCols[i], old.idx, d, mc)}
+}
+
+// weightDelta is the change of weighted projection j, whose state is old,
+// when its atom changes by d: for each key whose multiplicity moved, its old
+// row (key, weight) leaving and its new one entering; a weight of 0 is no
+// row.
+func weightDelta(p *Plan, j int, old *atomState, d *relDelta, mc *maintCtx) *relDelta {
+	w := p.weighted[j]
+	moved := storage.NewTupleMap(len(w.keep), d.rows())
+	key := make([]Value, len(w.keep))
+	for r := 0; r < d.plus.Len(); r++ {
+		moved.Add(project(key, d.plus.Row(r), w.keep), 1)
+	}
+	for r := 0; r < d.minus.Len(); r++ {
+		moved.Add(project(key, d.minus.Row(r), w.keep), -1)
+	}
+	wd := newRelDelta(p.atomVars[p.weightedInput(j)])
+	for s := int32(0); int(s) < moved.Len(); s++ {
+		dw := moved.Val(s)
+		if dw == 0 {
+			continue
+		}
+		key := moved.Key(s)
+		var w0 int64
+		if row, _ := old.idx[0].Get(key); len(row) > 0 {
+			w0 = int64(row[len(key)])
+		}
+		if w0 > 0 {
+			wd.minus.Data = append(append(wd.minus.Data, key...), Value(w0))
+		}
+		if w0+dw > 0 {
+			wd.plus.Data = append(append(wd.plus.Data, key...), Value(w0+dw))
+		}
+	}
+	mc.rows += uint64(d.rows() + moved.Len())
+	return wd
 }
 
 // deltaJoin runs one delta plan: for a source row, every derivation of node
 // tuples through it — the row joined with the node's other inputs in the
 // planned probe order, projected to the bag. atoms holds the state to probe
 // each input in (old or new, per the caller's telescoping); emit receives
-// each derivation's bag tuple (reused between calls).
+// each derivation's bag tuple (reused between calls) and its weight, the
+// product of its weight columns.
 type deltaJoin struct {
 	p     *Plan
 	dp    *deltaPlan
 	atoms []*atomState
 	mc    *maintCtx
-	emit  func(bag []Value)
+	emit  func(bag []Value, w int64)
 
 	acc, key, bag []Value
 }
 
-func newDeltaJoin(p *Plan, dp *deltaPlan, atoms []*atomState, mc *maintCtx, emit func(bag []Value)) *deltaJoin {
+func newDeltaJoin(p *Plan, dp *deltaPlan, atoms []*atomState, mc *maintCtx, emit func(bag []Value, w int64)) *deltaJoin {
 	buf := make([]Value, 2*dp.width+len(dp.bagFrom))
 	return &deltaJoin{p: p, dp: dp, atoms: atoms, mc: mc, emit: emit,
 		acc: buf[:dp.width:dp.width], key: buf[dp.width : 2*dp.width : 2*dp.width], bag: buf[2*dp.width:]}
@@ -467,7 +519,11 @@ func (j *deltaJoin) run(src []Value) {
 // step probes the s-th input with the first width columns of acc bound.
 func (j *deltaJoin) step(s, width int) {
 	if s == len(j.dp.steps) {
-		j.emit(project(j.bag, j.acc, j.dp.bagFrom))
+		w := int64(1)
+		for _, x := range j.dp.weights {
+			w *= int64(j.acc[x])
+		}
+		j.emit(project(j.bag, j.acc, j.dp.bagFrom), w)
 		return
 	}
 	st := &j.dp.steps[s]
@@ -504,9 +560,10 @@ func (j *deltaJoin) extend(st *deltaStep, s, width int, row []Value) {
 }
 
 // nodeUpdate is everything maintainNode needs to know about one Rebind: the
-// predecessor and successor input states and the inputs' deltas (nil for
-// clean inputs), atoms and key sets alike.
+// delta plans, the predecessor and successor input states and the inputs'
+// deltas (nil for clean inputs).
 type nodeUpdate struct {
+	plan               *maintPlan
 	oldAtoms, newAtoms []*atomState
 	deltas             []*relDelta
 }
@@ -514,22 +571,21 @@ type nodeUpdate struct {
 // maintainNode derives node u's successor B(u) by delta-joining each changed
 // input through the others — inputs already processed in their new state,
 // those still to come in their old one, the standard telescoping of a finite
-// difference — and applying the result as ±1 derivation counts. The node's
-// own delta is the set of tuples whose count crossed zero.
+// difference — and summing, per bag tuple, the signed weights of its
+// derivations, each written into its count once after the joins, which
+// never read the counts. The node's own delta is the set of tuples whose
+// count crossed zero.
 func maintainNode(p *Plan, u int, old *nodeState, nu *nodeUpdate, mc *maintCtx) (*storage.PMap[int64], *relDelta) {
 	bag := p.bagVars[u]
-	sup := edit(old.sup)
-	// before records, per bag tuple the delta reaches, whether it was in the
-	// node before (so crossings can be classified afterwards). It is sized
-	// for one tuple per changed input row, so a large delta does not grow it
-	// step by step.
+	// change is sized for one tuple per changed input row, so a large delta
+	// does not grow it step by step.
 	rows := 16
 	for _, src := range p.inputs[u] {
 		if d := nu.deltas[src]; d != nil {
 			rows += d.rows()
 		}
 	}
-	before := storage.NewTupleMap(len(bag), rows)
+	change := storage.NewTupleMap(len(bag), rows)
 	// atoms is the telescoping view: every input starts in its old state and
 	// moves to its new one once its own delta has been joined through — which
 	// only a later delta sees, so the view is copied only then.
@@ -546,17 +602,9 @@ func maintainNode(p *Plan, u int, old *nodeState, nu *nodeUpdate, mc *maintCtx) 
 			atoms[moved] = nu.newAtoms[moved]
 		}
 		sign := int64(1)
-		join := newDeltaJoin(p, &p.deltaPlans[u][x], atoms, mc, func(row []Value) {
-			cur, _ := sup.cur.Get(row)
-			if _, isNew := before.Insert(row); isNew && cur > 0 {
-				before.Add(row, 1)
-			}
-			if cur += sign; cur == 0 {
-				sup.w().Delete(row)
-			} else {
-				sup.w().Set(row, cur)
-			}
-			mc.rows += 2
+		join := newDeltaJoin(p, &nu.plan.deltaPlans[u][x], atoms, mc, func(row []Value, w int64) {
+			change.Add(row, sign*w)
+			mc.rows++
 		})
 		for r := 0; r < d.plus.Len(); r++ {
 			join.run(d.plus.Row(r))
@@ -567,16 +615,25 @@ func maintainNode(p *Plan, u int, old *nodeState, nu *nodeUpdate, mc *maintCtx) 
 		}
 		moved = src
 	}
+	sup := edit(old.sup)
 	d := newRelDelta(bag)
-	for slot := int32(0); int(slot) < before.Len(); slot++ {
-		row := before.Key(slot)
-		was, is := before.Val(slot) > 0, sup.cur.Has(row)
-		if is && !was {
-			d.plus.addRow(row)
-		} else if was && !is {
+	for slot := int32(0); int(slot) < change.Len(); slot++ {
+		dc := change.Val(slot)
+		if dc == 0 {
+			continue
+		}
+		row := change.Key(slot)
+		cur, was := old.sup.Get(row)
+		if cur += dc; cur == 0 {
+			sup.w().Delete(row)
 			d.minus.addRow(row)
+		} else {
+			sup.w().Set(row, cur)
+			if !was {
+				d.plus.addRow(row)
+			}
 		}
 	}
-	mc.rows += uint64(before.Len())
+	mc.rows += uint64(2 * change.Len())
 	return sup.done(mc), d
 }

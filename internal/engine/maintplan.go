@@ -1,62 +1,88 @@
 package engine
 
-import "slices"
+import (
+	"slices"
+	"strings"
+)
 
-// This file is the plan-time half of incremental maintenance. A node's
-// relation is its bottom-up reduced bag: the join of its input relations
-// projected to the bag. The inputs are every atom over one of the node's λ
-// edges, the atoms filtered at the node, and one key set per child — the
-// child's relation projected onto the columns it shares with the node.
-// Filters and key sets join like any other input: their variables lie inside
-// the bag, so they contribute exactly one derivation to a bag tuple that
-// passes and none to one that does not. An atom a λ edge below the node
-// enforces is no filter of it (NewPlan): its changes reach the node through
-// the key sets on the way up. A key set is numbered after the
-// atoms (Plan.keyInput) and held like an atom, so everything below serves
-// both. When one input changes, the change of the node's relation is the
-// input's delta joined through the OTHER inputs; deltaPlan fixes, per (node,
-// changed input), the order those inputs are probed in and which persistent
-// index of each is used, so maintaining the node costs the size of that
-// delta-join and never a scan of an unchanged relation. A child's key set
-// probed through an index is what connects a cover whose atoms share no
-// variable. A child sharing no column has a nullary key set, holding the
-// empty tuple while the child has a row: always fully bound, so every delta
-// plan probes it first and a node it holds empty costs O(delta). Its own
-// delta — the child emptied or filled — binds nothing, so it joins the
-// node's other inputs from a scan: the whole node enters or leaves. A
-// variable-free atom is a nullary input of the same kind, a filter of the
-// node it is assigned to, and a node with an empty bag holds a nullary
-// relation the same way.
+// This file holds the one join planner of the nodes. A node's relation is
+// its bottom-up reduced bag: the join of its inputs projected to the bag.
+// They are its λ inputs — the atoms over its λ edges or, for an edge with
+// private columns (Plan.lambdaKeep), its weighted projection: the atom
+// projected onto the kept columns, each tuple with its multiplicity in a
+// weight column — its filters, and one key set per child: the child's
+// relation projected onto the columns it shares with the node. A filter or
+// key set lies inside the bag, so it adds one derivation to a bag tuple that
+// passes and none to one that does not; a derivation counts for the product
+// of its weights. Key sets are numbered after the atoms (keyInput), weighted
+// projections after them (weightedInput), and all are held alike.
+//
+// orderJoin orders a node's join behind one seed input: Bind runs it from
+// the smallest λ input (joinInputs), the first Rebind once per input, over
+// the sizes Bind saw (planMaintenance). When one input changes, the change
+// of the node's relation is the input's delta joined through the OTHER
+// inputs; deltaPlan fixes their probe order and the persistent index each
+// probe uses, so maintaining the node costs the size of that delta-join and
+// never a scan of an unchanged relation. A nullary input — a child sharing
+// no column, a variable-free atom — is always fully bound, so every delta
+// plan probes it first, and its own delta binds nothing: it joins the
+// node's other inputs from a scan. A weighted projection keeps its weights
+// as rows: an atom's delta becomes, per key whose multiplicity moved, its
+// old row leaving and its new one entering (weightDelta), so only a weight
+// crossing 0 adds or removes a key.
+
+// weightedInput is one weighted projection among the inputs: of atom atom,
+// onto the columns of the atom at keep.
+type weightedInput struct {
+	atom int
+	keep []int
+}
 
 // deltaStep probes one input with the variables bound so far.
 type deltaStep struct {
-	atom    int   // the input probed: an atom, or a key set (Plan.keyInput)
-	idx     int   // index into Plan.atomIdxCols[atom], or stepMember / stepScan
-	keyFrom []int // accumulated-row positions forming the probe key, in index column order
-	extFrom []int // input-tuple positions whose (new) variables extend the accumulated row
+	atom    int   // the input probed: an atom, a key set (Plan.keyInput) or a weighted projection
+	idx     int   // index into maintPlan.idxCols[atom], or stepMember / stepScan
+	keyFrom []int // accumulated-row positions forming the probe key, in the input's column order
+	extFrom []int // input-tuple positions whose (new) columns extend the accumulated row
 }
 
 const (
-	stepMember = -1 // every variable of the input is bound: a membership test on its tuple set
-	stepScan   = -2 // no variable is bound: a cross product with the whole input relation
+	stepMember = -1 // every column of the input is bound: a membership test on its tuple set
+	stepScan   = -2 // no column is bound: a cross product with the whole input relation
 )
 
 // deltaPlan is the probe order for one changed input of one node. The
 // accumulated row starts as the changed input's tuple (over its columns,
 // Plan.atomVars) and grows by each step's extFrom columns to width; bagFrom
-// projects the finished row onto the node's bag columns.
+// projects the finished row onto the node's bag columns, and weights lists
+// the positions of its weight columns.
 type deltaPlan struct {
 	steps   []deltaStep
 	width   int
 	bagFrom []int
+	weights []int
 }
 
-// planMaintenance derives the maintenance plan from the evaluation plan
-// already in p: every plan with a decomposition has one.
-func (p *Plan) planMaintenance() {
+// maintPlan is the maintenance half of a plan: the delta plans of every node
+// and the indexes they probe, fixed by the first Rebind (buildMaint) and
+// carried by every maintained state after it.
+type maintPlan struct {
+	deltaPlans [][]deltaPlan // node → per input of Plan.inputs[u]: the probe order when that input is the delta
+	idxCols    [][][]int     // input → column subsets of its relation the delta plans probe; a weighted projection's first is every kept column
+}
+
+// weightCol names the weight column of the weighted projections of the λ
+// edge over names; no parsed query variable can carry the name.
+func weightCol(names []string) string { return weightPrefix + edgeKey(names) }
+
+const weightPrefix = "\x00#"
+
+func isWeightCol(c string) bool { return strings.HasPrefix(c, weightPrefix) }
+
+// planInputs numbers the join inputs of every node (see the file comment).
+func (p *Plan) planInputs() {
 	q, d := p.query, p.d
-	n := len(q.Atoms) + d.Nodes()
-	p.atomVars = make([][]string, n)
+	p.atomVars = make([][]string, p.weightedInput(0))
 	p.directAtom = make([]bool, len(q.Atoms))
 	atomKey := make([]string, len(q.Atoms))
 	for i, a := range q.Atoms {
@@ -68,33 +94,38 @@ func (p *Plan) planMaintenance() {
 		p.atomVars[p.keyInput(u)] = p.shared[u]
 	}
 	p.inputs = make([][]int, d.Nodes())
-	p.deltaPlans = make([][]deltaPlan, d.Nodes())
-	p.projects = make([]bool, d.Nodes())
-	p.atomIdxCols = make([][][]int, n)
+	p.lambdaInputs = make([]int, d.Nodes())
+	projections := map[string]int{} // atom and kept columns → input
 	for u := 0; u < d.Nodes(); u++ {
-		lambda := map[string]bool{}
-		for _, names := range p.lambdaVars[u] {
-			lambda[edgeKey(names)] = true
-		}
-		for i := range q.Atoms {
-			if lambda[atomKey[i]] {
-				p.inputs[u] = append(p.inputs[u], i)
+		for e, names := range p.lambdaVars[u] {
+			keep := p.lambdaKeep[u][e]
+			for i := range q.Atoms {
+				if atomKey[i] != edgeKey(names) {
+					continue
+				}
+				if keep == nil {
+					p.inputs[u] = append(p.inputs[u], i)
+					continue
+				}
+				k := atomKey[i] + "\x01" + edgeKey(keep)
+				in, ok := projections[k]
+				if !ok {
+					in = len(p.atomVars)
+					projections[k] = in
+					w := weightedInput{atom: i}
+					for _, v := range keep {
+						w.keep = append(w.keep, slices.Index(p.atomVars[i], v))
+					}
+					p.weighted = append(p.weighted, w)
+					p.atomVars = append(p.atomVars, append(slices.Clip(keep), weightCol(names)))
+				}
+				p.inputs[u] = append(p.inputs[u], in)
 			}
 		}
+		p.lambdaInputs[u] = len(p.inputs[u])
 		p.inputs[u] = append(p.inputs[u], p.filters[u]...)
 		for _, cj := range p.childJoins[u] {
 			p.inputs[u] = append(p.inputs[u], p.keyInput(cj.child))
-		}
-		joined := map[string]bool{}
-		for _, i := range p.inputs[u] {
-			for _, v := range p.atomVars[i] {
-				joined[v] = true
-			}
-		}
-		p.projects[u] = len(joined) > len(p.bagVars[u])
-		p.deltaPlans[u] = make([]deltaPlan, len(p.inputs[u]))
-		for x := range p.inputs[u] {
-			p.deltaPlans[u][x] = p.planDelta(u, x)
 		}
 	}
 }
@@ -102,83 +133,119 @@ func (p *Plan) planMaintenance() {
 // keyInput is the input number of node u's key set: after the atoms.
 func (p *Plan) keyInput(u int) int { return len(p.query.Atoms) + u }
 
-// planDelta orders the other inputs of node u behind changed input x:
-// greedily the input sharing the most variables with what is already bound,
-// fully bound inputs (pure membership filters, which only prune) first, so a
-// cross product is taken only when nothing connected is left.
-func (p *Plan) planDelta(u, x int) deltaPlan {
-	inputs := p.inputs[u]
-	schema := append([]string(nil), p.atomVars[inputs[x]]...)
-	pos := func(name string) int {
-		for i, c := range schema {
-			if c == name {
-				return i
-			}
-		}
-		return -1
+// weightedInput is the input number of the j-th weighted projection: after
+// the key sets.
+func (p *Plan) weightedInput(j int) int { return p.keyInput(p.d.Nodes()) + j }
+
+// orderJoin orders a join of inputs over the columns cols behind the input
+// seed (-1: none, the join starts from the empty tuple): fully bound inputs
+// first (pure filters, which only prune), then the one sharing the most
+// columns bound already, and a cross product only when nothing connects; of
+// equals, the smallest by sizes, then the first. A weight column is no join
+// key: a weighted projection is fully bound once its kept columns are, and
+// probed on them for its weight. index names the index a probe of input y
+// on its columns at cols uses. schema is the columns of the finished join,
+// the seed's first and then each step's new ones.
+func orderJoin(cols [][]string, seed int, sizes []int, index func(y int, cols []int) int) (steps []deltaStep, schema []string) {
+	done := make([]bool, len(cols))
+	if seed >= 0 {
+		done[seed] = true
+		schema = slices.Clone(cols[seed])
 	}
-	done := make([]bool, len(inputs))
-	done[x] = true
-	var dp deltaPlan
-	for range len(inputs) - 1 {
-		best, bestBound, bestFull := -1, -1, false
-		for y, i := range inputs {
+	for range cols {
+		best, bestBound, bestFull := -1, 0, false
+		for y, c := range cols {
 			if done[y] {
 				continue
 			}
-			bound := 0
-			for _, v := range p.atomVars[i] {
-				if pos(v) >= 0 {
+			bound, full := 0, true
+			for _, v := range c {
+				switch {
+				case slices.Contains(schema, v):
 					bound++
+				case !isWeightCol(v):
+					full = false
 				}
 			}
-			full := bound == len(p.atomVars[i])
-			if best < 0 || (full && !bestFull) || (full == bestFull && bound > bestBound) {
+			if best < 0 || full && !bestFull || full == bestFull && (bound > bestBound || bound == bestBound && sizes[y] < sizes[best]) {
 				best, bestBound, bestFull = y, bound, full
 			}
 		}
+		if best < 0 {
+			break
+		}
 		done[best] = true
-		atom := inputs[best]
-		st := deltaStep{atom: atom}
-		var cols []int
-		for c, v := range p.atomVars[atom] {
-			if at := pos(v); at >= 0 {
-				cols = append(cols, c)
-				st.keyFrom = append(st.keyFrom, at)
+		st, on := deltaStep{atom: best, idx: stepScan}, []int{}
+		for c, v := range cols[best] {
+			if at := slices.Index(schema, v); at >= 0 {
+				st.keyFrom, on = append(st.keyFrom, at), append(on, c)
 			} else {
 				st.extFrom = append(st.extFrom, c)
+				schema = append(schema, v)
 			}
 		}
 		switch {
-		case bestFull:
+		case len(st.extFrom) == 0:
 			st.idx = stepMember
-		case len(cols) == 0:
-			st.idx = stepScan
-		default:
-			st.idx = p.atomIndex(atom, cols)
+		case bestFull || len(on) > 0:
+			st.idx = index(best, on)
 		}
-		for _, c := range st.extFrom {
-			schema = append(schema, p.atomVars[atom][c])
-		}
-		dp.steps = append(dp.steps, st)
+		steps = append(steps, st)
 	}
-	dp.width = len(schema)
-	dp.bagFrom = make([]int, len(p.bagVars[u]))
-	for j, v := range p.bagVars[u] {
-		dp.bagFrom[j] = pos(v)
-	}
-	return dp
+	return steps, schema
 }
 
-// atomIndex returns the slot of the index of an input's relation on cols
-// within atomIdxCols[atom], registering it on first request — one index
-// serves every delta plan that probes the same columns.
-func (p *Plan) atomIndex(atom int, cols []int) int {
-	for i, have := range p.atomIdxCols[atom] {
+// planMaintenance fixes the delta plans of every node over its input
+// relations ins (by input number; nil: empty), and the indexes they and
+// weightDelta probe.
+func (p *Plan) planMaintenance(ins []*Relation) *maintPlan {
+	mp := &maintPlan{deltaPlans: make([][]deltaPlan, p.d.Nodes()), idxCols: make([][][]int, len(ins))}
+	for j, w := range p.weighted {
+		on := make([]int, len(w.keep))
+		for c := range on {
+			on[c] = c
+		}
+		mp.index(p.weightedInput(j), on)
+	}
+	for u, in := range p.inputs {
+		cols, sizes := make([][]string, len(in)), make([]int, len(in))
+		for y, i := range in {
+			cols[y] = p.atomVars[i]
+			if ins[i] != nil {
+				sizes[y] = ins[i].Len()
+			}
+		}
+		index := func(y int, cols []int) int { return mp.index(in[y], cols) }
+		mp.deltaPlans[u] = make([]deltaPlan, len(in))
+		for x := range in {
+			steps, schema := orderJoin(cols, x, sizes, index)
+			dp := deltaPlan{steps: steps, width: len(schema), bagFrom: make([]int, len(p.bagVars[u]))}
+			for s := range steps {
+				steps[s].atom = in[steps[s].atom]
+			}
+			for j, v := range p.bagVars[u] {
+				dp.bagFrom[j] = slices.Index(schema, v)
+			}
+			for j, c := range schema {
+				if isWeightCol(c) {
+					dp.weights = append(dp.weights, j)
+				}
+			}
+			mp.deltaPlans[u][x] = dp
+		}
+	}
+	return mp
+}
+
+// index returns the slot of the index of an input's relation on cols within
+// idxCols[atom], registering it on first request — one index serves every
+// delta plan that probes the same columns.
+func (mp *maintPlan) index(atom int, cols []int) int {
+	for i, have := range mp.idxCols[atom] {
 		if slices.Equal(have, cols) {
 			return i
 		}
 	}
-	p.atomIdxCols[atom] = append(p.atomIdxCols[atom], cols)
-	return len(p.atomIdxCols[atom]) - 1
+	mp.idxCols[atom] = append(mp.idxCols[atom], cols)
+	return len(mp.idxCols[atom]) - 1
 }

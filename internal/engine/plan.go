@@ -33,7 +33,7 @@ type Plan struct {
 	filters    [][]int    // node → the atoms Bind semijoins at it: those assigned to it that no λ edge at or below it enforces
 	bagVars    [][]string // node → sorted bag variable names
 	lambdaVars [][][]string
-	lambdaKeep [][][]string // node → per λ edge: the columns it is joined on when it has private ones, projected out first; nil: all
+	lambdaKeep [][][]string // node → per λ edge: the columns it is joined on when it has private ones, projected out first (maybe none); nil: all
 	children   [][]int
 	order      []int      // topological order, leaves before parents
 	pre        []int      // pre-order (order reversed): every node after its ancestors
@@ -49,17 +49,15 @@ type Plan struct {
 	sharedVids [][]int       // node → vertex id of each shared column
 	maxShared  int           // the most columns a node shares with its parent
 
-	// The maintenance half of the plan (maintplan.go): how a change to one
-	// input of a node — an atom, or a child's key set — is joined through the
-	// node's other inputs into a change of the node's relation. Inputs are
-	// numbered atoms first, then one key set per node (keyInput). Fixed at
-	// plan time like the join positions above.
-	atomVars    [][]string    // input → its columns: an atom's sorted distinct variables, a key set's shared[u]
-	directAtom  []bool        // atom → its arguments are exactly those, in that order: its relation is the table
-	inputs      [][]int       // node → inputs joined at the node: atoms over its λ edges, its filters, its children's key sets
-	deltaPlans  [][]deltaPlan // node → per input: the probe order when that input is the delta
-	atomIdxCols [][][]int     // input → column subsets of its relation the delta plans probe
-	projects    []bool        // node → the bag drops variables of the input join (derivation counts can exceed 1)
+	// The join inputs of the nodes (maintplan.go), which Bind joins and
+	// Rebind delta-joins alike. Inputs are numbered atoms first, then one
+	// key set per node (keyInput), then one weighted projection per λ edge
+	// joined through one (weightedInput).
+	atomVars     [][]string      // input → its columns: an atom's sorted distinct variables, a key set's shared[u], a projection's kept columns and its weight column
+	directAtom   []bool          // atom → its arguments are exactly those, in that order: its relation is the table
+	weighted     []weightedInput // weightedInput(0) onwards → the atom it projects
+	inputs       [][]int         // node → inputs joined at the node: its λ inputs (atoms or projections), its filters, its children's key sets
+	lambdaInputs []int           // node → how many of inputs[u] are λ inputs, which come first
 }
 
 // childJoin is the precomputed key of the join between a node's relation and
@@ -190,15 +188,24 @@ func NewPlan(q cq.Query, d *decomp.GHD) (*Plan, error) {
 	}
 	// λ-private columns: a λ edge's column that neither the bag nor another
 	// λ edge of the node holds is read by nothing in the node's join, so the
-	// edge is joined through its projection onto the other columns, each
-	// tuple weighted by its multiplicity (edgeRelations). The bag relation
-	// is the same; a derivation count is the sum, per bag tuple, of the
-	// product of the weights — the full join's.
+	// edge is joined through its projection onto the other columns — none,
+	// when it has only private ones — each tuple weighted by its
+	// multiplicity (weightedProjection). The bag relation is the same; a
+	// derivation count is the sum, per bag tuple, of the product of the
+	// weights — the full join's. An edge that several atoms carry is the
+	// join of their relations and is joined whole, atom by atom.
+	atomsOver := map[string]int{}
+	for _, a := range q.Atoms {
+		atomsOver[edgeKey(a.VarSet())]++
+	}
 	p.lambdaKeep = make([][][]string, d.Nodes())
 	for u := 0; u < d.Nodes(); u++ {
 		p.lambdaKeep[u] = make([][]string, len(p.lambdaVars[u]))
 		for i, names := range p.lambdaVars[u] {
-			var keep []string
+			if atomsOver[edgeKey(names)] > 1 {
+				continue
+			}
+			keep := []string{}
 			for _, v := range names {
 				held := slices.Contains(p.bagVars[u], v)
 				for j, other := range p.lambdaVars[u] {
@@ -243,7 +250,7 @@ func NewPlan(q cq.Query, d *decomp.GHD) (*Plan, error) {
 		}
 		p.maxShared = max(p.maxShared, len(p.shared[u]))
 	}
-	p.planMaintenance()
+	p.planInputs()
 	return p, nil
 }
 
@@ -270,9 +277,8 @@ func (p *Plan) Width() int {
 
 // Explain renders the data-independent plan: the decomposition tree with
 // per-node bags, covers and the atoms Bind filters each node by. A λ edge
-// joined through its projection shows the columns it keeps, as a[x,y]. A
-// cover that is not connected
-// (decomp.CoverConnected) is marked "×": its bag is a cross product, kept
+// joined through its projection shows the columns it keeps, as a[x,y] (a[]
+// for none). A cover that is not connected (decomp.CoverConnected) is marked "×": its bag is a cross product, kept
 // only because the search found no plan of the same width without one. See
 // PreparedQuery.ExplainDB for the variant that includes materialised
 // relation sizes.

@@ -112,7 +112,7 @@ func (r *Relation) Project(cols []string) *Relation {
 		}
 		return out
 	case len(cols) < len(r.Cols):
-		out, _ := projectCounts(r, cols, nil)
+		out, _ := projectCounts(r, cols)
 		return out
 	}
 	// A permutation of the columns of a set: no two rows collide.
@@ -131,14 +131,14 @@ func (r *Relation) Project(cols []string) *Relation {
 // projectCounts projects r onto cols, which must all exist, returning the
 // projection and the multiplicity of every projected tuple — the derivation
 // counts the incremental engine maintains. A row counts for the product of
-// its values at the weight positions (for a row of a join of weighted
+// its values in r's weight columns (for a row of a join of weighted
 // projections, the number of full-join rows it stands for), and for 1 when
 // there are none. The distinct projected tuples are the map's keys, in
 // first-seen order: the relation keeps them in place, unless most of the
 // room reserved for them went unused. Onto no column, it holds the empty
 // tuple while r has a row.
-func projectCounts(r *Relation, cols []string, weights []int) (*Relation, *storage.TupleMap) {
-	m := countProjection(r, cols, weights)
+func projectCounts(r *Relation, cols []string) (*Relation, *storage.TupleMap) {
+	m := countProjection(r, cols)
 	out := NewRelation(cols...)
 	switch {
 	case len(cols) > 0:
@@ -154,8 +154,13 @@ func projectCounts(r *Relation, cols []string, weights []int) (*Relation, *stora
 
 // countProjection is projectCounts' map: every projected tuple with its
 // multiplicity.
-func countProjection(r *Relation, cols []string, weights []int) *storage.TupleMap {
-	idx := colIndexes(r, cols)
+func countProjection(r *Relation, cols []string) *storage.TupleMap {
+	idx, weights := colIndexes(r, cols), []int{}
+	for x, c := range r.Cols {
+		if isWeightCol(c) {
+			weights = append(weights, x)
+		}
+	}
 	m := storage.NewTupleMap(len(cols), r.Len())
 	buf := make([]Value, len(cols))
 	for i := 0; i < r.Len(); i++ {

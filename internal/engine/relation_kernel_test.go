@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"d2cq/internal/cq"
+	"d2cq/internal/storage"
 )
 
 // nullaryWithEmptyTuple returns the zero-column relation holding the empty
@@ -162,8 +163,9 @@ func TestNullaryQueryThroughEngine(t *testing.T) {
 
 // A cover path x–y–z–w whose two end relations are the smallest: smallest
 // first alone would join them into a cross product (columns x,y,w,z), so
-// joinConnected must take the middle relation, the smallest one sharing a
-// column, second (columns x,y,z,w).
+// the join order (orderJoin, run by joinInputs from the smallest λ input)
+// must take the middle relation, the one sharing a column, second (columns
+// x,y,z,w).
 func TestJoinConnectedOrder(t *testing.T) {
 	mk := func(a, b string, n int) *Relation {
 		r := NewRelation(a, b)
@@ -172,7 +174,12 @@ func TestJoinConnectedOrder(t *testing.T) {
 		}
 		return r
 	}
-	got := joinConnected([]*Relation{mk("x", "y", 1), mk("w", "z", 2), mk("y", "z", 3)}, nil)
+	rels := []*Relation{mk("x", "y", 1), mk("w", "z", 2), mk("y", "z", 3)}
+	steps, _ := orderJoin([][]string{rels[0].Cols, rels[1].Cols, rels[2].Cols}, 0, []int{1, 2, 3}, func(int, []int) int { return 0 })
+	if len(steps) != 2 || steps[0].atom != 2 || steps[0].idx != 0 || steps[1].atom != 1 || steps[1].idx != 0 {
+		t.Errorf("join order %+v: want the middle relation probed, then the last", steps)
+	}
+	got := joinInputs(rels, len(rels), make([]*storage.TupleMap, len(rels)))
 	if want := []string{"x", "y", "z", "w"}; fmt.Sprint(got.Cols) != fmt.Sprint(want) {
 		t.Errorf("join columns %v, want %v: the middle relation must be joined second", got.Cols, want)
 	}

@@ -3,166 +3,57 @@ package engine
 import (
 	"context"
 	"slices"
-	"sort"
 	"strings"
 
 	"d2cq/internal/storage"
 )
 
-// edgeKey renders a sorted variable set as the cache key of its λ-edge
-// relation.
+// edgeKey renders a sorted variable set as one string, a map key.
 func edgeKey(names []string) string { return strings.Join(names, "\x00") }
 
-// joinInput is one input of a connected join: a relation, and for a child's
-// message (nodeMessage) the message itself, with rel its keys — a semijoin
-// probes msg instead of hashing rel again.
-type joinInput struct {
-	rel *Relation
-	msg *storage.TupleMap
-}
-
-// joinConnected joins a node's cover relations and further inputs in a
-// connected, smallest-first order. The join starts from the smallest cover
-// relation; then an input whose columns are all bound already is applied as
-// a semijoin, else the smallest input sharing a column is joined, and a cross
-// product happens only when none does. An empty input empties the join at
-// once, and the join stops as soon as it is empty; the empty result still
-// carries every input column, so it projects like a full one. No cover at
-// all is the nullary relation holding the empty tuple. Messages whose columns
-// are bound once nothing else is left to join are not applied: the counting
-// pass that follows (nodeMessage) probes every message of the node anyway,
-// and drops the rows they would have filtered.
-func joinConnected(cover []*Relation, more []joinInput) *Relation {
-	rest := make([]joinInput, 0, len(cover)+len(more))
-	for _, r := range cover {
-		rest = append(rest, joinInput{rel: r})
+// joinInputs joins a node's input relations rels, the first lambdas of them
+// its λ inputs, in the order orderJoin gives from the smallest λ input (from
+// the empty tuple when there is none) over their sizes. A step whose columns
+// are all bound is a semijoin — through msgs[i] when input i is a child's key
+// set — and any other a hash join or cross product. The join stops at the
+// first empty input or result, which still carries every input column. Key
+// sets left to the end are not applied: nodeMessage probes every message of
+// the node anyway, and drops the rows they would have filtered.
+func joinInputs(rels []*Relation, lambdas int, msgs []*storage.TupleMap) *Relation {
+	cols, sizes, seed := make([][]string, len(rels)), make([]int, len(rels)), -1
+	for i, r := range rels {
+		cols[i], sizes[i] = r.Cols, r.Len()
+		if i < lambdas && (seed < 0 || sizes[i] < sizes[seed]) {
+			seed = i
+		}
 	}
-	rest = append(rest, more...)
-	var acc *Relation
-	if len(cover) == 0 {
-		acc = NewRelation()
-		acc.AddEmpty()
-	} else {
-		first := 0
-		for i, r := range cover {
-			if r.Len() < cover[first].Len() {
-				first = i
-			}
-		}
-		acc, rest = cover[first], append(rest[:first], rest[first+1:]...)
+	steps, schema := orderJoin(cols, seed, sizes, func(int, []int) int { return 0 })
+	if slices.Contains(sizes, 0) {
+		return NewRelation(schema...)
 	}
-	sort.SliceStable(rest, func(i, j int) bool { return rest[i].rel.Len() < rest[j].rel.Len() })
-	for len(rest) > 0 && acc.Len() > 0 && rest[0].rel.Len() > 0 {
-		if onlyBoundMessages(rest, acc) {
-			return acc
+	for len(steps) > 0 && msgs[steps[len(steps)-1].atom] != nil && steps[len(steps)-1].idx == stepMember {
+		steps = steps[:len(steps)-1]
+	}
+	acc := NewRelation()
+	acc.AddEmpty()
+	if seed >= 0 {
+		acc = rels[seed]
+	}
+	for _, st := range steps {
+		if acc.Len() == 0 {
+			return NewRelation(schema...)
 		}
-		next, semi := -1, false
-		for i, in := range rest {
-			bound, shares := coveredBy(in.rel.Cols, acc)
-			if bound {
-				next, semi = i, true
-				break
-			}
-			if shares && next < 0 {
-				next = i
-			}
-		}
-		if next < 0 {
-			next = 0 // nothing shares a column: a cross product with the smallest
-		}
-		in := rest[next]
-		rest = append(rest[:next], rest[next+1:]...)
+		in := rels[st.atom]
 		switch {
-		case semi && len(in.rel.Cols) == 0:
-			// A nullary input that is not empty constrains nothing.
-		case semi:
-			accPos, inPos := make([]int, len(in.rel.Cols)), make([]int, len(in.rel.Cols))
-			for j, c := range in.rel.Cols {
-				accPos[j], inPos[j] = acc.ColIndex(c), j
-			}
-			if in.msg != nil {
-				acc = semijoinMap(acc, in.msg, accPos)
-			} else {
-				acc = semijoinOn(acc, in.rel, in.rel.Cols, accPos, inPos)
-			}
+		case st.idx != stepMember:
+			acc = Join(acc, in)
+		case msgs[st.atom] != nil:
+			acc = semijoinMap(acc, msgs[st.atom], st.keyFrom)
 		default:
-			acc = Join(acc, in.rel)
+			acc = semijoinOn(acc, in, in.Cols, st.keyFrom, colIndexes(in, in.Cols))
 		}
 	}
-	if len(rest) == 0 {
-		return acc
-	}
-	// Stopped early on an empty input or join: every column, no rows.
-	cols := append([]string(nil), acc.Cols...)
-	for _, in := range rest {
-		for _, c := range in.rel.Cols {
-			if !slices.Contains(cols, c) {
-				cols = append(cols, c)
-			}
-		}
-	}
-	return NewRelation(cols...)
-}
-
-// onlyBoundMessages reports whether every input left is a message whose
-// columns r binds.
-func onlyBoundMessages(rest []joinInput, r *Relation) bool {
-	for _, in := range rest {
-		if bound, _ := coveredBy(in.rel.Cols, r); in.msg == nil || !bound {
-			return false
-		}
-	}
-	return true
-}
-
-// coveredBy reports whether every column of cols is one of r's (bound) and
-// whether at least one is (shares).
-func coveredBy(cols []string, r *Relation) (bound, shares bool) {
-	bound = true
-	for _, c := range cols {
-		if r.ColIndex(c) >= 0 {
-			shares = true
-		} else {
-			bound = false
-		}
-	}
-	return bound, shares
-}
-
-// materialiseReduced builds the relation of one node from its children's
-// messages, which must be built already: the connected join of its λ
-// relations (cover, from edgeRelations: an edge with private columns is its
-// weighted projection), each child's message and its filter atoms, projected
-// to the bag. A message whose columns are bound by then filters the join
-// through its keys; otherwise its keys (the child projected onto the columns
-// it shares with the node) are joined. Messages bound only at the end are
-// left to nodeMessage, so the node is bottom-up reduced once that has run,
-// without ever building the cover join on its own — a message that connects
-// two cover relations sharing no variable is joined before they are, so a
-// forced cross product never is. A projecting node (Plan.projects) also
-// returns the derivation count of every bag tuple, the product of its joined
-// row's weights summed over the rows, which the first Rebind loads
-// (buildMaint); any other returns nil counts.
-func materialiseReduced(p *Plan, inst *Instance, u int, cover []*Relation, groups []flatGroups) (rel *Relation, counts *storage.TupleMap) {
-	kids := make([]joinInput, 0, len(p.childJoins[u])+len(p.filters[u]))
-	for _, cj := range p.childJoins[u] {
-		m := groups[cj.child].keys
-		kids = append(kids, joinInput{rel: keysOf(m, cj.shared), msg: m})
-	}
-	for _, ai := range p.filters[u] {
-		kids = append(kids, joinInput{rel: inst.AtomRels[ai]})
-	}
-	acc := joinConnected(cover, kids)
-	if p.projects[u] {
-		var weights []int
-		for i, keep := range p.lambdaKeep[u] {
-			if keep != nil {
-				weights = append(weights, acc.ColIndex(weightCol(p.lambdaVars[u][i])))
-			}
-		}
-		return projectCounts(acc, p.bagVars[u], weights)
-	}
-	return acc.Project(p.bagVars[u]), nil
+	return acc
 }
 
 // keysOf returns a message's keys as a relation over cols, the columns they
@@ -179,75 +70,68 @@ func keysOf(m *storage.TupleMap, cols []string) *Relation {
 }
 
 // bindNodes materialises the node relations of the plan over inst bottom-up,
-// children strictly first: every node is built by materialiseReduced from its
-// children's messages and reduced by nodeMessage, which computes its own
-// message on the way and lays its rows out by it, so the relations start out
+// children strictly first. A node's relation is the join of its inputs
+// (joinInputs) — the atom relations, the weighted projections, built once
+// each, and its children's key sets — projected to the bag. A key set that
+// connects two λ inputs sharing no variable is joined before they are, so a
+// forced cross product never is. A node that projects the join keeps the
+// derivation count of every bag tuple, which the first Rebind loads
+// (buildMaint). nodeMessage then reduces the node, computing its message,
+// its key set, and laying its rows out by it, so the relations start out
 // bottom-up reduced and the counting DP comes out finished, flat.
 func bindNodes(ctx context.Context, p *Plan, inst *Instance) ([]*Relation, *countState, error) {
 	n := p.d.Nodes()
-	covers, err := edgeRelations(ctx, p, inst)
-	if err != nil {
-		return nil, nil, err
-	}
+	ins := inputRelations(p, inst.AtomRels)
+	msgs := make([]*storage.TupleMap, len(ins))
 	rels := make([]*Relation, n)
 	cs := &countState{groups: make([]flatGroups, n), counts: make([]*storage.TupleMap, n)}
 	for _, u := range p.order {
 		if err := ctx.Err(); err != nil {
 			return nil, nil, err
 		}
-		var rel *Relation
-		rel, cs.counts[u] = materialiseReduced(p, inst, u, covers[u], cs.groups)
+		in, bag := p.inputs[u], p.bagVars[u]
+		rs, ms := make([]*Relation, len(in)), make([]*storage.TupleMap, len(in))
+		for y, i := range in {
+			rs[y], ms[y] = ins[i], msgs[i]
+		}
+		rel := joinInputs(rs, p.lambdaInputs[u], ms)
+		if len(rel.Cols) == len(bag) {
+			rel = rel.Project(bag)
+		} else {
+			rel, cs.counts[u] = projectCounts(rel, bag)
+		}
 		var total int64
 		rels[u], cs.groups[u], total = nodeMessage(p, u, rel, cs.groups)
 		if p.d.Parent[u] < 0 {
 			cs.total = total
+		} else {
+			k := p.keyInput(u)
+			msgs[k] = cs.groups[u].keys
+			ins[k] = keysOf(msgs[k], p.shared[u])
 		}
 	}
 	return rels, cs, nil
 }
 
-// edgeRelations builds the λ relations of the plan's nodes, node → one per λ
-// edge: the edge's relation, or for an edge with private columns
-// (Plan.lambdaKeep) its weighted projection onto the kept ones. Each
-// distinct relation is built once and shared read-only across nodes — one
-// projection serves every node that keeps the same columns of the edge.
-func edgeRelations(ctx context.Context, p *Plan, inst *Instance) ([][]*Relation, error) {
-	built := map[string]*Relation{}
-	covers := make([][]*Relation, p.d.Nodes())
-	for u := range covers {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		covers[u] = make([]*Relation, len(p.lambdaVars[u]))
-		for i, names := range p.lambdaVars[u] {
-			k := edgeKey(names)
-			r := built[k]
-			if r == nil {
-				r = inst.EdgeRelation(names)
-				built[k] = r
-			}
-			if keep := p.lambdaKeep[u][i]; keep != nil {
-				k += "\x01" + edgeKey(keep)
-				if built[k] == nil {
-					built[k] = weightedProjection(r, keep, weightCol(names))
-				}
-				r = built[k]
-			}
-			covers[u][i] = r
-		}
+// inputRelations returns the flat relations of the plan's inputs, by input
+// number, over the atom relations atoms: the atoms' own and each weighted
+// projection's, with no key set yet.
+func inputRelations(p *Plan, atoms []*Relation) []*Relation {
+	ins := make([]*Relation, len(p.atomVars))
+	copy(ins, atoms)
+	for j, w := range p.weighted {
+		in := p.weightedInput(j)
+		cols := p.atomVars[in]
+		ins[in] = weightedProjection(atoms[w.atom], cols[:len(cols)-1], cols[len(cols)-1])
 	}
-	return covers, nil
+	return ins
 }
-
-// weightCol names the weight column of the weighted projections of the λ
-// edge over names; no parsed query variable can carry the name.
-func weightCol(names []string) string { return "\x00#" + edgeKey(names) }
 
 // weightedProjection returns r projected onto cols, which must all exist,
 // with one more column, named w, holding each projected tuple's multiplicity
 // — the number of r's rows it stands for.
 func weightedProjection(r *Relation, cols []string, w string) *Relation {
-	m := countProjection(r, cols, nil)
+	m := countProjection(r, cols)
 	out := NewRelation(append(slices.Clip(cols), w)...)
 	out.Data = make([]Value, 0, m.Len()*len(out.Cols))
 	for s := int32(0); int(s) < m.Len(); s++ {

@@ -9,6 +9,7 @@ package reduction
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"d2cq/internal/cq"
@@ -107,7 +108,7 @@ func AlignInstance(q cq.Query, db cq.Database, m *hypergraph.Hypergraph) (Instan
 		// Edge relation over q's variable names.
 		qVars := hq.EdgeVertexNames(e)
 		sort.Strings(qVars)
-		rel := inst.EdgeRelation(qVars)
+		rel := edgeRelation(inst, qVars)
 		// Column mapping: q variable → m vertex name; order columns by the
 		// canonical (sorted) m vertex order.
 		mCols := edgeColumns(m, m.EdgeName(me))
@@ -131,6 +132,25 @@ func AlignInstance(q cq.Query, db cq.Database, m *hypergraph.Hypergraph) (Instan
 	}
 	dedupDatabase(out.D)
 	return out, nil
+}
+
+// edgeRelation joins the relations of every atom of inst over exactly the
+// sorted variables vars: the relation of the hypergraph edge they carry.
+func edgeRelation(inst *engine.Instance, vars []string) *engine.Relation {
+	var acc *engine.Relation
+	for i, a := range inst.Query.Atoms {
+		switch {
+		case !slices.Equal(a.VarSet(), vars):
+		case acc == nil:
+			acc = inst.AtomRels[i]
+		default:
+			acc = engine.Join(acc, inst.AtomRels[i])
+		}
+	}
+	if acc == nil {
+		acc = engine.NewRelation(vars...)
+	}
+	return acc
 }
 
 // dedupDatabase removes duplicate tuples per relation (databases are sets of

@@ -15,6 +15,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -118,13 +119,14 @@ func run(args []string, out io.Writer) error {
 }
 
 // evalCorpus prepares the canonical BCQ of every corpus entry with one
-// shared engine (falling back to naive plans past maxWidth), compiles each
-// entry's canonical database once, binds, and evaluates the bound query.
+// shared engine, compiles each entry's canonical database once, binds, and
+// evaluates the bound query; an entry past maxWidth is decided by the naive
+// backtracking baseline instead.
 // Structurally repeated entries hit the decomposition cache, which the
 // stats make visible.
 func evalCorpus(out io.Writer, c *hyperbench.Corpus, maxWidth int, human bool) (*evalReport, error) {
 	ctx := context.Background()
-	eng := d2cq.NewEngine(d2cq.WithMaxWidth(maxWidth), d2cq.WithNaiveFallback())
+	eng := d2cq.NewEngine(d2cq.WithMaxWidth(maxWidth))
 	if human {
 		fmt.Fprintf(out, "\n=== canonical BCQ evaluation (shared engine, max width %d) ===\n", maxWidth)
 	}
@@ -143,22 +145,11 @@ func evalCorpus(out io.Writer, c *hyperbench.Corpus, maxWidth int, human bool) (
 				inst.D.Add(e.H.EdgeName(ei), row...)
 			}
 		}
-		prep, err := eng.Prepare(ctx, inst.Q)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", e.Name, err)
-		}
-		if prep.Plan().Naive() {
+		ok, err := evalEntry(ctx, eng, inst.Q, inst.D)
+		if errors.Is(err, d2cq.ErrWidthExceeded) {
 			naive++
+			ok, err = d2cq.NaiveBCQ(inst.Q, inst.D)
 		}
-		cdb, err := eng.CompileDB(ctx, inst.D)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", e.Name, err)
-		}
-		bound, err := prep.Bind(ctx, cdb)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", e.Name, err)
-		}
-		ok, err := bound.Bool(ctx)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", e.Name, err)
 		}
@@ -188,4 +179,21 @@ func evalCorpus(out io.Writer, c *hyperbench.Corpus, maxWidth int, human bool) (
 		CacheHits:   st.Cache.Hits,
 		CacheMisses: st.Cache.Misses,
 	}, nil
+}
+
+// evalEntry decides q over db: Prepare on eng, CompileDB, Bind and Bool.
+func evalEntry(ctx context.Context, eng *d2cq.Engine, q d2cq.Query, db d2cq.Database) (bool, error) {
+	prep, err := eng.Prepare(ctx, q)
+	if err != nil {
+		return false, err
+	}
+	cdb, err := eng.CompileDB(ctx, db)
+	if err != nil {
+		return false, err
+	}
+	bound, err := prep.Bind(ctx, cdb)
+	if err != nil {
+		return false, err
+	}
+	return bound.Bool(ctx)
 }

@@ -245,10 +245,6 @@ var ErrWidthExceeded = engine.ErrWidthExceeded
 // WithDecompCache bounds the engine's decomposition cache (0 disables).
 func WithDecompCache(capacity int) EngineOption { return engine.WithDecompCache(capacity) }
 
-// WithNaiveFallback degrades Prepare to a naive backtracking plan instead of
-// failing when no (bounded-width) decomposition exists.
-func WithNaiveFallback() EngineOption { return engine.WithNaiveFallback() }
-
 // CompileDB compiles db once with the shared default engine. Pair with
 // PreparedQuery.Bind for the full compile-once / evaluate-many discipline on
 // both the query and the data side.
@@ -257,7 +253,7 @@ func CompileDB(ctx context.Context, db Database) (*CompiledDB, error) {
 }
 
 // Prepare compiles q once with the shared default engine. For custom policy
-// (width bounds, cache sizing, naive fallback) build an Engine with
+// (width bounds, cache sizing) build an Engine with
 // NewEngine and call its Prepare.
 func Prepare(ctx context.Context, q Query) (*PreparedQuery, error) {
 	return engine.Default().Prepare(ctx, q)

@@ -117,7 +117,7 @@ type BoundQuery struct {
 
 	// enumSt is the enumeration state and countSt the counting DP, both set
 	// by Bind over its flat nodes (enumSt.rels) and by Rebind over the
-	// maintained ones (nil for naive and ground plans).
+	// maintained ones.
 	enumSt  *enumState
 	countSt *countState
 }
@@ -144,17 +144,12 @@ func (p *PreparedQuery) Bind(ctx context.Context, cdb *CompiledDB) (*BoundQuery,
 	if err != nil {
 		return nil, err
 	}
-	b := &BoundQuery{prep: p, cdb: cdb, inst: inst}
-	if p.plan.Naive() || p.plan.d.Nodes() == 0 {
-		return b, nil
-	}
 	rels, cs, err := bindNodes(ctx, p.plan, inst)
 	if err != nil {
 		return nil, err
 	}
-	b.countSt = cs
-	b.enumSt = &enumState{plan: p.plan, id: p.eng.stateSeq.Add(1), rels: rels, groups: cs.groups}
-	return b, nil
+	es := &enumState{plan: p.plan, id: p.eng.stateSeq.Add(1), rels: rels, groups: cs.groups}
+	return &BoundQuery{prep: p, cdb: cdb, inst: inst, enumSt: es, countSt: cs}, nil
 }
 
 // Query returns the bound query.
@@ -168,9 +163,6 @@ func (b *BoundQuery) Database() *CompiledDB { return b.cdb }
 // does no work beyond formatting.
 func (b *BoundQuery) ExplainDB() string {
 	plan := b.prep.plan
-	if plan.Naive() || plan.d.Nodes() == 0 {
-		return plan.Explain()
-	}
 	var sb strings.Builder
 	sb.WriteString(plan.Explain())
 	for u := range plan.d.Nodes() {
@@ -200,12 +192,6 @@ func (b *BoundQuery) Bool(ctx context.Context) (bool, error) {
 	if err := ctx.Err(); err != nil {
 		return false, err
 	}
-	if b.prep.plan.Naive() {
-		return naiveBool(ctx, b.inst)
-	}
-	if b.prep.plan.d.Nodes() == 0 {
-		return groundSat(b.inst), nil
-	}
 	return b.nodeLen(b.prep.plan.d.Root()) > 0, nil
 }
 
@@ -216,15 +202,6 @@ func (b *BoundQuery) Bool(ctx context.Context) (bool, error) {
 func (b *BoundQuery) Count(ctx context.Context) (int64, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
-	}
-	if b.prep.plan.Naive() {
-		return naiveCount(ctx, b.inst)
-	}
-	if b.prep.plan.d.Nodes() == 0 {
-		if groundSat(b.inst) {
-			return 1, nil
-		}
-		return 0, nil
 	}
 	return b.countSt.total, nil
 }
@@ -237,21 +214,7 @@ func (b *BoundQuery) Enumerate(ctx context.Context, yield func(Solution) bool) e
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	p := b.prep.plan
-	sol := Solution{vars: p.qvars, dict: b.Dict()}
-	if p.Naive() {
-		return naiveEnumerate(ctx, b.inst, p.qvars, func(row []Value) bool {
-			sol.row = row
-			return yield(sol)
-		})
-	}
-	if p.d.Nodes() == 0 {
-		if groundSat(b.inst) {
-			sol.row = nil
-			yield(sol)
-		}
-		return nil
-	}
+	sol := Solution{vars: b.prep.plan.qvars, dict: b.Dict()}
 	return b.enumSt.enumerate(ctx, func(row []Value) bool {
 		sol.row = row
 		return yield(sol)
@@ -279,17 +242,13 @@ const maxReserve = 1 << 24
 // reserved at Count's total, which Bind and Rebind leave ready.
 func (b *BoundQuery) materialise(ctx context.Context) (*Relation, error) {
 	out := NewRelation(b.prep.plan.qvars...)
-	if cs, a := b.countSt, int64(len(out.Cols)); cs != nil && a > 0 && cs.total <= maxReserve/a {
-		out.Data = make([]Value, 0, cs.total*a)
+	if a := int64(len(out.Cols)); a > 0 && b.countSt.total <= maxReserve/a {
+		out.Data = make([]Value, 0, b.countSt.total*a)
 	}
 	err := b.Enumerate(ctx, func(s Solution) bool {
-		if len(s.row) == 0 {
-			out.AddEmpty()
-		} else {
-			// Add copies into the backing array immediately, so the reused
-			// yield slice can be passed straight through.
-			out.Add(s.row...)
-		}
+		// addRow copies into the backing array immediately, so the reused
+		// yield slice can be passed straight through.
+		out.addRow(s.row)
 		return true
 	})
 	if err != nil {
@@ -310,8 +269,7 @@ func (b *BoundQuery) materialise(ctx context.Context) (*Relation, error) {
 // Update, the diff is enumerated straight from the node deltas that Rebind
 // recorded, in O(per-node change + |result diff| × tree) — see diff.go —
 // never materialising either result. Against any other snapshot of the
-// lineage, and for plans without enumeration state (naive plans, ground
-// queries), both results are materialised and diffed as sets. This is the
+// lineage both results are materialised and diffed as sets. This is the
 // hook a live view-maintenance layer turns into change notifications. The
 // returned relations are read-only.
 func (b *BoundQuery) DiffFrom(ctx context.Context, prev *BoundQuery) (added, removed *Relation, err error) {
@@ -327,12 +285,11 @@ func (b *BoundQuery) DiffFrom(ctx context.Context, prev *BoundQuery) (added, rem
 	// One shared, never-written empty relation per plan: an invisible or
 	// absorbed delta allocates nothing here.
 	noRows := b.prep.plan.noRows
-	// Every visible Rebind renews the enumeration state, or for a plan
-	// without one (naive, ground) binds a fresh instance; share keeps both.
-	if b.enumSt == prev.enumSt && b.inst == prev.inst {
+	// Every visible Rebind renews the enumeration state; share keeps it.
+	if b.enumSt == prev.enumSt {
 		return noRows, noRows, nil // shared state: the delta was invisible to the query
 	}
-	if bes, pes := b.enumSt, prev.enumSt; bes != nil && bes.m != nil && bes.parent == pes.id {
+	if bes, pes := b.enumSt, prev.enumSt; bes.m != nil && bes.parent == pes.id {
 		var diffs []nodeDiff
 		for u, d := range bes.m.delta {
 			if d != nil {

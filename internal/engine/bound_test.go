@@ -141,63 +141,48 @@ func TestBoundConcurrent(t *testing.T) {
 	}
 }
 
-// TestBoundNaiveAndGround covers Bind under a naive-fallback plan and a
-// ground (edgeless) query.
+// TestBoundNaiveAndGround covers Bind of ground (variable-free) queries,
+// each planned as one node of nullary filters, against the naive reference:
+// Bool, Count and EnumerateAll, satisfied or not.
 func TestBoundNaiveAndGround(t *testing.T) {
 	ctx := context.Background()
-	q, db := cycleQuery(4, 2)
-	eng := NewEngine(WithMaxWidth(1), WithNaiveFallback())
-	prep, err := eng.Prepare(ctx, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !prep.Plan().Naive() {
-		t.Fatal("fixture should fall back to a naive plan")
-	}
+	db := cq.Database{}
+	db.Add("R", "a", "b")
+	db.Add("S", "b")
+	eng := NewEngine()
 	cdb, err := eng.CompileDB(ctx, db)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bound, err := prep.Bind(ctx, cdb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantN, err := NaiveCount(q, db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n, err := bound.Count(ctx); err != nil || n != wantN {
-		t.Fatalf("naive bound Count=%d want %d err=%v", n, wantN, err)
-	}
-	var streamed int64
-	if err := bound.Enumerate(ctx, func(Solution) bool { streamed++; return true }); err != nil || streamed != wantN {
-		t.Fatalf("naive bound Enumerate=%d want %d err=%v", streamed, wantN, err)
-	}
-
-	// Ground query: all atoms constant.
-	gq, err := cq.ParseQuery("R('a','b')")
-	if err != nil {
-		t.Fatal(err)
-	}
-	gdb := cq.Database{}
-	gdb.Add("R", "a", "b")
-	gPrep, err := NewEngine().Prepare(ctx, gq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gCdb, err := NewEngine().CompileDB(ctx, gdb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gBound, err := gPrep.Bind(ctx, gCdb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok, err := gBound.Bool(ctx); err != nil || !ok {
-		t.Fatalf("ground bound Bool=%v err=%v", ok, err)
-	}
-	if n, err := gBound.Count(ctx); err != nil || n != 1 {
-		t.Fatalf("ground bound Count=%d err=%v", n, err)
+	for _, text := range []string{"R('a','b')", "R('a','b'), S('b')", "R('b','a')", "R('a','b'), T('c')"} {
+		q, err := cq.ParseQuery(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prep, err := eng.Prepare(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := prep.Plan().Decomp().Nodes(); n != 1 {
+			t.Errorf("%s: planned as %d nodes, want 1", text, n)
+		}
+		bound, err := prep.Bind(ctx, cdb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantN, err := NaiveCount(q, db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok, err := bound.Bool(ctx); err != nil || ok != (wantN > 0) {
+			t.Errorf("%s: Bool=%v err=%v, naive count %d", text, ok, err, wantN)
+		}
+		if n, err := bound.Count(ctx); err != nil || n != wantN {
+			t.Errorf("%s: Count=%d err=%v, want %d", text, n, err, wantN)
+		}
+		if rel, _, err := bound.EnumerateAll(ctx); err != nil || int64(rel.Len()) != wantN || rel.Arity() != 0 {
+			t.Errorf("%s: EnumerateAll=%v err=%v, want %d empty tuples", text, rel, err, wantN)
+		}
 	}
 }
 
@@ -306,7 +291,7 @@ func TestBoundConstantsAndRepeatedVars(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prep, err := NewEngine(WithNaiveFallback()).Prepare(ctx, bad)
+	prep, err := NewEngine().Prepare(ctx, bad)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -267,7 +267,7 @@ func (b *BoundQuery) diffIncremental(ctx context.Context, pes, bes *enumState, d
 					return true
 				}
 			}
-			added.Add(asg[:nv]...)
+			added.addRow(asg[:nv])
 			return true
 		})
 		if err != nil {
@@ -285,7 +285,7 @@ func (b *BoundQuery) diffIncremental(ctx context.Context, pes, bes *enumState, d
 					return true
 				}
 			}
-			removed.Add(asg[:nv]...)
+			removed.addRow(asg[:nv])
 			return true
 		})
 		if err != nil {
@@ -342,10 +342,10 @@ func relDiff(old, new *Relation) (plus, minus *Relation) {
 }
 
 // diffOracle is the materialise-both-and-diff reference: correct for every
-// plan shape (naive and ground included) with no cached state needed, at
-// O(|old result| + |new result|) cost. DiffFrom falls back to it when the
-// incremental path does not apply, and the differential tests hold the
-// incremental path to byte-equality against it.
+// plan shape with no cached state needed, at O(|old result| + |new result|)
+// cost. DiffFrom falls back to it when the incremental path does not apply,
+// and the differential tests hold the incremental path to byte-equality
+// against it.
 func (b *BoundQuery) diffOracle(ctx context.Context, prev *BoundQuery) (added, removed *Relation, err error) {
 	cur, err := b.materialise(ctx)
 	if err != nil {

@@ -37,7 +37,7 @@ func runDiffScript(t *testing.T, sh diffShape, seed int64, nSteps int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := NewEngine(sh.opts...)
+	eng := NewEngine()
 	prep, err := eng.Prepare(ctx, q)
 	if err != nil {
 		t.Fatal(err)
@@ -107,7 +107,7 @@ func runDiffScript(t *testing.T, sh diffShape, seed int64, nSteps int) {
 	// Coverage check, full runs only: short mode's 40 steps can leave a
 	// shape's every diff on the absorbed empty fast path (const-repeat does),
 	// which never reaches the incremental enumerator.
-	if !testing.Short() && sh.name != "naive-triangle" && eng.Stats().DiffsFast == 0 {
+	if !testing.Short() && eng.Stats().DiffsFast == 0 {
 		t.Fatalf("%s: no DiffFrom took the incremental path", sh.name)
 	}
 }

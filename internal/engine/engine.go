@@ -13,16 +13,14 @@ import (
 )
 
 // Engine owns the policy and the shared caches of query compilation: how
-// hard to search for a decomposition, how many decompositions to keep, and
-// what to do when no bounded-width decomposition exists. One Engine is meant
-// to be shared process-wide and used concurrently from many goroutines; the
-// expensive, data-independent compilation (parse → hypergraph → GHD → node
-// plan) happens once per query shape in Prepare, and the resulting
-// PreparedQuery evaluates any number of databases.
+// hard to search for a decomposition and how many decompositions to keep.
+// One Engine is meant to be shared process-wide and used concurrently from
+// many goroutines; the expensive, data-independent compilation (parse →
+// hypergraph → GHD → node plan) happens once per query shape in Prepare, and
+// the resulting PreparedQuery evaluates any number of databases.
 type Engine struct {
-	cache         *decomp.Cache
-	maxWidth      int
-	naiveFallback bool
+	cache    *decomp.Cache
+	maxWidth int
 
 	// Singleflight for the decomposition search: concurrent first-time
 	// prepares of the same shape wait for one computation instead of each
@@ -61,8 +59,8 @@ type flight struct {
 // Option configures an Engine.
 type Option func(*Engine)
 
-// WithMaxWidth rejects (or, under WithNaiveFallback, degrades) queries whose
-// decomposition width exceeds w. Zero means no bound.
+// WithMaxWidth rejects queries whose decomposition width exceeds w. Zero
+// means no bound.
 func WithMaxWidth(w int) Option {
 	return func(e *Engine) { e.maxWidth = w }
 }
@@ -71,13 +69,6 @@ func WithMaxWidth(w int) Option {
 // (default 256). Zero disables caching.
 func WithDecompCache(capacity int) Option {
 	return func(e *Engine) { e.cache = decomp.NewCache(capacity) }
-}
-
-// WithNaiveFallback makes Prepare degrade to a naive backtracking plan —
-// instead of failing — when no decomposition can be found or the width
-// bound of WithMaxWidth is exceeded.
-func WithNaiveFallback() Option {
-	return func(e *Engine) { e.naiveFallback = true }
 }
 
 // defaultEngine is the process-wide engine behind Default.
@@ -171,28 +162,21 @@ func (s Stats) String() string {
 }
 
 // ErrWidthExceeded is returned (wrapped) by Prepare when the query has no
-// decomposition within the WithMaxWidth bound and no naive fallback is
-// configured. The search stops at the bound, so refusing a wide query costs
-// no more than the searches up to it.
+// decomposition within the WithMaxWidth bound. The search stops at the
+// bound, so refusing a wide query costs no more than the searches up to it.
 var ErrWidthExceeded = decomp.ErrWidthExceeded
 
 // Prepare compiles q into a reusable evaluation plan: it builds the query
 // hypergraph, finds (or fetches from the cache) a decomposition, and fixes
 // the node plan. The returned PreparedQuery is immutable and safe for
 // concurrent use; each evaluation call binds a database. The decomposition
-// search honours ctx: when ctx ends, Prepare returns ctx's error, with or
-// without the naive fallback.
+// search honours ctx: when ctx ends, Prepare returns ctx's error. A query
+// without variables has the empty decomposition, which NewPlan plans as one
+// node.
 func (e *Engine) Prepare(ctx context.Context, q cq.Query) (*PreparedQuery, error) {
 	e.prepares.Add(1)
 	if err := ctx.Err(); err != nil {
 		return nil, err
-	}
-	if len(q.Atoms) == 0 {
-		p, err := NewPlan(q, &decomp.GHD{})
-		if err != nil {
-			return nil, err
-		}
-		return &PreparedQuery{eng: e, plan: p}, nil
 	}
 	h := q.Hypergraph()
 	key := decomp.CacheKey(h)
@@ -201,10 +185,7 @@ func (e *Engine) Prepare(ctx context.Context, q cq.Query) (*PreparedQuery, error
 		return nil, cerr
 	}
 	if err != nil {
-		if !e.naiveFallback {
-			return nil, fmt.Errorf("%w for %s", err, q)
-		}
-		d = nil // the naive plan
+		return nil, fmt.Errorf("%w for %s", err, q)
 	}
 	p, err := NewPlan(q, d)
 	if err != nil {
@@ -397,15 +378,4 @@ func (p *PreparedQuery) ExplainDB(ctx context.Context, db cq.Database) (string, 
 		return "", err
 	}
 	return b.ExplainDB(), nil
-}
-
-// groundSat reports satisfiability of a query whose hypergraph has no edges
-// (every atom ground): all atom relations must be non-empty.
-func groundSat(inst *Instance) bool {
-	for _, r := range inst.AtomRels {
-		if r.Len() == 0 {
-			return false
-		}
-	}
-	return true
 }

@@ -75,10 +75,8 @@ func (b *BoundQuery) share(cdb *CompiledDB) *BoundQuery {
 // freshly bound query additionally converts its state to maintained form,
 // once: one bulk build per map, O(database) time in a few allocations per
 // map, and the result holds the maintained form only, none of Bind's flat
-// relations. Every plan with a decomposition is maintained; a naive plan or
-// a ground query, which keep no decomposition state, is bound afresh when a
-// delta reaches a relation it reads. So is the query when the snapshot does
-// not share the receiver's dictionary (i.e. does not descend from the same
+// relations. The query is bound afresh only when the snapshot does not
+// share the receiver's dictionary (i.e. does not descend from the same
 // CompileDB via Apply).
 func (b *BoundQuery) Rebind(ctx context.Context, cdb *CompiledDB) (*BoundQuery, error) {
 	if err := ctx.Err(); err != nil {
@@ -100,9 +98,6 @@ func (b *BoundQuery) Rebind(ctx context.Context, cdb *CompiledDB) (*BoundQuery, 
 	}
 	if len(dirty) == 0 {
 		return b.share(cdb), nil
-	}
-	if plan.Naive() || plan.d.Nodes() == 0 {
-		return b.prep.Bind(ctx, cdb) // no decomposition state to maintain
 	}
 	mc := &maintCtx{}
 	defer func() { eng.maintRows.Add(mc.rows) }()

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"context"
 	"sort"
 
 	"d2cq/internal/cq"
@@ -15,7 +14,12 @@ func NaiveBCQ(q cq.Query, db cq.Database) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	return naiveBool(context.Background(), inst)
+	found := false
+	naiveSearch(inst, func(map[string]Value) bool {
+		found = true
+		return false // stop at the first solution
+	})
+	return found, nil
 }
 
 // NaiveCount counts the solutions of the full CQ q by exhaustive
@@ -25,7 +29,12 @@ func NaiveCount(q cq.Query, db cq.Database) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return naiveCount(context.Background(), inst)
+	var n int64
+	naiveSearch(inst, func(map[string]Value) bool {
+		n++
+		return true
+	})
+	return n, nil
 }
 
 // NaiveEnumerate returns all solutions as a relation over the query's
@@ -38,17 +47,10 @@ func NaiveEnumerate(q cq.Query, db cq.Database) (*Relation, *Dict, error) {
 	}
 	vars := q.Vars()
 	out := NewRelation(vars...)
-	err = naiveEnumerate(context.Background(), inst, vars, func(row []Value) bool {
-		if len(vars) == 0 {
-			out.AddEmpty()
-		} else {
-			out.Add(append([]Value(nil), row...)...)
-		}
+	naiveEnumerate(inst, vars, func(row []Value) bool {
+		out.addRow(row)
 		return true
 	})
-	if err != nil {
-		return nil, nil, err
-	}
 	out.SortForDisplay()
 	return out, inst.Dict, nil
 }
@@ -64,39 +66,20 @@ func NaiveSolutions(q cq.Query, db cq.Database, yield func(Solution) bool) error
 	}
 	vars := q.Vars()
 	sol := Solution{vars: vars, dict: inst.Dict}
-	return naiveEnumerate(context.Background(), inst, vars, func(row []Value) bool {
+	naiveEnumerate(inst, vars, func(row []Value) bool {
 		sol.row = row
 		return yield(sol)
 	})
-}
-
-// naiveBool finds the first solution of the compiled instance.
-func naiveBool(ctx context.Context, inst *Instance) (bool, error) {
-	found := false
-	err := naiveSearch(ctx, inst, func(map[string]Value) bool {
-		found = true
-		return false // stop at the first solution
-	})
-	return found, err
-}
-
-// naiveCount counts all solutions of the compiled instance.
-func naiveCount(ctx context.Context, inst *Instance) (int64, error) {
-	var n int64
-	err := naiveSearch(ctx, inst, func(map[string]Value) bool {
-		n++
-		return true
-	})
-	return n, err
+	return nil
 }
 
 // naiveEnumerate streams every solution of the compiled instance as a value
 // row parallel to vars (sorted query variables). The row slice is reused
 // between yields. Distinct solutions are yielded exactly once: each full
 // assignment arises from exactly one combination of atom tuples.
-func naiveEnumerate(ctx context.Context, inst *Instance, vars []string, yield func(row []Value) bool) error {
+func naiveEnumerate(inst *Instance, vars []string, yield func(row []Value) bool) {
 	row := make([]Value, len(vars))
-	return naiveSearch(ctx, inst, func(assign map[string]Value) bool {
+	naiveSearch(inst, func(assign map[string]Value) bool {
 		for i, v := range vars {
 			row[i] = assign[v]
 		}
@@ -106,11 +89,7 @@ func naiveEnumerate(ctx context.Context, inst *Instance, vars []string, yield fu
 
 // naiveSearch backtracks over atoms ordered by selectivity (fewest tuples
 // first), calling yield for every solution; yield returns false to stop.
-// Cancellation is checked every few hundred candidate tuples.
-func naiveSearch(ctx context.Context, inst *Instance, yield func(assign map[string]Value) bool) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
+func naiveSearch(inst *Instance, yield func(assign map[string]Value) bool) {
 	order := make([]int, len(inst.Query.Atoms))
 	for i := range order {
 		order[i] = i
@@ -119,8 +98,6 @@ func naiveSearch(ctx context.Context, inst *Instance, yield func(assign map[stri
 		return inst.AtomRels[order[a]].Len() < inst.AtomRels[order[b]].Len()
 	})
 	assign := map[string]Value{}
-	steps := 0
-	var ctxErr error
 	var rec func(i int) bool
 	rec = func(i int) bool {
 		if i == len(order) {
@@ -128,13 +105,6 @@ func naiveSearch(ctx context.Context, inst *Instance, yield func(assign map[stri
 		}
 		rel := inst.AtomRels[order[i]]
 		for t := 0; t < rel.Len(); t++ {
-			steps++
-			if steps&0xff == 0 {
-				if err := ctx.Err(); err != nil {
-					ctxErr = err
-					return false
-				}
-			}
 			row := rel.Row(t)
 			var touched []string
 			ok := true
@@ -164,5 +134,4 @@ func naiveSearch(ctx context.Context, inst *Instance, yield func(assign map[stri
 		return true
 	}
 	rec(0)
-	return ctxErr
 }

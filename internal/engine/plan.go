@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strings"
 
+	"d2cq/internal/bitset"
 	"d2cq/internal/cq"
 	"d2cq/internal/decomp"
 	"d2cq/internal/hypergraph"
@@ -17,19 +18,16 @@ import (
 // per-node bag and cover variable lists, and the traversal orders. A Plan
 // never changes after NewPlan returns and is safe for concurrent use by any
 // number of evaluations; all data-dependent state lives in the per-call run.
-//
-// A Plan with a nil decomposition is a naive-fallback plan: evaluation
-// backtracks over the atoms without a decomposition.
 type Plan struct {
 	query cq.Query
 	h     *hypergraph.Hypergraph
-	d     *decomp.GHD // nil for a naive plan
+	d     *decomp.GHD
 
 	vars   []string  // hypergraph vertex id → variable name
 	qvars  []string  // the query's variables, sorted
 	noRows *Relation // the empty relation over qvars; shared, never written
 
-	// Per-node plan shape (empty for naive plans and ground queries).
+	// Per-node plan shape.
 	filters    [][]int    // node → the atoms Bind semijoins at it: those assigned to it that no λ edge at or below it enforces
 	bagVars    [][]string // node → sorted bag variable names
 	lambdaVars [][][]string
@@ -72,14 +70,16 @@ type childJoin struct {
 
 // NewPlan compiles q against the decomposition d: assigns every atom to a
 // node whose bag covers its variables and fixes the traversal orders. d must
-// be a decomposition of q's hypergraph (pass nil for a naive plan).
+// be a decomposition of q's hypergraph. The empty decomposition of a query
+// without variables is planned as one node with an empty bag and cover, at
+// which every atom is a nullary filter.
 func NewPlan(q cq.Query, d *decomp.GHD) (*Plan, error) {
+	if d.Nodes() == 0 {
+		d = &decomp.GHD{Bags: []bitset.Set{nil}, Lambdas: [][]int{nil}, Parent: []int{-1}}
+	}
 	h := q.Hypergraph()
 	p := &Plan{query: q, h: h, d: d, vars: h.VertexNames(), qvars: q.Vars()}
 	p.noRows = NewRelation(p.qvars...)
-	if d == nil || d.Nodes() == 0 {
-		return p, nil
-	}
 	p.children = d.Children()
 	// Assign each atom to a node whose bag contains its variables.
 	assigned := make([][]int, d.Nodes())
@@ -260,20 +260,11 @@ func (p *Plan) Query() cq.Query { return p.query }
 // Vars returns the query's variables in output order (sorted).
 func (p *Plan) Vars() []string { return p.qvars }
 
-// Decomp returns the decomposition behind the plan (nil for a naive plan).
+// Decomp returns the decomposition behind the plan.
 func (p *Plan) Decomp() *decomp.GHD { return p.d }
 
-// Naive reports whether the plan evaluates by backtracking without a
-// decomposition.
-func (p *Plan) Naive() bool { return p.d == nil }
-
-// Width returns the decomposition width (0 for naive and ground plans).
-func (p *Plan) Width() int {
-	if p.d == nil {
-		return 0
-	}
-	return p.d.Width()
-}
+// Width returns the decomposition width (0 for a query without variables).
+func (p *Plan) Width() int { return p.d.Width() }
 
 // Explain renders the data-independent plan: the decomposition tree with
 // per-node bags, covers and the atoms Bind filters each node by. A λ edge
@@ -285,15 +276,7 @@ func (p *Plan) Width() int {
 func (p *Plan) Explain() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "query: %s\n", p.query)
-	if p.d == nil {
-		fmt.Fprintf(&b, "plan: naive backtracking over %d atoms\n", len(p.query.Atoms))
-		return b.String()
-	}
 	fmt.Fprintf(&b, "decomposition: %d nodes, width %d\n", p.d.Nodes(), p.d.Width())
-	if p.d.Nodes() == 0 {
-		fmt.Fprintf(&b, "(ground query: emptiness checks only)\n")
-		return b.String()
-	}
 	var walk func(u, depth int)
 	walk = func(u, depth int) {
 		indent := strings.Repeat("  ", depth)

@@ -249,41 +249,6 @@ func TestPreparedSolutionAccessors(t *testing.T) {
 	}
 }
 
-func TestWithMaxWidthAndNaiveFallback(t *testing.T) {
-	q, db := cycleQuery(4, 2) // cyclic: decomposition width 2
-	strict := NewEngine(WithMaxWidth(1))
-	if _, err := strict.Prepare(context.Background(), q); !errors.Is(err, ErrWidthExceeded) {
-		t.Fatalf("want ErrWidthExceeded, got %v", err)
-	}
-	relaxed := NewEngine(WithMaxWidth(1), WithNaiveFallback())
-	prep, err := relaxed.Prepare(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !prep.Plan().Naive() {
-		t.Fatal("fallback plan should be naive")
-	}
-	ok, err := prep.Bool(context.Background(), db)
-	if err != nil || !ok {
-		t.Fatalf("naive fallback Bool: ok=%v err=%v", ok, err)
-	}
-	wantN, err := NaiveCount(q, db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := prep.Count(context.Background(), db)
-	if err != nil || n != wantN {
-		t.Fatalf("naive fallback Count = %d, want %d (err=%v)", n, wantN, err)
-	}
-	var streamed int64
-	if err := prep.Enumerate(context.Background(), db, func(Solution) bool { streamed++; return true }); err != nil {
-		t.Fatal(err)
-	}
-	if streamed != wantN {
-		t.Fatalf("naive fallback Enumerate streamed %d, want %d", streamed, wantN)
-	}
-}
-
 func TestPreparedExplain(t *testing.T) {
 	q, db := cycleQuery(4, 2)
 	prep, err := NewEngine().Prepare(context.Background(), q)
@@ -330,35 +295,13 @@ func TestPrepareSingleflight(t *testing.T) {
 	}
 }
 
-func TestNaivePlanHonoursCancelledContext(t *testing.T) {
-	q, db := cycleQuery(4, 2)
-	prep, err := NewEngine(WithMaxWidth(1), WithNaiveFallback()).Prepare(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !prep.Plan().Naive() {
-		t.Fatal("fixture should fall back to a naive plan")
-	}
-	done, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := prep.Bool(done, db); !errors.Is(err, context.Canceled) {
-		t.Errorf("naive Bool on cancelled ctx: %v", err)
-	}
-	if _, err := prep.Count(done, db); !errors.Is(err, context.Canceled) {
-		t.Errorf("naive Count on cancelled ctx: %v", err)
-	}
-	if err := prep.Enumerate(done, db, func(Solution) bool { return true }); !errors.Is(err, context.Canceled) {
-		t.Errorf("naive Enumerate on cancelled ctx: %v", err)
-	}
-}
-
 // TestPreparedDatabaseMethodsErrorParity pins what the database-taking
 // methods of a PreparedQuery answer at the edges of their input: an arity
 // mismatch (or mixed arities) in a relation the query reads is an error, a
 // read relation the database lacks and a query constant absent from it give
 // no answers, and a malformed relation the query never reads is ignored —
-// on a decomposed plan, a naive-fallback plan and a ground query alike, for
-// Bool, Count, EnumerateAll and ExplainDB.
+// on a query with variables and a ground query alike, for Bool, Count,
+// EnumerateAll and ExplainDB.
 func TestPreparedDatabaseMethodsErrorParity(t *testing.T) {
 	ctx := context.Background()
 	db := func(rels map[string][][]string) cq.Database {
@@ -374,24 +317,20 @@ func TestPreparedDatabaseMethodsErrorParity(t *testing.T) {
 	cases := []struct {
 		name    string
 		query   string
-		naive   bool
 		db      cq.Database
 		wantErr bool
 		wantN   int64
 	}{
-		{"arity-mismatch", "R(x,y), S(y,z)", false, db(map[string][][]string{"R": {{"1", "2", "3"}}, "S": {{"2", "3"}}}), true, 0},
-		{"mixed-arity-read", "R(x,y), S(y,z)", false, db(map[string][][]string{"R": {{"1", "2"}, {"1", "2", "3"}}, "S": {{"2", "3"}}}), true, 0},
-		{"missing-relation", "R(x,y), S(y,z)", false, db(map[string][][]string{"R": {{"1", "2"}}}), false, 0},
-		{"absent-constant", "R(x,y), S(y,'9')", false, path, false, 0},
-		{"present-constant", "R(x,'2'), S('2',z)", false, path, false, 1},
-		{"mixed-arity-unread", "R(x,y), S(y,z)", false, db(map[string][][]string{"R": {{"1", "2"}}, "S": {{"2", "3"}}, "U": {{"a"}, {"a", "b"}}}), false, 1},
-		{"naive", "R(x,y), S(y,z), T(z,x)", true, db(map[string][][]string{"R": {{"1", "2"}}, "S": {{"2", "3"}}, "T": {{"3", "1"}}, "U": {{"a"}, {"a", "b"}}}), false, 1},
-		{"naive-arity-mismatch", "R(x,y), S(y,z), T(z,x)", true, db(map[string][][]string{"R": {{"1", "2"}}, "S": {{"2", "3"}}, "T": {{"3"}}}), true, 0},
-		{"naive-missing-relation", "R(x,y), S(y,z), T(z,x)", true, path, false, 0},
-		{"ground", "R('1','2'), S('2','3')", false, db(map[string][][]string{"R": {{"1", "2"}}, "S": {{"2", "3"}}, "U": {{"a"}, {"a", "b"}}}), false, 1},
-		{"ground-absent-constant", "R('1','9')", false, path, false, 0},
-		{"ground-missing-relation", "R('1','2'), T('3')", false, path, false, 0},
-		{"ground-arity-mismatch", "R('1')", false, path, true, 0},
+		{"arity-mismatch", "R(x,y), S(y,z)", db(map[string][][]string{"R": {{"1", "2", "3"}}, "S": {{"2", "3"}}}), true, 0},
+		{"mixed-arity-read", "R(x,y), S(y,z)", db(map[string][][]string{"R": {{"1", "2"}, {"1", "2", "3"}}, "S": {{"2", "3"}}}), true, 0},
+		{"missing-relation", "R(x,y), S(y,z)", db(map[string][][]string{"R": {{"1", "2"}}}), false, 0},
+		{"absent-constant", "R(x,y), S(y,'9')", path, false, 0},
+		{"present-constant", "R(x,'2'), S('2',z)", path, false, 1},
+		{"mixed-arity-unread", "R(x,y), S(y,z)", db(map[string][][]string{"R": {{"1", "2"}}, "S": {{"2", "3"}}, "U": {{"a"}, {"a", "b"}}}), false, 1},
+		{"ground", "R('1','2'), S('2','3')", db(map[string][][]string{"R": {{"1", "2"}}, "S": {{"2", "3"}}, "U": {{"a"}, {"a", "b"}}}), false, 1},
+		{"ground-absent-constant", "R('1','9')", path, false, 0},
+		{"ground-missing-relation", "R('1','2'), T('3')", path, false, 0},
+		{"ground-arity-mismatch", "R('1')", path, true, 0},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -399,16 +338,9 @@ func TestPreparedDatabaseMethodsErrorParity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			eng := NewEngine()
-			if c.naive {
-				eng = NewEngine(WithMaxWidth(1), WithNaiveFallback())
-			}
-			prep, err := eng.Prepare(ctx, q)
+			prep, err := NewEngine().Prepare(ctx, q)
 			if err != nil {
 				t.Fatal(err)
-			}
-			if prep.Plan().Naive() != c.naive {
-				t.Fatalf("naive plan = %v, want %v", prep.Plan().Naive(), c.naive)
 			}
 			ok, err := prep.Bool(ctx, c.db)
 			if (err != nil) != c.wantErr || ok != (c.wantN > 0) {
@@ -458,58 +390,46 @@ func gridDualQuery(n int) cq.Query {
 // TestMaxWidthCapsSearch: WithMaxWidth(2) refuses the 5×5 grid's dual
 // (width 5) after the search at width 2, not after finding its width, and
 // caches the refusal: a second Prepare of the shape searches nothing and
-// returns at once, the same error without the fallback and the naive plan
-// with it.
+// returns the same error at once.
 func TestMaxWidthCapsSearch(t *testing.T) {
 	q := gridDualQuery(5)
-	for _, fallback := range []bool{false, true} {
-		opts := []Option{WithMaxWidth(2)}
-		if fallback {
-			opts = append(opts, WithNaiveFallback())
+	eng := NewEngine(WithMaxWidth(2))
+	for call := 1; call <= 2; call++ {
+		limit := 100 * time.Millisecond
+		if call == 2 {
+			limit = 10 * time.Millisecond
 		}
-		eng := NewEngine(opts...)
-		for call := 1; call <= 2; call++ {
-			limit := 100 * time.Millisecond
-			if call == 2 {
-				limit = 10 * time.Millisecond
-			}
-			start := time.Now()
-			prep, err := eng.Prepare(context.Background(), q)
-			if el := time.Since(start); el > raceSlack(limit) {
-				t.Errorf("fallback %v, call %d: refusal took %v", fallback, call, el)
-			}
-			switch {
-			case fallback && (err != nil || !prep.Plan().Naive()):
-				t.Fatalf("fallback, call %d: err=%v, naive=%v", call, err, err == nil && prep.Plan().Naive())
-			case !fallback && !errors.Is(err, ErrWidthExceeded):
-				t.Fatalf("call %d: want ErrWidthExceeded, got %v", call, err)
-			}
+		start := time.Now()
+		_, err := eng.Prepare(context.Background(), q)
+		if el := time.Since(start); el > raceSlack(limit) {
+			t.Errorf("call %d: refusal took %v", call, el)
 		}
-		if st := eng.Stats(); st.DecompsComputed != 1 || st.Cache.Len != 1 {
-			t.Errorf("fallback %v: %d searches and %d cache entries for two Prepares of one refused shape, want 1 and 1", fallback, st.DecompsComputed, st.Cache.Len)
+		if !errors.Is(err, ErrWidthExceeded) {
+			t.Fatalf("call %d: want ErrWidthExceeded, got %v", call, err)
 		}
+	}
+	if st := eng.Stats(); st.DecompsComputed != 1 || st.Cache.Len != 1 {
+		t.Errorf("%d searches and %d cache entries for two Prepares of one refused shape, want 1 and 1", st.DecompsComputed, st.Cache.Len)
 	}
 }
 
 // TestPrepareHonoursDeadline: the search for the 6×6 grid's dual runs for
-// minutes; Prepare stops it at its context's deadline, with or without the
-// naive fallback, and caches nothing.
+// minutes; Prepare stops it at its context's deadline and caches nothing.
 func TestPrepareHonoursDeadline(t *testing.T) {
 	q := gridDualQuery(6)
-	for _, eng := range []*Engine{NewEngine(), NewEngine(WithNaiveFallback())} {
-		ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
-		start := time.Now()
-		_, err := eng.Prepare(ctx, q)
-		cancel()
-		if el := time.Since(start); el > raceSlack(time.Second) {
-			t.Errorf("Prepare with a 200ms deadline returned after %v", el)
-		}
-		if !errors.Is(err, context.DeadlineExceeded) {
-			t.Errorf("want context.DeadlineExceeded, got %v", err)
-		}
-		if n := eng.Stats().Cache.Len; n != 0 {
-			t.Errorf("cache holds %d entries after a cancelled search", n)
-		}
+	eng := NewEngine()
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, err := eng.Prepare(ctx, q)
+	if el := time.Since(start); el > raceSlack(time.Second) {
+		t.Errorf("Prepare with a 200ms deadline returned after %v", el)
+	}
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("want context.DeadlineExceeded, got %v", err)
+	}
+	if n := eng.Stats().Cache.Len; n != 0 {
+		t.Errorf("cache holds %d entries after a cancelled search", n)
 	}
 }
 

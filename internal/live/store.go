@@ -1019,6 +1019,8 @@ type QueryBackpressure struct {
 // flush path only (batch take + commit) — the flat-tail claim of the
 // O(change) flush design is that MaxLockHoldNs stays O(staged queries +
 // notification size) while StageNs carries all the data-dependent work.
+// LockHoldNs and MaxLockHoldNs time mu only, not flushMu, so they leave out
+// the flushMu holds of staging, of a registration's Bind and of Subscribe.
 // StagedQueries counts the queries actually staged — those reading a
 // relation of the flushed batch — cumulatively, so StagedQueries/Flushes is
 // the mean number of queries a flush reaches.

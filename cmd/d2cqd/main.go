@@ -6,7 +6,7 @@
 // Usage:
 //
 //	d2cqd [-addr 127.0.0.1:8344] [-db file]
-//	      [-data-dir dir] [-fsync always|off|duration] [-checkpoint-every 64]
+//	      [-data-dir dir] [-fsync always|off|duration]
 //	      [-listen-wire host:port] [-auth-token T]
 //
 // With -listen-wire the daemon also serves the binary wire protocol
@@ -17,9 +17,10 @@
 //
 // With -data-dir the store is durable: every applied batch and registration
 // is written to a write-ahead log under the directory before it becomes
-// observable, snapshot checkpoints bound recovery replay (one every
-// -checkpoint-every flushes, plus on startup and shutdown), and a restart
-// over the same directory resumes at the exact pre-crash state. -fsync picks
+// observable, snapshot checkpoints bound recovery replay (one once the log
+// since the last has grown to that checkpoint's size, plus on startup and
+// shutdown), and a restart over the same directory resumes at the exact
+// pre-crash state. -fsync picks
 // the durability/latency trade-off: "always" fsyncs per flush, a duration
 // ("100ms") fsyncs on that interval, "off" leaves flushing to the OS. A
 // data directory with shard-<i> subdirectories was written by the sharded
@@ -138,7 +139,6 @@ func run(args []string, out io.Writer) error {
 	fs.Duration("max-latency", 0, "deprecated and ignored: flushing is group commit")
 	dataDir := fs.String("data-dir", "", "durable mode: write-ahead log + checkpoints under this directory; restarts resume the pre-crash state")
 	fsync := fs.String("fsync", "always", "WAL fsync policy: always (per flush), off, or an interval duration like 100ms")
-	ckptEvery := fs.Int("checkpoint-every", 0, "flushes between snapshot checkpoints in durable mode (0: default 64)")
 	listenWire := fs.String("listen-wire", "", "also serve the binary wire protocol on this address (host:port; empty: HTTP only)")
 	authToken := fs.String("auth-token", "", "require this bearer token on every HTTP request and wire handshake (empty: no auth)")
 	if err := fs.Parse(args); err != nil {
@@ -173,10 +173,9 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 		store, err = live.Open(context.Background(), engine.NewEngine(), live.DurableConfig{
-			Backend:         backend,
-			SyncMode:        mode,
-			SyncInterval:    interval,
-			CheckpointEvery: *ckptEvery,
+			Backend:      backend,
+			SyncMode:     mode,
+			SyncInterval: interval,
 		})
 		if err != nil {
 			return err

@@ -313,8 +313,9 @@ func NewLiveStore(ctx context.Context, eng *Engine, db Database, cfg LiveConfig)
 // --- durability -----------------------------------------------------------------
 
 // LiveDurableConfig configures a durable LiveStore: the wal.Backend the log
-// and checkpoints live on, the fsync policy, and the checkpoint cadence,
-// wrapped around the usual LiveConfig.
+// and checkpoints live on and the fsync policy, wrapped around the usual
+// LiveConfig. Checkpoints need no setting: one is written once the log since
+// the last has grown to that checkpoint's size.
 type LiveDurableConfig = live.DurableConfig
 
 // LiveDurabilityStats is the durability section of LiveStats: log position,

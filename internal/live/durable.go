@@ -36,46 +36,20 @@ type DurableConfig struct {
 	SyncMode wal.SyncMode
 	// SyncInterval is the flush period under wal.SyncInterval (default 100ms).
 	SyncInterval time.Duration
-	// SegmentBytes rotates log segments at this size (default 4 MiB).
-	SegmentBytes int64
-	// CheckpointEvery writes a snapshot checkpoint after this many flushes
-	// (default 64), bounding the log suffix the next Open must replay.
-	CheckpointEvery int
-	// KeepCheckpoints retains this many checkpoint generations (default 2):
-	// one corrupt newest checkpoint then falls back to the previous one plus
-	// a longer replay instead of failing recovery.
-	KeepCheckpoints int
 }
 
-const (
-	defaultCheckpointEvery = 64
-	defaultKeepCheckpoints = 2
-)
-
-func (c DurableConfig) withDefaults() DurableConfig {
-	if c.CheckpointEvery <= 0 {
-		c.CheckpointEvery = defaultCheckpointEvery
-	}
-	if c.KeepCheckpoints <= 0 {
-		c.KeepCheckpoints = defaultKeepCheckpoints
-	}
-	return c
-}
-
-// durability is the Store's attachment to its write-ahead log. The log and
-// the cadence knobs are fixed at Open; the wal.Log has its own lock and
-// never calls back into the store. The mutable counters carry their own
-// mutex (cmu) because they are written by the flush pipeline — which holds
-// flushMu, not Store.mu — and read by Stats, which holds Store.mu; cmu is a
-// leaf lock acquired after either.
+// durability is the Store's attachment to its write-ahead log. The log is
+// fixed at Open; the wal.Log has its own lock and never calls back into the
+// store. The mutable counters carry their own mutex (cmu) because they are
+// written by the flush pipeline — which holds flushMu, not Store.mu — and
+// read by Stats, which holds Store.mu; cmu is a leaf lock acquired after
+// either.
 type durability struct {
-	log             *wal.Log
-	checkpointEvery int
-	keep            int
-	mode            wal.SyncMode
+	log  *wal.Log
+	mode wal.SyncMode
 
 	cmu             sync.Mutex // guards the counters below
-	sinceCkpt       int
+	lastCkptBytes   int64
 	lastCkptLSN     uint64
 	lastCkptVersion uint64
 	replayed        uint64
@@ -84,16 +58,20 @@ type durability struct {
 
 // DurabilityStats is the durability section of Stats.
 type DurabilityStats struct {
-	SyncMode               string `json:"sync_mode"`
-	NextLSN                uint64 `json:"next_lsn"`
-	Segments               int    `json:"segments"`
-	LogBytes               int64  `json:"log_bytes"`
-	Checkpoints            int    `json:"checkpoints"`
-	LastCheckpointLSN      uint64 `json:"last_checkpoint_lsn"`
-	LastCheckpointVersion  uint64 `json:"last_checkpoint_version"`
-	FlushesSinceCheckpoint int    `json:"flushes_since_checkpoint"`
+	SyncMode              string `json:"sync_mode"`
+	NextLSN               uint64 `json:"next_lsn"`
+	Segments              int    `json:"segments"`
+	LogBytes              int64  `json:"log_bytes"`
+	Checkpoints           int    `json:"checkpoints"`
+	LastCheckpointLSN     uint64 `json:"last_checkpoint_lsn"`
+	LastCheckpointVersion uint64 `json:"last_checkpoint_version"`
+	// LogBytesSinceCheckpoint and LastCheckpointBytes are the checkpoint
+	// rule's inputs: a checkpoint is written once the first reaches the
+	// second.
+	LogBytesSinceCheckpoint int64 `json:"log_bytes_since_checkpoint"`
+	LastCheckpointBytes     int64 `json:"last_checkpoint_bytes"`
 	// ReplayedRecords is how many log records the last Open had to replay —
-	// the recovery cost the checkpoint cadence is there to bound.
+	// the recovery cost the checkpoint rule is there to bound.
 	ReplayedRecords uint64 `json:"replayed_records"`
 	LastError       string `json:"last_error,omitempty"`
 }
@@ -101,14 +79,15 @@ type DurabilityStats struct {
 func (d *durability) stats() *DurabilityStats {
 	d.cmu.Lock()
 	out := &DurabilityStats{
-		SyncMode:               d.mode.String(),
-		LastCheckpointLSN:      d.lastCkptLSN,
-		LastCheckpointVersion:  d.lastCkptVersion,
-		FlushesSinceCheckpoint: d.sinceCkpt,
-		ReplayedRecords:        d.replayed,
-		LastError:              d.lastError,
+		SyncMode:              d.mode.String(),
+		LastCheckpointLSN:     d.lastCkptLSN,
+		LastCheckpointVersion: d.lastCkptVersion,
+		LastCheckpointBytes:   d.lastCkptBytes,
+		ReplayedRecords:       d.replayed,
+		LastError:             d.lastError,
 	}
 	d.cmu.Unlock()
+	out.LogBytesSinceCheckpoint = d.log.ActiveBytes()
 	if st, err := d.log.Stats(); err == nil {
 		out.NextLSN = st.NextLSN
 		out.Segments = st.Segments
@@ -163,17 +142,16 @@ func decodeQueryRecord(payload []byte) (string, string, error) {
 	return string(payload[4 : 4+n]), string(payload[4+n:]), nil
 }
 
-// maybeCheckpoint advances the flush counter and writes a checkpoint when
-// the cadence is due. Called with Store.flushMu held (NOT mu — the snapshot
-// encode is the expensive part and must not block submitters). Checkpoint
-// failures never fail the flush that triggered them — the log still has
-// everything — but they are surfaced in the durability stats.
+// maybeCheckpoint writes a checkpoint once the log appended since the last
+// one has reached that one's size: checkpoints then write no more bytes than
+// the log plus one checkpoint, and recovery replays at most one checkpoint's
+// worth of log and a record. Called with Store.flushMu held (NOT mu — the snapshot encode
+// is the expensive part and must not block submitters). Checkpoint failures
+// never fail the flush that triggered them — the log still has everything —
+// but they are surfaced in the durability stats. lastCkptBytes is written
+// only under flushMu too, so it is read here without cmu.
 func (d *durability) maybeCheckpoint(s *Store) {
-	d.cmu.Lock()
-	d.sinceCkpt++
-	due := d.sinceCkpt >= d.checkpointEvery
-	d.cmu.Unlock()
-	if !due {
+	if d.log.ActiveBytes() < d.lastCkptBytes {
 		return
 	}
 	if err := d.checkpoint(s); err != nil {
@@ -190,14 +168,16 @@ func (d *durability) maybeCheckpoint(s *Store) {
 // flushMu+mu), so the whole encode runs without touching Store.mu.
 func (d *durability) checkpoint(s *Store) error {
 	lsn := d.log.NextLSN() - 1
-	err := d.log.WriteCheckpoint(lsn, d.keep, func(w io.Writer) error {
-		return writeCheckpoint(w, lsn, s.version, s.queries, s.cdb)
+	var size int64
+	err := d.log.WriteCheckpoint(lsn, func(w io.Writer) (err error) {
+		size, err = writeCheckpoint(w, lsn, s.version, s.queries, s.cdb)
+		return err
 	})
 	if err != nil {
 		return err
 	}
 	d.cmu.Lock()
-	d.sinceCkpt = 0
+	d.lastCkptBytes = size
 	d.lastCkptLSN = lsn
 	d.lastCkptVersion = s.version
 	d.cmu.Unlock()
@@ -211,15 +191,18 @@ var ckptMagic = []byte("d2cqckpt")
 
 const ckptFormat = 1
 
-// crcWriter tracks the running CRC32 of everything written through it.
+// crcWriter tracks the running CRC32 and the count of everything written
+// through it.
 type crcWriter struct {
 	w   io.Writer
 	crc uint32
+	n   int64
 }
 
 func (c *crcWriter) Write(p []byte) (int, error) {
 	n, err := c.w.Write(p)
 	c.crc = crc32.Update(c.crc, crc32.IEEETable, p[:n])
+	c.n += int64(n)
 	return n, err
 }
 
@@ -247,20 +230,20 @@ func putString(w io.Writer, s string) error {
 
 // writeCheckpoint streams magic, format, covered LSN, store version, the
 // registered queries (name + canonical text, sorted), the compiled snapshot,
-// and a trailing CRC32 of everything before it.
-func writeCheckpoint(w io.Writer, lsn, version uint64, queries map[string]*liveQuery, cdb *engine.CompiledDB) error {
+// and a trailing CRC32 of everything before it, and returns the bytes written.
+func writeCheckpoint(w io.Writer, lsn, version uint64, queries map[string]*liveQuery, cdb *engine.CompiledDB) (int64, error) {
 	cw := &crcWriter{w: w}
 	if _, err := cw.Write(ckptMagic); err != nil {
-		return err
+		return 0, err
 	}
 	if _, err := cw.Write([]byte{ckptFormat}); err != nil {
-		return err
+		return 0, err
 	}
 	if err := putU64(cw, lsn); err != nil {
-		return err
+		return 0, err
 	}
 	if err := putU64(cw, version); err != nil {
-		return err
+		return 0, err
 	}
 	names := make([]string, 0, len(queries))
 	for name := range queries {
@@ -268,24 +251,25 @@ func writeCheckpoint(w io.Writer, lsn, version uint64, queries map[string]*liveQ
 	}
 	sort.Strings(names)
 	if err := putU32(cw, uint32(len(names))); err != nil {
-		return err
+		return 0, err
 	}
 	for _, name := range names {
 		if err := putString(cw, name); err != nil {
-			return err
+			return 0, err
 		}
 		if err := putString(cw, queries[name].src); err != nil {
-			return err
+			return 0, err
 		}
 	}
 	if err := cdb.WriteSnapshot(cw); err != nil {
-		return err
+		return 0, err
 	}
-	return putU32(w, cw.crc) // the CRC itself is outside the checksum
+	return cw.n + 4, putU32(w, cw.crc) // the CRC itself is outside the checksum
 }
 
 // checkpointState is a decoded checkpoint.
 type checkpointState struct {
+	size    int64 // the blob's length in bytes
 	lsn     uint64
 	version uint64
 	queries []ckptQuery
@@ -321,7 +305,7 @@ func readCheckpoint(eng *engine.Engine, backend wal.Backend, lsn uint64) (*check
 	if _, err := io.ReadFull(r, format[:]); err != nil || format[0] != ckptFormat {
 		return nil, fmt.Errorf("live: unsupported checkpoint format %d", format[0])
 	}
-	st := &checkpointState{}
+	st := &checkpointState{size: int64(len(blob))}
 	if st.lsn, err = getU64(r); err != nil {
 		return nil, err
 	}
@@ -395,13 +379,14 @@ func getString(r *bytes.Reader) (string, error) {
 // resumes at the pre-crash snapshot, version, and resume rings. A fresh
 // backend starts an empty store at version 1; its versions persist, so
 // cursors stay valid across restarts (NewStore starts at the clock instead).
-// Every later flush is logged before it becomes observable, and a
-// checkpoint is written every CheckpointEvery flushes and on Close.
+// Every later flush and registration is logged before it becomes
+// observable. A checkpoint is written once the log since the last one has
+// reached that one's size, after a recovery that replayed any record, and on
+// Close.
 func Open(ctx context.Context, eng *engine.Engine, cfg DurableConfig) (*Store, error) {
 	if cfg.Backend == nil {
 		return nil, errors.New("live: Open requires a wal.Backend")
 	}
-	cfg = cfg.withDefaults()
 	if eng == nil {
 		eng = engine.NewEngine()
 	}
@@ -446,24 +431,19 @@ func Open(ctx context.Context, eng *engine.Engine, cfg DurableConfig) (*Store, e
 		return nil, err
 	}
 
-	log, err := wal.Open(cfg.Backend, wal.Options{
-		SegmentBytes: cfg.SegmentBytes,
-		Mode:         cfg.SyncMode,
-		Interval:     cfg.SyncInterval,
-	})
+	log, err := wal.Open(cfg.Backend, wal.Options{Mode: cfg.SyncMode, Interval: cfg.SyncInterval})
 	if err != nil {
 		return nil, err
 	}
 	s.dur = &durability{
-		log:             log,
-		checkpointEvery: cfg.CheckpointEvery,
-		keep:            cfg.KeepCheckpoints,
-		lastCkptLSN:     fromLSN,
-		replayed:        replayed,
-		mode:            cfg.SyncMode,
+		log:         log,
+		lastCkptLSN: fromLSN,
+		replayed:    replayed,
+		mode:        cfg.SyncMode,
 	}
 	if ck != nil {
 		s.dur.lastCkptVersion = ck.version
+		s.dur.lastCkptBytes = ck.size
 	}
 	// Fold the recovered state into a fresh checkpoint right away when it
 	// took any replay (or nothing was checkpointed yet): the next Open then

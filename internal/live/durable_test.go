@@ -3,12 +3,16 @@ package live
 import (
 	"context"
 	"encoding/binary"
+	"flag"
+	"fmt"
 	"hash/crc32"
 	"io"
 	"math/rand"
 	"reflect"
 	"slices"
 	"sort"
+	"strings"
+	"sync"
 	"testing"
 
 	"d2cq/internal/cq"
@@ -17,16 +21,17 @@ import (
 	"d2cq/internal/wal"
 )
 
-// durableConfig is the durable stores' test config: no mid-run checkpoint
-// cadence (Open and Close still write their own), ample history and buffers.
+// durableConfig is the durable stores' test config: ample history and
+// buffers, no fsync.
 func durableConfig(backend wal.Backend) DurableConfig {
 	return DurableConfig{
-		Config:          Config{History: 256},
-		Backend:         backend,
-		SyncMode:        wal.SyncOff,
-		CheckpointEvery: 1 << 30,
+		Config:   Config{History: 256},
+		Backend:  backend,
+		SyncMode: wal.SyncOff,
 	}
 }
+
+var durSeed = flag.Int64("durseed", 17, "seed of the durable crash-recovery differential's stream")
 
 func mustQuery(t *testing.T, src string) cq.Query {
 	t.Helper()
@@ -129,9 +134,13 @@ func ckptState(t *testing.T, backend wal.Backend) []byte {
 // state must be identical — query counts, store version, and the logical
 // bytes of the final checkpoint — and a watcher reconnecting after the crash
 // with its pre-crash cursor must receive exactly the reference's remaining
-// notifications: none duplicated, none missing.
+// notifications: none duplicated, none missing. Checkpoints fall mid-stream
+// wherever the log outgrows the last one, so a boundary's image may recover
+// from a mid-stream checkpoint over a truncated log.
+//
+// go test ./internal/live -run TestDurableCrashRecoveryDifferential -durseed N
 func TestDurableCrashRecoveryDifferential(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
+	rng := rand.New(rand.NewSource(*durSeed))
 	sh := watchShapes[0] // path: R,S,T (+Zed noise), all binary
 	relNames := []string{"R", "S", "T", "Zed"}
 	q1 := mustQuery(t, sh.query)                 // registered up front
@@ -461,5 +470,203 @@ func TestWatchFromEarlierStore(t *testing.T) {
 	}
 	if got := drain(sub); len(got) != 0 {
 		t.Fatalf("unresumable cursor got %d queued notifications", len(got))
+	}
+}
+
+// meteredBackend counts the bytes the log and the checkpoints write through
+// it, independently of the store's own stats.
+type meteredBackend struct {
+	*wal.Mem
+	mu         sync.Mutex
+	logBytes   int64 // every segment byte written
+	ckptBytes  int64 // every checkpoint byte written
+	ckpts      int   // checkpoints written
+	sinceCkpt  int64 // segment bytes written since the last checkpoint
+	lastCkpt   int64 // the last checkpoint's bytes
+	lastRecord int64 // the last segment write: one record frame
+}
+
+type meteredSegment struct {
+	wal.SegmentWriter
+	b *meteredBackend
+}
+
+func (s meteredSegment) Write(p []byte) (int, error) {
+	n, err := s.SegmentWriter.Write(p)
+	s.b.mu.Lock()
+	s.b.logBytes += int64(n)
+	s.b.sinceCkpt += int64(n)
+	s.b.lastRecord = int64(n)
+	s.b.mu.Unlock()
+	return n, err
+}
+
+func (b *meteredBackend) CreateSegment(start uint64) (wal.SegmentWriter, error) {
+	w, err := b.Mem.CreateSegment(start)
+	return meteredSegment{w, b}, err
+}
+
+func (b *meteredBackend) WriteCheckpoint(lsn uint64, write func(io.Writer) error) error {
+	cw := &crcWriter{} // for its count
+	err := b.Mem.WriteCheckpoint(lsn, func(w io.Writer) error {
+		cw.w = w
+		return write(cw)
+	})
+	if err == nil {
+		b.mu.Lock()
+		b.ckptBytes += cw.n
+		b.ckpts++
+		b.sinceCkpt = 0
+		b.lastCkpt = cw.n
+		b.mu.Unlock()
+	}
+	return err
+}
+
+// TestCheckpointProportionalToLog pins the checkpoint schedule to the log's
+// growth. Over a large state fed one-tuple flushes, checkpoints must not
+// write more than the log does (plus the checkpoint the store opened on): a
+// fixed flush cadence re-encodes the whole state every few flushes that log
+// a few bytes each. Over a small state fed large flushes, the log since the
+// last checkpoint must stay below that checkpoint's size plus one record: a
+// fixed cadence lets it grow without bound.
+func TestCheckpointProportionalToLog(t *testing.T) {
+	ctx := context.Background()
+	eng := engine.NewEngine()
+	q := mustQuery(t, "R(x,y), S(y,z)")
+	tuple := func(d *storage.Delta, prefix string, i int) {
+		d.Add("R", fmt.Sprintf("%s%d", prefix, i), fmt.Sprintf("m%d", i%50))
+		d.Add("S", fmt.Sprintf("m%d", i%50), fmt.Sprintf("%s%d", prefix, i))
+	}
+
+	t.Run("large-state-small-flushes", func(t *testing.T) {
+		mem := wal.NewMem()
+		s, err := Open(ctx, eng, durableConfig(mem))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Register(ctx, "q", q); err != nil {
+			t.Fatal(err)
+		}
+		bulk := storage.NewDelta()
+		for i := 0; i < 2000; i++ {
+			tuple(bulk, "a", i)
+		}
+		flushBatch(t, s, bulk)
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		// Reopen on the checkpoint Close wrote: the log since then starts
+		// empty, and that checkpoint is the one the store opened on.
+		ckpts, _ := mem.ListCheckpoints()
+		rc, err := mem.OpenCheckpoint(ckpts[len(ckpts)-1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob, _ := io.ReadAll(rc)
+		rc.Close()
+		opened := int64(len(blob))
+		m := &meteredBackend{Mem: mem}
+		s, err = Open(ctx, eng, durableConfig(m))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		for i := 0; i < 1500; i++ {
+			d := storage.NewDelta()
+			d.Add("R", fmt.Sprintf("b%d", i), fmt.Sprintf("m%d", i%50))
+			flushBatch(t, s, d)
+			m.mu.Lock()
+			ckptBytes, logBytes := m.ckptBytes, m.logBytes
+			m.mu.Unlock()
+			if ckptBytes > logBytes+opened {
+				t.Fatalf("flush %d: checkpoints wrote %d bytes, the log %d, the opening checkpoint was %d",
+					i, ckptBytes, logBytes, opened)
+			}
+		}
+		if m.ckpts < 2 {
+			t.Fatalf("%d checkpoints over %d log bytes from an opening checkpoint of %d: the schedule never ran",
+				m.ckpts, m.logBytes, opened)
+		}
+	})
+
+	t.Run("small-state-large-flushes", func(t *testing.T) {
+		m := &meteredBackend{Mem: wal.NewMem()}
+		s, err := Open(ctx, eng, durableConfig(m))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		if err := s.Register(ctx, "q", q); err != nil {
+			t.Fatal(err)
+		}
+		// Each flush swaps one 100-tuple batch for the other: the state
+		// stays one batch, each record holds two.
+		for i := 0; i < 200; i++ {
+			d := storage.NewDelta()
+			in, out := "a", "b"
+			if i%2 == 1 {
+				in, out = out, in
+			}
+			for j := 0; j < 100; j++ {
+				tuple(d, in, j)
+				if i > 0 {
+					d.Remove("R", fmt.Sprintf("%s%d", out, j), fmt.Sprintf("m%d", j%50))
+					d.Remove("S", fmt.Sprintf("m%d", j%50), fmt.Sprintf("%s%d", out, j))
+				}
+			}
+			flushBatch(t, s, d)
+			m.mu.Lock()
+			since, last, record := m.sinceCkpt, m.lastCkpt, m.lastRecord
+			m.mu.Unlock()
+			if since >= last+record {
+				t.Fatalf("flush %d: %d log bytes since the last checkpoint of %d bytes (records of %d)",
+					i, since, last, record)
+			}
+			if st := s.Stats().Durability; st.LogBytesSinceCheckpoint != since || st.LastCheckpointBytes != last {
+				t.Fatalf("flush %d: stats report %d log bytes since a checkpoint of %d, the backend saw %d and %d",
+					i, st.LogBytesSinceCheckpoint, st.LastCheckpointBytes, since, last)
+			}
+		}
+	})
+}
+
+// TestOpenRefusesLogGap: a log whose oldest segment starts after the record
+// recovery must replay from cannot recover the store. With every checkpoint
+// gone, recovery needs the log from LSN 1, which truncation has dropped:
+// Open must fail naming both LSNs and write nothing, rather than replay the
+// tail onto an empty store and checkpoint that as the new base.
+func TestOpenRefusesLogGap(t *testing.T) {
+	ctx := context.Background()
+	mem := wal.NewMem()
+	s, err := Open(ctx, engine.NewEngine(), durableConfig(mem))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Register(ctx, "q", mustQuery(t, "R(x,y)")); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 40; i++ {
+		flushBatch(t, s, storage.NewDelta().Add("R", "a", fmt.Sprint(i)))
+	}
+	img := mem.Clone() // a crash: no closing checkpoint
+	s.Close()
+	segs, _ := img.ListSegments()
+	if len(segs) == 0 || segs[0] <= 1 {
+		t.Fatalf("segments %v: the log was never truncated", segs)
+	}
+	ckpts, _ := img.ListCheckpoints()
+	for _, c := range ckpts {
+		if err := img.RemoveCheckpoint(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, err = Open(ctx, engine.NewEngine(), durableConfig(img))
+	if want := fmt.Sprintf("needs LSN 1, but the log starts at LSN %d", segs[0]); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Open over segments %v and no checkpoint: err %v, want one containing %q", segs, err, want)
+	}
+	after, _ := img.ListSegments()
+	if ck, _ := img.ListCheckpoints(); len(ck) != 0 || !slices.Equal(after, segs) {
+		t.Fatalf("failed Open wrote to the backend: checkpoints %v, segments %v -> %v", ck, segs, after)
 	}
 }

@@ -381,6 +381,9 @@ func (s *Store) register(ctx context.Context, name string, q cq.Query, logIt boo
 	// would create a relation no registered query could ever bind against
 	// (Bind would fail the whole flush otherwise).
 	s.mu.Unlock()
+	if s.dur != nil {
+		s.dur.maybeCheckpoint(s)
+	}
 	return nil
 }
 

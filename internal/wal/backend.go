@@ -61,6 +61,7 @@ const (
 	segSuffix  = ".log"
 	ckptPrefix = "ckpt-"
 	ckptSuffix = ".snap"
+	ckptTemp   = ckptPrefix + "tmp-" // a checkpoint being written
 )
 
 // FS is the filesystem Backend: segments as dir/wal-<lsn>.log, checkpoints as
@@ -70,10 +71,22 @@ type FS struct {
 	dir string
 }
 
-// NewFS creates the data directory if needed and returns the backend.
+// NewFS creates the data directory if needed, removes the temp files of
+// checkpoints a crash interrupted, and returns the backend.
 func NewFS(dir string) (*FS, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	for _, e := range entries {
+		if !e.IsDir() && strings.HasPrefix(e.Name(), ckptTemp) {
+			if err := os.Remove(filepath.Join(dir, e.Name())); err != nil {
+				return nil, err
+			}
+		}
 	}
 	return &FS{dir: dir}, nil
 }
@@ -149,7 +162,7 @@ func (fs *FS) SegmentSize(start uint64) (int64, error) {
 func (fs *FS) ListCheckpoints() ([]uint64, error) { return fs.list(ckptPrefix, ckptSuffix) }
 
 func (fs *FS) WriteCheckpoint(lsn uint64, write func(io.Writer) error) error {
-	tmp, err := os.CreateTemp(fs.dir, ckptPrefix+"tmp-*")
+	tmp, err := os.CreateTemp(fs.dir, ckptTemp+"*")
 	if err != nil {
 		return err
 	}

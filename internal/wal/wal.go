@@ -1,7 +1,9 @@
 // Package wal provides a write-ahead log for the live query store: an
-// append-only, CRC-checked sequence of typed records spread over rotating
-// segments, plus atomically-published checkpoint blobs that bound how much of
-// the log recovery has to replay.
+// append-only, CRC-checked sequence of typed records spread over segments,
+// plus atomically-published checkpoint blobs that bound how much of the log
+// recovery has to replay. The log starts a new segment only at a checkpoint
+// and at Open, never by size, so the active segment is the log since the last
+// checkpoint (ActiveBytes), and pruning drops whole checkpoint intervals.
 //
 // Record framing is [u32 length][u32 CRC32(body)][body], little-endian, where
 // body = [u8 type][u64 LSN][payload]. LSNs are assigned by the log and
@@ -50,9 +52,6 @@ const (
 
 // Options configures a Log. Zero values pick the defaults noted per field.
 type Options struct {
-	// SegmentBytes rotates the active segment once it exceeds this size
-	// (default 4 MiB).
-	SegmentBytes int64
 	// Mode is the fsync policy (default SyncAlways).
 	Mode SyncMode
 	// Interval is the flush period for SyncInterval (default 100ms).
@@ -64,8 +63,12 @@ const (
 	bodyHeader   = 9       // u8 type + u64 LSN
 	maxRecordLen = 1 << 30 // sanity cap on a single frame body
 
-	defaultSegmentBytes = 4 << 20
 	defaultSyncInterval = 100 * time.Millisecond
+
+	// keepCheckpoints is how many checkpoint generations WriteCheckpoint
+	// retains: a corrupt newest one then falls back to the previous one and
+	// a longer replay instead of failing recovery.
+	keepCheckpoints = 2
 )
 
 // ErrClosed is returned by operations on a closed log.
@@ -92,9 +95,6 @@ type Log struct {
 // Open scans the backend's segments for the last contiguous record, then
 // starts a fresh segment at the next LSN. An empty backend starts at LSN 1.
 func Open(backend Backend, opts Options) (*Log, error) {
-	if opts.SegmentBytes <= 0 {
-		opts.SegmentBytes = defaultSegmentBytes
-	}
 	if opts.Interval <= 0 {
 		opts.Interval = defaultSyncInterval
 	}
@@ -220,11 +220,6 @@ func (l *Log) Append(typ byte, payload []byte) (uint64, error) {
 	}
 	lsn := l.nextLSN
 	frame := l.encodeFrame(typ, lsn, payload)
-	if l.curLen > 0 && l.curLen+int64(len(frame)) > l.opts.SegmentBytes {
-		if err := l.rotateLocked(); err != nil {
-			return 0, err
-		}
-	}
 	if _, err := l.cur.Write(frame); err != nil {
 		return 0, err
 	}
@@ -256,6 +251,7 @@ func (l *Log) encodeFrame(typ byte, lsn uint64, payload []byte) []byte {
 }
 
 // rotateLocked seals the active segment (final sync) and opens the next one.
+// A segment that took no record is created afresh in place.
 func (l *Log) rotateLocked() error {
 	if err := l.syncLocked(); err != nil {
 		return err
@@ -308,11 +304,15 @@ func (l *Log) syncLoop() {
 // Replay streams every reachable record of the backend with LSN >= from, in
 // order — recovery's replay, run before a Log is opened. Replay stops at the
 // first torn or discontinuous frame; records past a mid-log gap are
-// unreachable by design.
+// unreachable by design. A log that starts after from cannot replay the
+// records before its start, so Replay refuses it rather than skip them.
 func Replay(backend Backend, from uint64, fn func(Record) error) error {
 	starts, err := backend.ListSegments()
 	if err != nil {
 		return err
+	}
+	if len(starts) > 0 && starts[0] > max(from, 1) {
+		return fmt.Errorf("wal: replay needs LSN %d, but the log starts at LSN %d", max(from, 1), starts[0])
 	}
 	var last uint64
 	for i, start := range starts {
@@ -423,32 +423,42 @@ func (l *Log) Stats() (Stats, error) {
 	return st, nil
 }
 
+// ActiveBytes reports the bytes appended to the active segment: the log since
+// the last checkpoint, or since Open if none was written since.
+func (l *Log) ActiveBytes() int64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.curLen
+}
+
 // WriteCheckpoint publishes a checkpoint covering every record with
-// LSN <= lsn, then prunes older checkpoints (keeping `keep` of them, minimum
-// one — the one just written) and the log segments the newest checkpoint
-// makes redundant.
-func (l *Log) WriteCheckpoint(lsn uint64, keep int, write func(io.Writer) error) error {
+// LSN <= lsn, which must be the last record appended (the caller keeps
+// appends out until it returns). It seals the active segment first, so the
+// records after the checkpoint start a new one, then prunes all but the
+// newest keepCheckpoints checkpoints and the segments the oldest kept one
+// covers.
+func (l *Log) WriteCheckpoint(lsn uint64, write func(io.Writer) error) error {
 	if err := func() error {
 		l.mu.Lock()
 		defer l.mu.Unlock()
 		if l.closed {
 			return ErrClosed
 		}
-		return l.syncLocked()
+		if lsn+1 != l.nextLSN {
+			return fmt.Errorf("wal: checkpoint at LSN %d, but the last record is %d", lsn, l.nextLSN-1)
+		}
+		return l.rotateLocked()
 	}(); err != nil {
 		return err
 	}
 	if err := l.backend.WriteCheckpoint(lsn, write); err != nil {
 		return err
 	}
-	if keep < 1 {
-		keep = 1
-	}
 	ckpts, err := l.backend.ListCheckpoints()
 	if err != nil {
 		return err
 	}
-	for len(ckpts) > keep {
+	for len(ckpts) > keepCheckpoints {
 		if err := l.backend.RemoveCheckpoint(ckpts[0]); err != nil {
 			return err
 		}
@@ -469,16 +479,7 @@ func (l *Log) Close() error {
 		return nil
 	}
 	l.closed = true
-	syncErr := func() error {
-		if !l.dirty {
-			return nil
-		}
-		if err := l.cur.Sync(); err != nil {
-			return err
-		}
-		l.dirty = false
-		return nil
-	}()
+	syncErr := l.syncLocked()
 	closeErr := l.cur.Close()
 	stop := l.stopSync
 	done := l.syncDone

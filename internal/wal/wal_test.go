@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -86,42 +89,71 @@ func mustFS(tb testing.TB) *FS {
 	return fs
 }
 
-// TestSegmentRotation: a tiny SegmentBytes forces rotation; every record
-// stays reachable, TruncateBefore removes only fully-obsolete sealed
-// segments, and replay still works afterwards.
+// TestSegmentRotation: the log starts a new segment at every checkpoint and
+// at Open, never by size; every record stays reachable across segments, and
+// once pruning has dropped the log's head, replay from before the remaining
+// log's start is refused instead of skipping the records it lost.
 func TestSegmentRotation(t *testing.T) {
 	backend := NewMem()
-	l, err := Open(backend, Options{Mode: SyncOff, SegmentBytes: 64})
+	l, err := Open(backend, Options{Mode: SyncOff})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var want []Record
-	for i := 0; i < 30; i++ {
-		payload := []byte(fmt.Sprintf("rotating-payload-%02d", i))
+	payload := bytes.Repeat([]byte("large-payload-"), 1<<10) // 14 KiB a record
+	for i := 0; i < 25; i++ {
 		lsn, err := l.Append(1, payload)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want = append(want, Record{LSN: lsn, Type: 1, Payload: payload})
+		if lsn == 10 {
+			if err := l.WriteCheckpoint(lsn, func(w io.Writer) error { return nil }); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
+	// The checkpoint at 10 sealed segment 1 (records 1–10, which it also
+	// made redundant) and started segment 11, which took the other 15
+	// records however large they grew.
 	segs, _ := backend.ListSegments()
-	if len(segs) < 3 {
-		t.Fatalf("expected rotation to produce several segments, got %v", segs)
+	if !slices.Equal(segs, []uint64{11}) {
+		t.Fatalf("segments %v, want [11]", segs)
 	}
-	assertRecords(t, collect(t, backend, 0), want)
+	if got := l.ActiveBytes(); got != 15*int64(frameHeader+bodyHeader+len(payload)) {
+		t.Fatalf("ActiveBytes = %d, want the 15 records since the checkpoint", got)
+	}
+	assertRecords(t, collect(t, backend, 11), want[10:])
+	assertRecords(t, collect(t, backend, 15), want[14:])
+	l.Close()
 
-	// Truncate below LSN 15: segments entirely under 15 go away, records
-	// >= 15 all survive.
-	if err := l.TruncateBefore(15); err != nil {
+	// Open starts a segment of its own; the next checkpoint seals it.
+	l, err = Open(backend, Options{Mode: SyncOff})
+	if err != nil {
 		t.Fatal(err)
 	}
-	after, _ := backend.ListSegments()
-	if len(after) >= len(segs) {
-		t.Fatalf("truncate removed nothing: %v -> %v", segs, after)
+	defer l.Close()
+	if _, err := l.Append(1, []byte("after-open")); err != nil {
+		t.Fatal(err)
 	}
-	got := collect(t, backend, 15)
-	assertRecords(t, got, want[14:])
-	l.Close()
+	want = append(want, Record{LSN: 26, Type: 1, Payload: []byte("after-open")})
+	if segs, _ = backend.ListSegments(); !slices.Equal(segs, []uint64{11, 26}) {
+		t.Fatalf("segments after reopen %v, want [11 26]", segs)
+	}
+	for _, lsn := range []uint64{26, 26} { // the second one has no record to seal
+		if err := l.WriteCheckpoint(lsn, func(w io.Writer) error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Checkpoints [10 26] keep segment 11, which the older one needs.
+	if segs, _ = backend.ListSegments(); !slices.Equal(segs, []uint64{11, 26, 27}) {
+		t.Fatalf("segments after checkpoints at 26 %v, want [11 26 27]", segs)
+	}
+	assertRecords(t, collect(t, backend, 11), want[10:])
+	err = Replay(backend, 0, func(Record) error { return nil })
+	if err == nil || !strings.Contains(err.Error(), "needs LSN 1, but the log starts at LSN 11") {
+		t.Fatalf("replay from before the log's start: err %v", err)
+	}
 }
 
 // TestTornTailRecovery: appending garbage or a truncated frame to the live
@@ -180,21 +212,22 @@ func TestTornTailRecovery(t *testing.T) {
 }
 
 // TestCheckpointLifecycle: WriteCheckpoint publishes atomically-readable
-// blobs, prunes to `keep`, and garbage-collects segments the oldest retained
-// checkpoint covers.
+// blobs, keeps the newest two, garbage-collects the
+// segments the oldest kept one covers, and refuses an LSN that is not the
+// log's last record.
 func TestCheckpointLifecycle(t *testing.T) {
 	backend := NewMem()
-	l, err := Open(backend, Options{Mode: SyncOff, SegmentBytes: 64})
+	l, err := Open(backend, Options{Mode: SyncOff})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 30; i++ {
-		if _, err := l.Append(1, []byte(fmt.Sprintf("rotating-payload-%02d", i))); err != nil {
+		if _, err := l.Append(1, []byte(fmt.Sprintf("payload-%02d", i))); err != nil {
 			t.Fatal(err)
 		}
 		if (i+1)%10 == 0 {
 			lsn := uint64(i + 1)
-			err := l.WriteCheckpoint(lsn, 2, func(w io.Writer) error {
+			err := l.WriteCheckpoint(lsn, func(w io.Writer) error {
 				_, err := fmt.Fprintf(w, "state-through-%d", lsn)
 				return err
 			})
@@ -204,7 +237,7 @@ func TestCheckpointLifecycle(t *testing.T) {
 		}
 	}
 	ckpts, _ := backend.ListCheckpoints()
-	if len(ckpts) != 2 || ckpts[0] != 20 || ckpts[1] != 30 {
+	if !slices.Equal(ckpts, []uint64{20, 30}) {
 		t.Fatalf("checkpoints = %v, want [20 30]", ckpts)
 	}
 	rc, err := backend.OpenCheckpoint(30)
@@ -216,7 +249,11 @@ func TestCheckpointLifecycle(t *testing.T) {
 	if string(blob) != "state-through-30" {
 		t.Fatalf("checkpoint blob = %q", blob)
 	}
-	// GC: every record > oldest retained checkpoint (20) must survive.
+	// GC: one segment per checkpoint interval; the one the oldest kept
+	// checkpoint (20) covers is gone, every record beyond it survives.
+	if segs, _ := backend.ListSegments(); !slices.Equal(segs, []uint64{21, 31}) {
+		t.Fatalf("segments = %v, want [21 31]", segs)
+	}
 	got := collect(t, backend, 21)
 	if len(got) != 10 || got[0].LSN != 21 {
 		t.Fatalf("post-GC replay from 21: %d records starting at %d", len(got), got[0].LSN)
@@ -225,10 +262,55 @@ func TestCheckpointLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Checkpoints != 2 || st.LastCheckpointLSN != 30 || st.NextLSN != 31 || st.Segments == 0 || st.LogBytes == 0 {
+	if st.Checkpoints != 2 || st.LastCheckpointLSN != 30 || st.NextLSN != 31 || st.Segments != 2 || st.LogBytes == 0 {
 		t.Fatalf("stats = %+v", st)
 	}
+	if err := l.WriteCheckpoint(29, func(io.Writer) error { return nil }); err == nil {
+		t.Fatal("checkpoint at 29 accepted with record 30 appended")
+	}
 	l.Close()
+}
+
+// TestNewFSRemovesCheckpointTemp: the temp file of a checkpoint a crash
+// interrupted is removed when the directory is next opened; published
+// checkpoints, segments and foreign files stay.
+func TestNewFSRemovesCheckpointTemp(t *testing.T) {
+	dir := t.TempDir()
+	fs, err := NewFS(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := Open(fs, Options{Mode: SyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Append(1, []byte("r")); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.WriteCheckpoint(1, func(w io.Writer) error { _, err := io.WriteString(w, "ckpt"); return err }); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	for _, name := range []string{"ckpt-tmp-123", "ckpt-tmp-456", "notes.txt"} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("partial checkpoint"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := NewFS(dir); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	want := []string{"ckpt-00000000000000000001.snap", "notes.txt", "wal-00000000000000000002.log"}
+	if !slices.Equal(names, want) {
+		t.Fatalf("directory after reopen = %v, want %v", names, want)
+	}
 }
 
 // TestMemClone: a clone is independent — appends to the original do not leak

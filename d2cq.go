@@ -87,7 +87,8 @@ func GHW(h *Hypergraph, opts *GHWOptions) (GHWResult, error) { return decomp.GHW
 // HypertreeWidth computes hw(h) with a witnessing decomposition.
 func HypertreeWidth(h *Hypergraph) (*GHD, int, bool, error) { return decomp.HypertreeWidth(h, 0) }
 
-// GHDFromDualTD builds a GHD of width tw(H^d)+1 via Lemma 4.6.
+// GHDFromDualTD builds a GHD of width ≤ tw(H^d)+1 via Lemma 4.6; exact
+// unless the treewidth search's budget runs out.
 func GHDFromDualTD(h *Hypergraph) (*GHD, error) { return decomp.GHDFromDualTD(h) }
 
 // FractionalCoverUpper returns an fhw upper bound over a decomposition.

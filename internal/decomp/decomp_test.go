@@ -200,15 +200,22 @@ func TestGeneralizedWidthAtMostHW(t *testing.T) {
 }
 
 func TestGHDFromDualTDLemma46(t *testing.T) {
-	// Lemma 4.6: ghw(H) ≤ tw(H^d) + 1, witnessed constructively.
+	// Lemma 4.6: ghw(H) ≤ tw(H^d) + 1, witnessed constructively. Every dual
+	// here is decomposed within the search's budget, so the bound is met
+	// with equality.
 	for _, tc := range []struct {
-		name  string
-		h     *hypergraph.Hypergraph
-		maxTW int // known tw of the dual
+		name string
+		h    *hypergraph.Hypergraph
+		tw   int // known tw of the dual
 	}{
 		{"jigsaw2x2", jigsawHG(2, 2), 2}, // dual = 2×2 grid, tw 2
 		{"jigsaw3x3", jigsawHG(3, 3), 3}, // dual = 3×3 grid, tw 3
+		{"jigsaw4x4", jigsawHG(4, 4), 4}, // dual = 4×4 grid, 16 vertices
+		{"jigsaw4x5", jigsawHG(4, 5), 4}, // dual = 4×5 grid, 20 vertices
 		{"triangle", triangleHG(), 2},    // dual of triangle = triangle
+		// A 10-vertex dual on which the min-degree and min-fill orders
+		// both reach width 5: only a search finds the width-4 order.
+		{"heuristic-trap", hypergraph.FromGraph(heuristicTrap()).Dual(), 4},
 	} {
 		d, err := GHDFromDualTD(tc.h)
 		if err != nil {
@@ -217,10 +224,23 @@ func TestGHDFromDualTDLemma46(t *testing.T) {
 		if err := d.Validate(tc.h); err != nil {
 			t.Fatalf("%s: invalid GHD: %v", tc.name, err)
 		}
-		if d.Width() > tc.maxTW+1 {
-			t.Errorf("%s: width %d > tw+1 = %d", tc.name, d.Width(), tc.maxTW+1)
+		if d.Width() != tc.tw+1 {
+			t.Errorf("%s: width %d, want tw+1 = %d", tc.name, d.Width(), tc.tw+1)
 		}
 	}
+}
+
+// heuristicTrap is a graph of treewidth 4 on which graph.TreewidthUpper, the
+// better of the min-degree and min-fill orders, returns 5.
+func heuristicTrap() *graph.Graph {
+	g := graph.New(10)
+	for _, e := range [][2]int{
+		{0, 2}, {0, 3}, {0, 4}, {1, 9}, {2, 3}, {2, 7}, {2, 8}, {2, 9}, {3, 5}, {3, 6},
+		{4, 5}, {4, 7}, {4, 9}, {5, 7}, {5, 8}, {5, 9}, {6, 8}, {6, 9}, {7, 8},
+	} {
+		g.AddEdge(e[0], e[1])
+	}
+	return g
 }
 
 func TestBalancedSeparators(t *testing.T) {

@@ -30,8 +30,10 @@ func (r GHWResult) String() string {
 
 // GHDFromDualTD implements the construction of Lemma 4.6: given a tree
 // decomposition of the dual hypergraph H^d with width k, it builds a GHD of
-// H of width ≤ k+1 by taking λ_u = D_u and B_u = ⋃λ_u. The input must have
-// no isolated vertices (reduce first).
+// H of width ≤ k+1 by taking λ_u = D_u and B_u = ⋃λ_u. The dual is decomposed
+// by graph.Decomposition's branch and bound, so the width is ≤ tw(H^d)+1,
+// with equality unless the search's budget runs out. The input must have no
+// isolated vertices (reduce first).
 func GHDFromDualTD(h *hypergraph.Hypergraph) (*GHD, error) {
 	for v := 0; v < h.NV(); v++ {
 		if h.Degree(v) == 0 {
@@ -178,8 +180,8 @@ func GHW(h *hypergraph.Hypergraph, opts *GHWOptions) (GHWResult, error) {
 	if maxW <= 0 {
 		maxW = r.NE()
 	}
-	// Upper bound 1: Lemma 4.6 (cheap: exact treewidth of the dual for
-	// small duals, heuristic beyond).
+	// Upper bound 1: Lemma 4.6 (cheap: the dual's treewidth by a budgeted
+	// branch and bound, an upper bound where the budget runs out).
 	dualGHD, err := GHDFromDualTD(r)
 	if err != nil {
 		return res, err

@@ -201,14 +201,14 @@ func PreJigsawFromExpressiveMinor(h *hypergraph.Hypergraph, n, m int, em *Expres
 		if _, err := fmt.Sscanf(name, "h%d,%d", &a, &b); err == nil {
 			u := graph.GridVertex(a-1, b-1, m)
 			v := graph.GridVertex(a-1, b, m)
-			if i, ok := edgeIdx[[2]int{min2(u, v), max2(u, v)}]; ok {
+			if i, ok := edgeIdx[[2]int{min(u, v), max(u, v)}]; ok {
 				return i, nil
 			}
 		}
 		if _, err := fmt.Sscanf(name, "v%d,%d", &a, &b); err == nil {
 			u := graph.GridVertex(a-1, b-1, m)
 			v := graph.GridVertex(a, b-1, m)
-			if i, ok := edgeIdx[[2]int{min2(u, v), max2(u, v)}]; ok {
+			if i, ok := edgeIdx[[2]int{min(u, v), max(u, v)}]; ok {
 				return i, nil
 			}
 		}
@@ -335,18 +335,4 @@ func findPath(h *hypergraph.Hypergraph, from, to string, allowed map[int]bool, p
 		}
 	}
 	return nil, errors.New("no connecting path")
-}
-
-func min2(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max2(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -168,9 +168,8 @@ func TestTreewidthBoundsConsistency(t *testing.T) {
 		if err := td.Validate(g); err != nil {
 			t.Errorf("invalid exact decomposition: %v", err)
 		}
-		lb, ub := Treewidth(g)
-		if lb != exact || ub != exact {
-			t.Errorf("Treewidth = [%d,%d], want exact %d", lb, ub, exact)
+		if w := Decomposition(g).Width(); w != exact {
+			t.Errorf("Decomposition width %d, want exact %d", w, exact)
 		}
 	}
 }

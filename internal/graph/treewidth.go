@@ -3,7 +3,6 @@ package graph
 import (
 	"errors"
 	"fmt"
-	"math/bits"
 
 	"d2cq/internal/bitset"
 )
@@ -312,111 +311,14 @@ func TreewidthLowerMMD(g *Graph) int {
 	return lowerMMD(g, fullSet(g.n), bitset.New(g.n), make([]int, g.n))
 }
 
-// MaxExactTreewidthN bounds the instance size accepted by TreewidthExact:
-// the dynamic program uses Θ(2^n) memory.
-const MaxExactTreewidthN = 24
-
-// TreewidthExact computes tw(g) exactly by the Held–Karp-style dynamic
-// program over vertex subsets (Bodlaender et al.), and returns an optimal
-// elimination order. It requires g.N() ≤ MaxExactTreewidthN.
-func TreewidthExact(g *Graph) (int, []int, error) {
-	n := g.n
-	if n == 0 {
-		return -1, nil, nil
-	}
-	if n > MaxExactTreewidthN {
-		return 0, nil, fmt.Errorf("treewidth: exact DP limited to n ≤ %d, got %d", MaxExactTreewidthN, n)
-	}
-	full := uint32(1)<<uint(n) - 1
-	adj := make([]uint32, n)
-	for v := range adj {
-		adj[v] = uint32(g.adj[v][0])
-	}
-	// q(S, v) = #vertices outside S∪{v} reachable from v via paths whose
-	// internal vertices lie in S.
-	q := func(S uint32, v int) int8 {
-		reach, nbrs := uint32(1)<<uint(v), adj[v]
-		for next := nbrs & S; next != 0; next = nbrs & S &^ reach {
-			for ; next != 0; next &= next - 1 {
-				x := bits.TrailingZeros32(next)
-				reach |= 1 << uint(x)
-				nbrs |= adj[x]
-			}
-		}
-		return int8(bits.OnesCount32(nbrs &^ S &^ reach))
-	}
-	tw := make([]int8, full+1)
-	for S := uint32(1); S <= full; S++ {
-		best := int8(127)
-		for rest := S; rest != 0; rest &= rest - 1 {
-			v := bits.TrailingZeros32(rest)
-			Sv := S &^ (1 << uint(v))
-			if cand := max(tw[Sv], q(Sv, v)); cand < best {
-				best = cand
-			}
-		}
-		tw[S] = best
-	}
-	// Recover an optimal elimination order: the argmin vertex of S is the
-	// last-eliminated vertex of S.
-	order := make([]int, n)
-	S := full
-	for i := n - 1; i >= 0; i-- {
-		chosen := -1
-		for rest := S; rest != 0; rest &= rest - 1 {
-			v := bits.TrailingZeros32(rest)
-			Sv := S &^ (1 << uint(v))
-			if max(tw[Sv], q(Sv, v)) == tw[S] {
-				chosen = v
-				break
-			}
-		}
-		order[i] = chosen
-		S &^= 1 << uint(chosen)
-	}
-	return int(tw[full]), order, nil
-}
-
-// Treewidth returns lower and upper bounds on tw(g). When the graph is small
-// enough for the exact DP — or the branch-and-bound search finishes within
-// its default budget — the two coincide.
-func Treewidth(g *Graph) (lb, ub int) {
-	if g.n == 0 {
-		return -1, -1
-	}
-	if g.n <= MaxExactTreewidthN {
-		w, _, err := TreewidthExact(g)
-		if err == nil {
-			return w, w
-		}
-	}
-	if w, _, err := TreewidthBB(g, 500_000); err == nil {
-		return w, w
-	}
-	ub, _ = TreewidthUpper(g)
-	lb = TreewidthLowerMMD(g)
-	if lb > ub {
-		lb = ub
-	}
-	return lb, ub
-}
-
-// Decomposition returns a valid tree decomposition of g of width
-// TreewidthUpper (exact when the graph is small enough for the exact DP).
+// Decomposition returns a valid tree decomposition of g from the elimination
+// order TreewidthBB finds within 500 000 search nodes, whatever the size of g:
+// of width tw(g) when the search finishes, and otherwise of the width of the
+// best order found, a sound upper bound no worse than TreewidthUpper's.
 func Decomposition(g *Graph) *TreeDecomposition {
 	if g.n == 0 {
 		return &TreeDecomposition{}
 	}
-	var order []int
-	if g.n <= MaxExactTreewidthN {
-		if _, o, err := TreewidthExact(g); err == nil {
-			order = o
-		}
-	}
-	if order == nil {
-		// Beyond the DP limit: branch and bound within a budget, falling
-		// back to its heuristic-seeded order either way (sound upper bound).
-		_, order, _ = TreewidthBB(g, 500_000)
-	}
+	_, order, _ := TreewidthBB(g, 500_000)
 	return DecompositionFromOrder(g, order)
 }

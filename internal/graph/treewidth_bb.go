@@ -33,12 +33,12 @@ type bbSearch struct {
 // TreewidthBB computes tw(g) exactly by branch and bound over elimination
 // order prefixes (QuickBB-flavoured): it starts from the heuristic upper
 // bound and prunes with the MMD lower bound of the remaining subgraph, a
-// dominance memo over eliminated sets, and the simplicial-vertex rule. It
-// handles graphs beyond the subset-DP limit; runtime is governed by budget
-// (0 = 2e6 search nodes). On budget exhaustion the current best upper bound
-// and ErrBBBudget are returned. The search order is fixed (candidates by live
-// degree, ties by vertex id), so a search that runs out of budget returns
-// the same width and order every time.
+// dominance memo over eliminated sets, and the simplicial-vertex rule. Its
+// memory grows with the nodes searched, not with 2^n, and its runtime is
+// governed by budget (0 = 2e6 search nodes). On budget exhaustion the
+// current best upper bound and ErrBBBudget are returned. The search order
+// is fixed (candidates by live degree, ties by vertex id), so a search that
+// runs out of budget returns the same width and order every time.
 func TreewidthBB(g *Graph, budget int) (int, []int, error) {
 	n := g.N()
 	if n == 0 {

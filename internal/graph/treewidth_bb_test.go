@@ -9,10 +9,22 @@ import (
 	"d2cq/internal/bitset"
 )
 
+// TestTreewidthBBMatchesDP holds the branch and bound, and Decomposition's
+// width, to the subset DP: on random graphs of 5–12 vertices, and of 13–20,
+// the sizes at which Decomposition once ran the DP itself.
 func TestTreewidthBBMatchesDP(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
-	for trial := 0; trial < 25; trial++ {
-		n := 5 + r.Intn(8)
+	large, maxN := 12, 20
+	if testing.Short() {
+		large, maxN = 4, 16
+	}
+	for trial := 0; trial < 25+large; trial++ {
+		var n int
+		if trial < 25 {
+			n = 5 + r.Intn(8)
+		} else {
+			n = 13 + r.Intn(maxN-12)
+		}
 		g := New(n)
 		for i := 0; i < 2*n; i++ {
 			g.AddEdge(r.Intn(n), r.Intn(n))
@@ -30,6 +42,9 @@ func TestTreewidthBBMatchesDP(t *testing.T) {
 		}
 		if got := WidthOfOrder(g, order); got != exact {
 			t.Fatalf("trial %d: order width %d != %d", trial, got, exact)
+		}
+		if got := Decomposition(g).Width(); got != exact {
+			t.Fatalf("trial %d: Decomposition width %d != %d\n%s", trial, got, exact, g)
 		}
 	}
 }
@@ -346,15 +361,26 @@ func TestTreewidthBBMatchesReference(t *testing.T) {
 	check("jigsaw5x5-dual", Grid(5, 5), 500_000)
 }
 
-// BenchmarkTreewidthBB runs the branch and bound on the primal graph of the
-// dual of Jigsaw(5,5) (the 5×5 grid) at Decomposition's budget, which it
-// exhausts: the search GHW's Lemma 4.6 bound runs on the census's largest
-// jigsaw.
+// BenchmarkTreewidthBB runs the branch and bound at Decomposition's budget on
+// the primal graphs of two jigsaw duals, the grids of GHW's Lemma 4.6 bound:
+// the 4×5 grid (20 vertices), which it decomposes optimally within the
+// budget, and the 5×5 grid of the census's largest jigsaw, on which the
+// budget runs out.
 func BenchmarkTreewidthBB(b *testing.B) {
-	g := Grid(5, 5)
-	for b.Loop() {
-		if _, _, err := TreewidthBB(g, 500_000); err != ErrBBBudget {
-			b.Fatalf("err = %v, want the budget to run out", err)
-		}
+	for _, c := range []struct {
+		name string
+		g    *Graph
+		want error
+	}{
+		{"jigsaw4x5-dual", Grid(4, 5), nil},
+		{"jigsaw5x5-dual", Grid(5, 5), ErrBBBudget},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			for b.Loop() {
+				if _, _, err := TreewidthBB(c.g, 500_000); err != c.want {
+					b.Fatalf("err = %v, want %v", err, c.want)
+				}
+			}
+		})
 	}
 }

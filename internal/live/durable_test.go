@@ -670,3 +670,44 @@ func TestOpenRefusesLogGap(t *testing.T) {
 		t.Fatalf("failed Open wrote to the backend: checkpoints %v, segments %v -> %v", ck, segs, after)
 	}
 }
+
+// TestOpenRefusesLogBehindCheckpoint: a log whose records end before the
+// newest checkpoint's LSN (here every segment is gone) cannot be appended to
+// without numbering new records at or below that checkpoint, which the next
+// recovery would skip. Open refuses it, naming both LSNs, and writes nothing.
+func TestOpenRefusesLogBehindCheckpoint(t *testing.T) {
+	ctx := context.Background()
+	mem := wal.NewMem()
+	s, err := Open(ctx, engine.NewEngine(), durableConfig(mem))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Register(ctx, "q", mustQuery(t, "R(x,y)")); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		flushBatch(t, s, storage.NewDelta().Add("R", "a", fmt.Sprint(i)))
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs, _ := mem.ListSegments()
+	for _, start := range segs {
+		if err := mem.RemoveSegment(start); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ckpts, _ := mem.ListCheckpoints()
+	if len(ckpts) == 0 || ckpts[len(ckpts)-1] == 0 {
+		t.Fatalf("checkpoints %v: no checkpoint past LSN 0", ckpts)
+	}
+	newest := ckpts[len(ckpts)-1]
+	_, err = Open(ctx, engine.NewEngine(), durableConfig(mem))
+	if want := fmt.Sprintf("needs the log to reach LSN %d, but it ends at LSN 0", newest); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Open over checkpoints %v and no segment: err %v, want one containing %q", ckpts, err, want)
+	}
+	after, _ := mem.ListCheckpoints()
+	if segs, _ := mem.ListSegments(); len(segs) != 0 || !slices.Equal(after, ckpts) {
+		t.Fatalf("failed Open wrote to the backend: checkpoints %v -> %v, segments %v", ckpts, after, segs)
+	}
+}

@@ -305,7 +305,9 @@ func (l *Log) syncLoop() {
 // order — recovery's replay, run before a Log is opened. Replay stops at the
 // first torn or discontinuous frame; records past a mid-log gap are
 // unreachable by design. A log that starts after from cannot replay the
-// records before its start, so Replay refuses it rather than skip them.
+// records before its start, and one whose reachable records end before
+// from-1, the checkpoint's LSN, would have Open number new records below it,
+// so Replay refuses both rather than skip records.
 func Replay(backend Backend, from uint64, fn func(Record) error) error {
 	starts, err := backend.ListSegments()
 	if err != nil {
@@ -317,10 +319,10 @@ func Replay(backend Backend, from uint64, fn func(Record) error) error {
 	var last uint64
 	for i, start := range starts {
 		if last != 0 && start != last+1 {
-			return nil // gap between segments
+			break // gap between segments
 		}
 		if i > 0 && last == 0 {
-			return nil // earlier segment was empty/torn: chain broken
+			break // earlier segment was empty/torn: chain broken
 		}
 		// Skip sealed segments that end before `from` without reading them:
 		// a sealed segment is contiguous by construction (rotation happens
@@ -346,9 +348,12 @@ func Replay(backend Backend, from uint64, fn func(Record) error) error {
 			return err
 		}
 		if n == 0 {
-			return nil
+			break
 		}
 		last = start + n - 1
+	}
+	if last+1 < from {
+		return fmt.Errorf("wal: replay needs the log to reach LSN %d, but it ends at LSN %d", from-1, last)
 	}
 	return nil
 }
